@@ -31,11 +31,13 @@ import numpy as np
 
 from .errors import GridMismatchError, ResolutionError, ValidationError
 from .lattice import DyadicCube, Grid, dyadic_cubes_at_level, subcube_order
-from .opfield import OperatorField, StripField, gram, herm
+from .opfield import OperatorField, StripField, gram, psd_eigvalsh, trace_lp_norm
 from .spectral import (
     LPFamily,
     apply_symbol_data,
+    apply_symbol_hat,
     bessel_symbol,
+    fft_data,
     lp_family_j_max,
     multi_derivative_symbol,
 )
@@ -54,9 +56,7 @@ def multi_indices(d: int, max_order: int) -> list[tuple[int, ...]]:
 
 def l1l2_size(block_sum: np.ndarray) -> float:
     """tau((M)^(1/2)) for a PSD matrix M = integrated |a|^2 block."""
-    M = 0.5 * (block_sum + herm(block_sum))
-    eigs = np.clip(np.linalg.eigvalsh(M), 0.0, None)
-    return float(np.sum(np.sqrt(eigs)))
+    return float(np.sum(np.sqrt(psd_eigvalsh(block_sum))))
 
 
 def field_l1l2_size(data: np.ndarray, grid: Grid, weight: Optional[float] = None) -> float:
@@ -308,9 +308,10 @@ def validate_tent_atom(atom: TentAtom, j_max: Optional[int] = None) -> Validatio
 def _derivative_sizes(embedded: np.ndarray, grid: Grid, gammas: Sequence[tuple],
                       ) -> dict:
     out = {}
+    embedded_hat = fft_data(embedded, grid)
     for gamma in gammas:
         sym = multi_derivative_symbol(grid, gamma)
-        dg = apply_symbol_data(sym.values, embedded, grid)
+        dg = apply_symbol_hat(sym.values, embedded_hat, grid)
         out[gamma] = field_l1l2_size(dg, grid)
     return out
 
@@ -608,8 +609,7 @@ def tent_atomize(F: StripField, rel_size_floor: float = 1e-14) -> list:
         blocks, cubes = _cube_blocks(F.level(j), grid, level)
         sum_axes = tuple(1 + ax for ax in range(grid.d))
         mats = np.sum(gram(blocks), axis=sum_axes) * (LOG2 * grid.cell_volume)
-        eigs = np.clip(np.linalg.eigvalsh(0.5 * (mats + herm(mats))), 0.0, None)
-        sizes = np.sum(np.sqrt(eigs), axis=-1)
+        sizes = np.sum(np.sqrt(psd_eigvalsh(mats)), axis=-1)
         per_scale.append((j, blocks, cubes, sizes))
         all_sizes.append(float(sizes.max()) if sizes.size else 0.0)
     top = max(all_sizes) if all_sizes else 0.0
@@ -737,12 +737,13 @@ def smooth_decompose_h1(f: OperatorField, cal: Optional[CalderonSystem] = None,
     grid = f.grid
     if cal is None:
         cal = calderon_resolution(grid, n_pow=2)
+    fhat = fft_data(f.data, grid)
     strip = np.stack(
-        [apply_symbol_data(cal.level(j), f.data, grid) for j in range(1, cal.j_max + 1)]
+        [apply_symbol_hat(cal.level(j), fhat, grid) for j in range(1, cal.j_max + 1)]
     )
     F = StripField(grid, strip)
     tent_pairs = _filter_negligible(tent_atomize(F), f)
-    low = apply_symbol_data(cal.phi0_values, f.data, grid)
+    low = apply_symbol_hat(cal.phi0_values, fhat, grid)
     mu, low_atom = _normalize_alpha_one(low, grid, K, alpha=0.0)
     low_pairs = [] if low_atom is None else [(mu, low_atom)]
     high_pairs = []
@@ -803,13 +804,14 @@ def smooth_decompose_tl(f: OperatorField, alpha: float, K: int, L: int,
     if cal is None:
         n_pow = max(2, 2 * ((L + 2) // 2), 2 * ((int(math.ceil(alpha)) + 1) // 2))
         cal = calderon_resolution(grid, n_pow=n_pow)
+    fhat = fft_data(f.data, grid)
     weighted = np.stack(
-        [4.0 ** (j * alpha / 2.0) * apply_symbol_data(cal.level(j), f.data, grid)
+        [4.0 ** (j * alpha / 2.0) * apply_symbol_hat(cal.level(j), fhat, grid)
          for j in range(1, cal.j_max + 1)]
     )
     F = StripField(grid, weighted)
     tent_pairs = _filter_negligible(tent_atomize(F), f)
-    low = apply_symbol_data(cal.phi0_values, f.data, grid)
+    low = apply_symbol_hat(cal.phi0_values, fhat, grid)
     mu, low_atom = _normalize_alpha_one(low, grid, K, alpha=alpha)
     low_pairs = [] if low_atom is None else [(mu, low_atom)]
     high_pairs = []
@@ -863,7 +865,7 @@ def pointwise_multiply_test(h: OperatorField, f: OperatorField, alpha: float,
     bound = 0.0
     for gamma in multi_indices(grid.d, k_der):
         dg = apply_symbol_data(multi_derivative_symbol(grid, gamma).values, h.data, grid)
-        bound += float(np.max(np.linalg.svd(dg, compute_uv=False)))
+        bound += trace_lp_norm(OperatorField(grid, dg), np.inf)
     return {
         "ratio": ratio,
         "derivative_bound": bound,

@@ -171,9 +171,8 @@ def cmd_norm(cfg: Config, args) -> int:
                 elif name == "F_mix":
                     reports.append(tl_norm_mixture(f, alpha, p, fam, seed=cfg.seed))
                 elif name == "hardy":
-                    reports.append(hardy_norm(f, p, mode=cfg.kernel_mode
-                                              if cfg.kernel_mode in ("lp", "poisson")
-                                              else "lp", family=fam, seed=cfg.seed))
+                    reports.append(hardy_norm(f, p, mode=cfg.kernel_mode, family=fam,
+                                              seed=cfg.seed))
                 elif name == "bmo":
                     reports.append(bmo_norm(f, seed=cfg.seed))
                 elif name == "F_infty":
@@ -421,7 +420,6 @@ def cmd_multiplier_check(cfg: Config, args) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    cfg = _load_cfg(args)
     commands = {
         "gen": cmd_gen,
         "norm": cmd_norm,
@@ -431,7 +429,7 @@ def main(argv=None) -> int:
         "multiplier-check": cmd_multiplier_check,
     }
     try:
-        return commands[args.command](cfg, args)
+        return commands[args.command](_load_cfg(args), args)
     except HypothesisError as exc:
         sys.stderr.write(f"hypothesis error: {exc}\n")
         return 2

@@ -18,6 +18,10 @@ class HypothesisError(OvtlError):
     corresponding bound is not claimed."""
 
 
+class ConfigError(OvtlError):
+    """A configuration file holds a value the program does not accept."""
+
+
 class ValidationError(OvtlError):
     """Numerical input violates a structural contract (e.g. a matrix that
     should be Hermitian PSD is not, beyond tolerance)."""

@@ -20,12 +20,14 @@ from typing import Union
 
 import numpy as np
 
+from .errors import ConfigError
 from .lattice import Grid
 from .opfield import OperatorField, StripField
 
 MAGIC = b"OVTL"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHIIII")
+KERNEL_MODES = ("lp", "poisson")  # the hardy_norm modes a config may select
 
 
 def write_field(path: Union[str, Path], f: Union[OperatorField, StripField]) -> None:
@@ -94,9 +96,6 @@ class Config:
     def sigma_value(self) -> float:
         return self.d / 2.0 + 0.5 if self.sigma is None else self.sigma
 
-    def window_value(self) -> float:
-        return self.N / 4.0 if self.window is None else self.window
-
 
 def config_to_text(cfg: Config) -> str:
     out = io.StringIO()
@@ -151,6 +150,9 @@ def parse_config(text: str) -> Config:
         if raw:
             cfg.ps = tuple(float(x) for x in raw.split(","))
         cfg.kernel_mode = cp.get("norms", "kernel_mode", fallback=cfg.kernel_mode)
+        if cfg.kernel_mode not in KERNEL_MODES:
+            raise ConfigError(f"[norms] kernel_mode must be one of {', '.join(KERNEL_MODES)}, "
+                              f"got {cfg.kernel_mode!r}")
     if cp.has_section("decomposition"):
         cfg.K = cp.getint("decomposition", "K", fallback=cfg.K)
         cfg.L = cp.getint("decomposition", "L", fallback=cfg.L)

@@ -26,6 +26,7 @@ from .spectral import (
     bessel_profile,
     constant_profile,
     default_window,
+    fft_data,
     hsigma_norm_profile,
     lp_base_profile,
     lp_zero_profile,
@@ -346,35 +347,34 @@ def _check_p1_shape(seq: SymbolSequence, p: float) -> None:
         )
 
 
-def _square_norm(f: OperatorField, symbols: list[np.ndarray], alpha: float,
-                 p: float) -> float:
+def _square_norm(f: OperatorField, fhat: np.ndarray, symbols: list[np.ndarray],
+                 alpha: float, p: float) -> float:
     spec_symbols = tuple(
         Symbol(f.grid, v, tag=f"seq{j}") for j, v in enumerate(symbols[1:], start=1)
     )
     zero = Symbol(f.grid, symbols[0], tag="seq0")
     spec = SquareFunctionSpec(kernel_kind="phi", alpha=alpha, level_symbols=spec_symbols,
                               zero_symbol=zero, include_zero_term=True)
-    return _eig_norm(radial_accumulator(f, spec), p)
+    return _eig_norm(radial_accumulator(f, spec, fhat), p)
 
 
-def _conic_norm(f: OperatorField, symbols: list[np.ndarray], alpha: float,
-                p: float, cone: ConeIndex) -> float:
+def _conic_norm(f: OperatorField, fhat: np.ndarray, symbols: list[np.ndarray],
+                alpha: float, p: float, cone: ConeIndex) -> float:
     grid = f.grid
-    from .opfield import PSDAccumulator, gram, herm
+    from .opfield import PSDAccumulator, gram
     from .sqfn import _ball_indicator_ffts, ball_average
-    from .spectral import apply_symbol_data
+    from .spectral import apply_symbol_hat
 
     acc = PSDAccumulator(grid, f.n)
     ind_ffts = _ball_indicator_ffts(grid, cone)
     h_d = grid.cell_volume
     # j = 0 term: radial (B_0 would exceed the torus; the cone starts at j=1)
-    g0 = apply_symbol_data(symbols[0], f.data, grid)
+    g0 = apply_symbol_hat(symbols[0], fhat, grid)
     acc.add_gram(g0, 1.0)
     for j in range(1, len(symbols)):
-        g = apply_symbol_data(symbols[j], f.data, grid)
+        g = apply_symbol_hat(symbols[j], fhat, grid)
         avg = ball_average(gram(g), ind_ffts[j], grid)
         acc.add_psd(avg, 2.0 ** (j * (2 * alpha + grid.d)) * h_d)
-    acc.S = 0.5 * (acc.S + herm(acc.S))
     return _eig_norm(acc, p)
 
 
@@ -404,8 +404,9 @@ def empirical_square_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorF
     ratios = []
     for t in range(trials):
         f = f_gen(t)
-        out = _square_norm(f, prod_vals, alpha, p)
-        inp = _square_norm(f, rho_vals, alpha, p)
+        fhat = fft_data(f.data, grid)
+        out = _square_norm(f, fhat, prod_vals, alpha, p)
+        inp = _square_norm(f, fhat, rho_vals, alpha, p)
         ratios.append(out / inp if inp > 0 else 0.0)
     r_emp = max(ratios) if ratios else 0.0
     return MultiplierCertificate(
@@ -441,8 +442,9 @@ def empirical_conic_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorFi
     ratios = []
     for t in range(trials):
         f = f_gen(t)
-        out = _conic_norm(f, prod_vals, alpha, p, cone)
-        inp = _conic_norm(f, rho_vals, alpha, p, cone)
+        fhat = fft_data(f.data, grid)
+        out = _conic_norm(f, fhat, prod_vals, alpha, p, cone)
+        inp = _conic_norm(f, fhat, rho_vals, alpha, p, cone)
         ratios.append(out / inp if inp > 0 else 0.0)
     r_emp = max(ratios) if ratios else 0.0
     return MultiplierCertificate(

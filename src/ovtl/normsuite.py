@@ -18,22 +18,25 @@ import numpy as np
 from .lattice import ConeIndex, Grid, cone_index
 from .opfield import (
     OperatorField,
+    PSDAccumulator,
     StripField,
     gram,
-    herm,
     lp_norm_from_psd_eigs,
+    psd_eigvalsh,
     trace_lp_norm,
 )
 from .sqfn import (
     SquareFunctionSpec,
     conic_accumulator,
     radial_accumulator,
+    radial_levels,
     tent_accumulator,
 )
 from .spectral import (
     HomLPFamily,
     LPFamily,
-    apply_symbol_data,
+    apply_symbol_hat,
+    fft_data,
     poisson_symbol,
 )
 
@@ -81,44 +84,67 @@ def _eig_norm(acc, p: float) -> float:
     return lp_norm_from_psd_eigs(acc.eigenvalues(), p, acc.grid.cell_volume)
 
 
-def _low_term_norm(f: OperatorField, values: np.ndarray, p: float) -> float:
-    low = OperatorField(f.grid, apply_symbol_data(values, f.data, f.grid))
-    return trace_lp_norm(low, p)
+def _check_p(p: float) -> None:
+    if p != np.inf and p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+
+
+def _low_term_norm(f: OperatorField, values: np.ndarray, fhat: np.ndarray,
+                   p: float) -> float:
+    return trace_lp_norm(OperatorField(f.grid, apply_symbol_hat(values, fhat, f.grid)), p)
+
+
+def _lp_square_norms(f: OperatorField, alpha: float, p: float, family: LPFamily,
+                     sides: Sequence[str], fhat: Optional[np.ndarray] = None,
+                     low: bool = True) -> tuple[list, Optional[float]]:
+    """LP square-function norms of f on each side in ``sides`` ("column"
+    or "row"), and the phi_0 term ||phi_0 * f||_p when ``low``.
+
+    One forward transform serves every side: the LP symbols are real and
+    even, so phi_j * f* = (phi_j * f)*, and the row sum
+    sum_j 4^{j alpha} |phi_j * f*|^2 is sum_j 4^{j alpha} g_j g_j* over the
+    column's filtered levels g_j = phi_j * f.
+    """
+    spec = SquareFunctionSpec(kernel_kind="lp", alpha=alpha, family=family)
+    accs = [PSDAccumulator(f.grid, f.n) for _ in sides]
+    low_term = None
+    for j, weight, g in radial_levels(f, spec, fhat):
+        if low and j == 0:
+            low_term = trace_lp_norm(OperatorField(f.grid, g), p)
+        for side, acc in zip(sides, accs):
+            acc.add_gram(g, weight, row=side == "row")
+    return [_eig_norm(acc, p) for acc in accs], low_term
 
 
 # ---------------------------------------------------------------------------
 # smoothness norms
 # ---------------------------------------------------------------------------
 
-def tl_norm_column(f: OperatorField, alpha: float, p: float, family: LPFamily,
-                   seed: Optional[int] = None) -> NormReport:
-    """Column norm || (sum_j 4^{j alpha} |phi_j * f|^2)^(1/2) ||_p, j >= 0."""
-    if p != np.inf and p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    spec = SquareFunctionSpec(kernel_kind="lp", alpha=alpha, family=family,
-                              include_zero_term=True)
-    acc = radial_accumulator(f, spec)
-    value = _eig_norm(acc, p)
+def _tl_side_report(f: OperatorField, alpha: float, p: float, family: LPFamily,
+                    side: str, seed: Optional[int]) -> NormReport:
+    _check_p(p)
+    (value,), low = _lp_square_norms(f, alpha, p, family, (side,))
     return NormReport(
-        name="F_alpha_column",
+        name=f"F_alpha_{side}",
         value=value,
         params={"alpha": alpha, "p": p, "kernel": f"lp[{family.kind}]"},
-        terms={
-            "square_function": value,
-            "phi0_term": _low_term_norm(f, family.values(0), p),
-        },
+        terms={"square_function": value, "phi0_term": low},
         grid=f.grid,
         n=f.n,
         seed=seed,
     )
 
 
+def tl_norm_column(f: OperatorField, alpha: float, p: float, family: LPFamily,
+                   seed: Optional[int] = None) -> NormReport:
+    """Column norm || (sum_j 4^{j alpha} |phi_j * f|^2)^(1/2) ||_p, j >= 0."""
+    return _tl_side_report(f, alpha, p, family, "column", seed)
+
+
 def tl_norm_row(f: OperatorField, alpha: float, p: float, family: LPFamily,
                 seed: Optional[int] = None) -> NormReport:
     """Row norm: column norm of the pointwise adjoint field."""
-    rep = tl_norm_column(f.adjoint(), alpha, p, family, seed=seed)
-    rep.name = "F_alpha_row"
-    return rep
+    return _tl_side_report(f, alpha, p, family, "row", seed)
 
 
 def tl_norm_mixture(f: OperatorField, alpha: float, p: float, family: LPFamily,
@@ -128,9 +154,11 @@ def tl_norm_mixture(f: OperatorField, alpha: float, p: float, family: LPFamily,
     of column(g)+row(h) over the provided splits plus the two trivial splits.
 
     The p <= 2 value is an upper bound for the true infimum and is flagged so.
+    Column and row come from one filtering of f, exactly as computed by
+    :func:`tl_norm_column` and :func:`tl_norm_row`.
     """
-    col = tl_norm_column(f, alpha, p, family).value
-    row = tl_norm_row(f, alpha, p, family).value
+    _check_p(p)
+    (col, row), _ = _lp_square_norms(f, alpha, p, family, ("column", "row"), low=False)
     if p > 2:
         value = max(col, row)
         flags = {"upper_bound": False}
@@ -176,8 +204,7 @@ def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radia
     separately.  Poisson mode and conic shapes return the two-term form
     square-function + low-frequency, per the defining expression.
     """
-    if p != np.inf and p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     if mode not in ("lp", "poisson"):
         raise ValueError(f"unknown mode {mode!r}")
     if shape not in ("radial", "conic"):
@@ -195,25 +222,20 @@ def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radia
         j_top = grid.max_scale if family is None else family.j_max
         spec_kwargs = dict(kernel_kind="poisson", poisson_k=poisson_k, alpha=0.0,
                            j_max=j_top)
-    low = _low_term_norm(f, low_values, p)
+    fhat = fft_data(f.data, grid)
 
-    if shape == "radial":
-        if mode == "lp":
-            spec = SquareFunctionSpec(include_zero_term=True, **spec_kwargs)
-            acc = radial_accumulator(f, spec)
-            sq = _eig_norm(acc, p)
-            value = sq
-        else:
-            spec = SquareFunctionSpec(include_zero_term=False, **spec_kwargs)
-            acc = radial_accumulator(f, spec)
-            sq = _eig_norm(acc, p)
-            value = sq + low
+    if shape == "radial" and mode == "lp":
+        (sq,), low = _lp_square_norms(f, 0.0, p, family, ("column",), fhat)
+        value = sq
     else:
-        if cone is None:
-            cone = cone_index(grid, j_top)
+        low = _low_term_norm(f, low_values, fhat, p)
         spec = SquareFunctionSpec(include_zero_term=False, **spec_kwargs)
-        acc = conic_accumulator(f, spec, cone)
-        acc.S = 0.5 * (acc.S + herm(acc.S))
+        if shape == "radial":
+            acc = radial_accumulator(f, spec, fhat)
+        else:
+            if cone is None:
+                cone = cone_index(grid, j_top)
+            acc = conic_accumulator(f, spec, cone, fhat)
         sq = _eig_norm(acc, p)
         value = sq + low
     return NormReport(
@@ -255,10 +277,8 @@ def _block_means(data: np.ndarray, grid: Grid, level: int) -> np.ndarray:
 
 def _max_sqrt_opnorm(blocks: np.ndarray) -> float:
     """max over leading axes of || block^(1/2) ||_op for PSD blocks."""
-    blocks = 0.5 * (blocks + herm(blocks))
-    eigs = np.linalg.eigvalsh(blocks)
-    top = float(np.max(eigs)) if eigs.size else 0.0
-    return math.sqrt(max(top, 0.0))
+    eigs = psd_eigvalsh(blocks)
+    return math.sqrt(float(np.max(eigs))) if eigs.size else 0.0
 
 
 def bmo_norm(f: OperatorField, seed: Optional[int] = None) -> NormReport:
@@ -292,26 +312,24 @@ def bmo_norm(f: OperatorField, seed: Optional[int] = None) -> NormReport:
 def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily,
                   seed: Optional[int] = None) -> NormReport:
     """F^alpha_infty norm: ||phi_0 * f||_sup plus the Carleson-type sup over
-    dyadic cubes |Q| < 1 with scale cutoff j >= level(Q)."""
+    dyadic cubes |Q| < 1 with scale cutoff j >= level(Q).
+
+    Scales are walked downward from j_max with one tail accumulator
+    sum_{j >= level} 4^{j alpha} |phi_j * f|^2, whose cube means are taken
+    when the walk reaches each level.
+    """
     grid = f.grid
-    low = apply_symbol_data(family.values(0), f.data, grid)
-    low_term = float(np.max(np.linalg.svd(low, compute_uv=False)))
-    # per-scale PSD fields 4^{j alpha} |phi_j * f|^2
-    P = {}
-    for j in range(1, family.j_max + 1):
-        g = apply_symbol_data(family.values(j), f.data, grid)
-        P[j] = 4.0 ** (j * alpha) * gram(g)
-    carleson = 0.0
-    per_level = {}
+    fhat = fft_data(f.data, grid)
+    low_term = _low_term_norm(f, family.values(0), fhat, np.inf)
     top_level = min(grid.max_cube_level, family.j_max)
-    for level in range(1, top_level + 1):
-        tail = np.zeros(grid.shape + (f.n, f.n), dtype=np.complex128)
-        for j in range(level, family.j_max + 1):
-            tail += P[j]
-        m = _block_means(tail, grid, level)
-        lv = _max_sqrt_opnorm(m)
-        per_level[f"carleson_level_{level}"] = lv
-        carleson = max(carleson, lv)
+    acc = PSDAccumulator(grid, f.n)
+    by_level = {}
+    for j in range(family.j_max, 0, -1):
+        acc.add_gram(apply_symbol_hat(family.values(j), fhat, grid), 4.0 ** (j * alpha))
+        if j <= top_level:
+            by_level[j] = _max_sqrt_opnorm(_block_means(acc.S, grid, j))
+    per_level = {f"carleson_level_{level}": by_level[level] for level in sorted(by_level)}
+    carleson = max(by_level.values(), default=0.0)
     value = low_term + carleson
     return NormReport(
         name="F_alpha_infty",
@@ -331,8 +349,7 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily,
 def tent_norm(F: StripField, p: float, cone: Optional[ConeIndex] = None,
               seed: Optional[int] = None) -> NormReport:
     """Tent-space norm || A^c(F) ||_p."""
-    if p != np.inf and p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     acc = tent_accumulator(F, cone)
     value = _eig_norm(acc, p)
     return NormReport(
@@ -359,16 +376,13 @@ def homogeneous_equiv_report(f: OperatorField, alpha: float, p: float,
     """
     if alpha <= 0:
         raise ValueError("homogeneous equivalence requires alpha > 0")
-    inhom = tl_norm_column(f, alpha, p, family).value
     grid = f.grid
-    from .opfield import PSDAccumulator  # local import to avoid cycle noise
-
+    fhat = fft_data(f.data, grid)
+    (inhom,), low = _lp_square_norms(f, alpha, p, family, ("column",), fhat)
     acc = PSDAccumulator(grid, f.n)
     for j in hom.scales():
-        g = apply_symbol_data(hom.member(j).values, f.data, grid)
-        acc.add_gram(g, 4.0 ** (j * alpha))
+        acc.add_gram(apply_symbol_hat(hom.member(j).values, fhat, grid), 4.0 ** (j * alpha))
     hom_sq = _eig_norm(acc, p)
-    low = _low_term_norm(f, family.values(0), p)
     plain = trace_lp_norm(f, p)
     denom_phi0 = low + hom_sq
     denom_plain = plain + hom_sq

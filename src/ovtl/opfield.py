@@ -7,6 +7,12 @@ throughout: adjoints, the operator modulus |x| = (x*x)^(1/2), pointwise PSD
 accumulation with Hermitian square roots, trace L_p norms, and the
 operator Cauchy-Schwarz gap.
 
+The batched small-matrix kernels every other module goes through live
+here: :func:`gram` (x*x, summed entry by entry for n <= 2 so the result is
+exactly Hermitian) and :func:`psd_eigvalsh` (eigenvalues of PSD blocks,
+read off directly for n = 1, LAPACK for n >= 2).  Singular values are
+never computed by SVD: sigma(x)^2 are the eigenvalues of x*x.
+
 All public operations are pure; field data is marked read-only after
 construction, and every reduction uses a fixed summation order so results
 are reproducible.
@@ -142,8 +148,40 @@ def herm(x: np.ndarray) -> np.ndarray:
 
 
 def gram(x: np.ndarray) -> np.ndarray:
-    """Column Gram block x* x on the trailing matrix axes."""
-    return herm(x) @ x
+    """Column Gram block x* x on the trailing matrix axes.
+
+    For n <= 2 each entry a <= b is summed directly over k from
+    conj(x[..., k, a]) * x[..., k, b] (the diagonal as |x|^2) and its
+    conjugate is written to (b, a): the result is exactly Hermitian with an
+    exactly real diagonal, and no conjugated copy of x is made.
+    """
+    x = np.asarray(x)
+    n = x.shape[-1]
+    if n > 2:
+        return herm(x) @ x
+    out = np.empty(x.shape[:-2] + (n, n), dtype=np.result_type(x.dtype, np.complex128))
+    for a in range(n):
+        for b in range(a, n):
+            terms = [x[..., k, a].real ** 2 + x[..., k, a].imag ** 2 if a == b
+                     else np.conj(x[..., k, a]) * x[..., k, b] for k in range(n)]
+            total = sum(terms[1:], terms[0])
+            out[..., a, b] = total
+            if b > a:
+                out[..., b, a] = np.conj(total)
+    return out
+
+
+def psd_eigvalsh(S: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian PSD blocks, clipped at 0; shape (..., n).
+
+    n = 1 reads off the real entry; n >= 2 symmetrizes and calls LAPACK.
+    """
+    S = np.asarray(S)
+    if S.shape[-1] == 1:
+        w = S[..., 0].real
+    else:
+        w = np.linalg.eigvalsh(0.5 * (S + herm(S)))
+    return np.clip(w, 0.0, None)
 
 
 def psd_sqrt(S: np.ndarray, check: bool = True, rtol: float = 1e-12) -> np.ndarray:
@@ -186,11 +224,17 @@ class PSDAccumulator:
     def __post_init__(self):
         self.S = np.zeros(self.grid.shape + (self.n, self.n), dtype=np.complex128)
 
-    def add_gram(self, g: np.ndarray, weight: float = 1.0) -> "PSDAccumulator":
-        """Accumulate weight * g(s)* g(s)."""
+    def add_gram(self, g: np.ndarray, weight: float = 1.0,
+                 row: bool = False) -> "PSDAccumulator":
+        """Accumulate weight * g(s)* g(s), or weight * g(s) g(s)* with ``row``."""
         if weight < 0:
             raise ValueError("weights must be nonnegative")
-        self.S += weight * gram(g)
+        if row:  # gram(g^T) = conj(g) g^T is the transpose of g g*; no copies
+            P = np.swapaxes(gram(np.swapaxes(g, -1, -2)), -1, -2)
+        else:
+            P = gram(g)
+        P *= weight
+        self.S += P
         return self
 
     def add_psd(self, P: np.ndarray, weight: float = 1.0) -> "PSDAccumulator":
@@ -213,8 +257,7 @@ class PSDAccumulator:
 
     def eigenvalues(self) -> np.ndarray:
         """Pointwise eigenvalues of S, clipped at 0; shape (*grid.shape, n)."""
-        w = np.linalg.eigvalsh(0.5 * (self.S + herm(self.S)))
-        return np.clip(w, 0.0, None)
+        return psd_eigvalsh(self.S)
 
     def sqrt(self) -> OperatorField:
         """Pointwise Hermitian PSD square root as an OperatorField."""
@@ -231,23 +274,13 @@ def sqrt_psd(acc: PSDAccumulator) -> OperatorField:
 # norms and pairings
 # ---------------------------------------------------------------------------
 
-def singular_values(f: OperatorField) -> np.ndarray:
-    """Pointwise singular values, shape (*grid.shape, n)."""
-    return np.linalg.svd(f.data, compute_uv=False)
-
-
 def trace_lp_norm(f: OperatorField, p: float) -> float:
     """Noncommutative L_p norm (sum_s h^d tr|f(s)|^p)^(1/p); operator-sup for p = inf.
 
-    The trace is the standard (unnormalized) matrix trace.
+    The trace is the standard (unnormalized) matrix trace.  The singular
+    values enter as sigma^p = lambda(f* f)^(p/2), so no SVD is taken.
     """
-    if p != np.inf and p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    sv = singular_values(f)
-    if p == np.inf:
-        return float(np.max(sv)) if sv.size else 0.0
-    total = float(np.sum(sv**p)) * f.grid.cell_volume
-    return total ** (1.0 / p)
+    return lp_norm_from_psd_eigs(psd_eigvalsh(gram(f.data)), p, f.grid.cell_volume)
 
 
 def lp_norm_from_psd_eigs(eigs: np.ndarray, p: float, cell_volume: float) -> float:

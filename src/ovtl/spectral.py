@@ -209,19 +209,33 @@ def apply_symbol(m: Symbol, f: OperatorField) -> OperatorField:
     """Fourier multiplier: inverse transform of m(xi) fhat(xi)."""
     if m.grid != f.grid:
         raise GridMismatchError("symbol and field grids differ")
-    coef = np.fft.fftn(f.data, axes=f.grid.spatial_axes)
-    coef *= m.values[..., None, None]
-    out = np.fft.ifftn(coef, axes=f.grid.spatial_axes)
-    return OperatorField(f.grid, out)
+    return OperatorField(f.grid, apply_symbol_data(m.values, f.data, f.grid))
+
+
+def _data_axes(data: np.ndarray, grid: Grid) -> tuple:
+    extra = data.ndim - grid.d - 2
+    return tuple(ax + extra for ax in grid.spatial_axes)
+
+
+def fft_data(data: np.ndarray, grid: Grid) -> np.ndarray:
+    """Unnormalized forward DFT of raw (*, n, n) or batched (B, *, n, n) data.
+
+    Transform a field once with this and filter it by any number of symbols
+    with :func:`apply_symbol_hat`, one inverse FFT each.
+    """
+    return np.fft.fftn(data, axes=_data_axes(data, grid))
+
+
+def apply_symbol_hat(values: np.ndarray, data_hat: np.ndarray, grid: Grid) -> np.ndarray:
+    """Multiplier action on data given its transform ``fft_data(data)``,
+    which is left unchanged."""
+    coef = data_hat * values[..., None, None]
+    return np.fft.ifftn(coef, axes=_data_axes(coef, grid), out=coef)
 
 
 def apply_symbol_data(values: np.ndarray, data: np.ndarray, grid: Grid) -> np.ndarray:
     """Multiplier action on raw (*, n, n) or batched (B, *, n, n) data."""
-    extra = data.ndim - grid.d - 2
-    axes = tuple(ax + extra for ax in grid.spatial_axes)
-    coef = np.fft.fftn(data, axes=axes)
-    coef *= values[..., None, None]
-    return np.fft.ifftn(coef, axes=axes)
+    return apply_symbol_hat(values, fft_data(data, grid), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +496,3 @@ def hsigma_norm(sym: Symbol, sigma: float, window: Optional[float] = None) -> fl
         s_sq = s_sq + axis.reshape(sh)
     weight = (1.0 + s_sq) ** sigma
     return float(np.sqrt(np.sum(weight * np.abs(spatial) ** 2)))
-
-
-def default_sigma(grid: Grid) -> float:
-    """Default smoothness parameter: d/2 + 1/2."""
-    return grid.d / 2.0 + 0.5

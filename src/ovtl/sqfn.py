@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import GridMismatchError
 from .lattice import ConeIndex, Grid, cone_index
 from .opfield import OperatorField, PSDAccumulator, StripField, gram
-from .spectral import LPFamily, Symbol, apply_symbol_data, poisson_dk_symbol
+from .spectral import LPFamily, Symbol, apply_symbol_hat, fft_data, poisson_dk_symbol
 
 LOG2 = math.log(2.0)
 
@@ -108,16 +108,31 @@ def _check_spec_grid(spec: SquareFunctionSpec, grid: Grid) -> None:
                 raise GridMismatchError("level symbol grid does not match field grid")
 
 
-def radial_accumulator(f: OperatorField, spec: SquareFunctionSpec) -> PSDAccumulator:
-    """PSD accumulator of sum_j weight_j (level_j * f)(s)* (level_j * f)(s)."""
+def radial_levels(f: OperatorField, spec: SquareFunctionSpec,
+                  fhat: Optional[np.ndarray] = None) -> Iterator[tuple]:
+    """Yield (j, weight_j, level_j * f) of the radial sum: the zero term
+    (j = 0, weight 1) first when the spec has one, then j ascending.
+
+    f is transformed once, or ``fhat = fft_data(f.data, f.grid)`` is used,
+    so each level costs one inverse FFT.
+    """
     _check_spec_grid(spec, f.grid)
-    acc = PSDAccumulator(f.grid, f.n)
+    if fhat is None:
+        fhat = fft_data(f.data, f.grid)
     zero = spec.zero_values(f.grid)
     if zero is not None:
-        acc.add_gram(apply_symbol_data(zero, f.data, f.grid), 1.0)
+        yield 0, 1.0, apply_symbol_hat(zero, fhat, f.grid)
     for j in spec.scales():
-        g = apply_symbol_data(spec.level_values(f.grid, j), f.data, f.grid)
-        acc.add_gram(g, spec.radial_weight(j))
+        g = apply_symbol_hat(spec.level_values(f.grid, j), fhat, f.grid)
+        yield j, spec.radial_weight(j), g
+
+
+def radial_accumulator(f: OperatorField, spec: SquareFunctionSpec,
+                       fhat: Optional[np.ndarray] = None) -> PSDAccumulator:
+    """PSD accumulator of sum_j weight_j (level_j * f)(s)* (level_j * f)(s)."""
+    acc = PSDAccumulator(f.grid, f.n)
+    for _, weight, g in radial_levels(f, spec, fhat):
+        acc.add_gram(g, weight)
     return acc
 
 
@@ -143,9 +158,13 @@ def ball_average(P: np.ndarray, ind_fft: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def conic_accumulator(f: OperatorField, spec: SquareFunctionSpec,
-                      cone: ConeIndex) -> PSDAccumulator:
-    """Accumulator of sum_j w_j sum_{t in B_j} h^d |level_j * f(s+t)|^2."""
+def conic_accumulator(f: OperatorField, spec: SquareFunctionSpec, cone: ConeIndex,
+                      fhat: Optional[np.ndarray] = None) -> PSDAccumulator:
+    """Accumulator of sum_j w_j sum_{t in B_j} h^d |level_j * f(s+t)|^2.
+
+    ``fhat = fft_data(f.data, f.grid)`` may be passed to share the forward
+    transform of f with other square functions.
+    """
     _check_spec_grid(spec, f.grid)
     if cone.grid != f.grid:
         raise GridMismatchError("cone index grid does not match field grid")
@@ -154,11 +173,13 @@ def conic_accumulator(f: OperatorField, spec: SquareFunctionSpec,
         raise GridMismatchError(
             f"spec scales go to {scales.stop - 1} but cone only covers {cone.j_max}"
         )
+    if fhat is None:
+        fhat = fft_data(f.data, f.grid)
     ind_ffts = _ball_indicator_ffts(f.grid, cone)
     acc = PSDAccumulator(f.grid, f.n)
     h_d = f.grid.cell_volume
     for j in scales:
-        g = apply_symbol_data(spec.level_values(f.grid, j), f.data, f.grid)
+        g = apply_symbol_hat(spec.level_values(f.grid, j), fhat, f.grid)
         P = gram(g)
         avg = ball_average(P, ind_ffts[j], f.grid)
         acc.add_psd(avg, spec.conic_weight(j, f.grid.d) * h_d)
@@ -196,10 +217,3 @@ def tent_accumulator(F: StripField, cone: Optional[ConeIndex] = None) -> PSDAccu
 def tent_functional(F: StripField, cone: Optional[ConeIndex] = None) -> OperatorField:
     """Tent functional A^c(F) (PSD-root field)."""
     return tent_accumulator(F, cone).sqrt()
-
-
-def strip_size_sq(F: StripField) -> np.ndarray:
-    """Pointwise L_2(ds deps/eps) Gram of a strip field: sum over cells with
-    weight log2 * h^d; returns the integrated n x n PSD block."""
-    total = np.sum(gram(F.data), axis=(0,) + tuple(ax + 1 for ax in F.grid.spatial_axes))
-    return total * (LOG2 * F.grid.cell_volume)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ovtl.cli import main
+from ovtl.errors import ConfigError, OvtlError
 from ovtl.fieldio import (
     Config,
     config_to_text,
@@ -54,6 +55,31 @@ def test_config_auto_fields():
     cfg = parse_config(config_to_text(Config()))
     assert cfg.sigma is None and cfg.window is None
     assert cfg.sigma_value() == 1.0  # d/2 + 1/2 at d = 1
+
+
+def test_config_unknown_kernel_mode_rejected(tmp_path, capsys):
+    text = config_to_text(Config()).replace("kernel_mode = lp", "kernel_mode = bogus")
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert isinstance(info.value, OvtlError)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    field = tmp_path / "f.ovtl"
+    write_field(field, band_limited_random(Grid(1, 64), 2, 4))
+    code = main(["--config", str(cfg), "--grid", "64", "norm", str(field), "--which", "hardy"])
+    assert code != 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "kernel_mode" in err and "bogus" in err
+
+
+def test_config_poisson_kernel_mode_honoured(tmp_path, capsys):
+    cfg = tmp_path / "poisson.cfg"
+    cfg.write_text(config_to_text(Config(kernel_mode="poisson")))
+    field = tmp_path / "f.ovtl"
+    write_field(field, band_limited_random(Grid(1, 64), 2, 4))
+    assert main(["--config", str(cfg), "--grid", "64", "--p", "1", "--alpha", "0",
+                 "norm", str(field), "--which", "hardy"]) == 0
+    assert "mode = poisson" in capsys.readouterr().out
 
 
 def test_gen_deterministic(tmp_path):

@@ -9,12 +9,14 @@ from ovtl.opfield import (
     OperatorField,
     PSDAccumulator,
     StripField,
+    gram,
     herm,
     hs_norm_sq,
     modulus,
     op_cauchy_schwarz_gap,
     op_cauchy_schwarz_scale,
     pairing,
+    psd_eigvalsh,
     psd_sqrt,
     sqrt_psd,
     trace_lp_norm,
@@ -203,3 +205,66 @@ def test_strip_field_scale_indexing(grid64):
         F.level(0)
     with pytest.raises(ValueError):
         F.level(4)
+
+
+# ---------------------------------------------------------------------------
+# small-matrix kernels against LAPACK / SVD oracles
+# ---------------------------------------------------------------------------
+
+def _psd_cases(n: int, seed: int) -> dict:
+    rng = rng_for(seed)
+    x = rng.normal(size=(64, n, n)) + 1j * rng.normal(size=(64, n, n))
+    v = rng.normal(size=(64, n, 1)) + 1j * rng.normal(size=(64, n, 1))
+    diag = np.zeros((64, n, n), dtype=complex)
+    diag[:, np.arange(n), np.arange(n)] = rng.uniform(0.0, 3.0, size=(64, n))
+    return {
+        "random": herm(x) @ x,
+        "rank_one": v @ herm(v),
+        "zero": np.zeros((64, n, n), dtype=complex),
+        "diagonal": diag,
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_psd_eigvalsh_matches_lapack(n, scale):
+    for name, S in _psd_cases(n, 700 + n).items():
+        S = scale * S
+        want = np.clip(np.linalg.eigvalsh(S), 0.0, None)
+        got = psd_eigvalsh(S)
+        assert got.shape == S.shape[:-1]
+        assert got.min() >= 0.0
+        top = max(float(np.max(np.abs(S))), 1e-300)
+        assert np.max(np.abs(got - want)) <= 1e-13 * top, name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gram_small_matches_matmul(n):
+    rng = rng_for(710 + n)
+    x = rng.normal(size=(8, 16, n, n)) + 1j * rng.normal(size=(8, 16, n, n))
+    G = gram(x)
+    want = herm(x) @ x
+    assert np.max(np.abs(G - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(G, herm(G))
+    assert np.all(np.diagonal(G, axis1=-2, axis2=-1).imag == 0.0)
+
+
+def test_row_gram_is_gram_of_adjoint(grid64):
+    rng = rng_for(720)
+    for n in (1, 2, 3):
+        g = rng.normal(size=grid64.shape + (n, n)) + 1j * rng.normal(size=grid64.shape + (n, n))
+        row = PSDAccumulator(grid64, n).add_gram(g, 0.7, row=True)
+        col = PSDAccumulator(grid64, n).add_gram(herm(g), 0.7)
+        assert np.max(np.abs(row.S - col.S)) <= 1e-14 * np.max(np.abs(col.S))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_trace_lp_matches_svd(grid64, n, p):
+    f = band_limited_random(grid64, n, 730 + n)
+    sv = np.linalg.svd(f.data, compute_uv=False)
+    if p == np.inf:
+        want = float(np.max(sv))
+    else:
+        want = (float(np.sum(sv**p)) * grid64.cell_volume) ** (1.0 / p)
+    assert abs(trace_lp_norm(f, p) - want) <= 1e-12 * want

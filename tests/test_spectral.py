@@ -10,9 +10,12 @@ from ovtl.generators import band_limited_random, rng_for, single_mode
 from ovtl.spectral import (
     Symbol,
     apply_symbol,
+    apply_symbol_data,
+    apply_symbol_hat,
     bessel_symbol,
     constant_profile,
     derivative_symbol,
+    fft_data,
     fft_forward,
     fft_inverse,
     hsigma_norm,
@@ -288,3 +291,17 @@ def test_young_inequality_via_hsigma(grid64):
                 ratio = trace_lp_norm(apply_symbol(sym, f), p) / trace_lp_norm(f, p)
                 worst = max(worst, ratio / quantity)
     assert worst < 10.0
+
+
+def test_shared_transform_filters_like_apply_symbol_data(grid2d):
+    fam = make_lp_family(grid2d)
+    f = band_limited_random(grid2d, 2, 71)
+    fhat = fft_data(f.data, grid2d)
+    kept = fhat.copy()
+    for j in range(fam.j_max + 1):
+        got = apply_symbol_hat(fam.values(j), fhat, grid2d)
+        assert np.array_equal(got, apply_symbol_data(fam.values(j), f.data, grid2d))
+    assert np.array_equal(fhat, kept)
+    batch = np.stack([f.data, 2.0 * f.data])
+    got = apply_symbol_hat(fam.values(1), fft_data(batch, grid2d), grid2d)
+    assert np.array_equal(got[1], apply_symbol_data(fam.values(1), 2.0 * f.data, grid2d))
