@@ -22,12 +22,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .lattice import Grid
+from .normsuite import HARDY_MODES
 from .opfield import OperatorField, StripField
 
 MAGIC = b"OVTL"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHIIII")
-KERNEL_MODES = ("lp", "poisson")  # the hardy_norm modes a config may select
 
 
 def write_field(path: Union[str, Path], f: Union[OperatorField, StripField]) -> None:
@@ -150,8 +150,8 @@ def parse_config(text: str) -> Config:
         if raw:
             cfg.ps = tuple(float(x) for x in raw.split(","))
         cfg.kernel_mode = cp.get("norms", "kernel_mode", fallback=cfg.kernel_mode)
-        if cfg.kernel_mode not in KERNEL_MODES:
-            raise ConfigError(f"[norms] kernel_mode must be one of {', '.join(KERNEL_MODES)}, "
+        if cfg.kernel_mode not in HARDY_MODES:
+            raise ConfigError(f"[norms] kernel_mode must be one of {', '.join(HARDY_MODES)}, "
                               f"got {cfg.kernel_mode!r}")
     if cp.has_section("decomposition"):
         cfg.K = cp.getint("decomposition", "K", fallback=cfg.K)

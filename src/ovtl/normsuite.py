@@ -40,6 +40,8 @@ from .spectral import (
     poisson_symbol,
 )
 
+HARDY_MODES = ("lp", "poisson")
+
 
 @dataclass
 class NormReport:
@@ -205,7 +207,7 @@ def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radia
     square-function + low-frequency, per the defining expression.
     """
     _check_p(p)
-    if mode not in ("lp", "poisson"):
+    if mode not in HARDY_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if shape not in ("radial", "conic"):
         raise ValueError(f"unknown shape {shape!r}")
