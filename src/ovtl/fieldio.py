@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .lattice import Grid
-from .normsuite import HARDY_MODES
 from .opfield import OperatorField, StripField
 
 MAGIC = b"OVTL"
@@ -66,6 +65,10 @@ def read_field(path: Union[str, Path]) -> Union[OperatorField, StripField]:
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+# [norms] kernel_mode values; normsuite.hardy_norm accepts the same modes
+HARDY_MODES = ("lp", "poisson")
+
 
 @dataclass
 class Config:

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .fieldio import HARDY_MODES
 from .lattice import ConeIndex, Grid, cone_index
 from .opfield import (
     OperatorField,
@@ -39,8 +40,6 @@ from .spectral import (
     fft_data,
     poisson_symbol,
 )
-
-HARDY_MODES = ("lp", "poisson")
 
 
 @dataclass

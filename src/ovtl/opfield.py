@@ -11,7 +11,8 @@ The batched small-matrix kernels every other module goes through live
 here: :func:`gram` (x*x, summed entry by entry for n <= 2 so the result is
 exactly Hermitian) and :func:`psd_eigvalsh` (eigenvalues of PSD blocks,
 read off directly for n = 1, LAPACK for n >= 2).  Singular values are
-never computed by SVD: sigma(x)^2 are the eigenvalues of x*x.
+never computed by SVD: sigma(x)^2 are the eigenvalues of x*x, and blocks
+with a singular value near 0 take theirs from the Hermitian dilation of x.
 
 All public operations are pure; field data is marked read-only after
 construction, and every reduction uses a fixed summation order so results
@@ -20,6 +21,7 @@ are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,13 +276,43 @@ def sqrt_psd(acc: PSDAccumulator) -> OperatorField:
 # norms and pairings
 # ---------------------------------------------------------------------------
 
+# (sigma_min / sigma_max)^2 below which the eigenvalues of x*x are too coarse
+# for sigma^p with p < 2
+_COARSE_SQ = 1e-4
+
+
 def trace_lp_norm(f: OperatorField, p: float) -> float:
     """Noncommutative L_p norm (sum_s h^d tr|f(s)|^p)^(1/p); operator-sup for p = inf.
 
     The trace is the standard (unnormalized) matrix trace.  The singular
-    values enter as sigma^p = lambda(f* f)^(p/2), so no SVD is taken.
+    values enter without an SVD, as sigma^2 = lambda(x* x) of f rescaled by
+    an exact power of two (so x* x neither overflows nor underflows).  Those
+    eigenvalues are accurate to eps * sigma_max^2, which for p < 2 would
+    cost half the digits of a sigma near 0; blocks with
+    sigma_min < 1e-2 sigma_max (rank-deficient ones among them) take their
+    singular values instead from the eigenvalues +-sigma of the Hermitian
+    dilation [[0, x], [x*, 0]], accurate to eps * sigma_max.
     """
-    return lp_norm_from_psd_eigs(psd_eigvalsh(gram(f.data)), p, f.grid.cell_volume)
+    x = f.data
+    peak = float(np.max(np.abs(x))) if x.size else 0.0
+    scale = math.ldexp(1.0, -max(math.frexp(peak)[1], -1000))
+    x = x * scale
+    sq = psd_eigvalsh(gram(x))
+    if p < 2 and x.shape[-1] > 1:
+        coarse = sq[..., 0] < _COARSE_SQ * sq[..., -1]
+        if np.any(coarse):
+            sq[coarse] = _dilation_singular_values(x[coarse]) ** 2
+    return lp_norm_from_psd_eigs(sq, p, f.grid.cell_volume) / scale
+
+
+def _dilation_singular_values(x: np.ndarray) -> np.ndarray:
+    """Ascending singular values of (m, n, n) blocks, as the top n eigenvalues
+    of [[0, x], [x*, 0]]."""
+    n = x.shape[-1]
+    H = np.zeros(x.shape[:-2] + (2 * n, 2 * n), dtype=np.complex128)
+    H[..., :n, n:] = x
+    H[..., n:, :n] = herm(x)
+    return psd_eigvalsh(H)[..., n:]
 
 
 def lp_norm_from_psd_eigs(eigs: np.ndarray, p: float, cell_volume: float) -> float:

@@ -230,7 +230,7 @@ def apply_symbol_hat(values: np.ndarray, data_hat: np.ndarray, grid: Grid) -> np
     """Multiplier action on data given its transform ``fft_data(data)``,
     which is left unchanged."""
     coef = data_hat * values[..., None, None]
-    return np.fft.ifftn(coef, axes=_data_axes(coef, grid), out=coef)
+    return np.fft.ifftn(coef, axes=_data_axes(coef, grid), out=coef)  # out=: numpy >= 2.0
 
 
 def apply_symbol_data(values: np.ndarray, data: np.ndarray, grid: Grid) -> np.ndarray:

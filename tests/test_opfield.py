@@ -258,13 +258,22 @@ def test_row_gram_is_gram_of_adjoint(grid64):
         assert np.max(np.abs(row.S - col.S)) <= 1e-14 * np.max(np.abs(col.S))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
 def test_trace_lp_matches_svd(grid64, n, p):
-    f = band_limited_random(grid64, n, 730 + n)
-    sv = np.linalg.svd(f.data, compute_uv=False)
-    if p == np.inf:
-        want = float(np.max(sv))
-    else:
-        want = (float(np.sum(sv**p)) * grid64.cell_volume) ** (1.0 / p)
-    assert abs(trace_lp_norm(f, p) - want) <= 1e-12 * want
+    # beside a generic field: u v* blocks and blocks with sigma_min ~ 1e-6
+    # sigma_max, whose small sigma the eigenvalues of x*x alone resolve only
+    # to sqrt(eps) sigma_max, and scales at which x*x over/underflows
+    rng = rng_for(740 + n)
+    u = rng.normal(size=grid64.shape + (n, 1)) + 1j * rng.normal(size=grid64.shape + (n, 1))
+    v = rng.normal(size=grid64.shape + (1, n)) + 1j * rng.normal(size=grid64.shape + (1, n))
+    w = rng.normal(size=grid64.shape + (n, n)) + 1j * rng.normal(size=grid64.shape + (n, n))
+    for data in (band_limited_random(grid64, n, 730 + n).data, u @ v, u @ v + 1e-6 * w):
+        sv = np.linalg.svd(data, compute_uv=False)
+        if p == np.inf:
+            want = float(np.max(sv))
+        else:
+            want = (float(np.sum(sv**p)) * grid64.cell_volume) ** (1.0 / p)
+        for scale in (1.0, 1e200, 1e-200):
+            got = trace_lp_norm(OperatorField(grid64, scale * data), p) / scale
+            assert abs(got - want) <= 1e-12 * want
