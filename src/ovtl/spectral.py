@@ -234,8 +234,15 @@ def apply_symbol_hat(values: np.ndarray, data_hat: np.ndarray, grid: Grid) -> np
 
 
 def apply_symbol_data(values: np.ndarray, data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Multiplier action on raw (*, n, n) or batched (B, *, n, n) data."""
-    return apply_symbol_hat(values, fft_data(data, grid), grid)
+    """Multiplier action on raw (*, n, n) or batched (B, *, n, n) data.
+
+    The transform is filtered in place, so one full-size temporary is live
+    rather than the two of :func:`apply_symbol_hat`, whose input is shared.
+    """
+    axes = _data_axes(data, grid)
+    coef = np.fft.fftn(data, axes=axes)
+    coef *= values[..., None, None]
+    return np.fft.ifftn(coef, axes=axes)
 
 
 # ---------------------------------------------------------------------------
