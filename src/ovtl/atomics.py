@@ -23,14 +23,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import GridMismatchError, ResolutionError, ValidationError
-from .lattice import DyadicCube, Grid, dyadic_cubes_at_level, subcube_order
+from .lattice import (
+    DyadicCube,
+    Grid,
+    box_indices,
+    dyadic_cubes_at_level,
+    periodic_block_sum,
+    subcube_order,
+)
 from .opfield import OperatorField, StripField, gram, psd_eigvalsh, trace_lp_norm
 from .spectral import (
     LPFamily,
@@ -38,6 +45,7 @@ from .spectral import (
     apply_symbol_hat,
     bessel_symbol,
     fft_data,
+    ifft_data,
     lp_family_j_max,
     multi_derivative_symbol,
 )
@@ -70,26 +78,55 @@ def field_l1l2_size(data: np.ndarray, grid: Grid, weight: Optional[float] = None
 # atom types
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HAtom:
-    """Hardy-space atom: supported in Q (or 2Q when ``double_support``),
-    size tau((int |a|^2)^(1/2)) <= |Q|^(-1/2), mean-zero when |Q| < 1."""
-
-    cube: DyadicCube
-    data: OperatorField
-    double_support: bool = False
-    mean_zero_required: Optional[bool] = None
-
-    def __post_init__(self):
-        if self.mean_zero_required is None:
-            self.mean_zero_required = self.cube.level > 0
+class _BoxStorage:
+    """Atom data held as ``block`` (*sides, n, n) over the periodic box of
+    lattice points whose per-axis start index is ``origin``."""
 
     @property
     def grid(self) -> Grid:
-        return self.data.grid
+        return self.cube.grid
+
+    @property
+    def n(self) -> int:
+        return self.block.shape[-1]
+
+    @property
+    def axis_idx(self) -> list:
+        return box_indices(self.grid, self.origin, self.block.shape[:self.grid.d])
 
     def embed(self) -> np.ndarray:
-        return np.asarray(self.data.data)
+        out = np.zeros(self.grid.shape + (self.n, self.n), dtype=np.complex128)
+        out[np.ix_(*self.axis_idx)] = self.block
+        return out
+
+    def to_field(self) -> OperatorField:
+        return OperatorField(self.grid, self.embed())
+
+
+@dataclass
+class HAtom(_BoxStorage):
+    """Hardy-space atom: supported in Q (or 2Q when ``double_support``),
+    size tau((int |a|^2)^(1/2)) <= |Q|^(-1/2), mean-zero when |Q| < 1.
+
+    ``block`` may be given as a full-grid OperatorField, which is stored as
+    the box at ``origin`` 0; ``support_leak`` is the relative L2 energy cut
+    off when the atom was stored on a box.
+    """
+
+    cube: DyadicCube
+    block: np.ndarray
+    double_support: bool = False
+    mean_zero_required: Optional[bool] = None
+    origin: tuple = ()
+    support_leak: float = 0.0
+
+    def __post_init__(self):
+        if isinstance(self.block, OperatorField):
+            self.block = np.asarray(self.block.data)
+        if not self.origin:
+            self.origin = (0,) * self.grid.d
+        if self.mean_zero_required is None:
+            self.mean_zero_required = self.cube.level > 0
 
 
 @dataclass
@@ -142,17 +179,19 @@ class TentAtom:
 
 
 @dataclass
-class SmoothAtom:
+class SmoothAtom(_BoxStorage):
     """Smooth atom: kind 'alpha_one', 'subatom', or 'alpha_q'.
 
-    Data is stored as a block over the double cube 2Q (``axis_idx`` are the
-    per-axis lattice indices of 2Q).  For 'alpha_q' atoms, ``subatoms``
-    holds (d_coefficient, subatom) pairs with sum_l d_l a_l = atom data.
+    Data is stored as a block over the double cube 2Q (``origin`` is the
+    per-axis start index of 2Q); ``support_leak`` is the relative L2 energy
+    of the built atom outside 2Q, which storing the block cut off.  For
+    'alpha_q' atoms, ``subatoms`` holds (d_coefficient, subatom) pairs with
+    sum_l d_l a_l = atom data.
     """
 
     kind: str
     cube: DyadicCube
-    axis_idx: list
+    origin: tuple
     block: np.ndarray
     alpha: float = 0.0
     K: int = 1
@@ -160,37 +199,21 @@ class SmoothAtom:
     subatoms: list = field(default_factory=list)
     support_leak: float = 0.0
 
-    @property
-    def grid(self) -> Grid:
-        return self.cube.grid
 
-    @property
-    def n(self) -> int:
-        return self.block.shape[-1]
-
-    def embed(self) -> np.ndarray:
-        grid = self.grid
-        out = np.zeros(grid.shape + (self.n, self.n), dtype=np.complex128)
-        out[np.ix_(*self.axis_idx)] = self.block
-        return out
-
-    def to_field(self) -> OperatorField:
-        return OperatorField(self.grid, self.embed())
+def _energy_outside(data: np.ndarray, inside: np.ndarray) -> float:
+    """Relative L2 energy of (*, n, n) data at the points where ``inside``
+    is False (0 for zero data)."""
+    energy = np.sum(data.real**2 + data.imag**2, axis=(-2, -1))
+    total = float(np.sum(energy))
+    return math.sqrt(float(np.sum(energy[~inside])) / total) if total > 0 else 0.0
 
 
-def _double_cube_axis_indices(cube: DyadicCube) -> list:
-    grid = cube.grid
-    half = cube.side_cells  # half-side of 2Q in cells
-    if 2 * half >= grid.N:
-        return [np.arange(grid.N) for _ in range(grid.d)]
-    return [
-        np.arange(c - half, c + half) % grid.N for c in cube.center_cells
-    ]
-
-
-def _extract_double_block(full: np.ndarray, cube: DyadicCube) -> tuple[list, np.ndarray]:
-    idx = _double_cube_axis_indices(cube)
-    return idx, full[np.ix_(*idx)]
+def _cut_to_double(full: np.ndarray, cube: DyadicCube) -> tuple:
+    """(origin, block, leak): the 2Q block of full-grid data and the
+    relative L2 energy outside 2Q that the cut drops."""
+    origin, side = cube.double_box()
+    block = full[np.ix_(*box_indices(cube.grid, origin, (side,) * cube.grid.d))]
+    return origin, block, _energy_outside(full, cube.double_mask())
 
 
 @dataclass
@@ -215,12 +238,8 @@ class AtomicDecomposition:
         )
 
     def reconstruct(self) -> OperatorField:
-        out = np.zeros(self.grid.shape + (self.n, self.n), dtype=np.complex128)
-        for c, atom in self.low_pairs:
-            out += c * atom.embed()
-        for c, atom in self.high_pairs:
-            out += c * atom.embed()
-        return OperatorField(self.grid, out)
+        terms = [(c, atom.origin, atom.block) for c, atom in self.low_pairs + self.high_pairs]
+        return OperatorField(self.grid, periodic_block_sum(self.grid, terms, (self.n, self.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +285,24 @@ SIZE_SLACK = 1e-9
 MOMENT_RTOL = 1e-10
 
 
-def _support_clause(full: np.ndarray, mask: np.ndarray, name: str) -> Clause:
-    total = float(np.sum(np.abs(full) ** 2))
-    if total == 0.0:
-        return Clause(name, True, 0.0, SUPPORT_RTOL)
-    outside = float(np.sum(np.abs(full[~mask]) ** 2))
-    rel = math.sqrt(outside / total)
+def _support_clause(atom, double: bool, name: str) -> Clause:
+    """Relative L2 energy off Q (off 2Q when ``double``): the larger of the
+    energy cut off when the atom was stored and the energy its stored block
+    holds outside the support."""
+    inside = atom.cube.box_mask(atom.axis_idx, double)
+    rel = max(atom.support_leak, _energy_outside(atom.block, inside))
     return Clause(name, rel <= SUPPORT_RTOL, rel, SUPPORT_RTOL)
 
 
 def validate_h_atom(atom: HAtom) -> ValidationReport:
     grid = atom.grid
-    mask = atom.cube.double_mask() if atom.double_support else atom.cube.mask()
-    clauses = [_support_clause(atom.data.data, mask, "support")]
-    size = field_l1l2_size(atom.data.data, grid)
+    clauses = [_support_clause(atom, atom.double_support, "support")]
+    size = field_l1l2_size(atom.block, grid)
     bound = atom.cube.volume**-0.5 * (1.0 + SIZE_SLACK)
     clauses.append(Clause("size", size <= bound, size, bound))
     if atom.mean_zero_required:
-        mean = np.sum(atom.data.data, axis=grid.spatial_axes) * grid.cell_volume
-        scale = float(np.sum(np.abs(atom.data.data))) * grid.cell_volume
+        mean = np.sum(atom.block, axis=grid.spatial_axes) * grid.cell_volume
+        scale = float(np.sum(np.abs(atom.block))) * grid.cell_volume
         dev = float(np.linalg.norm(mean))
         bound_m = MOMENT_RTOL * max(scale, 1e-300)
         clauses.append(Clause("moment", dev <= bound_m, dev, bound_m))
@@ -305,29 +323,84 @@ def validate_tent_atom(atom: TentAtom, j_max: Optional[int] = None) -> Validatio
     return ValidationReport("tent_atom", clauses)
 
 
+# Gram eigenvalues resolve lambda ~ 0 only to eps * lambda_max, which costs
+# sqrt(eps) of a size; below this ratio a size is taken from singular values
+_NEAR_SINGULAR = 1e-4
+
+
+def _plancherel_sizes(data_hat: np.ndarray, weights: np.ndarray, grid: Grid) -> np.ndarray:
+    """tau((sum_s h^d |m_k * a|^2)^(1/2)) for every row w_k = |m_k|^2 of
+    ``weights``, from the transform ``data_hat = fft_data(a)`` (optionally
+    with a leading batch axis); returns shape (*batch, rows).
+
+    By Plancherel the integrated Gram block is
+    M_k = N^(-2d) sum_xi w_k(xi) F(xi)* F(xi): one Gram of F (rescaled by an
+    exact power of two, so that it neither overflows nor underflows), one
+    (rows, points) @ (points, n^2) product and one batched eigenvalue call.
+    Blocks with lambda_min < 1e-4 lambda_max take their size as the sum of
+    the singular values of the stacked factor [sqrt(w_k(xi)) F(xi)]_xi.
+    """
+    n = data_hat.shape[-1]
+    batch = data_hat.shape[:data_hat.ndim - grid.d - 2]
+    peak = float(np.max(np.abs(data_hat))) if data_hat.size else 0.0
+    exp = max(math.frexp(peak)[1], -1000)
+    x = (data_hat * math.ldexp(1.0, -exp)).reshape(batch + (grid.npoints, n, n))
+    G = gram(x).reshape(batch + (grid.npoints, n * n))
+    M = (weights @ G.view(np.float64)).view(np.complex128)
+    lam = psd_eigvalsh(M.reshape(batch + (len(weights), n, n)))
+    sizes = np.sum(np.sqrt(lam), axis=-1)
+    if n > 1:
+        for pos in zip(*np.nonzero(lam[..., 0] < _NEAR_SINGULAR * lam[..., -1])):
+            factor = np.sqrt(weights[pos[-1]])[:, None, None] * x[pos[:-1]]
+            sizes[pos] = np.sum(np.linalg.svd(factor.reshape(-1, n), compute_uv=False))
+    return sizes * math.ldexp(grid.cell_volume, exp)
+
+
+@lru_cache(maxsize=16)
+def _derivative_weights(grid: Grid, gammas: tuple) -> np.ndarray:
+    """Rows |m_gamma|^2 of the D^gamma symbols, shape (len(gammas), points)."""
+    rows = np.stack([np.abs(multi_derivative_symbol(grid, g).values.ravel()) ** 2
+                     for g in gammas])
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=16)
+def _bessel_weight(grid: Grid, alpha: float) -> np.ndarray:
+    """The row |J_alpha|^2 = (1 + |xi|^2)^alpha, shape (1, points)."""
+    row = np.abs(bessel_symbol(grid, alpha).values.reshape(1, -1)) ** 2
+    row.setflags(write=False)
+    return row
+
+
 def _derivative_sizes(embedded: np.ndarray, grid: Grid, gammas: Sequence[tuple],
                       ) -> dict:
-    out = {}
-    embedded_hat = fft_data(embedded, grid)
-    for gamma in gammas:
-        sym = multi_derivative_symbol(grid, gamma)
-        dg = apply_symbol_hat(sym.values, embedded_hat, grid)
-        out[gamma] = field_l1l2_size(dg, grid)
-    return out
+    """tau((int |D^gamma a|^2)^(1/2)) per gamma, from one forward transform."""
+    gammas = tuple(gammas)
+    sizes = _plancherel_sizes(fft_data(embedded, grid), _derivative_weights(grid, gammas),
+                              grid)
+    return dict(zip(gammas, sizes.tolist()))
 
 
-def _moments(embedded: np.ndarray, grid: Grid, cube: DyadicCube, L: int) -> dict:
-    """Centered discrete moments sum_s h^d s_per^beta a(s) for |beta|_1 <= L."""
+def _bessel_size(data_hat: np.ndarray, grid: Grid, alpha: float) -> float:
+    """tau((int |J_alpha a|^2)^(1/2)) from ``data_hat = fft_data(a)``."""
+    return float(_plancherel_sizes(data_hat, _bessel_weight(grid, alpha), grid)[0])
+
+
+def _moments(atom: SmoothAtom, L: int) -> dict:
+    """Centered discrete moments sum_s h^d s_per^beta a(s) for |beta|_1 <= L,
+    summed over the stored block."""
     if L < 0:
         return {}
-    coords = grid.signed_coords_about(cube.center)
+    grid = atom.grid
+    offsets = []  # signed periodic offsets from the cube center, per axis
+    for idx, c in zip(atom.axis_idx, atom.cube.center):
+        delta = idx * grid.h - c
+        offsets.append(delta - np.round(delta))
     out = {}
     for beta in multi_indices(grid.d, L):
-        w = np.ones(grid.shape)
-        for ax, b in enumerate(beta):
-            if b:
-                w = w * coords[..., ax] ** b
-        m = np.sum(w[..., None, None] * embedded, axis=grid.spatial_axes) * grid.cell_volume
+        w = reduce(np.multiply.outer, [x**b for x, b in zip(offsets, beta)])
+        m = np.tensordot(w, atom.block, axes=grid.d) * grid.cell_volume
         out[beta] = float(np.linalg.norm(m))
     return out
 
@@ -335,34 +408,27 @@ def _moments(embedded: np.ndarray, grid: Grid, cube: DyadicCube, L: int) -> dict
 def validate_smooth_atom(atom: SmoothAtom, size_constant: float = 1.0) -> ValidationReport:
     """Clause-by-clause check of an alpha_one / subatom / alpha_q atom."""
     grid = atom.grid
-    clauses = []
-    if atom.kind == "alpha_one":
-        full = atom.embed()
-        clauses.append(_support_clause(full, atom.cube.double_mask(), "support_2Q"))
-        sizes = _derivative_sizes(full, grid, multi_indices(grid.d, atom.K))
-        bound = 1.0 + SIZE_SLACK
-        for gamma, s in sizes.items():
-            clauses.append(Clause(f"derivative{gamma}", s <= bound, s, bound))
-    elif atom.kind == "subatom":
-        full = atom.embed()
-        clauses.append(_support_clause(full, atom.cube.double_mask(), "support_2Q"))
+    # the paper's remark fixes support of the pieces in 2Q of their own
+    # cubes; the assembled alpha_q atom then lives in the union, inside
+    # 4Q_{k,m}; we check it against 2Q of the base cube, which our
+    # single-scale construction satisfies.
+    clauses = [_support_clause(atom, True, "support_2Q")]
+    if atom.kind in ("alpha_one", "subatom"):
         vol = atom.cube.volume
-        for gamma, s in _derivative_sizes(full, grid, multi_indices(grid.d, atom.K)).items():
-            bound = vol ** (atom.alpha / grid.d - sum(gamma) / grid.d) * (1.0 + SIZE_SLACK)
+        sizes = _derivative_sizes(atom.embed(), grid, multi_indices(grid.d, atom.K))
+        for gamma, s in sizes.items():
+            bound = 1.0 + SIZE_SLACK
+            if atom.kind == "subatom":
+                bound *= vol ** (atom.alpha / grid.d - sum(gamma) / grid.d)
             clauses.append(Clause(f"derivative{gamma}", s <= bound, s, bound))
-        l1_mass = float(np.sum(np.abs(full))) * grid.cell_volume
-        for beta, dev in _moments(full, grid, atom.cube, atom.L).items():
-            bound_m = MOMENT_RTOL * max(l1_mass, 1e-300)
-            clauses.append(Clause(f"moment{beta}", dev <= bound_m, dev, bound_m))
+        if atom.kind == "subatom":
+            l1_mass = float(np.sum(np.abs(atom.block))) * grid.cell_volume
+            for beta, dev in _moments(atom, atom.L).items():
+                bound_m = MOMENT_RTOL * max(l1_mass, 1e-300)
+                clauses.append(Clause(f"moment{beta}", dev <= bound_m, dev, bound_m))
     elif atom.kind == "alpha_q":
         full = atom.embed()
-        # the paper's remark fixes support of the pieces in 2Q of their own
-        # cubes; the assembled atom then lives in the union, inside 4Q_{k,m};
-        # we check the assembled support against 2Q of the base cube, which
-        # our single-scale construction satisfies.
-        clauses.append(_support_clause(full, atom.cube.double_mask(), "support_2Q"))
-        ja = apply_symbol_data(bessel_symbol(grid, atom.alpha).values, full, grid)
-        size = field_l1l2_size(ja, grid)
+        size = _bessel_size(fft_data(full, grid), grid, atom.alpha)
         bound = size_constant * atom.cube.volume**-0.5 * (1.0 + SIZE_SLACK)
         clauses.append(Clause("bessel_size", size <= bound, size, bound))
         coef_l2 = math.sqrt(sum(abs(d) ** 2 for d, _ in atom.subatoms))
@@ -370,9 +436,9 @@ def validate_smooth_atom(atom: SmoothAtom, size_constant: float = 1.0) -> Valida
         clauses.append(Clause("coefficient_l2", coef_l2 <= bound_c, coef_l2, bound_c))
         order_ok = all(subcube_order(sub.cube, atom.cube) for _, sub in atom.subatoms)
         clauses.append(Clause("subcube_order", order_ok, 0.0 if order_ok else 1.0, 0.5))
-        recon = np.zeros_like(full)
-        for d_c, sub in atom.subatoms:
-            recon += d_c * sub.embed()
+        recon = periodic_block_sum(
+            grid, [(d_c, sub.origin, sub.block) for d_c, sub in atom.subatoms],
+            (atom.n, atom.n))
         scale = max(float(np.max(np.abs(full))), 1e-300)
         dev = float(np.max(np.abs(recon - full))) / scale
         clauses.append(Clause("subatom_reconstruction", dev <= 1e-10, dev, 1e-10))
@@ -543,11 +609,10 @@ def project_tent(F, cal: CalderonSystem) -> OperatorField:
     if isinstance(F, TentAtom):
         scales = [j for j in F.scales if j <= cal.j_max]
         _check_mean_zero_levels(cal, scales)
-        n = F.n
-        out = np.zeros(grid.shape + (n, n), dtype=np.complex128)
+        hat = np.zeros(grid.shape + (F.n, F.n), dtype=np.complex128)
         for j in scales:
-            out += apply_symbol_data(cal.level(j), F.level_full(j), grid)
-        return OperatorField(grid, LOG2 * out)
+            hat += _piece_transforms(F.block[j - F.j_lo], F.cube, [F.cube], cal.level(j))[0]
+        return OperatorField(grid, LOG2 * ifft_data(hat, grid))
     if isinstance(F, StripField):
         if F.grid != grid:
             raise GridMismatchError("strip grid does not match system grid")
@@ -637,8 +702,7 @@ def _normalize_alpha_one(low: np.ndarray, grid: Grid, K: int, alpha: float) -> t
     mu = max(sizes.values())
     if mu == 0.0:
         return 0.0, None
-    idx = [np.arange(grid.N) for _ in range(grid.d)]
-    atom = SmoothAtom(kind="alpha_one", cube=cube, axis_idx=idx, block=low / mu,
+    atom = SmoothAtom(kind="alpha_one", cube=cube, origin=(0,) * grid.d, block=low / mu,
                       alpha=alpha, K=K)
     return mu, atom
 
@@ -656,65 +720,66 @@ def _subatom_cells(cube: DyadicCube) -> list:
     return [DyadicCube(grid, lvl, tuple(combo)) for combo in iproduct(*per_axis)]
 
 
-def _slice_alpha_q(g_full: np.ndarray, tent_block: np.ndarray, lam_scale: float,
-                   cube: DyadicCube, j: int, cal: CalderonSystem, alpha: float,
-                   K: int, L: int, size_constant: float) -> tuple:
-    """Package a projected tent atom as an alpha_q atom with subatoms.
+def _piece_transforms(block: np.ndarray, cube: DyadicCube, cells: list,
+                      symbol: np.ndarray) -> np.ndarray:
+    """Transforms fft_data(symbol * piece) of the restrictions of ``block``
+    (data over ``cube``) to each of ``cells``, made in one batched call;
+    shape (len(cells), *grid.shape, n, n).
 
-    ``tent_block`` is the (single-scale) tent data over ``cube`` whose
-    projection is ``g_full``; writes the atom normalized so every clause
+    When the cells partition the cube, the transforms sum to that of
+    symbol * block.
+    """
+    grid = cube.grid
+    idx = cube.axis_indices()
+    masked = np.zeros((len(cells),) + grid.shape + block.shape[-2:], dtype=np.complex128)
+    for b, cell in enumerate(cells):
+        masked[(b,) + np.ix_(*idx)] = block * cell.box_mask(idx)[..., None, None]
+    hats = fft_data(masked, grid)
+    hats *= symbol[..., None, None]
+    return hats
+
+
+def _slice_alpha_q(tent_block: np.ndarray, lam_scale: float, cube: DyadicCube, j: int,
+                   cal: CalderonSystem, alpha: float, K: int, L: int,
+                   size_constant: float) -> tuple:
+    """Package the projection g = log2 Psi_j * tent_block of single-scale
+    tent data over ``cube`` as an alpha_q atom with subatoms.
+
+    The pieces (the block restricted to each subatom cell, projected) are
+    transformed in one batched call; every size comes from those transforms,
+    their sum is the transform of g, and one batched inverse transform gives
+    the pieces, whose sum is g.  Writes the atom normalized so every clause
     passes with constant 1, returning (rescale, SmoothAtom).
     """
     grid = cube.grid
-    n = tent_block.shape[-1]
     cells = _subatom_cells(cube)
-    cube_sel = np.zeros(grid.shape, dtype=bool)
-    cube_sel[np.ix_(*cube.axis_indices())] = True
-    embedded = _embed_cube_block(tent_block, cube, grid)
-    pieces = []
-    for cell in cells:
-        sel = cube_sel & cell.mask()
-        masked = np.zeros(grid.shape + (n, n), dtype=np.complex128)
-        masked[sel] = embedded[sel]
-        piece = LOG2 * apply_symbol_data(cal.level(j), masked, grid)
-        pieces.append((cell, piece))
-    gammas = multi_indices(grid.d, K)
+    gammas = tuple(multi_indices(grid.d, K))
+    hats = _piece_transforms(tent_block, cube, cells, LOG2 * cal.level(j))
+    sizes = _plancherel_sizes(hats, _derivative_weights(grid, gammas), grid)
+    g_size = _bessel_size(np.sum(hats, axis=0), grid, alpha)
+    rho1 = g_size * math.sqrt(cube.volume) / size_constant
+    pieces = ifft_data(hats, grid)
+    orders = np.array([sum(gamma) for gamma in gammas], dtype=float)
     sub_pairs = []
-    for cell, piece in pieces:
-        sizes = _derivative_sizes(piece, grid, gammas)
-        vol = cell.volume
-        d_c = 0.0
-        for gamma, s in sizes.items():
-            bound = vol ** (alpha / grid.d - sum(gamma) / grid.d)
-            d_c = max(d_c, s / bound)
+    for cell, piece, piece_sizes in zip(cells, pieces, sizes):
+        d_c = float(np.max(piece_sizes / cell.volume ** (alpha / grid.d - orders / grid.d)))
         if d_c == 0.0:
             continue
-        idx, block = _extract_double_block(piece / d_c, cell)
-        leak = _support_clause(piece, cell.double_mask(), "support").measured
-        sub = SmoothAtom(kind="subatom", cube=cell, axis_idx=idx, block=block,
+        origin, block, leak = _cut_to_double(piece, cell)
+        sub = SmoothAtom(kind="subatom", cube=cell, origin=origin, block=block / d_c,
                          alpha=alpha, K=K, L=L, support_leak=leak)
         sub_pairs.append((d_c, sub))
     # saturation against the atom-level clauses
-    ja = apply_symbol_data(bessel_symbol(grid, alpha).values, g_full, grid)
-    rho1 = field_l1l2_size(ja, grid) * math.sqrt(cube.volume) / size_constant
     rho2 = math.sqrt(sum(d * d for d, _ in sub_pairs)) * math.sqrt(cube.volume)
     rho = max(rho1, rho2)
     if rho <= 1e-250:
         return 0.0, None
-    idx, block = _extract_double_block(g_full / rho, cube)
-    leak = _support_clause(g_full, cube.double_mask(), "support").measured
-    atom = SmoothAtom(kind="alpha_q", cube=cube, axis_idx=idx, block=block,
+    origin, block, leak = _cut_to_double(np.sum(pieces, axis=0), cube)
+    atom = SmoothAtom(kind="alpha_q", cube=cube, origin=origin, block=block / rho,
                       alpha=alpha, K=K, L=L,
                       subatoms=[(d / rho, s) for d, s in sub_pairs],
                       support_leak=leak)
     return lam_scale * rho, atom
-
-
-def _embed_cube_block(block: np.ndarray, cube: DyadicCube, grid: Grid) -> np.ndarray:
-    n = block.shape[-1]
-    out = np.zeros(grid.shape + (n, n), dtype=np.complex128)
-    out[np.ix_(*cube.axis_indices())] = block
-    return out
 
 
 def _filter_negligible(pairs: list, f: OperatorField, rel: float = 1e-14) -> list:
@@ -732,7 +797,8 @@ def smooth_decompose_h1(f: OperatorField, cal: Optional[CalderonSystem] = None,
 
     Pipeline: split f = phi0*f + sum_j Psi_j*(Psi_j*f); the low part becomes
     one smooth unit-cube atom, the strip part is tent-atomized and each tent
-    atom is projected to a mean-zero smooth atom supported in 2Q.
+    atom is projected to a mean-zero smooth atom supported in 2Q and stored
+    on its 2Q block.
     """
     grid = f.grid
     if cal is None:
@@ -748,14 +814,15 @@ def smooth_decompose_h1(f: OperatorField, cal: Optional[CalderonSystem] = None,
     low_pairs = [] if low_atom is None else [(mu, low_atom)]
     high_pairs = []
     for lam, atom in tent_pairs:
-        g = project_tent(atom, cal)
-        size = field_l1l2_size(g.data, grid)
+        origin, block, leak = _cut_to_double(project_tent(atom, cal).data, atom.cube)
+        size = field_l1l2_size(block, grid)
         bound = atom.cube.volume**-0.5
         rho = size / bound
         if rho <= 1e-250:
             continue
-        h_atom = HAtom(cube=atom.cube, data=OperatorField(grid, g.data / rho),
-                       double_support=True, mean_zero_required=atom.cube.level > 0)
+        h_atom = HAtom(cube=atom.cube, block=block / rho, double_support=True,
+                       mean_zero_required=atom.cube.level > 0, origin=origin,
+                       support_leak=leak)
         high_pairs.append((lam * rho / LOG2, h_atom))
     dec = AtomicDecomposition(
         grid=grid, n=f.n, alpha=None,
@@ -818,12 +885,8 @@ def smooth_decompose_tl(f: OperatorField, alpha: float, K: int, L: int,
     for lam, atom in tent_pairs:
         j = atom.j_lo
         unweighted_block = atom.block[0] * 2.0 ** (-j * alpha)
-        g_full = LOG2 * apply_symbol_data(
-            cal.level(j), _embed_cube_block(unweighted_block, atom.cube, grid), grid
-        )
         coef, smooth = _slice_alpha_q(
-            g_full, unweighted_block, lam / LOG2, atom.cube, j, cal,
-            alpha, K, L, size_constant,
+            unweighted_block, lam / LOG2, atom.cube, j, cal, alpha, K, L, size_constant,
         )
         if smooth is not None:
             high_pairs.append((coef, smooth))
@@ -921,9 +984,5 @@ def random_alpha_q_atom(grid: Grid, n: int, alpha: float, K: int, L: int,
     )
     size = l1l2_size(M)
     block = block / (size * math.sqrt(cube.volume))
-    g_full = LOG2 * apply_symbol_data(
-        cal.level(j), _embed_cube_block(block, cube, grid), grid
-    )
-    _, atom = _slice_alpha_q(g_full, block, 1.0, cube, j, cal, alpha, K, L,
-                             size_constant)
+    _, atom = _slice_alpha_q(block, 1.0, cube, j, cal, alpha, K, L, size_constant)
     return atom

@@ -22,6 +22,11 @@ class ConfigError(OvtlError):
     """A configuration file holds a value the program does not accept."""
 
 
+class FormatError(OvtlError, ValueError):
+    """A field file, manifest or blob is truncated, corrupted or does not
+    match the grid it claims (a ValueError too, for callers that catch that)."""
+
+
 class ValidationError(OvtlError):
     """Numerical input violates a structural contract (e.g. a matrix that
     should be Hermitian PSD is not, beyond tolerance)."""

@@ -5,6 +5,14 @@ little-endian u32 (j_count = 0 for plain fields), then complex128 entries
 row-major: site index outer, matrix row-major inner, scale outermost for
 strip fields.
 
+Decomposition blobs are a sequence of atom records at the byte offsets the
+manifest lists.  A record is the field header with j_count = 0 and version
+2, then d u32 starts and d u32 sides, then the complex128 block (sides...,
+n, n) row-major: the atom on the periodic box of lattice points from index
+start to start + side - 1 (mod N) per axis, which is its doubled cube 2Q
+(the whole grid when 2Q covers it).  Version 1 records, still read, hold
+the atom on the whole grid with no box fields.
+
 Configs are structured text (key = value under [section] headers) and
 round-trip losslessly through :func:`parse_config` / :func:`config_to_text`.
 """
@@ -13,6 +21,8 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,12 +30,13 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError
-from .lattice import Grid
+from .errors import ConfigError, FormatError
+from .lattice import Grid, periodic_block_sum
 from .opfield import OperatorField, StripField
 
 MAGIC = b"OVTL"
 FORMAT_VERSION = 1
+BLOB_VERSION = 2
 _HEADER = struct.Struct("<4sHIIII")
 
 
@@ -43,23 +54,33 @@ def read_field(path: Union[str, Path]) -> Union[OperatorField, StripField]:
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
+            raise FormatError(f"{path}: truncated header")
         magic, version, d, N, n, j_count = _HEADER.unpack(raw)
         if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
+            raise FormatError(f"{path}: bad magic {magic!r}")
         if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        grid = Grid(int(d), int(N))
+            raise FormatError(f"{path}: unsupported format version {version}")
+        grid = _header_grid(path, d, N)
         if j_count == 0:
             shape = grid.shape + (n, n)
         else:
             shape = (j_count,) + grid.shape + (n, n)
         count = int(np.prod(shape))
-        body = np.frombuffer(fh.read(count * 16), dtype="<c16", count=count)
-    data = body.reshape(shape).astype(np.complex128)
+        payload = fh.read(count * 16)
+    if len(payload) < count * 16:
+        raise FormatError(f"{path}: payload holds {len(payload)} bytes, "
+                          f"header needs {count * 16}")
+    data = np.frombuffer(payload, dtype="<c16").reshape(shape).astype(np.complex128)
     if j_count == 0:
         return OperatorField(grid, data)
     return StripField(grid, data)
+
+
+def _header_grid(path, d: int, N: int) -> Grid:
+    try:
+        return Grid(int(d), int(N))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +204,11 @@ def load_config(path: Union[str, Path]) -> Config:
 
 def write_decomposition(manifest_path: Union[str, Path], blob_path: Union[str, Path],
                         dec) -> None:
-    """Write the manifest (structured text) and the data blob (field records).
+    """Write the manifest (structured text) and the data blob (atom records).
 
-    Each atom's data is stored as one field record in the blob; the manifest
-    carries kind, cube, coefficient, validator slacks, and blob offsets.
+    Each atom's block is stored as one version-2 record in the blob; the
+    manifest carries kind, cube, coefficient, validator slacks, and blob
+    offsets.
     """
     from .atomics import validate_atom
 
@@ -218,52 +240,87 @@ def write_decomposition(manifest_path: Union[str, Path], blob_path: Union[str, P
             for c in rep.clauses:
                 lines.append(f"slack.{c.name} = {c.slack:.6e}")
             lines.append(f"blob_offset = {offset}")
-            data = atom.embed()
-            records.append(data)
-            offset += _HEADER.size + data.size * 16
+            records.append(atom)
+            offset += _HEADER.size + 8 * grid.d + atom.block.size * 16
     Path(manifest_path).write_text("\n".join(lines) + "\n")
     with open(blob_path, "wb") as fh:
-        for data in records:
-            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, grid.d, grid.N,
-                                  data.shape[-1], 0))
-            fh.write(np.ascontiguousarray(data, dtype="<c16").tobytes(order="C"))
+        for atom in records:
+            fh.write(_HEADER.pack(MAGIC, BLOB_VERSION, grid.d, grid.N, atom.n, 0))
+            fh.write(struct.pack(f"<{2 * grid.d}I", *atom.origin,
+                                 *atom.block.shape[:grid.d]))
+            fh.write(np.ascontiguousarray(atom.block, dtype="<c16").tobytes(order="C"))
+
+
+# one pass over the manifest: "[section]" headers and "key = value" entries
+_MANIFEST_LINE = re.compile(r"^(?:\[(.*)\]|([^ \n]+) = (.*))$", re.M)
+
+
+def _parse_manifest(text: str) -> tuple[dict, list]:
+    """([decomposition] entries, one entry dict per [atom.*] section)."""
+    meta, atoms, section = {}, [], None
+    for head, key, val in _MANIFEST_LINE.findall(text):
+        if key:
+            if section is not None:
+                section[key] = val
+        elif head == "decomposition":
+            section = meta
+        elif head.startswith("atom."):
+            section = {}
+            atoms.append(section)
+        else:
+            section = None
+    return meta, atoms
+
+
+def _read_record(blob: bytes, off: int, grid: Grid, n: int, path) -> tuple:
+    """(origin, block) of the atom record at byte ``off``, checked against
+    the manifest grid and matrix size."""
+    end = off + _HEADER.size
+    if off < 0 or end > len(blob):
+        raise FormatError(f"{path}: record offset {off} past the end ({len(blob)} bytes)")
+    magic, version, d, N, nn, j_count = _HEADER.unpack_from(blob, off)
+    if magic != MAGIC:
+        raise FormatError(f"{path}: record at {off} has bad magic {magic!r}")
+    if (d, N, nn, j_count) != (grid.d, grid.N, n, 0):
+        raise FormatError(f"{path}: record at {off} has (d, N, n, j_count) = "
+                          f"{(d, N, nn, j_count)}, the manifest {(grid.d, grid.N, n, 0)}")
+    if version == 1:
+        origin, sides = (0,) * d, (N,) * d
+    elif version == 2:
+        if end + 8 * d > len(blob):
+            raise FormatError(f"{path}: record at {off} is truncated in its box fields")
+        box = struct.unpack_from(f"<{2 * d}I", blob, end)
+        origin, sides = box[:d], box[d:]
+        if max(origin) >= N or max(sides) > N:
+            raise FormatError(f"{path}: record at {off} has box starts {origin} "
+                              f"and sides {sides} outside N = {N}")
+        end += 8 * d
+    else:
+        raise FormatError(f"{path}: record at {off} has unsupported version {version}")
+    count = math.prod(sides) * n * n
+    if end + 16 * count > len(blob):
+        raise FormatError(f"{path}: record at {off} needs {16 * count} payload bytes, "
+                          f"{len(blob) - end} remain")
+    block = np.frombuffer(blob, dtype="<c16", count=count, offset=end)
+    return origin, block.reshape(tuple(sides) + (n, n))
 
 
 def read_decomposition_blob(blob_path: Union[str, Path], manifest_path: Union[str, Path]):
-    """Reconstruct the field encoded by a manifest + blob: sum coef * atom."""
-    text = Path(manifest_path).read_text()
-    meta = {}
-    atoms = []
-    current = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            current = line.strip("[]")
-            if current.startswith("atom."):
-                atoms.append({})
-            continue
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if current == "decomposition":
-            meta[key] = val
-        elif current and current.startswith("atom."):
-            atoms[-1][key] = val
-    grid = Grid(int(meta["d"]), int(meta["N"]))
-    n = int(meta["n"])
-    total = np.zeros(grid.shape + (n, n), dtype=np.complex128)
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
-    for a in atoms:
-        off = int(a["blob_offset"])
-        magic, version, d, N, nn, j_count = _HEADER.unpack_from(blob, off)
-        if magic != MAGIC:
-            raise ValueError("blob record corrupted")
-        count = N**d * nn * nn
-        start = off + _HEADER.size
-        data = np.frombuffer(blob, dtype="<c16", count=count, offset=start)
-        data = data.reshape(grid.shape + (nn, nn))
-        coef = float(a["coefficient_re"]) + 1j * float(a["coefficient_im"])
-        total += coef * data
-    return OperatorField(grid, total), meta, atoms
+    """Reconstruct the field encoded by a manifest + blob: sum coef * atom.
+
+    Returns (field, [decomposition] entries, per-atom entries).  A manifest
+    without the entries needed, or a record that does not fit the blob or
+    the manifest grid, raises FormatError.
+    """
+    meta, atoms = _parse_manifest(Path(manifest_path).read_text())
+    try:
+        grid = _header_grid(manifest_path, meta["d"], meta["N"])
+        n = int(meta["n"])
+        entries = [(int(a["blob_offset"]),
+                    float(a["coefficient_re"]) + 1j * float(a["coefficient_im"]))
+                   for a in atoms]
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{manifest_path}: missing or malformed entry {exc}") from None
+    blob = Path(blob_path).read_bytes()
+    terms = [(coef,) + _read_record(blob, off, grid, n, blob_path) for off, coef in entries]
+    return OperatorField(grid, periodic_block_sum(grid, terms, (n, n))), meta, atoms

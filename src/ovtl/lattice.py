@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -161,34 +161,56 @@ class DyadicCube:
             out.append((np.arange(c - half, c - half + self.side_cells)) % self.grid.N)
         return out
 
+    def box_mask(self, axis_idx, double: bool = False) -> np.ndarray:
+        """Membership in Q (in 2Q when ``double``) of the lattice points whose
+        per-axis indices are ``axis_idx``; half-open per axis, periodic."""
+        half = self.side_cells if double else self.side_cells // 2
+        N = self.grid.N
+        members = [((np.asarray(idx) - c + half) % N) < min(2 * half, N)
+                   for idx, c in zip(axis_idx, self.center_cells)]
+        return reduce(np.logical_and.outer, members)
+
     def mask(self) -> np.ndarray:
         """Boolean membership mask over the grid, half-open per axis."""
-        half = self.side_cells // 2
-        m = np.ones(self.grid.shape, dtype=bool)
-        idx = np.arange(self.grid.N)
-        for ax, c in enumerate(self.center_cells):
-            on_axis = ((idx - c + half) % self.grid.N) < self.side_cells
-            sh = [1] * self.grid.d
-            sh[ax] = self.grid.N
-            m &= on_axis.reshape(sh)
-        return m
+        return self.box_mask([np.arange(self.grid.N)] * self.grid.d)
 
     def npoints(self) -> int:
         return self.side_cells**self.grid.d
 
     def double_mask(self) -> np.ndarray:
         """Membership mask of the doubled cube 2Q (periodic)."""
-        half = self.side_cells  # half-side of 2Q in cells
-        if 2 * half >= self.grid.N:
-            return np.ones(self.grid.shape, dtype=bool)
-        m = np.ones(self.grid.shape, dtype=bool)
-        idx = np.arange(self.grid.N)
-        for ax, c in enumerate(self.center_cells):
-            on_axis = ((idx - c + half) % self.grid.N) < 2 * half
-            sh = [1] * self.grid.d
-            sh[ax] = self.grid.N
-            m &= on_axis.reshape(sh)
-        return m
+        return self.box_mask([np.arange(self.grid.N)] * self.grid.d, double=True)
+
+    def double_box(self) -> tuple[tuple[int, ...], int]:
+        """(per-axis start index, side in cells) of 2Q; the whole torus,
+        from index 0, when 2Q covers it."""
+        side = 2 * self.side_cells
+        if side >= self.grid.N:
+            return (0,) * self.grid.d, self.grid.N
+        return tuple((c - self.side_cells) % self.grid.N for c in self.center_cells), side
+
+
+def box_indices(grid: Grid, origin, sides) -> list[np.ndarray]:
+    """Per-axis lattice indices of the periodic box starting at ``origin``."""
+    return [(o + np.arange(s)) % grid.N for o, s in zip(origin, sides)]
+
+
+def periodic_block_sum(grid: Grid, terms, tail: tuple) -> np.ndarray:
+    """sum_k c_k B_k on the grid, for terms (c_k, origin_k, B_k): block B_k
+    covers the periodic box of side <= N per axis starting at origin_k < N,
+    with trailing axes ``tail``.
+
+    Each block is added through basic slices into a buffer of 2N cells per
+    axis, which is folded onto the torus once at the end.
+    """
+    N, d = grid.N, grid.d
+    buf = np.zeros((2 * N,) * d + tuple(tail), dtype=np.complex128)
+    for c, origin, block in terms:
+        buf[tuple([slice(o, o + s) for o, s in zip(origin, block.shape)])] += c * block
+    for ax in range(d):
+        lead = (slice(None),) * ax
+        buf = buf[lead + (slice(0, N),)] + buf[lead + (slice(N, 2 * N),)]
+    return buf
 
 
 def dyadic_cubes_at_level(grid: Grid, level: int) -> list[DyadicCube]:

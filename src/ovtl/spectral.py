@@ -226,11 +226,16 @@ def fft_data(data: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.fftn(data, axes=_data_axes(data, grid))
 
 
+def ifft_data(data_hat: np.ndarray, grid: Grid) -> np.ndarray:
+    """Inverse of :func:`fft_data`, computed in place: ``data_hat`` is
+    overwritten and returned."""
+    return np.fft.ifftn(data_hat, axes=_data_axes(data_hat, grid), out=data_hat)  # numpy >= 2.0
+
+
 def apply_symbol_hat(values: np.ndarray, data_hat: np.ndarray, grid: Grid) -> np.ndarray:
     """Multiplier action on data given its transform ``fft_data(data)``,
     which is left unchanged."""
-    coef = data_hat * values[..., None, None]
-    return np.fft.ifftn(coef, axes=_data_axes(coef, grid), out=coef)  # out=: numpy >= 2.0
+    return ifft_data(data_hat * values[..., None, None], grid)
 
 
 def apply_symbol_data(values: np.ndarray, data: np.ndarray, grid: Grid) -> np.ndarray:

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from ovtl.errors import ResolutionError, ValidationError
-from ovtl.lattice import DyadicCube, Grid
+from ovtl.lattice import DyadicCube, Grid, box_indices
 from ovtl.opfield import OperatorField, StripField
 from ovtl.atomics import (
     HAtom,
     LOG2,
     TentAtom,
+    _bessel_size,
+    _derivative_sizes,
+    _slice_alpha_q,
+    _subatom_cells,
     calderon_resolution,
     field_l1l2_size,
+    multi_indices,
     pointwise_multiply_test,
     project_tent,
     random_alpha_one_atom,
@@ -24,7 +29,7 @@ from ovtl.atomics import (
     validate_atom,
 )
 from ovtl.generators import band_limited_random, bump, haar, rng_for
-from ovtl.spectral import apply_symbol_data
+from ovtl.spectral import apply_symbol_data, bessel_symbol, fft_data, multi_derivative_symbol
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
@@ -395,3 +400,115 @@ def test_random_alpha_q_atoms_validate(grid64):
 def test_alpha_q_level_out_of_range(grid64):
     with pytest.raises(ResolutionError):
         random_alpha_q_atom(grid64, 1, 0.5, 1, 0, level=10, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# Plancherel sizes and the batched slicing against the filtered route
+# ---------------------------------------------------------------------------
+
+def _cplx(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _filtered_size(values, data, grid):
+    """The route the Plancherel sizes replace: filter, then integrate."""
+    return field_l1l2_size(apply_symbol_data(values, data, grid), grid)
+
+
+def _filtered_derivative_sizes(data, grid, gammas):
+    return {g: _filtered_size(multi_derivative_symbol(grid, g).values, data, grid)
+            for g in gammas}
+
+
+def _size_cases(grid, n, rng):
+    """(name, data, scale): the sizes of data are scale times those of data / scale."""
+    full = _cplx(rng, grid.shape + (n, n))
+    # a piece supported in the 2Q box of a cube that wraps around the torus
+    cube = DyadicCube(grid, 2, (0,) * grid.d)
+    origin, side = cube.double_box()
+    piece = np.zeros(grid.shape + (n, n), dtype=complex)
+    piece[np.ix_(*box_indices(grid, origin, (side,) * grid.d))] = \
+        _cplx(rng, (side,) * grid.d + (n, n))
+    return [("full", full, 1.0), ("piece", piece, 1.0),
+            ("big", 1e150 * full, 1e150), ("small", 1e-150 * piece, 1e-150)]
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("K", [1, 2])
+def test_plancherel_sizes_match_filtered_route(d, N, n, K):
+    grid = Grid(d, N)
+    gammas = multi_indices(d, K)
+    rng = rng_for(700 + 10 * d + n + 100 * K)
+    bessel = bessel_symbol(grid, 0.5).values
+    for name, data, scale in _size_cases(grid, n, rng):
+        # at 1e150 the filtered route's Gram overflows, so it runs unscaled
+        base = data / scale
+        new = _derivative_sizes(data, grid, gammas)
+        for gamma, old in _filtered_derivative_sizes(base, grid, gammas).items():
+            assert new[gamma] == pytest.approx(scale * old, rel=1e-12), (name, gamma)
+        new_b = _bessel_size(fft_data(data, grid), grid, 0.5)
+        assert new_b == pytest.approx(scale * _filtered_size(bessel, base, grid),
+                                      rel=1e-12), name
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_plancherel_sizes_rank_one(d, N, n):
+    # for a = phi u v* the size is |u| |v| times the scalar size of phi; the
+    # filtered route meets this only to ~1e-8 for n >= 2 (its Gram eigenvalue
+    # near 0 is resolved to eps * lambda_max), the Plancherel sizes to 1e-12
+    grid = Grid(d, N)
+    gammas = multi_indices(d, 2)
+    rng = rng_for(760 + 10 * d + n)
+    for _ in range(3):
+        phi = _cplx(rng, grid.shape)[..., None, None]
+        u, v = _cplx(rng, n), _cplx(rng, n)
+        data = phi * np.outer(u, v.conj())
+        uv = np.linalg.norm(u) * np.linalg.norm(v)
+        new = _derivative_sizes(data, grid, gammas)
+        for gamma, scalar in _filtered_derivative_sizes(phi, grid, gammas).items():
+            assert new[gamma] == pytest.approx(uv * scalar, rel=1e-12), gamma
+        scalar_b = _filtered_size(bessel_symbol(grid, 1.0).values, phi, grid)
+        assert _bessel_size(fft_data(data, grid), grid, 1.0) == \
+            pytest.approx(uv * scalar_b, rel=1e-12)
+
+
+def _per_cell_slice(block, cube, j, cal, alpha, K):
+    """Coefficients d_c and the rescale rho of an alpha_q atom, one cell at a
+    time through full-grid masks and filtered sizes."""
+    grid = cube.grid
+    n = block.shape[-1]
+    embedded = np.zeros(grid.shape + (n, n), dtype=complex)
+    embedded[np.ix_(*cube.axis_indices())] = block
+    d_cs = []
+    for cell in _subatom_cells(cube):
+        masked = np.where((cube.mask() & cell.mask())[..., None, None], embedded, 0)
+        piece = LOG2 * apply_symbol_data(cal.level(j), masked, grid)
+        d_c = 0.0
+        for gamma, s in _filtered_derivative_sizes(piece, grid, multi_indices(grid.d, K)).items():
+            d_c = max(d_c, s / cell.volume ** (alpha / grid.d - sum(gamma) / grid.d))
+        d_cs.append(d_c)
+    g = LOG2 * apply_symbol_data(cal.level(j), embedded, grid)
+    rho1 = _filtered_size(bessel_symbol(grid, alpha).values, g, grid) * math.sqrt(cube.volume)
+    rho2 = math.sqrt(sum(d * d for d in d_cs)) * math.sqrt(cube.volume)
+    return d_cs, max(rho1, rho2)
+
+
+@pytest.mark.parametrize("d,N,levels", [(1, 64, (0, 1, 2, 3)), (2, 32, (0, 1, 2))])
+def test_batched_slice_matches_per_cell_loop(d, N, levels):
+    grid = Grid(d, N)
+    cal = calderon_resolution(grid)
+    rng = rng_for(780 + d)
+    for level in levels:
+        for index in [(0,) * d, (1 << level) - 1, (1 << level) // 2]:
+            index = index if isinstance(index, tuple) else (index,) * d
+            cube = DyadicCube(grid, level, index)
+            block = _cplx(rng, (cube.side_cells,) * d + (2, 2))
+            for alpha, K in ((0.5, 1), (1.5, 2)):
+                rho, atom = _slice_alpha_q(block, 1.0, cube, level + 1, cal, alpha, K, 0, 1.0)
+                d_cs, rho_old = _per_cell_slice(block, cube, level + 1, cal, alpha, K)
+                assert rho == pytest.approx(rho_old, rel=1e-12)
+                got = [d * rho for d, _ in atom.subatoms]
+                assert got == pytest.approx([x for x in d_cs if x > 0], rel=1e-12)
+                assert validate_atom(atom).passed

@@ -175,6 +175,37 @@ def test_decompose_reconstruct_roundtrip(tmp_path):
     assert blob.read_bytes() == blob2.read_bytes()
 
 
+def _decompose_cli(tmp_path, stem, grid):
+    field = tmp_path / f"{stem}.ovtl"
+    write_field(field, band_limited_random(Grid(1, grid), 2, 23))
+    man, blob = tmp_path / f"{stem}.txt", tmp_path / f"{stem}.bin"
+    assert main(["--grid", str(grid), "--alpha", "0.5", "decompose", str(field),
+                 "--target", "tl", "--manifest", str(man), "--blob", str(blob)]) == 0
+    return man, blob
+
+
+def _reconstruct_error(capsys, tmp_path, man, blob):
+    capsys.readouterr()
+    code = main(["reconstruct", "--manifest", str(man), "--blob", str(blob),
+                 str(tmp_path / "rec.ovtl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_reconstruct_truncated_blob(tmp_path, capsys):
+    man, blob = _decompose_cli(tmp_path, "a", 64)
+    blob.write_bytes(blob.read_bytes()[:-100])
+    assert "payload" in _reconstruct_error(capsys, tmp_path, man, blob)
+
+
+def test_reconstruct_mismatched_blob(tmp_path, capsys):
+    man, _ = _decompose_cli(tmp_path, "a", 64)
+    _, other = _decompose_cli(tmp_path, "b", 32)
+    assert "the manifest" in _reconstruct_error(capsys, tmp_path, man, other)
+
+
 def test_verify_multiplier_violation_surfaces(tmp_path):
     rep = tmp_path / "viol.txt"
     code = main(["--grid", "64", "--matrix", "1", "--sigma", "1.0", "verify",

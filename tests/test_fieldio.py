@@ -1,0 +1,176 @@
+import re
+import struct
+
+import numpy as np
+import pytest
+
+from ovtl.atomics import smooth_decompose_h1, smooth_decompose_tl
+from ovtl.errors import FormatError
+from ovtl.fieldio import (
+    MAGIC,
+    _HEADER,
+    read_decomposition_blob,
+    read_field,
+    write_decomposition,
+    write_field,
+)
+from ovtl.generators import band_limited_random
+from ovtl.lattice import Grid
+
+
+def _decompose(grid, seed, target="tl"):
+    f = band_limited_random(grid, 2, seed)
+    if target == "tl":
+        return f, smooth_decompose_tl(f, 0.5, 1, 0, compute_norm=False)
+    return f, smooth_decompose_h1(f, compute_norm=False)
+
+
+def _records(blob: bytes, manifest: str, d: int) -> list:
+    """(version, starts, sides) of every record the manifest lists."""
+    out = []
+    for off in map(int, re.findall(r"^blob_offset = (\d+)$", manifest, re.M)):
+        version = _HEADER.unpack_from(blob, off)[1]
+        box = struct.unpack_from(f"<{2 * d}I", blob, off + _HEADER.size)
+        out.append((version, box[:d], box[d:]))
+    return out
+
+
+def _write_v1(man_path, blob_path, dec):
+    """Rewrite a decomposition in the version-1 layout: each record is the
+    field header, then the atom on the whole grid; offsets follow suit."""
+    grid = dec.grid
+    atoms = [atom for _, atom in dec.low_pairs + dec.high_pairs]
+    offsets, chunks, offset = [], [], 0
+    for atom in atoms:
+        data = np.ascontiguousarray(atom.embed(), dtype="<c16").tobytes()
+        chunks.append(_HEADER.pack(MAGIC, 1, grid.d, grid.N, atom.n, 0) + data)
+        offsets.append(offset)
+        offset += len(chunks[-1])
+    blob_path.write_bytes(b"".join(chunks))
+    it = iter(offsets)
+    text = re.sub(r"^blob_offset = \d+$", lambda m: f"blob_offset = {next(it)}",
+                  man_path.read_text(), flags=re.M)
+    man_path.write_text(text)
+
+
+@pytest.mark.parametrize("d,N,target", [(1, 64, "tl"), (1, 64, "h1"), (2, 32, "tl"),
+                                        (2, 32, "h1")])
+def test_blob_v2_roundtrip(tmp_path, d, N, target):
+    grid = Grid(d, N)
+    f, dec = _decompose(grid, 41 + d, target)
+    man, blob = tmp_path / "m.txt", tmp_path / "b.bin"
+    write_decomposition(man, blob, dec)
+    recs = _records(blob.read_bytes(), man.read_text(), d)
+    assert {v for v, _, _ in recs} == {2}
+    # coarse cubes whose 2Q is the whole grid, and boxes that wrap the torus
+    assert any(sides == (N,) * d for _, _, sides in recs)
+    assert any(s < N and o + s > N for _, starts, sides in recs
+               for o, s in zip(starts, sides))
+    rec, meta, atoms = read_decomposition_blob(blob, man)
+    assert len(atoms) == int(meta["atoms"]) == len(recs)
+    expected = dec.reconstruct().data
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(rec.data - expected)) <= 1e-15 * scale
+    assert np.max(np.abs(rec.data - f.data)) <= 1e-9 * np.max(np.abs(f.data))
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
+def test_blob_v1_still_read(tmp_path, d, N):
+    grid = Grid(d, N)
+    _, dec = _decompose(grid, 45 + d)
+    man, blob = tmp_path / "m.txt", tmp_path / "b.bin"
+    write_decomposition(man, blob, dec)
+    v2 = read_decomposition_blob(blob, man)[0].data
+    _write_v1(man, blob, dec)
+    assert {v for v, _, _ in _records(blob.read_bytes(), man.read_text(), d)} == {1}
+    v1 = read_decomposition_blob(blob, man)[0].data
+    scale = np.max(np.abs(v2))
+    assert np.max(np.abs(v1 - v2)) <= 1e-15 * scale
+    assert np.max(np.abs(v1 - dec.reconstruct().data)) <= 1e-15 * scale
+
+
+# ---------------------------------------------------------------------------
+# typed format errors
+# ---------------------------------------------------------------------------
+
+def _field_file(tmp_path):
+    path = tmp_path / "f.ovtl"
+    write_field(path, band_limited_random(Grid(1, 32), 2, 3))
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw[:10],                                  # truncated header
+    lambda raw: b"NOPE" + raw[4:],                         # bad magic
+    lambda raw: raw[:4] + struct.pack("<H", 7) + raw[6:],  # bad version
+    lambda raw: raw[:-16],                                 # short payload
+    lambda raw: raw[:6] + struct.pack("<I", 5) + raw[10:],   # no such dimension
+    lambda raw: raw[:10] + struct.pack("<I", 48) + raw[14:],  # N not a power of two
+])
+def test_read_field_format_errors(tmp_path, corrupt):
+    path, raw = _field_file(tmp_path)
+    path.write_bytes(corrupt(raw))
+    with pytest.raises(FormatError):
+        read_field(path)
+
+
+@pytest.fixture
+def blob_pair(tmp_path):
+    _, dec = _decompose(Grid(1, 64), 47)
+    man, blob = tmp_path / "m.txt", tmp_path / "b.bin"
+    write_decomposition(man, blob, dec)
+    return man, blob
+
+
+def _patch(raw: bytes, pos: int, fmt: str, value) -> bytes:
+    return raw[:pos] + struct.pack(fmt, value) + raw[pos + struct.calcsize(fmt):]
+
+
+def _last_offset(man) -> int:
+    return int(re.findall(r"^blob_offset = (\d+)$", man.read_text(), re.M)[-1])
+
+
+def test_blob_offset_past_end(blob_pair):
+    man, blob = blob_pair
+    size = len(blob.read_bytes())
+    man.write_text(re.sub(r"blob_offset = \d+$", f"blob_offset = {size}",
+                          man.read_text(), count=1, flags=re.M))
+    with pytest.raises(FormatError, match="past the end"):
+        read_decomposition_blob(blob, man)
+
+
+@pytest.mark.parametrize("key,value", [("n", "3"), ("N", "128")])
+def test_blob_record_disagrees_with_manifest(blob_pair, key, value):
+    man, blob = blob_pair
+    man.write_text(re.sub(rf"^{key} = \d+$", f"{key} = {value}", man.read_text(),
+                          count=1, flags=re.M))
+    with pytest.raises(FormatError, match="the manifest"):
+        read_decomposition_blob(blob, man)
+
+
+@pytest.mark.parametrize("field,fmt,value,match", [
+    (4, "<H", 3, "unsupported version"),      # version outside {1, 2}
+    (_HEADER.size, "<I", 64, "outside N"),    # start >= N
+    (_HEADER.size + 4, "<I", 65, "outside N"),  # side > N
+])
+def test_blob_record_header_errors(blob_pair, field, fmt, value, match):
+    man, blob = blob_pair
+    off = _last_offset(man)
+    blob.write_bytes(_patch(blob.read_bytes(), off + field, fmt, value))
+    with pytest.raises(FormatError, match=match):
+        read_decomposition_blob(blob, man)
+
+
+def test_blob_short_payload(blob_pair):
+    man, blob = blob_pair
+    blob.write_bytes(blob.read_bytes()[:-16])
+    with pytest.raises(FormatError, match="payload"):
+        read_decomposition_blob(blob, man)
+
+
+def test_manifest_missing_entry(blob_pair):
+    man, blob = blob_pair
+    man.write_text(re.sub(r"^coefficient_re = .*\n", "", man.read_text(), count=1,
+                          flags=re.M))
+    with pytest.raises(FormatError):
+        read_decomposition_blob(blob, man)
