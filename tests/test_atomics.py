@@ -501,9 +501,8 @@ def test_batched_slice_matches_per_cell_loop(d, N, levels):
     cal = calderon_resolution(grid)
     rng = rng_for(780 + d)
     for level in levels:
-        for index in [(0,) * d, (1 << level) - 1, (1 << level) // 2]:
-            index = index if isinstance(index, tuple) else (index,) * d
-            cube = DyadicCube(grid, level, index)
+        for m in (0, (1 << level) - 1, (1 << level) // 2):
+            cube = DyadicCube(grid, level, (m,) * d)
             block = _cplx(rng, (cube.side_cells,) * d + (2, 2))
             for alpha, K in ((0.5, 1), (1.5, 2)):
                 rho, atom = _slice_alpha_q(block, 1.0, cube, level + 1, cal, alpha, K, 0, 1.0)
