@@ -34,6 +34,7 @@ from .lattice import (
     DyadicCube,
     Grid,
     box_indices,
+    cube_blocks,
     dyadic_cubes_at_level,
     periodic_block_sum,
     subcube_order,
@@ -629,33 +630,6 @@ def project_tent(F, cal: CalderonSystem) -> OperatorField:
 # constructive tent atomization
 # ---------------------------------------------------------------------------
 
-def _cube_blocks(data: np.ndarray, grid: Grid, level: int) -> tuple[np.ndarray, list]:
-    """Reshape (*shape, n, n) data into per-cube blocks at ``level``.
-
-    Returns (blocks, cubes): blocks[i] is the data over cubes[i], shaped
-    (*cube_cells, n, n); cube order is lexicographic in the index.
-    """
-    n = data.shape[-1]
-    side = grid.N >> level
-    half = side // 2
-    out = data
-    for ax in range(grid.d):
-        out = np.roll(out, half, axis=ax)
-    shape = []
-    for _ in range(grid.d):
-        shape += [1 << level, side]
-    shape += [n, n]
-    out = out.reshape(shape)
-    # bring cube axes to the front: (l1, l2, ..., b1, b2, ..., n, n)
-    perm = [2 * k for k in range(grid.d)] + [2 * k + 1 for k in range(grid.d)]
-    perm += [2 * grid.d, 2 * grid.d + 1]
-    out = np.transpose(out, perm)
-    cubes_n = (1 << level) ** grid.d
-    blocks = out.reshape((cubes_n,) + (side,) * grid.d + (n, n))
-    cubes = dyadic_cubes_at_level(grid, level)
-    return blocks, cubes
-
-
 def tent_atomize(F: StripField, rel_size_floor: float = 1e-14) -> list:
     """Exact constructive atomization of a strip field.
 
@@ -671,7 +645,11 @@ def tent_atomize(F: StripField, rel_size_floor: float = 1e-14) -> list:
     per_scale = []
     for j in range(1, F.j_max + 1):
         level = j - 1
-        blocks, cubes = _cube_blocks(F.level(j), grid, level)
+        cubes = dyadic_cubes_at_level(grid, level)
+        # cube axes to the front: blocks[i] is the data over cubes[i]
+        blocks = np.moveaxis(cube_blocks(F.level(j), grid, level), range(0, 2 * grid.d, 2),
+                             range(grid.d))
+        blocks = blocks.reshape((len(cubes),) + blocks.shape[grid.d:])
         sum_axes = tuple(1 + ax for ax in range(grid.d))
         mats = np.sum(gram(blocks), axis=sum_axes) * (LOG2 * grid.cell_volume)
         sizes = np.sum(np.sqrt(psd_eigvalsh(mats)), axis=-1)

@@ -44,7 +44,6 @@ def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ovtl", description=__doc__)
     ap.add_argument("--config", type=Path, default=None, help="config file path")
     ap.add_argument("--seed", type=int, default=None, help="64-bit master seed")
-    ap.add_argument("--out", type=Path, default=None, help="output directory")
     ap.add_argument("--grid", type=int, default=None, help="lattice points per axis N")
     ap.add_argument("--dim", type=int, default=None, help="spatial dimension d")
     ap.add_argument("--matrix", type=int, default=None, help="matrix dimension n")
@@ -113,8 +112,6 @@ def _load_cfg(args) -> Config:
         cfg.alphas = (args.alpha,)
     if args.p is not None:
         cfg.ps = (args.p,)
-    if args.out is not None:
-        cfg.out_dir = str(args.out)
     return cfg
 
 
@@ -433,7 +430,7 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         sys.stderr.write(f"hypothesis error: {exc}\n")
         return 2
-    except OvtlError as exc:
+    except (OvtlError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -14,7 +14,8 @@ start to start + side - 1 (mod N) per axis, which is its doubled cube 2Q
 the atom on the whole grid with no box fields.
 
 Configs are structured text (key = value under [section] headers) and
-round-trip losslessly through :func:`parse_config` / :func:`config_to_text`.
+round-trip losslessly through :func:`parse_config` / :func:`config_to_text`;
+an unknown section or key is a ConfigError.
 """
 
 from __future__ import annotations
@@ -99,20 +100,14 @@ class Config:
     N: int = 256
     n: int = 2
     sigma: float | None = None  # default: d/2 + 1/2
-    window: float | None = None  # default: N/4
-    kappa_gamma: float = 2.0
-    n_pow: int = 2
     alphas: tuple = (0.0, 0.5)
     ps: tuple = (1.0, 2.0)
     kernel_mode: str = "lp"
     K: int = 1
     L: int = 0
-    size_margin: float = 1.0
     multiplier_margin: float = 100.0
-    pointwise_margin: float = 10.0
     seed: int = 0
     trials: int = 10
-    out_dir: str = "."
 
     def grid(self) -> Grid:
         return Grid(self.d, self.N)
@@ -130,9 +125,6 @@ def config_to_text(cfg: Config) -> str:
     out.write(f"n = {cfg.n}\n")
     out.write("[spectral]\n")
     out.write(f"sigma = {'auto' if cfg.sigma is None else repr(cfg.sigma)}\n")
-    out.write(f"window = {'auto' if cfg.window is None else repr(cfg.window)}\n")
-    out.write(f"kappa_gamma = {cfg.kappa_gamma!r}\n")
-    out.write(f"n_pow = {cfg.n_pow}\n")
     out.write("[norms]\n")
     out.write(f"alphas = {','.join(repr(a) for a in cfg.alphas)}\n")
     out.write(f"ps = {','.join(repr(p) for p in cfg.ps)}\n")
@@ -140,19 +132,35 @@ def config_to_text(cfg: Config) -> str:
     out.write("[decomposition]\n")
     out.write(f"K = {cfg.K}\n")
     out.write(f"L = {cfg.L}\n")
-    out.write(f"size_margin = {cfg.size_margin!r}\n")
     out.write(f"multiplier_margin = {cfg.multiplier_margin!r}\n")
-    out.write(f"pointwise_margin = {cfg.pointwise_margin!r}\n")
     out.write("[run]\n")
     out.write(f"seed = {cfg.seed}\n")
     out.write(f"trials = {cfg.trials}\n")
-    out.write(f"out = {cfg.out_dir}\n")
     return out.getvalue()
+
+
+# the keys each section accepts, as configparser stores them (lower case)
+_CONFIG_KEYS = {
+    "grid": ("d", "n"),
+    "algebra": ("n",),
+    "spectral": ("sigma",),
+    "norms": ("alphas", "ps", "kernel_mode"),
+    "decomposition": ("k", "l", "multiplier_margin"),
+    "run": ("seed", "trials"),
+}
 
 
 def parse_config(text: str) -> Config:
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(text)
+    if cp.defaults():
+        raise ConfigError(f"unknown config section [{cp.default_section}]")
+    for section in cp.sections():
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in cp.options(section):
+            if key not in _CONFIG_KEYS[section]:
+                raise ConfigError(f"unknown config key {key!r} in [{section}]")
     cfg = Config()
     if cp.has_section("grid"):
         cfg.d = cp.getint("grid", "d", fallback=cfg.d)
@@ -162,10 +170,6 @@ def parse_config(text: str) -> Config:
     if cp.has_section("spectral"):
         raw = cp.get("spectral", "sigma", fallback="auto")
         cfg.sigma = None if raw == "auto" else float(raw)
-        raw = cp.get("spectral", "window", fallback="auto")
-        cfg.window = None if raw == "auto" else float(raw)
-        cfg.kappa_gamma = cp.getfloat("spectral", "kappa_gamma", fallback=cfg.kappa_gamma)
-        cfg.n_pow = cp.getint("spectral", "n_pow", fallback=cfg.n_pow)
     if cp.has_section("norms"):
         raw = cp.get("norms", "alphas", fallback=None)
         if raw:
@@ -180,17 +184,12 @@ def parse_config(text: str) -> Config:
     if cp.has_section("decomposition"):
         cfg.K = cp.getint("decomposition", "K", fallback=cfg.K)
         cfg.L = cp.getint("decomposition", "L", fallback=cfg.L)
-        cfg.size_margin = cp.getfloat("decomposition", "size_margin", fallback=cfg.size_margin)
         cfg.multiplier_margin = cp.getfloat(
             "decomposition", "multiplier_margin", fallback=cfg.multiplier_margin
-        )
-        cfg.pointwise_margin = cp.getfloat(
-            "decomposition", "pointwise_margin", fallback=cfg.pointwise_margin
         )
     if cp.has_section("run"):
         cfg.seed = cp.getint("run", "seed", fallback=cfg.seed)
         cfg.trials = cp.getint("run", "trials", fallback=cfg.trials)
-        cfg.out_dir = cp.get("run", "out", fallback=cfg.out_dir)
     return cfg
 
 

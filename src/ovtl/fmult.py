@@ -17,9 +17,8 @@ import numpy as np
 
 from .errors import HypothesisError, ResolutionError
 from .lattice import ConeIndex, Grid
-from .opfield import OperatorField
-from .sqfn import SquareFunctionSpec, radial_accumulator
-from .normsuite import _eig_norm
+from .opfield import OperatorField, lp_norm_from_psd_eigs
+from .sqfn import filtered, square_accumulator
 from .spectral import (
     Profile,
     Symbol,
@@ -31,6 +30,7 @@ from .spectral import (
     lp_base_profile,
     lp_zero_profile,
     symbol_from_profile,
+    window_radius_sq,
 )
 
 DILATE_SHIFTS = (-2, -1, 0, 1, 2)
@@ -296,13 +296,7 @@ def cz_kernel_estimates(profiles: Sequence[Profile], grid: Grid, sigma: float,
     for k in kernels:
         knorm_sq = knorm_sq + np.abs(k) ** 2
 
-    s_axis = grid.signed_index_axis * spacing
-    s_sq = np.zeros(grid.shape)
-    for ax in range(grid.d):
-        sh = [1] * grid.d
-        sh[ax] = grid.N
-        s_sq = s_sq + (s_axis**2).reshape(sh)
-    s_abs = np.sqrt(s_sq)
+    s_abs = np.sqrt(window_radius_sq(grid, W))
     # E2: discrete s-measure is 1 per point (matches the l2 normalization,
     # equal to the continuum tail integral up to the fixed window factor)
     e2 = float(np.sum(np.sqrt(knorm_sq)[s_abs >= 0.5]))
@@ -347,35 +341,46 @@ def _check_p1_shape(seq: SymbolSequence, p: float) -> None:
         )
 
 
-def _square_norm(f: OperatorField, fhat: np.ndarray, symbols: list[np.ndarray],
-                 alpha: float, p: float) -> float:
-    spec_symbols = tuple(
-        Symbol(f.grid, v, tag=f"seq{j}") for j, v in enumerate(symbols[1:], start=1)
+def _empirical_bound(kind: str, seq: SymbolSequence,
+                     f_gen: Callable[[int], OperatorField], alpha: float, p: float,
+                     cone: Optional[ConeIndex], trials: int, sigma: Optional[float],
+                     margin: float, window: Optional[float],
+                     family_kind: str) -> MultiplierCertificate:
+    grid = seq.grid
+    sigma = grid.d / 2.0 + 0.5 if sigma is None else sigma
+    seq.check_support()
+    _check_p1_shape(seq, p)
+    W = hypothesis_window(grid) if window is None else window
+    chyp = hypothesis_constant(seq, sigma, family_kind=family_kind, window=W)
+    j_top = seq.j_max if cone is None else min(seq.j_max, cone.j_max)
+    rho_levels = [(j, 4.0 ** (j * alpha), seq.rho_symbol(j).values) for j in range(j_top + 1)]
+    prod_levels = [(j, 4.0 ** (j * alpha), seq.product_symbol(j).values)
+                   for j in range(j_top + 1)]
+    ratios = []
+    for t in range(trials):
+        f = f_gen(t)
+        fhat = fft_data(f.data, grid)
+        out, inp = (
+            lp_norm_from_psd_eigs(
+                square_accumulator(grid, f.n, filtered(fhat, grid, levels), cone).eigenvalues(),
+                p, grid.cell_volume)
+            for levels in (prod_levels, rho_levels)
+        )
+        ratios.append(out / inp if inp > 0 else 0.0)
+    r_emp = max(ratios) if ratios else 0.0
+    return MultiplierCertificate(
+        name=f"{kind}[{seq.name}]",
+        hypothesis_constant=chyp,
+        empirical_ratio=r_emp,
+        trials=trials,
+        sigma=sigma,
+        alpha=alpha,
+        p=p,
+        margin=margin,
+        window=W,
+        passed=bool(r_emp <= margin * chyp),
+        per_trial=ratios,
     )
-    zero = Symbol(f.grid, symbols[0], tag="seq0")
-    spec = SquareFunctionSpec(kernel_kind="phi", alpha=alpha, level_symbols=spec_symbols,
-                              zero_symbol=zero, include_zero_term=True)
-    return _eig_norm(radial_accumulator(f, spec, fhat), p)
-
-
-def _conic_norm(f: OperatorField, fhat: np.ndarray, symbols: list[np.ndarray],
-                alpha: float, p: float, cone: ConeIndex) -> float:
-    grid = f.grid
-    from .opfield import PSDAccumulator, gram
-    from .sqfn import _ball_indicator_ffts, ball_average
-    from .spectral import apply_symbol_hat
-
-    acc = PSDAccumulator(grid, f.n)
-    ind_ffts = _ball_indicator_ffts(grid, cone)
-    h_d = grid.cell_volume
-    # j = 0 term: radial (B_0 would exceed the torus; the cone starts at j=1)
-    g0 = apply_symbol_hat(symbols[0], fhat, grid)
-    acc.add_gram(g0, 1.0)
-    for j in range(1, len(symbols)):
-        g = apply_symbol_hat(symbols[j], fhat, grid)
-        avg = ball_average(gram(g), ind_ffts[j], grid)
-        acc.add_psd(avg, 2.0 ** (j * (2 * alpha + grid.d)) * h_d)
-    return _eig_norm(acc, p)
 
 
 def empirical_square_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorField],
@@ -392,36 +397,10 @@ def empirical_square_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorF
 
     stays below margin * hypothesis_constant.  Pass/fail refers only to the
     ratio being bounded and stable, never to a theorem's unstated constant.
+    Both square functions of a trial share one forward transform of f.
     """
-    grid = seq.grid
-    sigma = grid.d / 2.0 + 0.5 if sigma is None else sigma
-    seq.check_support()
-    _check_p1_shape(seq, p)
-    W = hypothesis_window(grid) if window is None else window
-    chyp = hypothesis_constant(seq, sigma, family_kind=family_kind, window=W)
-    rho_vals = [seq.rho_symbol(j).values for j in range(seq.j_max + 1)]
-    prod_vals = [seq.product_symbol(j).values for j in range(seq.j_max + 1)]
-    ratios = []
-    for t in range(trials):
-        f = f_gen(t)
-        fhat = fft_data(f.data, grid)
-        out = _square_norm(f, fhat, prod_vals, alpha, p)
-        inp = _square_norm(f, fhat, rho_vals, alpha, p)
-        ratios.append(out / inp if inp > 0 else 0.0)
-    r_emp = max(ratios) if ratios else 0.0
-    return MultiplierCertificate(
-        name=f"square[{seq.name}]",
-        hypothesis_constant=chyp,
-        empirical_ratio=r_emp,
-        trials=trials,
-        sigma=sigma,
-        alpha=alpha,
-        p=p,
-        margin=margin,
-        window=W,
-        passed=bool(r_emp <= margin * chyp),
-        per_trial=ratios,
-    )
+    return _empirical_bound("square", seq, f_gen, alpha, p, None, trials, sigma, margin,
+                            window, family_kind)
 
 
 def empirical_conic_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorField],
@@ -429,37 +408,10 @@ def empirical_conic_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorFi
                           sigma: Optional[float] = None, margin: float = 100.0,
                           window: Optional[float] = None,
                           family_kind: str = "default") -> MultiplierCertificate:
-    """Conic counterpart of :func:`empirical_square_bound`."""
-    grid = seq.grid
-    sigma = grid.d / 2.0 + 0.5 if sigma is None else sigma
-    seq.check_support()
-    _check_p1_shape(seq, p)
-    W = hypothesis_window(grid) if window is None else window
-    chyp = hypothesis_constant(seq, sigma, family_kind=family_kind, window=W)
-    j_top = min(seq.j_max, cone.j_max)
-    rho_vals = [seq.rho_symbol(j).values for j in range(j_top + 1)]
-    prod_vals = [seq.product_symbol(j).values for j in range(j_top + 1)]
-    ratios = []
-    for t in range(trials):
-        f = f_gen(t)
-        fhat = fft_data(f.data, grid)
-        out = _conic_norm(f, fhat, prod_vals, alpha, p, cone)
-        inp = _conic_norm(f, fhat, rho_vals, alpha, p, cone)
-        ratios.append(out / inp if inp > 0 else 0.0)
-    r_emp = max(ratios) if ratios else 0.0
-    return MultiplierCertificate(
-        name=f"conic[{seq.name}]",
-        hypothesis_constant=chyp,
-        empirical_ratio=r_emp,
-        trials=trials,
-        sigma=sigma,
-        alpha=alpha,
-        p=p,
-        margin=margin,
-        window=W,
-        passed=bool(r_emp <= margin * chyp),
-        per_trial=ratios,
-    )
+    """Conic counterpart of :func:`empirical_square_bound`: scales j >= 1 up
+    to the cone's are ball-averaged, the j = 0 term stays radial."""
+    return _empirical_bound("conic", seq, f_gen, alpha, p, cone, trials, sigma, margin,
+                            window, family_kind)
 
 
 def exact_p2_operator_norm(seq: SymbolSequence) -> float:

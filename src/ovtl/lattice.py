@@ -213,6 +213,19 @@ def periodic_block_sum(grid: Grid, terms, tail: tuple) -> np.ndarray:
     return buf
 
 
+def cube_blocks(data: np.ndarray, grid: Grid, level: int) -> np.ndarray:
+    """(*grid.shape, ...) data with each spatial axis split into a
+    (2^level, side) pair: entry [l_1, b_1, ..., l_d, b_d] is point b of the
+    level-``level`` dyadic cube with index l (wraparound cubes included).
+
+    One periodic roll by half a side makes the centered cubes contiguous;
+    the reshape of the rolled array is a view of it, not a copy.
+    """
+    side = grid.N >> level
+    rolled = np.roll(data, (side // 2,) * grid.d, axis=grid.spatial_axes)
+    return rolled.reshape(sum(((1 << level, side),) * grid.d, ()) + data.shape[grid.d:])
+
+
 def dyadic_cubes_at_level(grid: Grid, level: int) -> list[DyadicCube]:
     """All 2^(level*d) cubes tiling the torus at the given level."""
     if level < 0:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fieldio import HARDY_MODES
-from .lattice import ConeIndex, Grid, cone_index
+from .lattice import ConeIndex, Grid, cone_index, cube_blocks
 from .opfield import (
     OperatorField,
     PSDAccumulator,
@@ -26,20 +26,8 @@ from .opfield import (
     psd_eigvalsh,
     trace_lp_norm,
 )
-from .sqfn import (
-    SquareFunctionSpec,
-    conic_accumulator,
-    radial_accumulator,
-    radial_levels,
-    tent_accumulator,
-)
-from .spectral import (
-    HomLPFamily,
-    LPFamily,
-    apply_symbol_hat,
-    fft_data,
-    poisson_symbol,
-)
+from .sqfn import filtered, lp_levels, poisson_levels, square_accumulator, strip_levels
+from .spectral import HomLPFamily, LPFamily, apply_symbol_hat, fft_data, poisson_symbol
 
 
 @dataclass
@@ -106,10 +94,11 @@ def _lp_square_norms(f: OperatorField, alpha: float, p: float, family: LPFamily,
     sum_j 4^{j alpha} |phi_j * f*|^2 is sum_j 4^{j alpha} g_j g_j* over the
     column's filtered levels g_j = phi_j * f.
     """
-    spec = SquareFunctionSpec(kernel_kind="lp", alpha=alpha, family=family)
+    if fhat is None:
+        fhat = fft_data(f.data, f.grid)
     accs = [PSDAccumulator(f.grid, f.n) for _ in sides]
     low_term = None
-    for j, weight, g in radial_levels(f, spec, fhat):
+    for j, weight, g in filtered(fhat, f.grid, lp_levels(family, alpha)):
         if low and j == 0:
             low_term = trace_lp_norm(OperatorField(f.grid, g), p)
         for side, acc in zip(sides, accs):
@@ -214,15 +203,13 @@ def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radia
     if mode == "lp" and family is None:
         raise ValueError("lp mode requires a family")
 
+    j_top = grid.max_scale if family is None else family.j_max
     if mode == "lp":
         low_values = family.values(0)
-        j_top = family.j_max
-        spec_kwargs = dict(kernel_kind="lp", family=family, alpha=0.0)
+        levels = lp_levels(family, 0.0)[1:]
     else:
         low_values = poisson_symbol(grid, 1.0).values
-        j_top = grid.max_scale if family is None else family.j_max
-        spec_kwargs = dict(kernel_kind="poisson", poisson_k=poisson_k, alpha=0.0,
-                           j_max=j_top)
+        levels = poisson_levels(grid, j_top, poisson_k, 0.0)
     fhat = fft_data(f.data, grid)
 
     if shape == "radial" and mode == "lp":
@@ -230,14 +217,11 @@ def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radia
         value = sq
     else:
         low = _low_term_norm(f, low_values, fhat, p)
-        spec = SquareFunctionSpec(include_zero_term=False, **spec_kwargs)
         if shape == "radial":
-            acc = radial_accumulator(f, spec, fhat)
-        else:
-            if cone is None:
-                cone = cone_index(grid, j_top)
-            acc = conic_accumulator(f, spec, cone, fhat)
-        sq = _eig_norm(acc, p)
+            cone = None
+        elif cone is None:
+            cone = cone_index(grid, j_top)
+        sq = _eig_norm(square_accumulator(grid, f.n, filtered(fhat, grid, levels), cone), p)
         value = sq + low
     return NormReport(
         name="hardy",
@@ -258,22 +242,9 @@ def _block_means(data: np.ndarray, grid: Grid, level: int) -> np.ndarray:
     """Mean of (*shape, n, n) data over each dyadic cube at ``level``.
 
     Returns array of shape (2^level,)*d + (n, n); entry [l] is the mean over
-    the cube with index l.  Uses roll + reshape so wraparound cubes are exact.
+    the cube with index l.
     """
-    n = data.shape[-1]
-    side = grid.N >> level
-    half = side // 2
-    out = data
-    for ax in range(grid.d):
-        out = np.roll(out, half, axis=ax)
-    # cube with index l spans rolled indices [l*side, (l+1)*side) per axis
-    shape = []
-    for _ in range(grid.d):
-        shape += [1 << level, side]
-    shape += [n, n]
-    out = out.reshape(shape)
-    mean_axes = tuple(2 * k + 1 for k in range(grid.d))
-    return out.mean(axis=mean_axes)
+    return cube_blocks(data, grid, level).mean(axis=tuple(2 * k + 1 for k in range(grid.d)))
 
 
 def _max_sqrt_opnorm(blocks: np.ndarray) -> float:
@@ -321,12 +292,13 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily,
     """
     grid = f.grid
     fhat = fft_data(f.data, grid)
-    low_term = _low_term_norm(f, family.values(0), fhat, np.inf)
+    levels = lp_levels(family, alpha)
+    low_term = _low_term_norm(f, levels[0][2], fhat, np.inf)
     top_level = min(grid.max_cube_level, family.j_max)
     acc = PSDAccumulator(grid, f.n)
     by_level = {}
-    for j in range(family.j_max, 0, -1):
-        acc.add_gram(apply_symbol_hat(family.values(j), fhat, grid), 4.0 ** (j * alpha))
+    for j, weight, g in filtered(fhat, grid, levels[:0:-1]):
+        acc.add_gram(g, weight)
         if j <= top_level:
             by_level[j] = _max_sqrt_opnorm(_block_means(acc.S, grid, j))
     per_level = {f"carleson_level_{level}": by_level[level] for level in sorted(by_level)}
@@ -351,8 +323,8 @@ def tent_norm(F: StripField, p: float, cone: Optional[ConeIndex] = None,
               seed: Optional[int] = None) -> NormReport:
     """Tent-space norm || A^c(F) ||_p."""
     _check_p(p)
-    acc = tent_accumulator(F, cone)
-    value = _eig_norm(acc, p)
+    cone = cone_index(F.grid, F.j_max) if cone is None else cone
+    value = _eig_norm(square_accumulator(F.grid, F.n, strip_levels(F), cone), p)
     return NormReport(
         name="tent",
         value=value,
@@ -380,10 +352,8 @@ def homogeneous_equiv_report(f: OperatorField, alpha: float, p: float,
     grid = f.grid
     fhat = fft_data(f.data, grid)
     (inhom,), low = _lp_square_norms(f, alpha, p, family, ("column",), fhat)
-    acc = PSDAccumulator(grid, f.n)
-    for j in hom.scales():
-        acc.add_gram(apply_symbol_hat(hom.member(j).values, fhat, grid), 4.0 ** (j * alpha))
-    hom_sq = _eig_norm(acc, p)
+    hom_levels = [(j, 4.0 ** (j * alpha), hom.member(j).values) for j in hom.scales()]
+    hom_sq = _eig_norm(square_accumulator(grid, f.n, filtered(fhat, grid, hom_levels)), p)
     plain = trace_lp_norm(f, p)
     denom_phi0 = low + hom_sq
     denom_plain = plain + hom_sq

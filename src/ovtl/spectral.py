@@ -341,8 +341,17 @@ def lp_zero_profile(kind: str = "default") -> Profile:
     return radial_profile(lambda r: eta(r) + 0j, support_radius=2.0)
 
 
+class _SymbolFamily:
+    def partition_sum(self) -> np.ndarray:
+        """sum over the members of their (real) symbol values."""
+        total = np.zeros(self.grid.shape)
+        for s in self.symbols:
+            total = total + s.values.real
+        return total
+
+
 @dataclass(frozen=True)
-class LPFamily:
+class LPFamily(_SymbolFamily):
     """Validated Littlewood-Paley family phi^(j), j = 0 .. j_max.
 
     phi^(0) = eta(|xi|); phi^(j) = phi(2^-j xi) with phi the annulus bump.
@@ -367,12 +376,6 @@ class LPFamily:
 
     def covered_mask(self) -> np.ndarray:
         return self.grid.freq_norm <= self.covered_radius + 1e-12
-
-    def partition_sum(self) -> np.ndarray:
-        total = np.zeros(self.grid.shape)
-        for s in self.symbols:
-            total = total + s.values.real
-        return total
 
     def square_sum(self) -> np.ndarray:
         total = np.zeros(self.grid.shape)
@@ -409,7 +412,7 @@ def make_lp_family(grid: Grid, kind: str = "default") -> LPFamily:
 
 
 @dataclass(frozen=True)
-class HomLPFamily:
+class HomLPFamily(_SymbolFamily):
     """Homogeneous family phi_dot_j = phi(2^-j .), j_min <= j <= j_max."""
 
     grid: Grid
@@ -423,12 +426,6 @@ class HomLPFamily:
 
     def scales(self) -> range:
         return range(self.j_min, self.j_max + 1)
-
-    def partition_sum(self) -> np.ndarray:
-        total = np.zeros(self.grid.shape)
-        for s in self.symbols:
-            total = total + s.values.real
-        return total
 
 
 @lru_cache(maxsize=32)
@@ -451,6 +448,33 @@ def default_window(grid: Grid) -> float:
     return grid.N / 4.0
 
 
+def window_radius_sq(grid: Grid, window: float) -> np.ndarray:
+    """|s|^2 at the signed window points s = (W/N) m, m in [-N/2, N/2)^d (FFT order)."""
+    axis = (grid.signed_index_axis * (window / grid.N)) ** 2
+    s_sq = np.zeros(grid.shape)
+    for ax in range(grid.d):
+        sh = [1] * grid.d
+        sh[ax] = grid.N
+        s_sq = s_sq + axis.reshape(sh)
+    return s_sq
+
+
+def _hsigma_window(grid: Grid, sigma: float, window: Optional[float]) -> float:
+    if sigma <= grid.d / 2.0:
+        raise ValueError(f"sigma must exceed d/2 = {grid.d / 2}, got {sigma}")
+    W = default_window(grid) if window is None else float(window)
+    if W <= 0:
+        raise ValueError("window must be positive")
+    return W
+
+
+def _hsigma_of_samples(vals: np.ndarray, grid: Grid, sigma: float, W: float) -> float:
+    """l2 norm of the (1+|s|^2)^(sigma/2)-weighted spatial dual of window samples."""
+    spatial = np.fft.ifftn(vals, axes=grid.spatial_axes)
+    weight = (1.0 + window_radius_sq(grid, W)) ** sigma
+    return float(np.sqrt(np.sum(weight * np.abs(spatial) ** 2)))
+
+
 def hsigma_norm_profile(prof: Profile, grid: Grid, sigma: float,
                         window: Optional[float] = None) -> float:
     """H^sigma_2 quantity of a symbol profile, desk-scale rendering.
@@ -463,28 +487,15 @@ def hsigma_norm_profile(prof: Profile, grid: Grid, sigma: float,
     the quantity is proportional to the continuum H^sigma_2 norm with a fixed
     (W/N)^(d/2) factor.
     """
-    if sigma <= grid.d / 2.0:
-        raise ValueError(f"sigma must exceed d/2 = {grid.d / 2}, got {sigma}")
-    W = default_window(grid) if window is None else float(window)
-    if W <= 0:
-        raise ValueError("window must be positive")
+    W = _hsigma_window(grid, sigma, window)
     half_extent = grid.N / (2.0 * W)
     if prof.support_radius is not None and prof.support_radius > half_extent + 1e-9:
         raise ResolutionError(
             f"profile support radius {prof.support_radius:.3g} exceeds window "
             f"half-extent {half_extent:.3g} (window W={W:.3g})"
         )
-    xi = grid.freqs / W
-    vals = np.asarray(prof(xi), dtype=np.complex128)
-    spatial = np.fft.ifftn(vals, axes=grid.spatial_axes)
-    s_sq = np.zeros(grid.shape)
-    axis = (grid.signed_index_axis * (W / grid.N)) ** 2
-    for ax in range(grid.d):
-        sh = [1] * grid.d
-        sh[ax] = grid.N
-        s_sq = s_sq + axis.reshape(sh)
-    weight = (1.0 + s_sq) ** sigma
-    return float(np.sqrt(np.sum(weight * np.abs(spatial) ** 2)))
+    vals = np.asarray(prof(grid.freqs / W), dtype=np.complex128)
+    return _hsigma_of_samples(vals, grid, sigma, W)
 
 
 def hsigma_norm(sym: Symbol, sigma: float, window: Optional[float] = None) -> float:
@@ -495,16 +506,5 @@ def hsigma_norm(sym: Symbol, sigma: float, window: Optional[float] = None) -> fl
     """
     if sym.profile is not None:
         return hsigma_norm_profile(sym.profile, sym.grid, sigma, window)
-    grid = sym.grid
-    if sigma <= grid.d / 2.0:
-        raise ValueError(f"sigma must exceed d/2 = {grid.d / 2}, got {sigma}")
-    W = default_window(grid) if window is None else float(window)
-    spatial = np.fft.ifftn(sym.values, axes=grid.spatial_axes)
-    s_sq = np.zeros(grid.shape)
-    axis = (grid.signed_index_axis * (W / grid.N)) ** 2
-    for ax in range(grid.d):
-        sh = [1] * grid.d
-        sh[ax] = grid.N
-        s_sq = s_sq + axis.reshape(sh)
-    weight = (1.0 + s_sq) ** sigma
-    return float(np.sqrt(np.sum(weight * np.abs(spatial) ** 2)))
+    return _hsigma_of_samples(sym.values, sym.grid, sigma,
+                              _hsigma_window(sym.grid, sigma, window))

@@ -53,7 +53,7 @@ def test_config_roundtrip():
 
 def test_config_auto_fields():
     cfg = parse_config(config_to_text(Config()))
-    assert cfg.sigma is None and cfg.window is None
+    assert cfg.sigma is None
     assert cfg.sigma_value() == 1.0  # d/2 + 1/2 at d = 1
 
 
@@ -70,6 +70,25 @@ def test_config_unknown_kernel_mode_rejected(tmp_path, capsys):
     assert code != 0
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "kernel_mode" in err and "bogus" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("[run]\n", "[run]\nout = results\n"),
+    lambda text: text + "[extra]\nkey = 1\n",
+    lambda text: "[DEFAULT]\nwindow = 3\n" + text,
+])
+def test_config_unknown_key_rejected(tmp_path, capsys, edit):
+    text = edit(config_to_text(Config()))
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    field = tmp_path / "f.ovtl"
+    write_field(field, band_limited_random(Grid(1, 64), 2, 4))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--grid", "64", "norm", str(field)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_config_poisson_kernel_mode_honoured(tmp_path, capsys):
@@ -204,6 +223,23 @@ def test_reconstruct_mismatched_blob(tmp_path, capsys):
     man, _ = _decompose_cli(tmp_path, "a", 64)
     _, other = _decompose_cli(tmp_path, "b", 32)
     assert "the manifest" in _reconstruct_error(capsys, tmp_path, man, other)
+
+
+def test_reconstruct_missing_manifest(tmp_path, capsys):
+    _, blob = _decompose_cli(tmp_path, "a", 64)
+    assert "No such file" in _reconstruct_error(capsys, tmp_path, tmp_path / "none.txt", blob)
+
+
+def test_reconstruct_missing_blob(tmp_path, capsys):
+    man, _ = _decompose_cli(tmp_path, "a", 64)
+    assert "No such file" in _reconstruct_error(capsys, tmp_path, man, tmp_path / "none.bin")
+
+
+def test_norm_missing_field_file(tmp_path, capsys):
+    code = main(["--grid", "64", "norm", str(tmp_path / "none.ovtl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "none.ovtl" in err
 
 
 def test_verify_multiplier_violation_surfaces(tmp_path):

@@ -1,37 +1,40 @@
 import math
 
 import numpy as np
+import pytest
 
-from ovtl.lattice import cone_index
+from ovtl.errors import GridMismatchError
+from ovtl.lattice import Grid, cone_index
+from ovtl.normsuite import hardy_norm, tent_norm
 from ovtl.opfield import OperatorField, StripField, trace_lp_norm
 from ovtl.generators import band_limited_random, random_strip, single_mode
-from ovtl.spectral import apply_symbol_data, fft_forward
+from ovtl.spectral import apply_symbol_data, fft_data, fft_forward, make_lp_family
 from ovtl.sqfn import (
     LOG2,
-    SquareFunctionSpec,
-    g_radial,
-    radial_accumulator,
-    s_conic,
+    filtered,
+    lp_levels,
+    poisson_levels,
+    square_accumulator,
     tent_functional,
 )
 
 
-def lp_spec(fam, alpha=0.0, include_zero=True):
-    return SquareFunctionSpec(kernel_kind="lp", alpha=alpha, family=fam,
-                              include_zero_term=include_zero)
+def accumulate(f, levels, cone=None):
+    return square_accumulator(f.grid, f.n, filtered(fft_data(f.data, f.grid), f.grid, levels),
+                              cone)
 
 
 def test_g_radial_single_mode(grid64, fam64):
     # |k| = 4 lives on the j = 2 annulus alone: output is the constant |A|
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     f = single_mode(grid64, 2, (4,), matrix=A)
-    out = g_radial(f, lp_spec(fam64))
+    out = accumulate(f, lp_levels(fam64, 0.0)).sqrt()
     expected = np.diag([0.0, 1.0])  # |A| for the nilpotent A
     assert np.max(np.abs(out.data - expected)) < 1e-10
 
 
 def test_g_radial_zero(grid64, fam64):
-    out = g_radial(OperatorField.zero(grid64, 2), lp_spec(fam64))
+    out = accumulate(OperatorField.zero(grid64, 2), lp_levels(fam64, 0.0)).sqrt()
     assert np.max(np.abs(out.data)) == 0.0
 
 
@@ -39,8 +42,8 @@ def test_g_radial_alpha_shift(grid64, fam64):
     # weight-alpha square function equals weight-0 applied to rescaled levels
     f = band_limited_random(grid64, 2, 800)
     alpha = 0.7
-    acc_a = radial_accumulator(f, lp_spec(fam64, alpha=alpha))
-    acc_manual = radial_accumulator(f, lp_spec(fam64, alpha=0.0))
+    acc_a = accumulate(f, lp_levels(fam64, alpha))
+    acc_manual = accumulate(f, lp_levels(fam64, 0.0))
     # manual: rescale each level by 2^{j alpha} before squaring
     import ovtl.opfield as op
 
@@ -56,14 +59,14 @@ def test_g_radial_alpha_shift(grid64, fam64):
 def test_g_radial_homogeneity(grid64, fam64):
     f = band_limited_random(grid64, 2, 801)
     c = 2.5 - 1.0j
-    a = g_radial(c * f, lp_spec(fam64))
-    b = g_radial(f, lp_spec(fam64))
+    a = accumulate(c * f, lp_levels(fam64, 0.0)).sqrt()
+    b = accumulate(f, lp_levels(fam64, 0.0)).sqrt()
     assert np.max(np.abs(a.data - abs(c) * b.data)) < 1e-9 * np.max(np.abs(b.data))
 
 
 def test_g_radial_p2_identity(grid64, fam64):
     f = band_limited_random(grid64, 2, 802)
-    out = g_radial(f, lp_spec(fam64))
+    out = accumulate(f, lp_levels(fam64, 0.0)).sqrt()
     lhs = trace_lp_norm(out, 2.0) ** 2
     fh = fft_forward(f).data
     sq = fam64.square_sum()
@@ -73,10 +76,8 @@ def test_g_radial_p2_identity(grid64, fam64):
 
 def test_scale_monotonicity(grid64, fam64):
     f = band_limited_random(grid64, 2, 803)
-    full = radial_accumulator(f, lp_spec(fam64))
-    partial = radial_accumulator(
-        f, SquareFunctionSpec(kernel_kind="lp", family=fam64, include_zero_term=True,
-                              j_max=fam64.j_max - 1))
+    full = accumulate(f, lp_levels(fam64, 0.0))
+    partial = accumulate(f, lp_levels(fam64, 0.0)[:-1])  # j = 0 .. j_max - 1
     for p in (1.0, 2.0, 3.0):
         from ovtl.opfield import lp_norm_from_psd_eigs
 
@@ -91,8 +92,8 @@ def test_conic_constant_vs_radial_factor(grid64, fam64):
     f = single_mode(grid64, 1, (4,))
     cone = cone_index(grid64, fam64.j_max)
     alpha = 0.3
-    rad = radial_accumulator(f, lp_spec(fam64, alpha=alpha, include_zero=False))
-    con = s_conic(f, lp_spec(fam64, alpha=alpha, include_zero=False), cone)
+    rad = accumulate(f, lp_levels(fam64, alpha)[1:])
+    con = accumulate(f, lp_levels(fam64, alpha)[1:], cone).sqrt()
     # only level j = 2 contributes; factor = 2^{jd} |B_j| h^d
     j = 2
     factor = 2.0 ** (j * grid64.d) * cone.ball_measure(j)
@@ -102,7 +103,7 @@ def test_conic_constant_vs_radial_factor(grid64, fam64):
 
 def test_conic_zero(grid64, fam64):
     cone = cone_index(grid64, fam64.j_max)
-    out = s_conic(OperatorField.zero(grid64, 2), lp_spec(fam64, include_zero=False), cone)
+    out = accumulate(OperatorField.zero(grid64, 2), lp_levels(fam64, 0.0)[1:], cone).sqrt()
     assert np.max(np.abs(out.data)) < 1e-15
 
 
@@ -110,7 +111,7 @@ def test_conic_fubini_identity(grid64, fam64):
     f = band_limited_random(grid64, 1, 804)
     cone = cone_index(grid64, fam64.j_max)
     alpha = 0.25
-    out = s_conic(f, lp_spec(fam64, alpha=alpha, include_zero=False), cone)
+    out = accumulate(f, lp_levels(fam64, alpha)[1:], cone).sqrt()
     lhs = float(np.mean(np.abs(out.data[..., 0, 0]) ** 2))
     rhs = 0.0
     for j in range(1, fam64.j_max + 1):
@@ -151,9 +152,7 @@ def test_tent_zero_and_scaling(grid64):
 def test_poisson_radial_matches_manual(grid64):
     # dyadic quadrature weights log2 * 2^{-2j(k-alpha)} per level
     f = band_limited_random(grid64, 1, 806)
-    spec = SquareFunctionSpec(kernel_kind="poisson", poisson_k=1, alpha=0.0,
-                              include_zero_term=False, j_max=4)
-    out = g_radial(f, spec)
+    out = accumulate(f, poisson_levels(grid64, 4, 1, 0.0)).sqrt()
     total = np.zeros(grid64.shape)
     from ovtl.spectral import poisson_dk_symbol
 
@@ -162,3 +161,34 @@ def test_poisson_radial_matches_manual(grid64):
         conv = apply_symbol_data(sym.values, f.data, grid64)
         total += LOG2 * 4.0**-j * np.abs(conv[..., 0, 0]) ** 2
     assert np.max(np.abs(out.data[..., 0, 0] - np.sqrt(total))) < 1e-10
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 32)], ids=["d1", "d2"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_conic_hardy_term_is_tent_norm(grid, n, p):
+    # the conic LP square function and the tent functional are one sum:
+    # with F_j = (phi_j * f) / sqrt(log 2), both are sum_j 2^{jd} h^d ball sums
+    fam = make_lp_family(grid)
+    f = band_limited_random(grid, n, 807)
+    F = StripField(grid, np.stack([apply_symbol_data(fam.values(j), f.data, grid)
+                                   for j in range(1, fam.j_max + 1)]) / math.sqrt(LOG2))
+    conic = hardy_norm(f, p, mode="lp", shape="conic", family=fam).terms["square_function"]
+    tent = tent_norm(F, p).value
+    assert abs(conic - tent) <= 1e-12 * tent
+
+
+def test_engine_rejects_other_grid(grid64, fam64):
+    f = band_limited_random(grid64, 2, 808)
+    fhat = fft_data(f.data, grid64)
+    other = make_lp_family(Grid(1, 128))
+    with pytest.raises(GridMismatchError):
+        list(filtered(fhat, grid64, lp_levels(other, 0.0)))
+    with pytest.raises(GridMismatchError):
+        accumulate(f, lp_levels(other, 0.0)).sqrt()
+    with pytest.raises(GridMismatchError):
+        accumulate(f, lp_levels(fam64, 0.0)[1:], cone_index(Grid(1, 128), fam64.j_max)).sqrt()
+    with pytest.raises(GridMismatchError):  # scales beyond the cone
+        accumulate(f, lp_levels(fam64, 0.0)[1:], cone_index(grid64, fam64.j_max - 1)).sqrt()
+    with pytest.raises(GridMismatchError):
+        tent_functional(random_strip(grid64, 2, 3, 809), cone_index(Grid(1, 128), 3))
