@@ -201,20 +201,23 @@ class SmoothAtom(_BoxStorage):
     support_leak: float = 0.0
 
 
-def _energy_outside(data: np.ndarray, inside: np.ndarray) -> float:
-    """Relative L2 energy of (*, n, n) data at the points where ``inside``
-    is False (0 for zero data)."""
+def _energy_outside(data: np.ndarray, inside) -> float:
+    """Relative L2 energy of (*, n, n) data off the points ``inside`` (a
+    boolean mask or an index; 0 for zero data).  The inside is zeroed and
+    the rest summed, not subtracted from the total, so a leak of 1e-16
+    keeps its digits."""
     energy = np.sum(data.real**2 + data.imag**2, axis=(-2, -1))
     total = float(np.sum(energy))
-    return math.sqrt(float(np.sum(energy[~inside])) / total) if total > 0 else 0.0
+    energy[inside] = 0.0
+    return math.sqrt(float(np.sum(energy)) / total) if total > 0 else 0.0
 
 
 def _cut_to_double(full: np.ndarray, cube: DyadicCube) -> tuple:
     """(origin, block, leak): the 2Q block of full-grid data and the
     relative L2 energy outside 2Q that the cut drops."""
     origin, side = cube.double_box()
-    block = full[np.ix_(*box_indices(cube.grid, origin, (side,) * cube.grid.d))]
-    return origin, block, _energy_outside(full, cube.double_mask())
+    box = np.ix_(*box_indices(cube.grid, origin, (side,) * cube.grid.d))
+    return origin, full[box], _energy_outside(full, box)
 
 
 @dataclass

@@ -15,7 +15,8 @@ the atom on the whole grid with no box fields.
 
 Configs are structured text (key = value under [section] headers) and
 round-trip losslessly through :func:`parse_config` / :func:`config_to_text`;
-an unknown section or key is a ConfigError.
+an unknown section or key, a malformed value and a line outside any
+[section] are each a ConfigError.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -150,9 +151,23 @@ _CONFIG_KEYS = {
 }
 
 
+def _floats(raw: str) -> tuple:
+    return tuple(float(x) for x in raw.split(","))
+
+
+def _sigma(raw: str) -> Optional[float]:
+    return None if raw == "auto" else float(raw)
+
+
 def parse_config(text: str) -> Config:
     cp = configparser.ConfigParser(interpolation=None)
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"config line {exc.lineno} comes before any [section] header: "
+                          f"{exc.line.strip()!r}") from None
+    except configparser.Error as exc:
+        raise ConfigError("malformed config: " + " ".join(str(exc).split())) from None
     if cp.defaults():
         raise ConfigError(f"unknown config section [{cp.default_section}]")
     for section in cp.sections():
@@ -161,35 +176,33 @@ def parse_config(text: str) -> Config:
         for key in cp.options(section):
             if key not in _CONFIG_KEYS[section]:
                 raise ConfigError(f"unknown config key {key!r} in [{section}]")
+
+    def value(section: str, key: str, convert, default):
+        raw = cp.get(section, key, fallback=None)
+        if raw is None:
+            return default
+        try:
+            return convert(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r} is malformed: {exc}") from None
+
     cfg = Config()
-    if cp.has_section("grid"):
-        cfg.d = cp.getint("grid", "d", fallback=cfg.d)
-        cfg.N = cp.getint("grid", "N", fallback=cfg.N)
-    if cp.has_section("algebra"):
-        cfg.n = cp.getint("algebra", "n", fallback=cfg.n)
-    if cp.has_section("spectral"):
-        raw = cp.get("spectral", "sigma", fallback="auto")
-        cfg.sigma = None if raw == "auto" else float(raw)
-    if cp.has_section("norms"):
-        raw = cp.get("norms", "alphas", fallback=None)
-        if raw:
-            cfg.alphas = tuple(float(x) for x in raw.split(","))
-        raw = cp.get("norms", "ps", fallback=None)
-        if raw:
-            cfg.ps = tuple(float(x) for x in raw.split(","))
-        cfg.kernel_mode = cp.get("norms", "kernel_mode", fallback=cfg.kernel_mode)
-        if cfg.kernel_mode not in HARDY_MODES:
-            raise ConfigError(f"[norms] kernel_mode must be one of {', '.join(HARDY_MODES)}, "
-                              f"got {cfg.kernel_mode!r}")
-    if cp.has_section("decomposition"):
-        cfg.K = cp.getint("decomposition", "K", fallback=cfg.K)
-        cfg.L = cp.getint("decomposition", "L", fallback=cfg.L)
-        cfg.multiplier_margin = cp.getfloat(
-            "decomposition", "multiplier_margin", fallback=cfg.multiplier_margin
-        )
-    if cp.has_section("run"):
-        cfg.seed = cp.getint("run", "seed", fallback=cfg.seed)
-        cfg.trials = cp.getint("run", "trials", fallback=cfg.trials)
+    cfg.d = value("grid", "d", int, cfg.d)
+    cfg.N = value("grid", "N", int, cfg.N)
+    cfg.n = value("algebra", "n", int, cfg.n)
+    cfg.sigma = value("spectral", "sigma", _sigma, cfg.sigma)
+    cfg.alphas = value("norms", "alphas", _floats, cfg.alphas)
+    cfg.ps = value("norms", "ps", _floats, cfg.ps)
+    cfg.kernel_mode = value("norms", "kernel_mode", str, cfg.kernel_mode)
+    if cfg.kernel_mode not in HARDY_MODES:
+        raise ConfigError(f"[norms] kernel_mode must be one of {', '.join(HARDY_MODES)}, "
+                          f"got {cfg.kernel_mode!r}")
+    cfg.K = value("decomposition", "K", int, cfg.K)
+    cfg.L = value("decomposition", "L", int, cfg.L)
+    cfg.multiplier_margin = value("decomposition", "multiplier_margin", float,
+                                  cfg.multiplier_margin)
+    cfg.seed = value("run", "seed", int, cfg.seed)
+    cfg.trials = value("run", "trials", int, cfg.trials)
     return cfg
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import HypothesisError, ResolutionError
 from .lattice import ConeIndex, Grid
-from .opfield import OperatorField, lp_norm_from_psd_eigs
-from .sqfn import filtered, square_accumulator
+from .opfield import OperatorField
+from .sqfn import square_norm
 from .spectral import (
     Profile,
     Symbol,
@@ -360,12 +360,8 @@ def _empirical_bound(kind: str, seq: SymbolSequence,
     for t in range(trials):
         f = f_gen(t)
         fhat = fft_data(f.data, grid)
-        out, inp = (
-            lp_norm_from_psd_eigs(
-                square_accumulator(grid, f.n, filtered(fhat, grid, levels), cone).eigenvalues(),
-                p, grid.cell_volume)
-            for levels in (prod_levels, rho_levels)
-        )
+        out, inp = (square_norm(fhat, grid, levels, p, cone)
+                    for levels in (prod_levels, rho_levels))
         ratios.append(out / inp if inp > 0 else 0.0)
     r_emp = max(ratios) if ratios else 0.0
     return MultiplierCertificate(

@@ -12,7 +12,7 @@ radius 2^-j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -282,10 +282,21 @@ class ConeIndex:
     j_max: int
     offsets: dict[int, np.ndarray]
     volume_ratio: dict[int, float]
+    _ball_ffts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ball_measure(self, j: int) -> float:
         """Discrete ball measure |B_j| * h^d."""
         return self.offsets[j].shape[0] * self.grid.cell_volume
+
+    def ball_fft(self, j: int) -> np.ndarray:
+        """conj(DFT) of the indicator of B_j: the circular correlation
+        sum_{t in B_j} P(s + t) has transform P^ times this.  Built once per
+        scale, when first asked for, and kept with the cone."""
+        if j not in self._ball_ffts:
+            ind = np.zeros(self.grid.shape)
+            ind[tuple((self.offsets[j] % self.grid.N).T)] = 1.0
+            self._ball_ffts[j] = np.conj(np.fft.fftn(ind))
+        return self._ball_ffts[j]
 
 
 def cone_index(grid: Grid, j_max: int) -> ConeIndex:

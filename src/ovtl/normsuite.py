@@ -26,7 +26,14 @@ from .opfield import (
     psd_eigvalsh,
     trace_lp_norm,
 )
-from .sqfn import filtered, lp_levels, poisson_levels, square_accumulator, strip_levels
+from .sqfn import (
+    filtered,
+    lp_levels,
+    poisson_levels,
+    square_accumulator,
+    square_norm,
+    strip_levels,
+)
 from .spectral import HomLPFamily, LPFamily, apply_symbol_hat, fft_data, poisson_symbol
 
 
@@ -221,7 +228,7 @@ def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radia
             cone = None
         elif cone is None:
             cone = cone_index(grid, j_top)
-        sq = _eig_norm(square_accumulator(grid, f.n, filtered(fhat, grid, levels), cone), p)
+        sq = square_norm(fhat, grid, levels, p, cone)
         value = sq + low
     return NormReport(
         name="hardy",
@@ -353,7 +360,7 @@ def homogeneous_equiv_report(f: OperatorField, alpha: float, p: float,
     fhat = fft_data(f.data, grid)
     (inhom,), low = _lp_square_norms(f, alpha, p, family, ("column",), fhat)
     hom_levels = [(j, 4.0 ** (j * alpha), hom.member(j).values) for j in hom.scales()]
-    hom_sq = _eig_norm(square_accumulator(grid, f.n, filtered(fhat, grid, hom_levels)), p)
+    hom_sq = square_norm(fhat, grid, hom_levels, p)
     plain = trace_lp_norm(f, p)
     denom_phi0 = low + hom_sq
     denom_plain = plain + hom_sq

@@ -9,7 +9,10 @@ list and a shared transform ``fhat = fft_data(f.data, grid)`` into the terms
 ``(j, weight, m_j * f)``, one inverse FFT per level, one level live at a
 time.  :func:`square_accumulator` adds the terms up: radially
 (weight * g* g) or, given a cone, ball-averaged over B_j at weight
-weight * 2^{jd} h^d for j >= 1 (j = 0 stays radial).  The tent functional
+weight * 2^{jd} h^d for j >= 1 (j = 0 stays radial), the ball correlations
+summed in Fourier space and inverted once.  :func:`square_norm` is the
+trace-L_p norm of the root: at p = 2 a Plancherel sum over ``fhat`` alone,
+otherwise the accumulator's pointwise eigenvalues.  The tent functional
 feeds the strip levels ``(j, log 2, F(., 2^-j))`` to the same accumulator.
 
 Continuous scale integrals are rendered with the dyadic midpoint rule
@@ -24,14 +27,21 @@ inside each ball, so results are deterministic.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import GridMismatchError
 from .lattice import ConeIndex, Grid, cone_index
-from .opfield import OperatorField, PSDAccumulator, StripField, gram, herm
-from .spectral import LPFamily, apply_symbol_hat, poisson_dk_symbol
+from .opfield import (
+    OperatorField,
+    PSDAccumulator,
+    StripField,
+    gram,
+    herm,
+    lp_norm_from_psd_eigs,
+)
+from .spectral import LPFamily, apply_symbol_hat, fft_data, ifft_data, poisson_dk_symbol
 
 LOG2 = math.log(2.0)
 
@@ -55,23 +65,25 @@ def filtered(fhat: np.ndarray, grid: Grid, levels: Iterable) -> Iterator[tuple]:
     Each level costs one inverse FFT of the shared transform.
     """
     for j, weight, values in levels:
-        if values.shape != grid.shape:
-            raise GridMismatchError("level symbol grid does not match field grid")
+        _check_level(values, grid)
         yield j, weight, apply_symbol_hat(values, fhat, grid)
 
 
-def _ball_indicator_fft(grid: Grid, offsets: np.ndarray) -> np.ndarray:
-    ind = np.zeros(grid.shape)
-    ind[tuple((offsets % grid.N).T)] = 1.0
-    return np.conj(np.fft.fftn(ind))
+def _check_level(values: np.ndarray, grid: Grid) -> None:
+    if values.shape != grid.shape:
+        raise GridMismatchError("level symbol grid does not match field grid")
 
 
-def ball_average(P: np.ndarray, ind_fft: np.ndarray, grid: Grid) -> np.ndarray:
-    """Circular correlation sum_{t in B} P(s + t) per matrix entry."""
-    coef = np.fft.fftn(P, axes=grid.spatial_axes)
-    coef *= ind_fft[..., None, None]
-    out = np.fft.ifftn(coef, axes=grid.spatial_axes)
-    return out
+def _conic_factor(cone: ConeIndex, j: int) -> float:
+    """The factor 2^{jd} h^d of a ball-averaged level j >= 1."""
+    if j > cone.j_max:
+        raise GridMismatchError(f"scale {j} lies beyond the cone, which covers {cone.j_max}")
+    return 2.0 ** (j * cone.grid.d) * cone.grid.cell_volume
+
+
+def _check_cone(cone: Optional[ConeIndex], grid: Grid) -> None:
+    if cone is not None and cone.grid != grid:
+        raise GridMismatchError("cone index grid does not match field grid")
 
 
 def square_accumulator(grid: Grid, n: int, terms: Iterable,
@@ -79,25 +91,56 @@ def square_accumulator(grid: Grid, n: int, terms: Iterable,
     """PSD accumulator of the terms (j, weight, g).
 
     Without a cone: sum weight * g(s)* g(s).  With a cone, each j >= 1 adds
-    weight * 2^{jd} h^d sum_{t in B_j} g(s+t)* g(s+t), the j = 0 term stays
-    radial (B_0 would exceed the torus), and the sum is symmetrized once,
-    since the ball correlation is Hermitian only up to FFT round-off.
+    weight * 2^{jd} h^d sum_{t in B_j} g(s+t)* g(s+t) and the j = 0 term
+    stays radial (B_0 would exceed the torus).  The ball correlations are
+    summed in Fourier space, sum_j c_j FFT(g_j* g_j) conj(FFT(1_{B_j})),
+    and inverted once; the sum is symmetrized once, since it is Hermitian
+    only up to FFT round-off.
     """
-    if cone is not None and cone.grid != grid:
-        raise GridMismatchError("cone index grid does not match field grid")
+    _check_cone(cone, grid)
     acc = PSDAccumulator(grid, n)
+    conic_hat = None
     for j, weight, g in terms:
         if cone is None or j == 0:
             acc.add_gram(g, weight)
             continue
-        if j > cone.j_max:
-            raise GridMismatchError(f"scale {j} lies beyond the cone, which covers {cone.j_max}")
-        avg = ball_average(gram(g), _ball_indicator_fft(grid, cone.offsets[j]), grid)
-        acc.add_psd(avg, weight * 2.0 ** (j * grid.d) * grid.cell_volume)
+        term = fft_data(gram(g), grid)
+        term *= (weight * _conic_factor(cone, j) * cone.ball_fft(j))[..., None, None]
+        if conic_hat is None:
+            conic_hat = term
+        else:
+            conic_hat += term
+    if conic_hat is not None:
+        acc.add_psd(ifft_data(conic_hat, grid))
     if cone is not None:
         acc.S += herm(acc.S)
         acc.S *= 0.5
     return acc
+
+
+def square_norm(fhat: np.ndarray, grid: Grid, levels: Sequence, p: float,
+                cone: Optional[ConeIndex] = None) -> float:
+    """Trace-L_p norm of (sum_j w_j |m_j * f|^2)^(1/2), radial or with a
+    cone, given ``fhat = fft_data(f.data, grid)``.
+
+    At p = 2 this is Plancherel: ||S^(1/2)||_2^2 = h^d sum_s tr S(s)
+    = h^d N^-d sum_xi W(xi) ||fhat(xi)||_HS^2 with W = sum_j c_j w_j |m_j|^2,
+    where c_j = |B_j| 2^{jd} h^d on a ball-averaged level (the correlation
+    with B_j multiplies the spatial sum by |B_j|) and 1 otherwise; no
+    inverse FFT, Gram or eigenvalue is computed.  Any other p takes the
+    pointwise eigenvalues of :func:`square_accumulator`.
+    """
+    if p != 2:
+        acc = square_accumulator(grid, fhat.shape[-1], filtered(fhat, grid, levels), cone)
+        return lp_norm_from_psd_eigs(acc.eigenvalues(), p, grid.cell_volume)
+    _check_cone(cone, grid)
+    W = np.zeros(grid.shape)
+    for j, weight, values in levels:
+        _check_level(values, grid)
+        c = 1.0 if cone is None or j == 0 else _conic_factor(cone, j) * len(cone.offsets[j])
+        W += (c * weight) * np.abs(values) ** 2
+    hs = np.sum(fhat.real**2 + fhat.imag**2, axis=(-2, -1))
+    return math.sqrt(float(np.sum(W * hs)) * grid.cell_volume / grid.npoints)
 
 
 def strip_levels(F: StripField) -> Iterator[tuple]:

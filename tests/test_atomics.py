@@ -11,6 +11,7 @@ from ovtl.atomics import (
     LOG2,
     TentAtom,
     _bessel_size,
+    _cut_to_double,
     _derivative_sizes,
     _slice_alpha_q,
     _subatom_cells,
@@ -511,3 +512,24 @@ def test_batched_slice_matches_per_cell_loop(d, N, levels):
                 got = [d * rho for d, _ in atom.subatoms]
                 assert got == pytest.approx([x for x in d_cs if x > 0], rel=1e-12)
                 assert validate_atom(atom).passed
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 32)])
+def test_cut_to_double_leak_matches_mask_route(d, N):
+    # the leak is the energy off 2Q; measured on the full-grid 2Q mask it is
+    # the same number, also for a tiny leak and for cubes wrapping the origin
+    grid = Grid(d, N)
+    rng = rng_for(840 + d)
+    for level in (0, 1, 2, 3):
+        for m in (0, (1 << level) - 1):  # index 0 at level >= 1 wraps around 0
+            cube = DyadicCube(grid, level, (m,) * d)
+            inside = cube.double_mask()[..., None, None]
+            full = _cplx(rng, grid.shape + (2, 2))
+            for data in (full, np.where(inside, full, 1e-9 * full),
+                         np.where(inside, full, 1e-16 * full), np.where(inside, full, 0)):
+                origin, block, leak = _cut_to_double(data, cube)
+                energy = np.sum(np.abs(data) ** 2, axis=(-2, -1))
+                want = math.sqrt(np.sum(energy[~inside[..., 0, 0]]) / np.sum(energy))
+                assert leak == pytest.approx(want, rel=1e-12, abs=1e-30)
+                box = np.ix_(*box_indices(grid, origin, block.shape[:d]))
+                assert np.array_equal(block, data[box])

@@ -91,6 +91,31 @@ def test_config_unknown_key_rejected(tmp_path, capsys, edit):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("edit,section,key", [
+    (lambda text: text.replace("d = 1\n", "d = x\n"), "[grid]", "d"),
+    (lambda text: text.replace("ps = 1.0,2.0\n", "ps = 1,a\n"), "[norms]", "ps"),
+    (lambda text: text.replace("sigma = auto\n", "sigma = wide\n"), "[spectral]", "sigma"),
+    (lambda text: text.replace("trials = 10\n", "trials = 2.5\n"), "[run]", "trials"),
+    (lambda text: text.replace("multiplier_margin = 100.0\n", "multiplier_margin = \n"),
+     "[decomposition]", "multiplier_margin"),
+    (lambda text: "junk\n", "line 1", "junk"),
+    (lambda text: text + "[run]\nseed = 3\n", "malformed config", "run"),
+])
+def test_config_malformed_value_rejected(tmp_path, capsys, edit, section, key):
+    text = edit(config_to_text(Config()))
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert section in str(info.value) and key in str(info.value)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    field = tmp_path / "f.ovtl"
+    write_field(field, band_limited_random(Grid(1, 64), 2, 4))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--grid", "64", "norm", str(field)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and section in err
+
+
 def test_config_poisson_kernel_mode_honoured(tmp_path, capsys):
     cfg = tmp_path / "poisson.cfg"
     cfg.write_text(config_to_text(Config(kernel_mode="poisson")))

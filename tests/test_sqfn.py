@@ -6,7 +6,14 @@ import pytest
 from ovtl.errors import GridMismatchError
 from ovtl.lattice import Grid, cone_index
 from ovtl.normsuite import hardy_norm, tent_norm
-from ovtl.opfield import OperatorField, StripField, trace_lp_norm
+from ovtl.opfield import (
+    OperatorField,
+    PSDAccumulator,
+    StripField,
+    gram,
+    lp_norm_from_psd_eigs,
+    trace_lp_norm,
+)
 from ovtl.generators import band_limited_random, random_strip, single_mode
 from ovtl.spectral import apply_symbol_data, fft_data, fft_forward, make_lp_family
 from ovtl.sqfn import (
@@ -15,6 +22,7 @@ from ovtl.sqfn import (
     lp_levels,
     poisson_levels,
     square_accumulator,
+    square_norm,
     tent_functional,
 )
 
@@ -192,3 +200,75 @@ def test_engine_rejects_other_grid(grid64, fam64):
         accumulate(f, lp_levels(fam64, 0.0)[1:], cone_index(grid64, fam64.j_max - 1)).sqrt()
     with pytest.raises(GridMismatchError):
         tent_functional(random_strip(grid64, 2, 3, 809), cone_index(Grid(1, 128), 3))
+    for p in (1.0, 2.0):  # square_norm, on the eigenvalue and the Plancherel route
+        with pytest.raises(GridMismatchError):
+            square_norm(fhat, grid64, lp_levels(fam64, 0.0), p,
+                        cone_index(Grid(1, 128), fam64.j_max))
+        with pytest.raises(GridMismatchError):
+            square_norm(fhat, grid64, lp_levels(other, 0.0), p)
+        with pytest.raises(GridMismatchError):  # scales beyond the cone
+            square_norm(fhat, grid64, lp_levels(fam64, 0.0), p,
+                        cone_index(grid64, fam64.j_max - 1))
+
+
+# ---------------------------------------------------------------------------
+# square_norm: Plancherel at p = 2, conic sums in Fourier space
+# ---------------------------------------------------------------------------
+
+def eig_route_norm(fhat, grid, levels, p, cone=None):
+    acc = square_accumulator(grid, fhat.shape[-1], filtered(fhat, grid, levels), cone)
+    return lp_norm_from_psd_eigs(acc.eigenvalues(), p, grid.cell_volume)
+
+
+def level_lists(grid, fam, alpha):
+    return {"lp": lp_levels(fam, alpha), "lp-high": lp_levels(fam, alpha)[1:],
+            "poisson": poisson_levels(grid, fam.j_max, 1, alpha)}
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 32)], ids=["d1", "d2"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["radial", "conic"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_square_norm_p2_matches_eigen_route(grid, n, shape, alpha):
+    fam = make_lp_family(grid)
+    cone = cone_index(grid, fam.j_max) if shape == "conic" else None
+    f = band_limited_random(grid, n, 810 + n)
+    fhat = fft_data(f.data, grid)
+    for name, levels in level_lists(grid, fam, alpha).items():
+        fast = square_norm(fhat, grid, levels, 2.0, cone)
+        slow = eig_route_norm(fhat, grid, levels, 2.0, cone)
+        assert abs(fast - slow) <= 1e-12 * slow, name
+
+
+def per_level_ball_accumulator(fhat, grid, levels, cone):
+    # one ball correlation and one inverse FFT per level, summed in space
+    acc = PSDAccumulator(grid, fhat.shape[-1])
+    for j, weight, g in filtered(fhat, grid, levels):
+        if j == 0:
+            acc.add_gram(g, weight)
+            continue
+        ind = np.zeros(grid.shape)
+        ind[tuple((cone.offsets[j] % grid.N).T)] = 1.0
+        coef = np.fft.fftn(gram(g), axes=grid.spatial_axes)
+        coef *= np.conj(np.fft.fftn(ind))[..., None, None]
+        ball_average = np.fft.ifftn(coef, axes=grid.spatial_axes)
+        acc.add_psd(ball_average, weight * 2.0 ** (j * grid.d) * grid.cell_volume)
+    acc.S = 0.5 * (acc.S + np.conj(np.swapaxes(acc.S, -1, -2)))
+    return acc
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 32)], ids=["d1", "d2"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conic_fourier_sum_matches_per_level_sum(grid, n):
+    fam = make_lp_family(grid)
+    cone = cone_index(grid, fam.j_max)
+    f = band_limited_random(grid, n, 820 + n)
+    fhat = fft_data(f.data, grid)
+    for levels in level_lists(grid, fam, 0.5).values():
+        ref = per_level_ball_accumulator(fhat, grid, levels, cone)
+        acc = square_accumulator(grid, n, filtered(fhat, grid, levels), cone)
+        assert np.max(np.abs(acc.S - ref.S)) <= 1e-12 * np.max(np.abs(ref.S))
+        want = lp_norm_from_psd_eigs(ref.eigenvalues(), 1.0, grid.cell_volume)
+        assert abs(square_norm(fhat, grid, levels, 1.0, cone) - want) <= 1e-12 * want
+    # the ball transforms are built once per scale and kept with the cone
+    assert cone.ball_fft(1) is cone.ball_fft(1)
