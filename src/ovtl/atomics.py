@@ -24,12 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import product as iproduct
+from itertools import groupby, product as iproduct
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, ResolutionError, ValidationError
+from .errors import GridMismatchError, ParameterError, ResolutionError, ValidationError
 from .lattice import (
     DyadicCube,
     Grid,
@@ -39,7 +39,7 @@ from .lattice import (
     periodic_block_sum,
     subcube_order,
 )
-from .opfield import OperatorField, StripField, gram, psd_eigvalsh, trace_lp_norm
+from .opfield import OperatorField, StripField, l1l2_sizes, trace_lp_norm
 from .spectral import (
     LPFamily,
     apply_symbol_data,
@@ -63,25 +63,12 @@ def multi_indices(d: int, max_order: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda g: (sum(g), g))
 
 
-def l1l2_size(block_sum: np.ndarray) -> float:
-    """tau((M)^(1/2)) for a PSD matrix M = integrated |a|^2 block."""
-    return float(np.sum(np.sqrt(psd_eigvalsh(block_sum))))
-
-
-def field_l1l2_size(data: np.ndarray, grid: Grid, weight: Optional[float] = None) -> float:
-    """tau((sum_s w |a(s)|^2)^(1/2)); w defaults to the cell volume h^d."""
-    w = grid.cell_volume if weight is None else weight
-    M = np.sum(gram(data), axis=grid.spatial_axes) * w
-    return l1l2_size(M)
-
-
 # ---------------------------------------------------------------------------
 # atom types
 # ---------------------------------------------------------------------------
 
-class _BoxStorage:
-    """Atom data held as ``block`` (*sides, n, n) over the periodic box of
-    lattice points whose per-axis start index is ``origin``."""
+class _CubeAtom:
+    """Atom data ``block`` (..., n, n) on the dyadic cube ``cube``."""
 
     @property
     def grid(self) -> Grid:
@@ -90,6 +77,11 @@ class _BoxStorage:
     @property
     def n(self) -> int:
         return self.block.shape[-1]
+
+
+class _BoxStorage(_CubeAtom):
+    """Atom data held as ``block`` (*sides, n, n) over the periodic box of
+    lattice points whose per-axis start index is ``origin``."""
 
     @property
     def axis_idx(self) -> list:
@@ -131,7 +123,7 @@ class HAtom(_BoxStorage):
 
 
 @dataclass
-class TentAtom:
+class TentAtom(_CubeAtom):
     """Tent-space atom stored as a dense block over its cube.
 
     ``block`` has shape (n_scales, *cube_cells, n, n) holding scales
@@ -143,40 +135,20 @@ class TentAtom:
     block: np.ndarray
 
     @property
-    def grid(self) -> Grid:
-        return self.cube.grid
-
-    @property
-    def n(self) -> int:
-        return self.block.shape[-1]
-
-    @property
     def scales(self) -> range:
         return range(self.j_lo, self.j_lo + self.block.shape[0])
 
     def size(self) -> float:
         """tau((int_{T(Q)} |a|^2 ds deps/eps)^(1/2)) with the dyadic measure."""
-        axes = (0,) + tuple(1 + ax for ax in range(self.grid.d))
-        M = np.sum(gram(self.block), axis=axes) * (LOG2 * self.grid.cell_volume)
-        return l1l2_size(M)
+        return float(l1l2_sizes(self.block.reshape(-1, self.n, self.n),
+                                LOG2 * self.grid.cell_volume))
 
     def to_strip(self, j_max: int) -> StripField:
-        n = self.n
-        grid = self.grid
-        data = np.zeros((j_max,) + grid.shape + (n, n), dtype=np.complex128)
-        idx = self.cube.axis_indices()
-        for k, j in enumerate(self.scales):
-            data[(j - 1,) + np.ix_(*idx)] = self.block[k]
-        return StripField(grid, data)
-
-    def level_full(self, j: int) -> np.ndarray:
-        """Scale-j data embedded on the full grid (zeros off the cube)."""
-        grid = self.grid
-        out = np.zeros(grid.shape + (self.n, self.n), dtype=np.complex128)
-        if j in self.scales:
-            idx = self.cube.axis_indices()
-            out[np.ix_(*idx)] = self.block[j - self.j_lo]
-        return out
+        """The atom on the full strip of scales 1 .. j_max (zeros off T(Q))."""
+        data = np.zeros((j_max,) + self.grid.shape + (self.n, self.n), dtype=np.complex128)
+        box = np.ix_(*self.cube.axis_indices())
+        data[(slice(self.j_lo - 1, self.scales.stop - 1),) + box] = self.block
+        return StripField(self.grid, data)
 
 
 @dataclass
@@ -301,7 +273,7 @@ def _support_clause(atom, double: bool, name: str) -> Clause:
 def validate_h_atom(atom: HAtom) -> ValidationReport:
     grid = atom.grid
     clauses = [_support_clause(atom, atom.double_support, "support")]
-    size = field_l1l2_size(atom.block, grid)
+    size = float(l1l2_sizes(atom.block.reshape(-1, atom.n, atom.n), grid.cell_volume))
     bound = atom.cube.volume**-0.5 * (1.0 + SIZE_SLACK)
     clauses.append(Clause("size", size <= bound, size, bound))
     if atom.mean_zero_required:
@@ -327,39 +299,6 @@ def validate_tent_atom(atom: TentAtom, j_max: Optional[int] = None) -> Validatio
     return ValidationReport("tent_atom", clauses)
 
 
-# Gram eigenvalues resolve lambda ~ 0 only to eps * lambda_max, which costs
-# sqrt(eps) of a size; below this ratio a size is taken from singular values
-_NEAR_SINGULAR = 1e-4
-
-
-def _plancherel_sizes(data_hat: np.ndarray, weights: np.ndarray, grid: Grid) -> np.ndarray:
-    """tau((sum_s h^d |m_k * a|^2)^(1/2)) for every row w_k = |m_k|^2 of
-    ``weights``, from the transform ``data_hat = fft_data(a)`` (optionally
-    with a leading batch axis); returns shape (*batch, rows).
-
-    By Plancherel the integrated Gram block is
-    M_k = N^(-2d) sum_xi w_k(xi) F(xi)* F(xi): one Gram of F (rescaled by an
-    exact power of two, so that it neither overflows nor underflows), one
-    (rows, points) @ (points, n^2) product and one batched eigenvalue call.
-    Blocks with lambda_min < 1e-4 lambda_max take their size as the sum of
-    the singular values of the stacked factor [sqrt(w_k(xi)) F(xi)]_xi.
-    """
-    n = data_hat.shape[-1]
-    batch = data_hat.shape[:data_hat.ndim - grid.d - 2]
-    peak = float(np.max(np.abs(data_hat))) if data_hat.size else 0.0
-    exp = max(math.frexp(peak)[1], -1000)
-    x = (data_hat * math.ldexp(1.0, -exp)).reshape(batch + (grid.npoints, n, n))
-    G = gram(x).reshape(batch + (grid.npoints, n * n))
-    M = (weights @ G.view(np.float64)).view(np.complex128)
-    lam = psd_eigvalsh(M.reshape(batch + (len(weights), n, n)))
-    sizes = np.sum(np.sqrt(lam), axis=-1)
-    if n > 1:
-        for pos in zip(*np.nonzero(lam[..., 0] < _NEAR_SINGULAR * lam[..., -1])):
-            factor = np.sqrt(weights[pos[-1]])[:, None, None] * x[pos[:-1]]
-            sizes[pos] = np.sum(np.linalg.svd(factor.reshape(-1, n), compute_uv=False))
-    return sizes * math.ldexp(grid.cell_volume, exp)
-
-
 @lru_cache(maxsize=16)
 def _derivative_weights(grid: Grid, gammas: tuple) -> np.ndarray:
     """Rows |m_gamma|^2 of the D^gamma symbols, shape (len(gammas), points)."""
@@ -379,16 +318,21 @@ def _bessel_weight(grid: Grid, alpha: float) -> np.ndarray:
 
 def _derivative_sizes(embedded: np.ndarray, grid: Grid, gammas: Sequence[tuple],
                       ) -> dict:
-    """tau((int |D^gamma a|^2)^(1/2)) per gamma, from one forward transform."""
+    """tau((int |D^gamma a|^2)^(1/2)) per gamma, from one forward transform:
+    by Plancherel, the sizes of the transform under the weights |m_gamma|^2
+    with volume h^(2d)."""
     gammas = tuple(gammas)
-    sizes = _plancherel_sizes(fft_data(embedded, grid), _derivative_weights(grid, gammas),
-                              grid)
+    n = embedded.shape[-1]
+    sizes = l1l2_sizes(fft_data(embedded, grid).reshape(-1, n, n), grid.cell_volume**2,
+                       _derivative_weights(grid, gammas))
     return dict(zip(gammas, sizes.tolist()))
 
 
 def _bessel_size(data_hat: np.ndarray, grid: Grid, alpha: float) -> float:
     """tau((int |J_alpha a|^2)^(1/2)) from ``data_hat = fft_data(a)``."""
-    return float(_plancherel_sizes(data_hat, _bessel_weight(grid, alpha), grid)[0])
+    n = data_hat.shape[-1]
+    return float(l1l2_sizes(data_hat.reshape(-1, n, n), grid.cell_volume**2,
+                            _bessel_weight(grid, alpha))[0])
 
 
 def _moments(atom: SmoothAtom, L: int) -> dict:
@@ -653,9 +597,7 @@ def tent_atomize(F: StripField, rel_size_floor: float = 1e-14) -> list:
         blocks = np.moveaxis(cube_blocks(F.level(j), grid, level), range(0, 2 * grid.d, 2),
                              range(grid.d))
         blocks = blocks.reshape((len(cubes),) + blocks.shape[grid.d:])
-        sum_axes = tuple(1 + ax for ax in range(grid.d))
-        mats = np.sum(gram(blocks), axis=sum_axes) * (LOG2 * grid.cell_volume)
-        sizes = np.sum(np.sqrt(psd_eigvalsh(mats)), axis=-1)
+        sizes = l1l2_sizes(blocks.reshape(len(cubes), -1, F.n, F.n), LOG2 * grid.cell_volume)
         per_scale.append((j, blocks, cubes, sizes))
         all_sizes.append(float(sizes.max()) if sizes.size else 0.0)
     top = max(all_sizes) if all_sizes else 0.0
@@ -736,7 +678,9 @@ def _slice_alpha_q(tent_block: np.ndarray, lam_scale: float, cube: DyadicCube, j
     cells = _subatom_cells(cube)
     gammas = tuple(multi_indices(grid.d, K))
     hats = _piece_transforms(tent_block, cube, cells, LOG2 * cal.level(j))
-    sizes = _plancherel_sizes(hats, _derivative_weights(grid, gammas), grid)
+    n = tent_block.shape[-1]
+    sizes = l1l2_sizes(hats.reshape(len(cells), -1, n, n), grid.cell_volume**2,
+                       _derivative_weights(grid, gammas))
     g_size = _bessel_size(np.sum(hats, axis=0), grid, alpha)
     rho1 = g_size * math.sqrt(cube.volume) / size_constant
     pieces = ifft_data(hats, grid)
@@ -763,12 +707,60 @@ def _slice_alpha_q(tent_block: np.ndarray, lam_scale: float, cube: DyadicCube, j
     return lam_scale * rho, atom
 
 
-def _filter_negligible(pairs: list, f: OperatorField, rel: float = 1e-14) -> list:
-    """Drop tent atoms whose coefficient is round-off debris against ||f||_2
-    (e.g. annulus kernels applied to the mean mode)."""
-    scale = math.sqrt(float(np.sum(np.abs(f.data) ** 2)) * f.grid.cell_volume)
-    floor = rel * scale
-    return [(lam, atom) for lam, atom in pairs if abs(lam) > floor]
+def _n_pow(alpha: float, L: int) -> int:
+    """Default stencil order of the reproducing system for (alpha, L) atoms:
+    the least even integer >= max(2, L + 1, ceil(alpha))."""
+    return max(2, 2 * ((L + 2) // 2), 2 * ((int(math.ceil(alpha)) + 1) // 2))
+
+
+def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
+               cal: Optional[CalderonSystem], family: Optional[LPFamily],
+               compute_norm: bool, high_atoms) -> AtomicDecomposition:
+    """Body of the smooth decompositions at p = 1; ``alpha`` None is the local
+    Hardy space, the alpha = 0, L = -1 case whose strip weights 4^0 = 1 are
+    exact.
+
+    Split f = phi0*f + sum_j Psi_j*(Psi_j*f): the low part becomes one
+    smooth unit-cube atom, the strip part weighted by 2^(j alpha) is
+    tent-atomized, and ``high_atoms(tent_pairs, cal)`` packages the tent atoms
+    as (coefficient, atom) pairs, dropped where the atom is None.  Tent
+    atoms whose coefficient is round-off debris against ||f||_2 (e.g.
+    annulus kernels applied to the mean mode) are dropped first.
+    """
+    from .normsuite import hardy_norm, tl_norm_column
+    from .spectral import make_lp_family
+
+    grid = f.grid
+    weight = 0.0 if alpha is None else alpha
+    if cal is None:
+        cal = calderon_resolution(grid, n_pow=_n_pow(weight, L))
+    energy = float(np.sum(np.abs(f.data) ** 2))
+    fhat = fft_data(f.data, grid)
+    F = StripField(grid, np.stack(
+        [4.0 ** (j * weight / 2.0) * apply_symbol_hat(cal.level(j), fhat, grid)
+         for j in range(1, cal.j_max + 1)]))
+    floor = 1e-14 * math.sqrt(energy * grid.cell_volume)
+    tent_pairs = [(lam, t) for lam, t in tent_atomize(F) if abs(lam) > floor]
+    low = apply_symbol_hat(cal.phi0_values, fhat, grid)
+    mu, low_atom = _normalize_alpha_one(low, grid, K, alpha=weight)
+    high_pairs = [(c, atom) for c, atom in high_atoms(tent_pairs, cal) if atom is not None]
+    dec = AtomicDecomposition(
+        grid=grid, n=f.n, alpha=alpha,
+        low_pairs=[] if low_atom is None else [(mu, low_atom)], high_pairs=high_pairs,
+        tent_pairs=tent_pairs, residual=0.0, source_norm=None, mass_ratio=None,
+    )
+    rec = dec.reconstruct()
+    denom = math.sqrt(energy)
+    dev = math.sqrt(float(np.sum(np.abs(rec.data - f.data) ** 2)))
+    dec.residual = dev / denom if denom > 0 else dev
+    if compute_norm and denom > 0:
+        fam = family if family is not None else make_lp_family(grid)
+        if alpha is None:
+            dec.source_norm = hardy_norm(f, 1.0, mode="lp", family=fam).value
+        else:
+            dec.source_norm = tl_norm_column(f, alpha, 1.0, fam).value
+        dec.mass_ratio = dec.mass / dec.source_norm if dec.source_norm > 0 else None
+    return dec
 
 
 def smooth_decompose_h1(f: OperatorField, cal: Optional[CalderonSystem] = None,
@@ -776,52 +768,24 @@ def smooth_decompose_h1(f: OperatorField, cal: Optional[CalderonSystem] = None,
                         compute_norm: bool = True) -> AtomicDecomposition:
     """Smooth atomic decomposition of the local Hardy space at p = 1.
 
-    Pipeline: split f = phi0*f + sum_j Psi_j*(Psi_j*f); the low part becomes
-    one smooth unit-cube atom, the strip part is tent-atomized and each tent
-    atom is projected to a mean-zero smooth atom supported in 2Q and stored
-    on its 2Q block.
+    The low part of f becomes one smooth unit-cube atom; each tent atom of
+    the strip part is projected to a mean-zero smooth atom supported in 2Q
+    and stored on its 2Q block.
     """
-    grid = f.grid
-    if cal is None:
-        cal = calderon_resolution(grid, n_pow=2)
-    fhat = fft_data(f.data, grid)
-    strip = np.stack(
-        [apply_symbol_hat(cal.level(j), fhat, grid) for j in range(1, cal.j_max + 1)]
-    )
-    F = StripField(grid, strip)
-    tent_pairs = _filter_negligible(tent_atomize(F), f)
-    low = apply_symbol_hat(cal.phi0_values, fhat, grid)
-    mu, low_atom = _normalize_alpha_one(low, grid, K, alpha=0.0)
-    low_pairs = [] if low_atom is None else [(mu, low_atom)]
-    high_pairs = []
-    for lam, atom in tent_pairs:
-        origin, block, leak = _cut_to_double(project_tent(atom, cal).data, atom.cube)
-        size = field_l1l2_size(block, grid)
-        bound = atom.cube.volume**-0.5
-        rho = size / bound
-        if rho <= 1e-250:
-            continue
-        h_atom = HAtom(cube=atom.cube, block=block / rho, double_support=True,
-                       mean_zero_required=atom.cube.level > 0, origin=origin,
-                       support_leak=leak)
-        high_pairs.append((lam * rho / LOG2, h_atom))
-    dec = AtomicDecomposition(
-        grid=grid, n=f.n, alpha=None,
-        low_pairs=low_pairs, high_pairs=high_pairs, tent_pairs=tent_pairs,
-        residual=0.0, source_norm=None, mass_ratio=None,
-    )
-    rec = dec.reconstruct()
-    denom = math.sqrt(float(np.sum(np.abs(f.data) ** 2)))
-    dev = math.sqrt(float(np.sum(np.abs(rec.data - f.data) ** 2)))
-    dec.residual = dev / denom if denom > 0 else dev
-    if compute_norm and denom > 0:
-        from .normsuite import hardy_norm
-        from .spectral import make_lp_family
+    def high_atoms(tent_pairs, cal):
+        cuts = [_cut_to_double(project_tent(atom, cal).data, atom.cube) for _, atom in tent_pairs]
+        sizes = []  # one size call per run of equal 2Q block shapes (a level)
+        for _, run in groupby([block for _, block, _ in cuts], key=np.shape):
+            blocks = np.stack(list(run))
+            sizes += l1l2_sizes(blocks.reshape(len(blocks), -1, f.n, f.n),
+                                f.grid.cell_volume).tolist()
+        for (lam, atom), (origin, block, leak), size in zip(tent_pairs, cuts, sizes):
+            rho = size / atom.cube.volume**-0.5
+            yield (0.0, None) if rho <= 1e-250 else (lam * rho / LOG2, HAtom(
+                cube=atom.cube, block=block / rho, double_support=True, origin=origin,
+                support_leak=leak))
 
-        fam = family if family is not None else make_lp_family(grid)
-        dec.source_norm = hardy_norm(f, 1.0, mode="lp", family=fam).value
-        dec.mass_ratio = dec.mass / dec.source_norm if dec.source_norm > 0 else None
-    return dec
+    return _decompose(f, None, K, -1, cal, family, compute_norm, high_atoms)
 
 
 def required_k_floor(alpha: float) -> int:
@@ -844,50 +808,18 @@ def smooth_decompose_tl(f: OperatorField, alpha: float, K: int, L: int,
     """Smooth atomic decomposition of the smoothness-alpha space at p = 1,
     with (alpha,1)-atoms for the low part and (alpha,Q)-atoms with subatom
     trees for the strip part."""
-    grid = f.grid
     if K < required_k_floor(alpha):
-        raise ValueError(f"K must be >= {required_k_floor(alpha)} for alpha={alpha}")
+        raise ParameterError(f"K must be >= {required_k_floor(alpha)} for alpha={alpha}")
     if L < required_l_floor(alpha):
-        raise ValueError(f"L must be >= {required_l_floor(alpha)} for alpha={alpha}")
-    if cal is None:
-        n_pow = max(2, 2 * ((L + 2) // 2), 2 * ((int(math.ceil(alpha)) + 1) // 2))
-        cal = calderon_resolution(grid, n_pow=n_pow)
-    fhat = fft_data(f.data, grid)
-    weighted = np.stack(
-        [4.0 ** (j * alpha / 2.0) * apply_symbol_hat(cal.level(j), fhat, grid)
-         for j in range(1, cal.j_max + 1)]
-    )
-    F = StripField(grid, weighted)
-    tent_pairs = _filter_negligible(tent_atomize(F), f)
-    low = apply_symbol_hat(cal.phi0_values, fhat, grid)
-    mu, low_atom = _normalize_alpha_one(low, grid, K, alpha=alpha)
-    low_pairs = [] if low_atom is None else [(mu, low_atom)]
-    high_pairs = []
-    for lam, atom in tent_pairs:
-        j = atom.j_lo
-        unweighted_block = atom.block[0] * 2.0 ** (-j * alpha)
-        coef, smooth = _slice_alpha_q(
-            unweighted_block, lam / LOG2, atom.cube, j, cal, alpha, K, L, size_constant,
-        )
-        if smooth is not None:
-            high_pairs.append((coef, smooth))
-    dec = AtomicDecomposition(
-        grid=grid, n=f.n, alpha=alpha,
-        low_pairs=low_pairs, high_pairs=high_pairs, tent_pairs=tent_pairs,
-        residual=0.0, source_norm=None, mass_ratio=None,
-    )
-    rec = dec.reconstruct()
-    denom = math.sqrt(float(np.sum(np.abs(f.data) ** 2)))
-    dev = math.sqrt(float(np.sum(np.abs(rec.data - f.data) ** 2)))
-    dec.residual = dev / denom if denom > 0 else dev
-    if compute_norm and denom > 0:
-        from .normsuite import tl_norm_column
-        from .spectral import make_lp_family
+        raise ParameterError(f"L must be >= {required_l_floor(alpha)} for alpha={alpha}")
 
-        fam = family if family is not None else make_lp_family(grid)
-        dec.source_norm = tl_norm_column(f, alpha, 1.0, fam).value
-        dec.mass_ratio = dec.mass / dec.source_norm if dec.source_norm > 0 else None
-    return dec
+    def high_atoms(tent_pairs, cal):
+        for lam, atom in tent_pairs:
+            j = atom.j_lo
+            yield _slice_alpha_q(atom.block[0] * 2.0 ** (-j * alpha), lam / LOG2, atom.cube, j,
+                                 cal, alpha, K, L, size_constant)
+
+    return _decompose(f, alpha, K, L, cal, family, compute_norm, high_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -947,8 +879,7 @@ def random_alpha_q_atom(grid: Grid, n: int, alpha: float, K: int, L: int,
     from .generators import rng_for
 
     if cal is None:
-        n_pow = max(2, 2 * ((L + 2) // 2), 2 * ((int(math.ceil(alpha)) + 1) // 2))
-        cal = calderon_resolution(grid, n_pow=n_pow)
+        cal = calderon_resolution(grid, n_pow=_n_pow(alpha, L))
     j = level + 1
     if j > cal.j_max:
         raise ResolutionError(f"level {level} needs scale {j} > system j_max {cal.j_max}")
@@ -960,10 +891,7 @@ def random_alpha_q_atom(grid: Grid, n: int, alpha: float, K: int, L: int,
         size=(side,) * grid.d + (n, n)
     )
     # saturate the weighted tent size (the eps^-alpha weighted bound)
-    M = np.sum(gram(block), axis=tuple(range(grid.d))) * (
-        LOG2 * grid.cell_volume * 4.0 ** (j * alpha)
-    )
-    size = l1l2_size(M)
+    size = float(l1l2_sizes(block.reshape(-1, n, n), LOG2 * grid.cell_volume * 4.0 ** (j * alpha)))
     block = block / (size * math.sqrt(cube.volume))
     _, atom = _slice_alpha_q(block, 1.0, cube, j, cal, alpha, K, L, size_constant)
     return atom

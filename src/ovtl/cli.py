@@ -311,27 +311,18 @@ def _suite_atoms(cfg: Config, lines: list) -> bool:
     from .atomics import smooth_decompose_h1, smooth_decompose_tl, validate_atom
 
     grid = cfg.grid()
+    alpha = next((a for a in cfg.alphas if a > 0), 0.5)
     ok = True
     for t in range(max(1, cfg.trials // 2)):
         f = generators.band_limited_random(grid, cfg.n, cfg.seed + t)
-        dec = smooth_decompose_h1(f)
-        valid = all(validate_atom(a).passed for _, a in dec.low_pairs + dec.high_pairs)
-        lines.append(
-            f"h1[t={t}]: atoms = {len(dec.low_pairs) + len(dec.high_pairs)} "
-            f"residual = {dec.residual:.3e} mass_ratio = {dec.mass_ratio:.4f} "
-            f"valid = {valid}"
-        )
-        ok &= valid and dec.residual <= 1e-9
-        alpha = next((a for a in cfg.alphas if a > 0), 0.5)
-        dec2 = smooth_decompose_tl(f, alpha, cfg.K, cfg.L)
-        valid2 = all(validate_atom(a).passed for _, a in dec2.low_pairs + dec2.high_pairs)
-        lines.append(
-            f"tl[t={t},alpha={alpha}]: atoms = "
-            f"{len(dec2.low_pairs) + len(dec2.high_pairs)} "
-            f"residual = {dec2.residual:.3e} mass_ratio = {dec2.mass_ratio:.4f} "
-            f"valid = {valid2}"
-        )
-        ok &= valid2 and dec2.residual <= 1e-9
+        for label, dec in ((f"h1[t={t}]", smooth_decompose_h1(f)),
+                           (f"tl[t={t},alpha={alpha}]",
+                            smooth_decompose_tl(f, alpha, cfg.K, cfg.L))):
+            atoms = dec.low_pairs + dec.high_pairs
+            valid = all(validate_atom(a).passed for _, a in atoms)
+            lines.append(f"{label}: atoms = {len(atoms)} residual = {dec.residual:.3e} "
+                         f"mass_ratio = {dec.mass_ratio:.4f} valid = {valid}")
+            ok &= valid and dec.residual <= 1e-9
     return ok
 
 

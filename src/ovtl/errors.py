@@ -27,6 +27,11 @@ class FormatError(OvtlError, ValueError):
     match the grid it claims (a ValueError too, for callers that catch that)."""
 
 
+class ParameterError(OvtlError, ValueError):
+    """A grid size, index or atom order lies outside the range the program
+    accepts (a ValueError too, for callers that catch that)."""
+
+
 class ValidationError(OvtlError):
     """Numerical input violates a structural contract (e.g. a matrix that
     should be Hermitian PSD is not, beyond tolerance)."""

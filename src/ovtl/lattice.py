@@ -17,7 +17,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import ParameterError, ResolutionError
 
 # volume of the d-dimensional Euclidean unit ball, d = 1, 2, 3
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
@@ -32,9 +32,9 @@ class Grid:
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
+            raise ParameterError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.N < 16 or (self.N & (self.N - 1)) != 0:
-            raise ValueError(f"N must be a power of two >= 16, got {self.N}")
+            raise ParameterError(f"N must be a power of two >= 16, got {self.N}")
 
     @property
     def h(self) -> float:

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import ParameterError
 from .fieldio import HARDY_MODES
 from .lattice import ConeIndex, Grid, cone_index, cube_blocks
 from .opfield import (
@@ -82,7 +83,7 @@ def _eig_norm(acc, p: float) -> float:
 
 def _check_p(p: float) -> None:
     if p != np.inf and p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise ParameterError(f"p must be >= 1, got {p}")
 
 
 def _low_term_norm(f: OperatorField, values: np.ndarray, fhat: np.ndarray,

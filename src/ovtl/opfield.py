@@ -9,10 +9,13 @@ operator Cauchy-Schwarz gap.
 
 The batched small-matrix kernels every other module goes through live
 here: :func:`gram` (x*x, summed entry by entry for n <= 2 so the result is
-exactly Hermitian) and :func:`psd_eigvalsh` (eigenvalues of PSD blocks,
-read off directly for n = 1, LAPACK for n >= 2).  Singular values are
-never computed by SVD: sigma(x)^2 are the eigenvalues of x*x, and blocks
-with a singular value near 0 take theirs from the Hermitian dilation of x.
+exactly Hermitian), :func:`psd_eigvalsh` (eigenvalues of PSD blocks, read
+off directly for n = 1, LAPACK for n >= 2) and :func:`l1l2_sizes`, the
+L_1(M; L_2^c) size tau((int |a|^2)^(1/2)) through which every atom size
+goes.  Singular values are never computed by SVD: sigma(x)^2 are the
+eigenvalues of x*x, and blocks with a singular value near 0 take theirs
+from the Hermitian dilation of x (of its triangular QR factor, for the
+stacked factors of a size).
 
 All public operations are pure; field data is marked read-only after
 construction, and every reduction uses a fixed summation order so results
@@ -277,8 +280,16 @@ def sqrt_psd(acc: PSDAccumulator) -> OperatorField:
 # ---------------------------------------------------------------------------
 
 # (sigma_min / sigma_max)^2 below which the eigenvalues of x*x are too coarse
-# for sigma^p with p < 2
+# for sigma^p with p < 2 (they resolve sigma^2 only to eps * sigma_max^2)
 _COARSE_SQ = 1e-4
+
+
+def _pow2_rescaled(x: np.ndarray) -> tuple:
+    """(x * 2^-e, e) with 2^e the exact power of two that brings max |x| into
+    [1/2, 1), so that x* x neither overflows nor underflows."""
+    peak = float(abs(x).max()) if x.size else 0.0
+    exp = max(math.frexp(peak)[1], -1000)
+    return x * math.ldexp(1.0, -exp), exp
 
 
 def trace_lp_norm(f: OperatorField, p: float) -> float:
@@ -286,23 +297,54 @@ def trace_lp_norm(f: OperatorField, p: float) -> float:
 
     The trace is the standard (unnormalized) matrix trace.  The singular
     values enter without an SVD, as sigma^2 = lambda(x* x) of f rescaled by
-    an exact power of two (so x* x neither overflows nor underflows).  Those
-    eigenvalues are accurate to eps * sigma_max^2, which for p < 2 would
-    cost half the digits of a sigma near 0; blocks with
-    sigma_min < 1e-2 sigma_max (rank-deficient ones among them) take their
-    singular values instead from the eigenvalues +-sigma of the Hermitian
-    dilation [[0, x], [x*, 0]], accurate to eps * sigma_max.
+    an exact power of two.  Those eigenvalues are accurate to
+    eps * sigma_max^2, which for p < 2 would cost half the digits of a sigma
+    near 0; blocks with sigma_min < 1e-2 sigma_max (rank-deficient ones
+    among them) take their singular values instead from the eigenvalues
+    +-sigma of the Hermitian dilation [[0, x], [x*, 0]], accurate to
+    eps * sigma_max.
     """
-    x = f.data
-    peak = float(np.max(np.abs(x))) if x.size else 0.0
-    scale = math.ldexp(1.0, -max(math.frexp(peak)[1], -1000))
-    x = x * scale
+    x, exp = _pow2_rescaled(f.data)
     sq = psd_eigvalsh(gram(x))
     if p < 2 and x.shape[-1] > 1:
         coarse = sq[..., 0] < _COARSE_SQ * sq[..., -1]
         if np.any(coarse):
             sq[coarse] = _dilation_singular_values(x[coarse]) ** 2
-    return lp_norm_from_psd_eigs(sq, p, f.grid.cell_volume) / scale
+    return float(np.ldexp(lp_norm_from_psd_eigs(sq, p, f.grid.cell_volume), exp))
+
+
+def l1l2_sizes(x: np.ndarray, volume: float, weights: np.ndarray | None = None) -> np.ndarray:
+    """Atom sizes tau((volume * sum_s w_k(s) x(s)* x(s))^(1/2)), the L_1(M; L_2^c)
+    norm: ``volume`` is h^d on spatial data, h^(2d) on its transform.
+
+    ``x`` has shape (*batch, points, n, n); each row w_k >= 0 of ``weights``
+    (rows, points) gives one size, shape (*batch, rows), or (*batch,) with
+    w = 1.  One Gram of x rescaled by an exact power of two, one sum (or one
+    (rows, points) @ (points, n^2) product) and one batched eigenvalue call
+    give every size.  Blocks with lambda_min < 1e-4 lambda_max take theirs
+    as the singular values of [sqrt(w_k(s)) x(s)]_s, read off its
+    triangular QR factor by dilation.
+    """
+    x, exp = _pow2_rescaled(x)
+    n = x.shape[-1]
+    G = gram(x)
+    if weights is None:
+        M = np.sum(G, axis=-3)
+    else:
+        G = G.reshape(G.shape[:-2] + (n * n,))
+        M = (weights @ G.view(np.float64)).view(np.complex128)
+        M = M.reshape(M.shape[:-1] + (n, n))
+    lam = psd_eigvalsh(M * volume)
+    sizes = np.asarray(np.sqrt(lam).sum(axis=-1))
+    if n > 1 and np.count_nonzero(near := lam[..., 0] < _COARSE_SQ * lam[..., -1]):
+        if weights is None:
+            factor = x[near]
+        else:
+            pos = np.nonzero(near)
+            factor = np.sqrt(weights[pos[-1]])[..., None, None] * x[pos[:-1]]
+        R = np.linalg.qr(factor.reshape(len(factor), -1, n), mode="r")
+        sizes[near] = math.sqrt(volume) * np.sum(_dilation_singular_values(R), axis=-1)
+    return np.ldexp(sizes, exp)
 
 
 def _dilation_singular_values(x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from ovtl.lattice import DyadicCube, Grid, cone_index
 from ovtl.opfield import (
     OperatorField,
     hs_norm_sq,
+    l1l2_sizes,
     op_cauchy_schwarz_gap,
     op_cauchy_schwarz_scale,
     trace_lp_norm,
@@ -23,7 +24,6 @@ from ovtl.generators import band_limited_random, rng_for
 from ovtl.atomics import (
     TentAtom,
     calderon_resolution,
-    field_l1l2_size,
     pointwise_multiply_test,
     project_tent,
     random_alpha_one_atom,
@@ -355,8 +355,7 @@ def test_criterion_10_decompositions():
         pairs = tent_atomize(F)
         rec = np.zeros(np.asarray(F.data).shape, dtype=complex)
         for lam, atom in pairs:
-            for j in atom.scales:
-                rec[j - 1] += lam * atom.level_full(j)
+            rec += lam * atom.to_strip(F.j_max).data
         ok &= float(np.max(np.abs(rec - F.data))) <= 1e-9 * float(np.max(np.abs(F.data)))
         ok &= all(validate_atom(a).passed for _, a in pairs)
         tent_ratios.append(sum(abs(l) for l, _ in pairs) / tent_norm(F, 1.0).value)
@@ -409,7 +408,8 @@ def test_criterion_11_projection_contract():
         mean = float(np.max(np.abs(out.data.sum(axis=0))) * g.cell_volume)
         worst_mean = max(worst_mean, mean / scale)
         worst_const = max(worst_const,
-                          field_l1l2_size(out.data, g) * math.sqrt(cube.volume))
+                          float(l1l2_sizes(out.data.reshape(-1, n, n), g.cell_volume))
+                          * math.sqrt(cube.volume))
     ok &= worst_leak <= 1e-10 and worst_mean <= 1e-12 and worst_const <= 1.0 + 1e-9
     record(11, "projection: support in 2Q, zero mean 1e-12, size <= C |Q|^-1/2",
            ok, f"leak {worst_leak:.1e}, mean {worst_mean:.1e}, C = {worst_const:.4f}")

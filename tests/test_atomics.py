@@ -5,7 +5,7 @@ import pytest
 
 from ovtl.errors import ResolutionError, ValidationError
 from ovtl.lattice import DyadicCube, Grid, box_indices
-from ovtl.opfield import OperatorField, StripField
+from ovtl.opfield import OperatorField, StripField, l1l2_sizes
 from ovtl.atomics import (
     HAtom,
     LOG2,
@@ -16,7 +16,6 @@ from ovtl.atomics import (
     _slice_alpha_q,
     _subatom_cells,
     calderon_resolution,
-    field_l1l2_size,
     multi_indices,
     pointwise_multiply_test,
     project_tent,
@@ -29,7 +28,7 @@ from ovtl.atomics import (
     tent_atomize,
     validate_atom,
 )
-from ovtl.generators import band_limited_random, bump, haar, rng_for
+from ovtl.generators import band_limited_random, bump, haar, random_strip, rng_for
 from ovtl.spectral import apply_symbol_data, bessel_symbol, fft_data, multi_derivative_symbol
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -150,7 +149,7 @@ def test_project_one_cell_atom(grid64):
     atom = TentAtom(cube=cube, j_lo=3, block=block)
     out = project_tent(atom, cal)
     # explicit single convolution oracle
-    expected = LOG2 * apply_symbol_data(cal.level(3), atom.level_full(3), grid64)
+    expected = LOG2 * apply_symbol_data(cal.level(3), atom.to_strip(cal.j_max).level(3), grid64)
     assert np.max(np.abs(out.data - expected)) < 1e-14
     # zero mean is forced by Psi_hat(0) = 0
     mean = np.abs(out.data.sum(axis=0)).max() * grid64.cell_volume
@@ -183,7 +182,8 @@ def test_project_random_atom_contract(grid64):
         mean = np.abs(out.data.sum(axis=tuple(range(grid64.d)))).max() * grid64.cell_volume
         assert mean <= 1e-12 * scale
         # size certificate: measured constant <= 1 against |Q|^{-1/2}
-        size_const = field_l1l2_size(out.data, grid64) * math.sqrt(cube.volume)
+        size_const = float(l1l2_sizes(out.data.reshape(-1, 2, 2), grid64.cell_volume)) \
+            * math.sqrt(cube.volume)
         assert size_const <= 1.0 + 1e-9
 
 
@@ -235,8 +235,7 @@ def test_atomize_reconstruction_and_validity(grid64):
     pairs = tent_atomize(F)
     rec = np.zeros(np.asarray(F.data).shape, dtype=complex)
     for lam, atom in pairs:
-        for j in atom.scales:
-            rec[j - 1] += lam * atom.level_full(j)
+        rec += lam * atom.to_strip(F.j_max).data
     scale = np.max(np.abs(F.data))
     assert np.max(np.abs(rec - F.data)) <= 1e-10 * scale
     assert all(validate_atom(a).passed for _, a in pairs)
@@ -411,9 +410,17 @@ def _cplx(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def _svd_size(data, volume):
+    """tau((volume sum_s |a(s)|^2)^(1/2)) as the sum of the singular values of
+    the stacked factor [a(s)]_s, independent of the size kernel."""
+    n = data.shape[-1]
+    return math.sqrt(volume) * float(np.sum(np.linalg.svd(data.reshape(-1, n),
+                                                          compute_uv=False)))
+
+
 def _filtered_size(values, data, grid):
     """The route the Plancherel sizes replace: filter, then integrate."""
-    return field_l1l2_size(apply_symbol_data(values, data, grid), grid)
+    return _svd_size(apply_symbol_data(values, data, grid), grid.cell_volume)
 
 
 def _filtered_derivative_sizes(data, grid, gammas):
@@ -456,9 +463,9 @@ def test_plancherel_sizes_match_filtered_route(d, N, n, K):
 @pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_plancherel_sizes_rank_one(d, N, n):
-    # for a = phi u v* the size is |u| |v| times the scalar size of phi; the
-    # filtered route meets this only to ~1e-8 for n >= 2 (its Gram eigenvalue
-    # near 0 is resolved to eps * lambda_max), the Plancherel sizes to 1e-12
+    # for a = phi u v* the size is |u| |v| times the scalar size of phi; Gram
+    # eigenvalues alone resolve the zero ones only to eps * lambda_max, so
+    # this holds to 1e-12 only through the near-singular branch
     grid = Grid(d, N)
     gammas = multi_indices(d, 2)
     rng = rng_for(760 + 10 * d + n)
@@ -473,6 +480,38 @@ def test_plancherel_sizes_rank_one(d, N, n):
         scalar_b = _filtered_size(bessel_symbol(grid, 1.0).values, phi, grid)
         assert _bessel_size(fft_data(data, grid), grid, 1.0) == \
             pytest.approx(uv * scalar_b, rel=1e-12)
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_spatial_sizes_rank_one(d, N, n):
+    # on a = phi u v* the Hardy-atom size, the tent-atom size and every tent
+    # coefficient are |u| |v| times those of the scalar phi; the Gram
+    # eigenvalues alone meet this only to ~1e-8
+    grid = Grid(d, N)
+    rng = rng_for(800 + 10 * d + n)
+    u, v = _cplx(rng, n), _cplx(rng, n)
+    uv = np.linalg.norm(u) * np.linalg.norm(v)
+    outer = np.outer(u, v.conj())
+    phi = np.asarray(random_strip(grid, 1, 3, 810 + d).data)
+
+    def h_size(data, cube):
+        rep = validate_atom(HAtom(cube, OperatorField(grid, data)))
+        return next(c.measured for c in rep.clauses if c.name == "size")
+
+    for cube in (DyadicCube(grid, 0, (0,) * d), DyadicCube(grid, 1, (1,) * d)):
+        data = np.where(cube.mask()[..., None, None], phi[1], 0.0)
+        assert h_size(data * outer, cube) == pytest.approx(uv * h_size(data, cube), rel=1e-12)
+    cube = DyadicCube(grid, 1, (0,) * d)
+    block = phi[1:3][(slice(None),) + np.ix_(*cube.axis_indices())]
+    assert TentAtom(cube, 2, block * outer).size() == \
+        pytest.approx(uv * TentAtom(cube, 2, block).size(), rel=1e-12)
+    scalar = tent_atomize(StripField(grid, phi))
+    pairs = tent_atomize(StripField(grid, phi * outer))
+    assert [(a.cube.index, a.j_lo) for _, a in pairs] == \
+        [(a.cube.index, a.j_lo) for _, a in scalar]
+    assert [lam for lam, _ in pairs] == \
+        pytest.approx([uv * lam for lam, _ in scalar], rel=1e-12)
 
 
 def _per_cell_slice(block, cube, j, cal, alpha, K):

@@ -305,3 +305,20 @@ def test_reports_deterministic(tmp_path):
               "--which", "F_col,hardy", "--report", str(rep)])
         reps.append(rep.read_bytes())
     assert reps[0] == reps[1]
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["--grid", "48", "gen", "--kind", "band-limited-random", "{out}"], "N must be"),
+    (["--dim", "7", "gen", "--kind", "band-limited-random", "{out}"], "dimension must be"),
+    (["--p", "0.5", "norm", "{field}"], "p must be"),
+    (["--alpha", "-3", "decompose", "{field}", "--target", "tl",
+      "--manifest", "{out}.m", "--blob", "{out}.b"], "L must be"),
+])
+def test_invalid_parameter_rejected(tmp_path, capsys, argv, needle):
+    field, out = tmp_path / "f.ovtl", tmp_path / "out.ovtl"
+    write_field(field, band_limited_random(Grid(1, 64), 2, 4))
+    capsys.readouterr()
+    assert main([a.format(field=field, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+    assert not out.exists()

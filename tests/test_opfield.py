@@ -12,6 +12,7 @@ from ovtl.opfield import (
     gram,
     herm,
     hs_norm_sq,
+    l1l2_sizes,
     modulus,
     op_cauchy_schwarz_gap,
     op_cauchy_schwarz_scale,
@@ -277,3 +278,41 @@ def test_trace_lp_matches_svd(grid64, n, p):
         for scale in (1.0, 1e200, 1e-200):
             got = trace_lp_norm(OperatorField(grid64, scale * data), p) / scale
             assert abs(got - want) <= 1e-12 * want
+
+
+def _svd_size(x, volume, w=None):
+    """sqrt(volume) times the sum of the singular values of the stacked
+    factor [sqrt(w(s)) x(s)]_s."""
+    if w is not None:
+        x = np.sqrt(w)[:, None, None] * x
+    n = x.shape[-1]
+    return math.sqrt(volume) * float(np.sum(np.linalg.svd(x.reshape(-1, n), compute_uv=False)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_l1l2_sizes_near_singular_match_svd(n, scale):
+    # stacked factors with sigma_min = 1e-8 sigma_max and of rank one, whose
+    # small singular values the Gram eigenvalues resolve only to
+    # sqrt(eps) sigma_max, beside a generic one; at 1e+-150, x* x over- or
+    # underflows unless rescaled
+    rng = rng_for(820 + n)
+    points = 40
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    U, _ = np.linalg.qr(cplx(points * n, n))
+    V, _ = np.linalg.qr(cplx(n, n))
+    graded = ((U * np.geomspace(1.0, 1e-8, n)) @ herm(V)).reshape(points, n, n)
+    rank_one = cplx(points, 1, 1) * np.outer(cplx(n), cplx(n).conj())
+    x = np.stack([graded, rank_one, cplx(points, n, n)])
+    weights = rng.uniform(0.0, 2.0, size=(3, points))
+    got = l1l2_sizes(scale * x, 0.3) / scale
+    got_w = l1l2_sizes(scale * x, 0.3, weights) / scale
+    assert got.shape == (3,) and got_w.shape == (3, 3)
+    assert float(l1l2_sizes(scale * graded, 0.3)) / scale == pytest.approx(got[0], rel=1e-13)
+    for b in range(3):
+        assert got[b] == pytest.approx(_svd_size(x[b], 0.3), rel=1e-12)
+        for k in range(3):
+            assert got_w[b, k] == pytest.approx(_svd_size(x[b], 0.3, weights[k]), rel=1e-12)
