@@ -106,6 +106,7 @@ class HAtom(_BoxStorage):
     off when the atom was stored on a box.
     """
 
+    kind = "h_atom"
     cube: DyadicCube
     block: np.ndarray
     double_support: bool = False
@@ -130,6 +131,7 @@ class TentAtom(_CubeAtom):
     j = j_lo .. j_lo + n_scales - 1 restricted to the cube's lattice points.
     """
 
+    kind = "tent_atom"
     cube: DyadicCube
     j_lo: int
     block: np.ndarray
@@ -171,25 +173,33 @@ class SmoothAtom(_BoxStorage):
     L: int = -1
     subatoms: list = field(default_factory=list)
     support_leak: float = 0.0
+    double_support = True  # checked against 2Q
 
 
-def _energy_outside(data: np.ndarray, inside) -> float:
-    """Relative L2 energy of (*, n, n) data off the points ``inside`` (a
-    boolean mask or an index; 0 for zero data).  The inside is zeroed and
-    the rest summed, not subtracted from the total, so a leak of 1e-16
+def _energy_outside(data: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Relative L2 energy of each row of (B, *, n, n) data off the points
+    where ``inside`` (B, *) holds; 0 for zero data.  The inside is zeroed
+    and the rest summed, not subtracted from the total, so a leak of 1e-16
     keeps its digits."""
-    energy = np.sum(data.real**2 + data.imag**2, axis=(-2, -1))
-    total = float(np.sum(energy))
-    energy[inside] = 0.0
-    return math.sqrt(float(np.sum(energy)) / total) if total > 0 else 0.0
+    parts = np.ascontiguousarray(data).view(np.float64).reshape(len(data), inside[0].size, -1)
+    energy = np.einsum("bpk,bpk->bp", parts, parts)
+    total = energy.sum(axis=-1)
+    energy[inside.reshape(len(data), -1)] = 0.0
+    return np.sqrt(energy.sum(axis=-1) / np.where(total > 0, total, 1.0))
 
 
-def _cut_to_double(full: np.ndarray, cube: DyadicCube) -> tuple:
-    """(origin, block, leak): the 2Q block of full-grid data and the
-    relative L2 energy outside 2Q that the cut drops."""
-    origin, side = cube.double_box()
-    box = np.ix_(*box_indices(cube.grid, origin, (side,) * cube.grid.d))
-    return origin, full[box], _energy_outside(full, box)
+def _cut_to_double(fulls: np.ndarray, cubes: list) -> list:
+    """(origin, block, leak) per cube: the 2Q block of the full-grid data
+    ``fulls[b]`` over ``cubes[b]`` and the relative L2 energy outside 2Q
+    that the cut drops."""
+    inside = np.zeros(fulls.shape[:-2], dtype=bool)
+    cuts = []
+    for b, cube in enumerate(cubes):
+        origin, side = cube.double_box()
+        box = np.ix_(*box_indices(cube.grid, origin, (side,) * cube.grid.d))
+        inside[b][box] = True
+        cuts.append((origin, fulls[b][box]))
+    return [cut + (leak,) for cut, leak in zip(cuts, _energy_outside(fulls, inside).tolist())]
 
 
 @dataclass
@@ -222,7 +232,7 @@ class AtomicDecomposition:
 # validators
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Clause:
     name: str
     passed: bool
@@ -259,51 +269,30 @@ class ValidationReport:
 SUPPORT_RTOL = 1e-10
 SIZE_SLACK = 1e-9
 MOMENT_RTOL = 1e-10
+# bytes of full-grid data stacked into one batched transform: a few atoms at
+# the desk scales, enough to spread the per-call cost while every temporary
+# stays small
+CHUNK_BYTES = 256 * 1024
 
 
-def _support_clause(atom, double: bool, name: str) -> Clause:
-    """Relative L2 energy off Q (off 2Q when ``double``): the larger of the
-    energy cut off when the atom was stored and the energy its stored block
-    holds outside the support."""
-    inside = atom.cube.box_mask(atom.axis_idx, double)
-    rel = max(atom.support_leak, _energy_outside(atom.block, inside))
-    return Clause(name, rel <= SUPPORT_RTOL, rel, SUPPORT_RTOL)
+def _chunks(items: list, item_bytes: int) -> list:
+    """Consecutive runs of ``items``, each holding at most CHUNK_BYTES of
+    items of ``item_bytes`` bytes and at least one item."""
+    step = max(1, CHUNK_BYTES // item_bytes)
+    return [items[k:k + step] for k in range(0, len(items), step)]
 
 
-def validate_h_atom(atom: HAtom) -> ValidationReport:
-    grid = atom.grid
-    clauses = [_support_clause(atom, atom.double_support, "support")]
-    size = float(l1l2_sizes(atom.block.reshape(-1, atom.n, atom.n), grid.cell_volume))
-    bound = atom.cube.volume**-0.5 * (1.0 + SIZE_SLACK)
-    clauses.append(Clause("size", size <= bound, size, bound))
-    if atom.mean_zero_required:
-        mean = np.sum(atom.block, axis=grid.spatial_axes) * grid.cell_volume
-        scale = float(np.sum(np.abs(atom.block))) * grid.cell_volume
-        dev = float(np.linalg.norm(mean))
-        bound_m = MOMENT_RTOL * max(scale, 1e-300)
-        clauses.append(Clause("moment", dev <= bound_m, dev, bound_m))
-    return ValidationReport("h_atom", clauses)
-
-
-def validate_tent_atom(atom: TentAtom, j_max: Optional[int] = None) -> ValidationReport:
-    grid = atom.grid
-    clauses = []
-    j_top = lp_family_j_max(grid) if j_max is None else j_max
-    lo_ok = atom.j_lo >= max(atom.cube.level, 1)
-    hi_ok = atom.scales.stop - 1 <= j_top
-    in_tent = 1.0 if (lo_ok and hi_ok) else 0.0
-    clauses.append(Clause("support_in_tent", lo_ok and hi_ok, 1.0 - in_tent, 0.5))
-    size = atom.size()
-    bound = atom.cube.volume**-0.5 * (1.0 + SIZE_SLACK)
-    clauses.append(Clause("size", size <= bound, size, bound))
-    return ValidationReport("tent_atom", clauses)
+def _field_bytes(grid: Grid, n: int) -> int:
+    """Bytes of one complex (n, n)-matrix field on the grid."""
+    return grid.npoints * n * n * 16
 
 
 @lru_cache(maxsize=16)
-def _derivative_weights(grid: Grid, gammas: tuple) -> np.ndarray:
-    """Rows |m_gamma|^2 of the D^gamma symbols, shape (len(gammas), points)."""
+def _derivative_weights(grid: Grid, K: int) -> np.ndarray:
+    """Rows |m_gamma|^2 of the D^gamma symbols, |gamma|_1 <= K in the order
+    of :func:`multi_indices`; shape (rows, points)."""
     rows = np.stack([np.abs(multi_derivative_symbol(grid, g).values.ravel()) ** 2
-                     for g in gammas])
+                     for g in multi_indices(grid.d, K)])
     rows.setflags(write=False)
     return rows
 
@@ -316,101 +305,169 @@ def _bessel_weight(grid: Grid, alpha: float) -> np.ndarray:
     return row
 
 
-def _derivative_sizes(embedded: np.ndarray, grid: Grid, gammas: Sequence[tuple],
-                      ) -> dict:
-    """tau((int |D^gamma a|^2)^(1/2)) per gamma, from one forward transform:
-    by Plancherel, the sizes of the transform under the weights |m_gamma|^2
-    with volume h^(2d)."""
-    gammas = tuple(gammas)
-    n = embedded.shape[-1]
-    sizes = l1l2_sizes(fft_data(embedded, grid).reshape(-1, n, n), grid.cell_volume**2,
-                       _derivative_weights(grid, gammas))
-    return dict(zip(gammas, sizes.tolist()))
-
-
-def _bessel_size(data_hat: np.ndarray, grid: Grid, alpha: float) -> float:
-    """tau((int |J_alpha a|^2)^(1/2)) from ``data_hat = fft_data(a)``."""
+def _weighted_sizes(data_hat: np.ndarray, grid: Grid, weights: np.ndarray) -> np.ndarray:
+    """tau((int |m_k a|^2)^(1/2)) per row |m_k|^2 of ``weights``, from
+    ``data_hat = fft_data(a)`` of shape (*batch, *grid.shape, n, n): by
+    Plancherel, the sizes of the transform with volume h^(2d); shape
+    (*batch, rows)."""
     n = data_hat.shape[-1]
-    return float(l1l2_sizes(data_hat.reshape(-1, n, n), grid.cell_volume**2,
-                            _bessel_weight(grid, alpha))[0])
+    return l1l2_sizes(data_hat.reshape(data_hat.shape[:-grid.d - 2] + (-1, n, n)),
+                      grid.cell_volume**2, weights)
 
 
-def _moments(atom: SmoothAtom, L: int) -> dict:
-    """Centered discrete moments sum_s h^d s_per^beta a(s) for |beta|_1 <= L,
-    summed over the stored block."""
+def _group_key(atom) -> tuple:
+    """What atoms validated in one stack share: grid, block shape, size route
+    (("spatial", volume) on the stored block, or ("derivative", K) /
+    ("bessel", alpha) on the transform of the full-grid embedding) and the
+    largest |beta|_1 of the moments they must cancel (-1 for none)."""
+    grid, kind = atom.grid, atom.kind
+    if kind == "h_atom":
+        route, order = ("spatial", grid.cell_volume), 0 if atom.mean_zero_required else -1
+    elif kind == "tent_atom":
+        route, order = ("spatial", LOG2 * grid.cell_volume), -1
+    elif kind == "alpha_q":
+        route, order = ("bessel", atom.alpha), -1
+    else:
+        route, order = ("derivative", atom.K), atom.L if kind == "subatom" else -1
+    return grid, atom.block.shape, route, order
+
+
+def _measure(chunk: list, key: tuple) -> list:
+    """(sizes, support, moments) of each atom of ``chunk``, atoms sharing the
+    :func:`_group_key` ``key``, from one stack of their blocks: the sizes of
+    the key's route; the relative L2 energy off Q (off 2Q for double-support
+    and smooth atoms; None for tent atoms), the larger of the energy cut off
+    when the atom was stored and the energy its block holds there; and
+    ({beta: |moment|}, l1 mass) of the centered discrete moments
+    sum_s h^d s_per^beta a(s) of the block, or None."""
+    grid, _, (route, arg), L = key
+    first, B, n = chunk[0], len(chunk), chunk[0].n
+    blocks = np.stack([a.block for a in chunk])
+    idxs = [getattr(a, "axis_idx", None) for a in chunk]
+    if route == "spatial":
+        sizes = l1l2_sizes(blocks.reshape(B, -1, n, n), arg)[:, None]
+    else:
+        full = np.zeros((B,) + grid.shape + (n, n), dtype=np.complex128)
+        for b, idx in enumerate(idxs):
+            full[(b,) + np.ix_(*idx)] = blocks[b]
+        weights = _bessel_weight(grid, arg) if route == "bessel" else _derivative_weights(grid, arg)
+        sizes = _weighted_sizes(fft_data(full, grid), grid, weights)
+    if first.kind == "tent_atom":
+        return [(s, None, None) for s in sizes.tolist()]
+    inside = np.stack([a.cube.box_mask(idx, a.double_support) for a, idx in zip(chunk, idxs)])
+    support = np.maximum(_energy_outside(blocks, inside), [a.support_leak for a in chunk])
     if L < 0:
-        return {}
-    grid = atom.grid
-    offsets = []  # signed periodic offsets from the cube center, per axis
-    for idx, c in zip(atom.axis_idx, atom.cube.center):
-        delta = idx * grid.h - c
-        offsets.append(delta - np.round(delta))
-    out = {}
-    for beta in multi_indices(grid.d, L):
-        w = reduce(np.multiply.outer, [x**b for x, b in zip(offsets, beta)])
-        m = np.tensordot(w, atom.block, axes=grid.d) * grid.cell_volume
-        out[beta] = float(np.linalg.norm(m))
-    return out
+        return [(s, r, None) for s, r in zip(sizes.tolist(), support.tolist())]
+    if first.kind == "h_atom":  # the mean
+        betas = [(0,) * grid.d]
+        moments = [np.sum(blocks, axis=tuple(range(1, grid.d + 1)))]
+    else:
+        offsets = []  # signed periodic offsets from the cube centers, per axis
+        for ax in range(grid.d):
+            delta = (np.array([idx[ax] for idx in idxs]) * grid.h
+                     - np.array([a.cube.center[ax] for a in chunk])[:, None])
+            shape = (B,) + (1,) * ax + (-1,) + (1,) * (grid.d - ax - 1)
+            offsets.append((delta - np.round(delta)).reshape(shape))
+        betas = multi_indices(grid.d, L)
+        flat = blocks.reshape(B, -1, n * n)
+        moments = [np.matmul(reduce(np.multiply, [x**b for x, b in zip(offsets, beta)])
+                             .reshape(B, 1, -1), flat)[:, 0] for beta in betas]
+    l1 = np.sum(np.abs(blocks), axis=tuple(range(1, blocks.ndim))) * grid.cell_volume
+    return [(s, r, ({beta: float(np.linalg.norm(m[b] * grid.cell_volume))
+                     for beta, m in zip(betas, moments)}, l1_b))
+            for b, (s, r, l1_b) in enumerate(zip(sizes.tolist(), support.tolist(), l1.tolist()))]
 
 
-def validate_smooth_atom(atom: SmoothAtom, size_constant: float = 1.0) -> ValidationReport:
-    """Clause-by-clause check of an alpha_one / subatom / alpha_q atom."""
-    grid = atom.grid
-    # the paper's remark fixes support of the pieces in 2Q of their own
-    # cubes; the assembled alpha_q atom then lives in the union, inside
-    # 4Q_{k,m}; we check it against 2Q of the base cube, which our
-    # single-scale construction satisfies.
-    clauses = [_support_clause(atom, True, "support_2Q")]
-    if atom.kind in ("alpha_one", "subatom"):
-        vol = atom.cube.volume
-        sizes = _derivative_sizes(atom.embed(), grid, multi_indices(grid.d, atom.K))
-        for gamma, s in sizes.items():
-            bound = 1.0 + SIZE_SLACK
-            if atom.kind == "subatom":
-                bound *= vol ** (atom.alpha / grid.d - sum(gamma) / grid.d)
-            clauses.append(Clause(f"derivative{gamma}", s <= bound, s, bound))
-        if atom.kind == "subatom":
-            l1_mass = float(np.sum(np.abs(atom.block))) * grid.cell_volume
-            for beta, dev in _moments(atom, atom.L).items():
-                bound_m = MOMENT_RTOL * max(l1_mass, 1e-300)
-                clauses.append(Clause(f"moment{beta}", dev <= bound_m, dev, bound_m))
-    elif atom.kind == "alpha_q":
-        full = atom.embed()
-        size = _bessel_size(fft_data(full, grid), grid, atom.alpha)
-        bound = size_constant * atom.cube.volume**-0.5 * (1.0 + SIZE_SLACK)
-        clauses.append(Clause("bessel_size", size <= bound, size, bound))
+def _report(atom, sizes: list, support, moments, sub_reports: list) -> ValidationReport:
+    """Clauses of one atom from its measurements and its subatoms' reports."""
+    grid, kind = atom.grid, atom.kind
+    bound = atom.cube.volume**-0.5 * (1.0 + SIZE_SLACK)
+    if kind == "tent_atom":
+        in_tent = (atom.j_lo >= max(atom.cube.level, 1)
+                   and atom.scales.stop - 1 <= lp_family_j_max(grid))
+        clauses = [Clause("support_in_tent", in_tent, 0.0 if in_tent else 1.0, 0.5)]
+    else:
+        # the paper's remark fixes support of the pieces in 2Q of their own
+        # cubes; the assembled alpha_q atom then lives in the union, inside
+        # 4Q_{k,m}; we check it against 2Q of the base cube, which our
+        # single-scale construction satisfies.
+        clauses = [Clause("support" if kind == "h_atom" else "support_2Q",
+                          support <= SUPPORT_RTOL, support, SUPPORT_RTOL)]
+    if kind in ("h_atom", "tent_atom"):
+        clauses.append(Clause("size", sizes[0] <= bound, sizes[0], bound))
+    elif kind == "alpha_q":
+        clauses.append(Clause("bessel_size", sizes[0] <= bound, sizes[0], bound))
         coef_l2 = math.sqrt(sum(abs(d) ** 2 for d, _ in atom.subatoms))
-        bound_c = atom.cube.volume**-0.5 * (1.0 + SIZE_SLACK)
-        clauses.append(Clause("coefficient_l2", coef_l2 <= bound_c, coef_l2, bound_c))
+        clauses.append(Clause("coefficient_l2", coef_l2 <= bound, coef_l2, bound))
         order_ok = all(subcube_order(sub.cube, atom.cube) for _, sub in atom.subatoms)
         clauses.append(Clause("subcube_order", order_ok, 0.0 if order_ok else 1.0, 0.5))
+        full = atom.embed()
         recon = periodic_block_sum(
             grid, [(d_c, sub.origin, sub.block) for d_c, sub in atom.subatoms],
             (atom.n, atom.n))
         scale = max(float(np.max(np.abs(full))), 1e-300)
         dev = float(np.max(np.abs(recon - full))) / scale
         clauses.append(Clause("subatom_reconstruction", dev <= 1e-10, dev, 1e-10))
-        for _, sub in atom.subatoms:
-            rep = validate_smooth_atom(sub)
+        for rep in sub_reports:
             clauses.append(
                 Clause("subatoms_valid", rep.passed, 0.0 if rep.passed else 1.0, 0.5)
             )
             if not rep.passed:
                 break
     else:
-        raise ValueError(f"unknown smooth atom kind {atom.kind!r}")
-    return ValidationReport(atom.kind, clauses)
+        for gamma, s in zip(multi_indices(grid.d, atom.K), sizes):
+            b_gamma = 1.0 + SIZE_SLACK
+            if kind == "subatom":
+                b_gamma *= atom.cube.volume ** (atom.alpha / grid.d - sum(gamma) / grid.d)
+            clauses.append(Clause(f"derivative{gamma}", s <= b_gamma, s, b_gamma))
+    if moments is not None:
+        devs, l1_mass = moments
+        bound_m = MOMENT_RTOL * max(l1_mass, 1e-300)
+        for beta, dev in devs.items():
+            clauses.append(Clause("moment" if kind == "h_atom" else f"moment{beta}",
+                                  dev <= bound_m, dev, bound_m))
+    return ValidationReport(kind, clauses)
 
 
-def validate_atom(atom, **kwargs) -> ValidationReport:
-    """Dispatch on atom type; failures are data, not exceptions."""
-    if isinstance(atom, HAtom):
-        return validate_h_atom(atom)
-    if isinstance(atom, TentAtom):
-        return validate_tent_atom(atom, **kwargs)
-    if isinstance(atom, SmoothAtom):
-        return validate_smooth_atom(atom, **kwargs)
-    raise TypeError(f"not an atom: {type(atom)!r}")
+def validate_atoms(atoms: Sequence) -> list:
+    """Clause-by-clause reports of Hardy, tent and smooth atoms, in order;
+    failures are data, not exceptions.
+
+    Every size is recomputed from the stored blocks.  The atoms and the
+    subatoms of alpha_q atoms are grouped by grid, block shape, size route
+    and moment order, and each group is stacked in chunks of at most
+    CHUNK_BYTES of full-grid data (of stored blocks, for spatial sizes):
+    one transform, one size call and one product per moment for each chunk.
+    Every stacked size row has its own power-of-two rescale, so a report
+    does not depend on the batch its atom is validated in.
+    """
+    atoms = list(atoms)
+    entries = atoms + [sub for a in atoms if getattr(a, "kind", None) == "alpha_q"
+                       for _, sub in a.subatoms]
+    groups = {}
+    for i, atom in enumerate(entries):
+        if not isinstance(atom, (HAtom, TentAtom, SmoothAtom)):
+            raise TypeError(f"not an atom: {type(atom)!r}")
+        if atom.kind not in ("h_atom", "tent_atom", "alpha_one", "subatom", "alpha_q"):
+            raise ValueError(f"unknown smooth atom kind {atom.kind!r}")
+        groups.setdefault(_group_key(atom), []).append(i)
+    measured = [None] * len(entries)
+    for key, idx in groups.items():
+        grid, shape, (route, _), _ = key
+        item_bytes = math.prod(shape) * 16 if route == "spatial" else _field_bytes(grid, shape[-1])
+        for chunk in _chunks(idx, item_bytes):
+            for i, m in zip(chunk, _measure([entries[i] for i in chunk], key)):
+                measured[i] = m
+    subs = iter([_report(sub, *measured[i], [])
+                 for i, sub in enumerate(entries[len(atoms):], len(atoms))])
+    return [_report(atom, *measured[i],
+                    [next(subs) for _ in atom.subatoms] if atom.kind == "alpha_q" else [])
+            for i, atom in enumerate(atoms)]
+
+
+def validate_atom(atom) -> ValidationReport:
+    """:func:`validate_atoms` of the one atom."""
+    return validate_atoms([atom])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +616,8 @@ def project_tent(F, cal: CalderonSystem) -> OperatorField:
         _check_mean_zero_levels(cal, scales)
         hat = np.zeros(grid.shape + (F.n, F.n), dtype=np.complex128)
         for j in scales:
-            hat += _piece_transforms(F.block[j - F.j_lo], F.cube, [F.cube], cal.level(j))[0]
+            hat += _piece_transforms([F.block[j - F.j_lo]], [F.cube], [[F.cube]],
+                                     cal.level(j))[0, 0]
         return OperatorField(grid, LOG2 * ifft_data(hat, grid))
     if isinstance(F, StripField):
         if F.grid != grid:
@@ -621,8 +679,7 @@ def tent_atomize(F: StripField, rel_size_floor: float = 1e-14) -> list:
 def _normalize_alpha_one(low: np.ndarray, grid: Grid, K: int, alpha: float) -> tuple:
     """Normalize phi0 * f into a single (alpha,1)-style unit-cube atom."""
     cube = DyadicCube(grid, 0, (0,) * grid.d)
-    sizes = _derivative_sizes(low, grid, multi_indices(grid.d, K))
-    mu = max(sizes.values())
+    mu = float(np.max(_weighted_sizes(fft_data(low, grid), grid, _derivative_weights(grid, K))))
     if mu == 0.0:
         return 0.0, None
     atom = SmoothAtom(kind="alpha_one", cube=cube, origin=(0,) * grid.d, block=low / mu,
@@ -643,68 +700,77 @@ def _subatom_cells(cube: DyadicCube) -> list:
     return [DyadicCube(grid, lvl, tuple(combo)) for combo in iproduct(*per_axis)]
 
 
-def _piece_transforms(block: np.ndarray, cube: DyadicCube, cells: list,
+def _piece_transforms(blocks: list, cubes: list, cells: list,
                       symbol: np.ndarray) -> np.ndarray:
-    """Transforms fft_data(symbol * piece) of the restrictions of ``block``
-    (data over ``cube``) to each of ``cells``, made in one batched call;
-    shape (len(cells), *grid.shape, n, n).
+    """Transforms fft_data(symbol * piece) of the restrictions of each
+    ``blocks[a]`` (data over ``cubes[a]``) to each of ``cells[a]`` (equally
+    many cells per cube), made in one batched call; shape
+    (len(cubes), len(cells[0]), *grid.shape, n, n).
 
-    When the cells partition the cube, the transforms sum to that of
+    When the cells partition a cube, its transforms sum to that of
     symbol * block.
     """
-    grid = cube.grid
-    idx = cube.axis_indices()
-    masked = np.zeros((len(cells),) + grid.shape + block.shape[-2:], dtype=np.complex128)
-    for b, cell in enumerate(cells):
-        masked[(b,) + np.ix_(*idx)] = block * cell.box_mask(idx)[..., None, None]
+    grid = cubes[0].grid
+    masked = np.zeros((len(cubes), len(cells[0])) + grid.shape + blocks[0].shape[-2:],
+                      dtype=np.complex128)
+    for a, (block, cube) in enumerate(zip(blocks, cubes)):
+        idx = cube.axis_indices()
+        for c, cell in enumerate(cells[a]):
+            masked[(a, c) + np.ix_(*idx)] = block * cell.box_mask(idx)[..., None, None]
     hats = fft_data(masked, grid)
     hats *= symbol[..., None, None]
     return hats
 
 
-def _slice_alpha_q(tent_block: np.ndarray, lam_scale: float, cube: DyadicCube, j: int,
-                   cal: CalderonSystem, alpha: float, K: int, L: int,
-                   size_constant: float) -> tuple:
-    """Package the projection g = log2 Psi_j * tent_block of single-scale
-    tent data over ``cube`` as an alpha_q atom with subatoms.
+def _alpha_q_atoms(blocks: list, cubes: list, j: int, cal: CalderonSystem, alpha: float,
+                   K: int, L: int) -> list:
+    """Package the projections g = log2 Psi_j * block of single-scale tent
+    data over same-level ``cubes`` as alpha_q atoms with subatoms.
 
-    The pieces (the block restricted to each subatom cell, projected) are
-    transformed in one batched call; every size comes from those transforms,
-    their sum is the transform of g, and one batched inverse transform gives
-    the pieces, whose sum is g.  Writes the atom normalized so every clause
-    passes with constant 1, returning (rescale, SmoothAtom).
+    The pieces (each block restricted to each subatom cell of its cube,
+    projected) are transformed in one batched call; every size comes from
+    those transforms, in one derivative-size call for all pieces and one
+    Bessel-size call for the per-atom sums, which are the transforms of the
+    g; one batched inverse transform gives the pieces, whose per-atom sum is
+    g.  Writes each atom normalized so every clause passes with constant 1,
+    returning one (rescale, SmoothAtom or None) per cube.
     """
-    grid = cube.grid
-    cells = _subatom_cells(cube)
-    gammas = tuple(multi_indices(grid.d, K))
-    hats = _piece_transforms(tent_block, cube, cells, LOG2 * cal.level(j))
-    n = tent_block.shape[-1]
-    sizes = l1l2_sizes(hats.reshape(len(cells), -1, n, n), grid.cell_volume**2,
-                       _derivative_weights(grid, gammas))
-    g_size = _bessel_size(np.sum(hats, axis=0), grid, alpha)
-    rho1 = g_size * math.sqrt(cube.volume) / size_constant
+    grid = cal.grid
+    cells = [_subatom_cells(cube) for cube in cubes]
+    hats = _piece_transforms(blocks, cubes, cells, LOG2 * cal.level(j))
+    sizes = _weighted_sizes(hats, grid, _derivative_weights(grid, K))
+    g_sizes = _weighted_sizes(np.sum(hats, axis=1), grid, _bessel_weight(grid, alpha))[:, 0]
     pieces = ifft_data(hats, grid)
-    orders = np.array([sum(gamma) for gamma in gammas], dtype=float)
-    sub_pairs = []
-    for cell, piece, piece_sizes in zip(cells, pieces, sizes):
-        d_c = float(np.max(piece_sizes / cell.volume ** (alpha / grid.d - orders / grid.d)))
-        if d_c == 0.0:
+    orders = np.array([sum(gamma) for gamma in multi_indices(grid.d, K)], dtype=float)
+    # every cell lies one level below its cube, so all share one volume
+    d_cs = np.max(sizes / cells[0][0].volume ** (alpha / grid.d - orders / grid.d), axis=-1)
+    piece_cuts = iter(_cut_to_double(pieces.reshape((-1,) + pieces.shape[2:]),
+                                     [cell for cube_cells in cells for cell in cube_cells]))
+    atom_cuts = _cut_to_double(np.sum(pieces, axis=1), cubes)
+    out = []
+    for cube, cube_cells, cube_d, g_size, atom_cut in zip(cubes, cells, d_cs.tolist(),
+                                                          g_sizes.tolist(), atom_cuts):
+        rho1 = g_size * math.sqrt(cube.volume)
+        sub_pairs = []
+        for cell, d_c in zip(cube_cells, cube_d):
+            origin, block, leak = next(piece_cuts)
+            if d_c == 0.0:
+                continue
+            sub = SmoothAtom(kind="subatom", cube=cell, origin=origin, block=block / d_c,
+                             alpha=alpha, K=K, L=L, support_leak=leak)
+            sub_pairs.append((d_c, sub))
+        # saturation against the atom-level clauses
+        rho2 = math.sqrt(sum(d * d for d, _ in sub_pairs)) * math.sqrt(cube.volume)
+        rho = max(rho1, rho2)
+        if rho <= 1e-250:
+            out.append((0.0, None))
             continue
-        origin, block, leak = _cut_to_double(piece, cell)
-        sub = SmoothAtom(kind="subatom", cube=cell, origin=origin, block=block / d_c,
-                         alpha=alpha, K=K, L=L, support_leak=leak)
-        sub_pairs.append((d_c, sub))
-    # saturation against the atom-level clauses
-    rho2 = math.sqrt(sum(d * d for d, _ in sub_pairs)) * math.sqrt(cube.volume)
-    rho = max(rho1, rho2)
-    if rho <= 1e-250:
-        return 0.0, None
-    origin, block, leak = _cut_to_double(np.sum(pieces, axis=0), cube)
-    atom = SmoothAtom(kind="alpha_q", cube=cube, origin=origin, block=block / rho,
-                      alpha=alpha, K=K, L=L,
-                      subatoms=[(d / rho, s) for d, s in sub_pairs],
-                      support_leak=leak)
-    return lam_scale * rho, atom
+        origin, block, leak = atom_cut
+        out.append((rho, SmoothAtom(kind="alpha_q", cube=cube, origin=origin, block=block / rho,
+                                    alpha=alpha, K=K, L=L,
+                                    subatoms=[(d / rho, s) for d, s in sub_pairs],
+                                    support_leak=leak)))
+    return out
 
 
 def _n_pow(alpha: float, L: int) -> int:
@@ -773,17 +839,21 @@ def smooth_decompose_h1(f: OperatorField, cal: Optional[CalderonSystem] = None,
     and stored on its 2Q block.
     """
     def high_atoms(tent_pairs, cal):
-        cuts = [_cut_to_double(project_tent(atom, cal).data, atom.cube) for _, atom in tent_pairs]
-        sizes = []  # one size call per run of equal 2Q block shapes (a level)
-        for _, run in groupby([block for _, block, _ in cuts], key=np.shape):
-            blocks = np.stack(list(run))
-            sizes += l1l2_sizes(blocks.reshape(len(blocks), -1, f.n, f.n),
-                                f.grid.cell_volume).tolist()
-        for (lam, atom), (origin, block, leak), size in zip(tent_pairs, cuts, sizes):
-            rho = size / atom.cube.volume**-0.5
-            yield (0.0, None) if rho <= 1e-250 else (lam * rho / LOG2, HAtom(
-                cube=atom.cube, block=block / rho, double_support=True, origin=origin,
-                support_leak=leak))
+        # one level (scale) at a time, in chunks of at most CHUNK_BYTES of projections
+        for j, run in groupby(tent_pairs, key=lambda pair: pair[1].j_lo):
+            _check_mean_zero_levels(cal, [j])
+            for chunk in _chunks(list(run), _field_bytes(f.grid, f.n)):
+                cubes = [atom.cube for _, atom in chunk]
+                hats = _piece_transforms([atom.block[0] for _, atom in chunk], cubes,
+                                         [[cube] for cube in cubes], cal.level(j))
+                cuts = _cut_to_double(LOG2 * ifft_data(hats, f.grid)[:, 0], cubes)
+                sizes = l1l2_sizes(np.stack([block for _, block, _ in cuts])
+                                   .reshape(len(chunk), -1, f.n, f.n), f.grid.cell_volume)
+                for (lam, atom), (origin, block, leak), size in zip(chunk, cuts, sizes.tolist()):
+                    rho = size / atom.cube.volume**-0.5
+                    yield (0.0, None) if rho <= 1e-250 else (lam * rho / LOG2, HAtom(
+                        cube=atom.cube, block=block / rho, double_support=True, origin=origin,
+                        support_leak=leak))
 
     return _decompose(f, None, K, -1, cal, family, compute_norm, high_atoms)
 
@@ -803,7 +873,6 @@ def required_l_floor(alpha: float) -> int:
 def smooth_decompose_tl(f: OperatorField, alpha: float, K: int, L: int,
                         cal: Optional[CalderonSystem] = None,
                         family: Optional[LPFamily] = None,
-                        size_constant: float = 1.0,
                         compute_norm: bool = True) -> AtomicDecomposition:
     """Smooth atomic decomposition of the smoothness-alpha space at p = 1,
     with (alpha,1)-atoms for the low part and (alpha,Q)-atoms with subatom
@@ -814,10 +883,15 @@ def smooth_decompose_tl(f: OperatorField, alpha: float, K: int, L: int,
         raise ParameterError(f"L must be >= {required_l_floor(alpha)} for alpha={alpha}")
 
     def high_atoms(tent_pairs, cal):
-        for lam, atom in tent_pairs:
-            j = atom.j_lo
-            yield _slice_alpha_q(atom.block[0] * 2.0 ** (-j * alpha), lam / LOG2, atom.cube, j,
-                                 cal, alpha, K, L, size_constant)
+        # one level (scale) at a time, in chunks of at most CHUNK_BYTES of pieces
+        for j, run in groupby(tent_pairs, key=lambda pair: pair[1].j_lo):
+            run = list(run)
+            cells = len(_subatom_cells(run[0][1].cube))
+            for chunk in _chunks(run, cells * _field_bytes(f.grid, f.n)):
+                packed = _alpha_q_atoms([atom.block[0] * 2.0 ** (-j * alpha) for _, atom in chunk],
+                                        [atom.cube for _, atom in chunk], j, cal, alpha, K, L)
+                for (lam, _), (rho, atom) in zip(chunk, packed):
+                    yield lam / LOG2 * rho, atom
 
     return _decompose(f, alpha, K, L, cal, family, compute_norm, high_atoms)
 
@@ -872,8 +946,7 @@ def random_alpha_one_atom(grid: Grid, n: int, alpha: float, K: int, seed: int,
 
 def random_alpha_q_atom(grid: Grid, n: int, alpha: float, K: int, L: int,
                         level: int, seed: int,
-                        cal: Optional[CalderonSystem] = None,
-                        size_constant: float = 1.0) -> SmoothAtom:
+                        cal: Optional[CalderonSystem] = None) -> SmoothAtom:
     """Random tent atom on a random cube at ``level``, pushed through the
     projection + subatom slicing; every clause saturated at constant 1."""
     from .generators import rng_for
@@ -893,5 +966,4 @@ def random_alpha_q_atom(grid: Grid, n: int, alpha: float, K: int, L: int,
     # saturate the weighted tent size (the eps^-alpha weighted bound)
     size = float(l1l2_sizes(block.reshape(-1, n, n), LOG2 * grid.cell_volume * 4.0 ** (j * alpha)))
     block = block / (size * math.sqrt(cube.volume))
-    _, atom = _slice_alpha_q(block, 1.0, cube, j, cal, alpha, K, L, size_constant)
-    return atom
+    return _alpha_q_atoms([block], [cube], j, cal, alpha, K, L)[0][1]

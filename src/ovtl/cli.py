@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import generators
-from .errors import HypothesisError, OvtlError
+from .errors import HypothesisError, OvtlError, ParameterError
 from .fieldio import (
     Config,
     load_config,
@@ -112,6 +112,8 @@ def _load_cfg(args) -> Config:
         cfg.alphas = (args.alpha,)
     if args.p is not None:
         cfg.ps = (args.p,)
+    if cfg.n < 1:
+        raise ParameterError(f"matrix dimension n must be >= 1, got {cfg.n}")
     return cfg
 
 
@@ -122,19 +124,28 @@ def _emit(text: str, path) -> None:
         Path(path).write_text(text)
 
 
+def _numbers(raw: str, convert, flag: str, want: str, counts) -> tuple:
+    """The comma-separated numbers of a command-line value, as many as one
+    of ``counts``."""
+    try:
+        values = tuple(convert(x) for x in raw.split(","))
+    except ValueError:
+        values = ()
+    if len(values) not in counts:
+        raise ParameterError(f"{flag} needs {want}, got {raw!r}")
+    return values
+
+
 def cmd_gen(cfg: Config, args) -> int:
     grid = cfg.grid()
     kind = args.kind
     if kind == "single-mode":
-        k = tuple(int(x) for x in (args.mode or "4").split(","))
-        while len(k) < grid.d:
-            k = k + (0,)
-        f = generators.single_mode(grid, cfg.n, k)
+        k = _numbers(args.mode or "4", int, "--mode",
+                     f"at most one integer per axis (d = {grid.d})", range(1, grid.d + 1))
+        f = generators.single_mode(grid, cfg.n, k + (0,) * (grid.d - len(k)))
     elif kind == "band-limited-random":
-        if args.band:
-            r_min, r_max = (float(x) for x in args.band.split(","))
-        else:
-            r_min, r_max = 0.0, None
+        r_min, r_max = (_numbers(args.band, float, "--band", "two numbers rmin,rmax", (2,))
+                        if args.band else (0.0, None))
         f = generators.band_limited_random(grid, cfg.n, cfg.seed, r_min=r_min,
                                            r_max=r_max)
     elif kind == "bump":
@@ -308,7 +319,7 @@ def _suite_equivalence(cfg: Config, lines: list) -> bool:
 
 
 def _suite_atoms(cfg: Config, lines: list) -> bool:
-    from .atomics import smooth_decompose_h1, smooth_decompose_tl, validate_atom
+    from .atomics import smooth_decompose_h1, smooth_decompose_tl, validate_atoms
 
     grid = cfg.grid()
     alpha = next((a for a in cfg.alphas if a > 0), 0.5)
@@ -319,7 +330,7 @@ def _suite_atoms(cfg: Config, lines: list) -> bool:
                            (f"tl[t={t},alpha={alpha}]",
                             smooth_decompose_tl(f, alpha, cfg.K, cfg.L))):
             atoms = dec.low_pairs + dec.high_pairs
-            valid = all(validate_atom(a).passed for _, a in atoms)
+            valid = all(rep.passed for rep in validate_atoms([a for _, a in atoms]))
             lines.append(f"{label}: atoms = {len(atoms)} residual = {dec.residual:.3e} "
                          f"mass_ratio = {dec.mass_ratio:.4f} valid = {valid}")
             ok &= valid and dec.residual <= 1e-9

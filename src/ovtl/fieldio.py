@@ -219,10 +219,10 @@ def write_decomposition(manifest_path: Union[str, Path], blob_path: Union[str, P
     """Write the manifest (structured text) and the data blob (atom records).
 
     Each atom's block is stored as one version-2 record in the blob; the
-    manifest carries kind, cube, coefficient, validator slacks, and blob
-    offsets.
+    manifest carries kind, cube, coefficient, validator slacks (from one
+    batched validation of every atom), and blob offsets.
     """
-    from .atomics import validate_atom
+    from .atomics import validate_atoms
 
     grid = dec.grid
     lines = ["[decomposition]"]
@@ -237,13 +237,13 @@ def write_decomposition(manifest_path: Union[str, Path], blob_path: Union[str, P
         lines.append(f"mass_ratio = {dec.mass_ratio:.15e}")
     offset = 0
     records = []
+    reports = iter(validate_atoms([atom for _, atom in dec.low_pairs + dec.high_pairs]))
     for tag, pairs in (("low", dec.low_pairs), ("high", dec.high_pairs)):
         for k, (coef, atom) in enumerate(pairs):
-            rep = validate_atom(atom)
-            kind = getattr(atom, "kind", "h_atom")
+            rep = next(reports)
             cube = atom.cube
             lines.append(f"[atom.{tag}.{k}]")
-            lines.append(f"kind = {kind}")
+            lines.append(f"kind = {atom.kind}")
             lines.append(f"cube_level = {cube.level}")
             lines.append(f"cube_index = {','.join(str(i) for i in cube.index)}")
             lines.append(f"coefficient_re = {coef.real:.15e}")

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import HypothesisError, ResolutionError
+from .errors import HypothesisError, ParameterError, ResolutionError
 from .lattice import ConeIndex, Grid
 from .opfield import OperatorField
 from .sqfn import square_norm
@@ -187,7 +187,7 @@ def hypothesis_components(seq: SymbolSequence, sigma: float,
     ||phi_0 (phi^(0)+phi^(1))||_{H^sigma_2}."""
     grid = seq.grid
     if sigma <= grid.d / 2:
-        raise ValueError(f"sigma must exceed d/2, got {sigma}")
+        raise ParameterError(f"sigma must exceed d/2, got {sigma}")
     W = hypothesis_window(grid) if window is None else window
     _dilate_resolvable(grid, W)
     base = lp_base_profile(family_kind)

@@ -284,12 +284,13 @@ def sqrt_psd(acc: PSDAccumulator) -> OperatorField:
 _COARSE_SQ = 1e-4
 
 
-def _pow2_rescaled(x: np.ndarray) -> tuple:
-    """(x * 2^-e, e) with 2^e the exact power of two that brings max |x| into
-    [1/2, 1), so that x* x neither overflows nor underflows."""
-    peak = float(abs(x).max()) if x.size else 0.0
-    exp = max(math.frexp(peak)[1], -1000)
-    return x * math.ldexp(1.0, -exp), exp
+def _pow2_rescaled(x: np.ndarray, axes=None) -> tuple:
+    """(x * 2^-e, e) with 2^e the exact power of two that brings max |x| over
+    ``axes`` (all of x when None) into [1/2, 1), so that x* x neither
+    overflows nor underflows; e keeps the reduced axes with length 1."""
+    peak = np.max(np.abs(x), axis=axes, keepdims=True, initial=0.0)
+    exp = np.maximum(np.frexp(peak)[1], -1000)
+    return x * np.ldexp(1.0, -exp), exp
 
 
 def trace_lp_norm(f: OperatorField, p: float) -> float:
@@ -310,7 +311,7 @@ def trace_lp_norm(f: OperatorField, p: float) -> float:
         coarse = sq[..., 0] < _COARSE_SQ * sq[..., -1]
         if np.any(coarse):
             sq[coarse] = _dilation_singular_values(x[coarse]) ** 2
-    return float(np.ldexp(lp_norm_from_psd_eigs(sq, p, f.grid.cell_volume), exp))
+    return float(np.ldexp(lp_norm_from_psd_eigs(sq, p, f.grid.cell_volume), exp.item()))
 
 
 def l1l2_sizes(x: np.ndarray, volume: float, weights: np.ndarray | None = None) -> np.ndarray:
@@ -323,9 +324,10 @@ def l1l2_sizes(x: np.ndarray, volume: float, weights: np.ndarray | None = None) 
     (rows, points) @ (points, n^2) product) and one batched eigenvalue call
     give every size.  Blocks with lambda_min < 1e-4 lambda_max take theirs
     as the singular values of [sqrt(w_k(s)) x(s)]_s, read off its
-    triangular QR factor by dilation.
+    triangular QR factor by dilation.  Each batch entry is rescaled by its
+    own power of two, so stacking never changes an entry's size.
     """
-    x, exp = _pow2_rescaled(x)
+    x, exp = _pow2_rescaled(x, (-3, -2, -1))
     n = x.shape[-1]
     G = gram(x)
     if weights is None:
@@ -344,7 +346,7 @@ def l1l2_sizes(x: np.ndarray, volume: float, weights: np.ndarray | None = None) 
             factor = np.sqrt(weights[pos[-1]])[..., None, None] * x[pos[:-1]]
         R = np.linalg.qr(factor.reshape(len(factor), -1, n), mode="r")
         sizes[near] = math.sqrt(volume) * np.sum(_dilation_singular_values(R), axis=-1)
-    return np.ldexp(sizes, exp)
+    return np.ldexp(sizes, exp[..., 0, 0, 0] if weights is None else exp[..., 0, 0])
 
 
 def _dilation_singular_values(x: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GridMismatchError, ResolutionError
+from .errors import GridMismatchError, ParameterError, ResolutionError
 from .lattice import Grid
 from .opfield import OperatorField
 
@@ -461,7 +461,7 @@ def window_radius_sq(grid: Grid, window: float) -> np.ndarray:
 
 def _hsigma_window(grid: Grid, sigma: float, window: Optional[float]) -> float:
     if sigma <= grid.d / 2.0:
-        raise ValueError(f"sigma must exceed d/2 = {grid.d / 2}, got {sigma}")
+        raise ParameterError(f"sigma must exceed d/2 = {grid.d / 2}, got {sigma}")
     W = default_window(grid) if window is None else float(window)
     if W <= 0:
         raise ValueError("window must be positive")

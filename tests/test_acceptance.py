@@ -31,7 +31,7 @@ from ovtl.atomics import (
     smooth_decompose_h1,
     smooth_decompose_tl,
     tent_atomize,
-    validate_atom,
+    validate_atoms,
 )
 from ovtl.fmult import (
     SymbolSequence,
@@ -342,11 +342,12 @@ def test_criterion_10_decompositions():
         f = band_limited_random(g, 1 if seed % 3 else 2, 12000 + seed)
         dec = smooth_decompose_h1(f, cal=cal, family=fam)
         ok &= dec.residual <= 1e-9
-        ok &= all(validate_atom(a).passed for _, a in dec.low_pairs + dec.high_pairs)
+        ok &= all(r.passed for r in validate_atoms([a for _, a in dec.low_pairs + dec.high_pairs]))
         h1_ratios.append(dec.mass_ratio)
         dec2 = smooth_decompose_tl(f, 0.5, 1, 0, cal=cal, family=fam)
         ok &= dec2.residual <= 1e-9
-        ok &= all(validate_atom(a).passed for _, a in dec2.low_pairs + dec2.high_pairs)
+        ok &= all(r.passed
+                  for r in validate_atoms([a for _, a in dec2.low_pairs + dec2.high_pairs]))
         tl_ratios.append(dec2.mass_ratio)
         # tent atomization reconstructs exactly
         from ovtl.generators import random_strip
@@ -357,7 +358,7 @@ def test_criterion_10_decompositions():
         for lam, atom in pairs:
             rec += lam * atom.to_strip(F.j_max).data
         ok &= float(np.max(np.abs(rec - F.data))) <= 1e-9 * float(np.max(np.abs(F.data)))
-        ok &= all(validate_atom(a).passed for _, a in pairs)
+        ok &= all(r.passed for r in validate_atoms([a for _, a in pairs]))
         tent_ratios.append(sum(abs(l) for l, _ in pairs) / tent_norm(F, 1.0).value)
     for ratios in (h1_ratios, tl_ratios, tent_ratios):
         ok &= max(ratios) / min(ratios) <= 2.0

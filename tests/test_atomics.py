@@ -1,20 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ovtl.errors import ResolutionError, ValidationError
-from ovtl.lattice import DyadicCube, Grid, box_indices
+from ovtl.lattice import DyadicCube, Grid, box_indices, dyadic_cubes_at_level
 from ovtl.opfield import OperatorField, StripField, l1l2_sizes
 from ovtl.atomics import (
     HAtom,
     LOG2,
     TentAtom,
-    _bessel_size,
+    _alpha_q_atoms,
+    _bessel_weight,
     _cut_to_double,
-    _derivative_sizes,
-    _slice_alpha_q,
+    _derivative_weights,
     _subatom_cells,
+    _weighted_sizes,
     calderon_resolution,
     multi_indices,
     pointwise_multiply_test,
@@ -27,6 +29,7 @@ from ovtl.atomics import (
     smooth_decompose_tl,
     tent_atomize,
     validate_atom,
+    validate_atoms,
 )
 from ovtl.generators import band_limited_random, bump, haar, random_strip, rng_for
 from ovtl.spectral import apply_symbol_data, bessel_symbol, fft_data, multi_derivative_symbol
@@ -428,6 +431,17 @@ def _filtered_derivative_sizes(data, grid, gammas):
             for g in gammas}
 
 
+def _derivative_sizes(data, grid, K):
+    """The Plancherel sizes of D^gamma data, |gamma|_1 <= K, by gamma."""
+    sizes = _weighted_sizes(fft_data(data, grid), grid, _derivative_weights(grid, K))
+    return dict(zip(multi_indices(grid.d, K), sizes.tolist()))
+
+
+def _bessel_size(data, grid, alpha):
+    """The Plancherel size of J_alpha data."""
+    return float(_weighted_sizes(fft_data(data, grid), grid, _bessel_weight(grid, alpha))[0])
+
+
 def _size_cases(grid, n, rng):
     """(name, data, scale): the sizes of data are scale times those of data / scale."""
     full = _cplx(rng, grid.shape + (n, n))
@@ -452,10 +466,10 @@ def test_plancherel_sizes_match_filtered_route(d, N, n, K):
     for name, data, scale in _size_cases(grid, n, rng):
         # at 1e150 the filtered route's Gram overflows, so it runs unscaled
         base = data / scale
-        new = _derivative_sizes(data, grid, gammas)
+        new = _derivative_sizes(data, grid, K)
         for gamma, old in _filtered_derivative_sizes(base, grid, gammas).items():
             assert new[gamma] == pytest.approx(scale * old, rel=1e-12), (name, gamma)
-        new_b = _bessel_size(fft_data(data, grid), grid, 0.5)
+        new_b = _bessel_size(data, grid, 0.5)
         assert new_b == pytest.approx(scale * _filtered_size(bessel, base, grid),
                                       rel=1e-12), name
 
@@ -474,11 +488,11 @@ def test_plancherel_sizes_rank_one(d, N, n):
         u, v = _cplx(rng, n), _cplx(rng, n)
         data = phi * np.outer(u, v.conj())
         uv = np.linalg.norm(u) * np.linalg.norm(v)
-        new = _derivative_sizes(data, grid, gammas)
+        new = _derivative_sizes(data, grid, 2)
         for gamma, scalar in _filtered_derivative_sizes(phi, grid, gammas).items():
             assert new[gamma] == pytest.approx(uv * scalar, rel=1e-12), gamma
         scalar_b = _filtered_size(bessel_symbol(grid, 1.0).values, phi, grid)
-        assert _bessel_size(fft_data(data, grid), grid, 1.0) == \
+        assert _bessel_size(data, grid, 1.0) == \
             pytest.approx(uv * scalar_b, rel=1e-12)
 
 
@@ -545,7 +559,7 @@ def test_batched_slice_matches_per_cell_loop(d, N, levels):
             cube = DyadicCube(grid, level, (m,) * d)
             block = _cplx(rng, (cube.side_cells,) * d + (2, 2))
             for alpha, K in ((0.5, 1), (1.5, 2)):
-                rho, atom = _slice_alpha_q(block, 1.0, cube, level + 1, cal, alpha, K, 0, 1.0)
+                [(rho, atom)] = _alpha_q_atoms([block], [cube], level + 1, cal, alpha, K, 0)
                 d_cs, rho_old = _per_cell_slice(block, cube, level + 1, cal, alpha, K)
                 assert rho == pytest.approx(rho_old, rel=1e-12)
                 got = [d * rho for d, _ in atom.subatoms]
@@ -566,9 +580,69 @@ def test_cut_to_double_leak_matches_mask_route(d, N):
             full = _cplx(rng, grid.shape + (2, 2))
             for data in (full, np.where(inside, full, 1e-9 * full),
                          np.where(inside, full, 1e-16 * full), np.where(inside, full, 0)):
-                origin, block, leak = _cut_to_double(data, cube)
+                [(origin, block, leak)] = _cut_to_double(data[None], [cube])
                 energy = np.sum(np.abs(data) ** 2, axis=(-2, -1))
                 want = math.sqrt(np.sum(energy[~inside[..., 0, 0]]) / np.sum(energy))
                 assert leak == pytest.approx(want, rel=1e-12, abs=1e-30)
                 box = np.ix_(*box_indices(grid, origin, block.shape[:d]))
                 assert np.array_equal(block, data[box])
+
+
+# ---------------------------------------------------------------------------
+# batched validation and the level-batched build
+# ---------------------------------------------------------------------------
+
+def _clauses(rep):
+    return rep.atom_kind, [(c.name, c.passed, c.measured, c.bound) for c in rep.clauses]
+
+
+def test_validate_atoms_batch_matches_batch_of_one():
+    # h1 and tl atoms on two grids, some tent atoms, and three broken copies
+    # of valid atoms, each stacked in a group with its valid neighbours
+    decs = []
+    for grid in (Grid(1, 256), Grid(2, 32)):
+        f = band_limited_random(grid, 2, 850 + grid.d)
+        decs += [smooth_decompose_h1(f, compute_norm=False),
+                 smooth_decompose_tl(f, 0.5, 1, 0, compute_norm=False)]
+    atoms = [a for dec in decs for _, a in dec.low_pairs + dec.high_pairs]
+    atoms += [t for dec in decs[:2] for _, t in dec.tent_pairs[:6]]
+    h = next(a for _, a in reversed(decs[0].high_pairs) if a.cube.level >= 2)
+    q = decs[1].high_pairs[-1][1]
+    sub = q.subatoms[0][1]
+    broken = {
+        "support": replace(h, double_support=False),
+        "moment(0,)": replace(sub, block=sub.block + 1e-6 * np.abs(sub.block).max()),
+        "size": replace(h, block=2.0 * h.block),
+    }
+    batch = list(atoms)
+    for k, atom in enumerate(broken.values()):
+        batch.insert(len(batch) // (k + 2), atom)
+    reports = validate_atoms(batch)
+    assert len(reports) == len(batch)
+    for atom, rep in zip(batch, reports):
+        assert _clauses(rep) == _clauses(validate_atom(atom))
+        bad = next((name for name, b in broken.items() if b is atom), None)
+        assert rep.passed == (bad is None)
+        if bad is not None:
+            assert bad in [c.name for c in rep.failures()]
+    assert sum(len(a.subatoms) for a in atoms if a.kind == "alpha_q") > 50
+
+
+@pytest.mark.parametrize("d,N,level", [(1, 256, 0), (1, 256, 3), (2, 32, 1)])
+def test_level_batch_matches_one_cube_at_a_time(d, N, level):
+    grid = Grid(d, N)
+    cal = calderon_resolution(grid)
+    rng = rng_for(870 + d + level)
+    cubes = dyadic_cubes_at_level(grid, level)
+    blocks = [_cplx(rng, (c.side_cells,) * d + (2, 2)) for c in cubes]
+    batch = _alpha_q_atoms(blocks, cubes, level + 1, cal, 0.5, 1, 0)
+    for block, cube, (rho, atom) in zip(blocks, cubes, batch):
+        [(rho1, atom1)] = _alpha_q_atoms([block], [cube], level + 1, cal, 0.5, 1, 0)
+        assert rho == rho1 and atom.origin == atom1.origin
+        assert np.array_equal(atom.block, atom1.block)
+        assert atom.support_leak == pytest.approx(atom1.support_leak, rel=1e-12, abs=1e-30)
+        assert [(c, s.cube, s.origin) for c, s in atom.subatoms] == \
+            [(c, s.cube, s.origin) for c, s in atom1.subatoms]
+        assert all(np.array_equal(s.block, s1.block)
+                   for (_, s), (_, s1) in zip(atom.subatoms, atom1.subatoms))
+    assert all(r.passed for r in validate_atoms([atom for _, atom in batch]))

@@ -116,6 +116,19 @@ def test_config_malformed_value_rejected(tmp_path, capsys, edit, section, key):
     assert err.startswith("error: ") and err.count("\n") == 1 and section in err
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_config_matrix_dimension_rejected(tmp_path, capsys, n):
+    # [algebra] n meets the same check as --matrix
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text(config_to_text(Config()).replace("[algebra]\nn = 2\n", f"[algebra]\nn = {n}\n"))
+    out = tmp_path / "out.ovtl"
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "gen", "--kind", "haar", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "n must be >= 1" in err
+    assert not out.exists()
+
+
 def test_config_poisson_kernel_mode_honoured(tmp_path, capsys):
     cfg = tmp_path / "poisson.cfg"
     cfg.write_text(config_to_text(Config(kernel_mode="poisson")))
@@ -313,6 +326,16 @@ def test_reports_deterministic(tmp_path):
     (["--p", "0.5", "norm", "{field}"], "p must be"),
     (["--alpha", "-3", "decompose", "{field}", "--target", "tl",
       "--manifest", "{out}.m", "--blob", "{out}.b"], "L must be"),
+    (["--grid", "64", "gen", "--kind", "single-mode", "--mode", "1,2", "{out}"], "--mode needs"),
+    (["--grid", "64", "gen", "--kind", "single-mode", "--mode", "x", "{out}"], "--mode needs"),
+    (["--grid", "64", "gen", "--kind", "band-limited-random", "--band", "5", "{out}"],
+     "--band needs"),
+    (["--matrix", "-1", "gen", "--kind", "band-limited-random", "{out}"], "n must be >= 1"),
+    (["--matrix", "0", "gen", "--kind", "band-limited-random", "{out}"], "n must be >= 1"),
+    (["--grid", "64", "--sigma", "0.2", "multiplier-check", "--report", "{out}"],
+     "sigma must exceed"),
+    (["--grid", "64", "--sigma", "0.2", "verify", "cz", "--report", "{out}"],
+     "sigma must exceed"),
 ])
 def test_invalid_parameter_rejected(tmp_path, capsys, argv, needle):
     field, out = tmp_path / "f.ovtl", tmp_path / "out.ovtl"

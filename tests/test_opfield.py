@@ -316,3 +316,18 @@ def test_l1l2_sizes_near_singular_match_svd(n, scale):
         assert got[b] == pytest.approx(_svd_size(x[b], 0.3), rel=1e-12)
         for k in range(3):
             assert got_w[b, k] == pytest.approx(_svd_size(x[b], 0.3, weights[k]), rel=1e-12)
+
+
+def test_l1l2_sizes_rescale_each_row():
+    # a stack whose entries lie 2^1200 apart: each entry takes its own
+    # power-of-two rescale, so it keeps the size it has alone (one shared
+    # rescale would flush the small entry's Gram to 0)
+    rng = rng_for(830)
+    a = rng.normal(size=(64, 2, 2)) + 1j * rng.normal(size=(64, 2, 2))
+    x = np.stack([a * 2.0**600, a * 2.0**-600])
+    weights = rng.uniform(0.0, 2.0, size=(3, 64))
+    for w in (None, weights):
+        got = l1l2_sizes(x, 0.3, w)
+        for row, alone in zip(got, (l1l2_sizes(x[0], 0.3, w), l1l2_sizes(x[1], 0.3, w))):
+            assert np.all(alone > 0)
+            assert np.asarray(row) == pytest.approx(alone, rel=1e-15, abs=0)
