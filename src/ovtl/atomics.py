@@ -484,9 +484,6 @@ class CalderonSystem:
     j_max: int
     level_values: tuple
     phi0_values: np.ndarray
-    kappa_gamma: float
-    coverage_floor: float
-    phi0_tail_mass: float
 
     def level(self, j: int) -> np.ndarray:
         return self.level_values[j - 1]
@@ -506,7 +503,7 @@ def _bump(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stencil(grid: Grid, j: int, n_pow: int, kappa_gamma: float) -> np.ndarray:
+def _stencil(grid: Grid, j: int, n_pow: int) -> np.ndarray:
     """Spatial level kernel at scale j embedded on the grid (support in the
     closed cube |m| <= N 2^-(j+1) cells, exactly zero mean)."""
     N = grid.N
@@ -519,7 +516,7 @@ def _stencil(grid: Grid, j: int, n_pow: int, kappa_gamma: float) -> np.ndarray:
     mesh = np.meshgrid(*([axis] * grid.d), indexing="ij")
     u = np.sqrt(sum(m.astype(float) ** 2 for m in mesh)) / (r_cells + 1.0)
     rho = (r_cells + 1.0) * grid.h  # continuum support radius of the bump
-    kappa = np.exp(-kappa_gamma * u**2) * _bump(u) / rho**grid.d
+    kappa = np.exp(-2.0 * u**2) * _bump(u) / rho**grid.d
     # embed and apply the dilated operator (-rho^2 (2 pi)^-2 Delta_h)^(n_pow/2):
     # the rho^2 chain-rule factor keeps the symbol family scale-covariant,
     # Psi_raw_j(xi) ~ Phi_hat(rho_j xi) with O(1) amplitude on its annulus
@@ -539,8 +536,7 @@ def _stencil(grid: Grid, j: int, n_pow: int, kappa_gamma: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def calderon_resolution(grid: Grid, n_pow: int = 2, kappa_gamma: float = 2.0,
-                        j_max: Optional[int] = None) -> CalderonSystem:
+def calderon_resolution(grid: Grid, n_pow: int = 2) -> CalderonSystem:
     """Build the discrete reproducing system for the grid.
 
     Returns level symbols with sum_j Psi_j^2 <= 1 (global normalization by
@@ -550,10 +546,10 @@ def calderon_resolution(grid: Grid, n_pow: int = 2, kappa_gamma: float = 2.0,
     """
     if n_pow < 2 or n_pow % 2:
         raise ValueError("n_pow must be a positive even integer >= 2")
-    top = lp_family_j_max(grid) if j_max is None else j_max
+    top = lp_family_j_max(grid)
     raw = []
     for j in range(1, top + 1):
-        sten = _stencil(grid, j, n_pow, kappa_gamma)
+        sten = _stencil(grid, j, n_pow)
         sym = np.fft.fftn(sten).real * grid.cell_volume
         raw.append(sym)
     sq = np.zeros(grid.shape)
@@ -571,23 +567,12 @@ def calderon_resolution(grid: Grid, n_pow: int = 2, kappa_gamma: float = 2.0,
     total = np.zeros(grid.shape)
     for v in levels:
         total = total + v * v
-    phi0 = 1.0 - total
-    covered = (r >= 1.0) & (r <= 2.0**top)
-    floor = float(np.min(total[covered])) if np.any(covered) else 0.0
-    # diagnostic: relative spatial mass of phi0's kernel outside |s| <= 1/4
-    phi0_spatial = np.fft.ifftn(phi0.astype(complex))
-    s_abs = np.sqrt(np.sum(grid.signed_coords**2, axis=-1))
-    m_out = float(np.sum(np.abs(phi0_spatial[s_abs > 0.25])))
-    m_tot = float(np.sum(np.abs(phi0_spatial)))
     return CalderonSystem(
         grid=grid,
         n_pow=n_pow,
         j_max=top,
         level_values=levels,
-        phi0_values=phi0,
-        kappa_gamma=kappa_gamma,
-        coverage_floor=floor,
-        phi0_tail_mass=m_out / m_tot if m_tot > 0 else 0.0,
+        phi0_values=1.0 - total,
     )
 
 
@@ -635,12 +620,12 @@ def project_tent(F, cal: CalderonSystem) -> OperatorField:
 # constructive tent atomization
 # ---------------------------------------------------------------------------
 
-def tent_atomize(F: StripField, rel_size_floor: float = 1e-14) -> list:
+def tent_atomize(F: StripField) -> list:
     """Exact constructive atomization of a strip field.
 
     Scale j is partitioned by the dyadic cubes at level j-1; each restricted
     slice is normalized to saturate the tent size condition exactly.  Slices
-    whose size falls below ``rel_size_floor`` times the largest slice size
+    whose size falls below 1e-14 times the largest slice size
     are dropped (round-off debris, e.g. annulus kernels hitting the mean
     mode); the reconstruction defect this introduces is of the same relative
     order.
@@ -659,7 +644,7 @@ def tent_atomize(F: StripField, rel_size_floor: float = 1e-14) -> list:
         per_scale.append((j, blocks, cubes, sizes))
         all_sizes.append(float(sizes.max()) if sizes.size else 0.0)
     top = max(all_sizes) if all_sizes else 0.0
-    floor = rel_size_floor * top
+    floor = 1e-14 * top
     pairs = []
     for j, blocks, cubes, sizes in per_scale:
         for i, cube in enumerate(cubes):
@@ -791,13 +776,19 @@ def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
     tent-atomized, and ``high_atoms(tent_pairs, cal)`` packages the tent atoms
     as (coefficient, atom) pairs, dropped where the atom is None.  Tent
     atoms whose coefficient is round-off debris against ||f||_2 (e.g.
-    annulus kernels applied to the mean mode) are dropped first.
+    annulus kernels applied to the mean mode) are dropped first.  K and L
+    below :func:`required_k_floor` and :func:`required_l_floor` are a
+    ParameterError, for h1 (K >= 1) as for the smoothness-alpha space.
     """
     from .normsuite import hardy_norm, tl_norm_column
     from .spectral import make_lp_family
 
     grid = f.grid
     weight = 0.0 if alpha is None else alpha
+    if K < required_k_floor(weight):
+        raise ParameterError(f"K must be >= {required_k_floor(weight)} for alpha={weight}")
+    if L < required_l_floor(weight):
+        raise ParameterError(f"L must be >= {required_l_floor(weight)} for alpha={weight}")
     if cal is None:
         cal = calderon_resolution(grid, n_pow=_n_pow(weight, L))
     energy = float(np.sum(np.abs(f.data) ** 2))
@@ -877,10 +868,6 @@ def smooth_decompose_tl(f: OperatorField, alpha: float, K: int, L: int,
     """Smooth atomic decomposition of the smoothness-alpha space at p = 1,
     with (alpha,1)-atoms for the low part and (alpha,Q)-atoms with subatom
     trees for the strip part."""
-    if K < required_k_floor(alpha):
-        raise ParameterError(f"K must be >= {required_k_floor(alpha)} for alpha={alpha}")
-    if L < required_l_floor(alpha):
-        raise ParameterError(f"L must be >= {required_l_floor(alpha)} for alpha={alpha}")
 
     def high_atoms(tent_pairs, cal):
         # one level (scale) at a time, in chunks of at most CHUNK_BYTES of pieces
@@ -901,10 +888,9 @@ def smooth_decompose_tl(f: OperatorField, alpha: float, K: int, L: int,
 # ---------------------------------------------------------------------------
 
 def pointwise_multiply_test(h: OperatorField, f: OperatorField, alpha: float,
-                            family: LPFamily, k_der: int = 2,
-                            margin: float = 10.0) -> dict:
+                            family: LPFamily) -> dict:
     """Measure ||h f||_{F1^alpha} / ||f||_{F1^alpha} against the derivative
-    bound sum_{|gamma|_1 <= k} sup_s ||D^gamma h(s)||_op."""
+    bound sum_{|gamma|_1 <= 2} sup_s ||D^gamma h(s)||_op, with margin 10."""
     from .normsuite import tl_norm_column
 
     grid = f.grid
@@ -913,16 +899,14 @@ def pointwise_multiply_test(h: OperatorField, f: OperatorField, alpha: float,
     den = tl_norm_column(f, alpha, 1.0, family).value
     ratio = num / den if den > 0 else 0.0
     bound = 0.0
-    for gamma in multi_indices(grid.d, k_der):
+    for gamma in multi_indices(grid.d, 2):
         dg = apply_symbol_data(multi_derivative_symbol(grid, gamma).values, h.data, grid)
         bound += trace_lp_norm(OperatorField(grid, dg), np.inf)
     return {
         "ratio": ratio,
         "derivative_bound": bound,
-        "margin": margin,
-        "passed": bool(ratio <= margin * bound),
+        "passed": bool(ratio <= 10.0 * bound),
         "alpha": alpha,
-        "k": k_der,
     }
 
 
@@ -930,14 +914,12 @@ def pointwise_multiply_test(h: OperatorField, f: OperatorField, alpha: float,
 # atom generators (converse-direction experiments)
 # ---------------------------------------------------------------------------
 
-def random_alpha_one_atom(grid: Grid, n: int, alpha: float, K: int, seed: int,
-                          band_radius: Optional[float] = None) -> SmoothAtom:
-    """Band-limited random field normalized to saturate the worst derivative
-    clause of an (alpha,1)-atom."""
+def random_alpha_one_atom(grid: Grid, n: int, alpha: float, K: int, seed: int) -> SmoothAtom:
+    """Band-limited random field (|xi| <= N/8) normalized to saturate the
+    worst derivative clause of an (alpha,1)-atom."""
     from .generators import band_limited_random
 
-    r_max = grid.N / 8.0 if band_radius is None else band_radius
-    f = band_limited_random(grid, n, seed, r_max=r_max)
+    f = band_limited_random(grid, n, seed, r_max=grid.N / 8.0)
     _, atom = _normalize_alpha_one(np.asarray(f.data), grid, K, alpha)
     if atom is None:
         raise ValueError("degenerate random atom")

@@ -114,6 +114,8 @@ def _load_cfg(args) -> Config:
         cfg.ps = (args.p,)
     if cfg.n < 1:
         raise ParameterError(f"matrix dimension n must be >= 1, got {cfg.n}")
+    if cfg.trials < 1:
+        raise ParameterError(f"[run] trials must be >= 1, got {cfg.trials}")
     return cfg
 
 
@@ -236,8 +238,8 @@ def _suite_multiplier(cfg: Config, lines: list, violate_support: bool = False) -
     grid = cfg.grid()
     sigma = cfg.sigma_value()
 
-    def gen(t, _g=grid):
-        return generators.band_limited_random(_g, cfg.n, cfg.seed + t)
+    def gen(t):
+        return generators.band_limited_random(grid, cfg.n, cfg.seed + t)
 
     if violate_support:
         gauss = Profile(lambda xi: np.exp(-np.sum(xi**2, axis=-1)) + 0j)

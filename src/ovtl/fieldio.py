@@ -15,8 +15,8 @@ the atom on the whole grid with no box fields.
 
 Configs are structured text (key = value under [section] headers) and
 round-trip losslessly through :func:`parse_config` / :func:`config_to_text`;
-an unknown section or key, a malformed value and a line outside any
-[section] are each a ConfigError.
+keys are case-sensitive, and an unknown section or key, a malformed value
+and a line outside any [section] are each a ConfigError.
 """
 
 from __future__ import annotations
@@ -140,13 +140,13 @@ def config_to_text(cfg: Config) -> str:
     return out.getvalue()
 
 
-# the keys each section accepts, as configparser stores them (lower case)
+# the keys each section accepts, spelled as config_to_text writes them (case matters)
 _CONFIG_KEYS = {
-    "grid": ("d", "n"),
+    "grid": ("d", "N"),
     "algebra": ("n",),
     "spectral": ("sigma",),
     "norms": ("alphas", "ps", "kernel_mode"),
-    "decomposition": ("k", "l", "multiplier_margin"),
+    "decomposition": ("K", "L", "multiplier_margin"),
     "run": ("seed", "trials"),
 }
 
@@ -161,6 +161,7 @@ def _sigma(raw: str) -> Optional[float]:
 
 def parse_config(text: str) -> Config:
     cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
     try:
         cp.read_string(text)
     except configparser.MissingSectionHeaderError as exc:

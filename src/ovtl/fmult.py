@@ -9,15 +9,16 @@ thresholds are configuration, never asserted theory constants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import HypothesisError, ParameterError, ResolutionError
+from .errors import HypothesisError, ParameterError
 from .lattice import ConeIndex, Grid
-from .opfield import OperatorField
+from .opfield import OperatorField, check_p
 from .sqfn import square_norm
 from .spectral import (
     Profile,
@@ -29,6 +30,7 @@ from .spectral import (
     hsigma_norm_profile,
     lp_base_profile,
     lp_zero_profile,
+    make_lp_family,
     symbol_from_profile,
     window_radius_sq,
 )
@@ -67,7 +69,7 @@ class SymbolSequence:
             self.grid, self.phi_profiles[j] * self.rho_profiles[j], tag=f"{self.name}.prod{j}"
         )
 
-    def check_support(self, tol: float = 1e-12) -> None:
+    def check_support(self) -> None:
         """Verify supp(phi_j rho_j) inside the dyadic annuli on the lattice."""
         r = self.grid.freq_norm
         for j in range(self.j_max + 1):
@@ -80,7 +82,7 @@ class SymbolSequence:
             else:
                 outside = (r < 2.0 ** (j - 1) - 1e-12) | (r > 2.0 ** (j + 1) + 1e-12)
             leak = float(np.max(vals[outside])) if np.any(outside) else 0.0
-            if leak > tol * scale:
+            if leak > 1e-12 * scale:
                 raise HypothesisError(
                     f"support certificate fails at j={j}: leak {leak:.3e} vs scale {scale:.3e}"
                 )
@@ -88,29 +90,25 @@ class SymbolSequence:
 
 def lp_sequence(grid: Grid, kind: str = "default") -> tuple[Profile, ...]:
     """The LP family itself as a profile sequence (rho_j = phi^(j))."""
-    base = lp_base_profile(kind)
-    profs = [lp_zero_profile(kind)]
-    from .spectral import lp_family_j_max
-
-    for j in range(1, lp_family_j_max(grid) + 1):
-        profs.append(base.dilate(2.0**-j))
-    return tuple(profs)
+    # make_lp_family(grid) and make_lp_family(grid, "default") are two cache entries
+    fam = make_lp_family(grid) if kind == "default" else make_lp_family(grid, kind)
+    return tuple(s.profile for s in fam.symbols)
 
 
-def identity_sequence(grid: Grid, kind: str = "default") -> SymbolSequence:
+def identity_sequence(grid: Grid) -> SymbolSequence:
     """phi_j = 1 with rho_j the LP family: the identity multiplier."""
-    rho = lp_sequence(grid, kind)
+    rho = lp_sequence(grid)
     phi = tuple(constant_profile(1.0) for _ in rho)
     return SymbolSequence(grid, phi, rho, name="identity", rho_is_dilate_family=True)
 
 
-def bessel_dilate_sequence(grid: Grid, beta: float, kind: str = "default") -> SymbolSequence:
+def bessel_dilate_sequence(grid: Grid, beta: float) -> SymbolSequence:
     """phi_j = 2^{-j beta} J_beta (phi_0 = J_beta), rho_j the LP family.
 
     This is the sequence behind the lifting property: the dilates
     phi_j(2^{j+k} .) phi stay uniformly in the potential Sobolev space.
     """
-    rho = lp_sequence(grid, kind)
+    rho = lp_sequence(grid)
     phi = [bessel_profile(beta)]
     for j in range(1, len(rho)):
         phi.append(bessel_profile(beta).scale(2.0 ** (-j * beta)))
@@ -143,7 +141,6 @@ class MultiplierCertificate:
     window: float
     passed: bool
     per_trial: list = field(default_factory=list)
-    flags: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
         lines = [
@@ -159,19 +156,7 @@ class MultiplierCertificate:
             f"window = {self.window}",
             f"passed = {self.passed}",
         ]
-        for k, v in self.flags.items():
-            lines.append(f"{k} = {v}")
         return "\n".join(lines) + "\n"
-
-
-def _dilate_resolvable(grid: Grid, window: float) -> None:
-    # the hypothesis terms live in |xi| <= 4 (phi^(0)+phi^(1) reaches 4);
-    # the window must frame that radius
-    half_extent = grid.N / (2.0 * window)
-    if half_extent < 4.0 - 1e-12:
-        raise ResolutionError(
-            f"window W={window} leaves half-extent {half_extent:.3g} < 4; dilates unresolvable"
-        )
 
 
 def hypothesis_window(grid: Grid) -> float:
@@ -179,39 +164,30 @@ def hypothesis_window(grid: Grid) -> float:
     return grid.N / 8.0
 
 
-def hypothesis_components(seq: SymbolSequence, sigma: float,
-                          family_kind: str = "default",
-                          window: Optional[float] = None) -> tuple[float, float]:
+def hypothesis_components(seq: SymbolSequence, sigma: float) -> tuple[float, float]:
     """(dilate_sup, low_term) making up the hypothesis constant:
     sup_{j>=1, |k|<=2} ||phi_j(2^{j+k}.) phi||_{H^sigma_2} and
     ||phi_0 (phi^(0)+phi^(1))||_{H^sigma_2}."""
     grid = seq.grid
     if sigma <= grid.d / 2:
         raise ParameterError(f"sigma must exceed d/2, got {sigma}")
-    W = hypothesis_window(grid) if window is None else window
-    _dilate_resolvable(grid, W)
-    base = lp_base_profile(family_kind)
+    W = hypothesis_window(grid)
+    base = lp_base_profile()
     sup = 0.0
     for j in range(1, seq.j_max + 1):
         for k in DILATE_SHIFTS:
             prof = seq.phi_profiles[j].dilate(2.0 ** (j + k)) * base
-            try:
-                val = hsigma_norm_profile(prof, grid, sigma, window=W)
-            except ResolutionError as exc:
-                raise ResolutionError(f"dilate (j={j}, k={k}) unresolvable: {exc}") from exc
-            sup = max(sup, val)
-    zero = lp_zero_profile(family_kind)
+            sup = max(sup, hsigma_norm_profile(prof, grid, sigma, window=W))
+    zero = lp_zero_profile()
     low_prof = seq.phi_profiles[0] * _profile_sum(zero, base.dilate(0.5))
     low = hsigma_norm_profile(low_prof, grid, sigma, window=W)
     return sup, low
 
 
-def hypothesis_constant(seq: SymbolSequence, sigma: float,
-                        family_kind: str = "default",
-                        window: Optional[float] = None) -> float:
+def hypothesis_constant(seq: SymbolSequence, sigma: float) -> float:
     """max of the dilate sup and the low-frequency term; see
     :func:`hypothesis_components`."""
-    sup, low = hypothesis_components(seq, sigma, family_kind, window)
+    sup, low = hypothesis_components(seq, sigma)
     return max(sup, low)
 
 
@@ -226,11 +202,10 @@ def _profile_sum(a: Profile, b: Profile) -> Profile:
 # ---------------------------------------------------------------------------
 
 def phi_two_sigma(profiles: Sequence[Profile], grid: Grid, sigma: float,
-                  family_kind: str = "default", window: Optional[float] = None,
-                  k_extra: int = 2) -> float:
+                  family_kind: str = "default") -> float:
     """||phi||_{2,sigma} = max{ sup_{k>=1} ||phi(2^k.) phi_base||_{H^sigma(l2)},
     ||phi phi^(0)||_{H^sigma(l2)} } for the l2-valued sequence."""
-    W = default_window(grid) if window is None else window
+    W = default_window(grid)
     base = lp_base_profile(family_kind)
     zero = lp_zero_profile(family_kind)
 
@@ -245,7 +220,7 @@ def phi_two_sigma(profiles: Sequence[Profile], grid: Grid, sigma: float,
         return math.sqrt(total)
 
     sup = l2_norm(None)
-    for k in range(1, len(profiles) + k_extra + 1):
+    for k in range(1, len(profiles) + 3):
         sup = max(sup, l2_norm(k))
     return sup
 
@@ -257,7 +232,6 @@ class CZEstimates:
     e3: float
     phi_2_sigma: float
     e3_max_shift: tuple
-    window: float
 
     def ratios(self) -> tuple[float, float, float]:
         if self.phi_2_sigma == 0.0:
@@ -267,9 +241,7 @@ class CZEstimates:
 
 
 def cz_kernel_estimates(profiles: Sequence[Profile], grid: Grid, sigma: float,
-                        family_kind: str = "default",
-                        window: Optional[float] = None,
-                        shift_stride: int = 1) -> CZEstimates:
+                        family_kind: str = "default") -> CZEstimates:
     """Calderon-Zygmund estimates of the l2-valued kernel with symbol sequence
     ``profiles``:
 
@@ -279,7 +251,7 @@ def cz_kernel_estimates(profiles: Sequence[Profile], grid: Grid, sigma: float,
 
     All-zero sequences return (0, 0, 0).
     """
-    W = default_window(grid) if window is None else window
+    W = default_window(grid)
     # E1 on the integer lattice
     sq = np.zeros(grid.shape)
     for prof in profiles:
@@ -303,16 +275,8 @@ def cz_kernel_estimates(profiles: Sequence[Profile], grid: Grid, sigma: float,
 
     # E3: sampled shifts t on the window lattice with 0 < |t| <= 1/4
     max_cells = max(1, int(math.floor(0.25 / spacing)))
-    shifts = []
-    rng_axis = range(-max_cells, max_cells + 1, shift_stride)
-    if grid.d == 1:
-        shifts = [(m,) for m in rng_axis if m != 0]
-    else:
-        import itertools
-
-        for tup in itertools.product(rng_axis, repeat=grid.d):
-            if any(tup) and math.sqrt(sum(x * x for x in tup)) * spacing <= 0.25 + 1e-12:
-                shifts.append(tup)
+    shifts = [tup for tup in itertools.product(range(-max_cells, max_cells + 1), repeat=grid.d)
+              if any(tup) and math.sqrt(sum(x * x for x in tup)) * spacing <= 0.25 + 1e-12]
     e3 = 0.0
     e3_arg = (0,) * grid.d
     for t in shifts:
@@ -324,10 +288,9 @@ def cz_kernel_estimates(profiles: Sequence[Profile], grid: Grid, sigma: float,
         val = float(np.sum(np.sqrt(diff_sq)[s_abs > 2.0 * t_abs]))
         if val > e3:
             e3, e3_arg = val, t
-    p2s = phi_two_sigma(profiles, grid, sigma, family_kind, window=W)
+    p2s = phi_two_sigma(profiles, grid, sigma, family_kind)
     return CZEstimates(e1=e1, e2=e2, e3=e3, phi_2_sigma=p2s,
-                       e3_max_shift=tuple(float(x * spacing) for x in e3_arg),
-                       window=W)
+                       e3_max_shift=tuple(float(x * spacing) for x in e3_arg))
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +307,13 @@ def _check_p1_shape(seq: SymbolSequence, p: float) -> None:
 def _empirical_bound(kind: str, seq: SymbolSequence,
                      f_gen: Callable[[int], OperatorField], alpha: float, p: float,
                      cone: Optional[ConeIndex], trials: int, sigma: Optional[float],
-                     margin: float, window: Optional[float],
-                     family_kind: str) -> MultiplierCertificate:
+                     margin: float) -> MultiplierCertificate:
     grid = seq.grid
     sigma = grid.d / 2.0 + 0.5 if sigma is None else sigma
+    check_p(p)
     seq.check_support()
     _check_p1_shape(seq, p)
-    W = hypothesis_window(grid) if window is None else window
-    chyp = hypothesis_constant(seq, sigma, family_kind=family_kind, window=W)
+    chyp = hypothesis_constant(seq, sigma)
     j_top = seq.j_max if cone is None else min(seq.j_max, cone.j_max)
     rho_levels = [(j, 4.0 ** (j * alpha), seq.rho_symbol(j).values) for j in range(j_top + 1)]
     prod_levels = [(j, 4.0 ** (j * alpha), seq.product_symbol(j).values)
@@ -373,7 +335,7 @@ def _empirical_bound(kind: str, seq: SymbolSequence,
         alpha=alpha,
         p=p,
         margin=margin,
-        window=W,
+        window=hypothesis_window(grid),
         passed=bool(r_emp <= margin * chyp),
         per_trial=ratios,
     )
@@ -381,9 +343,8 @@ def _empirical_bound(kind: str, seq: SymbolSequence,
 
 def empirical_square_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorField],
                            alpha: float, p: float, trials: int,
-                           sigma: Optional[float] = None, margin: float = 100.0,
-                           window: Optional[float] = None,
-                           family_kind: str = "default") -> MultiplierCertificate:
+                           sigma: Optional[float] = None,
+                           margin: float = 100.0) -> MultiplierCertificate:
     """Empirical check of the square-function multiplier bound.
 
     The certificate passes iff the worst trial ratio
@@ -395,19 +356,16 @@ def empirical_square_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorF
     ratio being bounded and stable, never to a theorem's unstated constant.
     Both square functions of a trial share one forward transform of f.
     """
-    return _empirical_bound("square", seq, f_gen, alpha, p, None, trials, sigma, margin,
-                            window, family_kind)
+    return _empirical_bound("square", seq, f_gen, alpha, p, None, trials, sigma, margin)
 
 
 def empirical_conic_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorField],
                           alpha: float, p: float, cone: ConeIndex, trials: int,
-                          sigma: Optional[float] = None, margin: float = 100.0,
-                          window: Optional[float] = None,
-                          family_kind: str = "default") -> MultiplierCertificate:
+                          sigma: Optional[float] = None,
+                          margin: float = 100.0) -> MultiplierCertificate:
     """Conic counterpart of :func:`empirical_square_bound`: scales j >= 1 up
     to the cone's are ball-averaged, the j = 0 term stays radial."""
-    return _empirical_bound("conic", seq, f_gen, alpha, p, cone, trials, sigma, margin,
-                            window, family_kind)
+    return _empirical_bound("conic", seq, f_gen, alpha, p, cone, trials, sigma, margin)
 
 
 def exact_p2_operator_norm(seq: SymbolSequence) -> float:

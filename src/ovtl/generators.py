@@ -11,7 +11,7 @@ import numpy as np
 
 from .lattice import DyadicCube, Grid
 from .opfield import OperatorField, StripField
-from .spectral import ifft_mat
+from .spectral import ifft_data, lp_family_j_max
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -42,43 +42,35 @@ def band_limited_random(grid: Grid, n: int, seed: int, r_min: float = 0.0,
     """
     rng = rng_for(seed)
     if r_max is None:
-        r_max = float(2 ** (grid.N.bit_length() - 3))  # 2^floor(log2(N/4))
+        r_max = float(2 ** lp_family_j_max(grid))
     mask = (grid.freq_norm >= r_min) & (grid.freq_norm <= r_max)
     count = int(mask.sum())
     coefs = np.zeros(grid.shape + (n, n), dtype=np.complex128)
     block = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
     coefs[mask] = block / np.sqrt(2.0 * max(count, 1))
-    return OperatorField(grid, ifft_mat(coefs, grid))
+    return OperatorField(grid, ifft_data(coefs, grid) * float(grid.npoints))
 
 
-def bump(grid: Grid, n: int, center: tuple[float, ...] | None = None,
-         width: float = 0.08, matrix: np.ndarray | None = None,
-         seed: int | None = None) -> OperatorField:
-    """Smooth periodic Gaussian bump times a fixed (or random) matrix."""
-    if center is None:
-        center = (0.5,) * grid.d
-    if matrix is None:
-        if seed is not None:
-            rng = rng_for(seed)
-            matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        else:
-            matrix = np.eye(n, dtype=complex)
-    delta = grid.signed_coords_about(np.asarray(center, dtype=float))
+def bump(grid: Grid, n: int, width: float = 0.08, seed: int | None = None) -> OperatorField:
+    """Smooth periodic Gaussian bump about the center of the unit cube times
+    the identity matrix, or a random one when ``seed`` is given."""
+    if seed is not None:
+        rng = rng_for(seed)
+        matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    else:
+        matrix = np.eye(n, dtype=complex)
+    delta = grid.signed_coords_about(np.full(grid.d, 0.5))
     r_sq = np.sum(delta**2, axis=-1)
     prof = np.exp(-r_sq / (2.0 * width**2))
-    return OperatorField(grid, prof[..., None, None] * np.asarray(matrix, dtype=complex))
+    return OperatorField(grid, prof[..., None, None] * matrix)
 
 
-def haar(grid: Grid, n: int, level: int = 1, index: tuple[int, ...] | None = None,
-         matrix: np.ndarray | None = None) -> OperatorField:
-    """Haar-type step on a dyadic cube: +/- |Q|^{-1/2} on the two halves
-    split along axis 0, times a matrix (default E11). Mean-zero over Q."""
-    if index is None:
-        index = (0,) * grid.d
-    if matrix is None:
-        matrix = np.zeros((n, n), dtype=complex)
-        matrix[0, 0] = 1.0
-    cube = DyadicCube(grid, level, index)
+def haar(grid: Grid, n: int, level: int = 1) -> OperatorField:
+    """Haar-type step on the first dyadic cube at ``level``: +/- |Q|^{-1/2}
+    on the two halves split along axis 0, times E11. Mean-zero over Q."""
+    matrix = np.zeros((n, n), dtype=complex)
+    matrix[0, 0] = 1.0
+    cube = DyadicCube(grid, level, (0,) * grid.d)
     mask = cube.mask()
     amp = cube.volume ** -0.5
     idx = np.arange(grid.N)
@@ -89,7 +81,7 @@ def haar(grid: Grid, n: int, level: int = 1, index: tuple[int, ...] | None = Non
     sh[0] = grid.N
     sign = np.where(upper.reshape(sh), 1.0, -1.0)
     prof = np.where(mask, sign * amp, 0.0)
-    return OperatorField(grid, prof[..., None, None] * np.asarray(matrix, dtype=complex))
+    return OperatorField(grid, prof[..., None, None] * matrix)
 
 
 def random_strip(grid: Grid, n: int, j_max: int, seed: int) -> StripField:

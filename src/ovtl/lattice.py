@@ -61,11 +61,6 @@ class Grid:
         # finest level whose cubes still contain >= 2 lattice points per axis
         return self.N.bit_length() - 2
 
-    @property
-    def max_scale(self) -> int:
-        # finest dyadic scale 2^-j with 2^-j >= 2h
-        return self.N.bit_length() - 2
-
     @cached_property
     def freq_axis(self) -> np.ndarray:
         """Integer frequencies along one axis in FFT storage order."""

@@ -15,13 +15,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
 from .fieldio import HARDY_MODES
 from .lattice import ConeIndex, Grid, cone_index, cube_blocks
 from .opfield import (
     OperatorField,
     PSDAccumulator,
     StripField,
+    check_p,
     gram,
     lp_norm_from_psd_eigs,
     psd_eigvalsh,
@@ -81,11 +81,6 @@ def _eig_norm(acc, p: float) -> float:
     return lp_norm_from_psd_eigs(acc.eigenvalues(), p, acc.grid.cell_volume)
 
 
-def _check_p(p: float) -> None:
-    if p != np.inf and p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
-
-
 def _low_term_norm(f: OperatorField, values: np.ndarray, fhat: np.ndarray,
                    p: float) -> float:
     return trace_lp_norm(OperatorField(f.grid, apply_symbol_hat(values, fhat, f.grid)), p)
@@ -120,7 +115,7 @@ def _lp_square_norms(f: OperatorField, alpha: float, p: float, family: LPFamily,
 
 def _tl_side_report(f: OperatorField, alpha: float, p: float, family: LPFamily,
                     side: str, seed: Optional[int]) -> NormReport:
-    _check_p(p)
+    check_p(p)
     (value,), low = _lp_square_norms(f, alpha, p, family, (side,))
     return NormReport(
         name=f"F_alpha_{side}",
@@ -155,7 +150,7 @@ def tl_norm_mixture(f: OperatorField, alpha: float, p: float, family: LPFamily,
     Column and row come from one filtering of f, exactly as computed by
     :func:`tl_norm_column` and :func:`tl_norm_row`.
     """
-    _check_p(p)
+    check_p(p)
     (col, row), _ = _lp_square_norms(f, alpha, p, family, ("column", "row"), low=False)
     if p > 2:
         value = max(col, row)
@@ -193,8 +188,7 @@ def tl_norm_mixture(f: OperatorField, alpha: float, p: float, family: LPFamily,
 # ---------------------------------------------------------------------------
 
 def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radial",
-               family: Optional[LPFamily] = None, cone: Optional[ConeIndex] = None,
-               poisson_k: int = 1, seed: Optional[int] = None) -> NormReport:
+               family: Optional[LPFamily] = None, seed: Optional[int] = None) -> NormReport:
     """Local Hardy norm h_p^c in LP or Poisson mode, radial or conic shape.
 
     LP radial mode *is* the alpha = 0 column norm (same formula, with the
@@ -202,7 +196,7 @@ def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radia
     separately.  Poisson mode and conic shapes return the two-term form
     square-function + low-frequency, per the defining expression.
     """
-    _check_p(p)
+    check_p(p)
     if mode not in HARDY_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if shape not in ("radial", "conic"):
@@ -211,13 +205,13 @@ def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radia
     if mode == "lp" and family is None:
         raise ValueError("lp mode requires a family")
 
-    j_top = grid.max_scale if family is None else family.j_max
+    j_top = grid.max_cube_level if family is None else family.j_max
     if mode == "lp":
         low_values = family.values(0)
         levels = lp_levels(family, 0.0)[1:]
     else:
         low_values = poisson_symbol(grid, 1.0).values
-        levels = poisson_levels(grid, j_top, poisson_k, 0.0)
+        levels = poisson_levels(grid, j_top, 1, 0.0)
     fhat = fft_data(f.data, grid)
 
     if shape == "radial" and mode == "lp":
@@ -225,16 +219,13 @@ def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radia
         value = sq
     else:
         low = _low_term_norm(f, low_values, fhat, p)
-        if shape == "radial":
-            cone = None
-        elif cone is None:
-            cone = cone_index(grid, j_top)
+        cone = cone_index(grid, j_top) if shape == "conic" else None
         sq = square_norm(fhat, grid, levels, p, cone)
         value = sq + low
     return NormReport(
         name="hardy",
         value=value,
-        params={"p": p, "mode": mode, "shape": shape, "poisson_k": poisson_k},
+        params={"p": p, "mode": mode, "shape": shape, "poisson_k": 1},
         terms={"square_function": sq, "low_frequency": low},
         grid=grid,
         n=f.n,
@@ -330,7 +321,7 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily,
 def tent_norm(F: StripField, p: float, cone: Optional[ConeIndex] = None,
               seed: Optional[int] = None) -> NormReport:
     """Tent-space norm || A^c(F) ||_p."""
-    _check_p(p)
+    check_p(p)
     cone = cone_index(F.grid, F.j_max) if cone is None else cone
     value = _eig_norm(square_accumulator(F.grid, F.n, strip_levels(F), cone), p)
     return NormReport(
@@ -348,8 +339,7 @@ def tent_norm(F: StripField, p: float, cone: Optional[ConeIndex] = None,
 # ---------------------------------------------------------------------------
 
 def homogeneous_equiv_report(f: OperatorField, alpha: float, p: float,
-                             family: LPFamily, hom: HomLPFamily,
-                             seed: Optional[int] = None) -> NormReport:
+                             family: LPFamily, hom: HomLPFamily) -> NormReport:
     """Ratios of the inhomogeneous norm to the two homogeneous two-term norms.
 
     ratio_phi0: against ||phi_0 * f||_p + homogeneous square term;
@@ -381,5 +371,4 @@ def homogeneous_equiv_report(f: OperatorField, alpha: float, p: float,
         },
         grid=grid,
         n=f.n,
-        seed=seed,
     )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, ValidationError
+from .errors import GridMismatchError, ParameterError, ValidationError
 from .lattice import Grid
 
 
@@ -189,18 +189,18 @@ def psd_eigvalsh(S: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
-def psd_sqrt(S: np.ndarray, check: bool = True, rtol: float = 1e-12) -> np.ndarray:
+def psd_sqrt(S: np.ndarray, check: bool = True) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition.
 
     Eigenvalues are clipped at zero so that -1e-14-size round-off cannot
     poison the root.  With ``check``, inputs that fail Hermitian symmetry
-    beyond ``rtol`` (relative to the largest entry) raise ValidationError.
+    beyond 1e-12 (relative to the largest entry) raise ValidationError.
     """
     S = np.asarray(S)
     if check:
         scale = float(np.max(np.abs(S))) if S.size else 0.0
         dev = float(np.max(np.abs(S - herm(S)))) if S.size else 0.0
-        if scale > 0 and dev > max(rtol * scale, 1e-300):
+        if scale > 0 and dev > max(1e-12 * scale, 1e-300):
             raise ValidationError(f"matrix not Hermitian: deviation {dev:.3e} vs scale {scale:.3e}")
     Sh = 0.5 * (S + herm(S))
     w, v = np.linalg.eigh(Sh)
@@ -249,15 +249,15 @@ class PSDAccumulator:
         self.S += weight * P
         return self
 
-    def check(self, herm_rtol: float = 1e-12, eig_rtol: float = 1e-10) -> None:
+    def check(self) -> None:
         scale = float(np.max(np.abs(self.S))) if self.S.size else 0.0
         if scale == 0.0:
             return
         dev = float(np.max(np.abs(self.S - herm(self.S))))
-        if dev > herm_rtol * scale:
+        if dev > 1e-12 * scale:
             raise ValidationError(f"accumulator lost Hermitian symmetry: {dev:.3e}")
         wmin = float(np.min(np.linalg.eigvalsh(0.5 * (self.S + herm(self.S)))))
-        if wmin < -eig_rtol * scale:
+        if wmin < -1e-10 * scale:
             raise ValidationError(f"accumulator lost positivity: min eig {wmin:.3e}")
 
     def eigenvalues(self) -> np.ndarray:
@@ -359,10 +359,15 @@ def _dilation_singular_values(x: np.ndarray) -> np.ndarray:
     return psd_eigvalsh(H)[..., n:]
 
 
+def check_p(p: float) -> None:
+    """Reject an integrability index outside [1, inf] with a ParameterError."""
+    if p != np.inf and p < 1:
+        raise ParameterError(f"p must be >= 1 or inf, got {p}")
+
+
 def lp_norm_from_psd_eigs(eigs: np.ndarray, p: float, cell_volume: float) -> float:
     """Trace L_p norm of the PSD root field given eigenvalues of S = root^2."""
-    if p != np.inf and p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    check_p(p)
     if p == np.inf:
         return float(np.sqrt(np.max(eigs))) if eigs.size else 0.0
     total = float(np.sum(eigs ** (p / 2.0))) * cell_volume

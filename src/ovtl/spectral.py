@@ -30,23 +30,15 @@ from .opfield import OperatorField
 # transforms
 # ---------------------------------------------------------------------------
 
-def fft_mat(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Entrywise forward DFT of (*shape, n, n) data; returns coefficients fhat."""
-    return np.fft.fftn(data, axes=grid.spatial_axes) * grid.cell_volume
-
-
-def ifft_mat(coef: np.ndarray, grid: Grid) -> np.ndarray:
-    """Inverse of :func:`fft_mat`."""
-    return np.fft.ifftn(coef, axes=grid.spatial_axes) * float(grid.npoints)
-
-
 def fft_forward(f: OperatorField) -> OperatorField:
-    """Frequency-side field of Fourier coefficients (same storage layout)."""
-    return OperatorField(f.grid, fft_mat(f.data, f.grid))
+    """Frequency-side field of Fourier coefficients fhat (same storage layout)."""
+    return OperatorField(f.grid, fft_data(f.data, f.grid) * f.grid.cell_volume)
 
 
 def fft_inverse(fhat: OperatorField) -> OperatorField:
-    return OperatorField(fhat.grid, ifft_mat(fhat.data, fhat.grid))
+    """Inverse of :func:`fft_forward`."""
+    coef = fhat.data.copy()  # ifft_data works in place; field data is read-only
+    return OperatorField(fhat.grid, ifft_data(coef, fhat.grid) * float(fhat.grid.npoints))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +262,7 @@ class _EtaTable:
 
     POINTS = 8193
 
-    def __init__(self, kind: str = "default"):
-        self.kind = kind
+    def __init__(self, kind: str):
         t = np.linspace(1.0, 2.0, self.POINTS, dtype=np.longdouble)
         if kind == "default":
             w = np.zeros_like(t)
@@ -419,7 +410,6 @@ class HomLPFamily(_SymbolFamily):
     j_min: int
     j_max: int
     symbols: tuple[Symbol, ...]
-    kind: str = "default"
 
     def member(self, j: int) -> Symbol:
         return self.symbols[j - self.j_min]
@@ -429,15 +419,16 @@ class HomLPFamily(_SymbolFamily):
 
 
 @lru_cache(maxsize=32)
-def make_hom_lp_family(grid: Grid, kind: str = "default", j_min: int = -1) -> HomLPFamily:
-    """Homogeneous dilates down to j_min (j_min = -1 covers all integer xi != 0)."""
+def make_hom_lp_family(grid: Grid) -> HomLPFamily:
+    """Homogeneous dilates of the default bump down to j_min = -1, which
+    covers all integer xi != 0."""
     j_max = lp_family_j_max(grid)
-    base = lp_base_profile(kind)
+    base = lp_base_profile()
     symbols = []
-    for j in range(j_min, j_max + 1):
+    for j in range(-1, j_max + 1):
         prof = base.dilate(2.0**-j)
-        symbols.append(symbol_from_profile(grid, prof, tag=f"lpdot{j}[{kind}]"))
-    return HomLPFamily(grid=grid, j_min=j_min, j_max=j_max, symbols=tuple(symbols), kind=kind)
+        symbols.append(symbol_from_profile(grid, prof, tag=f"lpdot{j}[default]"))
+    return HomLPFamily(grid=grid, j_min=-1, j_max=j_max, symbols=tuple(symbols))
 
 
 # ---------------------------------------------------------------------------

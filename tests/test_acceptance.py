@@ -434,7 +434,7 @@ def test_criterion_12_pointwise_multiplier():
     for alpha in (0.0, 0.5):
         for seed in SEEDS_20:
             f = band_limited_random(g, 2, 17000 + seed)
-            res = pointwise_multiply_test(h, f, alpha, fam, margin=10.0)
+            res = pointwise_multiply_test(h, f, alpha, fam)
             ok &= res["passed"]
             worst = max(worst, res["ratio"] / res["derivative_bound"])
     record(12, "pointwise multiplier ratio <= margin x derivative bound", ok,

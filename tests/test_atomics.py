@@ -116,7 +116,7 @@ def test_calderon_stencil_support(grid64):
     from ovtl.atomics import _stencil
 
     for j in (1, 2, 3):
-        sten = _stencil(grid64, j, 2, 2.0)
+        sten = _stencil(grid64, j, 2)
         R = grid64.N >> (j + 1)
         s = np.abs(grid64.signed_index_axis)
         assert np.all(sten[s > R] == 0.0)
@@ -383,7 +383,7 @@ def test_pointwise_bump_bounded(grid64, fam64):
     h = OperatorField(grid64, data)
     for seed in range(5):
         f = band_limited_random(grid64, 2, 300 + seed)
-        res = pointwise_multiply_test(h, f, 0.5, fam64, margin=10.0)
+        res = pointwise_multiply_test(h, f, 0.5, fam64)
         assert res["passed"]
 
 

@@ -100,6 +100,9 @@ def test_config_unknown_key_rejected(tmp_path, capsys, edit):
      "[decomposition]", "multiplier_margin"),
     (lambda text: "junk\n", "line 1", "junk"),
     (lambda text: text + "[run]\nseed = 3\n", "malformed config", "run"),
+    (lambda text: text.replace("N = 256\n", "n = 64\n"), "[grid]", "'n'"),
+    (lambda text: text.replace("N = 256\n", "N = 64\nn = 2\n"), "[grid]", "'n'"),
+    (lambda text: text.replace("K = 1\n", "k = 1\n"), "[decomposition]", "'k'"),
 ])
 def test_config_malformed_value_rejected(tmp_path, capsys, edit, section, key):
     text = edit(config_to_text(Config()))
@@ -127,6 +130,29 @@ def test_config_matrix_dimension_rejected(tmp_path, capsys, n):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "n must be >= 1" in err
     assert not out.exists()
+
+
+H1_DECOMPOSE = ["decompose", "{field}", "--target", "h1", "--manifest", "{out}.m",
+                "--blob", "{out}.b"]
+
+
+@pytest.mark.parametrize("old,new,argv,needle", [
+    ("trials = 10\n", "trials = -3\n", ["multiplier-check", "--report", "{out}"],
+     "trials must be >= 1"),
+    ("trials = 10\n", "trials = 0\n", ["multiplier-check", "--conic", "--report", "{out}"],
+     "trials must be >= 1"),
+    ("K = 1\n", "K = -1\n", H1_DECOMPOSE, "K must be >= 1"),
+    ("K = 1\n", "K = 0\n", H1_DECOMPOSE, "K must be >= 1"),
+])
+def test_config_value_out_of_range_rejected(tmp_path, capsys, old, new, argv, needle):
+    cfg, field, out = tmp_path / "v.cfg", tmp_path / "f.ovtl", tmp_path / "out"
+    cfg.write_text(config_to_text(Config(N=64)).replace(old, new))
+    write_field(field, band_limited_random(Grid(1, 64), 2, 4))
+    capsys.readouterr()
+    assert main(["--config", str(cfg)] + [a.format(field=field, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+    assert not any(tmp_path.glob("out*"))
 
 
 def test_config_poisson_kernel_mode_honoured(tmp_path, capsys):
@@ -336,6 +362,9 @@ def test_reports_deterministic(tmp_path):
      "sigma must exceed"),
     (["--grid", "64", "--sigma", "0.2", "verify", "cz", "--report", "{out}"],
      "sigma must exceed"),
+    (["--grid", "64", "--p", "0.5", "multiplier-check", "--report", "{out}"], "p must be"),
+    (["--grid", "64", "--p", "0.5", "multiplier-check", "--conic", "--report", "{out}"],
+     "p must be"),
 ])
 def test_invalid_parameter_rejected(tmp_path, capsys, argv, needle):
     field, out = tmp_path / "f.ovtl", tmp_path / "out.ovtl"
