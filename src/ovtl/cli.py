@@ -116,6 +116,8 @@ def _load_cfg(args) -> Config:
         raise ParameterError(f"matrix dimension n must be >= 1, got {cfg.n}")
     if cfg.trials < 1:
         raise ParameterError(f"[run] trials must be >= 1, got {cfg.trials}")
+    if not 0 <= cfg.seed < 2**64:
+        raise ParameterError(f"seed must lie in [0, 2^64), got {cfg.seed}")
     return cfg
 
 

@@ -108,6 +108,8 @@ def bessel_dilate_sequence(grid: Grid, beta: float) -> SymbolSequence:
     This is the sequence behind the lifting property: the dilates
     phi_j(2^{j+k} .) phi stay uniformly in the potential Sobolev space.
     """
+    if not math.isfinite(beta):
+        raise ParameterError(f"beta must be finite, got {beta}")
     rho = lp_sequence(grid)
     phi = [bessel_profile(beta)]
     for j in range(1, len(rho)):

@@ -23,8 +23,7 @@ from .opfield import (
     StripField,
     check_p,
     gram,
-    lp_norm_from_psd_eigs,
-    psd_eigvalsh,
+    psd_root_norm,
     trace_lp_norm,
 )
 from .sqfn import (
@@ -77,10 +76,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _eig_norm(acc, p: float) -> float:
-    return lp_norm_from_psd_eigs(acc.eigenvalues(), p, acc.grid.cell_volume)
-
-
 def _low_term_norm(f: OperatorField, values: np.ndarray, fhat: np.ndarray,
                    p: float) -> float:
     return trace_lp_norm(OperatorField(f.grid, apply_symbol_hat(values, fhat, f.grid)), p)
@@ -95,18 +90,23 @@ def _lp_square_norms(f: OperatorField, alpha: float, p: float, family: LPFamily,
     One forward transform serves every side: the LP symbols are real and
     even, so phi_j * f* = (phi_j * f)*, and the row sum
     sum_j 4^{j alpha} |phi_j * f*|^2 is sum_j 4^{j alpha} g_j g_j* over the
-    column's filtered levels g_j = phi_j * f.
+    column's filtered levels g_j = phi_j * f.  At p = 2 every side is the
+    column's Plancherel sum, since tr(g g*) = tr(g* g).
     """
     if fhat is None:
         fhat = fft_data(f.data, f.grid)
+    levels = lp_levels(family, alpha)
+    if p == 2:
+        low_term = _low_term_norm(f, levels[0][2], fhat, p) if low else None
+        return [square_norm(fhat, f.grid, levels, p)] * len(sides), low_term
     accs = [PSDAccumulator(f.grid, f.n) for _ in sides]
     low_term = None
-    for j, weight, g in filtered(fhat, f.grid, lp_levels(family, alpha)):
+    for j, weight, g in filtered(fhat, f.grid, levels):
         if low and j == 0:
             low_term = trace_lp_norm(OperatorField(f.grid, g), p)
         for side, acc in zip(sides, accs):
             acc.add_gram(g, weight, row=side == "row")
-    return [_eig_norm(acc, p) for acc in accs], low_term
+    return [psd_root_norm(acc.S, p, f.grid.cell_volume) for acc in accs], low_term
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +246,20 @@ def _block_means(data: np.ndarray, grid: Grid, level: int) -> np.ndarray:
     return cube_blocks(data, grid, level).mean(axis=tuple(2 * k + 1 for k in range(grid.d)))
 
 
-def _max_sqrt_opnorm(blocks: np.ndarray) -> float:
-    """max over leading axes of || block^(1/2) ||_op for PSD blocks."""
-    eigs = psd_eigvalsh(blocks)
-    return math.sqrt(float(np.max(eigs))) if eigs.size else 0.0
-
-
 def bmo_norm(f: OperatorField, seed: Optional[int] = None) -> NormReport:
     """bmo^c norm: sup over dyadic |Q| < 1 of the mean oscillation, maximized
     with the |Q| = 1 (whole torus) size term."""
     grid = f.grid
     P = gram(f.data)
     whole = np.mean(P, axis=grid.spatial_axes)  # = int_Q |f|^2 at |Q| = 1
-    unit_term = _max_sqrt_opnorm(whole[None])
+    unit_term = psd_root_norm(whole, np.inf, 1.0)
     osc = 0.0
     per_level = {}
     for level in range(1, grid.max_cube_level + 1):
         mean_p = _block_means(P, grid, level)
         mean_f = _block_means(f.data, grid, level)
         m = mean_p - gram(mean_f)  # E|f|^2 - |E f|^2 over each cube
-        lv = _max_sqrt_opnorm(m)
+        lv = psd_root_norm(m, np.inf, 1.0)
         per_level[f"oscillation_level_{level}"] = lv
         osc = max(osc, lv)
     value = max(osc, unit_term)
@@ -299,7 +293,7 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily,
     for j, weight, g in filtered(fhat, grid, levels[:0:-1]):
         acc.add_gram(g, weight)
         if j <= top_level:
-            by_level[j] = _max_sqrt_opnorm(_block_means(acc.S, grid, j))
+            by_level[j] = psd_root_norm(_block_means(acc.S, grid, j), np.inf, 1.0)
     per_level = {f"carleson_level_{level}": by_level[level] for level in sorted(by_level)}
     carleson = max(by_level.values(), default=0.0)
     value = low_term + carleson
@@ -323,7 +317,8 @@ def tent_norm(F: StripField, p: float, cone: Optional[ConeIndex] = None,
     """Tent-space norm || A^c(F) ||_p."""
     check_p(p)
     cone = cone_index(F.grid, F.j_max) if cone is None else cone
-    value = _eig_norm(square_accumulator(F.grid, F.n, strip_levels(F), cone), p)
+    value = psd_root_norm(square_accumulator(F.grid, F.n, strip_levels(F), cone).S, p,
+                          F.grid.cell_volume)
     return NormReport(
         name="tent",
         value=value,

@@ -10,12 +10,14 @@ operator Cauchy-Schwarz gap.
 The batched small-matrix kernels every other module goes through live
 here: :func:`gram` (x*x, summed entry by entry for n <= 2 so the result is
 exactly Hermitian), :func:`psd_eigvalsh` (eigenvalues of PSD blocks, read
-off directly for n = 1, LAPACK for n >= 2) and :func:`l1l2_sizes`, the
-L_1(M; L_2^c) size tau((int |a|^2)^(1/2)) through which every atom size
-goes.  Singular values are never computed by SVD: sigma(x)^2 are the
-eigenvalues of x*x, and blocks with a singular value near 0 take theirs
+off directly for n = 1, LAPACK for n >= 2), :func:`psd_root_norm`, the
+trace L_p norm of S^(1/2) behind every square function, and
+:func:`l1l2_sizes`, the L_1(M; L_2^c) size tau((int |a|^2)^(1/2)) behind
+every atom size.  Singular values are never computed by SVD: sigma(x)^2 are
+the eigenvalues of x*x, and blocks with a singular value near 0 take theirs
 from the Hermitian dilation of x (of its triangular QR factor, for the
-stacked factors of a size).
+stacked factors of a size).  At p = 1 and n = 2 no eigenvalue is needed:
+tr S^(1/2) = sqrt(tr S + 2 sqrt(det S)) and tr|x| = sqrt(||x||_HS^2 + 2 |det x|).
 
 All public operations are pure; field data is marked read-only after
 construction, and every reduction uses a fixed summation order so results
@@ -284,12 +286,12 @@ def sqrt_psd(acc: PSDAccumulator) -> OperatorField:
 _COARSE_SQ = 1e-4
 
 
-def _pow2_rescaled(x: np.ndarray, axes=None) -> tuple:
-    """(x * 2^-e, e) with 2^e the exact power of two that brings max |x| over
-    ``axes`` (all of x when None) into [1/2, 1), so that x* x neither
-    overflows nor underflows; e keeps the reduced axes with length 1."""
+def _pow2_rescaled(x: np.ndarray, axes=None, step: int = 1) -> tuple:
+    """(x * 2^-e, e) with 2^e the least power of 2^step that brings max |x|
+    over ``axes`` (all of x when None) into [2^-step, 1), so that x* x
+    neither overflows nor underflows; e keeps the reduced axes with length 1."""
     peak = np.max(np.abs(x), axis=axes, keepdims=True, initial=0.0)
-    exp = np.maximum(np.frexp(peak)[1], -1000)
+    exp = -(-np.maximum(np.frexp(peak)[1], -1000) // step) * step
     return x * np.ldexp(1.0, -exp), exp
 
 
@@ -303,15 +305,39 @@ def trace_lp_norm(f: OperatorField, p: float) -> float:
     near 0; blocks with sigma_min < 1e-2 sigma_max (rank-deficient ones
     among them) take their singular values instead from the eigenvalues
     +-sigma of the Hermitian dilation [[0, x], [x*, 0]], accurate to
-    eps * sigma_max.
+    eps * sigma_max.  At p = 1 and n = 2, tr|x| = sqrt(||x||_HS^2 + 2 |det x|)
+    is exact to round-off even at rank one and needs neither.
     """
     x, exp = _pow2_rescaled(f.data)
+    if p == 1 and x.shape[-1] == 2:
+        det = x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
+        hs = np.sum(x.real**2 + x.imag**2, axis=(-2, -1))
+        total = float(np.sum(np.sqrt(hs + 2.0 * np.abs(det)))) * f.grid.cell_volume
+        return float(np.ldexp(total, exp.item()))
     sq = psd_eigvalsh(gram(x))
     if p < 2 and x.shape[-1] > 1:
         coarse = sq[..., 0] < _COARSE_SQ * sq[..., -1]
         if np.any(coarse):
             sq[coarse] = _dilation_singular_values(x[coarse]) ** 2
     return float(np.ldexp(lp_norm_from_psd_eigs(sq, p, f.grid.cell_volume), exp.item()))
+
+
+def psd_root_norm(S: np.ndarray, p: float, cell_volume: float) -> float:
+    """Trace L_p norm (sum_s cell_volume tr S(s)^(p/2))^(1/p) of the root field
+    of PSD blocks S (operator-sup for p = inf), from :func:`psd_eigvalsh`.
+
+    At p = 1 and n = 2, tr S^(1/2) = sqrt(tr S + 2 sqrt(det S)) on the
+    symmetrized entries of S rescaled by an exact power of four: the root
+    rescales by an exact power of two and det S cannot over- or underflow.
+    """
+    if p != 1 or S.shape[-1] != 2:
+        return lp_norm_from_psd_eigs(psd_eigvalsh(S), p, cell_volume)
+    S, exp = _pow2_rescaled(S, step=2)
+    a, c = S[..., 0, 0].real, S[..., 1, 1].real
+    b = 0.5 * (S[..., 0, 1] + np.conj(S[..., 1, 0]))
+    det = np.maximum(a * c - (b.real**2 + b.imag**2), 0.0)
+    roots = np.sqrt(np.maximum(a + c + 2.0 * np.sqrt(det), 0.0))
+    return float(np.ldexp(float(np.sum(roots)) * cell_volume, exp.item() // 2))
 
 
 def l1l2_sizes(x: np.ndarray, volume: float, weights: np.ndarray | None = None) -> np.ndarray:

@@ -12,7 +12,7 @@ time.  :func:`square_accumulator` adds the terms up: radially
 weight * 2^{jd} h^d for j >= 1 (j = 0 stays radial), the ball correlations
 summed in Fourier space and inverted once.  :func:`square_norm` is the
 trace-L_p norm of the root: at p = 2 a Plancherel sum over ``fhat`` alone,
-otherwise the accumulator's pointwise eigenvalues.  The tent functional
+otherwise ``psd_root_norm`` of the accumulator.  The tent functional
 feeds the strip levels ``(j, log 2, F(., 2^-j))`` to the same accumulator.
 
 Continuous scale integrals are rendered with the dyadic midpoint rule
@@ -39,7 +39,7 @@ from .opfield import (
     StripField,
     gram,
     herm,
-    lp_norm_from_psd_eigs,
+    psd_root_norm,
 )
 from .spectral import LPFamily, apply_symbol_hat, fft_data, ifft_data, poisson_dk_symbol
 
@@ -127,12 +127,12 @@ def square_norm(fhat: np.ndarray, grid: Grid, levels: Sequence, p: float,
     = h^d N^-d sum_xi W(xi) ||fhat(xi)||_HS^2 with W = sum_j c_j w_j |m_j|^2,
     where c_j = |B_j| 2^{jd} h^d on a ball-averaged level (the correlation
     with B_j multiplies the spatial sum by |B_j|) and 1 otherwise; no
-    inverse FFT, Gram or eigenvalue is computed.  Any other p takes the
-    pointwise eigenvalues of :func:`square_accumulator`.
+    inverse FFT, Gram or eigenvalue is computed.  Any other p takes
+    :func:`psd_root_norm` of :func:`square_accumulator`.
     """
     if p != 2:
         acc = square_accumulator(grid, fhat.shape[-1], filtered(fhat, grid, levels), cone)
-        return lp_norm_from_psd_eigs(acc.eigenvalues(), p, grid.cell_volume)
+        return psd_root_norm(acc.S, p, grid.cell_volume)
     _check_cone(cone, grid)
     W = np.zeros(grid.shape)
     for j, weight, values in levels:

@@ -143,6 +143,8 @@ H1_DECOMPOSE = ["decompose", "{field}", "--target", "h1", "--manifest", "{out}.m
      "trials must be >= 1"),
     ("K = 1\n", "K = -1\n", H1_DECOMPOSE, "K must be >= 1"),
     ("K = 1\n", "K = 0\n", H1_DECOMPOSE, "K must be >= 1"),
+    ("seed = 0\n", "seed = -1\n", ["gen", "--kind", "band-limited-random", "{out}"],
+     "seed must lie in [0, 2^64)"),
 ])
 def test_config_value_out_of_range_rejected(tmp_path, capsys, old, new, argv, needle):
     cfg, field, out = tmp_path / "v.cfg", tmp_path / "f.ovtl", tmp_path / "out"
@@ -163,6 +165,14 @@ def test_config_poisson_kernel_mode_honoured(tmp_path, capsys):
     assert main(["--config", str(cfg), "--grid", "64", "--p", "1", "--alpha", "0",
                  "norm", str(field), "--which", "hardy"]) == 0
     assert "mode = poisson" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_ends_accepted(tmp_path, seed):
+    out = tmp_path / "x.ovtl"
+    assert main(["--grid", "64", "--seed", str(seed), "gen", "--kind",
+                 "band-limited-random", str(out)]) == 0
+    assert out.exists()
 
 
 def test_gen_deterministic(tmp_path):
@@ -365,6 +375,14 @@ def test_reports_deterministic(tmp_path):
     (["--grid", "64", "--p", "0.5", "multiplier-check", "--report", "{out}"], "p must be"),
     (["--grid", "64", "--p", "0.5", "multiplier-check", "--conic", "--report", "{out}"],
      "p must be"),
+    (["--grid", "64", "--seed", "-1", "gen", "--kind", "band-limited-random", "{out}"],
+     "seed must lie in [0, 2^64)"),
+    (["--grid", "64", "--seed", str(2**64), "multiplier-check", "--report", "{out}"],
+     "seed must lie in [0, 2^64)"),
+    (["--grid", "64", "multiplier-check", "--beta", "nan", "--report", "{out}"],
+     "beta must be finite"),
+    (["--grid", "64", "multiplier-check", "--beta", "inf", "--conic", "--report", "{out}"],
+     "beta must be finite"),
 ])
 def test_invalid_parameter_rejected(tmp_path, capsys, argv, needle):
     field, out = tmp_path / "f.ovtl", tmp_path / "out.ovtl"

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from ovtl.opfield import OperatorField, StripField, trace_lp_norm
+from ovtl.lattice import Grid
+from ovtl.opfield import (
+    OperatorField,
+    PSDAccumulator,
+    StripField,
+    lp_norm_from_psd_eigs,
+    psd_eigvalsh,
+    trace_lp_norm,
+)
 from ovtl.generators import band_limited_random, haar, rng_for, single_mode
 from ovtl.normsuite import (
     bmo_norm,
@@ -15,7 +23,14 @@ from ovtl.normsuite import (
     tl_norm_mixture,
     tl_norm_row,
 )
-from ovtl.spectral import apply_symbol, bessel_symbol, make_hom_lp_family, make_lp_family
+from ovtl.spectral import (
+    apply_symbol,
+    bessel_symbol,
+    fft_data,
+    make_hom_lp_family,
+    make_lp_family,
+)
+from ovtl.sqfn import filtered, lp_levels
 
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -100,6 +115,34 @@ def test_hardy_lp_radial_is_column_alpha0(grid64, fam64):
     a = hardy_norm(f, 1.0, mode="lp", family=fam64).value
     b = tl_norm_column(f, 0.0, 1.0, fam64).value
     assert a == b
+
+
+def _eig_route_square_norm(f, alpha, fam, row):
+    # the pointwise route: one Gram per level, eigenvalues of the sum
+    acc = PSDAccumulator(f.grid, f.n)
+    for _, weight, g in filtered(fft_data(f.data, f.grid), f.grid, lp_levels(fam, alpha)):
+        acc.add_gram(g, weight, row=row)
+    return lp_norm_from_psd_eigs(psd_eigvalsh(acc.S), 2.0, f.grid.cell_volume)
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lp_norms_p2_plancherel_match_eigenvalue_route(d, N, n):
+    grid = Grid(d, N)
+    fam = make_lp_family(grid)
+    f = band_limited_random(grid, n, 960 + 10 * d + n)
+    col = _eig_route_square_norm(f, 0.5, fam, row=False)
+    row = _eig_route_square_norm(f, 0.5, fam, row=True)
+    assert row == pytest.approx(col, rel=1e-12)
+    rep = tl_norm_column(f, 0.5, 2.0, fam)
+    assert rep.value == pytest.approx(col, rel=1e-12)
+    assert rep.terms["phi0_term"] == pytest.approx(
+        trace_lp_norm(apply_symbol(fam.member(0), f), 2.0), rel=1e-12)
+    assert tl_norm_row(f, 0.5, 2.0, fam).value == pytest.approx(row, rel=1e-12)
+    assert tl_norm_mixture(f, 0.5, 2.0, fam).value == pytest.approx(min(col, row), rel=1e-12)
+    hardy = hardy_norm(f, 2.0, mode="lp", family=fam)
+    assert hardy.value == pytest.approx(_eig_route_square_norm(f, 0.0, fam, row=False),
+                                        rel=1e-12)
 
 
 def test_hardy_zero(grid64, fam64):

@@ -13,16 +13,21 @@ from ovtl.opfield import (
     herm,
     hs_norm_sq,
     l1l2_sizes,
+    lp_norm_from_psd_eigs,
     modulus,
     op_cauchy_schwarz_gap,
     op_cauchy_schwarz_scale,
     pairing,
     psd_eigvalsh,
+    psd_root_norm,
     psd_sqrt,
     sqrt_psd,
     trace_lp_norm,
 )
 from ovtl.generators import band_limited_random, random_unitary, rng_for
+from ovtl.normsuite import tl_norm_mixture
+from ovtl.spectral import fft_data, make_lp_family
+from ovtl.sqfn import lp_levels, square_norm
 
 
 def test_modulus_nilpotent():
@@ -331,3 +336,83 @@ def test_l1l2_sizes_rescale_each_row():
         for row, alone in zip(got, (l1l2_sizes(x[0], 0.3, w), l1l2_sizes(x[1], 0.3, w))):
             assert np.all(alone > 0)
             assert np.asarray(row) == pytest.approx(alone, rel=1e-15, abs=0)
+
+
+SCALES = (1.0, 1e150, 1e-150)
+
+
+def _cplx(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _eig_route(S, p, volume):
+    return lp_norm_from_psd_eigs(psd_eigvalsh(S), p, volume)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_psd_root_norm_p1_n2_matches_eigvalsh(scale):
+    # generic PSD blocks at factor scales 1 and 1e+-150, where S and det S
+    # over- or underflow unless rescaled; the root norm is linear in the scale
+    rng = rng_for(850)
+    g, h = _cplx(rng, 256, 2, 2), _cplx(rng, 256, 2, 2)
+    S = gram(g) + 0.3 * gram(h)
+    want = _eig_route(S, 1.0, 0.25)
+    got = psd_root_norm((scale * scale) * S, 1.0, 0.25) / scale
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,p", [(1, 1.0), (2, 1.5), (2, 2.0), (2, np.inf), (3, 1.0)])
+def test_psd_root_norm_other_cases_take_eigvalsh(n, p):
+    rng = rng_for(855 + n)
+    S = gram(_cplx(rng, 64, n, n))
+    assert psd_root_norm(S, p, 0.25) == _eig_route(S, p, 0.25)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_psd_root_norm_rank_one_accumulator(scale):
+    # S = sum_k w_k g_k* g_k with every g_k(s) a multiple of u(s) v(s)*, so S
+    # has rank one and tr S^(1/2) = sqrt(tr S) exactly; det S is pure
+    # cancellation on both routes, and the closed form does no worse than LAPACK
+    rng = rng_for(860)
+    u, v = _cplx(rng, 512, 2, 1), _cplx(rng, 512, 1, 2)
+    acc = PSDAccumulator(Grid(1, 512), 2)
+    for k in range(6):
+        acc.add_gram(scale * _cplx(rng, 512, 1, 1) * (u @ v), 0.5 + k)
+    exact = float(np.sum(np.sqrt(np.trace(acc.S, axis1=-2, axis2=-1).real))) / 512
+    closed = psd_root_norm(acc.S, 1.0, 1 / 512)
+    lapack = _eig_route(acc.S, 1.0, 1 / 512)
+    assert abs(closed - exact) <= abs(lapack - exact)
+    assert closed == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_trace_lp_p1_n2_rank_one_and_graded_match_svd(grid64, scale):
+    # tr|x| = sqrt(||x||_HS^2 + 2 |det x|) keeps every digit of a small
+    # singular value: u v* blocks and blocks with sigma_min = 1e-8 sigma_max
+    rng = rng_for(870)
+    U, _ = np.linalg.qr(_cplx(rng, 64, 2, 2))
+    V, _ = np.linalg.qr(_cplx(rng, 64, 2, 2))
+    sigma = np.array([1.0, 1e-8]) * rng.uniform(0.5, 2.0, size=(64, 1))
+    graded = (U * sigma[:, None, :]) @ herm(V)
+    rank_one = _cplx(rng, 64, 2, 1) @ _cplx(rng, 64, 1, 2)
+    for data in (graded, rank_one):
+        sv = np.linalg.svd(data, compute_uv=False)
+        want = float(np.sum(sv)) * grid64.cell_volume
+        got = trace_lp_norm(OperatorField(grid64, scale * data), 1.0) / scale
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_p1_n2_square_norms_need_no_eigensolver(monkeypatch, grid64):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    fam = make_lp_family(grid64)
+    f = band_limited_random(grid64, 2, 880)
+    fhat = fft_data(f.data, grid64)
+    assert square_norm(fhat, grid64, lp_levels(fam, 0.5), 1.0) > 0
+    rep = tl_norm_mixture(f, 0.5, 1.0, fam)
+    assert 0 < rep.value == min(rep.terms["column"], rep.terms["row"])
+    with pytest.raises(AssertionError, match="eigensolver"):
+        square_norm(fhat, grid64, lp_levels(fam, 0.5), 1.5)
