@@ -58,9 +58,6 @@ class SymbolSequence:
     def j_max(self) -> int:
         return len(self.phi_profiles) - 1
 
-    def phi_symbol(self, j: int) -> Symbol:
-        return symbol_from_profile(self.grid, self.phi_profiles[j], tag=f"{self.name}.phi{j}")
-
     def rho_symbol(self, j: int) -> Symbol:
         return symbol_from_profile(self.grid, self.rho_profiles[j], tag=f"{self.name}.rho{j}")
 
@@ -90,9 +87,7 @@ class SymbolSequence:
 
 def lp_sequence(grid: Grid, kind: str = "default") -> tuple[Profile, ...]:
     """The LP family itself as a profile sequence (rho_j = phi^(j))."""
-    # make_lp_family(grid) and make_lp_family(grid, "default") are two cache entries
-    fam = make_lp_family(grid) if kind == "default" else make_lp_family(grid, kind)
-    return tuple(s.profile for s in fam.symbols)
+    return tuple(s.profile for s in make_lp_family(grid, kind).symbols)
 
 
 def identity_sequence(grid: Grid) -> SymbolSequence:
@@ -111,6 +106,10 @@ def bessel_dilate_sequence(grid: Grid, beta: float) -> SymbolSequence:
     if not math.isfinite(beta):
         raise ParameterError(f"beta must be finite, got {beta}")
     rho = lp_sequence(grid)
+    # log2 max |phi_j| on the lattice: at j = 0 and the largest |xi| for beta > 0, else j_max, 0
+    peak = max(0.5 * beta * math.log2(1.0 + np.max(grid.freq_norm) ** 2), (1 - len(rho)) * beta)
+    if peak >= 1023:
+        raise ParameterError(f"beta = {beta} takes phi_j past 2^1023 on this grid (2^{peak:.0f})")
     phi = [bessel_profile(beta)]
     for j in range(1, len(rho)):
         phi.append(bessel_profile(beta).scale(2.0 ** (-j * beta)))

@@ -83,13 +83,6 @@ class Grid:
         return np.rint(self.freq_axis).astype(np.int64)
 
     @cached_property
-    def signed_coords(self) -> np.ndarray:
-        """Signed periodic spatial coordinates in [-1/2, 1/2)^d, shape (*shape, d)."""
-        axis = self.signed_index_axis * self.h
-        axes = np.meshgrid(*([axis] * self.d), indexing="ij")
-        return np.stack(axes, axis=-1)
-
-    @cached_property
     def coords(self) -> np.ndarray:
         """Spatial coordinates in [0,1)^d in storage order, shape (*shape, d)."""
         axis = np.arange(self.N) * self.h

@@ -8,11 +8,11 @@ accumulation with Hermitian square roots, trace L_p norms, and the
 operator Cauchy-Schwarz gap.
 
 The batched small-matrix kernels every other module goes through live
-here: :func:`gram` (x*x, summed entry by entry for n <= 2 so the result is
-exactly Hermitian), :func:`psd_eigvalsh` (eigenvalues of PSD blocks, read
-off directly for n = 1, LAPACK for n >= 2), :func:`psd_root_norm`, the
-trace L_p norm of S^(1/2) behind every square function, and
-:func:`l1l2_sizes`, the L_1(M; L_2^c) size tau((int |a|^2)^(1/2)) behind
+here: :func:`gram` (x*x, one entrywise sum for every n in cache-sized row
+blocks, exactly Hermitian), :func:`psd_eigvalsh` (LAPACK for n >= 2),
+:func:`psd_root_norm`, the trace L_p norm of S^(1/2) behind every square
+function (its p = inf sup solves only the blocks that a Frobenius bound
+cannot rule out), and :func:`l1l2_sizes`, the L_1(M; L_2^c) size behind
 every atom size.  Singular values are never computed by SVD: sigma(x)^2 are
 the eigenvalues of x*x, and blocks with a singular value near 0 take theirs
 from the Hermitian dilation of x (of its triangular QR factor, for the
@@ -26,6 +26,7 @@ are reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -154,27 +155,37 @@ def herm(x: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(x, -1, -2))
 
 
-def gram(x: np.ndarray) -> np.ndarray:
-    """Column Gram block x* x on the trailing matrix axes.
+_GRAM_ROWS = 4096  # rows per Gram block: 64 KiB per-entry temporaries stay in cache
 
-    For n <= 2 each entry a <= b is summed directly over k from
-    conj(x[..., k, a]) * x[..., k, b] (the diagonal as |x|^2) and its
-    conjugate is written to (b, a): the result is exactly Hermitian with an
-    exactly real diagonal, and no conjugated copy of x is made.
-    """
-    x = np.asarray(x)
+
+def _gram_into(out: np.ndarray, x: np.ndarray, weight: float | None = None) -> np.ndarray:
+    """Write x* x of each (rows, n, n) block into ``out`` (add weight * x* x with ``weight``)
+    and return it, _GRAM_ROWS rows at a time read in (n, n, rows) order: entry a <= b sums
+    conj(x_ka) x_kb over k in order (|x_ka|^2 on the diagonal), (b, a) takes its conjugate."""
     n = x.shape[-1]
-    if n > 2:
-        return herm(x) @ x
-    out = np.empty(x.shape[:-2] + (n, n), dtype=np.result_type(x.dtype, np.complex128))
-    for a in range(n):
-        for b in range(a, n):
-            terms = [x[..., k, a].real ** 2 + x[..., k, a].imag ** 2 if a == b
-                     else np.conj(x[..., k, a]) * x[..., k, b] for k in range(n)]
-            total = sum(terms[1:], terms[0])
-            out[..., a, b] = total
-            if b > a:
-                out[..., b, a] = np.conj(total)
+    for rows in (slice(lo, lo + _GRAM_ROWS) for lo in range(0, len(x), _GRAM_ROWS)):
+        xb, ob = x[rows].transpose(1, 2, 0), out[rows]
+        xb = xb.copy() if n > 2 else xb  # n > 2 reads each entry n times: contiguous pays
+        for a, b in itertools.combinations_with_replacement(range(n), 2):
+            terms = (xb[k, a].real ** 2 + xb[k, a].imag ** 2 if a == b
+                     else np.conj(xb[k, a]) * xb[k, b] for k in range(n))
+            total = sum(terms, next(terms))
+            if weight is None:
+                ob[:, a, b] = total
+                if b > a:
+                    ob[:, b, a] = np.conj(total)
+            else:
+                ob[:, a, b] += total * weight
+                if b > a:
+                    ob[:, b, a] += np.conj(total) * weight
+    return out
+
+
+def gram(x: np.ndarray) -> np.ndarray:
+    """Column Gram x* x on the trailing matrix axes, exactly Hermitian (:func:`_gram_into`)."""
+    x = np.asarray(x)
+    out = np.empty(x.shape, dtype=np.result_type(x.dtype, np.complex128))
+    _gram_into(out.reshape(-1, *x.shape[-2:]), x.reshape(-1, *x.shape[-2:]))
     return out
 
 
@@ -236,12 +247,11 @@ class PSDAccumulator:
         """Accumulate weight * g(s)* g(s), or weight * g(s) g(s)* with ``row``."""
         if weight < 0:
             raise ValueError("weights must be nonnegative")
-        if row:  # gram(g^T) = conj(g) g^T is the transpose of g g*; no copies
-            P = np.swapaxes(gram(np.swapaxes(g, -1, -2)), -1, -2)
-        else:
-            P = gram(g)
-        P *= weight
-        self.S += P
+        if np.shape(g) != self.S.shape:
+            raise GridMismatchError(f"blocks of shape {np.shape(g)} added to {self.S.shape}")
+        x = g.reshape(-1, self.n, self.n)
+        axes = (0, 2, 1) if row else (0, 1, 2)  # g g* = gram(g^T)^T: read g and S transposed
+        _gram_into(self.S.reshape(-1, self.n, self.n).transpose(axes), x.transpose(axes), weight)
         return self
 
     def add_psd(self, P: np.ndarray, weight: float = 1.0) -> "PSDAccumulator":
@@ -284,6 +294,7 @@ def sqrt_psd(acc: PSDAccumulator) -> OperatorField:
 # (sigma_min / sigma_max)^2 below which the eigenvalues of x*x are too coarse
 # for sigma^p with p < 2 (they resolve sigma^2 only to eps * sigma_max^2)
 _COARSE_SQ = 1e-4
+_SUP_DIRECT = 64  # stacks of at most this many blocks are solved whole
 
 
 def _pow2_rescaled(x: np.ndarray, axes=None, step: int = 1) -> tuple:
@@ -314,6 +325,8 @@ def trace_lp_norm(f: OperatorField, p: float) -> float:
         hs = np.sum(x.real**2 + x.imag**2, axis=(-2, -1))
         total = float(np.sum(np.sqrt(hs + 2.0 * np.abs(det)))) * f.grid.cell_volume
         return float(np.ldexp(total, exp.item()))
+    if p == np.inf:
+        return float(np.ldexp(psd_root_norm(gram(x), p, 1.0), exp.item()))
     sq = psd_eigvalsh(gram(x))
     if p < 2 and x.shape[-1] > 1:
         coarse = sq[..., 0] < _COARSE_SQ * sq[..., -1]
@@ -324,12 +337,14 @@ def trace_lp_norm(f: OperatorField, p: float) -> float:
 
 def psd_root_norm(S: np.ndarray, p: float, cell_volume: float) -> float:
     """Trace L_p norm (sum_s cell_volume tr S(s)^(p/2))^(1/p) of the root field
-    of PSD blocks S (operator-sup for p = inf), from :func:`psd_eigvalsh`.
+    of PSD blocks S from :func:`psd_eigvalsh`; for p = inf the operator sup.
 
     At p = 1 and n = 2, tr S^(1/2) = sqrt(tr S + 2 sqrt(det S)) on the
     symmetrized entries of S rescaled by an exact power of four: the root
     rescales by an exact power of two and det S cannot over- or underflow.
     """
+    if p == np.inf:
+        return float(np.sqrt(_max_eigenvalue(S)))
     if p != 1 or S.shape[-1] != 2:
         return lp_norm_from_psd_eigs(psd_eigvalsh(S), p, cell_volume)
     S, exp = _pow2_rescaled(S, step=2)
@@ -338,6 +353,29 @@ def psd_root_norm(S: np.ndarray, p: float, cell_volume: float) -> float:
     det = np.maximum(a * c - (b.real**2 + b.imag**2), 0.0)
     roots = np.sqrt(np.maximum(a + c + 2.0 * np.sqrt(det), 0.0))
     return float(np.ldexp(float(np.sum(roots)) * cell_volume, exp.item() // 2))
+
+
+def _max_eigenvalue(S: np.ndarray) -> float:
+    """np.max(psd_eigvalsh(S)) over a stack of Hermitian blocks S, bitwise:
+    LAPACK sees only blocks whose ||S||_F reaches the largest lower bound
+    Re(w* S w) / w* w - 1e-10 ||S||_F, w = S e_k with w* w > 2^-600, taken on
+    S times a power of two (all blocks if it is below 2^-400).  These bound
+    lambda_max of (S + S*) / 2, so blocks PSD only up to round-off are safe."""
+    S = S.reshape(-1, *S.shape[-2:])
+    if S.shape[-1] > 1 and len(S) > _SUP_DIRECT:
+        scale = np.ldexp(1.0, -max(np.frexp(np.max(np.abs(S)))[1], -1000))
+        upper, lower = np.empty((2, len(S)))
+        for lo in range(0, len(S), _GRAM_ROWS):  # a block of rows at a time, like the Gram
+            x = S[lo:lo + _GRAM_ROWS] * scale
+            T = _gram_into(np.empty_like(x), x)  # x* x: Re(w* S w) = Re sum_i conj(x_ik) T_ik
+            den = np.diagonal(T, axis1=-2, axis2=-1).real
+            num = np.sum(x.real * T.real + x.imag * T.imag, axis=-2)
+            ray = np.divide(num, den, out=np.full_like(num, -np.inf), where=den > 2.0**-600)
+            up = upper[lo:lo + _GRAM_ROWS] = np.sqrt(np.sum(den, axis=-1))
+            lower[lo:lo + _GRAM_ROWS] = np.max(ray, axis=-1) - 1e-10 * up
+        if (floor := np.max(lower)) > 2.0**-400:
+            S = S[upper * (1 + 1e-10) >= floor]
+    return float(np.max(psd_eigvalsh(S)))
 
 
 def l1l2_sizes(x: np.ndarray, volume: float, weights: np.ndarray | None = None) -> np.ndarray:
@@ -425,17 +463,12 @@ def op_cauchy_schwarz_gap(phi: np.ndarray, f: OperatorField) -> float:
     phi_sq = float(np.sum(np.abs(phi) ** 2)) * h_d
     gram_int = np.sum(gram(f.data), axis=f.grid.spatial_axes) * h_d
     conv = np.sum(phi[..., None, None] * f.data, axis=f.grid.spatial_axes) * h_d
-    M = phi_sq * gram_int - herm(conv) @ conv
-    M = 0.5 * (M + herm(M))
-    return float(np.min(np.linalg.eigvalsh(M)))
+    return float(np.min(np.linalg.eigvalsh(phi_sq * gram_int - gram(conv))))
 
 
 def op_cauchy_schwarz_scale(phi: np.ndarray, f: OperatorField) -> float:
     """Natural scale for the Cauchy-Schwarz gap: ||int|phi|^2 int f*f||_op."""
-    phi = np.asarray(phi)
     h_d = f.grid.cell_volume
     phi_sq = float(np.sum(np.abs(phi) ** 2)) * h_d
     gram_int = np.sum(gram(f.data), axis=f.grid.spatial_axes) * h_d
-    if phi_sq == 0.0:
-        return 0.0
-    return float(np.max(np.linalg.eigvalsh(0.5 * (gram_int + herm(gram_int))))) * phi_sq
+    return _max_eigenvalue(gram_int) * phi_sq if phi_sq else 0.0

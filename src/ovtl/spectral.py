@@ -384,12 +384,14 @@ def lp_family_j_max(grid: Grid) -> int:
     return int(math.floor(math.log2(grid.N / 4)))
 
 
-@lru_cache(maxsize=32)
 def make_lp_family(grid: Grid, kind: str = "default") -> LPFamily:
-    """Construct the Littlewood-Paley family for the grid.
+    """Construct the Littlewood-Paley family for the grid, once per (grid, kind);
+    raises ResolutionError when the grid cannot host a single annulus."""
+    return _lp_family(grid, kind)
 
-    Raises ResolutionError when the grid cannot host a single annulus.
-    """
+
+@lru_cache(maxsize=32)
+def _lp_family(grid: Grid, kind: str) -> LPFamily:
     j_max = lp_family_j_max(grid)
     if j_max < 1:
         raise ResolutionError(f"grid N={grid.N} too small for an LP family")
@@ -400,6 +402,9 @@ def make_lp_family(grid: Grid, kind: str = "default") -> LPFamily:
         prof = base.dilate(2.0**-j)
         symbols.append(symbol_from_profile(grid, prof, tag=f"lp{j}[{kind}]"))
     return LPFamily(grid=grid, j_max=j_max, symbols=tuple(symbols), kind=kind)
+
+
+make_lp_family.cache_info = _lp_family.cache_info
 
 
 @dataclass(frozen=True)

@@ -383,6 +383,10 @@ def test_reports_deterministic(tmp_path):
      "beta must be finite"),
     (["--grid", "64", "multiplier-check", "--beta", "inf", "--conic", "--report", "{out}"],
      "beta must be finite"),
+    (["--grid", "64", "--matrix", "1", "multiplier-check", "--beta", "700", "--report", "{out}"],
+     "past 2^1023"),
+    (["--grid", "64", "--matrix", "1", "multiplier-check", "--beta", "-2000",
+      "--report", "{out}"], "past 2^1023"),
 ])
 def test_invalid_parameter_rejected(tmp_path, capsys, argv, needle):
     field, out = tmp_path / "f.ovtl", tmp_path / "out.ovtl"

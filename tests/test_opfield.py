@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ovtl import opfield
 from ovtl.errors import GridMismatchError, ValidationError
 from ovtl.lattice import Grid
 from ovtl.opfield import (
@@ -416,3 +417,130 @@ def test_p1_n2_square_norms_need_no_eigensolver(monkeypatch, grid64):
     assert 0 < rep.value == min(rep.terms["column"], rep.terms["row"])
     with pytest.raises(AssertionError, match="eigensolver"):
         square_norm(fhat, grid64, lp_levels(fam, 0.5), 1.5)
+
+
+# ---------------------------------------------------------------------------
+# the blocked entrywise Gram and the bound-pruned sup
+# ---------------------------------------------------------------------------
+
+ROWS = opfield._GRAM_ROWS
+
+
+def _summed_gram(x, S=None, weight=None):
+    """x* x summed entry by entry in the documented order: t_k = |x_ka|^2 on
+    the diagonal, conj(x_ka) x_kb off it, then t_0 + t_1 + ...; the
+    conjugate goes to (b, a).  With S, adds weight * x* x into S instead."""
+    n = x.shape[-1]
+    out = np.empty(x.shape[:-2] + (n, n), dtype=complex) if S is None else S
+    for a in range(n):
+        for b in range(a, n):
+            terms = [x[..., k, a].real ** 2 + x[..., k, a].imag ** 2 if a == b
+                     else np.conj(x[..., k, a]) * x[..., k, b] for k in range(n)]
+            total = sum(terms[1:], terms[0])
+            if S is None:
+                out[..., a, b], out[..., b, a] = total, np.conj(total)
+            else:
+                out[..., a, b] += total * weight
+                if b > a:
+                    out[..., b, a] += np.conj(total) * weight
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("rows", [100, ROWS, 2 * ROWS + 37])
+def test_gram_matches_matmul_across_row_blocks(n, rows):
+    rng = rng_for(730 + n)
+    x = _cplx(rng, rows, n, n)
+    for side, got, want in (("column", gram(x), herm(x) @ x),
+                            ("row", np.swapaxes(gram(np.swapaxes(x, -1, -2)), -1, -2),
+                             x @ herm(x))):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), side
+        assert np.array_equal(got, herm(got)), side
+        assert np.all(np.diagonal(got, axis1=-2, axis2=-1).imag == 0.0), side
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("grid", [Grid(1, 1024), Grid(1, ROWS), Grid(2, 128)])
+def test_add_gram_matches_matmul_both_sides(grid, n):
+    rng = rng_for(740 + n)
+    g = _cplx(rng, *grid.shape, n, n)
+    for row, want in ((False, herm(g) @ g), (True, g @ herm(g))):
+        S = PSDAccumulator(grid, n).add_gram(g, 0.7, row=row).S
+        assert np.max(np.abs(S - 0.7 * want)) <= 1e-14 * np.max(np.abs(0.7 * want))
+        assert np.array_equal(S, herm(S))
+        assert np.all(np.diagonal(S, axis1=-2, axis2=-1).imag == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_small_gram_sums_in_documented_order(monkeypatch, grid64, n):
+    # bitwise, with a remainder block (64 rows in blocks of 48) and without
+    rng = rng_for(750 + n)
+    x = _cplx(rng, 3 * ROWS + 5, n, n)
+    g, h = (_cplx(rng, *grid64.shape, n, n) for _ in range(2))
+    for rows in (ROWS, 48):
+        monkeypatch.setattr(opfield, "_GRAM_ROWS", rows)
+        assert gram(x).tobytes() == _summed_gram(x).tobytes()
+        acc = PSDAccumulator(grid64, n).add_gram(g, 0.3).add_gram(h, 2.5, row=True)
+        want = np.zeros(grid64.shape + (n, n), dtype=complex)
+        _summed_gram(g, want, 0.3)
+        _summed_gram(np.swapaxes(h, -1, -2), np.swapaxes(want, -1, -2), 2.5)
+        assert acc.S.tobytes() == want.tobytes()
+
+
+def _sup_cases(n: int, seed: int) -> dict:
+    rng = rng_for(seed)
+    m = 512
+    x, v = _cplx(rng, m, n, n), _cplx(rng, m, n, 1)
+    c = _cplx(rng, n, n)
+    noise = _cplx(rng, m, 8, n, n) * (np.arange(m) % 3 > 0)[:, None, None, None]
+
+    def bmo(eps):
+        # E|f|^2 - |E f|^2 over cubes where f is constant up to eps on some
+        # cubes and exactly constant on others: PSD only up to round-off
+        f = c + eps * noise
+        return np.mean(gram(f), axis=1) - gram(np.mean(f, axis=1))
+
+    return {
+        "random": gram(x),
+        "rank_one": v @ herm(v),
+        "zero": np.zeros((m, n, n), dtype=complex),
+        "constant": np.broadcast_to(gram(c), (m, n, n)).copy(),
+        "bmo_roundoff": bmo(1e-9),  # the round-off blocks hold the largest entries
+        "bmo_mixed": bmo(1e-7),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("scale", SCALES)
+def test_sup_eigenvalue_equals_all_blocks_max(n, scale):
+    for name, S in _sup_cases(n, 760 + n).items():
+        S = scale * S
+        want = float(np.max(psd_eigvalsh(S)))
+        assert opfield._max_eigenvalue(S) == want, name
+        assert psd_root_norm(S, np.inf, 1.0) == float(np.sqrt(want)), name
+
+
+def test_sup_eigenvalue_solves_few_desk_blocks(monkeypatch):
+    grid = Grid(2, 64)
+    f = band_limited_random(grid, 4, 770)
+    S = gram(f.data)
+    want = float(np.max(psd_eigvalsh(S)))
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        seen.append(math.prod(a.shape[:-2]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert opfield._max_eigenvalue(S) == want
+    assert trace_lp_norm(f, np.inf) == pytest.approx(math.sqrt(want), rel=1e-15)
+    assert 0 < sum(seen) < 0.05 * 2 * math.prod(grid.shape)
+
+
+def test_add_gram_rejects_mismatched_blocks(grid64):
+    # (16, 4, 4) holds as many entries as the (64, 2, 2) accumulator
+    acc = PSDAccumulator(grid64, 2)
+    for g in (np.zeros((16, 4, 4)), np.zeros(grid64.shape + (3, 3)), np.zeros((2, 2))):
+        with pytest.raises(GridMismatchError):
+            acc.add_gram(g)

@@ -182,6 +182,17 @@ def test_lp_family_smallest_grid():
     assert np.max(np.abs(fam.partition_sum()[fam.covered_mask()] - 1.0)) <= 1e-14
 
 
+def test_lp_family_built_once_per_grid_and_kind():
+    grid = Grid(1, 32)
+    before = make_lp_family.cache_info()
+    fam = make_lp_family(grid)
+    assert make_lp_family(grid, "default") is fam
+    assert make_lp_family(grid, kind="default") is fam
+    after = make_lp_family.cache_info()
+    assert after.misses - before.misses <= 1 and after.hits - before.hits >= 2
+    assert make_lp_family(grid, "poly") is not fam
+
+
 def test_hom_family_partition(grid64):
     hom = make_hom_lp_family(grid64)
     part = hom.partition_sum()
