@@ -5,8 +5,6 @@ from .opfield import (
     OperatorField,
     StripField,
     PSDAccumulator,
-    modulus,
-    sqrt_psd,
     trace_lp_norm,
     op_cauchy_schwarz_gap,
     pairing,

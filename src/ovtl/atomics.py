@@ -597,23 +597,17 @@ def project_tent(F, cal: CalderonSystem) -> OperatorField:
     """
     grid = cal.grid
     if isinstance(F, TentAtom):
-        scales = [j for j in F.scales if j <= cal.j_max]
-        _check_mean_zero_levels(cal, scales)
-        hat = np.zeros(grid.shape + (F.n, F.n), dtype=np.complex128)
-        for j in scales:
-            hat += _piece_transforms([F.block[j - F.j_lo]], [F.cube], [[F.cube]],
-                                     cal.level(j))[0, 0]
-        return OperatorField(grid, LOG2 * ifft_data(hat, grid))
-    if isinstance(F, StripField):
-        if F.grid != grid:
-            raise GridMismatchError("strip grid does not match system grid")
-        scales = range(1, min(F.j_max, cal.j_max) + 1)
-        _check_mean_zero_levels(cal, scales)
-        out = np.zeros(grid.shape + (F.n, F.n), dtype=np.complex128)
-        for j in scales:
-            out += apply_symbol_data(cal.level(j), F.level(j), grid)
-        return OperatorField(grid, LOG2 * out)
-    raise TypeError("project_tent expects a StripField or TentAtom")
+        F = F.to_strip(F.scales.stop - 1)
+    if not isinstance(F, StripField):
+        raise TypeError("project_tent expects a StripField or TentAtom")
+    if F.grid != grid:
+        raise GridMismatchError("strip grid does not match system grid")
+    scales = range(1, min(F.j_max, cal.j_max) + 1)  # scales above cal.j_max are ignored
+    _check_mean_zero_levels(cal, scales)
+    out = np.zeros(grid.shape + (F.n, F.n), dtype=np.complex128)
+    for j in scales:
+        out += apply_symbol_data(cal.level(j), F.level(j), grid)
+    return OperatorField(grid, LOG2 * out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ output files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -37,8 +38,6 @@ from .normsuite import (
 )
 from .spectral import make_hom_lp_family, make_lp_family
 
-NORM_NAMES = ("F_col", "F_row", "F_mix", "hardy", "bmo", "F_infty")
-
 
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ovtl", description=__doc__)
@@ -66,7 +65,7 @@ def _parser() -> argparse.ArgumentParser:
     n = sub.add_parser("norm", help="compute norms of a field file")
     n.add_argument("field", type=Path)
     n.add_argument("--which", type=str, default="F_col",
-                   help=f"comma list from {NORM_NAMES}")
+                   help=f"comma list from {tuple(_NORMS)}")
     n.add_argument("--report", type=Path, default=None)
 
     v = sub.add_parser("verify", help="run an invariant suite")
@@ -118,6 +117,13 @@ def _load_cfg(args) -> Config:
         raise ParameterError(f"[run] trials must be >= 1, got {cfg.trials}")
     if not 0 <= cfg.seed < 2**64:
         raise ParameterError(f"seed must lie in [0, 2^64), got {cfg.seed}")
+    if not all(map(math.isfinite, cfg.alphas)):
+        raise ParameterError(f"alpha must be finite, got {', '.join(map(str, cfg.alphas))}")
+    if cfg.sigma is not None and not math.isfinite(cfg.sigma):
+        raise ParameterError(f"sigma must be finite, got {cfg.sigma}")
+    if not 0 < cfg.multiplier_margin < math.inf:
+        raise ParameterError(f"multiplier_margin must be finite and positive, "
+                             f"got {cfg.multiplier_margin}")
     return cfg
 
 
@@ -150,6 +156,8 @@ def cmd_gen(cfg: Config, args) -> int:
     elif kind == "band-limited-random":
         r_min, r_max = (_numbers(args.band, float, "--band", "two numbers rmin,rmax", (2,))
                         if args.band else (0.0, None))
+        if args.band and not 0 <= r_min <= r_max < math.inf:
+            raise ParameterError(f"--band needs finite 0 <= rmin <= rmax, got {args.band!r}")
         f = generators.band_limited_random(grid, cfg.n, cfg.seed, r_min=r_min,
                                            r_max=r_max)
     elif kind == "bump":
@@ -166,35 +174,32 @@ def cmd_gen(cfg: Config, args) -> int:
     return 0
 
 
+# name: (report for (f, alpha, p, family, cfg), takes alpha, takes p)
+_NORMS = {
+    "F_col": (lambda f, a, p, fam, cfg: tl_norm_column(f, a, p, fam, seed=cfg.seed), True, True),
+    "F_row": (lambda f, a, p, fam, cfg: tl_norm_row(f, a, p, fam, seed=cfg.seed), True, True),
+    "F_mix": (lambda f, a, p, fam, cfg: tl_norm_mixture(f, a, p, fam, seed=cfg.seed), True, True),
+    "hardy": (lambda f, a, p, fam, cfg: hardy_norm(f, p, mode=cfg.kernel_mode, family=fam,
+                                                   seed=cfg.seed), False, True),
+    "bmo": (lambda f, a, p, fam, cfg: bmo_norm(f, seed=cfg.seed), False, False),
+    "F_infty": (lambda f, a, p, fam, cfg: tl_infty_norm(f, a, fam, seed=cfg.seed), True, False),
+}
+
+
 def cmd_norm(cfg: Config, args) -> int:
     f = read_field(args.field)
     if not isinstance(f, OperatorField):
         raise OvtlError("norm command expects a plain field (j_count = 0)")
     fam = make_lp_family(f.grid)
     which = [w.strip() for w in args.which.split(",")]
+    if unknown := [name for name in which if name not in _NORMS]:
+        raise OvtlError(f"unknown norm name {unknown[0]!r}")
     reports = []
-    for name in which:
-        for alpha in cfg.alphas:
-            for p in cfg.ps:
-                if name == "F_col":
-                    reports.append(tl_norm_column(f, alpha, p, fam, seed=cfg.seed))
-                elif name == "F_row":
-                    reports.append(tl_norm_row(f, alpha, p, fam, seed=cfg.seed))
-                elif name == "F_mix":
-                    reports.append(tl_norm_mixture(f, alpha, p, fam, seed=cfg.seed))
-                elif name == "hardy":
-                    reports.append(hardy_norm(f, p, mode=cfg.kernel_mode, family=fam,
-                                              seed=cfg.seed))
-                elif name == "bmo":
-                    reports.append(bmo_norm(f, seed=cfg.seed))
-                elif name == "F_infty":
-                    reports.append(tl_infty_norm(f, alpha, fam, seed=cfg.seed))
-                else:
-                    raise OvtlError(f"unknown norm name {name!r}")
-                if name in ("bmo",):
-                    break
-            if name in ("bmo",):
-                break
+    for name in which:  # one report per value of each parameter the norm takes
+        norm, takes_alpha, takes_p = _NORMS[name]
+        for alpha in cfg.alphas if takes_alpha else (None,):
+            for p in cfg.ps if takes_p else (None,):
+                reports.append(norm(f, alpha, p, fam, cfg))
     _emit("\n".join(r.to_text() for r in reports), args.report)
     return 0
 

@@ -170,7 +170,7 @@ def hypothesis_components(seq: SymbolSequence, sigma: float) -> tuple[float, flo
     sup_{j>=1, |k|<=2} ||phi_j(2^{j+k}.) phi||_{H^sigma_2} and
     ||phi_0 (phi^(0)+phi^(1))||_{H^sigma_2}."""
     grid = seq.grid
-    if sigma <= grid.d / 2:
+    if not sigma > grid.d / 2:
         raise ParameterError(f"sigma must exceed d/2, got {sigma}")
     W = hypothesis_window(grid)
     base = lp_base_profile()

@@ -3,8 +3,7 @@
 An :class:`OperatorField` assigns an n x n complex matrix to every lattice
 point; a :class:`StripField` assigns one to every (point, dyadic scale)
 pair.  The module also provides the operator-algebra primitives used
-throughout: adjoints, the operator modulus |x| = (x*x)^(1/2), pointwise PSD
-accumulation with Hermitian square roots, trace L_p norms, and the
+throughout: adjoints, pointwise PSD accumulation, trace L_p norms, and the
 operator Cauchy-Schwarz gap.
 
 The batched small-matrix kernels every other module goes through live
@@ -202,31 +201,6 @@ def psd_eigvalsh(S: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
-def psd_sqrt(S: np.ndarray, check: bool = True) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
-
-    Eigenvalues are clipped at zero so that -1e-14-size round-off cannot
-    poison the root.  With ``check``, inputs that fail Hermitian symmetry
-    beyond 1e-12 (relative to the largest entry) raise ValidationError.
-    """
-    S = np.asarray(S)
-    if check:
-        scale = float(np.max(np.abs(S))) if S.size else 0.0
-        dev = float(np.max(np.abs(S - herm(S)))) if S.size else 0.0
-        if scale > 0 and dev > max(1e-12 * scale, 1e-300):
-            raise ValidationError(f"matrix not Hermitian: deviation {dev:.3e} vs scale {scale:.3e}")
-    Sh = 0.5 * (S + herm(S))
-    w, v = np.linalg.eigh(Sh)
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)[..., None, :]) @ herm(v)
-    return root
-
-
-def modulus(x: np.ndarray) -> np.ndarray:
-    """Operator modulus |x| = (x* x)^(1/2) of the trailing matrix axes."""
-    return psd_sqrt(gram(np.asarray(x, dtype=np.complex128)), check=False)
-
-
 @dataclass
 class PSDAccumulator:
     """Pointwise accumulator for sums  S(s) = sum_k w_k g_k(s)* g_k(s).
@@ -261,30 +235,9 @@ class PSDAccumulator:
         self.S += weight * P
         return self
 
-    def check(self) -> None:
-        scale = float(np.max(np.abs(self.S))) if self.S.size else 0.0
-        if scale == 0.0:
-            return
-        dev = float(np.max(np.abs(self.S - herm(self.S))))
-        if dev > 1e-12 * scale:
-            raise ValidationError(f"accumulator lost Hermitian symmetry: {dev:.3e}")
-        wmin = float(np.min(np.linalg.eigvalsh(0.5 * (self.S + herm(self.S)))))
-        if wmin < -1e-10 * scale:
-            raise ValidationError(f"accumulator lost positivity: min eig {wmin:.3e}")
-
     def eigenvalues(self) -> np.ndarray:
         """Pointwise eigenvalues of S, clipped at 0; shape (*grid.shape, n)."""
         return psd_eigvalsh(self.S)
-
-    def sqrt(self) -> OperatorField:
-        """Pointwise Hermitian PSD square root as an OperatorField."""
-        return OperatorField(self.grid, psd_sqrt(self.S))
-
-
-def sqrt_psd(acc: PSDAccumulator) -> OperatorField:
-    """Pointwise PSD square root of an accumulator (validates invariants)."""
-    acc.check()
-    return acc.sqrt()
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +377,8 @@ def _dilation_singular_values(x: np.ndarray) -> np.ndarray:
 
 
 def check_p(p: float) -> None:
-    """Reject an integrability index outside [1, inf] with a ParameterError."""
-    if p != np.inf and p < 1:
+    """Reject an integrability index outside [1, inf] (NaN too) with a ParameterError."""
+    if p != np.inf and not p >= 1:
         raise ParameterError(f"p must be >= 1 or inf, got {p}")
 
 

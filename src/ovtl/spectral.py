@@ -456,7 +456,7 @@ def window_radius_sq(grid: Grid, window: float) -> np.ndarray:
 
 
 def _hsigma_window(grid: Grid, sigma: float, window: Optional[float]) -> float:
-    if sigma <= grid.d / 2.0:
+    if not sigma > grid.d / 2.0:
         raise ParameterError(f"sigma must exceed d/2 = {grid.d / 2}, got {sigma}")
     W = default_window(grid) if window is None else float(window)
     if W <= 0:

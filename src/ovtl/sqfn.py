@@ -1,7 +1,7 @@
 """Square functions: one engine for sum_j w_j |m_j * f|^2, radial or conic.
 
 The Littlewood-Paley g-function, the conic (Lusin) area function and the
-tent functional are the same sum in different geometries.  A square
+tent-space square function are the same sum in different geometries.  A square
 function is described by a *level list* ``[(j, weight, symbol_values)]``;
 :func:`lp_levels` and :func:`poisson_levels` build the two kernel kinds, and
 truncating the sum is slicing the list.  :func:`filtered` turns a level
@@ -12,7 +12,7 @@ time.  :func:`square_accumulator` adds the terms up: radially
 weight * 2^{jd} h^d for j >= 1 (j = 0 stays radial), the ball correlations
 summed in Fourier space and inverted once.  :func:`square_norm` is the
 trace-L_p norm of the root: at p = 2 a Plancherel sum over ``fhat`` alone,
-otherwise ``psd_root_norm`` of the accumulator.  The tent functional
+otherwise ``psd_root_norm`` of the accumulator.  The tent-space norm
 feeds the strip levels ``(j, log 2, F(., 2^-j))`` to the same accumulator.
 
 Continuous scale integrals are rendered with the dyadic midpoint rule
@@ -32,15 +32,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import GridMismatchError
-from .lattice import ConeIndex, Grid, cone_index
-from .opfield import (
-    OperatorField,
-    PSDAccumulator,
-    StripField,
-    gram,
-    herm,
-    psd_root_norm,
-)
+from .lattice import ConeIndex, Grid
+from .opfield import PSDAccumulator, StripField, gram, herm, psd_root_norm
 from .spectral import LPFamily, apply_symbol_hat, fft_data, ifft_data, poisson_dk_symbol
 
 LOG2 = math.log(2.0)
@@ -144,12 +137,5 @@ def square_norm(fhat: np.ndarray, grid: Grid, levels: Sequence, p: float,
 
 
 def strip_levels(F: StripField) -> Iterator[tuple]:
-    """Terms (j, log 2, F(., 2^-j)) of the tent functional, j = 1 .. j_max."""
+    """Terms (j, log 2, F(., 2^-j)) of the tent-space square function, j = 1 .. j_max."""
     return ((j, LOG2, F.level(j)) for j in range(1, F.j_max + 1))
-
-
-def tent_functional(F: StripField, cone: Optional[ConeIndex] = None) -> OperatorField:
-    """Tent functional A^c(F) (PSD-root field), with
-    A^c(F)^2 = sum_j log2 2^{jd} sum_{t in B_j} h^d |F(s+t, 2^-j)|^2."""
-    cone = cone_index(F.grid, F.j_max) if cone is None else cone
-    return square_accumulator(F.grid, F.n, strip_levels(F), cone).sqrt()

@@ -4,7 +4,9 @@ Written against the defining formulas with deliberately different code
 paths from the package: plain |.| instead of matrix moduli, explicit
 roll-based ball sums instead of FFT correlation, and per-cube python loops
 for the sup-type norms.  Shares only raw inputs (field arrays and symbol
-value tables) with the implementation under test.
+value tables) with the implementation under test.  :func:`psd_root` is the
+one matrix oracle: the root field S^(1/2) of an accumulator, by
+eigendecomposition, which the package itself never forms.
 """
 
 import math
@@ -178,3 +180,11 @@ def homogeneous_ratio(f: np.ndarray, alpha: float, p: float, symbols: list,
         total += 4.0 ** (j * alpha) * np.abs(convolve(f, sym)) ** 2
     low = lp_norm(np.abs(convolve(f, symbols[0])), p, h_d)
     return inhom / (low + lp_norm(np.sqrt(total), p, h_d))
+
+
+def psd_root(S: np.ndarray) -> np.ndarray:
+    """Hermitian PSD square root of each trailing n x n block of S, from
+    ``eigh`` of (S + S*)/2 with the eigenvalues clipped at 0."""
+    S = np.asarray(S)
+    w, v = np.linalg.eigh(0.5 * (S + np.conj(np.swapaxes(S, -1, -2))))
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))

@@ -190,6 +190,21 @@ def test_project_random_atom_contract(grid64):
         assert size_const <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 32)], ids=["d1", "d2"])
+def test_project_atom_ignores_scales_above_system(grid):
+    # an atom reaching past cal.j_max projects as its scales up to cal.j_max
+    cal = calderon_resolution(grid)
+    cube = DyadicCube(grid, 1, (1,) * grid.d)
+    j_lo = cal.j_max - 1
+    shape = (4,) + (cube.side_cells,) * grid.d + (2, 2)
+    rng = rng_for(61)
+    block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    out = project_tent(TentAtom(cube=cube, j_lo=j_lo, block=block), cal)
+    kept = project_tent(TentAtom(cube=cube, j_lo=j_lo, block=block[:2]), cal)
+    assert np.max(np.abs(kept.data)) > 0.0
+    assert np.max(np.abs(out.data - kept.data)) <= 1e-14 * np.max(np.abs(kept.data))
+
+
 def test_project_rejects_mean_nonzero_level(grid64):
     cal = calderon_resolution(grid64)
     bad_levels = tuple(np.array(v) for v in cal.level_values)

@@ -145,6 +145,18 @@ H1_DECOMPOSE = ["decompose", "{field}", "--target", "h1", "--manifest", "{out}.m
     ("K = 1\n", "K = 0\n", H1_DECOMPOSE, "K must be >= 1"),
     ("seed = 0\n", "seed = -1\n", ["gen", "--kind", "band-limited-random", "{out}"],
      "seed must lie in [0, 2^64)"),
+    ("multiplier_margin = 100.0\n", "multiplier_margin = nan\n",
+     ["multiplier-check", "--report", "{out}"], "multiplier_margin must be finite and positive"),
+    ("multiplier_margin = 100.0\n", "multiplier_margin = inf\n",
+     ["verify", "multiplier", "--report", "{out}"],
+     "multiplier_margin must be finite and positive"),
+    ("multiplier_margin = 100.0\n", "multiplier_margin = 0.0\n",
+     ["multiplier-check", "--conic", "--report", "{out}"],
+     "multiplier_margin must be finite and positive"),
+    ("alphas = 0.0,0.5\n", "alphas = 0.0,nan\n", ["norm", "{field}", "--report", "{out}"],
+     "alpha must be finite"),
+    ("sigma = auto\n", "sigma = nan\n", ["multiplier-check", "--report", "{out}"],
+     "sigma must be finite"),
 ])
 def test_config_value_out_of_range_rejected(tmp_path, capsys, old, new, argv, needle):
     cfg, field, out = tmp_path / "v.cfg", tmp_path / "f.ovtl", tmp_path / "out"
@@ -227,6 +239,20 @@ def test_norm_unknown_name(tmp_path):
     out = tmp_path / "f.ovtl"
     write_field(out, band_limited_random(Grid(1, 64), 2, 4))
     assert main(["--grid", "64", "norm", str(out), "--which", "nope"]) == 1
+
+
+def test_norm_one_report_per_parameter_taken(tmp_path, capsys):
+    # default alphas (0, 0.5) and ps (1, 2): F_col takes both, hardy only p,
+    # F_infty only alpha and bmo neither, so no two reports repeat
+    out = tmp_path / "f.ovtl"
+    write_field(out, band_limited_random(Grid(1, 64), 2, 4))
+    capsys.readouterr()
+    assert main(["--grid", "64", "norm", str(out), "--which", "F_col,hardy,F_infty,bmo"]) == 0
+    reports = capsys.readouterr().out.split("[report]\n")[1:]
+    names = [r.splitlines()[0] for r in reports]
+    assert [names.count(f"name = {k}") for k in ("F_alpha_column", "hardy", "F_alpha_infty",
+                                                 "bmo")] == [4, 2, 2, 1]
+    assert len(set(reports)) == len(reports) == 9
 
 
 def test_verify_suites_pass(tmp_path):
@@ -387,6 +413,27 @@ def test_reports_deterministic(tmp_path):
      "past 2^1023"),
     (["--grid", "64", "--matrix", "1", "multiplier-check", "--beta", "-2000",
       "--report", "{out}"], "past 2^1023"),
+    (["--p", "nan", "norm", "{field}", "--which", "F_col", "--report", "{out}"], "p must be"),
+    (["--grid", "64", "--p", "nan", "multiplier-check", "--report", "{out}"], "p must be"),
+    (["--alpha", "nan", "norm", "{field}", "--report", "{out}"], "alpha must be finite"),
+    (["--alpha", "inf", "norm", "{field}", "--which", "F_infty", "--report", "{out}"],
+     "alpha must be finite"),
+    (["--alpha", "nan", "decompose", "{field}", "--target", "tl",
+      "--manifest", "{out}.m", "--blob", "{out}.b"], "alpha must be finite"),
+    (["--alpha", "inf", "decompose", "{field}", "--target", "tl",
+      "--manifest", "{out}.m", "--blob", "{out}.b"], "alpha must be finite"),
+    (["--grid", "64", "--sigma", "nan", "multiplier-check", "--report", "{out}"],
+     "sigma must be finite"),
+    (["--grid", "64", "--sigma", "inf", "verify", "cz", "--report", "{out}"],
+     "sigma must be finite"),
+    (["--grid", "64", "gen", "--kind", "band-limited-random", "--band", "5,2", "{out}"],
+     "--band needs finite 0 <= rmin <= rmax"),
+    (["--grid", "64", "gen", "--kind", "band-limited-random", "--band", "nan,8", "{out}"],
+     "--band needs finite 0 <= rmin <= rmax"),
+    (["--grid", "64", "gen", "--kind", "band-limited-random", "--band=-1,8", "{out}"],
+     "--band needs finite 0 <= rmin <= rmax"),
+    (["--grid", "64", "gen", "--kind", "band-limited-random", "--band", "2,inf", "{out}"],
+     "--band needs finite 0 <= rmin <= rmax"),
 ])
 def test_invalid_parameter_rejected(tmp_path, capsys, argv, needle):
     field, out = tmp_path / "f.ovtl", tmp_path / "out.ovtl"

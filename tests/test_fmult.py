@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ovtl.errors import HypothesisError
+from ovtl.errors import HypothesisError, ParameterError
 from ovtl.lattice import Grid, cone_index
 from ovtl.fmult import (
     SymbolSequence,
@@ -10,6 +10,7 @@ from ovtl.fmult import (
     empirical_conic_bound,
     empirical_square_bound,
     exact_p2_operator_norm,
+    hypothesis_components,
     hypothesis_constant,
     identity_sequence,
     lp_sequence,
@@ -27,6 +28,12 @@ def gen_for(grid, n=2, base=1000):
         return band_limited_random(grid, n, base + t)
 
     return gen
+
+
+@pytest.mark.parametrize("sigma", [0.5, float("nan")])
+def test_hypothesis_rejects_sigma_not_above_half_d(grid128, sigma):
+    with pytest.raises(ParameterError, match="sigma must exceed"):
+        hypothesis_components(identity_sequence(grid128), sigma)
 
 
 def test_identity_sequence_support(grid128):

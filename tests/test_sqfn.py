@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from ovtl.errors import GridMismatchError
 from ovtl.lattice import Grid, cone_index
 from ovtl.normsuite import hardy_norm, tent_norm
@@ -23,7 +24,7 @@ from ovtl.sqfn import (
     poisson_levels,
     square_accumulator,
     square_norm,
-    tent_functional,
+    strip_levels,
 )
 
 
@@ -32,17 +33,29 @@ def accumulate(f, levels, cone=None):
                               cone)
 
 
+def root(acc):
+    """The root field S^(1/2) of an accumulator, from the eigh oracle."""
+    return OperatorField(acc.grid, ref.psd_root(acc.S))
+
+
+def tent_root(F, cone=None):
+    """The tent functional A^c(F), the root field of
+    A^c(F)^2 = sum_j log2 2^{jd} sum_{t in B_j} h^d |F(s+t, 2^-j)|^2."""
+    cone = cone_index(F.grid, F.j_max) if cone is None else cone
+    return root(square_accumulator(F.grid, F.n, strip_levels(F), cone))
+
+
 def test_g_radial_single_mode(grid64, fam64):
     # |k| = 4 lives on the j = 2 annulus alone: output is the constant |A|
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     f = single_mode(grid64, 2, (4,), matrix=A)
-    out = accumulate(f, lp_levels(fam64, 0.0)).sqrt()
+    out = root(accumulate(f, lp_levels(fam64, 0.0)))
     expected = np.diag([0.0, 1.0])  # |A| for the nilpotent A
     assert np.max(np.abs(out.data - expected)) < 1e-10
 
 
 def test_g_radial_zero(grid64, fam64):
-    out = accumulate(OperatorField.zero(grid64, 2), lp_levels(fam64, 0.0)).sqrt()
+    out = root(accumulate(OperatorField.zero(grid64, 2), lp_levels(fam64, 0.0)))
     assert np.max(np.abs(out.data)) == 0.0
 
 
@@ -67,14 +80,14 @@ def test_g_radial_alpha_shift(grid64, fam64):
 def test_g_radial_homogeneity(grid64, fam64):
     f = band_limited_random(grid64, 2, 801)
     c = 2.5 - 1.0j
-    a = accumulate(c * f, lp_levels(fam64, 0.0)).sqrt()
-    b = accumulate(f, lp_levels(fam64, 0.0)).sqrt()
+    a = root(accumulate(c * f, lp_levels(fam64, 0.0)))
+    b = root(accumulate(f, lp_levels(fam64, 0.0)))
     assert np.max(np.abs(a.data - abs(c) * b.data)) < 1e-9 * np.max(np.abs(b.data))
 
 
 def test_g_radial_p2_identity(grid64, fam64):
     f = band_limited_random(grid64, 2, 802)
-    out = accumulate(f, lp_levels(fam64, 0.0)).sqrt()
+    out = root(accumulate(f, lp_levels(fam64, 0.0)))
     lhs = trace_lp_norm(out, 2.0) ** 2
     fh = fft_forward(f).data
     sq = fam64.square_sum()
@@ -101,7 +114,7 @@ def test_conic_constant_vs_radial_factor(grid64, fam64):
     cone = cone_index(grid64, fam64.j_max)
     alpha = 0.3
     rad = accumulate(f, lp_levels(fam64, alpha)[1:])
-    con = accumulate(f, lp_levels(fam64, alpha)[1:], cone).sqrt()
+    con = root(accumulate(f, lp_levels(fam64, alpha)[1:], cone))
     # only level j = 2 contributes; factor = 2^{jd} |B_j| h^d
     j = 2
     factor = 2.0 ** (j * grid64.d) * cone.ball_measure(j)
@@ -111,7 +124,7 @@ def test_conic_constant_vs_radial_factor(grid64, fam64):
 
 def test_conic_zero(grid64, fam64):
     cone = cone_index(grid64, fam64.j_max)
-    out = accumulate(OperatorField.zero(grid64, 2), lp_levels(fam64, 0.0)[1:], cone).sqrt()
+    out = root(accumulate(OperatorField.zero(grid64, 2), lp_levels(fam64, 0.0)[1:], cone))
     assert np.max(np.abs(out.data)) < 1e-15
 
 
@@ -119,7 +132,7 @@ def test_conic_fubini_identity(grid64, fam64):
     f = band_limited_random(grid64, 1, 804)
     cone = cone_index(grid64, fam64.j_max)
     alpha = 0.25
-    out = accumulate(f, lp_levels(fam64, alpha)[1:], cone).sqrt()
+    out = root(accumulate(f, lp_levels(fam64, alpha)[1:], cone))
     lhs = float(np.mean(np.abs(out.data[..., 0, 0]) ** 2))
     rhs = 0.0
     for j in range(1, fam64.j_max + 1):
@@ -135,7 +148,7 @@ def test_tent_one_cell(grid64):
     j0, site, amp = 2, 17, 3.0
     data[j0 - 1, site, 0, 0] = amp
     F = StripField(grid64, data)
-    out = tent_functional(F)
+    out = tent_root(F)
     cone = cone_index(grid64, 3)
     expected = math.sqrt(LOG2 * 2.0 ** (j0 * grid64.d) * grid64.cell_volume) * amp
     vals = out.data[:, 0, 0].real
@@ -149,18 +162,18 @@ def test_tent_one_cell(grid64):
 
 def test_tent_zero_and_scaling(grid64):
     Z = StripField.zero(grid64, 2, 3)
-    assert np.max(np.abs(tent_functional(Z).data)) == 0.0
+    assert np.max(np.abs(tent_root(Z).data)) == 0.0
     F = random_strip(grid64, 2, 3, 805)
     c = -1.5 + 2.0j
-    a = tent_functional(c * F)
-    b = tent_functional(F)
+    a = tent_root(c * F)
+    b = tent_root(F)
     assert np.max(np.abs(a.data - abs(c) * b.data)) < 1e-9 * np.max(np.abs(b.data))
 
 
 def test_poisson_radial_matches_manual(grid64):
     # dyadic quadrature weights log2 * 2^{-2j(k-alpha)} per level
     f = band_limited_random(grid64, 1, 806)
-    out = accumulate(f, poisson_levels(grid64, 4, 1, 0.0)).sqrt()
+    out = root(accumulate(f, poisson_levels(grid64, 4, 1, 0.0)))
     total = np.zeros(grid64.shape)
     from ovtl.spectral import poisson_dk_symbol
 
@@ -193,13 +206,13 @@ def test_engine_rejects_other_grid(grid64, fam64):
     with pytest.raises(GridMismatchError):
         list(filtered(fhat, grid64, lp_levels(other, 0.0)))
     with pytest.raises(GridMismatchError):
-        accumulate(f, lp_levels(other, 0.0)).sqrt()
+        root(accumulate(f, lp_levels(other, 0.0)))
     with pytest.raises(GridMismatchError):
-        accumulate(f, lp_levels(fam64, 0.0)[1:], cone_index(Grid(1, 128), fam64.j_max)).sqrt()
+        root(accumulate(f, lp_levels(fam64, 0.0)[1:], cone_index(Grid(1, 128), fam64.j_max)))
     with pytest.raises(GridMismatchError):  # scales beyond the cone
-        accumulate(f, lp_levels(fam64, 0.0)[1:], cone_index(grid64, fam64.j_max - 1)).sqrt()
+        root(accumulate(f, lp_levels(fam64, 0.0)[1:], cone_index(grid64, fam64.j_max - 1)))
     with pytest.raises(GridMismatchError):
-        tent_functional(random_strip(grid64, 2, 3, 809), cone_index(Grid(1, 128), 3))
+        tent_root(random_strip(grid64, 2, 3, 809), cone_index(Grid(1, 128), 3))
     for p in (1.0, 2.0):  # square_norm, on the eigenvalue and the Plancherel route
         with pytest.raises(GridMismatchError):
             square_norm(fhat, grid64, lp_levels(fam64, 0.0), p,
@@ -209,6 +222,15 @@ def test_engine_rejects_other_grid(grid64, fam64):
         with pytest.raises(GridMismatchError):  # scales beyond the cone
             square_norm(fhat, grid64, lp_levels(fam64, 0.0), p,
                         cone_index(grid64, fam64.j_max - 1))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_tent_norm_rejects_other_grid(grid64, p):
+    F = random_strip(grid64, 2, 3, 809)
+    with pytest.raises(GridMismatchError):
+        tent_norm(F, p, cone_index(Grid(1, 128), 3))
+    with pytest.raises(GridMismatchError):  # scales beyond the cone
+        tent_norm(F, p, cone_index(grid64, 2))
 
 
 # ---------------------------------------------------------------------------
