@@ -256,15 +256,6 @@ class ValidationReport:
     def failures(self) -> list:
         return [c for c in self.clauses if not c.passed]
 
-    def to_text(self) -> str:
-        lines = [f"[validate:{self.atom_kind}] passed = {self.passed}"]
-        for c in self.clauses:
-            lines.append(
-                f"{c.name}: measured = {c.measured:.6e} bound = {c.bound:.6e} "
-                f"pass = {c.passed}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 SUPPORT_RTOL = 1e-10
 SIZE_SLACK = 1e-9

@@ -9,6 +9,8 @@ output files.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -233,37 +235,43 @@ def _suite_lp_family(cfg: Config, lines: list) -> bool:
     return ok
 
 
-def _suite_multiplier(cfg: Config, lines: list, violate_support: bool = False) -> bool:
-    from .fmult import (
-        SymbolSequence,
-        bessel_dilate_sequence,
-        empirical_square_bound,
-        identity_sequence,
-    )
-    from .spectral import Profile, constant_profile
+def _certificates(cfg: Config, seqs, alphas, ps, conic: bool) -> tuple:
+    """(report texts, all passed) of the multiplier certificates of each
+    sequence at each alpha and p, in that order, on one trial-field
+    generator and, if ``conic``, one cone."""
+    from .fmult import empirical_conic_bound, empirical_square_bound
 
     grid = cfg.grid()
-    sigma = cfg.sigma_value()
+    bound = empirical_square_bound
+    if conic:
+        bound = functools.partial(empirical_conic_bound,
+                                  cone=cone_index(grid, make_lp_family(grid).j_max))
 
     def gen(t):
         return generators.band_limited_random(grid, cfg.n, cfg.seed + t)
 
+    certs = [bound(seq, gen, alpha=alpha, p=p, trials=cfg.trials, sigma=cfg.sigma_value(),
+                   margin=cfg.multiplier_margin)
+             for seq, alpha, p in itertools.product(seqs, alphas, ps)]
+    return [cert.to_text() for cert in certs], all(cert.passed for cert in certs)
+
+
+def _suite_multiplier(cfg: Config, lines: list, violate_support: bool) -> bool:
+    from .fmult import SymbolSequence, bessel_dilate_sequence, identity_sequence
+    from .spectral import Profile, constant_profile
+
+    grid = cfg.grid()
     if violate_support:
         gauss = Profile(lambda xi: np.exp(-np.sum(xi**2, axis=-1)) + 0j)
         rho = tuple(gauss for _ in range(4))
         bad = SymbolSequence(grid, tuple(constant_profile(1.0) for _ in rho), rho,
                              name="support-violating")
-        empirical_square_bound(bad, gen, alpha=0.0, p=2.0, trials=1, sigma=sigma)
+        _certificates(cfg, (bad,), (0.0,), (2.0,), conic=False)
         lines.append("support_violation_undetected = True")
         return False  # reaching here means the violation went unnoticed
-
-    ok = True
-    for seq in (identity_sequence(grid), bessel_dilate_sequence(grid, 1.0)):
-        cert = empirical_square_bound(seq, gen, alpha=0.0, p=2.0,
-                                      trials=cfg.trials, sigma=sigma,
-                                      margin=cfg.multiplier_margin)
-        lines.append(cert.to_text())
-        ok &= cert.passed
+    texts, ok = _certificates(cfg, (identity_sequence(grid), bessel_dilate_sequence(grid, 1.0)),
+                              (0.0,), (2.0,), conic=False)
+    lines.extend(texts)
     return ok
 
 
@@ -351,18 +359,15 @@ def cmd_verify(cfg: Config, args) -> int:
              f"d = {cfg.d}", f"N = {cfg.N}", f"n = {cfg.n}", f"seed = {cfg.seed}"]
     suites = {
         "lp-family": _suite_lp_family,
-        "multiplier": _suite_multiplier,
+        "multiplier": functools.partial(_suite_multiplier,
+                                        violate_support=args.violate_support),
         "cz": _suite_cz,
         "lifting": _suite_lifting,
         "equivalence": _suite_equivalence,
         "atoms": _suite_atoms,
     }
     try:
-        if args.suite == "multiplier":
-            ok = _suite_multiplier(cfg, lines,
-                                   violate_support=getattr(args, "violate_support", False))
-        else:
-            ok = suites[args.suite](cfg, lines)
+        ok = suites[args.suite](cfg, lines)
     except HypothesisError as exc:
         lines.append(f"hypothesis_error = {exc}")
         ok = False
@@ -393,35 +398,12 @@ def cmd_reconstruct(cfg: Config, args) -> int:
 
 
 def cmd_multiplier_check(cfg: Config, args) -> int:
-    from .fmult import (
-        bessel_dilate_sequence,
-        empirical_conic_bound,
-        empirical_square_bound,
-        identity_sequence,
-    )
+    from .fmult import bessel_dilate_sequence, identity_sequence
 
     grid = cfg.grid()
     seq = (identity_sequence(grid) if args.family == "identity"
            else bessel_dilate_sequence(grid, args.beta))
-
-    def gen(t):
-        return generators.band_limited_random(grid, cfg.n, cfg.seed + t)
-
-    texts = []
-    ok = True
-    for alpha in cfg.alphas:
-        for p in cfg.ps:
-            if args.conic:
-                cone = cone_index(grid, make_lp_family(grid).j_max)
-                cert = empirical_conic_bound(seq, gen, alpha=alpha, p=p, cone=cone,
-                                             trials=cfg.trials, sigma=cfg.sigma_value(),
-                                             margin=cfg.multiplier_margin)
-            else:
-                cert = empirical_square_bound(seq, gen, alpha=alpha, p=p,
-                                              trials=cfg.trials, sigma=cfg.sigma_value(),
-                                              margin=cfg.multiplier_margin)
-            texts.append(cert.to_text())
-            ok &= cert.passed
+    texts, ok = _certificates(cfg, (seq,), cfg.alphas, cfg.ps, args.conic)
     _emit("\n".join(texts), args.report)
     return 0 if ok else 1
 

@@ -14,15 +14,16 @@ start to start + side - 1 (mod N) per axis, which is its doubled cube 2Q
 the atom on the whole grid with no box fields.
 
 Configs are structured text (key = value under [section] headers) and
-round-trip losslessly through :func:`parse_config` / :func:`config_to_text`;
-keys are case-sensitive, and an unknown section or key, a malformed value
-and a line outside any [section] are each a ConfigError.
+round-trip losslessly through :func:`parse_config` / :func:`config_to_text`,
+both driven by one table, ``_CONFIG_KEYS``, that states each key once with
+its section, parser and writer.  Keys are case-sensitive, and an unknown
+section or key, a malformed value and a line outside any [section] are
+each a ConfigError.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 import re
 import struct
@@ -117,46 +118,50 @@ class Config:
         return self.d / 2.0 + 0.5 if self.sigma is None else self.sigma
 
 
-def config_to_text(cfg: Config) -> str:
-    out = io.StringIO()
-    out.write("[grid]\n")
-    out.write(f"d = {cfg.d}\n")
-    out.write(f"N = {cfg.N}\n")
-    out.write("[algebra]\n")
-    out.write(f"n = {cfg.n}\n")
-    out.write("[spectral]\n")
-    out.write(f"sigma = {'auto' if cfg.sigma is None else repr(cfg.sigma)}\n")
-    out.write("[norms]\n")
-    out.write(f"alphas = {','.join(repr(a) for a in cfg.alphas)}\n")
-    out.write(f"ps = {','.join(repr(p) for p in cfg.ps)}\n")
-    out.write(f"kernel_mode = {cfg.kernel_mode}\n")
-    out.write("[decomposition]\n")
-    out.write(f"K = {cfg.K}\n")
-    out.write(f"L = {cfg.L}\n")
-    out.write(f"multiplier_margin = {cfg.multiplier_margin!r}\n")
-    out.write("[run]\n")
-    out.write(f"seed = {cfg.seed}\n")
-    out.write(f"trials = {cfg.trials}\n")
-    return out.getvalue()
-
-
-# the keys each section accepts, spelled as config_to_text writes them (case matters)
-_CONFIG_KEYS = {
-    "grid": ("d", "N"),
-    "algebra": ("n",),
-    "spectral": ("sigma",),
-    "norms": ("alphas", "ps", "kernel_mode"),
-    "decomposition": ("K", "L", "multiplier_margin"),
-    "run": ("seed", "trials"),
-}
-
-
 def _floats(raw: str) -> tuple:
     return tuple(float(x) for x in raw.split(","))
 
 
 def _sigma(raw: str) -> Optional[float]:
     return None if raw == "auto" else float(raw)
+
+
+def _kernel_mode(raw: str) -> str:
+    if raw not in HARDY_MODES:
+        raise ValueError(f"must be one of {', '.join(HARDY_MODES)}")
+    return raw
+
+
+def _floats_text(values: tuple) -> str:
+    return ",".join(repr(x) for x in values)
+
+
+# (section, key, parse, format) of every config key, in file order; each key
+# is spelled as the Config attribute it sets (case matters)
+_CONFIG_KEYS = (
+    ("grid", "d", int, str),
+    ("grid", "N", int, str),
+    ("algebra", "n", int, str),
+    ("spectral", "sigma", _sigma, lambda sigma: "auto" if sigma is None else repr(sigma)),
+    ("norms", "alphas", _floats, _floats_text),
+    ("norms", "ps", _floats, _floats_text),
+    ("norms", "kernel_mode", _kernel_mode, str),
+    ("decomposition", "K", int, str),
+    ("decomposition", "L", int, str),
+    ("decomposition", "multiplier_margin", float, repr),
+    ("run", "seed", int, str),
+    ("run", "trials", int, str),
+)
+
+
+def config_to_text(cfg: Config) -> str:
+    lines, section = [], None
+    for sec, key, _, fmt in _CONFIG_KEYS:
+        if sec != section:
+            lines.append(f"[{sec}]")
+            section = sec
+        lines.append(f"{key} = {fmt(getattr(cfg, key))}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str) -> Config:
@@ -171,39 +176,18 @@ def parse_config(text: str) -> Config:
         raise ConfigError("malformed config: " + " ".join(str(exc).split())) from None
     if cp.defaults():
         raise ConfigError(f"unknown config section [{cp.default_section}]")
-    for section in cp.sections():
-        if section not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in cp.options(section):
-            if key not in _CONFIG_KEYS[section]:
-                raise ConfigError(f"unknown config key {key!r} in [{section}]")
-
-    def value(section: str, key: str, convert, default):
-        raw = cp.get(section, key, fallback=None)
-        if raw is None:
-            return default
-        try:
-            return convert(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is malformed: {exc}") from None
-
+    parsers = {(section, key): parse for section, key, parse, _ in _CONFIG_KEYS}
     cfg = Config()
-    cfg.d = value("grid", "d", int, cfg.d)
-    cfg.N = value("grid", "N", int, cfg.N)
-    cfg.n = value("algebra", "n", int, cfg.n)
-    cfg.sigma = value("spectral", "sigma", _sigma, cfg.sigma)
-    cfg.alphas = value("norms", "alphas", _floats, cfg.alphas)
-    cfg.ps = value("norms", "ps", _floats, cfg.ps)
-    cfg.kernel_mode = value("norms", "kernel_mode", str, cfg.kernel_mode)
-    if cfg.kernel_mode not in HARDY_MODES:
-        raise ConfigError(f"[norms] kernel_mode must be one of {', '.join(HARDY_MODES)}, "
-                          f"got {cfg.kernel_mode!r}")
-    cfg.K = value("decomposition", "K", int, cfg.K)
-    cfg.L = value("decomposition", "L", int, cfg.L)
-    cfg.multiplier_margin = value("decomposition", "multiplier_margin", float,
-                                  cfg.multiplier_margin)
-    cfg.seed = value("run", "seed", int, cfg.seed)
-    cfg.trials = value("run", "trials", int, cfg.trials)
+    for section in cp.sections():
+        if section not in {sec for sec, _ in parsers}:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key, raw in cp.items(section):
+            if (section, key) not in parsers:
+                raise ConfigError(f"unknown config key {key!r} in [{section}]")
+            try:
+                setattr(cfg, key, parsers[section, key](raw))
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r} is malformed: {exc}") from None
     return cfg
 
 

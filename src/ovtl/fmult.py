@@ -19,7 +19,7 @@ import numpy as np
 from .errors import HypothesisError, ParameterError
 from .lattice import ConeIndex, Grid
 from .opfield import OperatorField, check_p
-from .sqfn import square_norm
+from .sqfn import level_weight, square_norm
 from .spectral import (
     Profile,
     Symbol,
@@ -316,8 +316,9 @@ def _empirical_bound(kind: str, seq: SymbolSequence,
     _check_p1_shape(seq, p)
     chyp = hypothesis_constant(seq, sigma)
     j_top = seq.j_max if cone is None else min(seq.j_max, cone.j_max)
-    rho_levels = [(j, 4.0 ** (j * alpha), seq.rho_symbol(j).values) for j in range(j_top + 1)]
-    prod_levels = [(j, 4.0 ** (j * alpha), seq.product_symbol(j).values)
+    rho_levels = [(j, level_weight(j, alpha), seq.rho_symbol(j).values)
+                  for j in range(j_top + 1)]
+    prod_levels = [(j, level_weight(j, alpha), seq.product_symbol(j).values)
                    for j in range(j_top + 1)]
     ratios = []
     for t in range(trials):

@@ -28,6 +28,7 @@ from .opfield import (
 )
 from .sqfn import (
     filtered,
+    level_weight,
     lp_levels,
     poisson_levels,
     square_accumulator,
@@ -345,7 +346,7 @@ def homogeneous_equiv_report(f: OperatorField, alpha: float, p: float,
     grid = f.grid
     fhat = fft_data(f.data, grid)
     (inhom,), low = _lp_square_norms(f, alpha, p, family, ("column",), fhat)
-    hom_levels = [(j, 4.0 ** (j * alpha), hom.member(j).values) for j in hom.scales()]
+    hom_levels = [(j, level_weight(j, alpha), hom.member(j).values) for j in hom.scales()]
     hom_sq = square_norm(fhat, grid, hom_levels, p)
     plain = trace_lp_norm(f, p)
     denom_phi0 = low + hom_sq

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, ParameterError
 from .lattice import ConeIndex, Grid
 from .opfield import PSDAccumulator, StripField, gram, herm, psd_root_norm
 from .spectral import LPFamily, apply_symbol_hat, fft_data, ifft_data, poisson_dk_symbol
@@ -39,9 +39,19 @@ from .spectral import LPFamily, apply_symbol_hat, fft_data, ifft_data, poisson_d
 LOG2 = math.log(2.0)
 
 
+def level_weight(j: int, alpha: float) -> float:
+    """The weight 4^{j alpha} of scale j.  ParameterError once j alpha > 500,
+    so every weight stays below 2^1000 and a weighted square sum keeps
+    headroom below the float64 overflow at 2^1024."""
+    if j * alpha > 500:
+        raise ParameterError(f"alpha = {alpha} puts the weight 4^(j alpha) of scale {j} "
+                             f"past 2^1000")
+    return 4.0 ** (j * alpha)
+
+
 def lp_levels(family: LPFamily, alpha: float) -> list:
     """Levels (j, 4^{j alpha}, phi^(j)) of the LP square function, j = 0 .. j_max."""
-    return [(j, 4.0 ** (j * alpha), family.values(j)) for j in range(family.j_max + 1)]
+    return [(j, level_weight(j, alpha), family.values(j)) for j in range(family.j_max + 1)]
 
 
 def poisson_levels(grid: Grid, j_max: int, k: int, alpha: float) -> list:

@@ -1,9 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from ovtl.cli import main
 from ovtl.errors import ConfigError, OvtlError
 from ovtl.fieldio import (
+    _CONFIG_KEYS,
     Config,
     config_to_text,
     parse_config,
@@ -49,6 +53,27 @@ def test_config_roundtrip():
     back = parse_config(text)
     assert back == cfg
     assert config_to_text(back) == text
+
+
+def test_config_text_golden():
+    # a format that changes but still round-trips (another key order, "1" for
+    # "1.0") passes the round trip above, not this
+    cfg = Config(d=3, N=32, n=4, sigma=0.1 + 0.2, alphas=(0.0, -1.5, 2.25),
+                 ps=(1.0, math.inf), kernel_mode="poisson", K=3, L=-1,
+                 multiplier_margin=2.5, seed=2**64 - 1, trials=3)
+    assert config_to_text(cfg) == (
+        "[grid]\nd = 3\nN = 32\n"
+        "[algebra]\nn = 4\n"
+        "[spectral]\nsigma = 0.30000000000000004\n"
+        "[norms]\nalphas = 0.0,-1.5,2.25\nps = 1.0,inf\nkernel_mode = poisson\n"
+        "[decomposition]\nK = 3\nL = -1\nmultiplier_margin = 2.5\n"
+        "[run]\nseed = 18446744073709551615\ntrials = 3\n")
+
+
+def test_config_keys_name_every_field_once():
+    keys = [key for _, key, _, _ in _CONFIG_KEYS]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(Config))
+    assert len(set(keys)) == len(keys)
 
 
 def test_config_auto_fields():
@@ -370,6 +395,20 @@ def test_multiplier_check_report(tmp_path):
     assert "passed = True" in rep.read_text()
 
 
+@pytest.mark.parametrize("conic", [False, True])
+def test_multiplier_check_one_certificate_per_pair(tmp_path, conic):
+    # default alphas (0, 0.5) and ps (1, 2): four certificates, alpha outer
+    rep = tmp_path / "cert.txt"
+    assert main(["--grid", "64", "--matrix", "2", "--seed", "3", "multiplier-check",
+                 "--report", str(rep)] + (["--conic"] if conic else [])) == 0
+    certs = [dict(line.split(" = ", 1) for line in c.splitlines() if line)
+             for c in rep.read_text().split("[certificate]\n")[1:]]
+    assert [(c["alpha"], c["p"]) for c in certs] == [("0.0", "1.0"), ("0.0", "2.0"),
+                                                     ("0.5", "1.0"), ("0.5", "2.0")]
+    kind = "conic" if conic else "square"
+    assert all(c["name"] == f"{kind}[bessel_dilate(1.0)]" for c in certs)
+
+
 def test_reports_deterministic(tmp_path):
     field = tmp_path / "f.ovtl"
     write_field(field, band_limited_random(Grid(1, 64), 2, 31))
@@ -434,6 +473,16 @@ def test_reports_deterministic(tmp_path):
      "--band needs finite 0 <= rmin <= rmax"),
     (["--grid", "64", "gen", "--kind", "band-limited-random", "--band", "2,inf", "{out}"],
      "--band needs finite 0 <= rmin <= rmax"),
+    # j_max = 4 on N = 64, so the weights 4^(j alpha) pass 2^1000 once alpha > 125
+    (["--alpha", "200", "norm", "{field}", "--report", "{out}"], "past 2^1000"),
+    (["--alpha", "200", "norm", "{field}", "--which", "F_infty", "--report", "{out}"],
+     "past 2^1000"),
+    (["--grid", "64", "--alpha", "200", "multiplier-check", "--report", "{out}"],
+     "past 2^1000"),
+    (["--grid", "64", "--alpha", "200", "multiplier-check", "--conic", "--report", "{out}"],
+     "past 2^1000"),
+    (["--grid", "64", "--alpha", "200", "verify", "equivalence", "--report", "{out}"],
+     "past 2^1000"),
 ])
 def test_invalid_parameter_rejected(tmp_path, capsys, argv, needle):
     field, out = tmp_path / "f.ovtl", tmp_path / "out.ovtl"
@@ -443,3 +492,14 @@ def test_invalid_parameter_rejected(tmp_path, capsys, argv, needle):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
     assert not out.exists()
+
+
+def test_alpha_at_weight_bound_accepted(tmp_path, capsys):
+    # j alpha = 4 * 125 = 500 at the top scale: the largest weight, 2^1000, is allowed
+    field = tmp_path / "f.ovtl"
+    write_field(field, band_limited_random(Grid(1, 64), 2, 4))
+    capsys.readouterr()
+    assert main(["--alpha", "125", "norm", str(field)]) == 0
+    values = [float(line.split(" = ")[1]) for line in capsys.readouterr().out.splitlines()
+              if line.startswith("value = ")]
+    assert len(values) == 2 and all(math.isfinite(v) and v > 0 for v in values)
