@@ -12,7 +12,6 @@ from .opfield import (
 from .spectral import (
     Symbol,
     LPFamily,
-    HomLPFamily,
     fft_forward,
     fft_inverse,
     apply_symbol,

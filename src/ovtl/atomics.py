@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError, ResolutionError, ValidationError
+from .generators import band_limited_random, rng_for
 from .lattice import (
     DyadicCube,
     Grid,
@@ -39,6 +40,7 @@ from .lattice import (
     periodic_block_sum,
     subcube_order,
 )
+from .normsuite import hardy_norm, tl_norm_column
 from .opfield import OperatorField, StripField, l1l2_sizes, trace_lp_norm
 from .spectral import (
     LPFamily,
@@ -48,10 +50,10 @@ from .spectral import (
     fft_data,
     ifft_data,
     lp_family_j_max,
+    make_lp_family,
     multi_derivative_symbol,
 )
-
-LOG2 = math.log(2.0)
+from .sqfn import LOG2
 
 
 def multi_indices(d: int, max_order: int) -> list[tuple[int, ...]]:
@@ -213,7 +215,6 @@ class AtomicDecomposition:
     high_pairs: list  # (lambda_coefficient, SmoothAtom)
     tent_pairs: list  # (lambda, TentAtom) as produced by the atomization
     residual: float
-    source_norm: Optional[float]
     mass_ratio: Optional[float]
 
     @property
@@ -234,10 +235,16 @@ class AtomicDecomposition:
 
 @dataclass(slots=True)
 class Clause:
+    """One validator condition, measured <= bound; a yes/no condition
+    measures 0 (yes) or 1 (no) against the bound 0.5."""
+
     name: str
-    passed: bool
     measured: float
     bound: float
+
+    @property
+    def passed(self) -> bool:
+        return self.measured <= self.bound
 
     @property
     def slack(self) -> float:
@@ -376,33 +383,31 @@ def _report(atom, sizes: list, support, moments, sub_reports: list) -> Validatio
     if kind == "tent_atom":
         in_tent = (atom.j_lo >= max(atom.cube.level, 1)
                    and atom.scales.stop - 1 <= lp_family_j_max(grid))
-        clauses = [Clause("support_in_tent", in_tent, 0.0 if in_tent else 1.0, 0.5)]
+        clauses = [Clause("support_in_tent", 0.0 if in_tent else 1.0, 0.5)]
     else:
         # the paper's remark fixes support of the pieces in 2Q of their own
         # cubes; the assembled alpha_q atom then lives in the union, inside
         # 4Q_{k,m}; we check it against 2Q of the base cube, which our
         # single-scale construction satisfies.
         clauses = [Clause("support" if kind == "h_atom" else "support_2Q",
-                          support <= SUPPORT_RTOL, support, SUPPORT_RTOL)]
+                          support, SUPPORT_RTOL)]
     if kind in ("h_atom", "tent_atom"):
-        clauses.append(Clause("size", sizes[0] <= bound, sizes[0], bound))
+        clauses.append(Clause("size", sizes[0], bound))
     elif kind == "alpha_q":
-        clauses.append(Clause("bessel_size", sizes[0] <= bound, sizes[0], bound))
+        clauses.append(Clause("bessel_size", sizes[0], bound))
         coef_l2 = math.sqrt(sum(abs(d) ** 2 for d, _ in atom.subatoms))
-        clauses.append(Clause("coefficient_l2", coef_l2 <= bound, coef_l2, bound))
+        clauses.append(Clause("coefficient_l2", coef_l2, bound))
         order_ok = all(subcube_order(sub.cube, atom.cube) for _, sub in atom.subatoms)
-        clauses.append(Clause("subcube_order", order_ok, 0.0 if order_ok else 1.0, 0.5))
+        clauses.append(Clause("subcube_order", 0.0 if order_ok else 1.0, 0.5))
         full = atom.embed()
         recon = periodic_block_sum(
             grid, [(d_c, sub.origin, sub.block) for d_c, sub in atom.subatoms],
             (atom.n, atom.n))
         scale = max(float(np.max(np.abs(full))), 1e-300)
         dev = float(np.max(np.abs(recon - full))) / scale
-        clauses.append(Clause("subatom_reconstruction", dev <= 1e-10, dev, 1e-10))
+        clauses.append(Clause("subatom_reconstruction", dev, 1e-10))
         for rep in sub_reports:
-            clauses.append(
-                Clause("subatoms_valid", rep.passed, 0.0 if rep.passed else 1.0, 0.5)
-            )
+            clauses.append(Clause("subatoms_valid", 0.0 if rep.passed else 1.0, 0.5))
             if not rep.passed:
                 break
     else:
@@ -410,13 +415,12 @@ def _report(atom, sizes: list, support, moments, sub_reports: list) -> Validatio
             b_gamma = 1.0 + SIZE_SLACK
             if kind == "subatom":
                 b_gamma *= atom.cube.volume ** (atom.alpha / grid.d - sum(gamma) / grid.d)
-            clauses.append(Clause(f"derivative{gamma}", s <= b_gamma, s, b_gamma))
+            clauses.append(Clause(f"derivative{gamma}", s, b_gamma))
     if moments is not None:
         devs, l1_mass = moments
         bound_m = MOMENT_RTOL * max(l1_mass, 1e-300)
         for beta, dev in devs.items():
-            clauses.append(Clause("moment" if kind == "h_atom" else f"moment{beta}",
-                                  dev <= bound_m, dev, bound_m))
+            clauses.append(Clause("moment" if kind == "h_atom" else f"moment{beta}", dev, bound_m))
     return ValidationReport(kind, clauses)
 
 
@@ -471,7 +475,6 @@ class CalderonSystem:
     side 2^-j) plus the exact low-frequency complement phi0."""
 
     grid: Grid
-    n_pow: int
     j_max: int
     level_values: tuple
     phi0_values: np.ndarray
@@ -558,13 +561,7 @@ def calderon_resolution(grid: Grid, n_pow: int = 2) -> CalderonSystem:
     total = np.zeros(grid.shape)
     for v in levels:
         total = total + v * v
-    return CalderonSystem(
-        grid=grid,
-        n_pow=n_pow,
-        j_max=top,
-        level_values=levels,
-        phi0_values=1.0 - total,
-    )
+    return CalderonSystem(grid=grid, j_max=top, level_values=levels, phi0_values=1.0 - total)
 
 
 # ---------------------------------------------------------------------------
@@ -765,9 +762,6 @@ def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
     below :func:`required_k_floor` and :func:`required_l_floor` are a
     ParameterError, for h1 (K >= 1) as for the smoothness-alpha space.
     """
-    from .normsuite import hardy_norm, tl_norm_column
-    from .spectral import make_lp_family
-
     grid = f.grid
     weight = 0.0 if alpha is None else alpha
     if K < required_k_floor(weight):
@@ -789,7 +783,7 @@ def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
     dec = AtomicDecomposition(
         grid=grid, n=f.n, alpha=alpha,
         low_pairs=[] if low_atom is None else [(mu, low_atom)], high_pairs=high_pairs,
-        tent_pairs=tent_pairs, residual=0.0, source_norm=None, mass_ratio=None,
+        tent_pairs=tent_pairs, residual=0.0, mass_ratio=None,
     )
     rec = dec.reconstruct()
     denom = math.sqrt(energy)
@@ -798,10 +792,10 @@ def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
     if compute_norm and denom > 0:
         fam = family if family is not None else make_lp_family(grid)
         if alpha is None:
-            dec.source_norm = hardy_norm(f, 1.0, mode="lp", family=fam).value
+            source_norm = hardy_norm(f, 1.0, mode="lp", family=fam).value
         else:
-            dec.source_norm = tl_norm_column(f, alpha, 1.0, fam).value
-        dec.mass_ratio = dec.mass / dec.source_norm if dec.source_norm > 0 else None
+            source_norm = tl_norm_column(f, alpha, 1.0, fam).value
+        dec.mass_ratio = dec.mass / source_norm if source_norm > 0 else None
     return dec
 
 
@@ -876,8 +870,6 @@ def pointwise_multiply_test(h: OperatorField, f: OperatorField, alpha: float,
                             family: LPFamily) -> dict:
     """Measure ||h f||_{F1^alpha} / ||f||_{F1^alpha} against the derivative
     bound sum_{|gamma|_1 <= 2} sup_s ||D^gamma h(s)||_op, with margin 10."""
-    from .normsuite import tl_norm_column
-
     grid = f.grid
     hf = OperatorField(grid, h.data @ f.data)
     num = tl_norm_column(hf, alpha, 1.0, family).value
@@ -902,8 +894,6 @@ def pointwise_multiply_test(h: OperatorField, f: OperatorField, alpha: float,
 def random_alpha_one_atom(grid: Grid, n: int, alpha: float, K: int, seed: int) -> SmoothAtom:
     """Band-limited random field (|xi| <= N/8) normalized to saturate the
     worst derivative clause of an (alpha,1)-atom."""
-    from .generators import band_limited_random
-
     f = band_limited_random(grid, n, seed, r_max=grid.N / 8.0)
     _, atom = _normalize_alpha_one(np.asarray(f.data), grid, K, alpha)
     if atom is None:
@@ -916,8 +906,6 @@ def random_alpha_q_atom(grid: Grid, n: int, alpha: float, K: int, L: int,
                         cal: Optional[CalderonSystem] = None) -> SmoothAtom:
     """Random tent atom on a random cube at ``level``, pushed through the
     projection + subatom slicing; every clause saturated at constant 1."""
-    from .generators import rng_for
-
     if cal is None:
         cal = calderon_resolution(grid, n_pow=_n_pow(alpha, L))
     j = level + 1

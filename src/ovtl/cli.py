@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import generators
+from .atomics import smooth_decompose_h1, smooth_decompose_tl, validate_atoms
 from .errors import HypothesisError, OvtlError, ParameterError
 from .fieldio import (
     Config,
@@ -26,6 +27,15 @@ from .fieldio import (
     read_field,
     write_decomposition,
     write_field,
+)
+from .fmult import (
+    SymbolSequence,
+    bessel_dilate_sequence,
+    cz_kernel_estimates,
+    empirical_conic_bound,
+    empirical_square_bound,
+    identity_sequence,
+    lp_sequence,
 )
 from .lattice import cone_index
 from .opfield import OperatorField
@@ -38,7 +48,14 @@ from .normsuite import (
     tl_norm_mixture,
     tl_norm_row,
 )
-from .spectral import make_hom_lp_family, make_lp_family
+from .spectral import (
+    Profile,
+    apply_symbol,
+    bessel_symbol,
+    constant_profile,
+    make_hom_lp_family,
+    make_lp_family,
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -97,22 +114,17 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+# (global flag, Config key) of each flag that overrides the config; a flag
+# setting a tuple of values (--alpha, --p) sets the one-element tuple
+_FLAG_KEYS = (("dim", "d"), ("grid", "N"), ("matrix", "n"), ("seed", "seed"),
+              ("sigma", "sigma"), ("alpha", "alphas"), ("p", "ps"))
+
+
 def _load_cfg(args) -> Config:
     cfg = load_config(args.config) if args.config else Config()
-    if args.dim is not None:
-        cfg.d = args.dim
-    if args.grid is not None:
-        cfg.N = args.grid
-    if args.matrix is not None:
-        cfg.n = args.matrix
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.sigma is not None:
-        cfg.sigma = args.sigma
-    if args.alpha is not None:
-        cfg.alphas = (args.alpha,)
-    if args.p is not None:
-        cfg.ps = (args.p,)
+    for flag, key in _FLAG_KEYS:
+        if (value := getattr(args, flag)) is not None:
+            setattr(cfg, key, (value,) if isinstance(getattr(cfg, key), tuple) else value)
     if cfg.n < 1:
         raise ParameterError(f"matrix dimension n must be >= 1, got {cfg.n}")
     if cfg.trials < 1:
@@ -239,8 +251,6 @@ def _certificates(cfg: Config, seqs, alphas, ps, conic: bool) -> tuple:
     """(report texts, all passed) of the multiplier certificates of each
     sequence at each alpha and p, in that order, on one trial-field
     generator and, if ``conic``, one cone."""
-    from .fmult import empirical_conic_bound, empirical_square_bound
-
     grid = cfg.grid()
     bound = empirical_square_bound
     if conic:
@@ -257,9 +267,6 @@ def _certificates(cfg: Config, seqs, alphas, ps, conic: bool) -> tuple:
 
 
 def _suite_multiplier(cfg: Config, lines: list, violate_support: bool) -> bool:
-    from .fmult import SymbolSequence, bessel_dilate_sequence, identity_sequence
-    from .spectral import Profile, constant_profile
-
     grid = cfg.grid()
     if violate_support:
         gauss = Profile(lambda xi: np.exp(-np.sum(xi**2, axis=-1)) + 0j)
@@ -276,8 +283,6 @@ def _suite_multiplier(cfg: Config, lines: list, violate_support: bool) -> bool:
 
 
 def _suite_cz(cfg: Config, lines: list) -> bool:
-    from .fmult import cz_kernel_estimates, lp_sequence
-
     grid = cfg.grid()
     sigma = cfg.sigma_value()
     est = cz_kernel_estimates(lp_sequence(grid), grid, sigma)
@@ -292,8 +297,6 @@ def _suite_cz(cfg: Config, lines: list) -> bool:
 
 
 def _suite_lifting(cfg: Config, lines: list) -> bool:
-    from .spectral import apply_symbol, bessel_symbol
-
     grid = cfg.grid()
     fam = make_lp_family(grid)
     ok = True
@@ -336,8 +339,6 @@ def _suite_equivalence(cfg: Config, lines: list) -> bool:
 
 
 def _suite_atoms(cfg: Config, lines: list) -> bool:
-    from .atomics import smooth_decompose_h1, smooth_decompose_tl, validate_atoms
-
     grid = cfg.grid()
     alpha = next((a for a in cfg.alphas if a > 0), 0.5)
     ok = True
@@ -377,8 +378,6 @@ def cmd_verify(cfg: Config, args) -> int:
 
 
 def cmd_decompose(cfg: Config, args) -> int:
-    from .atomics import smooth_decompose_h1, smooth_decompose_tl
-
     f = read_field(args.field)
     if not isinstance(f, OperatorField):
         raise OvtlError("decompose expects a plain field")
@@ -398,8 +397,6 @@ def cmd_reconstruct(cfg: Config, args) -> int:
 
 
 def cmd_multiplier_check(cfg: Config, args) -> int:
-    from .fmult import bessel_dilate_sequence, identity_sequence
-
     grid = cfg.grid()
     seq = (identity_sequence(grid) if args.family == "identity"
            else bessel_dilate_sequence(grid, args.beta))

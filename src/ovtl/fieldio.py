@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -33,8 +34,10 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .atomics import validate_atoms
 from .errors import ConfigError, FormatError
 from .lattice import Grid, periodic_block_sum
+from .normsuite import HARDY_MODES
 from .opfield import OperatorField, StripField
 
 MAGIC = b"OVTL"
@@ -64,16 +67,19 @@ def read_field(path: Union[str, Path]) -> Union[OperatorField, StripField]:
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
         grid = _header_grid(path, d, N)
+        if n < 1:
+            raise FormatError(f"{path}: matrix dimension n = {n} must be >= 1")
         if j_count == 0:
             shape = grid.shape + (n, n)
         else:
             shape = (j_count,) + grid.shape + (n, n)
-        count = int(np.prod(shape))
-        payload = fh.read(count * 16)
+        count = math.prod(shape)  # exact: a crafted header cannot wrap it
+        # a header claiming more than the file holds (or a pipe, of size 0) reads to the end
+        payload = fh.read(count * 16 if count * 16 <= os.fstat(fh.fileno()).st_size else -1)
     if len(payload) < count * 16:
         raise FormatError(f"{path}: payload holds {len(payload)} bytes, "
                           f"header needs {count * 16}")
-    data = np.frombuffer(payload, dtype="<c16").reshape(shape).astype(np.complex128)
+    data = np.frombuffer(payload, dtype="<c16", count=count).reshape(shape).astype(np.complex128)
     if j_count == 0:
         return OperatorField(grid, data)
     return StripField(grid, data)
@@ -89,10 +95,6 @@ def _header_grid(path, d: int, N: int) -> Grid:
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-# [norms] kernel_mode values; normsuite.hardy_norm accepts the same modes
-HARDY_MODES = ("lp", "poisson")
-
 
 @dataclass
 class Config:
@@ -207,8 +209,6 @@ def write_decomposition(manifest_path: Union[str, Path], blob_path: Union[str, P
     manifest carries kind, cube, coefficient, validator slacks (from one
     batched validation of every atom), and blob offsets.
     """
-    from .atomics import validate_atoms
-
     grid = dec.grid
     lines = ["[decomposition]"]
     lines.append(f"d = {grid.d}")
@@ -316,6 +316,8 @@ def read_decomposition_blob(blob_path: Union[str, Path], manifest_path: Union[st
         entries = [(int(a["blob_offset"]),
                     float(a["coefficient_re"]) + 1j * float(a["coefficient_im"]))
                    for a in atoms]
+    except FormatError:  # already names the manifest
+        raise
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{manifest_path}: missing or malformed entry {exc}") from None
     blob = Path(blob_path).read_bytes()

@@ -59,12 +59,10 @@ class SymbolSequence:
         return len(self.phi_profiles) - 1
 
     def rho_symbol(self, j: int) -> Symbol:
-        return symbol_from_profile(self.grid, self.rho_profiles[j], tag=f"{self.name}.rho{j}")
+        return symbol_from_profile(self.grid, self.rho_profiles[j])
 
     def product_symbol(self, j: int) -> Symbol:
-        return symbol_from_profile(
-            self.grid, self.phi_profiles[j] * self.rho_profiles[j], tag=f"{self.name}.prod{j}"
-        )
+        return symbol_from_profile(self.grid, self.phi_profiles[j] * self.rho_profiles[j])
 
     def check_support(self) -> None:
         """Verify supp(phi_j rho_j) inside the dyadic annuli on the lattice."""

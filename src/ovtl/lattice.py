@@ -11,6 +11,7 @@ radius 2^-j.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -76,11 +77,6 @@ class Grid:
     def freq_norm(self) -> np.ndarray:
         """Euclidean norm |xi| of each lattice frequency, shape ``shape``."""
         return np.sqrt(np.sum(self.freqs**2, axis=-1))
-
-    @cached_property
-    def signed_index_axis(self) -> np.ndarray:
-        """Signed lattice indices in [-N/2, N/2) in storage order."""
-        return np.rint(self.freq_axis).astype(np.int64)
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -222,16 +218,8 @@ def dyadic_cubes_at_level(grid: Grid, level: int) -> list[DyadicCube]:
         raise ResolutionError(
             f"level {level} too fine: side 2^-{level} < 2h for N={grid.N}"
         )
-    n_per_axis = 1 << level
-    cubes = []
-    for flat in range(n_per_axis**grid.d):
-        idx = []
-        rem = flat
-        for _ in range(grid.d):
-            idx.append(rem % n_per_axis)
-            rem //= n_per_axis
-        cubes.append(DyadicCube(grid, level, tuple(reversed(idx))))
-    return cubes
+    return [DyadicCube(grid, level, idx)
+            for idx in itertools.product(range(1 << level), repeat=grid.d)]
 
 
 def subcube_order(a: DyadicCube, b: DyadicCube) -> bool:

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fieldio import HARDY_MODES
 from .lattice import ConeIndex, Grid, cone_index, cube_blocks
 from .opfield import (
     OperatorField,
@@ -28,14 +27,16 @@ from .opfield import (
 )
 from .sqfn import (
     filtered,
-    level_weight,
     lp_levels,
     poisson_levels,
     square_accumulator,
     square_norm,
     strip_levels,
 )
-from .spectral import HomLPFamily, LPFamily, apply_symbol_hat, fft_data, poisson_symbol
+from .spectral import LPFamily, apply_symbol_hat, fft_data, poisson_symbol
+
+# the kernels of the local Hardy norm, also the [norms] kernel_mode config values
+HARDY_MODES = ("lp", "poisson")
 
 
 @dataclass
@@ -335,7 +336,7 @@ def tent_norm(F: StripField, p: float, cone: Optional[ConeIndex] = None,
 # ---------------------------------------------------------------------------
 
 def homogeneous_equiv_report(f: OperatorField, alpha: float, p: float,
-                             family: LPFamily, hom: HomLPFamily) -> NormReport:
+                             family: LPFamily, hom: LPFamily) -> NormReport:
     """Ratios of the inhomogeneous norm to the two homogeneous two-term norms.
 
     ratio_phi0: against ||phi_0 * f||_p + homogeneous square term;
@@ -346,8 +347,7 @@ def homogeneous_equiv_report(f: OperatorField, alpha: float, p: float,
     grid = f.grid
     fhat = fft_data(f.data, grid)
     (inhom,), low = _lp_square_norms(f, alpha, p, family, ("column",), fhat)
-    hom_levels = [(j, level_weight(j, alpha), hom.member(j).values) for j in hom.scales()]
-    hom_sq = square_norm(fhat, grid, hom_levels, p)
+    hom_sq = square_norm(fhat, grid, lp_levels(hom, alpha), p)
     plain = trace_lp_norm(f, p)
     denom_phi0 = low + hom_sq
     denom_plain = plain + hom_sq

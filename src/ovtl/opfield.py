@@ -2,9 +2,11 @@
 
 An :class:`OperatorField` assigns an n x n complex matrix to every lattice
 point; a :class:`StripField` assigns one to every (point, dyadic scale)
-pair.  The module also provides the operator-algebra primitives used
-throughout: adjoints, pointwise PSD accumulation, trace L_p norms, and the
-operator Cauchy-Schwarz gap.
+pair.  Both share one field base, which checks the square blocks against
+the grid (behind the scale axis, for a strip), rejects non-finite entries,
+freezes the data and scales it.  The module also provides the
+operator-algebra primitives used throughout: adjoints, pointwise PSD
+accumulation, trace L_p norms, and the operator Cauchy-Schwarz gap.
 
 The batched small-matrix kernels every other module goes through live
 here: :func:`gram` (x*x, one entrywise sum for every n in cache-sized row
@@ -42,29 +44,41 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OperatorField:
-    """Map from lattice points to n x n complex matrices.
-
-    ``data`` has shape (*grid.shape, n, n).
-    """
+class _Field:
+    """Read-only n x n complex blocks ``data`` of shape (*lead, *grid.shape, n, n),
+    with ``_lead`` leading axes; ``_what`` names the field in error messages."""
 
     grid: Grid
     data: np.ndarray
+    _lead = 0
+    _what = "field"
 
     def __post_init__(self):
         data = np.asarray(self.data)
-        expected = self.grid.shape
-        if data.ndim != self.grid.d + 2 or data.shape[: self.grid.d] != expected:
-            raise ValueError(f"field data shape {data.shape} does not match grid {expected}")
+        lead, shape = self._lead, self.grid.shape
+        if data.ndim != lead + self.grid.d + 2 or data.shape[lead:lead + self.grid.d] != shape:
+            raise ValueError(f"{self._what} data shape {data.shape} does not match grid {shape}")
         if data.shape[-1] != data.shape[-2]:
             raise ValueError("matrix blocks must be square")
         if not np.all(np.isfinite(data)):
-            raise ValidationError("field contains non-finite entries")
+            raise ValidationError(f"{self._what} contains non-finite entries")
         object.__setattr__(self, "data", _freeze(data))
 
     @property
     def n(self) -> int:
         return self.data.shape[-1]
+
+    def __mul__(self, c: complex):
+        return type(self)(self.grid, self.data * c)
+
+    __rmul__ = __mul__
+
+
+class OperatorField(_Field):
+    """Map from lattice points to n x n complex matrices.
+
+    ``data`` has shape (*grid.shape, n, n).
+    """
 
     def adjoint(self) -> "OperatorField":
         return OperatorField(self.grid, np.conj(np.swapaxes(self.data, -1, -2)))
@@ -77,11 +91,6 @@ class OperatorField:
         _check_same(self, other)
         return OperatorField(self.grid, self.data - other.data)
 
-    def __mul__(self, c: complex) -> "OperatorField":
-        return OperatorField(self.grid, self.data * c)
-
-    __rmul__ = __mul__
-
     @classmethod
     def zero(cls, grid: Grid, n: int) -> "OperatorField":
         return cls(grid, np.zeros(grid.shape + (n, n), dtype=np.complex128))
@@ -93,30 +102,15 @@ class OperatorField:
         return cls(grid, data)
 
 
-@dataclass(frozen=True)
-class StripField:
+class StripField(_Field):
     """Map from (lattice point, dyadic scale 2^-j) to n x n matrices.
 
     ``data`` has shape (j_max, *grid.shape, n, n); axis 0 holds scales
     j = 1 .. j_max (index j-1).
     """
 
-    grid: Grid
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data)
-        if data.ndim != self.grid.d + 3 or data.shape[1 : 1 + self.grid.d] != self.grid.shape:
-            raise ValueError(f"strip data shape {data.shape} does not match grid")
-        if data.shape[-1] != data.shape[-2]:
-            raise ValueError("matrix blocks must be square")
-        if not np.all(np.isfinite(data)):
-            raise ValidationError("strip field contains non-finite entries")
-        object.__setattr__(self, "data", _freeze(data))
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[-1]
+    _lead = 1
+    _what = "strip field"
 
     @property
     def j_max(self) -> int:
@@ -127,11 +121,6 @@ class StripField:
         if not 1 <= j <= self.j_max:
             raise ValueError(f"scale index {j} outside 1..{self.j_max}")
         return self.data[j - 1]
-
-    def __mul__(self, c: complex) -> "StripField":
-        return StripField(self.grid, self.data * c)
-
-    __rmul__ = __mul__
 
     @classmethod
     def zero(cls, grid: Grid, n: int, j_max: int) -> "StripField":

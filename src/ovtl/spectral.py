@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,7 +97,6 @@ class Symbol:
 
     grid: Grid
     values: np.ndarray
-    tag: str = "custom"
     profile: Optional[Profile] = None
 
     def __post_init__(self):
@@ -116,12 +115,11 @@ class Symbol:
         prof = None
         if self.profile is not None and other.profile is not None:
             prof = self.profile * other.profile
-        return Symbol(self.grid, self.values * other.values,
-                      tag=f"({self.tag})*({other.tag})", profile=prof)
+        return Symbol(self.grid, self.values * other.values, profile=prof)
 
 
-def symbol_from_profile(grid: Grid, prof: Profile, tag: str = "custom") -> Symbol:
-    return Symbol(grid, prof(grid.freqs), tag=tag, profile=prof)
+def symbol_from_profile(grid: Grid, prof: Profile) -> Symbol:
+    return Symbol(grid, prof(grid.freqs), profile=prof)
 
 
 def bessel_profile(alpha: float) -> Profile:
@@ -130,7 +128,7 @@ def bessel_profile(alpha: float) -> Profile:
 
 def bessel_symbol(grid: Grid, alpha: float) -> Symbol:
     """Bessel potential symbol J_alpha(xi) = (1+|xi|^2)^(alpha/2)."""
-    return symbol_from_profile(grid, bessel_profile(alpha), tag=f"bessel({alpha})")
+    return symbol_from_profile(grid, bessel_profile(alpha))
 
 
 def riesz_profile(alpha: float) -> Profile:
@@ -146,7 +144,7 @@ def riesz_profile(alpha: float) -> Profile:
 
 def riesz_symbol(grid: Grid, alpha: float) -> Symbol:
     """Riesz symbol |xi|^alpha with the mean mode zeroed (all alpha)."""
-    return symbol_from_profile(grid, riesz_profile(alpha), tag=f"riesz({alpha})")
+    return symbol_from_profile(grid, riesz_profile(alpha))
 
 
 def derivative_profile(i: int, beta: float) -> Profile:
@@ -165,7 +163,7 @@ def derivative_symbol(grid: Grid, i: int, beta: float) -> Symbol:
     """Fractional-derivative symbol (2 pi i xi_i)^beta (principal branch)."""
     if not 0 <= i < grid.d:
         raise ValueError(f"axis {i} out of range for d={grid.d}")
-    return symbol_from_profile(grid, derivative_profile(i, beta), tag=f"derivative({i},{beta})")
+    return symbol_from_profile(grid, derivative_profile(i, beta))
 
 
 def multi_derivative_symbol(grid: Grid, gamma: tuple[int, ...]) -> Symbol:
@@ -174,7 +172,7 @@ def multi_derivative_symbol(grid: Grid, gamma: tuple[int, ...]) -> Symbol:
     for i, g in enumerate(gamma):
         if g:
             vals = vals * (2j * math.pi * grid.freqs[..., i]) ** g
-    return Symbol(grid, vals, tag=f"D^{gamma}")
+    return Symbol(grid, vals)
 
 
 def poisson_symbol(grid: Grid, eps: float) -> Symbol:
@@ -182,7 +180,7 @@ def poisson_symbol(grid: Grid, eps: float) -> Symbol:
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     prof = radial_profile(lambda r, _e=eps: np.exp(-2.0 * math.pi * _e * r) + 0j)
-    return symbol_from_profile(grid, prof, tag=f"poisson({eps})")
+    return symbol_from_profile(grid, prof)
 
 
 def poisson_dk_symbol(grid: Grid, eps: float, k: int) -> Symbol:
@@ -194,7 +192,7 @@ def poisson_dk_symbol(grid: Grid, eps: float, k: int) -> Symbol:
     prof = radial_profile(
         lambda r, _e=eps, _k=k: (-2.0 * math.pi * r) ** _k * np.exp(-2.0 * math.pi * _e * r) + 0j
     )
-    return symbol_from_profile(grid, prof, tag=f"poisson_d{k}({eps})")
+    return symbol_from_profile(grid, prof)
 
 
 def apply_symbol(m: Symbol, f: OperatorField) -> OperatorField:
@@ -332,34 +330,38 @@ def lp_zero_profile(kind: str = "default") -> Profile:
     return radial_profile(lambda r: eta(r) + 0j, support_radius=2.0)
 
 
-class _SymbolFamily:
-    def partition_sum(self) -> np.ndarray:
-        """sum over the members of their (real) symbol values."""
-        total = np.zeros(self.grid.shape)
-        for s in self.symbols:
-            total = total + s.values.real
-        return total
-
-
 @dataclass(frozen=True)
-class LPFamily(_SymbolFamily):
-    """Validated Littlewood-Paley family phi^(j), j = 0 .. j_max.
+class LPFamily:
+    """Validated Littlewood-Paley family phi^(j), j = j_min .. j_max.
 
-    phi^(0) = eta(|xi|); phi^(j) = phi(2^-j xi) with phi the annulus bump.
-    The partition sum_j phi^(j)(xi) telescopes to eta(2^-j_max |xi|), which
-    equals 1 exactly for |xi| <= 2^j_max (the covered range).
+    The inhomogeneous family (j_min = 0) has phi^(0) = eta(|xi|) and
+    phi^(j) = phi(2^-j xi) with phi the annulus bump; its partition
+    sum_j phi^(j)(xi) telescopes to eta(2^-j_max |xi|), which equals 1
+    exactly for |xi| <= 2^j_max (the covered range).  The homogeneous
+    family (j_min = -1) holds the dilates phi(2^-j .) alone.
     """
 
     grid: Grid
     j_max: int
     symbols: tuple[Symbol, ...]
     kind: str = "default"
+    j_min: int = 0
 
     def member(self, j: int) -> Symbol:
-        return self.symbols[j]
+        return self.symbols[j - self.j_min]
 
     def values(self, j: int) -> np.ndarray:
-        return self.symbols[j].values
+        return self.member(j).values
+
+    def scales(self) -> range:
+        return range(self.j_min, self.j_max + 1)
+
+    def partition_sum(self) -> np.ndarray:
+        """sum over the members of their (real) symbol values."""
+        total = np.zeros(self.grid.shape)
+        for s in self.symbols:
+            total = total + s.values.real
+        return total
 
     @property
     def covered_radius(self) -> float:
@@ -397,43 +399,23 @@ def _lp_family(grid: Grid, kind: str) -> LPFamily:
         raise ResolutionError(f"grid N={grid.N} too small for an LP family")
     base = lp_base_profile(kind)
     zero = lp_zero_profile(kind)
-    symbols = [symbol_from_profile(grid, zero, tag=f"lp0[{kind}]")]
+    symbols = [symbol_from_profile(grid, zero)]
     for j in range(1, j_max + 1):
-        prof = base.dilate(2.0**-j)
-        symbols.append(symbol_from_profile(grid, prof, tag=f"lp{j}[{kind}]"))
+        symbols.append(symbol_from_profile(grid, base.dilate(2.0**-j)))
     return LPFamily(grid=grid, j_max=j_max, symbols=tuple(symbols), kind=kind)
 
 
 make_lp_family.cache_info = _lp_family.cache_info
 
 
-@dataclass(frozen=True)
-class HomLPFamily(_SymbolFamily):
-    """Homogeneous family phi_dot_j = phi(2^-j .), j_min <= j <= j_max."""
-
-    grid: Grid
-    j_min: int
-    j_max: int
-    symbols: tuple[Symbol, ...]
-
-    def member(self, j: int) -> Symbol:
-        return self.symbols[j - self.j_min]
-
-    def scales(self) -> range:
-        return range(self.j_min, self.j_max + 1)
-
-
 @lru_cache(maxsize=32)
-def make_hom_lp_family(grid: Grid) -> HomLPFamily:
-    """Homogeneous dilates of the default bump down to j_min = -1, which
-    covers all integer xi != 0."""
+def make_hom_lp_family(grid: Grid) -> LPFamily:
+    """Homogeneous dilates phi(2^-j .) of the default bump, j = -1 .. j_max;
+    j_min = -1 covers all integer xi != 0."""
     j_max = lp_family_j_max(grid)
     base = lp_base_profile()
-    symbols = []
-    for j in range(-1, j_max + 1):
-        prof = base.dilate(2.0**-j)
-        symbols.append(symbol_from_profile(grid, prof, tag=f"lpdot{j}[default]"))
-    return HomLPFamily(grid=grid, j_min=-1, j_max=j_max, symbols=tuple(symbols))
+    symbols = tuple(symbol_from_profile(grid, base.dilate(2.0**-j)) for j in range(-1, j_max + 1))
+    return LPFamily(grid=grid, j_max=j_max, symbols=symbols, j_min=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +428,8 @@ def default_window(grid: Grid) -> float:
 
 def window_radius_sq(grid: Grid, window: float) -> np.ndarray:
     """|s|^2 at the signed window points s = (W/N) m, m in [-N/2, N/2)^d (FFT order)."""
-    axis = (grid.signed_index_axis * (window / grid.N)) ** 2
-    s_sq = np.zeros(grid.shape)
-    for ax in range(grid.d):
-        sh = [1] * grid.d
-        sh[ax] = grid.N
-        s_sq = s_sq + axis.reshape(sh)
-    return s_sq
+    axis = (grid.freq_axis * (window / grid.N)) ** 2
+    return reduce(np.add.outer, [axis] * grid.d)
 
 
 def _hsigma_window(grid: Grid, sigma: float, window: Optional[float]) -> float:

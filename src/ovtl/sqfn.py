@@ -50,8 +50,8 @@ def level_weight(j: int, alpha: float) -> float:
 
 
 def lp_levels(family: LPFamily, alpha: float) -> list:
-    """Levels (j, 4^{j alpha}, phi^(j)) of the LP square function, j = 0 .. j_max."""
-    return [(j, level_weight(j, alpha), family.values(j)) for j in range(family.j_max + 1)]
+    """Levels (j, 4^{j alpha}, phi^(j)) of the LP square function, j = j_min .. j_max."""
+    return [(j, level_weight(j, alpha), family.values(j)) for j in family.scales()]
 
 
 def poisson_levels(grid: Grid, j_max: int, k: int, alpha: float) -> list:

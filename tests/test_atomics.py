@@ -118,7 +118,7 @@ def test_calderon_stencil_support(grid64):
     for j in (1, 2, 3):
         sten = _stencil(grid64, j, 2)
         R = grid64.N >> (j + 1)
-        s = np.abs(grid64.signed_index_axis)
+        s = np.abs(grid64.freq_axis)
         assert np.all(sten[s > R] == 0.0)
         assert abs(sten.sum()) <= 1e-12 * np.max(np.abs(sten))
 

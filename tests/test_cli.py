@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -358,6 +359,18 @@ def test_reconstruct_missing_manifest(tmp_path, capsys):
 def test_reconstruct_missing_blob(tmp_path, capsys):
     man, _ = _decompose_cli(tmp_path, "a", 64)
     assert "No such file" in _reconstruct_error(capsys, tmp_path, man, tmp_path / "none.bin")
+
+
+def test_norm_field_header_past_file_size(tmp_path, capsys):
+    # n = 2^31 in the header: N n^2 wraps to 0 in int64, but not in the exact size
+    field = tmp_path / "f.ovtl"
+    write_field(field, band_limited_random(Grid(1, 16), 2, 4))
+    raw = field.read_bytes()
+    field.write_bytes(raw[:14] + struct.pack("<I", 2**31) + raw[18:])
+    code = main(["norm", str(field), "--which", "F_col"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "header needs" in err
 
 
 def test_norm_missing_field_file(tmp_path, capsys):

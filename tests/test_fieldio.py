@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,12 +107,33 @@ def _field_file(tmp_path):
     lambda raw: raw[:-16],                                 # short payload
     lambda raw: raw[:6] + struct.pack("<I", 5) + raw[10:],   # no such dimension
     lambda raw: raw[:10] + struct.pack("<I", 48) + raw[14:],  # N not a power of two
+    lambda raw: raw[:14] + struct.pack("<I", 0) + raw[18:],  # n = 0
+    lambda raw: raw[:10] + struct.pack("<II", 16, 2**31) + raw[18:],  # N^d n^2 wraps in int64
+    lambda raw: raw[:18] + struct.pack("<I", 2**32 - 1) + raw[22:],  # j_count far past the file
+    lambda raw: raw[:10] + struct.pack("<I", 2**31) + raw[14:],  # N far past the file
+    lambda raw: raw[:6] + struct.pack("<II", 3, 2**20) + raw[14:],  # byte count past 2^63
 ])
 def test_read_field_format_errors(tmp_path, corrupt):
     path, raw = _field_file(tmp_path)
     path.write_bytes(corrupt(raw))
     with pytest.raises(FormatError):
         read_field(path)
+
+
+@pytest.mark.parametrize("pos,value", [(18, 2**32 - 1), (10, 2**31), (14, 2**31)])
+def test_read_field_claimed_size_not_allocated(tmp_path, pos, value):
+    # j_count, N or n claims up to terabytes: the reader never asks for the
+    # claimed size, so its allocations stay near the file's
+    path, raw = _field_file(tmp_path)
+    path.write_bytes(_patch(raw, pos, "<I", value))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="header needs"):
+            read_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.fixture
@@ -174,3 +196,11 @@ def test_manifest_missing_entry(blob_pair):
                           flags=re.M))
     with pytest.raises(FormatError):
         read_decomposition_blob(blob, man)
+
+
+def test_manifest_bad_grid_names_path_once(blob_pair):
+    man, blob = blob_pair
+    man.write_text(re.sub(r"^d = \d+$", "d = 4", man.read_text(), count=1, flags=re.M))
+    with pytest.raises(FormatError, match="dimension must be 1, 2 or 3, got 4") as info:
+        read_decomposition_blob(blob, man)
+    assert str(info.value).count(str(man)) == 1

@@ -128,6 +128,19 @@ def test_nonfinite_rejected(grid64):
         OperatorField(grid64, data)
 
 
+@pytest.mark.parametrize("cls,lead,word", [(OperatorField, (), "field"),
+                                           (StripField, (3,), "strip field")])
+def test_field_input_checks(grid64, cls, lead, word):
+    data = np.zeros(lead + grid64.shape + (2, 2), dtype=complex)
+    data[..., 5, 1, 0] = np.inf
+    with pytest.raises(ValidationError, match=f"^{word} contains non-finite entries$"):
+        cls(grid64, data)
+    with pytest.raises(ValueError, match="does not match grid"):
+        cls(grid64, np.zeros(lead + (32,) + (2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        cls(grid64, np.zeros(lead + grid64.shape + (2, 3)))
+
+
 def test_psd_accumulator_invariants(grid64):
     acc = PSDAccumulator(grid64, 2)
     rng = rng_for(61)

@@ -8,6 +8,7 @@ from ovtl.lattice import Grid
 from ovtl.opfield import OperatorField, hs_norm_sq
 from ovtl.generators import band_limited_random, rng_for, single_mode
 from ovtl.spectral import (
+    LPFamily,
     Symbol,
     apply_symbol,
     apply_symbol_data,
@@ -74,7 +75,7 @@ def test_plancherel_against_direct_dft():
 
 def test_apply_symbol_identity(grid64):
     f = band_limited_random(grid64, 2, 13)
-    one = Symbol(grid64, np.ones(grid64.shape), tag="one")
+    one = Symbol(grid64, np.ones(grid64.shape))
     out = apply_symbol(one, f)
     assert np.max(np.abs(out.data - f.data)) < 1e-13
 
@@ -204,24 +205,33 @@ def test_hom_family_partition(grid64):
         assert hom.member(j).values[0] == 0.0
 
 
+def test_one_lp_family_type(grid64):
+    fam, hom = make_lp_family(grid64), make_hom_lp_family(grid64)
+    assert type(hom) is type(fam) is LPFamily
+    assert (fam.j_min, hom.j_min) == (0, -1)
+    assert fam.scales() == range(0, fam.j_max + 1)
+    assert hom.scales() == range(-1, hom.j_max + 1)
+    assert hom.member(-1) is hom.symbols[0] and fam.member(0) is fam.symbols[0]
+
+
 # ---------------------------------------------------------------------------
 # potential Sobolev quantity
 # ---------------------------------------------------------------------------
 
 def test_hsigma_constant_is_one(grid64):
-    sym = Symbol(grid64, np.ones(grid64.shape), tag="one", profile=constant_profile(1.0))
+    sym = Symbol(grid64, np.ones(grid64.shape), profile=constant_profile(1.0))
     assert abs(hsigma_norm(sym, 1.0) - 1.0) < 1e-12
 
 
 def test_hsigma_point_mass_values(grid64):
     # lattice-values path: spatial bump at the origin has weight exactly 1
     vals = np.ones(grid64.shape)
-    sym = Symbol(grid64, vals, tag="flat")
+    sym = Symbol(grid64, vals)
     assert abs(hsigma_norm(sym, 1.0) - 1.0) < 1e-12
 
 
 def test_hsigma_domain_error(grid64):
-    sym = Symbol(grid64, np.ones(grid64.shape), tag="one")
+    sym = Symbol(grid64, np.ones(grid64.shape))
     with pytest.raises(ValueError):
         hsigma_norm(sym, 0.4)  # sigma <= d/2
 

@@ -16,7 +16,13 @@ from ovtl.opfield import (
     trace_lp_norm,
 )
 from ovtl.generators import band_limited_random, random_strip, single_mode
-from ovtl.spectral import apply_symbol_data, fft_data, fft_forward, make_lp_family
+from ovtl.spectral import (
+    apply_symbol_data,
+    fft_data,
+    fft_forward,
+    make_hom_lp_family,
+    make_lp_family,
+)
 from ovtl.sqfn import (
     LOG2,
     filtered,
@@ -294,3 +300,11 @@ def test_conic_fourier_sum_matches_per_level_sum(grid, n):
         assert abs(square_norm(fhat, grid, levels, 1.0, cone) - want) <= 1e-12 * want
     # the ball transforms are built once per scale and kept with the cone
     assert cone.ball_fft(1) is cone.ball_fft(1)
+
+
+def test_lp_levels_walk_the_family_scales(grid64):
+    hom = make_hom_lp_family(grid64)
+    levels = lp_levels(hom, 0.5)
+    assert [j for j, _, _ in levels] == list(range(-1, hom.j_max + 1))
+    assert [w for _, w, _ in levels] == [4.0 ** (0.5 * j) for j in range(-1, hom.j_max + 1)]
+    assert all(v is hom.values(j) for j, _, v in levels)
