@@ -39,6 +39,7 @@ from .lattice import (
     dyadic_cubes_at_level,
     periodic_block_sum,
     subcube_order,
+    wrap_half,
 )
 from .normsuite import hardy_norm, tl_norm_column
 from .opfield import OperatorField, StripField, l1l2_sizes, trace_lp_norm
@@ -213,7 +214,6 @@ class AtomicDecomposition:
     alpha: Optional[float]
     low_pairs: list  # (mu_coefficient, SmoothAtom alpha_one)
     high_pairs: list  # (lambda_coefficient, SmoothAtom)
-    tent_pairs: list  # (lambda, TentAtom) as produced by the atomization
     residual: float
     mass_ratio: Optional[float]
 
@@ -365,7 +365,7 @@ def _measure(chunk: list, key: tuple) -> list:
             delta = (np.array([idx[ax] for idx in idxs]) * grid.h
                      - np.array([a.cube.center[ax] for a in chunk])[:, None])
             shape = (B,) + (1,) * ax + (-1,) + (1,) * (grid.d - ax - 1)
-            offsets.append((delta - np.round(delta)).reshape(shape))
+            offsets.append(wrap_half(delta).reshape(shape))
         betas = multi_indices(grid.d, L)
         flat = blocks.reshape(B, -1, n * n)
         moments = [np.matmul(reduce(np.multiply, [x**b for x, b in zip(offsets, beta)])
@@ -747,7 +747,6 @@ def _n_pow(alpha: float, L: int) -> int:
 
 
 def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
-               cal: Optional[CalderonSystem], family: Optional[LPFamily],
                compute_norm: bool, high_atoms) -> AtomicDecomposition:
     """Body of the smooth decompositions at p = 1; ``alpha`` None is the local
     Hardy space, the alpha = 0, L = -1 case whose strip weights 4^0 = 1 are
@@ -768,8 +767,7 @@ def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
         raise ParameterError(f"K must be >= {required_k_floor(weight)} for alpha={weight}")
     if L < required_l_floor(weight):
         raise ParameterError(f"L must be >= {required_l_floor(weight)} for alpha={weight}")
-    if cal is None:
-        cal = calderon_resolution(grid, n_pow=_n_pow(weight, L))
+    cal = calderon_resolution(grid, n_pow=_n_pow(weight, L))
     energy = float(np.sum(np.abs(f.data) ** 2))
     fhat = fft_data(f.data, grid)
     F = StripField(grid, np.stack(
@@ -783,24 +781,23 @@ def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
     dec = AtomicDecomposition(
         grid=grid, n=f.n, alpha=alpha,
         low_pairs=[] if low_atom is None else [(mu, low_atom)], high_pairs=high_pairs,
-        tent_pairs=tent_pairs, residual=0.0, mass_ratio=None,
+        residual=0.0, mass_ratio=None,
     )
     rec = dec.reconstruct()
     denom = math.sqrt(energy)
     dev = math.sqrt(float(np.sum(np.abs(rec.data - f.data) ** 2)))
     dec.residual = dev / denom if denom > 0 else dev
     if compute_norm and denom > 0:
-        fam = family if family is not None else make_lp_family(grid)
+        fam = make_lp_family(grid)
         if alpha is None:
-            source_norm = hardy_norm(f, 1.0, mode="lp", family=fam).value
+            source_norm = hardy_norm(f, 1.0, fam).value
         else:
             source_norm = tl_norm_column(f, alpha, 1.0, fam).value
         dec.mass_ratio = dec.mass / source_norm if source_norm > 0 else None
     return dec
 
 
-def smooth_decompose_h1(f: OperatorField, cal: Optional[CalderonSystem] = None,
-                        K: int = 1, family: Optional[LPFamily] = None,
+def smooth_decompose_h1(f: OperatorField, K: int = 1,
                         compute_norm: bool = True) -> AtomicDecomposition:
     """Smooth atomic decomposition of the local Hardy space at p = 1.
 
@@ -825,7 +822,7 @@ def smooth_decompose_h1(f: OperatorField, cal: Optional[CalderonSystem] = None,
                         cube=atom.cube, block=block / rho, double_support=True, origin=origin,
                         support_leak=leak))
 
-    return _decompose(f, None, K, -1, cal, family, compute_norm, high_atoms)
+    return _decompose(f, None, K, -1, compute_norm, high_atoms)
 
 
 def required_k_floor(alpha: float) -> int:
@@ -841,8 +838,6 @@ def required_l_floor(alpha: float) -> int:
 
 
 def smooth_decompose_tl(f: OperatorField, alpha: float, K: int, L: int,
-                        cal: Optional[CalderonSystem] = None,
-                        family: Optional[LPFamily] = None,
                         compute_norm: bool = True) -> AtomicDecomposition:
     """Smooth atomic decomposition of the smoothness-alpha space at p = 1,
     with (alpha,1)-atoms for the low part and (alpha,Q)-atoms with subatom
@@ -859,7 +854,7 @@ def smooth_decompose_tl(f: OperatorField, alpha: float, K: int, L: int,
                 for (lam, _), (rho, atom) in zip(chunk, packed):
                     yield lam / LOG2 * rho, atom
 
-    return _decompose(f, alpha, K, L, cal, family, compute_norm, high_atoms)
+    return _decompose(f, alpha, K, L, compute_norm, high_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -902,12 +897,10 @@ def random_alpha_one_atom(grid: Grid, n: int, alpha: float, K: int, seed: int) -
 
 
 def random_alpha_q_atom(grid: Grid, n: int, alpha: float, K: int, L: int,
-                        level: int, seed: int,
-                        cal: Optional[CalderonSystem] = None) -> SmoothAtom:
+                        level: int, seed: int) -> SmoothAtom:
     """Random tent atom on a random cube at ``level``, pushed through the
     projection + subatom slicing; every clause saturated at constant 1."""
-    if cal is None:
-        cal = calderon_resolution(grid, n_pow=_n_pow(alpha, L))
+    cal = calderon_resolution(grid, n_pow=_n_pow(alpha, L))
     j = level + 1
     if j > cal.j_max:
         raise ResolutionError(f"level {level} needs scale {j} > system j_max {cal.j_max}")

@@ -190,13 +190,12 @@ def cmd_gen(cfg: Config, args) -> int:
 
 # name: (report for (f, alpha, p, family, cfg), takes alpha, takes p)
 _NORMS = {
-    "F_col": (lambda f, a, p, fam, cfg: tl_norm_column(f, a, p, fam, seed=cfg.seed), True, True),
-    "F_row": (lambda f, a, p, fam, cfg: tl_norm_row(f, a, p, fam, seed=cfg.seed), True, True),
-    "F_mix": (lambda f, a, p, fam, cfg: tl_norm_mixture(f, a, p, fam, seed=cfg.seed), True, True),
-    "hardy": (lambda f, a, p, fam, cfg: hardy_norm(f, p, mode=cfg.kernel_mode, family=fam,
-                                                   seed=cfg.seed), False, True),
-    "bmo": (lambda f, a, p, fam, cfg: bmo_norm(f, seed=cfg.seed), False, False),
-    "F_infty": (lambda f, a, p, fam, cfg: tl_infty_norm(f, a, fam, seed=cfg.seed), True, False),
+    "F_col": (lambda f, a, p, fam, cfg: tl_norm_column(f, a, p, fam), True, True),
+    "F_row": (lambda f, a, p, fam, cfg: tl_norm_row(f, a, p, fam), True, True),
+    "F_mix": (lambda f, a, p, fam, cfg: tl_norm_mixture(f, a, p, fam), True, True),
+    "hardy": (lambda f, a, p, fam, cfg: hardy_norm(f, p, fam, mode=cfg.kernel_mode), False, True),
+    "bmo": (lambda f, a, p, fam, cfg: bmo_norm(f), False, False),
+    "F_infty": (lambda f, a, p, fam, cfg: tl_infty_norm(f, a, fam), True, False),
 }
 
 
@@ -214,6 +213,7 @@ def cmd_norm(cfg: Config, args) -> int:
         for alpha in cfg.alphas if takes_alpha else (None,):
             for p in cfg.ps if takes_p else (None,):
                 reports.append(norm(f, alpha, p, fam, cfg))
+                reports[-1].seed = cfg.seed
     _emit("\n".join(r.to_text() for r in reports), args.report)
     return 0
 
@@ -271,7 +271,7 @@ def _suite_multiplier(cfg: Config, lines: list, violate_support: bool) -> bool:
     if violate_support:
         gauss = Profile(lambda xi: np.exp(-np.sum(xi**2, axis=-1)) + 0j)
         rho = tuple(gauss for _ in range(4))
-        bad = SymbolSequence(grid, tuple(constant_profile(1.0) for _ in rho), rho,
+        bad = SymbolSequence(grid, tuple(constant_profile() for _ in rho), rho,
                              name="support-violating")
         _certificates(cfg, (bad,), (0.0,), (2.0,), conic=False)
         lines.append("support_violation_undetected = True")
@@ -344,7 +344,7 @@ def _suite_atoms(cfg: Config, lines: list) -> bool:
     ok = True
     for t in range(max(1, cfg.trials // 2)):
         f = generators.band_limited_random(grid, cfg.n, cfg.seed + t)
-        for label, dec in ((f"h1[t={t}]", smooth_decompose_h1(f)),
+        for label, dec in ((f"h1[t={t}]", smooth_decompose_h1(f, K=cfg.K)),
                            (f"tl[t={t},alpha={alpha}]",
                             smooth_decompose_tl(f, alpha, cfg.K, cfg.L))):
             atoms = dec.low_pairs + dec.high_pairs

@@ -91,7 +91,7 @@ def lp_sequence(grid: Grid, kind: str = "default") -> tuple[Profile, ...]:
 def identity_sequence(grid: Grid) -> SymbolSequence:
     """phi_j = 1 with rho_j the LP family: the identity multiplier."""
     rho = lp_sequence(grid)
-    phi = tuple(constant_profile(1.0) for _ in rho)
+    phi = tuple(constant_profile() for _ in rho)
     return SymbolSequence(grid, phi, rho, name="identity", rho_is_dilate_family=True)
 
 
@@ -138,8 +138,11 @@ class MultiplierCertificate:
     p: float
     margin: float
     window: float
-    passed: bool
     per_trial: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return self.empirical_ratio <= self.margin * self.hypothesis_constant
 
     def to_text(self) -> str:
         lines = [
@@ -166,10 +169,8 @@ def hypothesis_window(grid: Grid) -> float:
 def hypothesis_components(seq: SymbolSequence, sigma: float) -> tuple[float, float]:
     """(dilate_sup, low_term) making up the hypothesis constant:
     sup_{j>=1, |k|<=2} ||phi_j(2^{j+k}.) phi||_{H^sigma_2} and
-    ||phi_0 (phi^(0)+phi^(1))||_{H^sigma_2}."""
+    ||phi_0 (phi^(0)+phi^(1))||_{H^sigma_2}; ParameterError unless sigma > d/2."""
     grid = seq.grid
-    if not sigma > grid.d / 2:
-        raise ParameterError(f"sigma must exceed d/2, got {sigma}")
     W = hypothesis_window(grid)
     base = lp_base_profile()
     sup = 0.0
@@ -305,10 +306,9 @@ def _check_p1_shape(seq: SymbolSequence, p: float) -> None:
 
 def _empirical_bound(kind: str, seq: SymbolSequence,
                      f_gen: Callable[[int], OperatorField], alpha: float, p: float,
-                     cone: Optional[ConeIndex], trials: int, sigma: Optional[float],
+                     cone: Optional[ConeIndex], trials: int, sigma: float,
                      margin: float) -> MultiplierCertificate:
     grid = seq.grid
-    sigma = grid.d / 2.0 + 0.5 if sigma is None else sigma
     check_p(p)
     seq.check_support()
     _check_p1_shape(seq, p)
@@ -336,14 +336,12 @@ def _empirical_bound(kind: str, seq: SymbolSequence,
         p=p,
         margin=margin,
         window=hypothesis_window(grid),
-        passed=bool(r_emp <= margin * chyp),
         per_trial=ratios,
     )
 
 
 def empirical_square_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorField],
-                           alpha: float, p: float, trials: int,
-                           sigma: Optional[float] = None,
+                           alpha: float, p: float, trials: int, sigma: float,
                            margin: float = 100.0) -> MultiplierCertificate:
     """Empirical check of the square-function multiplier bound.
 
@@ -361,8 +359,7 @@ def empirical_square_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorF
 
 def empirical_conic_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorField],
                           alpha: float, p: float, cone: ConeIndex, trials: int,
-                          sigma: Optional[float] = None,
-                          margin: float = 100.0) -> MultiplierCertificate:
+                          sigma: float, margin: float = 100.0) -> MultiplierCertificate:
     """Conic counterpart of :func:`empirical_square_bound`: scales j >= 1 up
     to the cone's are ball-averaged, the j = 0 term stays radial."""
     return _empirical_bound("conic", seq, f_gen, alpha, p, cone, trials, sigma, margin)

@@ -65,12 +65,12 @@ def bump(grid: Grid, n: int, width: float = 0.08, seed: int | None = None) -> Op
     return OperatorField(grid, prof[..., None, None] * matrix)
 
 
-def haar(grid: Grid, n: int, level: int = 1) -> OperatorField:
-    """Haar-type step on the first dyadic cube at ``level``: +/- |Q|^{-1/2}
+def haar(grid: Grid, n: int) -> OperatorField:
+    """Haar-type step on the first dyadic cube Q at level 1: +/- |Q|^{-1/2}
     on the two halves split along axis 0, times E11. Mean-zero over Q."""
     matrix = np.zeros((n, n), dtype=complex)
     matrix[0, 0] = 1.0
-    cube = DyadicCube(grid, level, (0,) * grid.d)
+    cube = DyadicCube(grid, 1, (0,) * grid.d)
     mask = cube.mask()
     amp = cube.volume ** -0.5
     idx = np.arange(grid.N)

@@ -24,6 +24,11 @@ from .errors import ParameterError, ResolutionError
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 
+def wrap_half(delta: np.ndarray) -> np.ndarray:
+    """Periodic offsets wrapped to a centered cube's half-open [-1/2, 1/2): 1/2 goes to -1/2."""
+    return delta - np.floor(delta + 0.5)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Periodic lattice on [0,1)^d with N points per axis (N a power of two)."""
@@ -87,8 +92,7 @@ class Grid:
 
     def signed_coords_about(self, center: np.ndarray) -> np.ndarray:
         """Signed periodic coordinates s - center wrapped to [-1/2, 1/2)^d."""
-        delta = self.coords - np.asarray(center, dtype=float)
-        return delta - np.round(delta)
+        return wrap_half(self.coords - np.asarray(center, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -45,19 +45,16 @@ class NormReport:
 
     name: str
     value: float
+    grid: Grid
+    n: int
     params: dict = field(default_factory=dict)
     terms: dict = field(default_factory=dict)
-    grid: Optional[Grid] = None
-    n: Optional[int] = None
-    seed: Optional[int] = None
+    seed: Optional[int] = None  # the run seed, echoed by the command line
     flags: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
-        lines = ["[report]", f"name = {self.name}", f"value = {self.value:.15e}"]
-        if self.grid is not None:
-            lines += ["[grid]", f"d = {self.grid.d}", f"N = {self.grid.N}"]
-            if self.n is not None:
-                lines.append(f"n = {self.n}")
+        lines = ["[report]", f"name = {self.name}", f"value = {self.value:.15e}",
+                 "[grid]", f"d = {self.grid.d}", f"N = {self.grid.N}", f"n = {self.n}"]
         if self.seed is not None:
             lines += ["[run]", f"seed = {self.seed}"]
         if self.params:
@@ -116,7 +113,7 @@ def _lp_square_norms(f: OperatorField, alpha: float, p: float, family: LPFamily,
 # ---------------------------------------------------------------------------
 
 def _tl_side_report(f: OperatorField, alpha: float, p: float, family: LPFamily,
-                    side: str, seed: Optional[int]) -> NormReport:
+                    side: str) -> NormReport:
     check_p(p)
     (value,), low = _lp_square_norms(f, alpha, p, family, (side,))
     return NormReport(
@@ -126,25 +123,21 @@ def _tl_side_report(f: OperatorField, alpha: float, p: float, family: LPFamily,
         terms={"square_function": value, "phi0_term": low},
         grid=f.grid,
         n=f.n,
-        seed=seed,
     )
 
 
-def tl_norm_column(f: OperatorField, alpha: float, p: float, family: LPFamily,
-                   seed: Optional[int] = None) -> NormReport:
+def tl_norm_column(f: OperatorField, alpha: float, p: float, family: LPFamily) -> NormReport:
     """Column norm || (sum_j 4^{j alpha} |phi_j * f|^2)^(1/2) ||_p, j >= 0."""
-    return _tl_side_report(f, alpha, p, family, "column", seed)
+    return _tl_side_report(f, alpha, p, family, "column")
 
 
-def tl_norm_row(f: OperatorField, alpha: float, p: float, family: LPFamily,
-                seed: Optional[int] = None) -> NormReport:
+def tl_norm_row(f: OperatorField, alpha: float, p: float, family: LPFamily) -> NormReport:
     """Row norm: column norm of the pointwise adjoint field."""
-    return _tl_side_report(f, alpha, p, family, "row", seed)
+    return _tl_side_report(f, alpha, p, family, "row")
 
 
 def tl_norm_mixture(f: OperatorField, alpha: float, p: float, family: LPFamily,
-                    splits: Sequence[tuple[OperatorField, OperatorField]] = (),
-                    seed: Optional[int] = None) -> NormReport:
+                    splits: Sequence[tuple[OperatorField, OperatorField]] = ()) -> NormReport:
     """Mixture norm: exact max(column,row) for p > 2; for p <= 2 the minimum
     of column(g)+row(h) over the provided splits plus the two trivial splits.
 
@@ -180,7 +173,6 @@ def tl_norm_mixture(f: OperatorField, alpha: float, p: float, family: LPFamily,
         terms=terms,
         grid=f.grid,
         n=f.n,
-        seed=seed,
         flags=flags,
     )
 
@@ -189,14 +181,15 @@ def tl_norm_mixture(f: OperatorField, alpha: float, p: float, family: LPFamily,
 # local Hardy norms
 # ---------------------------------------------------------------------------
 
-def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radial",
-               family: Optional[LPFamily] = None, seed: Optional[int] = None) -> NormReport:
+def hardy_norm(f: OperatorField, p: float, family: LPFamily, mode: str = "lp",
+               shape: str = "radial") -> NormReport:
     """Local Hardy norm h_p^c in LP or Poisson mode, radial or conic shape.
 
     LP radial mode *is* the alpha = 0 column norm (same formula, with the
     low-frequency term inside the square sum); the low term is still recorded
     separately.  Poisson mode and conic shapes return the two-term form
-    square-function + low-frequency, per the defining expression.
+    square-function + low-frequency, per the defining expression, over the
+    scales j = 1 .. family.j_max.
     """
     check_p(p)
     if mode not in HARDY_MODES:
@@ -204,16 +197,12 @@ def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radia
     if shape not in ("radial", "conic"):
         raise ValueError(f"unknown shape {shape!r}")
     grid = f.grid
-    if mode == "lp" and family is None:
-        raise ValueError("lp mode requires a family")
-
-    j_top = grid.max_cube_level if family is None else family.j_max
     if mode == "lp":
         low_values = family.values(0)
         levels = lp_levels(family, 0.0)[1:]
     else:
         low_values = poisson_symbol(grid, 1.0).values
-        levels = poisson_levels(grid, j_top, 1, 0.0)
+        levels = poisson_levels(grid, family.j_max, 0.0)
     fhat = fft_data(f.data, grid)
 
     if shape == "radial" and mode == "lp":
@@ -221,7 +210,7 @@ def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radia
         value = sq
     else:
         low = _low_term_norm(f, low_values, fhat, p)
-        cone = cone_index(grid, j_top) if shape == "conic" else None
+        cone = cone_index(grid, family.j_max) if shape == "conic" else None
         sq = square_norm(fhat, grid, levels, p, cone)
         value = sq + low
     return NormReport(
@@ -231,7 +220,6 @@ def hardy_norm(f: OperatorField, p: float, mode: str = "lp", shape: str = "radia
         terms={"square_function": sq, "low_frequency": low},
         grid=grid,
         n=f.n,
-        seed=seed,
     )
 
 
@@ -248,7 +236,7 @@ def _block_means(data: np.ndarray, grid: Grid, level: int) -> np.ndarray:
     return cube_blocks(data, grid, level).mean(axis=tuple(2 * k + 1 for k in range(grid.d)))
 
 
-def bmo_norm(f: OperatorField, seed: Optional[int] = None) -> NormReport:
+def bmo_norm(f: OperatorField) -> NormReport:
     """bmo^c norm: sup over dyadic |Q| < 1 of the mean oscillation, maximized
     with the |Q| = 1 (whole torus) size term."""
     grid = f.grid
@@ -272,12 +260,10 @@ def bmo_norm(f: OperatorField, seed: Optional[int] = None) -> NormReport:
         terms={"oscillation_sup": osc, "unit_cube_term": unit_term, **per_level},
         grid=grid,
         n=f.n,
-        seed=seed,
     )
 
 
-def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily,
-                  seed: Optional[int] = None) -> NormReport:
+def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily) -> NormReport:
     """F^alpha_infty norm: ||phi_0 * f||_sup plus the Carleson-type sup over
     dyadic cubes |Q| < 1 with scale cutoff j >= level(Q).
 
@@ -306,7 +292,6 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily,
         terms={"phi0_sup": low_term, "carleson_sup": carleson, **per_level},
         grid=grid,
         n=f.n,
-        seed=seed,
     )
 
 
@@ -314,8 +299,7 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily,
 # tent norm
 # ---------------------------------------------------------------------------
 
-def tent_norm(F: StripField, p: float, cone: Optional[ConeIndex] = None,
-              seed: Optional[int] = None) -> NormReport:
+def tent_norm(F: StripField, p: float, cone: Optional[ConeIndex] = None) -> NormReport:
     """Tent-space norm || A^c(F) ||_p."""
     check_p(p)
     cone = cone_index(F.grid, F.j_max) if cone is None else cone
@@ -327,7 +311,6 @@ def tent_norm(F: StripField, p: float, cone: Optional[ConeIndex] = None,
         params={"p": p, "j_max": F.j_max},
         grid=F.grid,
         n=F.n,
-        seed=seed,
     )
 
 

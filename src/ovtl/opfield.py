@@ -58,6 +58,8 @@ class _Field:
         lead, shape = self._lead, self.grid.shape
         if data.ndim != lead + self.grid.d + 2 or data.shape[lead:lead + self.grid.d] != shape:
             raise ValueError(f"{self._what} data shape {data.shape} does not match grid {shape}")
+        if 0 in data.shape[:lead]:  # a strip of no scales would be written as a plain field
+            raise ValueError(f"{self._what} needs at least one scale")
         if data.shape[-1] != data.shape[-2]:
             raise ValueError("matrix blocks must be square")
         if not np.all(np.isfinite(data)):

@@ -79,8 +79,9 @@ def radial_profile(fn: Callable[[np.ndarray], np.ndarray], support_radius=None) 
     return Profile(lambda xi: fn(np.sqrt(np.sum(xi**2, axis=-1))), support_radius)
 
 
-def constant_profile(value: complex = 1.0) -> Profile:
-    return Profile(lambda xi: np.full(xi.shape[:-1], value, dtype=complex))
+def constant_profile() -> Profile:
+    """The profile 1: phi_j of the identity multiplier."""
+    return Profile(lambda xi: np.ones(xi.shape[:-1], dtype=complex))
 
 
 # ---------------------------------------------------------------------------

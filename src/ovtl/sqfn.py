@@ -54,11 +54,11 @@ def lp_levels(family: LPFamily, alpha: float) -> list:
     return [(j, level_weight(j, alpha), family.values(j)) for j in family.scales()]
 
 
-def poisson_levels(grid: Grid, j_max: int, k: int, alpha: float) -> list:
-    """Levels of the Poisson square function, j = 1 .. j_max: the k-th
+def poisson_levels(grid: Grid, j_max: int, alpha: float) -> list:
+    """Levels of the Poisson square function, j = 1 .. j_max: the first
     eps-derivative of the semigroup at eps = 2^-j, weighted by the quadrature
-    log 2 * 2^{-2j(k - alpha)} of int eps^{2(k - alpha)} |...|^2 d(eps)/eps."""
-    return [(j, LOG2 * 2.0 ** (-2.0 * j * (k - alpha)), poisson_dk_symbol(grid, 2.0**-j, k).values)
+    log 2 * 2^{-2j(1 - alpha)} of int eps^{2(1 - alpha)} |...|^2 d(eps)/eps."""
+    return [(j, LOG2 * 2.0 ** (-2.0 * j * (1 - alpha)), poisson_dk_symbol(grid, 2.0**-j, 1).values)
             for j in range(1, j_max + 1)]
 
 

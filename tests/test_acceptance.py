@@ -294,7 +294,7 @@ def test_criterion_08_multiplier_certificates():
     # support-violating sequence raises a hypothesis error
     gauss = Profile(lambda xi: np.exp(-np.sum(xi**2, axis=-1)) + 0j)
     rho = tuple(gauss for _ in range(4))
-    bad = SymbolSequence(g, tuple(constant_profile(1.0) for _ in rho), rho, name="bad")
+    bad = SymbolSequence(g, tuple(constant_profile() for _ in rho), rho, name="bad")
     raised = False
     try:
         empirical_square_bound(bad, gen, 0.0, 2.0, trials=1, sigma=sigma)
@@ -340,11 +340,11 @@ def test_criterion_10_decompositions():
     h1_ratios, tl_ratios, tent_ratios = [], [], []
     for seed in SEEDS_20:
         f = band_limited_random(g, 1 if seed % 3 else 2, 12000 + seed)
-        dec = smooth_decompose_h1(f, cal=cal, family=fam)
+        dec = smooth_decompose_h1(f)
         ok &= dec.residual <= 1e-9
         ok &= all(r.passed for r in validate_atoms([a for _, a in dec.low_pairs + dec.high_pairs]))
         h1_ratios.append(dec.mass_ratio)
-        dec2 = smooth_decompose_tl(f, 0.5, 1, 0, cal=cal, family=fam)
+        dec2 = smooth_decompose_tl(f, 0.5, 1, 0)
         ok &= dec2.residual <= 1e-9
         ok &= all(r.passed
                   for r in validate_atoms([a for _, a in dec2.low_pairs + dec2.high_pairs]))
@@ -367,8 +367,7 @@ def test_criterion_10_decompositions():
     for seed in range(100):
         a1 = random_alpha_one_atom(g, 2, 0.5, 1, 14000 + seed)
         one_norms.append(tl_norm_column(a1.to_field(), 0.5, 1.0, fam).value)
-        aq = random_alpha_q_atom(g, 2, 0.5, 1, 0, level=2 + seed % 4,
-                                 seed=15000 + seed, cal=cal)
+        aq = random_alpha_q_atom(g, 2, 0.5, 1, 0, level=2 + seed % 4, seed=15000 + seed)
         q_norms.append(tl_norm_column(aq.to_field(), 0.5, 1.0, fam).value)
     spread_one = max(one_norms) / min(one_norms)
     spread_q = max(q_norms) / min(q_norms)

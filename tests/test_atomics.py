@@ -53,7 +53,7 @@ def test_validate_unit_cube_indicator(grid64):
 
 def test_validate_haar_atom(grid64):
     cube = DyadicCube(grid64, 1, (0,))
-    f = haar(grid64, 2, level=1)
+    f = haar(grid64, 2)
     atom = HAtom(cube, f)
     rep = validate_atom(atom)
     assert rep.passed  # includes the mean-zero clause
@@ -346,6 +346,27 @@ def test_tl_alpha0_degeneration(grid64):
     assert all(validate_atom(a).passed for _, a in dec.low_pairs + dec.high_pairs)
 
 
+def test_tl_high_order_builds_its_own_system():
+    # alpha = 2.5, L = 2 needs the reproducing system of order 4: with the
+    # order-2 system the subatoms would fail their moment clauses
+    g = Grid(1, 256)
+    f = band_limited_random(g, 2, 96)
+    dec = smooth_decompose_tl(f, 2.5, 3, 2, compute_norm=False)
+    assert dec.residual <= 1e-9
+    reports = validate_atoms([a for _, a in dec.low_pairs + dec.high_pairs])
+    assert len(reports) > 50 and all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, cal: smooth_decompose_h1(f, cal=cal),
+    lambda f, cal: smooth_decompose_tl(f, 0.5, 1, 0, cal=cal),
+    lambda f, cal: random_alpha_q_atom(f.grid, 1, 0.5, 1, 0, level=1, seed=1, cal=cal),
+])
+def test_decompositions_take_no_system(grid64, call):
+    with pytest.raises(TypeError):
+        call(band_limited_random(grid64, 1, 97), calderon_resolution(grid64))
+
+
 def test_tl_2d_smoke():
     g = Grid(2, 32)
     f = band_limited_random(g, 2, 94)
@@ -620,7 +641,7 @@ def test_validate_atoms_batch_matches_batch_of_one():
         decs += [smooth_decompose_h1(f, compute_norm=False),
                  smooth_decompose_tl(f, 0.5, 1, 0, compute_norm=False)]
     atoms = [a for dec in decs for _, a in dec.low_pairs + dec.high_pairs]
-    atoms += [t for dec in decs[:2] for _, t in dec.tent_pairs[:6]]
+    atoms += [t for _, t in tent_atomize(random_strip(Grid(1, 256), 2, 4, 851))[:12]]
     h = next(a for _, a in reversed(decs[0].high_pairs) if a.cube.level >= 2)
     q = decs[1].high_pairs[-1][1]
     sub = q.subatoms[0][1]

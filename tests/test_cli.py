@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from ovtl.atomics import smooth_decompose_h1, smooth_decompose_tl, validate_atoms
 from ovtl.cli import main
 from ovtl.errors import ConfigError, OvtlError
 from ovtl.fieldio import (
@@ -295,6 +296,33 @@ def test_verify_atoms_suite(tmp_path):
                  "--report", str(rep)])
     assert code == 0
     assert "passed = True" in rep.read_text()
+
+
+@pytest.mark.parametrize("d,N,L", [(1, 64, 1), (1, 64, 2), (2, 32, 1)])
+def test_atoms_with_moments_validate(tmp_path, d, N, L):
+    # moments are taken about each subatom's center over the half-open cell
+    # [-1/2, 1/2): the lattice point opposite the center sits at -1/2, where
+    # the piece's support puts it
+    f = band_limited_random(Grid(d, N), 1, 14)
+    dec = smooth_decompose_tl(f, 0.5, 1, L, compute_norm=False)
+    assert all(r.passed for r in validate_atoms([a for _, a in dec.low_pairs + dec.high_pairs]))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_to_text(Config(d=d, N=N, n=1, L=L, trials=2)))
+    rep = tmp_path / "atoms.txt"
+    assert main(["--config", str(cfg), "verify", "atoms", "--report", str(rep)]) == 0
+    assert rep.read_text().endswith("passed = True\n")
+
+
+def test_verify_atoms_uses_config_k_for_h1(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_to_text(Config(N=64, n=1, K=2, seed=5, trials=2)))
+    rep = tmp_path / "atoms.txt"
+    assert main(["--config", str(cfg), "verify", "atoms", "--report", str(rep)]) == 0
+    f = band_limited_random(Grid(1, 64), 1, 5)
+    k1, k2 = (f"mass_ratio = {smooth_decompose_h1(f, K=K).mass_ratio:.4f} " for K in (1, 2))
+    assert k1 != k2
+    h1_line = next(line for line in rep.read_text().splitlines() if line.startswith("h1[t=0]"))
+    assert k2 in h1_line
 
 
 def test_decompose_reconstruct_roundtrip(tmp_path):

@@ -15,7 +15,7 @@ from ovtl.fieldio import (
     write_decomposition,
     write_field,
 )
-from ovtl.generators import band_limited_random
+from ovtl.generators import band_limited_random, random_strip
 from ovtl.lattice import Grid
 
 
@@ -134,6 +134,14 @@ def test_read_field_claimed_size_not_allocated(tmp_path, pos, value):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_one_scale_strip_roundtrip(tmp_path):
+    F = random_strip(Grid(2, 16), 2, 1, 48)
+    path = tmp_path / "F.ovtl"
+    write_field(path, F)
+    G = read_field(path)
+    assert G.j_max == 1 and np.array_equal(G.data, F.data)
 
 
 @pytest.fixture

@@ -44,7 +44,7 @@ def test_support_violation_raises(grid128):
     # rho with a Gaussian (non-compact) profile leaks outside the annuli
     gauss = Profile(lambda xi: np.exp(-np.sum(xi**2, axis=-1)) + 0j)
     rho = tuple(gauss for _ in range(4))
-    phi = tuple(constant_profile(1.0) for _ in range(4))
+    phi = tuple(constant_profile() for _ in range(4))
     seq = SymbolSequence(grid128, phi, rho, name="leaky")
     with pytest.raises(HypothesisError):
         seq.check_support()
@@ -144,7 +144,7 @@ def test_empirical_bessel_bounded(grid128, p):
 
 def test_p1_shape_restriction(grid128):
     rho = lp_sequence(grid128)
-    seq = SymbolSequence(grid128, tuple(constant_profile(1.0) for _ in rho), rho,
+    seq = SymbolSequence(grid128, tuple(constant_profile() for _ in rho), rho,
                          name="no-shape", rho_is_dilate_family=False)
     with pytest.raises(HypothesisError):
         empirical_square_bound(seq, gen_for(grid128), 0.0, 1.0, trials=1, sigma=SIGMA)

@@ -8,7 +8,16 @@ from ovtl.lattice import (
     cone_index,
     dyadic_cubes_at_level,
     subcube_order,
+    wrap_half,
 )
+
+
+def test_wrap_half_is_half_open():
+    # 1/2 and -1/2 both land on -1/2, the lower end of a centered cube's cell
+    delta = np.array([0.5, -0.5, 1.5, 0.25, -0.75, 0.0, 2.0])
+    assert wrap_half(delta).tolist() == [-0.5, -0.5, -0.5, 0.25, 0.25, 0.0, 0.0]
+    g = Grid(1, 16)
+    assert g.signed_coords_about([0.5])[:, 0].tolist() == [k / 16 - 0.5 for k in range(16)]
 
 
 def test_grid_invariants():

@@ -156,6 +156,11 @@ def test_psd_accumulator_invariants(grid64):
         acc.add_gram(np.zeros(grid64.shape + (2, 2)), -1.0)
 
 
+def test_strip_field_needs_a_scale(grid64):
+    with pytest.raises(ValueError, match="at least one scale"):
+        StripField.zero(grid64, 2, 0)
+
+
 def test_strip_field_scale_indexing(grid64):
     F = StripField.zero(grid64, 2, 3)
     assert F.j_max == 3

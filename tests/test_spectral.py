@@ -219,7 +219,7 @@ def test_one_lp_family_type(grid64):
 # ---------------------------------------------------------------------------
 
 def test_hsigma_constant_is_one(grid64):
-    sym = Symbol(grid64, np.ones(grid64.shape), profile=constant_profile(1.0))
+    sym = Symbol(grid64, np.ones(grid64.shape), profile=constant_profile())
     assert abs(hsigma_norm(sym, 1.0) - 1.0) < 1e-12
 
 

@@ -179,7 +179,7 @@ def test_tent_zero_and_scaling(grid64):
 def test_poisson_radial_matches_manual(grid64):
     # dyadic quadrature weights log2 * 2^{-2j(k-alpha)} per level
     f = band_limited_random(grid64, 1, 806)
-    out = root(accumulate(f, poisson_levels(grid64, 4, 1, 0.0)))
+    out = root(accumulate(f, poisson_levels(grid64, 4, 0.0)))
     total = np.zeros(grid64.shape)
     from ovtl.spectral import poisson_dk_symbol
 
@@ -250,7 +250,7 @@ def eig_route_norm(fhat, grid, levels, p, cone=None):
 
 def level_lists(grid, fam, alpha):
     return {"lp": lp_levels(fam, alpha), "lp-high": lp_levels(fam, alpha)[1:],
-            "poisson": poisson_levels(grid, fam.j_max, 1, alpha)}
+            "poisson": poisson_levels(grid, fam.j_max, alpha)}
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 32)], ids=["d1", "d2"])
