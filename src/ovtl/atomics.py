@@ -198,8 +198,8 @@ def _cut_to_double(fulls: np.ndarray, cubes: list) -> list:
     inside = np.zeros(fulls.shape[:-2], dtype=bool)
     cuts = []
     for b, cube in enumerate(cubes):
-        origin, side = cube.double_box()
-        box = np.ix_(*box_indices(cube.grid, origin, (side,) * cube.grid.d))
+        origin, _ = cube.box(double=True)
+        box = np.ix_(*cube.axis_indices(double=True))
         inside[b][box] = True
         cuts.append((origin, fulls[b][box]))
     return [cut + (leak,) for cut, leak in zip(cuts, _energy_outside(fulls, inside).tolist())]
@@ -282,7 +282,7 @@ def _chunks(items: list, item_bytes: int) -> list:
 
 def _field_bytes(grid: Grid, n: int) -> int:
     """Bytes of one complex (n, n)-matrix field on the grid."""
-    return grid.npoints * n * n * 16
+    return grid.N**grid.d * n * n * 16
 
 
 @lru_cache(maxsize=16)
@@ -747,7 +747,7 @@ def _n_pow(alpha: float, L: int) -> int:
 
 
 def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
-               compute_norm: bool, high_atoms) -> AtomicDecomposition:
+               high_atoms) -> AtomicDecomposition:
     """Body of the smooth decompositions at p = 1; ``alpha`` None is the local
     Hardy space, the alpha = 0, L = -1 case whose strip weights 4^0 = 1 are
     exact.
@@ -787,7 +787,7 @@ def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
     denom = math.sqrt(energy)
     dev = math.sqrt(float(np.sum(np.abs(rec.data - f.data) ** 2)))
     dec.residual = dev / denom if denom > 0 else dev
-    if compute_norm and denom > 0:
+    if denom > 0:
         fam = make_lp_family(grid)
         if alpha is None:
             source_norm = hardy_norm(f, 1.0, fam).value
@@ -797,8 +797,7 @@ def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
     return dec
 
 
-def smooth_decompose_h1(f: OperatorField, K: int = 1,
-                        compute_norm: bool = True) -> AtomicDecomposition:
+def smooth_decompose_h1(f: OperatorField, K: int = 1) -> AtomicDecomposition:
     """Smooth atomic decomposition of the local Hardy space at p = 1.
 
     The low part of f becomes one smooth unit-cube atom; each tent atom of
@@ -822,7 +821,7 @@ def smooth_decompose_h1(f: OperatorField, K: int = 1,
                         cube=atom.cube, block=block / rho, double_support=True, origin=origin,
                         support_leak=leak))
 
-    return _decompose(f, None, K, -1, compute_norm, high_atoms)
+    return _decompose(f, None, K, -1, high_atoms)
 
 
 def required_k_floor(alpha: float) -> int:
@@ -837,8 +836,7 @@ def required_l_floor(alpha: float) -> int:
     return max(int(math.floor(-alpha)), -1)
 
 
-def smooth_decompose_tl(f: OperatorField, alpha: float, K: int, L: int,
-                        compute_norm: bool = True) -> AtomicDecomposition:
+def smooth_decompose_tl(f: OperatorField, alpha: float, K: int, L: int) -> AtomicDecomposition:
     """Smooth atomic decomposition of the smoothness-alpha space at p = 1,
     with (alpha,1)-atoms for the low part and (alpha,Q)-atoms with subatom
     trees for the strip part."""
@@ -854,7 +852,7 @@ def smooth_decompose_tl(f: OperatorField, alpha: float, K: int, L: int,
                 for (lam, _), (rho, atom) in zip(chunk, packed):
                     yield lam / LOG2 * rho, atom
 
-    return _decompose(f, alpha, K, L, compute_norm, high_atoms)
+    return _decompose(f, alpha, K, L, high_atoms)
 
 
 # ---------------------------------------------------------------------------

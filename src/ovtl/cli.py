@@ -72,13 +72,11 @@ def _parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a field file")
     g.add_argument("--kind", required=True,
-                   choices=("single-mode", "band-limited-random", "bump", "haar",
-                            "from-file"))
+                   choices=("single-mode", "band-limited-random", "bump", "haar"))
     g.add_argument("--mode", type=str, default=None,
                    help="comma-separated frequency for single-mode")
     g.add_argument("--band", type=str, default=None,
                    help="rmin,rmax annulus for band-limited-random")
-    g.add_argument("--source", type=Path, default=None, help="input for from-file")
     g.add_argument("output", type=Path)
 
     n = sub.add_parser("norm", help="compute norms of a field file")
@@ -145,7 +143,7 @@ def _emit(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _numbers(raw: str, convert, flag: str, want: str, counts) -> tuple:
@@ -176,14 +174,8 @@ def cmd_gen(cfg: Config, args) -> int:
                                            r_max=r_max)
     elif kind == "bump":
         f = generators.bump(grid, cfg.n, seed=cfg.seed)
-    elif kind == "haar":
+    else:  # haar, the last of the parser's choices
         f = generators.haar(grid, cfg.n)
-    elif kind == "from-file":
-        if args.source is None:
-            raise OvtlError("from-file requires --source")
-        f = read_field(args.source)
-    else:  # pragma: no cover
-        raise OvtlError(f"unknown kind {kind}")
     write_field(args.output, f)
     return 0
 

@@ -193,8 +193,16 @@ def parse_config(text: str) -> Config:
     return cfg
 
 
+def _read_utf8(path: Union[str, Path], error: type) -> str:
+    """The text of ``path``; bytes that are not UTF-8 raise ``error`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def load_config(path: Union[str, Path]) -> Config:
-    return parse_config(Path(path).read_text())
+    return parse_config(_read_utf8(path, ConfigError))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +247,7 @@ def write_decomposition(manifest_path: Union[str, Path], blob_path: Union[str, P
             lines.append(f"blob_offset = {offset}")
             records.append(atom)
             offset += _HEADER.size + 8 * grid.d + atom.block.size * 16
-    Path(manifest_path).write_text("\n".join(lines) + "\n")
+    Path(manifest_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     with open(blob_path, "wb") as fh:
         for atom in records:
             fh.write(_HEADER.pack(MAGIC, BLOB_VERSION, grid.d, grid.N, atom.n, 0))
@@ -309,7 +317,7 @@ def read_decomposition_blob(blob_path: Union[str, Path], manifest_path: Union[st
     without the entries needed, or a record that does not fit the blob or
     the manifest grid, raises FormatError.
     """
-    meta, atoms = _parse_manifest(Path(manifest_path).read_text())
+    meta, atoms = _parse_manifest(_read_utf8(manifest_path, FormatError))
     try:
         grid = _header_grid(manifest_path, meta["d"], meta["N"])
         n = int(meta["n"])

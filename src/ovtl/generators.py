@@ -48,7 +48,7 @@ def band_limited_random(grid: Grid, n: int, seed: int, r_min: float = 0.0,
     coefs = np.zeros(grid.shape + (n, n), dtype=np.complex128)
     block = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
     coefs[mask] = block / np.sqrt(2.0 * max(count, 1))
-    return OperatorField(grid, ifft_data(coefs, grid) * float(grid.npoints))
+    return OperatorField(grid, ifft_data(coefs, grid) * float(grid.N**grid.d))
 
 
 def bump(grid: Grid, n: int, width: float = 0.08, seed: int | None = None) -> OperatorField:
@@ -73,10 +73,8 @@ def haar(grid: Grid, n: int) -> OperatorField:
     cube = DyadicCube(grid, 1, (0,) * grid.d)
     mask = cube.mask()
     amp = cube.volume ** -0.5
-    idx = np.arange(grid.N)
-    c0 = cube.center_cells[0]
-    half = cube.side_cells // 2
-    upper = ((idx - c0 + half) % grid.N) >= half
+    start, side = cube.box()
+    upper = (np.arange(grid.N) - start[0]) % grid.N >= side // 2
     sh = [1] * grid.d
     sh[0] = grid.N
     sign = np.where(upper.reshape(sh), 1.0, -1.0)

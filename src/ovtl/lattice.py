@@ -55,10 +55,6 @@ class Grid:
         return (self.N,) * self.d
 
     @property
-    def npoints(self) -> int:
-        return self.N**self.d
-
-    @property
     def spatial_axes(self) -> tuple[int, ...]:
         return tuple(range(self.d))
 
@@ -137,45 +133,31 @@ class DyadicCube:
         """Side length in lattice cells."""
         return self.grid.N >> self.level
 
-    @property
-    def center_cells(self) -> tuple[int, ...]:
-        return tuple((i * self.side_cells) % self.grid.N for i in self.index)
+    def box(self, double: bool = False) -> tuple[tuple[int, ...], int]:
+        """(per-axis start index, side in cells) of Q, or of 2Q when
+        ``double``; 2Q is the whole torus, from index 0, once its side
+        reaches N.  A level-0 Q starts at N/2."""
+        N, side = self.grid.N, self.side_cells
+        if double and 2 * side >= N:
+            return (0,) * self.grid.d, N
+        shift, span = (side, 2 * side) if double else (side // 2, side)
+        return tuple((i * side - shift) % N for i in self.index), span
 
-    def axis_indices(self) -> list[np.ndarray]:
-        """Per-axis lattice indices of the cube's points (wraparound applied)."""
-        half = self.side_cells // 2
-        out = []
-        for c in self.center_cells:
-            out.append((np.arange(c - half, c - half + self.side_cells)) % self.grid.N)
-        return out
+    def axis_indices(self, double: bool = False) -> list[np.ndarray]:
+        """Per-axis lattice indices of the points of Q (2Q when ``double``)."""
+        origin, side = self.box(double)
+        return box_indices(self.grid, origin, (side,) * self.grid.d)
 
     def box_mask(self, axis_idx, double: bool = False) -> np.ndarray:
         """Membership in Q (in 2Q when ``double``) of the lattice points whose
         per-axis indices are ``axis_idx``; half-open per axis, periodic."""
-        half = self.side_cells if double else self.side_cells // 2
-        N = self.grid.N
-        members = [((np.asarray(idx) - c + half) % N) < min(2 * half, N)
-                   for idx, c in zip(axis_idx, self.center_cells)]
-        return reduce(np.logical_and.outer, members)
+        origin, side = self.box(double)
+        return reduce(np.logical_and.outer, [(np.asarray(idx) - o) % self.grid.N < side
+                                             for idx, o in zip(axis_idx, origin)])
 
-    def mask(self) -> np.ndarray:
-        """Boolean membership mask over the grid, half-open per axis."""
-        return self.box_mask([np.arange(self.grid.N)] * self.grid.d)
-
-    def npoints(self) -> int:
-        return self.side_cells**self.grid.d
-
-    def double_mask(self) -> np.ndarray:
-        """Membership mask of the doubled cube 2Q (periodic)."""
-        return self.box_mask([np.arange(self.grid.N)] * self.grid.d, double=True)
-
-    def double_box(self) -> tuple[tuple[int, ...], int]:
-        """(per-axis start index, side in cells) of 2Q; the whole torus,
-        from index 0, when 2Q covers it."""
-        side = 2 * self.side_cells
-        if side >= self.grid.N:
-            return (0,) * self.grid.d, self.grid.N
-        return tuple((c - self.side_cells) % self.grid.N for c in self.center_cells), side
+    def mask(self, double: bool = False) -> np.ndarray:
+        """Membership mask of Q (2Q when ``double``) over the grid."""
+        return self.box_mask([np.arange(self.grid.N)] * self.grid.d, double)
 
 
 def box_indices(grid: Grid, origin, sides) -> list[np.ndarray]:
@@ -229,24 +211,17 @@ def dyadic_cubes_at_level(grid: Grid, level: int) -> list[DyadicCube]:
 def subcube_order(a: DyadicCube, b: DyadicCube) -> bool:
     """Partial order (mu,l) <= (mu',l'): mu >= mu' and Q_{mu,l} inside 2Q_{mu',l'}.
 
-    Interval inclusion per axis with periodic wraparound; boundaries follow
-    the half-open convention on both cubes.
+    Box inclusion per axis with periodic wraparound: Q's box starts at most
+    side(2Q') - side(Q) cells past the start of 2Q'.
     """
     if a.grid != b.grid:
         raise ValueError("cubes live on different grids")
     if a.level < b.level:
         return False
+    (start_a, side_a), (start_b, side_b) = a.box(), b.box(double=True)
     N = a.grid.N
-    half_a = a.side_cells // 2
-    half_2b = b.side_cells  # half-side of 2Q'
-    if 2 * half_2b >= N:
-        return True  # doubled cube covers the torus
-    for ax in range(a.grid.d):
-        da = a.center_cells[ax] - b.center_cells[ax]
-        da = (da + N // 2) % N - N // 2  # wrap to [-N/2, N/2)
-        if da - half_a < -half_2b or da + half_a > half_2b:
-            return False
-    return True
+    return side_b == N or all((sa - sb) % N + side_a <= side_b
+                              for sa, sb in zip(start_a, start_b))
 
 
 @dataclass(frozen=True)

@@ -219,11 +219,9 @@ class PSDAccumulator:
         _gram_into(self.S.reshape(-1, self.n, self.n).transpose(axes), x.transpose(axes), weight)
         return self
 
-    def add_psd(self, P: np.ndarray, weight: float = 1.0) -> "PSDAccumulator":
+    def add_psd(self, P: np.ndarray) -> "PSDAccumulator":
         """Accumulate an already-PSD pointwise block."""
-        if weight < 0:
-            raise ValueError("weights must be nonnegative")
-        self.S += weight * P
+        self.S += P
         return self
 
     def eigenvalues(self) -> np.ndarray:

@@ -38,7 +38,7 @@ def fft_forward(f: OperatorField) -> OperatorField:
 def fft_inverse(fhat: OperatorField) -> OperatorField:
     """Inverse of :func:`fft_forward`."""
     coef = fhat.data.copy()  # ifft_data works in place; field data is read-only
-    return OperatorField(fhat.grid, ifft_data(coef, fhat.grid) * float(fhat.grid.npoints))
+    return OperatorField(fhat.grid, ifft_data(coef, fhat.grid) * float(fhat.grid.N**fhat.grid.d))
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def square_norm(fhat: np.ndarray, grid: Grid, levels: Sequence, p: float,
         c = 1.0 if cone is None or j == 0 else _conic_factor(cone, j) * len(cone.offsets[j])
         W += (c * weight) * np.abs(values) ** 2
     hs = np.sum(fhat.real**2 + fhat.imag**2, axis=(-2, -1))
-    return math.sqrt(float(np.sum(W * hs)) * grid.cell_volume / grid.npoints)
+    return math.sqrt(float(np.sum(W * hs)) * grid.cell_volume / grid.N**grid.d)
 
 
 def strip_levels(F: StripField) -> Iterator[tuple]:

@@ -402,7 +402,7 @@ def test_criterion_11_projection_contract():
                         block=block / (atom.size() * math.sqrt(cube.volume)))
         out = project_tent(atom, cal)
         scale = float(np.max(np.abs(out.data)))
-        mask = cube.double_mask()
+        mask = cube.mask(double=True)
         if np.any(~mask):
             worst_leak = max(worst_leak, float(np.max(np.abs(out.data[~mask]))) / scale)
         mean = float(np.max(np.abs(out.data.sum(axis=0))) * g.cell_volume)

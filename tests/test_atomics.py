@@ -176,7 +176,7 @@ def test_project_random_atom_contract(grid64):
                         block=block / (size * math.sqrt(cube.volume)))
         out = project_tent(atom, cal)
         # support in 2Q
-        mask = cube.double_mask()
+        mask = cube.mask(double=True)
         scale = np.max(np.abs(out.data))
         if np.any(~mask):
             leak = np.max(np.abs(out.data[~mask]))
@@ -278,7 +278,7 @@ def test_atomize_mass_stable_across_seeds(grid64):
 # ---------------------------------------------------------------------------
 
 def test_h1_zero_empty(grid64):
-    dec = smooth_decompose_h1(OperatorField.zero(grid64, 2), compute_norm=False)
+    dec = smooth_decompose_h1(OperatorField.zero(grid64, 2))
     assert dec.low_pairs == [] and dec.high_pairs == []
 
 
@@ -351,7 +351,7 @@ def test_tl_high_order_builds_its_own_system():
     # order-2 system the subatoms would fail their moment clauses
     g = Grid(1, 256)
     f = band_limited_random(g, 2, 96)
-    dec = smooth_decompose_tl(f, 2.5, 3, 2, compute_norm=False)
+    dec = smooth_decompose_tl(f, 2.5, 3, 2)
     assert dec.residual <= 1e-9
     reports = validate_atoms([a for _, a in dec.low_pairs + dec.high_pairs])
     assert len(reports) > 50 and all(r.passed for r in reports)
@@ -483,7 +483,7 @@ def _size_cases(grid, n, rng):
     full = _cplx(rng, grid.shape + (n, n))
     # a piece supported in the 2Q box of a cube that wraps around the torus
     cube = DyadicCube(grid, 2, (0,) * grid.d)
-    origin, side = cube.double_box()
+    origin, side = cube.box(double=True)
     piece = np.zeros(grid.shape + (n, n), dtype=complex)
     piece[np.ix_(*box_indices(grid, origin, (side,) * grid.d))] = \
         _cplx(rng, (side,) * grid.d + (n, n))
@@ -612,7 +612,7 @@ def test_cut_to_double_leak_matches_mask_route(d, N):
     for level in (0, 1, 2, 3):
         for m in (0, (1 << level) - 1):  # index 0 at level >= 1 wraps around 0
             cube = DyadicCube(grid, level, (m,) * d)
-            inside = cube.double_mask()[..., None, None]
+            inside = cube.mask(double=True)[..., None, None]
             full = _cplx(rng, grid.shape + (2, 2))
             for data in (full, np.where(inside, full, 1e-9 * full),
                          np.where(inside, full, 1e-16 * full), np.where(inside, full, 0)):
@@ -638,8 +638,8 @@ def test_validate_atoms_batch_matches_batch_of_one():
     decs = []
     for grid in (Grid(1, 256), Grid(2, 32)):
         f = band_limited_random(grid, 2, 850 + grid.d)
-        decs += [smooth_decompose_h1(f, compute_norm=False),
-                 smooth_decompose_tl(f, 0.5, 1, 0, compute_norm=False)]
+        decs += [smooth_decompose_h1(f),
+                 smooth_decompose_tl(f, 0.5, 1, 0)]
     atoms = [a for dec in decs for _, a in dec.low_pairs + dec.high_pairs]
     atoms += [t for _, t in tent_atomize(random_strip(Grid(1, 256), 2, 4, 851))[:12]]
     h = next(a for _, a in reversed(decs[0].high_pairs) if a.cube.level >= 2)

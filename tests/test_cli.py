@@ -18,7 +18,7 @@ from ovtl.fieldio import (
 )
 from ovtl.lattice import Grid
 from ovtl.opfield import OperatorField, StripField
-from ovtl.generators import band_limited_random, random_strip
+from ovtl.generators import band_limited_random, bump, haar, random_strip
 from ovtl.spectral import fft_forward
 
 
@@ -304,7 +304,7 @@ def test_atoms_with_moments_validate(tmp_path, d, N, L):
     # [-1/2, 1/2): the lattice point opposite the center sits at -1/2, where
     # the piece's support puts it
     f = band_limited_random(Grid(d, N), 1, 14)
-    dec = smooth_decompose_tl(f, 0.5, 1, L, compute_norm=False)
+    dec = smooth_decompose_tl(f, 0.5, 1, L)
     assert all(r.passed for r in validate_atoms([a for _, a in dec.low_pairs + dec.high_pairs]))
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config_to_text(Config(d=d, N=N, n=1, L=L, trials=2)))
@@ -544,3 +544,76 @@ def test_alpha_at_weight_bound_accepted(tmp_path, capsys):
     values = [float(line.split(" = ")[1]) for line in capsys.readouterr().out.splitlines()
               if line.startswith("value = ")]
     assert len(values) == 2 and all(math.isfinite(v) and v > 0 for v in values)
+
+
+def test_config_not_utf8_rejected(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"[grid]\nd = 1\xff\n")
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--grid", "64", "verify", "lp-family"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "UTF-8" in err and err.count(str(cfg)) == 1
+
+
+def test_reconstruct_manifest_not_utf8(tmp_path, capsys):
+    man, blob = _decompose_cli(tmp_path, "a", 64)
+    man.write_bytes(man.read_bytes().replace(b"kind", b"k\xffnd", 1))
+    err = _reconstruct_error(capsys, tmp_path, man, blob)
+    assert "UTF-8" in err and err.count(str(man)) == 1
+
+
+def test_verify_equivalence_suite(tmp_path):
+    # default trials 10, alphas (0, 0.5), ps (1, 2); homogeneous only at alpha > 0
+    rep = tmp_path / "eq.txt"
+    assert main(["--grid", "64", "verify", "equivalence", "--report", str(rep)]) == 0
+    lines = rep.read_text().splitlines()
+    assert "passed = True" in lines
+    for prefix, count in (("phi_independence[", 40), ("homogeneous[", 20)):
+        values = [float(line.split(" = ")[1]) for line in lines if line.startswith(prefix)]
+        assert len(values) == count
+        assert all(math.isfinite(v) and v > 0 for v in values)
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("kind", ["bump", "haar"])
+def test_gen_bump_and_haar_match_generators(tmp_path, d, N, kind):
+    a, b = tmp_path / "a.ovtl", tmp_path / "b.ovtl"
+    args = ["--dim", str(d), "--grid", str(N), "--matrix", "2", "--seed", "9",
+            "gen", "--kind", kind]
+    assert main(args + [str(a)]) == 0
+    assert main(args + [str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    grid = Grid(d, N)
+    want = bump(grid, 2, seed=9) if kind == "bump" else haar(grid, 2)
+    assert np.array_equal(read_field(a).data, want.data)
+
+
+@pytest.mark.parametrize("d,N", [(1, 256), (2, 32)])
+@pytest.mark.parametrize("p", ["1", "2", "3"])
+def test_norm_row_is_column_of_adjoint(tmp_path, capsys, d, N, p):
+    f = band_limited_random(Grid(d, N), 2, 17)
+    field, adjoint = tmp_path / "f.ovtl", tmp_path / "fstar.ovtl"
+    write_field(field, f)
+    write_field(adjoint, OperatorField(f.grid, np.conj(np.swapaxes(f.data, -1, -2))))
+    values = {}
+    for path, which in ((field, "F_row"), (adjoint, "F_col")):
+        capsys.readouterr()
+        assert main(["--alpha", "0.5", "--p", p, "norm", str(path), "--which", which]) == 0
+        [line] = [x for x in capsys.readouterr().out.splitlines() if x.startswith("value = ")]
+        values[which] = float(line.split(" = ")[1])
+    assert values["F_col"] > 0
+    assert values["F_row"] == pytest.approx(values["F_col"], rel=1e-12)
+
+
+@pytest.mark.parametrize("command", [
+    ["norm", "{field}"],
+    ["decompose", "{field}", "--manifest", "{out}.txt", "--blob", "{out}.bin"],
+])
+def test_strip_field_rejected(tmp_path, capsys, command):
+    field, out = tmp_path / "F.ovtl", tmp_path / "out"
+    write_field(field, random_strip(Grid(1, 64), 2, 4, 2))
+    capsys.readouterr()
+    assert main([a.format(field=field, out=out) for a in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "plain field" in err

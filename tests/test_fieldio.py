@@ -22,8 +22,8 @@ from ovtl.lattice import Grid
 def _decompose(grid, seed, target="tl"):
     f = band_limited_random(grid, 2, seed)
     if target == "tl":
-        return f, smooth_decompose_tl(f, 0.5, 1, 0, compute_norm=False)
-    return f, smooth_decompose_h1(f, compute_norm=False)
+        return f, smooth_decompose_tl(f, 0.5, 1, 0)
+    return f, smooth_decompose_h1(f)
 
 
 def _records(blob: bytes, manifest: str, d: int) -> list:

@@ -102,7 +102,7 @@ def files(tmp_path_factory):
     write_field(root / "F.ovtl", random_strip(Grid(2, 16), 1, 2, 2))
     f = band_limited_random(grid, 1, 3)
     write_decomposition(root / "m.txt", root / "b.bin",
-                        smooth_decompose_tl(f, 0.5, 1, 1, compute_norm=False))
+                        smooth_decompose_tl(f, 0.5, 1, 1))
     return root
 
 

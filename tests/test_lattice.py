@@ -5,7 +5,9 @@ from ovtl.errors import ResolutionError
 from ovtl.lattice import (
     Grid,
     DyadicCube,
+    box_indices,
     cone_index,
+    cube_blocks,
     dyadic_cubes_at_level,
     subcube_order,
     wrap_half,
@@ -51,7 +53,7 @@ def test_cubes_d2_level1():
     cubes = dyadic_cubes_at_level(g, 1)
     assert len(cubes) == 4
     assert all(c.side == 0.5 for c in cubes)
-    assert all(c.npoints() == 256 for c in cubes)
+    assert all(c.side_cells ** 2 == 256 for c in cubes)
     assert all(int(c.mask().sum()) == 256 for c in cubes)
 
 
@@ -67,7 +69,7 @@ def test_tiling(d, N):
     for level in range(0, g.max_cube_level + 1):
         cubes = dyadic_cubes_at_level(g, level)
         total = sum(int(c.mask().sum()) for c in cubes)
-        assert total == g.npoints
+        assert total == g.N**g.d
         # covers every point exactly once
         acc = np.zeros(g.shape, dtype=int)
         for c in cubes:
@@ -85,7 +87,7 @@ def brute_force_subcube(g, a, b):
     """Independent interval-inclusion oracle via point membership."""
     if a.level < b.level:
         return False
-    return bool(np.all(b.double_mask()[a.mask()]))
+    return bool(np.all(b.mask(double=True)[a.mask()]))
 
 
 def test_subcube_order_interval_oracle():
@@ -116,6 +118,55 @@ def test_subcube_order_reflexive_and_transitive_sampled():
             for c in cubes:
                 if subcube_order(b, c):
                     assert subcube_order(a, c)
+
+
+# every cube of the grid at levels up to max_level (all levels when None)
+_PLACEMENT_GRIDS = [(1, 64, None), (2, 16, None), (3, 16, 2)]
+
+
+def _levels(g, max_level):
+    return range((g.max_cube_level if max_level is None else max_level) + 1)
+
+
+def _all_cubes(g, max_level):
+    return [c for level in _levels(g, max_level) for c in dyadic_cubes_at_level(g, level)]
+
+
+@pytest.mark.parametrize("d,N,max_level", _PLACEMENT_GRIDS)
+def test_subcube_order_matches_membership_on_every_pair(d, N, max_level):
+    g = Grid(d, N)
+    cubes = _all_cubes(g, max_level)
+    for a in cubes:
+        for b in cubes:
+            assert subcube_order(a, b) == brute_force_subcube(g, a, b), (a, b)
+
+
+@pytest.mark.parametrize("d,N,max_level", _PLACEMENT_GRIDS)
+def test_cube_blocks_follow_axis_indices(d, N, max_level):
+    # block i of a level is the data over cube i of dyadic_cubes_at_level, in
+    # the order of axis_indices: the coupling tent_atomize relies on
+    g = Grid(d, N)
+    data = np.random.default_rng(d).normal(size=g.shape + (2,))
+    for level in _levels(g, max_level):
+        cubes = dyadic_cubes_at_level(g, level)
+        blocks = np.moveaxis(cube_blocks(data, g, level), range(0, 2 * d, 2), range(d))
+        blocks = blocks.reshape((len(cubes),) + blocks.shape[d:])
+        for block, cube in zip(blocks, cubes):
+            assert np.array_equal(block, data[np.ix_(*cube.axis_indices())])
+
+
+@pytest.mark.parametrize("d,N,max_level", _PLACEMENT_GRIDS)
+def test_box_placement_and_masks(d, N, max_level):
+    g = Grid(d, N)
+    assert DyadicCube(g, 0, (0,) * d).box() == ((N // 2,) * d, N)
+    for cube in _all_cubes(g, max_level):
+        for double in (False, True):
+            origin, side = cube.box(double)
+            if double and 2 * cube.side_cells >= N:
+                assert (origin, side) == ((0,) * d, N)
+            points = np.zeros(g.shape, dtype=bool)
+            points[np.ix_(*box_indices(g, origin, (side,) * d))] = True
+            assert np.array_equal(cube.mask(double), points)
 
 
 def test_cone_counts_match_lattice_oracle():

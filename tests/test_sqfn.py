@@ -280,7 +280,7 @@ def per_level_ball_accumulator(fhat, grid, levels, cone):
         coef = np.fft.fftn(gram(g), axes=grid.spatial_axes)
         coef *= np.conj(np.fft.fftn(ind))[..., None, None]
         ball_average = np.fft.ifftn(coef, axes=grid.spatial_axes)
-        acc.add_psd(ball_average, weight * 2.0 ** (j * grid.d) * grid.cell_volume)
+        acc.add_psd(weight * 2.0 ** (j * grid.d) * grid.cell_volume * ball_average)
     acc.S = 0.5 * (acc.S + np.conj(np.swapaxes(acc.S, -1, -2)))
     return acc
 
