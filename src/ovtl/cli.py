@@ -161,6 +161,10 @@ def _numbers(raw: str, convert, flag: str, want: str, counts) -> tuple:
 def cmd_gen(cfg: Config, args) -> int:
     grid = cfg.grid()
     kind = args.kind
+    for flag, value, reader in (("--mode", args.mode, "single-mode"),
+                                ("--band", args.band, "band-limited-random")):
+        if value is not None and kind != reader:
+            raise ParameterError(f"{flag} applies only to --kind {reader}, not {kind}")
     if kind == "single-mode":
         k = _numbers(args.mode or "4", int, "--mode",
                      f"at most one integer per axis (d = {grid.d})", range(1, grid.d + 1))

@@ -18,7 +18,8 @@ every atom size.  Singular values are never computed by SVD: sigma(x)^2 are
 the eigenvalues of x*x, and blocks with a singular value near 0 take theirs
 from the Hermitian dilation of x (of its triangular QR factor, for the
 stacked factors of a size).  At p = 1 and n = 2 no eigenvalue is needed:
-tr S^(1/2) = sqrt(tr S + 2 sqrt(det S)) and tr|x| = sqrt(||x||_HS^2 + 2 |det x|).
+tr S^(1/2) = sqrt(tr S + 2 sqrt(det S)) and tr|x| = sqrt(||x||_HS^2 + 2 |det x|);
+at n = 3, 4 the blocks :func:`_root_traces` solves need none either.
 
 All public operations are pure; field data is marked read-only after
 construction, and every reduction uses a fixed summation order so results
@@ -182,10 +183,11 @@ def gram(x: np.ndarray) -> np.ndarray:
 def psd_eigvalsh(S: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of Hermitian PSD blocks, clipped at 0; shape (..., n).
 
-    n = 1 reads off the real entry; n >= 2 symmetrizes and calls LAPACK.
+    n = 1 (and an empty stack) reads off the real entry; n >= 2 symmetrizes
+    and calls LAPACK.
     """
     S = np.asarray(S)
-    if S.shape[-1] == 1:
+    if S.shape[-1] == 1 or S.size == 0:
         w = S[..., 0].real
     else:
         w = np.linalg.eigvalsh(0.5 * (S + herm(S)))
@@ -236,6 +238,7 @@ class PSDAccumulator:
 # (sigma_min / sigma_max)^2 below which the eigenvalues of x*x are too coarse
 # for sigma^p with p < 2 (they resolve sigma^2 only to eps * sigma_max^2)
 _COARSE_SQ = 1e-4
+_ROOT_STEPS = 7  # Laguerre steps: blocks that pass the guard reach round-off by step 6
 _SUP_DIRECT = 64  # stacks of at most this many blocks are solved whole
 
 
@@ -259,22 +262,29 @@ def trace_lp_norm(f: OperatorField, p: float) -> float:
     among them) take their singular values instead from the eigenvalues
     +-sigma of the Hermitian dilation [[0, x], [x*, 0]], accurate to
     eps * sigma_max.  At p = 1 and n = 2, tr|x| = sqrt(||x||_HS^2 + 2 |det x|)
-    is exact to round-off even at rank one and needs neither.
+    is exact to round-off even at rank one and needs neither; at n = 3, 4,
+    only the blocks of x* x that :func:`_root_traces` leaves take this route.
     """
     x, exp = _pow2_rescaled(f.data)
-    if p == 1 and x.shape[-1] == 2:
+    n = x.shape[-1]
+    if p == 1 and n == 2:
         det = x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
         hs = np.sum(x.real**2 + x.imag**2, axis=(-2, -1))
         total = float(np.sum(np.sqrt(hs + 2.0 * np.abs(det)))) * f.grid.cell_volume
         return float(np.ldexp(total, exp.item()))
     if p == np.inf:
         return float(np.ldexp(psd_root_norm(gram(x), p, 1.0), exp.item()))
+    solved = 0.0
+    if p == 1 and n in (3, 4):
+        solved, rest = _root_traces(gram(x))
+        x = x[rest]
     sq = psd_eigvalsh(gram(x))
-    if p < 2 and x.shape[-1] > 1:
+    if p < 2 and n > 1:
         coarse = sq[..., 0] < _COARSE_SQ * sq[..., -1]
         if np.any(coarse):
             sq[coarse] = _dilation_singular_values(x[coarse]) ** 2
-    return float(np.ldexp(lp_norm_from_psd_eigs(sq, p, f.grid.cell_volume), exp.item()))
+    value = lp_norm_from_psd_eigs(sq, p, f.grid.cell_volume) + solved * f.grid.cell_volume
+    return float(np.ldexp(value, exp.item()))
 
 
 def psd_root_norm(S: np.ndarray, p: float, cell_volume: float) -> float:
@@ -284,9 +294,14 @@ def psd_root_norm(S: np.ndarray, p: float, cell_volume: float) -> float:
     At p = 1 and n = 2, tr S^(1/2) = sqrt(tr S + 2 sqrt(det S)) on the
     symmetrized entries of S rescaled by an exact power of four: the root
     rescales by an exact power of two and det S cannot over- or underflow.
+    At p = 1 and n = 3, 4, only the blocks :func:`_root_traces` leaves go to
+    :func:`psd_eigvalsh`.
     """
     if p == np.inf:
         return float(np.sqrt(_max_eigenvalue(S)))
+    if p == 1 and S.shape[-1] in (3, 4):
+        solved, rest = _root_traces(S)
+        return (solved + float(np.sum(np.sqrt(psd_eigvalsh(S[rest]))))) * cell_volume
     if p != 1 or S.shape[-1] != 2:
         return lp_norm_from_psd_eigs(psd_eigvalsh(S), p, cell_volume)
     S, exp = _pow2_rescaled(S, step=2)
@@ -295,6 +310,80 @@ def psd_root_norm(S: np.ndarray, p: float, cell_volume: float) -> float:
     det = np.maximum(a * c - (b.real**2 + b.imag**2), 0.0)
     roots = np.sqrt(np.maximum(a + c + 2.0 * np.sqrt(det), 0.0))
     return float(np.ldexp(float(np.sum(roots)) * cell_volume, exp.item() // 2))
+
+
+def _minor_sums(a: list) -> list:
+    """[1, e_1, ..., e_m]: e_k sums the k x k principal minors of the Hermitian
+    m x m matrix whose entries a[i][j], j >= i, are arrays over blocks (real on
+    the diagonal; a[i][j] is None for j < i).
+
+    The minors through a_00 are a_00 times those of its Schur complement, so
+    e_k(a) = e_k(a without row and column 0) + a_00 e_(k-1)(complement).  Each
+    e_k is thus a sum of products of Cholesky pivots, and cancels only where
+    a Cholesky step does: as accurate as LAPACK's eigenvalues on PSD blocks.
+    """
+    m, row = len(a), a[0]
+    if m == 1:
+        return [1.0, row[0]]
+
+    def complement(i, j):  # entry (i, j), 1 <= i <= j, of a - a[:, 0] a[0, :] / a_00
+        outer = row[i].real**2 + row[i].imag**2 if i == j else np.conj(row[i]) * row[j]
+        return a[i][j] - outer / row[0]
+
+    inner = _minor_sums([[None] * (i - 1) + [complement(i, j) for j in range(i, m)]
+                         for i in range(1, m)])
+    rest = _minor_sums([r[1:] for r in a[1:]]) + [0.0]
+    return [1.0] + [rest[k] + row[0] * inner[k - 1] for k in range(1, m + 1)]
+
+
+def _root_traces(S: np.ndarray) -> tuple:
+    """(sum of tr S^(1/2) over the blocks it solves, mask of the others) for
+    a stack of Hermitian PSD blocks S of shape (..., n, n), n = 3 or 4,
+    without eigenvalues; the mask has shape S.shape[:-2].
+
+    The roots' elementary symmetric functions s_k and the sums e_k of the
+    principal minors of S (:func:`_minor_sums`) satisfy s_1^2 = e_1 + 2 s_2,
+    s_2^2 = e_2 + 2 s_1 s_3 - 2 s_4, s_3^2 = e_3 + 2 s_2 s_4 and s_4 = sqrt(e_4)
+    (s_4 = 0 at n = 3).  Eliminating s_2 and s_3 leaves a quartic G in
+    y = s_1^2 whose roots are the squares of the signed root sums, all real;
+    s_1^2 is the largest.  _ROOT_STEPS Laguerre steps from the upper bound
+    y = n e_1 descend to it monotonically (Newton crawls there, by a factor
+    of about 0.8 a step across the cluster the four roots form when one
+    eigenvalue dominates), and the fixed count keeps the result
+    deterministic.  A block is solved when e_1, e_(n-1) > 0 and
+    e_n >= 1e-4 e_1 e_(n-1), which proves
+    lambda_min >= e_n / e_(n-1) >= 1e-4 e_1 >= 1e-4 lambda_max and so
+    separates s_1^2 from the other roots, and when its last step is at
+    round-off.  Blocks are read _GRAM_ROWS rows at a time, each row block's
+    symmetrized entries rescaled by the power of four that brings its largest
+    diagonal entry under 1.
+    """
+    shape, n = S.shape[:-2], S.shape[-1]
+    S = S.reshape(-1, n, n)
+    roots, solved = np.empty(len(S)), np.empty(len(S), dtype=bool)
+    for rows in (slice(lo, lo + _GRAM_ROWS) for lo in range(0, len(S), _GRAM_ROWS)):
+        blk = S[rows]
+        peak = np.max(np.diagonal(blk, axis1=-2, axis2=-1).real, initial=0.0)
+        half = -(-max(int(np.frexp(peak)[1]), -1000) // 2)
+        scale = np.ldexp(1.0, -2 * half)
+        a = [[None] * i + [blk[:, i, i].real * scale]
+             + [(0.5 * scale) * (blk[:, i, j] + np.conj(blk[:, j, i])) for j in range(i + 1, n)]
+             for i in range(n)]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e = _minor_sums(a) + [0.0]  # e_4 = 0 at n = 3
+            s4, y = np.sqrt(e[4]), n * e[1]
+            for _ in range(_ROOT_STEPS):
+                u = 0.5 * (y - e[1])  # s_2
+                v = u * u - e[2] + 2.0 * s4  # 2 s_1 s_3
+                g = v * v - 4.0 * y * (e[3] + 2.0 * u * s4)
+                g1 = 2.0 * v * u - 4.0 * e[3] - 8.0 * u * s4 - 4.0 * y * s4
+                g2 = 2.0 * u * u + v - 8.0 * s4
+                step = 4.0 * g / (g1 + np.sqrt(np.maximum(9.0 * g1 * g1 - 12.0 * g * g2, 0.0)))
+                y = y - step
+            solved[rows] = ((e[n] >= _COARSE_SQ * e[1] * e[n - 1]) & (e[1] > 0) & (e[n - 1] > 0)
+                            & (np.abs(step) <= 1e-14 * y))
+            roots[rows] = np.ldexp(np.sqrt(y), half)
+    return float(np.sum(roots[solved])), ~solved.reshape(shape)
 
 
 def _max_eigenvalue(S: np.ndarray) -> float:

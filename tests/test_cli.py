@@ -524,6 +524,10 @@ def test_reports_deterministic(tmp_path):
      "past 2^1000"),
     (["--grid", "64", "--alpha", "200", "verify", "equivalence", "--report", "{out}"],
      "past 2^1000"),
+    (["--grid", "64", "gen", "--kind", "bump", "--mode", "3", "{out}"],
+     "--mode applies only to --kind single-mode"),
+    (["--grid", "64", "gen", "--kind", "single-mode", "--band", "0,8", "{out}"],
+     "--band applies only to --kind band-limited-random"),
 ])
 def test_invalid_parameter_rejected(tmp_path, capsys, argv, needle):
     field, out = tmp_path / "f.ovtl", tmp_path / "out.ovtl"

@@ -23,7 +23,7 @@ from ovtl.opfield import (
     trace_lp_norm,
 )
 from ovtl.generators import band_limited_random, rng_for
-from ovtl.normsuite import tl_norm_mixture
+from ovtl.normsuite import hardy_norm, tl_norm_column, tl_norm_mixture
 from ovtl.spectral import fft_data, make_lp_family
 from ovtl.sqfn import lp_levels, square_norm
 
@@ -318,11 +318,64 @@ def test_psd_root_norm_p1_n2_matches_eigvalsh(scale):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("n,p", [(1, 1.0), (2, 1.5), (2, 2.0), (2, np.inf), (3, 1.0)])
+@pytest.mark.parametrize("n,p", [(1, 1.0), (2, 1.5), (2, 2.0), (2, np.inf), (4, 3.0), (5, 1.0)])
 def test_psd_root_norm_other_cases_take_eigvalsh(n, p):
     rng = rng_for(855 + n)
     S = gram(_cplx(rng, 64, n, n))
     assert psd_root_norm(S, p, 0.25) == _eig_route(S, p, 0.25)
+
+
+def _spectral_cases(n: int, seed: int) -> dict:
+    """64 PSD blocks of each kind: generic sums of Grams, exact rank 1 .. n-1
+    (Grams of k x n factors), graded spectra lambda_min / lambda_max = 1e-8
+    and 1e-16, and equal eigenvalues (c I, and two equal pairs)."""
+    rng = rng_for(seed)
+    U, _ = np.linalg.qr(_cplx(rng, 64, n, n))
+    scale = rng.uniform(0.5, 2.0, size=(64, 1))
+
+    def spectrum(lam):
+        return (U * (scale * lam)[:, None, :]) @ herm(U)
+
+    pairs = np.repeat([1.0, 0.3], (n + 1) // 2)[:n]
+    cases = {"generic": gram(_cplx(rng, 64, n, n)) + 0.3 * gram(_cplx(rng, 64, n, n)),
+             "graded_1e-8": spectrum(np.geomspace(1.0, 1e-8, n)),
+             "graded_1e-16": spectrum(np.geomspace(1.0, 1e-16, n)),
+             "one_small_1e-8": spectrum(np.r_[np.ones(n - 1), 1e-8]),
+             "one_small_1e-16": spectrum(np.r_[np.ones(n - 1), 1e-16]),
+             "equal": scale[..., None] * np.eye(n),
+             "equal_pairs": spectrum(pairs)}
+    for k in range(1, n):
+        B = _cplx(rng, 64, k, n)
+        cases[f"rank_{k}"] = herm(B) @ B
+    return cases
+
+
+@pytest.mark.parametrize("n,p", [(3, 1.0), (4, 1.0)])
+def test_psd_root_norm_without_lapack_matches_eigvalsh(n, p):
+    # p = 1 at n = 3, 4 solves the invariant equations; it agrees with the
+    # eigenvalue route to 1e-12 on every kind of block, at S scales 1 and
+    # 1e+-300, where the invariants over- or underflow unless rescaled; all
+    # kinds at once, too
+    cases = _spectral_cases(n, 890 + n)
+    cases["all"] = np.concatenate(list(cases.values()))
+    for name, S in cases.items():
+        for scale in SCALES:
+            scaled = (scale * scale) * S
+            want = _eig_route(scaled, p, 0.25)
+            assert psd_root_norm(scaled, p, 0.25) == pytest.approx(want, rel=1e-12), name
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_root_traces_match_eigvalsh_block_by_block(n):
+    # every block the invariant route solves matches sum sqrt(lambda) to 1e-13;
+    # exactly the ill-conditioned ones are left to LAPACK
+    for name, S in _spectral_cases(n, 895 + n).items():
+        ill = name.startswith(("rank", "graded", "one_small"))
+        for block in S[:, None]:
+            got, rest = opfield._root_traces(block)
+            want = float(np.sum(np.sqrt(psd_eigvalsh(block))))
+            assert rest.shape == (1,) and rest[0] == ill, name
+            assert ill or abs(got - want) <= 1e-13 * want, name
 
 
 @pytest.mark.parametrize("scale", SCALES)
@@ -359,6 +412,33 @@ def test_trace_lp_p1_n2_rank_one_and_graded_match_svd(grid64, scale):
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_root_traces_leave_unconverged_blocks_to_lapack(monkeypatch):
+    # two Laguerre steps leave most generic blocks short of round-off: those
+    # go to LAPACK, so the norm still matches
+    S = _spectral_cases(4, 897)["generic"]
+    monkeypatch.setattr(opfield, "_ROOT_STEPS", 2)
+    assert np.any(opfield._root_traces(S)[1])
+    assert psd_root_norm(S, 1.0, 0.25) == pytest.approx(_eig_route(S, 1.0, 0.25), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("scale", SCALES)
+def test_trace_lp_p1_n34_graded_and_rank_deficient_match_svd(grid64, n, scale):
+    # blocks with sigma_min = 1e-8 sigma_max and of rank 1 .. n-1 leave the
+    # invariant route for the eigenvalue and dilation route; generic blocks stay
+    rng = rng_for(875 + n)
+    U, _ = np.linalg.qr(_cplx(rng, 64, n, n))
+    V, _ = np.linalg.qr(_cplx(rng, 64, n, n))
+    sigma = np.geomspace(1.0, 1e-8, n) * rng.uniform(0.5, 2.0, size=(64, 1))
+    cases = [(U * sigma[:, None, :]) @ herm(V), _cplx(rng, 64, n, n)]
+    cases += [_cplx(rng, 64, n, k) @ _cplx(rng, 64, k, n) for k in range(1, n)]
+    for data in cases + [np.where(np.arange(64)[:, None, None] % 2, *cases[:2])]:
+        sv = np.linalg.svd(data, compute_uv=False)
+        want = float(np.sum(sv)) * grid64.cell_volume
+        got = trace_lp_norm(OperatorField(grid64, scale * data), 1.0) / scale
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_p1_n2_square_norms_need_no_eigensolver(monkeypatch, grid64):
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolver called")
@@ -373,6 +453,29 @@ def test_p1_n2_square_norms_need_no_eigensolver(monkeypatch, grid64):
     assert 0 < rep.value == min(rep.terms["column"], rep.terms["row"])
     with pytest.raises(AssertionError, match="eigensolver"):
         square_norm(fhat, grid64, lp_levels(fam, 0.5), 1.5)
+
+
+def test_n4_desk_norms_send_few_blocks_to_lapack(monkeypatch):
+    # F_col, F_mix and hardy at p = 1 reduce two full stacks of 4 x 4 blocks
+    # each (two accumulators, or one and the phi_0 term); under 1% of those
+    # blocks reach LAPACK, dilations included
+    grid = Grid(2, 64)
+    fam = make_lp_family(grid)
+    f = band_limited_random(grid, 4, 886)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        seen.append(math.prod(a.shape[:-2]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for norm in (lambda: tl_norm_column(f, 0.5, 1.0, fam),
+                 lambda: tl_norm_mixture(f, 0.5, 1.0, fam),
+                 lambda: hardy_norm(f, 1.0, fam)):
+        seen.clear()
+        assert norm().value > 0
+        assert sum(seen) < 0.01 * 2 * math.prod(grid.shape)
 
 
 # ---------------------------------------------------------------------------
