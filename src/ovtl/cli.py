@@ -58,6 +58,7 @@ from .spectral import (
 )
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ovtl", description=__doc__)
     ap.add_argument("--config", type=Path, default=None, help="config file path")

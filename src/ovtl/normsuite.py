@@ -268,8 +268,8 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily) -> NormRepor
     dyadic cubes |Q| < 1 with scale cutoff j >= level(Q).
 
     Scales are walked downward from j_max with one tail accumulator
-    sum_{j >= level} 4^{j alpha} |phi_j * f|^2, whose cube means are taken
-    when the walk reaches each level.
+    sum_{j >= level} 4^{j alpha} |phi_j * f|^2, whose cube means at each
+    level are taken once the next level is filtered.
     """
     grid = f.grid
     fhat = fft_data(f.data, grid)
@@ -277,11 +277,18 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily) -> NormRepor
     low_term = _low_term_norm(f, levels[0][2], fhat, np.inf)
     top_level = min(grid.max_cube_level, family.j_max)
     acc = PSDAccumulator(grid, f.n)
-    by_level = {}
+    by_level, last = {}, None
+
+    def carleson_level(level):
+        by_level[level] = psd_root_norm(_block_means(acc.S, grid, level), np.inf, 1.0)
+
     for j, weight, g in filtered(fhat, grid, levels[:0:-1]):
+        if last is not None:  # read after this level is filtered, so its Gram overlaps the FFT
+            carleson_level(last)
         acc.add_gram(g, weight)
-        if j <= top_level:
-            by_level[j] = psd_root_norm(_block_means(acc.S, grid, j), np.inf, 1.0)
+        last = j if j <= top_level else None
+    if last is not None:
+        carleson_level(last)
     per_level = {f"carleson_level_{level}": by_level[level] for level in sorted(by_level)}
     carleson = max(by_level.values(), default=0.0)
     value = low_term + carleson

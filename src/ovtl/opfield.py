@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,31 +195,65 @@ def psd_eigvalsh(S: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
-@dataclass
+# the one helper thread that sums a PSDAccumulator's large Grams, in call order, while the
+# caller runs the next level's inverse FFT (pocketfft releases the GIL); it starts on first use
+_HELPER = ThreadPoolExecutor(max_workers=1)
+
+
+@dataclass(eq=False)  # two accumulators are equal only as one object
 class PSDAccumulator:
     """Pointwise accumulator for sums  S(s) = sum_k w_k g_k(s)* g_k(s).
 
     Weights must be nonnegative; S stays Hermitian PSD up to round-off.
-    Accumulation order is the call order, fixed by the caller.
+    Accumulation order is the call order, fixed by the caller.  At most one
+    Gram is pending on the helper thread; every read of ``S`` and the next
+    :meth:`add_gram` wait for it and raise what it raised.
     """
 
     grid: Grid
     n: int
-    S: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.S = np.zeros(self.grid.shape + (self.n, self.n), dtype=np.complex128)
+        self._S = np.zeros(self.grid.shape + (self.n, self.n), dtype=np.complex128)
+        self._pending = None  # Future of the queued Gram
+
+    def _wait(self) -> None:
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            pending.result()
+
+    @property
+    def S(self) -> np.ndarray:
+        self._wait()
+        return self._S
+
+    @S.setter
+    def S(self, value: np.ndarray) -> None:
+        self._wait()
+        self._S = value
 
     def add_gram(self, g: np.ndarray, weight: float = 1.0,
                  row: bool = False) -> "PSDAccumulator":
-        """Accumulate weight * g(s)* g(s), or weight * g(s) g(s)* with ``row``."""
+        """Accumulate weight * g(s)* g(s), or weight * g(s) g(s)* with ``row``.
+
+        A stack of more than _GRAM_ROWS blocks is summed on the helper thread
+        and the call returns at once; ``g`` is read until ``S`` is next read
+        (or the next ``add_gram``), so it must not change before then.
+        Smaller stacks are summed inline, where a handoff costs more than it
+        saves.  Either way S is the same in-order sum, bitwise.
+        """
         if weight < 0:
             raise ValueError("weights must be nonnegative")
-        if np.shape(g) != self.S.shape:
-            raise GridMismatchError(f"blocks of shape {np.shape(g)} added to {self.S.shape}")
+        if np.shape(g) != self._S.shape:
+            raise GridMismatchError(f"blocks of shape {np.shape(g)} added to {self._S.shape}")
         x = g.reshape(-1, self.n, self.n)
         axes = (0, 2, 1) if row else (0, 1, 2)  # g g* = gram(g^T)^T: read g and S transposed
-        _gram_into(self.S.reshape(-1, self.n, self.n).transpose(axes), x.transpose(axes), weight)
+        self._wait()
+        args = (self._S.reshape(-1, self.n, self.n).transpose(axes), x.transpose(axes), weight)
+        if len(x) > _GRAM_ROWS:
+            self._pending = _HELPER.submit(_gram_into, *args)
+        else:
+            _gram_into(*args)
         return self
 
     def add_psd(self, P: np.ndarray) -> "PSDAccumulator":
@@ -263,7 +298,8 @@ def trace_lp_norm(f: OperatorField, p: float) -> float:
     +-sigma of the Hermitian dilation [[0, x], [x*, 0]], accurate to
     eps * sigma_max.  At p = 1 and n = 2, tr|x| = sqrt(||x||_HS^2 + 2 |det x|)
     is exact to round-off even at rank one and needs neither; at n = 3, 4,
-    only the blocks of x* x that :func:`_root_traces` leaves take this route.
+    the blocks of x* x that :func:`_root_traces` leaves go straight to the
+    dilation, one eigenvalue call in all.
     """
     x, exp = _pow2_rescaled(f.data)
     n = x.shape[-1]
@@ -274,17 +310,16 @@ def trace_lp_norm(f: OperatorField, p: float) -> float:
         return float(np.ldexp(total, exp.item()))
     if p == np.inf:
         return float(np.ldexp(psd_root_norm(gram(x), p, 1.0), exp.item()))
-    solved = 0.0
     if p == 1 and n in (3, 4):
         solved, rest = _root_traces(gram(x))
-        x = x[rest]
+        total = solved + float(np.sum(_dilation_singular_values(x[rest])))
+        return float(np.ldexp(total * f.grid.cell_volume, exp.item()))
     sq = psd_eigvalsh(gram(x))
     if p < 2 and n > 1:
         coarse = sq[..., 0] < _COARSE_SQ * sq[..., -1]
         if np.any(coarse):
             sq[coarse] = _dilation_singular_values(x[coarse]) ** 2
-    value = lp_norm_from_psd_eigs(sq, p, f.grid.cell_volume) + solved * f.grid.cell_volume
-    return float(np.ldexp(value, exp.item()))
+    return float(np.ldexp(lp_norm_from_psd_eigs(sq, p, f.grid.cell_volume), exp.item()))
 
 
 def psd_root_norm(S: np.ndarray, p: float, cell_volume: float) -> float:

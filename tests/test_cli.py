@@ -262,6 +262,19 @@ def test_norm_mixture_upper_bound_flag(tmp_path, capsys):
     assert "upper_bound = True" in text
 
 
+def test_norm_calls_share_no_parser_state(tmp_path, capsys):
+    # the parser is built once per process: a --which of one call is not the
+    # default of the next
+    out = tmp_path / "f.ovtl"
+    write_field(out, band_limited_random(Grid(1, 64), 2, 4))
+    capsys.readouterr()
+    assert main(["--grid", "64", "--p", "1", "norm", str(out), "--which", "F_mix"]) == 0
+    assert "name = F_alpha_mixture" in capsys.readouterr().out
+    assert main(["--grid", "64", "norm", str(out)]) == 0
+    names = [line for line in capsys.readouterr().out.splitlines() if line.startswith("name =")]
+    assert names == ["name = F_alpha_column"] * 4
+
+
 def test_norm_unknown_name(tmp_path):
     out = tmp_path / "f.ovtl"
     write_field(out, band_limited_random(Grid(1, 64), 2, 4))

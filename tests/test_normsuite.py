@@ -1,8 +1,10 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from ovtl import opfield
 from ovtl.lattice import Grid, cone_index
 from ovtl.opfield import (
     OperatorField,
@@ -375,3 +377,23 @@ def test_invalid_p(grid64, fam64):
         tl_norm_column(f, 0.0, 0.3, fam64)
     with pytest.raises(ValueError):
         tent_norm(StripField.zero(grid64, 1, 2), 0.5)
+
+
+class _Inline:
+    """Stand-in for the Gram helper thread that runs each task when it is queued."""
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+@pytest.mark.parametrize("grid, n", [(Grid(2, 128), 2), (Grid(2, 128), 4), (Grid(3, 32), 3)])
+def test_queued_gram_reports_match_inline(monkeypatch, grid, n):
+    fam = make_lp_family(grid)
+    f = band_limited_random(grid, n, 880 + n)
+    norms = (lambda: tl_norm_column(f, 0.5, 1.0, fam), lambda: tl_norm_mixture(f, 0.5, 1.0, fam),
+             lambda: hardy_norm(f, 1.0, fam), lambda: tl_infty_norm(f, 0.5, fam))
+    queued = [norm().to_text() for norm in norms]
+    monkeypatch.setattr(opfield, "_HELPER", _Inline())
+    assert [norm().to_text() for norm in norms] == queued

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from ovtl.opfield import (
     trace_lp_norm,
 )
 from ovtl.generators import band_limited_random, rng_for
-from ovtl.normsuite import hardy_norm, tl_norm_column, tl_norm_mixture
+from ovtl.normsuite import hardy_norm, tl_infty_norm, tl_norm_column, tl_norm_mixture
 from ovtl.spectral import fft_data, make_lp_family
 from ovtl.sqfn import lp_levels, square_norm
 
@@ -439,6 +442,26 @@ def test_trace_lp_p1_n34_graded_and_rank_deficient_match_svd(grid64, n, scale):
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_trace_lp_p1_n4_takes_one_eigenvalue_call(monkeypatch, grid64):
+    # the blocks _root_traces leaves (the rank-2 half, at least) go straight
+    # to the 8 x 8 dilation: one LAPACK call, no eigenvalues of x* x first
+    rng = rng_for(879)
+    data = np.where(np.arange(64)[:, None, None] % 2,
+                    _cplx(rng, 64, 4, 2) @ _cplx(rng, 64, 2, 4), _cplx(rng, 64, 4, 4))
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        seen.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    got = trace_lp_norm(OperatorField(grid64, data), 1.0)
+    assert len(seen) == 1 and seen[0][1:] == (8, 8) and seen[0][0] >= 32
+    want = float(np.sum(np.linalg.svd(data, compute_uv=False))) * grid64.cell_volume
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_p1_n2_square_norms_need_no_eigensolver(monkeypatch, grid64):
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolver called")
@@ -544,6 +567,68 @@ def test_small_gram_sums_in_documented_order(monkeypatch, grid64, n):
         _summed_gram(g, want, 0.3)
         _summed_gram(np.swapaxes(h, -1, -2), np.swapaxes(want, -1, -2), 2.5)
         assert acc.S.tobytes() == want.tobytes()
+
+
+# stacks of more than _GRAM_ROWS blocks: add_gram queues them on the helper thread
+QUEUED = [(Grid(2, 128), 2), (Grid(2, 128), 4), (Grid(3, 32), 3)]
+
+
+@pytest.mark.parametrize("grid, n", QUEUED)
+def test_queued_gram_is_the_in_order_sum(monkeypatch, grid, n):
+    helper, queued = opfield._HELPER, []
+
+    class Counting:
+        def submit(self, fn, *args):
+            queued.append(fn)
+            return helper.submit(fn, *args)
+
+    monkeypatch.setattr(opfield, "_HELPER", Counting())
+    rng = rng_for(790 + n)
+    terms = [(_cplx(rng, *grid.shape, n, n), w, row)
+             for w, row in ((0.7, False), (2.5, True), (1.3, False), (0.2, True))]
+    want = np.zeros(grid.shape + (n, n), dtype=complex)
+    for g, w, row in terms:
+        want += w * (np.swapaxes(gram(np.swapaxes(g, -1, -2)), -1, -2) if row else gram(g))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+    try:
+        acc = PSDAccumulator(grid, n)
+        for g, w, row in terms:
+            acc.add_gram(g, w, row=row)
+        assert len(queued) == 4
+        assert np.array_equal(acc.S, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_queued_gram_error_raised_at_next_read(monkeypatch):
+    grid = Grid(2, 128)
+    gram_into = opfield._gram_into
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("injected on the helper")
+        return gram_into(*args)
+
+    monkeypatch.setattr(opfield, "_gram_into", failing)
+    acc = PSDAccumulator(grid, 2).add_gram(np.ones(grid.shape + (2, 2)))
+    with pytest.raises(FloatingPointError, match="injected on the helper"):
+        acc.S
+
+
+def test_only_queued_stacks_start_the_helper(monkeypatch):
+    # d=1 N=1024 and d=2 N=64 stacks hold at most _GRAM_ROWS blocks: inline
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        monkeypatch.setattr(opfield, "_HELPER", helper)
+        before = threading.active_count()
+        for grid in (Grid(1, 1024), Grid(2, 64), Grid(2, 128)):
+            fam = make_lp_family(grid)
+            f = band_limited_random(grid, 2, 796)
+            for norm in (lambda: tl_norm_column(f, 0.5, 1.0, fam),
+                         lambda: tl_norm_mixture(f, 0.5, 1.0, fam),
+                         lambda: hardy_norm(f, 1.0, fam), lambda: tl_infty_norm(f, 0.5, fam)):
+                assert norm().value > 0
+            assert threading.active_count() == before + (grid.N == 128)
 
 
 def _sup_cases(n: int, seed: int) -> dict:
