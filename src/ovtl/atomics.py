@@ -6,7 +6,7 @@ discrete Laplacians, giving level kernels that are exactly mean-zero and
 exactly supported in the cube of side 2^-j.  The low-frequency symbol is
 the exact complement 1 - sum_j Psi_j(xi)^2, so the reconstruction identity
 holds to machine precision on every lattice point while projected tent
-atoms stay supported in 2Q.
+atoms stay supported in Q grown by the kernel's reach, inside 2Q.
 
 Tent atomization is constructive: the strip cell at scale j is partitioned
 by the dyadic cubes at level j-1, each restricted slice is normalized to
@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError, ResolutionError, ValidationError
-from .generators import band_limited_random, rng_for
 from .lattice import (
     DyadicCube,
     Grid,
@@ -95,9 +94,6 @@ class _BoxStorage(_CubeAtom):
         out[np.ix_(*self.axis_idx)] = self.block
         return out
 
-    def to_field(self) -> OperatorField:
-        return OperatorField(self.grid, self.embed())
-
 
 @dataclass
 class HAtom(_BoxStorage):
@@ -105,8 +101,10 @@ class HAtom(_BoxStorage):
     size tau((int |a|^2)^(1/2)) <= |Q|^(-1/2), mean-zero when |Q| < 1.
 
     ``block`` may be given as a full-grid OperatorField, which is stored as
-    the box at ``origin`` 0; ``support_leak`` is the relative L2 energy cut
-    off when the atom was stored on a box.
+    the box at ``origin`` 0.  The h1 decomposition stores each atom on its
+    projected support, Q grown by the reach R_j of its level-j kernel (the
+    whole grid once that covers it), a box inside 2Q; ``support_leak`` is
+    the relative L2 energy the cut to that box dropped.
     """
 
     kind = "h_atom"
@@ -160,10 +158,14 @@ class TentAtom(_CubeAtom):
 class SmoothAtom(_BoxStorage):
     """Smooth atom: kind 'alpha_one', 'subatom', or 'alpha_q'.
 
-    Data is stored as a block over the double cube 2Q (``origin`` is the
-    per-axis start index of 2Q); ``support_leak`` is the relative L2 energy
-    of the built atom outside 2Q, which storing the block cut off.  For
-    'alpha_q' atoms, ``subatoms`` holds (d_coefficient, subatom) pairs with
+    Data is stored as a block over a box inside the double cube 2Q
+    (``origin`` is its per-axis start index): the whole grid for 'alpha_one',
+    2Q of the level-j cell for a 'subatom', and for 'alpha_q' the projected
+    support, Q grown by the reach R_j of its level-j kernel (the whole grid
+    once that covers it).  ``support_leak`` is the relative L2 energy of the
+    built atom outside its box, which storing the block cut off; the
+    validator still checks support against 2Q.  For 'alpha_q' atoms,
+    ``subatoms`` holds (d_coefficient, subatom) pairs with
     sum_l d_l a_l = atom data.
     """
 
@@ -176,7 +178,7 @@ class SmoothAtom(_BoxStorage):
     L: int = -1
     subatoms: list = field(default_factory=list)
     support_leak: float = 0.0
-    double_support = True  # checked against 2Q
+    double_support = True  # support checked against 2Q
 
 
 def _energy_outside(data: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -191,15 +193,19 @@ def _energy_outside(data: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return np.sqrt(energy.sum(axis=-1) / np.where(total > 0, total, 1.0))
 
 
-def _cut_to_double(fulls: np.ndarray, cubes: list) -> list:
-    """(origin, block, leak) per cube: the 2Q block of the full-grid data
-    ``fulls[b]`` over ``cubes[b]`` and the relative L2 energy outside 2Q
-    that the cut drops."""
+def _cut_to_support(fulls: np.ndarray, cubes: list, reach: int) -> list:
+    """(origin, block, leak) per cube: the block of the full-grid data
+    ``fulls[b]`` over ``cubes[b]`` grown by ``reach`` cells on every side,
+    and the relative L2 energy outside that box that the cut drops.
+
+    Level-j projections of data over a cube stay in the cube grown by the
+    kernel's reach R_j (:func:`_reach`), inside 2Q; for a level-j subatom
+    cell that box is its 2Q."""
     inside = np.zeros(fulls.shape[:-2], dtype=bool)
     cuts = []
     for b, cube in enumerate(cubes):
-        origin, _ = cube.box(double=True)
-        box = np.ix_(*cube.axis_indices(double=True))
+        origin, side = cube.box(margin=reach)
+        box = np.ix_(*box_indices(cube.grid, origin, (side,) * cube.grid.d))
         inside[b][box] = True
         cuts.append((origin, fulls[b][box]))
     return [cut + (leak,) for cut, leak in zip(cuts, _energy_outside(fulls, inside).tolist())]
@@ -460,11 +466,6 @@ def validate_atoms(atoms: Sequence) -> list:
             for i, atom in enumerate(atoms)]
 
 
-def validate_atom(atom) -> ValidationReport:
-    """:func:`validate_atoms` of the one atom."""
-    return validate_atoms([atom])[0]
-
-
 # ---------------------------------------------------------------------------
 # reproducing system (Calderon-type resolution)
 # ---------------------------------------------------------------------------
@@ -482,12 +483,6 @@ class CalderonSystem:
     def level(self, j: int) -> np.ndarray:
         return self.level_values[j - 1]
 
-    def identity_defect(self) -> float:
-        total = np.array(self.phi0_values, copy=True)
-        for v in self.level_values:
-            total = total + v * v
-        return float(np.max(np.abs(total - 1.0)))
-
 
 def _bump(u: np.ndarray) -> np.ndarray:
     out = np.zeros_like(u)
@@ -497,11 +492,18 @@ def _bump(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reach(grid: Grid, j: int) -> int:
+    """R_j = N 2^-(j+1): the level-j kernel is supported in |m| <= R_j cells
+    per axis, so a level-j projection of data over Q stays in Q grown by R_j
+    cells on every side, a quarter of a side of Q at level j - 1."""
+    return grid.N >> (j + 1)
+
+
 def _stencil(grid: Grid, j: int, n_pow: int) -> np.ndarray:
     """Spatial level kernel at scale j embedded on the grid (support in the
-    closed cube |m| <= N 2^-(j+1) cells, exactly zero mean)."""
+    closed cube |m| <= R_j cells, exactly zero mean)."""
     N = grid.N
-    R = N >> (j + 1)
+    R = _reach(grid, j)
     margin = n_pow // 2
     r_cells = R - margin
     if r_cells < 0:
@@ -579,9 +581,10 @@ def _check_mean_zero_levels(cal: CalderonSystem, scales) -> None:
 def project_tent(F, cal: CalderonSystem) -> OperatorField:
     """pi(F)(s) = log2 * sum_j (Psi_j * F(., 2^-j))(s).
 
-    For a TentAtom input the output is supported in 2Q (exact stencil
-    support), has exactly vanishing mean, and satisfies the L1(M;L2)
-    size bound with the measured constant.
+    For a TentAtom input the output is supported in Q grown by the reach
+    R_j of its coarsest scale j (exact stencil support, inside 2Q), has
+    exactly vanishing mean, and satisfies the L1(M;L2) size bound with the
+    measured constant.
     """
     grid = cal.grid
     if isinstance(F, TentAtom):
@@ -711,9 +714,10 @@ def _alpha_q_atoms(blocks: list, cubes: list, j: int, cal: CalderonSystem, alpha
     orders = np.array([sum(gamma) for gamma in multi_indices(grid.d, K)], dtype=float)
     # every cell lies one level below its cube, so all share one volume
     d_cs = np.max(sizes / cells[0][0].volume ** (alpha / grid.d - orders / grid.d), axis=-1)
-    piece_cuts = iter(_cut_to_double(pieces.reshape((-1,) + pieces.shape[2:]),
-                                     [cell for cube_cells in cells for cell in cube_cells]))
-    atom_cuts = _cut_to_double(np.sum(pieces, axis=1), cubes)
+    reach = _reach(grid, j)
+    piece_cuts = iter(_cut_to_support(pieces.reshape((-1,) + pieces.shape[2:]),
+                                      [cell for cube_cells in cells for cell in cube_cells], reach))
+    atom_cuts = _cut_to_support(np.sum(pieces, axis=1), cubes, reach)
     out = []
     for cube, cube_cells, cube_d, g_size, atom_cut in zip(cubes, cells, d_cs.tolist(),
                                                           g_sizes.tolist(), atom_cuts):
@@ -802,7 +806,7 @@ def smooth_decompose_h1(f: OperatorField, K: int = 1) -> AtomicDecomposition:
 
     The low part of f becomes one smooth unit-cube atom; each tent atom of
     the strip part is projected to a mean-zero smooth atom supported in 2Q
-    and stored on its 2Q block.
+    and stored on its projected support, Q grown by the kernel's reach.
     """
     def high_atoms(tent_pairs, cal):
         # one level (scale) at a time, in chunks of at most CHUNK_BYTES of projections
@@ -812,7 +816,8 @@ def smooth_decompose_h1(f: OperatorField, K: int = 1) -> AtomicDecomposition:
                 cubes = [atom.cube for _, atom in chunk]
                 hats = _piece_transforms([atom.block[0] for _, atom in chunk], cubes,
                                          [[cube] for cube in cubes], cal.level(j))
-                cuts = _cut_to_double(LOG2 * ifft_data(hats, f.grid)[:, 0], cubes)
+                cuts = _cut_to_support(LOG2 * ifft_data(hats, f.grid)[:, 0], cubes,
+                                       _reach(f.grid, j))
                 sizes = l1l2_sizes(np.stack([block for _, block, _ in cuts])
                                    .reshape(len(chunk), -1, f.n, f.n), f.grid.cell_volume)
                 for (lam, atom), (origin, block, leak), size in zip(chunk, cuts, sizes.tolist()):
@@ -878,38 +883,3 @@ def pointwise_multiply_test(h: OperatorField, f: OperatorField, alpha: float,
         "passed": bool(ratio <= 10.0 * bound),
         "alpha": alpha,
     }
-
-
-# ---------------------------------------------------------------------------
-# atom generators (converse-direction experiments)
-# ---------------------------------------------------------------------------
-
-def random_alpha_one_atom(grid: Grid, n: int, alpha: float, K: int, seed: int) -> SmoothAtom:
-    """Band-limited random field (|xi| <= N/8) normalized to saturate the
-    worst derivative clause of an (alpha,1)-atom."""
-    f = band_limited_random(grid, n, seed, r_max=grid.N / 8.0)
-    _, atom = _normalize_alpha_one(np.asarray(f.data), grid, K, alpha)
-    if atom is None:
-        raise ValueError("degenerate random atom")
-    return atom
-
-
-def random_alpha_q_atom(grid: Grid, n: int, alpha: float, K: int, L: int,
-                        level: int, seed: int) -> SmoothAtom:
-    """Random tent atom on a random cube at ``level``, pushed through the
-    projection + subatom slicing; every clause saturated at constant 1."""
-    cal = calderon_resolution(grid, n_pow=_n_pow(alpha, L))
-    j = level + 1
-    if j > cal.j_max:
-        raise ResolutionError(f"level {level} needs scale {j} > system j_max {cal.j_max}")
-    rng = rng_for(seed)
-    idx = tuple(int(rng.integers(0, 1 << level)) for _ in range(grid.d))
-    cube = DyadicCube(grid, level, idx)
-    side = cube.side_cells
-    block = rng.normal(size=(side,) * grid.d + (n, n)) + 1j * rng.normal(
-        size=(side,) * grid.d + (n, n)
-    )
-    # saturate the weighted tent size (the eps^-alpha weighted bound)
-    size = float(l1l2_sizes(block.reshape(-1, n, n), LOG2 * grid.cell_volume * 4.0 ** (j * alpha)))
-    block = block / (size * math.sqrt(cube.volume))
-    return _alpha_q_atoms([block], [cube], j, cal, alpha, K, L)[0][1]

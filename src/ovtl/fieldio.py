@@ -9,9 +9,12 @@ Decomposition blobs are a sequence of atom records at the byte offsets the
 manifest lists.  A record is the field header with j_count = 0 and version
 2, then d u32 starts and d u32 sides, then the complex128 block (sides...,
 n, n) row-major: the atom on the periodic box of lattice points from index
-start to start + side - 1 (mod N) per axis, which is its doubled cube 2Q
-(the whole grid when 2Q covers it).  Version 1 records, still read, hold
-the atom on the whole grid with no box fields.
+start to start + side - 1 (mod N) per axis (start < N, 1 <= side <= N).
+Hardy and alpha_q atoms are stored on their cube grown by the reach of
+their level's kernel (the whole grid once that box covers it), the low
+alpha_one atom on the whole grid.  Any box is read, so blobs that store
+atoms on their doubled cubes 2Q still rebuild.  Version 1 records, still
+read, hold the atom on the whole grid with no box fields.
 
 Configs are structured text (key = value under [section] headers) and
 round-trip losslessly through :func:`parse_config` / :func:`config_to_text`,
@@ -296,9 +299,10 @@ def _read_record(blob: bytes, off: int, grid: Grid, n: int, path) -> tuple:
             raise FormatError(f"{path}: record at {off} is truncated in its box fields")
         box = struct.unpack_from(f"<{2 * d}I", blob, end)
         origin, sides = box[:d], box[d:]
-        if max(origin) >= N or max(sides) > N:
+        if max(origin) >= N or not all(1 <= side <= N for side in sides):
             raise FormatError(f"{path}: record at {off} has box starts {origin} "
-                              f"and sides {sides} outside N = {N}")
+                              f"and sides {sides} outside N = {N} "
+                              f"(starts 0..{N - 1}, sides 1..{N})")
         end += 8 * d
     else:
         raise FormatError(f"{path}: record at {off} has unsupported version {version}")

@@ -115,16 +115,6 @@ def bessel_dilate_sequence(grid: Grid, beta: float) -> SymbolSequence:
                           rho_is_dilate_family=True)
 
 
-def scaled_sequence(seq: SymbolSequence, c: float) -> SymbolSequence:
-    return SymbolSequence(
-        seq.grid,
-        tuple(p.scale(c) for p in seq.phi_profiles),
-        seq.rho_profiles,
-        name=f"{seq.name}*{c}",
-        rho_is_dilate_family=seq.rho_is_dilate_family,
-    )
-
-
 @dataclass
 class MultiplierCertificate:
     """Hypothesis constant, empirical ratio, and the verdict of one run."""

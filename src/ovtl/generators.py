@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import DyadicCube, Grid
-from .opfield import OperatorField, StripField
+from .opfield import OperatorField
 from .spectral import ifft_data, lp_family_j_max
 
 
@@ -80,18 +80,3 @@ def haar(grid: Grid, n: int) -> OperatorField:
     sign = np.where(upper.reshape(sh), 1.0, -1.0)
     prof = np.where(mask, sign * amp, 0.0)
     return OperatorField(grid, prof[..., None, None] * matrix)
-
-
-def random_strip(grid: Grid, n: int, j_max: int, seed: int) -> StripField:
-    """I.i.d. complex Gaussian strip field on all (site, scale) cells."""
-    rng = rng_for(seed)
-    shape = (j_max,) + grid.shape + (n, n)
-    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return StripField(grid, data / np.sqrt(2.0))
-
-
-def random_unitary(n: int, seed: int) -> np.ndarray:
-    rng = rng_for(seed)
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(a)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

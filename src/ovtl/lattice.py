@@ -133,15 +133,17 @@ class DyadicCube:
         """Side length in lattice cells."""
         return self.grid.N >> self.level
 
-    def box(self, double: bool = False) -> tuple[tuple[int, ...], int]:
-        """(per-axis start index, side in cells) of Q, or of 2Q when
-        ``double``; 2Q is the whole torus, from index 0, once its side
-        reaches N.  A level-0 Q starts at N/2."""
+    def box(self, double: bool = False, margin: int = 0) -> tuple[tuple[int, ...], int]:
+        """(per-axis start index, side in cells) of Q grown by ``margin``
+        cells on every side; 2Q (``double``) is the margin of half a side.
+        A grown box is the whole torus, from index 0, once its side reaches
+        N.  A level-0 Q starts at N/2."""
         N, side = self.grid.N, self.side_cells
-        if double and 2 * side >= N:
+        margin = side // 2 if double else margin
+        span = side + 2 * margin
+        if margin and span >= N:
             return (0,) * self.grid.d, N
-        shift, span = (side, 2 * side) if double else (side // 2, side)
-        return tuple((i * side - shift) % N for i in self.index), span
+        return tuple((i * side - side // 2 - margin) % N for i in self.index), span
 
     def axis_indices(self, double: bool = False) -> list[np.ndarray]:
         """Per-axis lattice indices of the points of Q (2Q when ``double``)."""
@@ -238,10 +240,6 @@ class ConeIndex:
     offsets: dict[int, np.ndarray]
     volume_ratio: dict[int, float]
     _ball_ffts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def ball_measure(self, j: int) -> float:
-        """Discrete ball measure |B_j| * h^d."""
-        return self.offsets[j].shape[0] * self.grid.cell_volume
 
     def ball_fft(self, j: int) -> np.ndarray:
         """conj(DFT) of the indicator of B_j: the circular correlation

@@ -504,11 +504,6 @@ def lp_norm_from_psd_eigs(eigs: np.ndarray, p: float, cell_volume: float) -> flo
     return total ** (1.0 / p)
 
 
-def hs_norm_sq(f: OperatorField) -> float:
-    """Squared L_2 norm  sum_s h^d ||f(s)||_HS^2 (fixed summation order)."""
-    return float(np.sum(np.abs(f.data) ** 2)) * f.grid.cell_volume
-
-
 def pairing(f: OperatorField, g: OperatorField) -> complex:
     """Bilinear pairing tau integral tr(f(s) g(s)*) ds."""
     _check_same(f, g)
@@ -530,11 +525,3 @@ def op_cauchy_schwarz_gap(phi: np.ndarray, f: OperatorField) -> float:
     gram_int = np.sum(gram(f.data), axis=f.grid.spatial_axes) * h_d
     conv = np.sum(phi[..., None, None] * f.data, axis=f.grid.spatial_axes) * h_d
     return float(np.min(np.linalg.eigvalsh(phi_sq * gram_int - gram(conv))))
-
-
-def op_cauchy_schwarz_scale(phi: np.ndarray, f: OperatorField) -> float:
-    """Natural scale for the Cauchy-Schwarz gap: ||int|phi|^2 int f*f||_op."""
-    h_d = f.grid.cell_volume
-    phi_sq = float(np.sum(np.abs(phi) ** 2)) * h_d
-    gram_int = np.sum(gram(f.data), axis=f.grid.spatial_axes) * h_d
-    return _max_eigenvalue(gram_int) * phi_sq if phi_sq else 0.0

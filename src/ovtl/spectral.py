@@ -313,12 +313,6 @@ def _eta(kind: str) -> _EtaTable:
     return _EtaTable(kind)
 
 
-def lp_positivity_margin(kind: str = "default") -> float:
-    """Width (in the transition variable) of the boundary zone where the
-    exact bump value lies below the float64 subnormal floor."""
-    return _eta(kind).positivity_margin
-
-
 def lp_base_profile(kind: str = "default") -> Profile:
     """Annulus bump phi(xi) = eta(|xi|) - eta(2|xi|), supported in 1/2 <= |xi| <= 2."""
     eta = _eta(kind)
@@ -376,10 +370,6 @@ class LPFamily:
         for s in self.symbols:
             total = total + s.values.real**2
         return total
-
-    def sandwich_floor(self) -> float:
-        """c_0^2 = min over covered frequencies of sum_j phi^(j)(xi)^2."""
-        return float(np.min(self.square_sum()[self.covered_mask()]))
 
 
 def lp_family_j_max(grid: Grid) -> int:

@@ -14,10 +14,8 @@ from ovtl.errors import HypothesisError
 from ovtl.lattice import DyadicCube, Grid, cone_index
 from ovtl.opfield import (
     OperatorField,
-    hs_norm_sq,
     l1l2_sizes,
     op_cauchy_schwarz_gap,
-    op_cauchy_schwarz_scale,
     trace_lp_norm,
 )
 from ovtl.generators import band_limited_random, rng_for
@@ -26,8 +24,6 @@ from ovtl.atomics import (
     calderon_resolution,
     pointwise_multiply_test,
     project_tent,
-    random_alpha_one_atom,
-    random_alpha_q_atom,
     smooth_decompose_h1,
     smooth_decompose_tl,
     tent_atomize,
@@ -59,9 +55,18 @@ from ovtl.spectral import (
     constant_profile,
     fft_forward,
     fft_inverse,
-    lp_positivity_margin,
     make_hom_lp_family,
     make_lp_family,
+)
+from helpers import (
+    atom_field,
+    hs_norm_sq,
+    lp_positivity_margin,
+    op_cauchy_schwarz_scale,
+    random_alpha_one_atom,
+    random_alpha_q_atom,
+    random_strip,
+    sandwich_floor,
 )
 
 GRID_1D = Grid(1, 1024)
@@ -163,7 +168,7 @@ def test_criterion_03_cauchy_schwarz():
 
 def test_criterion_04_p2_sandwich():
     fam = make_lp_family(GRID_1D)
-    c0 = math.sqrt(fam.sandwich_floor())
+    c0 = math.sqrt(sandwich_floor(fam))
     ok = c0 >= 1.0 / math.sqrt(2.0) - 1e-15
     worst_id = 0.0
     for seed in range(50):
@@ -350,8 +355,6 @@ def test_criterion_10_decompositions():
                   for r in validate_atoms([a for _, a in dec2.low_pairs + dec2.high_pairs]))
         tl_ratios.append(dec2.mass_ratio)
         # tent atomization reconstructs exactly
-        from ovtl.generators import random_strip
-
         F = random_strip(g, 1, cal.j_max, 13000 + seed)
         pairs = tent_atomize(F)
         rec = np.zeros(np.asarray(F.data).shape, dtype=complex)
@@ -366,9 +369,9 @@ def test_criterion_10_decompositions():
     one_norms, q_norms = [], []
     for seed in range(100):
         a1 = random_alpha_one_atom(g, 2, 0.5, 1, 14000 + seed)
-        one_norms.append(tl_norm_column(a1.to_field(), 0.5, 1.0, fam).value)
+        one_norms.append(tl_norm_column(atom_field(a1), 0.5, 1.0, fam).value)
         aq = random_alpha_q_atom(g, 2, 0.5, 1, 0, level=2 + seed % 4, seed=15000 + seed)
-        q_norms.append(tl_norm_column(aq.to_field(), 0.5, 1.0, fam).value)
+        q_norms.append(tl_norm_column(atom_field(aq), 0.5, 1.0, fam).value)
     spread_one = max(one_norms) / min(one_norms)
     spread_q = max(q_norms) / min(q_norms)
     ok &= spread_one <= 10.0 and spread_q <= 10.0
@@ -486,8 +489,6 @@ def test_criterion_13_commutative_reduction():
         ok &= check(homogeneous_equiv_report(f, 0.5, 1.0, fam, hom).value,
                     ref.homogeneous_ratio(fs, 0.5, 1.0, symbols, hom_symbols, h_d))
         if seed % 4 == 0:
-            from ovtl.generators import random_strip
-
             F = random_strip(g, 1, fam.j_max, 19000 + seed)
             ok &= check(tent_norm(F, 1.0).value,
                         ref.tent_norm(F.data[..., 0, 0], 1.0, g.d, g.N))

@@ -13,7 +13,8 @@ from ovtl.atomics import (
     TentAtom,
     _alpha_q_atoms,
     _bessel_weight,
-    _cut_to_double,
+    _cut_to_support,
+    _reach,
     _derivative_weights,
     _subatom_cells,
     _weighted_sizes,
@@ -21,18 +22,22 @@ from ovtl.atomics import (
     multi_indices,
     pointwise_multiply_test,
     project_tent,
-    random_alpha_one_atom,
-    random_alpha_q_atom,
     required_k_floor,
     required_l_floor,
     smooth_decompose_h1,
     smooth_decompose_tl,
     tent_atomize,
-    validate_atom,
     validate_atoms,
 )
-from ovtl.generators import band_limited_random, bump, haar, random_strip, rng_for
-from ovtl.spectral import apply_symbol_data, bessel_symbol, fft_data, multi_derivative_symbol
+from ovtl.generators import band_limited_random, bump, haar, rng_for
+from ovtl.spectral import (
+    apply_symbol_data,
+    bessel_symbol,
+    fft_data,
+    lp_family_j_max,
+    multi_derivative_symbol,
+)
+from helpers import identity_defect, random_alpha_one_atom, random_alpha_q_atom, random_strip
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
@@ -45,7 +50,7 @@ def test_validate_unit_cube_indicator(grid64):
     data = np.zeros(grid64.shape + (2, 2), dtype=complex)
     data[..., 0, 0] = 1.0
     atom = HAtom(DyadicCube(grid64, 0, (0,)), OperatorField(grid64, data))
-    rep = validate_atom(atom)
+    rep = validate_atoms([atom])[0]
     assert rep.passed
     size_clause = next(c for c in rep.clauses if c.name == "size")
     assert abs(size_clause.measured - 1.0) < 1e-12  # saturates |Q|^{-1/2} = 1
@@ -55,7 +60,7 @@ def test_validate_haar_atom(grid64):
     cube = DyadicCube(grid64, 1, (0,))
     f = haar(grid64, 2)
     atom = HAtom(cube, f)
-    rep = validate_atom(atom)
+    rep = validate_atoms([atom])[0]
     assert rep.passed  # includes the mean-zero clause
 
 
@@ -63,7 +68,7 @@ def test_validate_oversized_fails(grid64):
     data = np.zeros(grid64.shape + (2, 2), dtype=complex)
     data[..., 0, 0] = 2.0
     atom = HAtom(DyadicCube(grid64, 0, (0,)), OperatorField(grid64, data))
-    rep = validate_atom(atom)
+    rep = validate_atoms([atom])[0]
     assert not rep.passed
     fail = rep.failures()[0]
     assert fail.name == "size" and fail.measured > fail.bound
@@ -74,7 +79,7 @@ def test_validate_support_violation(grid64):
     data[:, 0, 0] = 0.01  # spread everywhere
     atom = HAtom(DyadicCube(grid64, 2, (1,)), OperatorField(grid64, data),
                  mean_zero_required=False)
-    rep = validate_atom(atom)
+    rep = validate_atoms([atom])[0]
     assert any(c.name == "support" and not c.passed for c in rep.clauses)
 
 
@@ -85,10 +90,10 @@ def test_tent_atom_validator(grid64):
     atom = TentAtom(cube=cube, j_lo=2, block=block)
     size = atom.size()
     atom = TentAtom(cube=cube, j_lo=2, block=block / (size * math.sqrt(cube.volume)))
-    assert validate_atom(atom).passed
+    assert validate_atoms([atom])[0].passed
     bad = TentAtom(cube=cube, j_lo=1, block=block)  # scale 1/2 > side 1/2 is OK; j_lo=0 invalid
     bad = TentAtom(cube=cube, j_lo=0, block=block)
-    assert not validate_atom(bad).passed
+    assert not validate_atoms([bad])[0].passed
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +102,7 @@ def test_tent_atom_validator(grid64):
 
 def test_calderon_identity_and_origin(grid64):
     cal = calderon_resolution(grid64, n_pow=2)
-    assert cal.identity_defect() <= 1e-14
+    assert identity_defect(cal) <= 1e-14
     for j in range(1, cal.j_max + 1):
         # Psi_j(0) = 0 up to the FFT's own summation round-off
         assert abs(cal.level(j)[0]) <= 1e-15
@@ -125,7 +130,7 @@ def test_calderon_stencil_support(grid64):
 
 def test_calderon_npow4(grid64):
     cal = calderon_resolution(grid64, n_pow=4)
-    assert cal.identity_defect() <= 1e-14
+    assert identity_defect(cal) <= 1e-14
 
 
 def test_calderon_rejects_bad_npow(grid64):
@@ -246,8 +251,6 @@ def test_atomize_saturated_single_atom_roundtrip(grid64):
 
 
 def test_atomize_reconstruction_and_validity(grid64):
-    from ovtl.generators import random_strip
-
     cal = calderon_resolution(grid64)
     F = random_strip(grid64, 2, cal.j_max, 62)
     pairs = tent_atomize(F)
@@ -256,11 +259,10 @@ def test_atomize_reconstruction_and_validity(grid64):
         rec += lam * atom.to_strip(F.j_max).data
     scale = np.max(np.abs(F.data))
     assert np.max(np.abs(rec - F.data)) <= 1e-10 * scale
-    assert all(validate_atom(a).passed for _, a in pairs)
+    assert all(validate_atoms([a])[0].passed for _, a in pairs)
 
 
 def test_atomize_mass_stable_across_seeds(grid64):
-    from ovtl.generators import random_strip
     from ovtl.normsuite import tent_norm
 
     cal = calderon_resolution(grid64)
@@ -296,7 +298,7 @@ def test_h1_bump_pipeline(grid64):
     f = bump(grid64, 2, width=0.06, seed=80)
     dec = smooth_decompose_h1(f)
     assert dec.residual <= 1e-9
-    assert all(validate_atom(a).passed for _, a in dec.low_pairs + dec.high_pairs)
+    assert all(validate_atoms([a])[0].passed for _, a in dec.low_pairs + dec.high_pairs)
     assert dec.mass_ratio is not None and 0.05 < dec.mass_ratio < 100.0
 
 
@@ -331,7 +333,7 @@ def test_tl_pipeline_validates(grid64):
     f = band_limited_random(grid64, 2, 92)
     dec = smooth_decompose_tl(f, alpha=0.5, K=1, L=0)
     assert dec.residual <= 1e-9
-    reports = [validate_atom(a) for _, a in dec.low_pairs + dec.high_pairs]
+    reports = [validate_atoms([a])[0] for _, a in dec.low_pairs + dec.high_pairs]
     assert all(r.passed for r in reports)
     # alpha_q atoms carry nonempty subatom trees below the top cube level
     kinds = {a.kind for _, a in dec.high_pairs}
@@ -343,7 +345,7 @@ def test_tl_alpha0_degeneration(grid64):
     f = band_limited_random(grid64, 2, 93)
     dec = smooth_decompose_tl(f, alpha=0.0, K=1, L=-1)
     assert dec.residual <= 1e-9
-    assert all(validate_atom(a).passed for _, a in dec.low_pairs + dec.high_pairs)
+    assert all(validate_atoms([a])[0].passed for _, a in dec.low_pairs + dec.high_pairs)
 
 
 def test_tl_high_order_builds_its_own_system():
@@ -372,7 +374,7 @@ def test_tl_2d_smoke():
     f = band_limited_random(g, 2, 94)
     dec = smooth_decompose_tl(f, alpha=0.5, K=1, L=0)
     assert dec.residual <= 1e-9
-    assert all(validate_atom(a).passed for _, a in dec.low_pairs + dec.high_pairs)
+    assert all(validate_atoms([a])[0].passed for _, a in dec.low_pairs + dec.high_pairs)
 
 
 def test_subatom_moment_zero(grid64):
@@ -426,13 +428,13 @@ def test_pointwise_bump_bounded(grid64, fam64):
 def test_random_alpha_one_atoms_validate(grid64):
     for seed in range(5):
         atom = random_alpha_one_atom(grid64, 2, 0.5, 1, 400 + seed)
-        assert validate_atom(atom).passed
+        assert validate_atoms([atom])[0].passed
 
 
 def test_random_alpha_q_atoms_validate(grid64):
     for seed in range(5):
         atom = random_alpha_q_atom(grid64, 2, 0.5, 1, 0, level=2, seed=500 + seed)
-        assert validate_atom(atom).passed
+        assert validate_atoms([atom])[0].passed
         assert atom.subatoms
 
 
@@ -546,7 +548,7 @@ def test_spatial_sizes_rank_one(d, N, n):
     phi = np.asarray(random_strip(grid, 1, 3, 810 + d).data)
 
     def h_size(data, cube):
-        rep = validate_atom(HAtom(cube, OperatorField(grid, data)))
+        rep = validate_atoms([HAtom(cube, OperatorField(grid, data))])[0]
         return next(c.measured for c in rep.clauses if c.name == "size")
 
     for cube in (DyadicCube(grid, 0, (0,) * d), DyadicCube(grid, 1, (1,) * d)):
@@ -600,28 +602,92 @@ def test_batched_slice_matches_per_cell_loop(d, N, levels):
                 assert rho == pytest.approx(rho_old, rel=1e-12)
                 got = [d * rho for d, _ in atom.subatoms]
                 assert got == pytest.approx([x for x in d_cs if x > 0], rel=1e-12)
-                assert validate_atom(atom).passed
+                assert validate_atoms([atom])[0].passed
+
+
+def _grown_mask(cube, reach):
+    """Lattice points within ``reach`` cells of the cube per axis, from the
+    signed periodic cell offsets to its center (not from DyadicCube.box):
+    Q holds the offsets -side/2 .. side/2 - 1."""
+    grid, half = cube.grid, cube.side_cells // 2
+    if cube.side_cells + 2 * reach >= grid.N:
+        return np.ones(grid.shape, dtype=bool)
+    axes = [(np.arange(grid.N) - i * cube.side_cells + grid.N // 2) % grid.N - grid.N // 2
+            for i in cube.index]
+    inside = [(-half - reach <= off) & (off < half + reach) for off in axes]
+    out = np.ones(grid.shape, dtype=bool)
+    for ax, row in enumerate(inside):
+        out &= row.reshape((1,) * ax + (-1,) + (1,) * (grid.d - ax - 1))
+    return out
 
 
 @pytest.mark.parametrize("d,N", [(1, 64), (2, 32)])
 def test_cut_to_double_leak_matches_mask_route(d, N):
-    # the leak is the energy off 2Q; measured on the full-grid 2Q mask it is
-    # the same number, also for a tiny leak and for cubes wrapping the origin
+    # the cut keeps Q grown by the reach R_j of the level j = level + 1
+    # kernel, and the leak is the energy off that box; measured on a
+    # full-grid mask of the box it is the same number, also for a tiny leak,
+    # for cubes wrapping the origin and for boxes that cover the torus.  A
+    # level-j cell grown by R_j is its 2Q, the box of its subatom
     grid = Grid(d, N)
     rng = rng_for(840 + d)
     for level in (0, 1, 2, 3):
+        reach = _reach(grid, level + 1)
         for m in (0, (1 << level) - 1):  # index 0 at level >= 1 wraps around 0
             cube = DyadicCube(grid, level, (m,) * d)
-            inside = cube.mask(double=True)[..., None, None]
+            inside = _grown_mask(cube, reach)[..., None, None]
             full = _cplx(rng, grid.shape + (2, 2))
             for data in (full, np.where(inside, full, 1e-9 * full),
                          np.where(inside, full, 1e-16 * full), np.where(inside, full, 0)):
-                [(origin, block, leak)] = _cut_to_double(data[None], [cube])
+                [(origin, block, leak)] = _cut_to_support(data[None], [cube], reach)
                 energy = np.sum(np.abs(data) ** 2, axis=(-2, -1))
                 want = math.sqrt(np.sum(energy[~inside[..., 0, 0]]) / np.sum(energy))
                 assert leak == pytest.approx(want, rel=1e-12, abs=1e-30)
                 box = np.ix_(*box_indices(grid, origin, block.shape[:d]))
                 assert np.array_equal(block, data[box])
+                assert block.size == 4 * np.count_nonzero(inside)
+            for cell in _subatom_cells(cube):
+                [(origin, block, _)] = _cut_to_support(full[None], [cell], reach)
+                assert (origin, block.shape[0]) == cell.box(double=True)
+
+
+# ---------------------------------------------------------------------------
+# stored boxes: each atom on its projected support
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("target", ["h1", "tl"])
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 32), (3, 16)])
+def test_atoms_stored_on_projected_support(target, d, N):
+    # every h1 and alpha_q atom of level-j tent data over Q is stored on Q
+    # grown by R_j = N 2^-(j+1) per axis (or the torus), a box inside 2Q;
+    # the energy the cut drops is round-off, and the decomposition still
+    # rebuilds its source with every atom valid
+    grid = Grid(d, N)
+    f = band_limited_random(grid, 2, 880 + d)
+    dec = smooth_decompose_h1(f) if target == "h1" else smooth_decompose_tl(f, 0.5, 1, 0)
+    assert dec.residual <= 1e-9
+    atoms = [a for _, a in dec.low_pairs + dec.high_pairs]
+    assert all(r.passed for r in validate_atoms(atoms))
+    [(_, low)] = dec.low_pairs
+    assert low.origin == (0,) * d and low.block.shape[:d] == grid.shape
+    levels = set()
+    for _, atom in dec.high_pairs:
+        cube = atom.cube
+        reach = _reach(grid, cube.level + 1)
+        assert reach == N >> (cube.level + 2) == cube.side_cells // 4
+        stored = np.zeros(grid.shape, dtype=bool)
+        stored[np.ix_(*box_indices(grid, atom.origin, atom.block.shape[:d]))] = True
+        assert np.array_equal(stored, _grown_mask(cube, reach))
+        assert atom.block.size == 4 * np.count_nonzero(stored)  # no point stored twice
+        assert not stored.all() or atom.origin == (0,) * d
+        assert np.all(cube.mask(double=True)[stored])
+        assert atom.support_leak <= 1e-14
+        for _, sub in getattr(atom, "subatoms", []):
+            assert (sub.origin, sub.block.shape[0]) == sub.cube.box(double=True)
+            assert sub.support_leak <= 1e-14
+        levels.add(cube.level)
+    assert levels == set(range(lp_family_j_max(grid)))
+    # some box is smaller than 2Q: the cut is not the old one
+    assert any(a.block.shape[0] < min(2 * a.cube.side_cells, N) for _, a in dec.high_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +722,7 @@ def test_validate_atoms_batch_matches_batch_of_one():
     reports = validate_atoms(batch)
     assert len(reports) == len(batch)
     for atom, rep in zip(batch, reports):
-        assert _clauses(rep) == _clauses(validate_atom(atom))
+        assert _clauses(rep) == _clauses(validate_atoms([atom])[0])
         bad = next((name for name, b in broken.items() if b is atom), None)
         assert rep.passed == (bad is None)
         if bad is not None:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -10,6 +11,7 @@ from ovtl.cli import main
 from ovtl.errors import ConfigError, OvtlError
 from ovtl.fieldio import (
     _CONFIG_KEYS,
+    _HEADER,
     Config,
     config_to_text,
     parse_config,
@@ -18,8 +20,9 @@ from ovtl.fieldio import (
 )
 from ovtl.lattice import Grid
 from ovtl.opfield import OperatorField, StripField
-from ovtl.generators import band_limited_random, bump, haar, random_strip
+from ovtl.generators import band_limited_random, bump, haar
 from ovtl.spectral import fft_forward
+from helpers import random_strip
 
 
 def test_field_file_roundtrip(tmp_path, grid64):
@@ -400,6 +403,22 @@ def test_reconstruct_missing_manifest(tmp_path, capsys):
 def test_reconstruct_missing_blob(tmp_path, capsys):
     man, _ = _decompose_cli(tmp_path, "a", 64)
     assert "No such file" in _reconstruct_error(capsys, tmp_path, man, tmp_path / "none.bin")
+
+
+def test_reconstruct_zero_box_side(tmp_path, capsys):
+    # a record whose box side is 0 holds no data; read as an empty block it
+    # would rebuild a field far from the source without a word
+    field = tmp_path / "f.ovtl"
+    write_field(field, band_limited_random(Grid(1, 16), 2, 24))
+    man, blob = tmp_path / "m.txt", tmp_path / "b.bin"
+    assert main(["--grid", "16", "decompose", str(field), "--target", "h1",
+                 "--manifest", str(man), "--blob", str(blob)]) == 0
+    off = int(re.findall(r"^blob_offset = (\d+)$", man.read_text(), re.M)[-1])
+    raw = blob.read_bytes()
+    pos = off + _HEADER.size + 4  # the side after the one start (d = 1)
+    blob.write_bytes(raw[:pos] + struct.pack("<I", 0) + raw[pos + 4:])
+    err = _reconstruct_error(capsys, tmp_path, man, blob)
+    assert f"record at {off}" in err and "sides (0,)" in err
 
 
 def test_norm_field_header_past_file_size(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from ovtl.fieldio import (
     write_decomposition,
     write_field,
 )
-from ovtl.generators import band_limited_random, random_strip
-from ovtl.lattice import Grid
+from ovtl.generators import band_limited_random
+from ovtl.lattice import Grid, box_indices
+from helpers import random_strip
 
 
 def _decompose(grid, seed, target="tl"):
@@ -63,7 +65,7 @@ def test_blob_v2_roundtrip(tmp_path, d, N, target):
     write_decomposition(man, blob, dec)
     recs = _records(blob.read_bytes(), man.read_text(), d)
     assert {v for v, _, _ in recs} == {2}
-    # coarse cubes whose 2Q is the whole grid, and boxes that wrap the torus
+    # coarse cubes stored on the whole grid, and boxes that wrap the torus
     assert any(sides == (N,) * d for _, _, sides in recs)
     assert any(s < N and o + s > N for _, starts, sides in recs
                for o, s in zip(starts, sides))
@@ -88,6 +90,58 @@ def test_blob_v1_still_read(tmp_path, d, N):
     scale = np.max(np.abs(v2))
     assert np.max(np.abs(v1 - v2)) <= 1e-15 * scale
     assert np.max(np.abs(v1 - dec.reconstruct().data)) <= 1e-15 * scale
+
+
+def _box_side(atom) -> int:
+    """Side in cells of the box an atom is stored on: the whole grid for the
+    low atom, else its cube grown by N 2^-(level+2) cells on every side,
+    capped at the grid."""
+    N = atom.grid.N
+    if atom.kind == "alpha_one":
+        return N
+    return min(atom.cube.side_cells + 2 * (N >> (atom.cube.level + 2)), N)
+
+
+@pytest.mark.parametrize("target", ["tl", "h1"])
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 32), (3, 16)])
+def test_blob_bytes_follow_box_rule(tmp_path, d, N, target):
+    # each record is a header, d starts, d sides and a (side^d, n, n) block
+    _, dec = _decompose(Grid(d, N), 50 + d, target)
+    man, blob = tmp_path / "m.txt", tmp_path / "b.bin"
+    write_decomposition(man, blob, dec)
+    atoms = [atom for _, atom in dec.low_pairs + dec.high_pairs]
+    sides = [s for _, _, s in _records(blob.read_bytes(), man.read_text(), d)]
+    assert sides == [(_box_side(a),) * d for a in atoms]
+    record = [_HEADER.size + 8 * d + 16 * dec.n**2 * _box_side(a) ** d for a in atoms]
+    assert len(blob.read_bytes()) == sum(record)
+    assert re.findall(r"^blob_offset = (\d+)$", man.read_text(), re.M) == \
+        [str(sum(record[:k])) for k in range(len(record))]
+
+
+def _write_2q(man_path, blob_path, dec):
+    """Rewrite a decomposition with every Hardy and alpha_q atom stored on
+    its doubled cube 2Q, as blobs were written before the projected-support
+    cut; offsets follow suit."""
+    atoms = []
+    for c, atom in dec.high_pairs:
+        origin, side = atom.cube.box(double=True)
+        idx = box_indices(dec.grid, origin, (side,) * dec.grid.d)
+        atoms.append((c, replace(atom, origin=origin, block=atom.embed()[np.ix_(*idx)])))
+    write_decomposition(man_path, blob_path, replace(dec, high_pairs=atoms))
+
+
+@pytest.mark.parametrize("target", ["tl", "h1"])
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 32), (3, 16)])
+def test_blob_on_2q_boxes_still_rebuilds(tmp_path, d, N, target):
+    _, dec = _decompose(Grid(d, N), 55 + d, target)
+    man, blob = tmp_path / "m.txt", tmp_path / "b.bin"
+    write_decomposition(man, blob, dec)
+    new = read_decomposition_blob(blob, man)[0].data
+    man2, blob2 = tmp_path / "m2.txt", tmp_path / "b2.bin"
+    _write_2q(man2, blob2, dec)
+    assert len(blob2.read_bytes()) > len(blob.read_bytes())
+    old = read_decomposition_blob(blob2, man2)[0].data
+    assert np.max(np.abs(old - new)) <= 1e-15 * np.max(np.abs(new))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from ovtl.fmult import (
     hypothesis_constant,
     identity_sequence,
     lp_sequence,
-    scaled_sequence,
 )
 from ovtl.generators import band_limited_random
 from ovtl.spectral import Profile, constant_profile, lp_base_profile
+from helpers import scaled_sequence
 
 
 SIGMA = 1.0

@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from ovtl.atomics import smooth_decompose_tl
-from ovtl.errors import OvtlError
+from ovtl.errors import FormatError, OvtlError
 from ovtl.fieldio import (
     _HEADER,
     Config,
@@ -26,8 +26,9 @@ from ovtl.fieldio import (
     write_decomposition,
     write_field,
 )
-from ovtl.generators import band_limited_random, random_strip
+from ovtl.generators import band_limited_random
 from ovtl.lattice import Grid
+from helpers import random_strip
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -135,6 +136,25 @@ def test_read_decomposition_blob_fuzzed_blob(files):
     def check(data):
         path.write_bytes(data)
         _reads_or_ovtl_error(read_decomposition_blob, path, files / "m.txt")
+
+    check()
+
+
+def test_read_decomposition_blob_bad_side_rejected(files):
+    # a box side outside 1..N (0 holds no data, past N overlaps itself) is a
+    # FormatError, never a field rebuilt from an empty or misread block
+    raw = (files / "b.bin").read_bytes()
+    offsets = [int(line.split(" = ")[1]) for line in (files / "m.txt").read_text().splitlines()
+               if line.startswith("blob_offset = ")]
+    path = files / "bad-side.bin"
+
+    @FUZZ
+    @given(st.sampled_from(offsets),
+           st.one_of(st.just(0), st.integers(33, 2**32 - 1)))  # N = 32
+    def check(off, side):
+        path.write_bytes(_overwrite(raw, off + _HEADER.size + 4, "<I", side))
+        with pytest.raises(FormatError, match=f"record at {off}"):
+            read_decomposition_blob(path, files / "m.txt")
 
     check()
 

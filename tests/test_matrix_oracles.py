@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from ovtl.generators import band_limited_random, random_unitary
+from ovtl.generators import band_limited_random
 from ovtl.lattice import Grid
 from ovtl.normsuite import (
     bmo_norm,
@@ -26,6 +26,7 @@ from ovtl.normsuite import (
 )
 from ovtl.opfield import OperatorField
 from ovtl.spectral import make_lp_family
+from helpers import random_unitary
 
 GRIDS = [Grid(1, 64), Grid(2, 32)]
 REL = 1e-10

@@ -34,6 +34,7 @@ from ovtl.spectral import (
     poisson_symbol,
 )
 from ovtl.sqfn import filtered, lp_levels, poisson_levels, square_norm
+from helpers import ball_measure
 
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -260,7 +261,7 @@ def test_tent_norm_cases(grid64):
     cone = cone_index(grid64, 3)
     j0 = 2
     expected_sq = (LOG2 * 2.0 ** (j0 * grid64.d) * grid64.cell_volume * 4.0
-                   * cone.ball_measure(j0))
+                   * ball_measure(cone, j0))
     assert abs(tent_norm(F, 2.0).value ** 2 - expected_sq) < 1e-10
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from ovtl.errors import ResolutionError
 from ovtl.lattice import Grid
-from ovtl.opfield import OperatorField, hs_norm_sq
+from ovtl.opfield import OperatorField
 from ovtl.generators import band_limited_random, rng_for, single_mode
 from ovtl.spectral import (
     LPFamily,
@@ -22,13 +22,13 @@ from ovtl.spectral import (
     hsigma_norm,
     hsigma_norm_profile,
     lp_base_profile,
-    lp_positivity_margin,
     make_hom_lp_family,
     make_lp_family,
     poisson_dk_symbol,
     poisson_symbol,
     riesz_symbol,
 )
+from helpers import hs_norm_sq, lp_positivity_margin
 
 
 def test_fft_single_mode(grid64):
