@@ -104,7 +104,8 @@ class HAtom(_BoxStorage):
     the box at ``origin`` 0.  The h1 decomposition stores each atom on its
     projected support, Q grown by the reach R_j of its level-j kernel (the
     whole grid once that covers it), a box inside 2Q; ``support_leak`` is
-    the relative L2 energy the cut to that box dropped.
+    the relative L2 energy the cut to that box dropped (0 for an atom built
+    on that box alone, the window route).
     """
 
     kind = "h_atom"
@@ -163,8 +164,9 @@ class SmoothAtom(_BoxStorage):
     2Q of the level-j cell for a 'subatom', and for 'alpha_q' the projected
     support, Q grown by the reach R_j of its level-j kernel (the whole grid
     once that covers it).  ``support_leak`` is the relative L2 energy of the
-    built atom outside its box, which storing the block cut off; the
-    validator still checks support against 2Q.  For 'alpha_q' atoms,
+    built atom outside its box, which storing the block cut off (0 for an
+    atom built on its box alone, the window route); the validator still
+    checks support against 2Q.  For 'alpha_q' atoms,
     ``subatoms`` holds (d_coefficient, subatom) pairs with
     sum_l d_l a_l = atom data.
     """
@@ -273,9 +275,10 @@ class ValidationReport:
 SUPPORT_RTOL = 1e-10
 SIZE_SLACK = 1e-9
 MOMENT_RTOL = 1e-10
-# bytes of full-grid data stacked into one batched transform: a few atoms at
-# the desk scales, enough to spread the per-call cost while every temporary
-# stays small
+# bytes of data stacked into one batched call: full-grid data for a
+# transform, window data (each block over its own box) for a window product,
+# stored blocks for a spatial size; a few full-grid atoms at the desk scales,
+# enough to spread the per-call cost while every temporary stays small
 CHUNK_BYTES = 256 * 1024
 
 
@@ -286,9 +289,9 @@ def _chunks(items: list, item_bytes: int) -> list:
     return [items[k:k + step] for k in range(0, len(items), step)]
 
 
-def _field_bytes(grid: Grid, n: int) -> int:
-    """Bytes of one complex (n, n)-matrix field on the grid."""
-    return grid.N**grid.d * n * n * 16
+def _block_bytes(points: int, n: int) -> int:
+    """Bytes of complex (n, n)-matrix data over ``points`` lattice points."""
+    return points * n * n * 16
 
 
 @lru_cache(maxsize=16)
@@ -319,10 +322,102 @@ def _weighted_sizes(data_hat: np.ndarray, grid: Grid, weights: np.ndarray) -> np
                       grid.cell_volume**2, weights)
 
 
+# a box is sized (and a level projected) on the box alone, with no full-grid
+# transform, when it holds at most a quarter of the torus's points (past that
+# a dense P x P product costs about as much as the transform) and at most
+# _WINDOW_POINTS.  Its factors are built once per process, P^3/6 long-double
+# multiply-adds: about 6 ms at P = 144 on a 2-core x86-64 host (30 ms at
+# P = 256), which one decomposition repays (a cold tl `decompose` at d=2 N=32
+# took 110 ms against 232 ms on the full grid).  144 admits the 12 x 12 finest
+# level at d=2 N=32 and keeps the caches of d=1 N=256 and 1024 and of d=2
+# N=32 under 0.7 MB in all
+_WINDOW_POINTS = 144
+
+
+def _windowed(grid: Grid, sides) -> bool:
+    """Whether a periodic box of ``sides`` (each <= N) takes the window route."""
+    points = math.prod(sides)
+    return 4 * points <= grid.N**grid.d and points <= _WINDOW_POINTS
+
+
+def _real_columns(a: np.ndarray) -> np.ndarray:
+    """(*batch, *box, n, n) complex data as (*batch, points, 2 n^2) real columns."""
+    n = a.shape[-1]
+    return np.ascontiguousarray(a).view(np.float64).reshape(a.shape[:-2] + (2 * n * n,))
+
+
+def _complex_blocks(y: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`_real_columns`: (..., 2 n^2) real as (..., n, n) complex."""
+    return np.ascontiguousarray(y).view(np.complex128).reshape(y.shape[:-1] + (n, n))
+
+
+@lru_cache(maxsize=64)
+def _window_factor(grid: Grid, sides: tuple, route: str, arg) -> np.ndarray:
+    """Real upper-triangular R (P, P) over the P points of a periodic box of
+    ``sides`` with R^T R = E* F* diag(w) F E, where E embeds the box in the
+    grid, F is the unnormalized DFT and w is the weight row of the route:
+    |J_alpha|^2 for ("bessel", alpha), |2 pi xi|^(2g) for ("derivative", g)
+    on a one-dimensional grid.  So sum_xi w |a_hat|^2 = sum_z |R a|^2 for
+    data a over the box.
+
+    E* F* diag(w) F E is the real Toeplitz matrix of the transform of w
+    (w(-xi) = w(xi)), whose Cholesky factor is taken in long double: the
+    rounding of the Gram then stays far below that of R a in double, so the
+    sizes are as accurate as the transform route even where w is small on
+    the data (smooth data and derivative weights).  This needs a long double
+    wider than double, as on x86-64 Linux (64-bit significand)."""
+    w = _bessel_weight(grid, arg) if route == "bessel" else _derivative_weights(grid, arg)[-1:]
+    taps = np.fft.fftn(w.reshape(grid.shape).astype(np.longdouble)).real
+    d, points = grid.d, math.prod(sides)
+    # gram[z, z'] = taps[z - z'], with the axes of z before those of z'
+    lags = [((np.arange(s)[:, None] - np.arange(s)) % grid.N)
+            .reshape((1,) * ax + (s,) + (1,) * (d - 1) + (s,) + (1,) * (d - ax - 1))
+            for ax, s in enumerate(sides)]
+    L = taps[tuple(lags)].reshape(points, points)
+    for k in range(points):  # left-looking Cholesky, in place in the lower triangle
+        L[k:, k] -= L[k:, :k] @ L[k, :k]
+        L[k:, k] /= np.sqrt(L[k, k])
+        L[k, k + 1:] = 0.0
+    R = np.ascontiguousarray(L.T, dtype=np.float64)
+    R.setflags(write=False)
+    return R
+
+
+def _window_sizes(blocks: np.ndarray, grid: Grid, route: str, arg) -> np.ndarray:
+    """The sizes :func:`_weighted_sizes` gives from the transforms of the
+    full-grid embeddings of ``blocks`` (B, *sides, n, n), each over a
+    periodic box of ``sides``, made on the boxes alone; shape (B, rows).
+
+    Per weight row w, sum_xi w |a_hat|^2 = sum_z |R a|^2 with R from
+    :func:`_window_factor`.  A derivative weight |m_gamma|^2 is a product of
+    one-dimensional weights, so R is the Kronecker product of per-axis
+    factors, applied one axis at a time; an axis with gamma_i = 0 has the
+    factor sqrt(N) I, folded into the volume, so gamma = 0 is the spatial
+    size.  Each block is multiplied in its own product of fixed shape, so a
+    size does not depend on the batch."""
+    B, sides, n = len(blocks), blocks.shape[1:-2], blocks.shape[-1]
+    x = _real_columns(blocks)
+    if route == "bessel":
+        y = np.matmul(_window_factor(grid, sides, route, arg), x.reshape(B, -1, 2 * n * n))
+        return l1l2_sizes(_complex_blocks(y, n), grid.cell_volume**2)[:, None]
+    line = Grid(1, grid.N)
+    sizes = []
+    for gamma in multi_indices(grid.d, arg):
+        y = x
+        for ax, g in enumerate(gamma):
+            if g:
+                R = _window_factor(line, (sides[ax],), route, g)
+                y = np.moveaxis(np.matmul(R, np.moveaxis(y, ax + 1, -2)), -2, ax + 1)
+        volume = grid.h ** (grid.d + sum(g > 0 for g in gamma))
+        sizes.append(l1l2_sizes(_complex_blocks(y, n).reshape(B, -1, n, n), volume))
+    return np.stack(sizes, axis=-1)
+
+
 def _group_key(atom) -> tuple:
     """What atoms validated in one stack share: grid, block shape, size route
     (("spatial", volume) on the stored block, or ("derivative", K) /
-    ("bessel", alpha) on the transform of the full-grid embedding) and the
+    ("bessel", alpha) on the window of the stored block or on the transform
+    of its full-grid embedding) and the
     largest |beta|_1 of the moments they must cancel (-1 for none)."""
     grid, kind = atom.grid, atom.kind
     if kind == "h_atom":
@@ -350,6 +445,8 @@ def _measure(chunk: list, key: tuple) -> list:
     idxs = [getattr(a, "axis_idx", None) for a in chunk]
     if route == "spatial":
         sizes = l1l2_sizes(blocks.reshape(B, -1, n, n), arg)[:, None]
+    elif _windowed(grid, blocks.shape[1:grid.d + 1]):
+        sizes = _window_sizes(blocks, grid, route, arg)
     else:
         full = np.zeros((B,) + grid.shape + (n, n), dtype=np.complex128)
         for b, idx in enumerate(idxs):
@@ -382,6 +479,26 @@ def _measure(chunk: list, key: tuple) -> list:
             for b, (s, r, l1_b) in enumerate(zip(sizes.tolist(), support.tolist(), l1.tolist()))]
 
 
+def _box_sums(grid: Grid, box: tuple, term_lists: list, tail: tuple) -> list:
+    """sum_k c_k B_k for each list of (c_k, origin_k, B_k) terms, blocks
+    with trailing axes ``tail``, over the periodic box (origin, side) ``box``
+    when every block lies in it, else over the torus
+    (:func:`periodic_block_sum`), for all lists alike."""
+    (origin, side), N = box, grid.N
+    terms = [term for terms in term_lists for term in terms]
+    offsets = [[(o - p) % N for o, p in zip(org, origin)] for _, org, _ in terms]
+    if side >= N or any(off + s > side for offs, (_, _, block) in zip(offsets, terms)
+                        for off, s in zip(offs, block.shape)):
+        return [periodic_block_sum(grid, terms, tail) for terms in term_lists]
+    sums, offsets = [], iter(offsets)
+    for terms in term_lists:
+        buf = np.zeros((side,) * grid.d + tail, dtype=np.complex128)
+        for (c, _, block), offs in zip(terms, offsets):
+            buf[tuple(slice(off, off + s) for off, s in zip(offs, block.shape))] += c * block
+        sums.append(buf)
+    return sums
+
+
 def _report(atom, sizes: list, support, moments, sub_reports: list) -> ValidationReport:
     """Clauses of one atom from its measurements and its subatoms' reports."""
     grid, kind = atom.grid, atom.kind
@@ -405,10 +522,9 @@ def _report(atom, sizes: list, support, moments, sub_reports: list) -> Validatio
         clauses.append(Clause("coefficient_l2", coef_l2, bound))
         order_ok = all(subcube_order(sub.cube, atom.cube) for _, sub in atom.subatoms)
         clauses.append(Clause("subcube_order", 0.0 if order_ok else 1.0, 0.5))
-        full = atom.embed()
-        recon = periodic_block_sum(
-            grid, [(d_c, sub.origin, sub.block) for d_c, sub in atom.subatoms],
-            (atom.n, atom.n))
+        full, recon = _box_sums(grid, atom.cube.box(double=True), [
+            [(1.0, atom.origin, atom.block)],
+            [(d_c, sub.origin, sub.block) for d_c, sub in atom.subatoms]], (atom.n, atom.n))
         scale = max(float(np.max(np.abs(full))), 1e-300)
         dev = float(np.max(np.abs(recon - full))) / scale
         clauses.append(Clause("subatom_reconstruction", dev, 1e-10))
@@ -437,10 +553,14 @@ def validate_atoms(atoms: Sequence) -> list:
     Every size is recomputed from the stored blocks.  The atoms and the
     subatoms of alpha_q atoms are grouped by grid, block shape, size route
     and moment order, and each group is stacked in chunks of at most
-    CHUNK_BYTES of full-grid data (of stored blocks, for spatial sizes):
-    one transform, one size call and one product per moment for each chunk.
-    Every stacked size row has its own power-of-two rescale, so a report
-    does not depend on the batch its atom is validated in.
+    CHUNK_BYTES.  Derivative and Bessel sizes of blocks over windowed boxes
+    (:func:`_windowed`) come from the window factors on the stored blocks
+    (:func:`_window_sizes`), with chunks counted in block bytes; larger
+    boxes are embedded in the full grid, in chunks counted in full-grid
+    bytes, for one transform per chunk.  Each chunk then takes one size
+    call and one product per moment.  Every stacked size row has its own
+    power-of-two rescale and every window product its own fixed shape, so
+    a report does not depend on the batch its atom is validated in.
     """
     atoms = list(atoms)
     entries = atoms + [sub for a in atoms if getattr(a, "kind", None) == "alpha_q"
@@ -455,7 +575,8 @@ def validate_atoms(atoms: Sequence) -> list:
     measured = [None] * len(entries)
     for key, idx in groups.items():
         grid, shape, (route, _), _ = key
-        item_bytes = math.prod(shape) * 16 if route == "spatial" else _field_bytes(grid, shape[-1])
+        local = route == "spatial" or _windowed(grid, shape[:grid.d])
+        item_bytes = math.prod(shape) * 16 if local else _block_bytes(grid.N**grid.d, shape[-1])
         for chunk in _chunks(idx, item_bytes):
             for i, m in zip(chunk, _measure([entries[i] for i in chunk], key)):
                 measured[i] = m
@@ -470,15 +591,19 @@ def validate_atoms(atoms: Sequence) -> list:
 # reproducing system (Calderon-type resolution)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalderonSystem:
     """Level symbols Psi_j (mean-zero, spatial support in the half-cube of
-    side 2^-j) plus the exact low-frequency complement phi0."""
+    side 2^-j) plus the exact low-frequency complement phi0.  The level-j
+    kernel, whose transform is Psi_j, is ``level_kernels[j - 1]``: the
+    normalized stencil over its support |m| <= R_j, centered at index R_j.
+    Systems compare and hash by identity."""
 
     grid: Grid
     j_max: int
     level_values: tuple
     phi0_values: np.ndarray
+    level_kernels: tuple
 
     def level(self, j: int) -> np.ndarray:
         return self.level_values[j - 1]
@@ -543,11 +668,12 @@ def calderon_resolution(grid: Grid, n_pow: int = 2) -> CalderonSystem:
     if n_pow < 2 or n_pow % 2:
         raise ValueError("n_pow must be a positive even integer >= 2")
     top = lp_family_j_max(grid)
-    raw = []
+    raw, windows = [], []
     for j in range(1, top + 1):
         sten = _stencil(grid, j, n_pow)
-        sym = np.fft.fftn(sten).real * grid.cell_volume
-        raw.append(sym)
+        raw.append(np.fft.fftn(sten).real * grid.cell_volume)
+        reach = np.arange(-_reach(grid, j), _reach(grid, j) + 1) % grid.N
+        windows.append(sten[np.ix_(*[reach] * grid.d)])
     sq = np.zeros(grid.shape)
     for v in raw:
         sq = sq + v * v
@@ -563,7 +689,9 @@ def calderon_resolution(grid: Grid, n_pow: int = 2) -> CalderonSystem:
     total = np.zeros(grid.shape)
     for v in levels:
         total = total + v * v
-    return CalderonSystem(grid=grid, j_max=top, level_values=levels, phi0_values=1.0 - total)
+    return CalderonSystem(grid=grid, j_max=top, level_values=levels, phi0_values=1.0 - total,
+                          level_kernels=tuple(w * (grid.cell_volume / math.sqrt(c))
+                                              for w in windows))
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +727,39 @@ def project_tent(F, cal: CalderonSystem) -> OperatorField:
     for j in scales:
         out += apply_symbol_data(cal.level(j), F.level(j), grid)
     return OperatorField(grid, LOG2 * out)
+
+
+@lru_cache(maxsize=64)
+def _projection(cal: CalderonSystem, j: int, side: int) -> np.ndarray:
+    """The real ((side + 2 R_j)^d, side^d) matrix of the level-j kernel: it
+    maps data over a box of ``side`` cells per axis to its convolution with
+    the kernel over that box grown by R_j cells on every side, which holds
+    the kernel's whole reach, for a grown box below the torus.  Applied to
+    real columns (:func:`_real_columns`) it is apply_symbol_data(cal.level(j),
+    ...) on the box, with no transform and no cut."""
+    d, R = cal.grid.d, _reach(cal.grid, j)
+    # per axis: the kernel index R + (z - R) - y of output z from input y
+    offset = np.arange(side + 2 * R)[:, None] - np.arange(side)[None, :]
+    reached = (offset >= 0) & (offset <= 2 * R)
+    offset = np.where(reached, offset, 0)
+    axes = [(1,) * 2 * ax + offset.shape + (1,) * 2 * (d - ax - 1) for ax in range(d)]
+    P = cal.level_kernels[j - 1][tuple(offset.reshape(shape) for shape in axes)]
+    P = P * reduce(np.multiply, [reached.reshape(shape) for shape in axes])
+    P = np.ascontiguousarray(P.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))))
+    P = P.reshape((side + 2 * R) ** d, side**d)
+    P.setflags(write=False)
+    return P
+
+
+def _project_boxes(data: np.ndarray, cal: CalderonSystem, j: int) -> np.ndarray:
+    """Level-j projections of (*batch, *[side] * d, n, n) data over boxes,
+    each over its box grown by R_j: shape (*batch, *[side + 2 R_j] * d, n, n)."""
+    d, n = cal.grid.d, data.shape[-1]
+    batch, side = data.shape[:-d - 2], data.shape[-3]
+    x = _real_columns(data.reshape(batch + (-1, n, n)))
+    grown = side + 2 * _reach(cal.grid, j)
+    return _complex_blocks(np.matmul(_projection(cal, j, side), x), n) \
+        .reshape(batch + (grown,) * d + (n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -692,32 +853,83 @@ def _piece_transforms(blocks: list, cubes: list, cells: list,
     return hats
 
 
+def _grown_window(grid: Grid, j: int) -> int:
+    """Side 3 N 2^-j of a level-(j-1) cube grown by R_j when such boxes
+    take the window route (:func:`_windowed`), else 0."""
+    side = 3 * (grid.N >> j)
+    return side if _windowed(grid, (side,) * grid.d) else 0
+
+
+def _window_pieces(blocks: list, cubes: list, cells: list, j: int, cal: CalderonSystem,
+                   alpha: float, K: int) -> tuple:
+    """The window route of :func:`_alpha_q_atoms`: (piece cuts, atom cuts,
+    piece derivative sizes (cubes, cells, rows), g Bessel sizes), with no
+    full-grid array.
+
+    Each cube grown by R_j = c/2 (c the cell side) is split into the 3^d
+    level-j cells that meet it; every piece is projected onto its cell's 2Q
+    by one (box x cell) product, and the pieces summed give g on the grown
+    cube.  Both hold the kernel's whole reach, so nothing is cut."""
+    grid, d = cal.grid, cal.grid.d
+    B, n, c, R = len(cubes), blocks[0].shape[-1], grid.N >> j, _reach(grid, j)
+    grown = np.zeros((B,) + (3 * c,) * d + (n, n), dtype=np.complex128)
+    grown[(slice(None),) + (slice(R, R + 2 * c),) * d] = LOG2 * np.stack(blocks)
+    # the cells in C order of their per-axis place 0, 1, 2 in the grown cube
+    split = grown.reshape((B,) + (3, c) * d + (n, n)).transpose(
+        [0] + list(range(1, 2 * d, 2)) + list(range(2, 2 * d + 1, 2)) + [2 * d + 1, 2 * d + 2])
+    pieces = _project_boxes(split.reshape((B, 3**d) + (c,) * d + (n, n)), cal, j)
+    # the piece of the cell at place p covers [p c - R, p c + 3 c/2) of the grown cube
+    total = np.zeros((B,) + (4 * c,) * d + (n, n), dtype=np.complex128)
+    for k, place in enumerate(iproduct(range(3), repeat=d)):
+        total[(slice(None),) + tuple(slice(p * c, p * c + 2 * c) for p in place)] += pieces[:, k]
+    atoms = total[(slice(None),) + (slice(R, R + 3 * c),) * d]
+    sizes = _window_sizes(pieces.reshape((-1,) + pieces.shape[2:]), grid, "derivative", K)
+    g_sizes = _window_sizes(atoms, grid, "bessel", alpha)[:, 0]
+    # each cube's cells in the order of _subatom_cells, by their place
+    origins = [cube.box(margin=R)[0] for cube in cubes]
+    order = np.array([[np.ravel_multi_index([(o - a) % grid.N // c for o, a in
+                                             zip(cell.box()[0], origin)], (3,) * d)
+                       for cell in cube_cells] for origin, cube_cells in zip(origins, cells)])
+    piece_cuts = [(cell.box(double=True)[0], pieces[b, k], 0.0)
+                  for b, cube_cells in enumerate(cells) for cell, k in zip(cube_cells, order[b])]
+    atom_cuts = [(origin, atom, 0.0) for origin, atom in zip(origins, atoms)]
+    return piece_cuts, atom_cuts, sizes.reshape(B, 3**d, -1)[np.arange(B)[:, None], order], g_sizes
+
+
 def _alpha_q_atoms(blocks: list, cubes: list, j: int, cal: CalderonSystem, alpha: float,
                    K: int, L: int) -> list:
     """Package the projections g = log2 Psi_j * block of single-scale tent
     data over same-level ``cubes`` as alpha_q atoms with subatoms.
 
-    The pieces (each block restricted to each subatom cell of its cube,
-    projected) are transformed in one batched call; every size comes from
-    those transforms, in one derivative-size call for all pieces and one
-    Bessel-size call for the per-atom sums, which are the transforms of the
-    g; one batched inverse transform gives the pieces, whose per-atom sum is
-    g.  Writes each atom normalized so every clause passes with constant 1,
+    The pieces are each block restricted to each subatom cell of its cube,
+    projected.  When the cube grown by R_j is windowed (:func:`_grown_window`)
+    they are made and sized on their boxes alone (:func:`_window_pieces`).
+    Otherwise they are transformed in one batched call on the full grid;
+    every size comes from those transforms, in one derivative-size call for
+    all pieces and one Bessel-size call for the per-atom sums, which are the
+    transforms of the g; one batched inverse transform gives the pieces,
+    whose per-atom sum is g, and both are cut to their projected supports.
+    Writes each atom normalized so every clause passes with constant 1,
     returning one (rescale, SmoothAtom or None) per cube.
     """
     grid = cal.grid
     cells = [_subatom_cells(cube) for cube in cubes]
-    hats = _piece_transforms(blocks, cubes, cells, LOG2 * cal.level(j))
-    sizes = _weighted_sizes(hats, grid, _derivative_weights(grid, K))
-    g_sizes = _weighted_sizes(np.sum(hats, axis=1), grid, _bessel_weight(grid, alpha))[:, 0]
-    pieces = ifft_data(hats, grid)
+    if _grown_window(grid, j):
+        piece_cuts, atom_cuts, sizes, g_sizes = _window_pieces(blocks, cubes, cells, j, cal,
+                                                               alpha, K)
+    else:
+        hats = _piece_transforms(blocks, cubes, cells, LOG2 * cal.level(j))
+        sizes = _weighted_sizes(hats, grid, _derivative_weights(grid, K))
+        g_sizes = _weighted_sizes(np.sum(hats, axis=1), grid, _bessel_weight(grid, alpha))[:, 0]
+        pieces = ifft_data(hats, grid)
+        piece_cuts = _cut_to_support(pieces.reshape((-1,) + pieces.shape[2:]),
+                                     [cell for cube_cells in cells for cell in cube_cells],
+                                     _reach(grid, j))
+        atom_cuts = _cut_to_support(np.sum(pieces, axis=1), cubes, _reach(grid, j))
     orders = np.array([sum(gamma) for gamma in multi_indices(grid.d, K)], dtype=float)
     # every cell lies one level below its cube, so all share one volume
     d_cs = np.max(sizes / cells[0][0].volume ** (alpha / grid.d - orders / grid.d), axis=-1)
-    reach = _reach(grid, j)
-    piece_cuts = iter(_cut_to_support(pieces.reshape((-1,) + pieces.shape[2:]),
-                                      [cell for cube_cells in cells for cell in cube_cells], reach))
-    atom_cuts = _cut_to_support(np.sum(pieces, axis=1), cubes, reach)
+    piece_cuts = iter(piece_cuts)
     out = []
     for cube, cube_cells, cube_d, g_size, atom_cut in zip(cubes, cells, d_cs.tolist(),
                                                           g_sizes.tolist(), atom_cuts):
@@ -809,15 +1021,21 @@ def smooth_decompose_h1(f: OperatorField, K: int = 1) -> AtomicDecomposition:
     and stored on its projected support, Q grown by the kernel's reach.
     """
     def high_atoms(tent_pairs, cal):
-        # one level (scale) at a time, in chunks of at most CHUNK_BYTES of projections
+        # one level (scale) at a time, in chunks of at most CHUNK_BYTES of
+        # projections, each over its window or over the full grid
         for j, run in groupby(tent_pairs, key=lambda pair: pair[1].j_lo):
             _check_mean_zero_levels(cal, [j])
-            for chunk in _chunks(list(run), _field_bytes(f.grid, f.n)):
+            side, reach = _grown_window(f.grid, j), _reach(f.grid, j)
+            for chunk in _chunks(list(run), _block_bytes((side or f.grid.N) ** f.grid.d, f.n)):
                 cubes = [atom.cube for _, atom in chunk]
-                hats = _piece_transforms([atom.block[0] for _, atom in chunk], cubes,
-                                         [[cube] for cube in cubes], cal.level(j))
-                cuts = _cut_to_support(LOG2 * ifft_data(hats, f.grid)[:, 0], cubes,
-                                       _reach(f.grid, j))
+                blocks = [atom.block[0] for _, atom in chunk]
+                if side:
+                    cuts = [(cube.box(margin=reach)[0], LOG2 * block, 0.0)
+                            for cube, block in zip(cubes, _project_boxes(np.stack(blocks), cal, j))]
+                else:
+                    hats = _piece_transforms(blocks, cubes, [[cube] for cube in cubes],
+                                             cal.level(j))
+                    cuts = _cut_to_support(LOG2 * ifft_data(hats, f.grid)[:, 0], cubes, reach)
                 sizes = l1l2_sizes(np.stack([block for _, block, _ in cuts])
                                    .reshape(len(chunk), -1, f.n, f.n), f.grid.cell_volume)
                 for (lam, atom), (origin, block, leak), size in zip(chunk, cuts, sizes.tolist()):
@@ -847,11 +1065,13 @@ def smooth_decompose_tl(f: OperatorField, alpha: float, K: int, L: int) -> Atomi
     trees for the strip part."""
 
     def high_atoms(tent_pairs, cal):
-        # one level (scale) at a time, in chunks of at most CHUNK_BYTES of pieces
+        # one level (scale) at a time, in chunks of at most CHUNK_BYTES of
+        # pieces, each over its cell's 2Q or over the full grid
         for j, run in groupby(tent_pairs, key=lambda pair: pair[1].j_lo):
             run = list(run)
             cells = len(_subatom_cells(run[0][1].cube))
-            for chunk in _chunks(run, cells * _field_bytes(f.grid, f.n)):
+            points = (2 * (f.grid.N >> j) if _grown_window(f.grid, j) else f.grid.N) ** f.grid.d
+            for chunk in _chunks(run, cells * _block_bytes(points, f.n)):
                 packed = _alpha_q_atoms([atom.block[0] * 2.0 ** (-j * alpha) for _, atom in chunk],
                                         [atom.cube for _, atom in chunk], j, cal, alpha, K, L)
                 for (lam, _), (rho, atom) in zip(chunk, packed):

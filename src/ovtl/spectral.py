@@ -254,8 +254,9 @@ class _EtaTable:
     edge and the right-accumulated tail resolves the upper edge, so phi
     stays strictly positive at every interior radius whose exact value is
     representable in float64 (values below the subnormal floor, reached
-    within ``positivity_margin`` of the boundary in the t variable, round
-    to zero in any double-precision implementation).  Dyadic dilates share
+    within a thin zone at the boundary in the t variable, 0.002 wide for the
+    default profile and 1e-9 for "poly", round to zero in any
+    double-precision implementation).  Dyadic dilates share
     the table, so partition sums telescope to machine round-off.
     """
 
@@ -268,10 +269,8 @@ class _EtaTable:
             inner = (t > 1.0) & (t < 2.0)
             ti = t[inner]
             w[inner] = np.exp(-1.0 / ((ti - 1.0) * (2.0 - ti)))
-            self.positivity_margin = 0.002
         elif kind == "poly":
             w = ((t - 1.0) * (2.0 - t)) ** 2
-            self.positivity_margin = 1e-9
         else:
             raise ValueError(f"unknown eta profile kind {kind!r}")
         seg = 0.5 * (w[1:] + w[:-1]) * (t[1] - t[0])
@@ -364,12 +363,6 @@ class LPFamily:
 
     def covered_mask(self) -> np.ndarray:
         return self.grid.freq_norm <= self.covered_radius + 1e-12
-
-    def square_sum(self) -> np.ndarray:
-        total = np.zeros(self.grid.shape)
-        for s in self.symbols:
-            total = total + s.values.real**2
-        return total
 
 
 def lp_family_j_max(grid: Grid) -> int:

@@ -23,7 +23,7 @@ from ovtl.fmult import SymbolSequence
 from ovtl.generators import band_limited_random, rng_for
 from ovtl.lattice import ConeIndex, DyadicCube, Grid
 from ovtl.opfield import OperatorField, StripField, _max_eigenvalue, gram, l1l2_sizes
-from ovtl.spectral import LPFamily, _eta
+from ovtl.spectral import LPFamily
 from ovtl.sqfn import LOG2
 
 
@@ -114,12 +114,25 @@ def op_cauchy_schwarz_scale(phi: np.ndarray, f: OperatorField) -> float:
     return _max_eigenvalue(gram_int) * phi_sq if phi_sq else 0.0
 
 
+# width (in the transition variable t) of the boundary zone where the exact
+# bump value of each eta profile kind lies below the float64 subnormal floor
+_POSITIVITY_MARGIN = {"default": 0.002, "poly": 1e-9}
+
+
 def lp_positivity_margin(kind: str = "default") -> float:
     """Width (in the transition variable) of the boundary zone where the
     exact bump value lies below the float64 subnormal floor."""
-    return _eta(kind).positivity_margin
+    return _POSITIVITY_MARGIN[kind]
+
+
+def square_sum(family: LPFamily) -> np.ndarray:
+    """sum_j phi^(j)(xi)^2 over the members of the family."""
+    total = np.zeros(family.grid.shape)
+    for s in family.symbols:
+        total = total + s.values.real**2
+    return total
 
 
 def sandwich_floor(family: LPFamily) -> float:
     """c_0^2 = min over covered frequencies of sum_j phi^(j)(xi)^2."""
-    return float(np.min(family.square_sum()[family.covered_mask()]))
+    return float(np.min(square_sum(family)[family.covered_mask()]))

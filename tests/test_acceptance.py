@@ -67,6 +67,7 @@ from helpers import (
     random_alpha_q_atom,
     random_strip,
     sandwich_floor,
+    square_sum,
 )
 
 GRID_1D = Grid(1, 1024)
@@ -179,7 +180,7 @@ def test_criterion_04_p2_sandwich():
         ok &= c0 * l2 <= val * (1 + 1e-12) and val <= l2 * (1 + 1e-12)
         # frequency-side identity
         fh = fft_forward(f).data
-        rhs = math.sqrt(float(np.sum(fam.square_sum()[..., None, None] * np.abs(fh) ** 2)))
+        rhs = math.sqrt(float(np.sum(square_sum(fam)[..., None, None] * np.abs(fh) ** 2)))
         worst_id = max(worst_id, abs(val - rhs) / rhs)
     ok &= worst_id <= 1e-12
     record(4, "p=2 sandwich c0 ||f||_2 <= ||f||_F0 <= ||f||_2, 50 seeds", ok,

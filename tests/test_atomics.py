@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ovtl import atomics
 from ovtl.errors import ResolutionError, ValidationError
 from ovtl.lattice import DyadicCube, Grid, box_indices, dyadic_cubes_at_level
 from ovtl.opfield import OperatorField, StripField, l1l2_sizes
@@ -11,13 +12,17 @@ from ovtl.atomics import (
     HAtom,
     LOG2,
     TentAtom,
+    _WINDOW_POINTS,
     _alpha_q_atoms,
     _bessel_weight,
     _cut_to_support,
+    _grown_window,
+    _project_boxes,
     _reach,
     _derivative_weights,
     _subatom_cells,
     _weighted_sizes,
+    _window_sizes,
     calderon_resolution,
     multi_indices,
     pointwise_multiply_test,
@@ -748,3 +753,112 @@ def test_level_batch_matches_one_cube_at_a_time(d, N, level):
         assert all(np.array_equal(s.block, s1.block)
                    for (_, s), (_, s1) in zip(atom.subatoms, atom1.subatoms))
     assert all(r.passed for r in validate_atoms([atom for _, atom in batch]))
+
+
+# ---------------------------------------------------------------------------
+# the window route: sizes and projections on a box alone
+# ---------------------------------------------------------------------------
+
+def _smooth_block(sides, n, rng):
+    """Data filling a box: a sin^4 profile that vanishes at the box's edges
+    times matrices varying linearly across it (full rank, not rank one)."""
+    t = [(np.arange(s) + 0.5) / s for s in sides]
+    mesh = np.meshgrid(*t, indexing="ij")
+    profile = np.prod([np.sin(np.pi * x) ** 4 for x in mesh], axis=0)
+    out = _cplx(rng, (n, n)) + sum(x[..., None, None] * _cplx(rng, (n, n)) for x in mesh)
+    return profile[..., None, None] * out
+
+
+# (d, N, side): the largest admitted window per dimension, and smaller ones
+_WINDOWS = [(1, 1024, 144), (1, 256, 16), (2, 32, 12), (2, 32, 4), (3, 16, 5), (3, 16, 2)]
+
+
+@pytest.mark.parametrize("d,N,side", _WINDOWS)
+def test_window_sizes_match_filtered_route(d, N, side):
+    # the derivative and Bessel sizes of data over a box, made on the box
+    # alone, are those of the filtered full-grid embedding, on boxes that
+    # wrap around the torus, at 1e+-150, on rank-one blocks (the
+    # near-singular branch) and on smooth data filling the box
+    grid = Grid(d, N)
+    assert 4 * side**d <= N**d and side**d <= _WINDOW_POINTS
+    rng = rng_for(890 + 10 * d + side)
+    n, K = 2, 2
+    gammas = multi_indices(d, K)
+    bessel = bessel_symbol(grid, 0.5).values
+    u, v = _cplx(rng, n), _cplx(rng, n)
+    cases = [("white", _cplx(rng, (side,) * d + (n, n)), 1.0),
+             ("smooth", _smooth_block((side,) * d, n, rng), 1.0),
+             ("rank-one", _cplx(rng, (side,) * d)[..., None, None] * np.outer(u, v.conj()), 1.0)]
+    cases += [("big", 1e150 * cases[0][1], 1e150), ("small", 1e-150 * cases[1][1], 1e-150)]
+    for origin in ((0,) * d, (N - side // 2,) * d, (N - 1,) + (N // 2,) * (d - 1)):
+        for name, block, scale in cases:
+            full = np.zeros(grid.shape + (n, n), dtype=complex)
+            full[np.ix_(*box_indices(grid, origin, block.shape[:d]))] = block / scale
+            got = _window_sizes(block[None], grid, "derivative", K)[0]
+            for gamma, size in zip(gammas, got.tolist()):
+                want = _filtered_size(multi_derivative_symbol(grid, gamma).values, full, grid)
+                assert size == pytest.approx(scale * want, rel=1e-12), (name, origin, gamma)
+            got_b = float(_window_sizes(block[None], grid, "bessel", 0.5)[0, 0])
+            assert got_b == pytest.approx(scale * _filtered_size(bessel, full, grid),
+                                          rel=1e-12), (name, origin)
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (1, 1024), (2, 32), (3, 16)])
+def test_local_projection_matches_symbol_route(d, N):
+    # the (box x cell) product of the level-j kernel is the transform route
+    # followed by the cut to the box grown by R_j, and the transform route
+    # leaves nothing outside that box: over a subatom cell (side N 2^-j) and
+    # over a cube (twice that), on boxes that wrap around the torus
+    grid = Grid(d, N)
+    cal = calderon_resolution(grid)
+    rng = rng_for(900 + d)
+    for j in range(1, cal.j_max + 1):
+        reach = _reach(grid, j)
+        for side in (N >> j, 2 * (N >> j)):
+            if side + 2 * reach >= N:
+                continue
+            block = _cplx(rng, (side,) * d + (2, 2))
+            origin = (N - side // 2,) * d
+            full = np.zeros(grid.shape + (2, 2), dtype=complex)
+            full[np.ix_(*box_indices(grid, origin, (side,) * d))] = block
+            want = apply_symbol_data(cal.level(j), full, grid)
+            box = np.ix_(*box_indices(grid, [o - reach for o in origin], (side + 2 * reach,) * d))
+            got = _project_boxes(block[None], cal, j)[0]
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want[box])) <= 1e-13 * scale, (j, side)
+            outside = want.copy()
+            outside[box] = 0
+            assert np.max(np.abs(outside)) <= 1e-13 * scale, (j, side)
+
+
+@pytest.mark.parametrize("target", ["h1", "tl"])
+@pytest.mark.parametrize("d,N", [(1, 256), (2, 32)])
+def test_fine_levels_make_no_full_grid_transform(target, d, N, monkeypatch):
+    # every full-grid transform of a decomposition is the source, its low
+    # part or a piece at a level that is not windowed; validating the atoms
+    # of windowed levels (and their subatoms) transforms nothing
+    grid = Grid(d, N)
+    fields, piece_levels = [], []
+    fft_data, piece_transforms = atomics.fft_data, atomics._piece_transforms
+
+    def counting_fft(data, grid):
+        fields.append(math.prod(data.shape[:-grid.d - 2]))
+        return fft_data(data, grid)
+
+    def recording_pieces(blocks, cubes, cells, symbol):
+        piece_levels.append((cubes[0].level, len(cubes) * len(cells[0])))
+        return piece_transforms(blocks, cubes, cells, symbol)
+
+    monkeypatch.setattr(atomics, "fft_data", counting_fft)
+    monkeypatch.setattr(atomics, "_piece_transforms", recording_pieces)
+    f = band_limited_random(grid, 2, 910 + d)
+    dec = smooth_decompose_h1(f) if target == "h1" else smooth_decompose_tl(f, 0.5, 1, 0)
+    assert dec.residual <= 1e-9
+    assert all(not _grown_window(grid, level + 1) for level, _ in piece_levels)
+    assert sum(fields) == 2 + sum(count for _, count in piece_levels)
+    fine = [a for _, a in dec.high_pairs if _grown_window(grid, a.cube.level + 1)]
+    assert len(fine) > len(dec.high_pairs) // 2
+    assert all(a.support_leak == 0.0 for a in fine)
+    fields.clear()
+    assert all(r.passed for r in validate_atoms(fine))
+    assert fields == []

@@ -32,7 +32,7 @@ from ovtl.sqfn import (
     square_norm,
     strip_levels,
 )
-from helpers import ball_measure, random_strip
+from helpers import ball_measure, random_strip, square_sum
 
 
 def accumulate(f, levels, cone=None):
@@ -97,7 +97,7 @@ def test_g_radial_p2_identity(grid64, fam64):
     out = root(accumulate(f, lp_levels(fam64, 0.0)))
     lhs = trace_lp_norm(out, 2.0) ** 2
     fh = fft_forward(f).data
-    sq = fam64.square_sum()
+    sq = square_sum(fam64)
     rhs = float(np.sum(sq[..., None, None] * np.abs(fh) ** 2))
     assert abs(lhs - rhs) < 1e-12 * rhs
 
