@@ -35,9 +35,12 @@ from .lattice import (
     Grid,
     box_indices,
     cube_blocks,
+    cube_boxes,
     dyadic_cubes_at_level,
+    in_boxes,
+    outer_axes,
     periodic_block_sum,
-    subcube_order,
+    subcube_orders,
     wrap_half,
 )
 from .normsuite import hardy_norm, tl_norm_column
@@ -56,13 +59,12 @@ from .spectral import (
 from .sqfn import LOG2
 
 
-def multi_indices(d: int, max_order: int) -> list[tuple[int, ...]]:
-    """All gamma in N_0^d with |gamma|_1 <= max_order, lexicographic."""
-    out = []
-    for gamma in iproduct(range(max_order + 1), repeat=d):
-        if sum(gamma) <= max_order:
-            out.append(gamma)
-    return sorted(out, key=lambda g: (sum(g), g))
+@lru_cache(maxsize=None)
+def multi_indices(d: int, max_order: int) -> tuple[tuple[int, ...], ...]:
+    """All gamma in N_0^d with |gamma|_1 <= max_order, by |gamma|_1 and then
+    lexicographic; built once per (d, max_order)."""
+    return tuple(sorted((g for g in iproduct(range(max_order + 1), repeat=d)
+                         if sum(g) <= max_order), key=lambda g: (sum(g), g)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +197,41 @@ def _energy_outside(data: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return np.sqrt(energy.sum(axis=-1) / np.where(total > 0, total, 1.0))
 
 
+def _cube_arrays(cubes: list) -> tuple:
+    """(levels (B,), per-axis indices (d, B)) of ``cubes``: the arguments of
+    :func:`cube_boxes` for all of them at once."""
+    return (np.array([c.level for c in cubes]),
+            np.array([c.index for c in cubes]).reshape(len(cubes), -1).T)
+
+
+def _origins(starts) -> list:
+    """The per-axis start indices (d, B) of B boxes as B tuples of ints."""
+    return list(zip(*np.asarray(starts).tolist()))
+
+
+def _box_points(grid: Grid, origins, sides) -> tuple:
+    """Index of the points of the periodic box at ``origins[:, b]``
+    (per-axis, (d, B)) with ``sides`` in row b of a (B, *grid.shape, ...)
+    array, for the (B, *sides) gather or scatter of every box at once."""
+    rows = np.arange(len(origins[0])).reshape((-1,) + (1,) * grid.d)
+    return (rows,) + tuple(outer_axes(box_indices(grid, origins, sides)))
+
+
 def _cut_to_support(fulls: np.ndarray, cubes: list, reach: int) -> list:
     """(origin, block, leak) per cube: the block of the full-grid data
     ``fulls[b]`` over ``cubes[b]`` grown by ``reach`` cells on every side,
-    and the relative L2 energy outside that box that the cut drops.
+    and the relative L2 energy outside that box that the cut drops.  The
+    cubes share one level, so their boxes share one side.
 
     Level-j projections of data over a cube stay in the cube grown by the
     kernel's reach R_j (:func:`_reach`), inside 2Q; for a level-j subatom
     cell that box is its 2Q."""
+    grid = cubes[0].grid
+    starts, sides = cube_boxes(grid, *_cube_arrays(cubes), margin=reach)
+    points = _box_points(grid, starts, (int(sides[0]),) * grid.d)
     inside = np.zeros(fulls.shape[:-2], dtype=bool)
-    cuts = []
-    for b, cube in enumerate(cubes):
-        origin, side = cube.box(margin=reach)
-        box = np.ix_(*box_indices(cube.grid, origin, (side,) * cube.grid.d))
-        inside[b][box] = True
-        cuts.append((origin, fulls[b][box]))
-    return [cut + (leak,) for cut, leak in zip(cuts, _energy_outside(fulls, inside).tolist())]
+    inside[points] = True
+    return list(zip(_origins(starts), fulls[points], _energy_outside(fulls, inside).tolist()))
 
 
 @dataclass
@@ -417,8 +438,8 @@ def _group_key(atom) -> tuple:
     """What atoms validated in one stack share: grid, block shape, size route
     (("spatial", volume) on the stored block, or ("derivative", K) /
     ("bessel", alpha) on the window of the stored block or on the transform
-    of its full-grid embedding) and the
-    largest |beta|_1 of the moments they must cancel (-1 for none)."""
+    of its full-grid embedding), the largest |beta|_1 of the moments they must
+    cancel (-1 for none) and kind, so that a stack has one list of clauses."""
     grid, kind = atom.grid, atom.kind
     if kind == "h_atom":
         route, order = ("spatial", grid.cell_volume), 0 if atom.mean_zero_required else -1
@@ -428,139 +449,211 @@ def _group_key(atom) -> tuple:
         route, order = ("bessel", atom.alpha), -1
     else:
         route, order = ("derivative", atom.K), atom.L if kind == "subatom" else -1
-    return grid, atom.block.shape, route, order
+    return grid, atom.block.shape, route, order, kind
 
 
-def _measure(chunk: list, key: tuple) -> list:
-    """(sizes, support, moments) of each atom of ``chunk``, atoms sharing the
-    :func:`_group_key` ``key``, from one stack of their blocks: the sizes of
-    the key's route; the relative L2 energy off Q (off 2Q for double-support
-    and smooth atoms; None for tent atoms), the larger of the energy cut off
-    when the atom was stored and the energy its block holds there; and
-    ({beta: |moment|}, l1 mass) of the centered discrete moments
-    sum_s h^d s_per^beta a(s) of the block, or None."""
-    grid, _, (route, arg), L = key
-    first, B, n = chunk[0], len(chunk), chunk[0].n
-    blocks = np.stack([a.block for a in chunk])
-    idxs = [getattr(a, "axis_idx", None) for a in chunk]
+def _sizes(blocks: np.ndarray, origins: np.ndarray, key: tuple) -> np.ndarray:
+    """Sizes (B, rows) of the key's route of stacked ``blocks`` stored at
+    per-axis ``origins`` (d, B): on the blocks (spatial), on their windows,
+    or on the transforms of their full-grid embeddings."""
+    grid, _, (route, arg), _, _ = key
+    B, n = len(blocks), blocks.shape[-1]
     if route == "spatial":
-        sizes = l1l2_sizes(blocks.reshape(B, -1, n, n), arg)[:, None]
-    elif _windowed(grid, blocks.shape[1:grid.d + 1]):
-        sizes = _window_sizes(blocks, grid, route, arg)
+        return l1l2_sizes(blocks.reshape(B, -1, n, n), arg)[:, None]
+    sides = blocks.shape[1:grid.d + 1]
+    if _windowed(grid, sides):
+        return _window_sizes(blocks, grid, route, arg)
+    full = np.zeros((B,) + grid.shape + (n, n), dtype=np.complex128)
+    full[_box_points(grid, origins, sides)] = blocks
+    weights = _bessel_weight(grid, arg) if route == "bessel" else _derivative_weights(grid, arg)
+    return _weighted_sizes(fft_data(full, grid), grid, weights)
+
+
+def _moments(blocks: np.ndarray, axes: list, levels: np.ndarray, indices: np.ndarray,
+             key: tuple) -> tuple:
+    """(betas, |moment| (B, betas), l1 mass (B,)) of the centered discrete
+    moments sum_s h^d s_per^beta a(s), |beta|_1 <= L (the mean of an h_atom),
+    of ``blocks`` over the boxes with per-axis indices ``axes`` (B, side),
+    about the centers of the cubes (levels (B,), indices (d, B)), each
+    offset taken in the half-open cell [-1/2, 1/2)."""
+    grid, _, _, L, kind = key
+    B, d, n = len(blocks), grid.d, blocks.shape[-1]
+    flat = blocks.reshape(B, -1, n * n)
+    if kind == "h_atom":
+        betas = ((0,) * d,)
+        moments = np.sum(blocks, axis=tuple(range(1, d + 1))).reshape(B, 1, n * n)
     else:
-        full = np.zeros((B,) + grid.shape + (n, n), dtype=np.complex128)
-        for b, idx in enumerate(idxs):
-            full[(b,) + np.ix_(*idx)] = blocks[b]
-        weights = _bessel_weight(grid, arg) if route == "bessel" else _derivative_weights(grid, arg)
-        sizes = _weighted_sizes(fft_data(full, grid), grid, weights)
-    if first.kind == "tent_atom":
-        return [(s, None, None) for s in sizes.tolist()]
-    inside = np.stack([a.cube.box_mask(idx, a.double_support) for a, idx in zip(chunk, idxs)])
-    support = np.maximum(_energy_outside(blocks, inside), [a.support_leak for a in chunk])
-    if L < 0:
-        return [(s, r, None) for s, r in zip(sizes.tolist(), support.tolist())]
-    if first.kind == "h_atom":  # the mean
-        betas = [(0,) * grid.d]
-        moments = [np.sum(blocks, axis=tuple(range(1, grid.d + 1)))]
-    else:
-        offsets = []  # signed periodic offsets from the cube centers, per axis
-        for ax in range(grid.d):
-            delta = (np.array([idx[ax] for idx in idxs]) * grid.h
-                     - np.array([a.cube.center[ax] for a in chunk])[:, None])
-            shape = (B,) + (1,) * ax + (-1,) + (1,) * (grid.d - ax - 1)
-            offsets.append(wrap_half(delta).reshape(shape))
-        betas = multi_indices(grid.d, L)
-        flat = blocks.reshape(B, -1, n * n)
-        moments = [np.matmul(reduce(np.multiply, [x**b for x, b in zip(offsets, beta)])
-                             .reshape(B, 1, -1), flat)[:, 0] for beta in betas]
+        centers = indices * np.ldexp(1.0, -levels)
+        offsets = outer_axes([wrap_half(idx * grid.h - center[:, None])
+                              for center, idx in zip(centers, axes)])
+        betas = multi_indices(d, L)
+        moments = np.stack([np.matmul(reduce(np.multiply, [x**b for x, b in zip(offsets, beta)])
+                                      .reshape(B, 1, -1), flat)[:, 0] for beta in betas], axis=1)
+    moments = moments * grid.cell_volume
+    # |m| from the dot products of its real and imaginary parts, as np.linalg.norm
+    norms = np.sqrt((moments.real[..., None, :] @ moments.real[..., None])[..., 0, 0]
+                    + (moments.imag[..., None, :] @ moments.imag[..., None])[..., 0, 0])
     l1 = np.sum(np.abs(blocks), axis=tuple(range(1, blocks.ndim))) * grid.cell_volume
-    return [(s, r, ({beta: float(np.linalg.norm(m[b] * grid.cell_volume))
-                     for beta, m in zip(betas, moments)}, l1_b))
-            for b, (s, r, l1_b) in enumerate(zip(sizes.tolist(), support.tolist(), l1.tolist()))]
+    return betas, norms, l1
 
 
-def _box_sums(grid: Grid, box: tuple, term_lists: list, tail: tuple) -> list:
-    """sum_k c_k B_k for each list of (c_k, origin_k, B_k) terms, blocks
-    with trailing axes ``tail``, over the periodic box (origin, side) ``box``
-    when every block lies in it, else over the torus
-    (:func:`periodic_block_sum`), for all lists alike."""
-    (origin, side), N = box, grid.N
-    terms = [term for terms in term_lists for term in terms]
-    offsets = [[(o - p) % N for o, p in zip(org, origin)] for _, org, _ in terms]
-    if side >= N or any(off + s > side for offs, (_, _, block) in zip(offsets, terms)
-                        for off, s in zip(offs, block.shape)):
-        return [periodic_block_sum(grid, terms, tail) for terms in term_lists]
-    sums, offsets = [], iter(offsets)
-    for terms in term_lists:
-        buf = np.zeros((side,) * grid.d + tail, dtype=np.complex128)
-        for (c, _, block), offs in zip(terms, offsets):
-            buf[tuple(slice(off, off + s) for off, s in zip(offs, block.shape))] += c * block
-        sums.append(buf)
-    return sums
+def _reconstruction_devs(chunk: list, terms: list, starts: np.ndarray,
+                         sides: np.ndarray) -> np.ndarray:
+    """max |sum_l d_l a_l - a| / max |a| of each alpha_q atom of ``chunk``,
+    with 2Q boxes (per-axis starts (d, B), sides (B,)) and subatom
+    ``terms`` (atom, slot, d_l, a_l).
+
+    Atoms whose terms (the atom and its subatoms) all lie in 2Q, below the
+    torus, are summed in (atoms x 2Q) buffers, one subatom slot at a time in
+    the subatoms' order, so every sum is the sequential one; the others are
+    summed on the torus (:func:`periodic_block_sum`)."""
+    grid, shape = chunk[0].grid, chunk[0].block.shape
+    N, d, tail = grid.N, grid.d, (chunk[0].n,) * 2
+    rows = np.array([b for b, *_ in terms], dtype=int)
+    own = (np.array([a.origin for a in chunk]).reshape(-1, d).T - starts) % N
+    offs = (np.array([sub.origin for *_, sub in terms]).reshape(-1, d).T - starts[:, rows]) % N
+    ends = offs + np.array([sub.block.shape[:d] for *_, sub in terms]).reshape(-1, d).T
+    fits = (sides < N) & np.all(own + np.array(shape[:d])[:, None] <= sides, axis=0)
+    fits[rows[np.any(ends > sides[rows], axis=0)]] = False
+    devs = np.empty(len(chunk))
+    for b in np.flatnonzero(~fits).tolist():
+        a = chunk[b]
+        full = periodic_block_sum(grid, [(1.0, a.origin, a.block)], tail)
+        recon = periodic_block_sum(grid, [(d_c, sub.origin, sub.block) for d_c, sub in a.subatoms],
+                                   tail)
+        devs[b] = float(np.max(np.abs(recon - full))) / max(float(np.max(np.abs(full))), 1e-300)
+    for side in np.unique(sides[fits]).tolist():
+        box = np.flatnonzero(fits & (sides == side))
+        local = np.full(len(chunk), -1)
+        local[box] = np.arange(len(box))
+        # offsets in 2Q stay below side < N, so _box_points' wraparound is none
+        full = np.zeros((len(box),) + (side,) * d + tail, dtype=np.complex128)
+        full[_box_points(grid, own[:, box], shape[:d])] += 1.0 * np.stack([chunk[b].block
+                                                                        for b in box.tolist()])
+        slots = {}
+        for t, (b, k, _, sub) in enumerate(terms):
+            if local[b] >= 0:
+                slots.setdefault((k, sub.block.shape), []).append(t)
+        recon = np.zeros_like(full)
+        for (_, sub_shape), ts in sorted(slots.items(), key=lambda item: item[0][0]):
+            coefs = np.array([terms[t][2] for t in ts]).reshape((-1,) + (1,) * (d + 2))
+            points = _box_points(grid, offs[:, ts], sub_shape[:d])
+            recon[(local[rows[ts]].reshape(points[0].shape),) + points[1:]] += \
+                coefs * np.stack([terms[t][3].block for t in ts])
+        scale = np.maximum(np.abs(full).reshape(len(box), -1).max(axis=1), 1e-300)
+        devs[box] = np.abs(recon - full).reshape(len(box), -1).max(axis=1) / scale
+    return devs
 
 
-def _report(atom, sizes: list, support, moments, sub_reports: list) -> ValidationReport:
-    """Clauses of one atom from its measurements and its subatoms' reports."""
-    grid, kind = atom.grid, atom.kind
-    bound = atom.cube.volume**-0.5 * (1.0 + SIZE_SLACK)
+def _alpha_q_columns(chunk: list, levels: np.ndarray, indices: np.ndarray,
+                     bound: np.ndarray) -> list:
+    """The coefficient_l2, subcube_order and subatom_reconstruction clause
+    columns of the alpha_q atoms of ``chunk``, on cubes (levels (B,),
+    indices (d, B))."""
+    grid, B = chunk[0].grid, len(chunk)
+    terms = [(b, k, d_c, sub) for b, a in enumerate(chunk)
+             for k, (d_c, sub) in enumerate(a.subatoms)]
+    if any(sub.grid != grid for *_, sub in terms):
+        raise ValueError("cubes live on different grids")
+    rows = np.array([b for b, *_ in terms], dtype=int)
+    squares = np.zeros((B, max(len(a.subatoms) for a in chunk)))
+    squares[rows, [k for _, k, *_ in terms]] = [abs(d_c) ** 2 for _, _, d_c, _ in terms]
+    total = np.zeros(B)
+    for column in squares.T:  # slot by slot: the sequential sum
+        total = total + column
+    ordered = np.ones(B, dtype=bool)
+    if terms:
+        ordered[rows[~subcube_orders(grid, *_cube_arrays([sub.cube for *_, sub in terms]),
+                                     levels[rows], indices[:, rows])]] = False
+    starts, sides = cube_boxes(grid, levels, indices, double=True)
+    return [("coefficient_l2", np.sqrt(total), bound),
+            ("subcube_order", np.where(ordered, 0.0, 1.0), 0.5),
+            ("subatom_reconstruction",
+             _reconstruction_devs(chunk, terms, np.array(starts), sides), 1e-10)]
+
+
+def _clause_rows(chunk: list, key: tuple) -> tuple:
+    """(names, measured (B, C), bound (B, C)) of the clauses of the atoms of
+    ``chunk``, which share the :func:`_group_key` ``key``, in report order;
+    the subatoms_valid clauses of alpha_q atoms are left to the caller.
+
+    The support is the relative L2 energy off Q (off 2Q for double-support
+    and smooth atoms), the larger of the energy cut off when the atom was
+    stored and the energy its block holds there."""
+    grid, shape, (route, arg), L, kind = key
+    d, B = grid.d, len(chunk)
+    blocks = np.stack([a.block for a in chunk])
+    cubes = [a.cube for a in chunk]
+    levels, indices = _cube_arrays(cubes)
+    # bounds that take a power, once per distinct level, in python floats
+    by_level = {c.level: c for c in cubes}
+    unit = {lv: c.volume**-0.5 * (1.0 + SIZE_SLACK) for lv, c in by_level.items()}
+    size_bound = np.array([unit[lv] for lv in levels.tolist()])
     if kind == "tent_atom":
-        in_tent = (atom.j_lo >= max(atom.cube.level, 1)
-                   and atom.scales.stop - 1 <= lp_family_j_max(grid))
-        clauses = [Clause("support_in_tent", 0.0 if in_tent else 1.0, 0.5)]
-    else:
-        # the paper's remark fixes support of the pieces in 2Q of their own
-        # cubes; the assembled alpha_q atom then lives in the union, inside
-        # 4Q_{k,m}; we check it against 2Q of the base cube, which our
-        # single-scale construction satisfies.
-        clauses = [Clause("support" if kind == "h_atom" else "support_2Q",
-                          support, SUPPORT_RTOL)]
-    if kind in ("h_atom", "tent_atom"):
-        clauses.append(Clause("size", sizes[0], bound))
+        j_lo = np.array([a.j_lo for a in chunk])
+        in_tent = (j_lo >= np.maximum(levels, 1)) & (j_lo + shape[0] - 1 <= lp_family_j_max(grid))
+        columns = [("support_in_tent", np.where(in_tent, 0.0, 1.0), 0.5),
+                   ("size", _sizes(blocks, None, key)[:, 0], size_bound)]
+        return _table(columns, B)
+    origins = np.array([a.origin for a in chunk]).reshape(B, d).T
+    sizes = _sizes(blocks, origins, key)
+    axes = box_indices(grid, origins, shape[:d])
+    inside = in_boxes(grid, *cube_boxes(grid, levels, indices,
+                                        np.array([a.double_support for a in chunk])), axes)
+    support = np.maximum(_energy_outside(blocks, inside), [a.support_leak for a in chunk])
+    columns = [("support" if kind == "h_atom" else "support_2Q", support, SUPPORT_RTOL)]
+    if kind == "h_atom":
+        columns.append(("size", sizes[:, 0], size_bound))
     elif kind == "alpha_q":
-        clauses.append(Clause("bessel_size", sizes[0], bound))
-        coef_l2 = math.sqrt(sum(abs(d) ** 2 for d, _ in atom.subatoms))
-        clauses.append(Clause("coefficient_l2", coef_l2, bound))
-        order_ok = all(subcube_order(sub.cube, atom.cube) for _, sub in atom.subatoms)
-        clauses.append(Clause("subcube_order", 0.0 if order_ok else 1.0, 0.5))
-        full, recon = _box_sums(grid, atom.cube.box(double=True), [
-            [(1.0, atom.origin, atom.block)],
-            [(d_c, sub.origin, sub.block) for d_c, sub in atom.subatoms]], (atom.n, atom.n))
-        scale = max(float(np.max(np.abs(full))), 1e-300)
-        dev = float(np.max(np.abs(recon - full))) / scale
-        clauses.append(Clause("subatom_reconstruction", dev, 1e-10))
-        for rep in sub_reports:
-            clauses.append(Clause("subatoms_valid", 0.0 if rep.passed else 1.0, 0.5))
-            if not rep.passed:
-                break
+        columns.append(("bessel_size", sizes[:, 0], size_bound))
+        columns += _alpha_q_columns(chunk, levels, indices, size_bound)
     else:
-        for gamma, s in zip(multi_indices(grid.d, atom.K), sizes):
-            b_gamma = 1.0 + SIZE_SLACK
-            if kind == "subatom":
-                b_gamma *= atom.cube.volume ** (atom.alpha / grid.d - sum(gamma) / grid.d)
-            clauses.append(Clause(f"derivative{gamma}", s, b_gamma))
-    if moments is not None:
-        devs, l1_mass = moments
-        bound_m = MOMENT_RTOL * max(l1_mass, 1e-300)
-        for beta, dev in devs.items():
-            clauses.append(Clause("moment" if kind == "h_atom" else f"moment{beta}", dev, bound_m))
-    return ValidationReport(kind, clauses)
+        gammas = multi_indices(d, arg)
+        if kind == "subatom":
+            keys = [(a.cube.level, a.alpha) for a in chunk]
+            table = {(lv, al): [(1.0 + SIZE_SLACK) * by_level[lv].volume ** (al / d - sum(g) / d)
+                                for g in gammas] for lv, al in set(keys)}
+            bounds = np.array([table[k] for k in keys])
+        else:
+            bounds = np.full((B, len(gammas)), 1.0 + SIZE_SLACK)
+        columns += [(f"derivative{g}", sizes[:, r], bounds[:, r]) for r, g in enumerate(gammas)]
+    if L >= 0:
+        betas, norms, l1 = _moments(blocks, axes, levels, indices, key)
+        bound_m = MOMENT_RTOL * np.maximum(l1, 1e-300)
+        columns += [("moment" if kind == "h_atom" else f"moment{beta}", norms[:, k], bound_m)
+                    for k, beta in enumerate(betas)]
+    return _table(columns, B)
+
+
+def _table(columns: list, B: int) -> tuple:
+    """(names, measured (B, C), bound (B, C)) from (name, measured, bound)
+    columns, each value a (B,) array or a scalar."""
+    measured, bound = np.empty((B, len(columns))), np.empty((B, len(columns)))
+    for k, (_, m, b) in enumerate(columns):
+        measured[:, k], bound[:, k] = m, b
+    return [c[0] for c in columns], measured, bound
 
 
 def validate_atoms(atoms: Sequence) -> list:
     """Clause-by-clause reports of Hardy, tent and smooth atoms, in order;
     failures are data, not exceptions.
 
-    Every size is recomputed from the stored blocks.  The atoms and the
-    subatoms of alpha_q atoms are grouped by grid, block shape, size route
-    and moment order, and each group is stacked in chunks of at most
-    CHUNK_BYTES.  Derivative and Bessel sizes of blocks over windowed boxes
-    (:func:`_windowed`) come from the window factors on the stored blocks
-    (:func:`_window_sizes`), with chunks counted in block bytes; larger
-    boxes are embedded in the full grid, in chunks counted in full-grid
-    bytes, for one transform per chunk.  Each chunk then takes one size
-    call and one product per moment.  Every stacked size row has its own
-    power-of-two rescale and every window product its own fixed shape, so
-    a report does not depend on the batch its atom is validated in.
+    Every clause is recomputed from the stored blocks.  The atoms and the
+    subatoms of alpha_q atoms are grouped by grid, block shape, size route,
+    moment order and kind, and each group is validated in chunks of at most
+    CHUNK_BYTES, each in a fixed number of array passes whatever the number
+    of atoms: the sizes (:func:`_sizes`: derivative and Bessel sizes of
+    blocks over windowed boxes come from the window factors on the stored
+    blocks, with chunks counted in block bytes; larger boxes are embedded in
+    the full grid, in chunks counted in full-grid bytes, for one transform
+    per chunk), the support masks from the cubes' boxes (:func:`cube_boxes`),
+    the moments and l1 masses, and for alpha_q atoms the coefficient norms,
+    the subcube orders and the subatom sums on 2Q
+    (:func:`_reconstruction_devs`).  Each chunk gives one row of measured
+    values and bounds per atom, from which the reports are built.  Every
+    stacked size row has its own power-of-two rescale and every window
+    product its own fixed shape, so a report does not depend on the batch
+    its atom is validated in.
     """
     atoms = list(atoms)
     entries = atoms + [sub for a in atoms if getattr(a, "kind", None) == "alpha_q"
@@ -572,19 +665,29 @@ def validate_atoms(atoms: Sequence) -> list:
         if atom.kind not in ("h_atom", "tent_atom", "alpha_one", "subatom", "alpha_q"):
             raise ValueError(f"unknown smooth atom kind {atom.kind!r}")
         groups.setdefault(_group_key(atom), []).append(i)
-    measured = [None] * len(entries)
+    rows = [None] * len(entries)
+    passed = np.zeros(len(entries), dtype=bool)
     for key, idx in groups.items():
-        grid, shape, (route, _), _ = key
+        grid, shape, (route, _), _, _ = key
         local = route == "spatial" or _windowed(grid, shape[:grid.d])
         item_bytes = math.prod(shape) * 16 if local else _block_bytes(grid.N**grid.d, shape[-1])
         for chunk in _chunks(idx, item_bytes):
-            for i, m in zip(chunk, _measure([entries[i] for i in chunk], key)):
-                measured[i] = m
-    subs = iter([_report(sub, *measured[i], [])
-                 for i, sub in enumerate(entries[len(atoms):], len(atoms))])
-    return [_report(atom, *measured[i],
-                    [next(subs) for _ in atom.subatoms] if atom.kind == "alpha_q" else [])
-            for i, atom in enumerate(atoms)]
+            names, measured, bound = _clause_rows([entries[i] for i in chunk], key)
+            passed[chunk] = np.all(measured <= bound, axis=1)
+            for i, m, b in zip(chunk, measured.tolist(), bound.tolist()):
+                rows[i] = (names, m, b)
+    passed = passed.tolist()
+    reports, start = [], len(atoms)
+    for i, atom in enumerate(atoms):
+        clauses = [Clause(*c) for c in zip(*rows[i])]
+        if atom.kind == "alpha_q":
+            ok = passed[start:start + len(atom.subatoms)]
+            start += len(atom.subatoms)
+            # one clause per subatom, up to the first that fails
+            clauses += [Clause("subatoms_valid", 0.0 if p else 1.0, 0.5)
+                        for p in (ok[:ok.index(False) + 1] if False in ok else ok)]
+        reports.append(ValidationReport(atom.kind, clauses))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -886,13 +989,16 @@ def _window_pieces(blocks: list, cubes: list, cells: list, j: int, cal: Calderon
     sizes = _window_sizes(pieces.reshape((-1,) + pieces.shape[2:]), grid, "derivative", K)
     g_sizes = _window_sizes(atoms, grid, "bessel", alpha)[:, 0]
     # each cube's cells in the order of _subatom_cells, by their place
-    origins = [cube.box(margin=R)[0] for cube in cubes]
-    order = np.array([[np.ravel_multi_index([(o - a) % grid.N // c for o, a in
-                                             zip(cell.box()[0], origin)], (3,) * d)
-                       for cell in cube_cells] for origin, cube_cells in zip(origins, cells)])
-    piece_cuts = [(cell.box(double=True)[0], pieces[b, k], 0.0)
-                  for b, cube_cells in enumerate(cells) for cell, k in zip(cube_cells, order[b])]
-    atom_cuts = [(origin, atom, 0.0) for origin, atom in zip(origins, atoms)]
+    origins = cube_boxes(grid, *_cube_arrays(cubes), margin=R)[0]
+    levels, indices = _cube_arrays([cell for cube_cells in cells for cell in cube_cells])
+    starts, homes = (np.array(cube_boxes(grid, levels, indices, double)[0])
+                     for double in (False, True))
+    places = (starts.reshape(d, B, -1) - np.array(origins)[:, :, None]) % grid.N // c
+    order = np.ravel_multi_index(places, (3,) * d)
+    homes = iter(_origins(homes))
+    piece_cuts = [(next(homes), pieces[b, k], 0.0)
+                  for b, ks in enumerate(order.tolist()) for k in ks]
+    atom_cuts = [(origin, atom, 0.0) for origin, atom in zip(_origins(origins), atoms)]
     return piece_cuts, atom_cuts, sizes.reshape(B, 3**d, -1)[np.arange(B)[:, None], order], g_sizes
 
 
@@ -1030,8 +1136,9 @@ def smooth_decompose_h1(f: OperatorField, K: int = 1) -> AtomicDecomposition:
                 cubes = [atom.cube for _, atom in chunk]
                 blocks = [atom.block[0] for _, atom in chunk]
                 if side:
-                    cuts = [(cube.box(margin=reach)[0], LOG2 * block, 0.0)
-                            for cube, block in zip(cubes, _project_boxes(np.stack(blocks), cal, j))]
+                    origins = _origins(cube_boxes(f.grid, *_cube_arrays(cubes), margin=reach)[0])
+                    cuts = [(origin, LOG2 * block, 0.0) for origin, block
+                            in zip(origins, _project_boxes(np.stack(blocks), cal, j))]
                 else:
                     hats = _piece_transforms(blocks, cubes, [[cube] for cube in cubes],
                                              cal.level(j))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -135,15 +136,9 @@ class DyadicCube:
 
     def box(self, double: bool = False, margin: int = 0) -> tuple[tuple[int, ...], int]:
         """(per-axis start index, side in cells) of Q grown by ``margin``
-        cells on every side; 2Q (``double``) is the margin of half a side.
-        A grown box is the whole torus, from index 0, once its side reaches
-        N.  A level-0 Q starts at N/2."""
-        N, side = self.grid.N, self.side_cells
-        margin = side // 2 if double else margin
-        span = side + 2 * margin
-        if margin and span >= N:
-            return (0,) * self.grid.d, N
-        return tuple((i * side - side // 2 - margin) % N for i in self.index), span
+        cells on every side, or 2Q (``double``); see :func:`cube_boxes`."""
+        starts, side = cube_boxes(self.grid, self.level, self.index, double, margin)
+        return tuple(starts), side
 
     def axis_indices(self, double: bool = False) -> list[np.ndarray]:
         """Per-axis lattice indices of the points of Q (2Q when ``double``)."""
@@ -153,18 +148,57 @@ class DyadicCube:
     def box_mask(self, axis_idx, double: bool = False) -> np.ndarray:
         """Membership in Q (in 2Q when ``double``) of the lattice points whose
         per-axis indices are ``axis_idx``; half-open per axis, periodic."""
-        origin, side = self.box(double)
-        return reduce(np.logical_and.outer, [(np.asarray(idx) - o) % self.grid.N < side
-                                             for idx, o in zip(axis_idx, origin)])
+        return in_boxes(self.grid, *cube_boxes(self.grid, self.level, self.index, double),
+                        axis_idx)
 
     def mask(self, double: bool = False) -> np.ndarray:
         """Membership mask of Q (2Q when ``double``) over the grid."""
         return self.box_mask([np.arange(self.grid.N)] * self.grid.d, double)
 
 
+def cube_boxes(grid: Grid, levels, index, double=False, margin=0) -> tuple:
+    """(per-axis start indices, sides in cells) of the cubes at ``levels``
+    with per-axis indices ``index``, each grown by ``margin`` cells on every
+    side, or by half its side where ``double`` holds (2Q).  A grown box is
+    the whole torus, from index 0, once its side reaches N.  A level-0 Q
+    starts at N/2.
+
+    The one box formula: :meth:`DyadicCube.box`, :meth:`DyadicCube.box_mask`
+    and :func:`subcube_order` are this function on one cube's python ints;
+    on (B,) arrays of levels, flags and per-axis indices it places B cubes
+    at once.  Flags select by integer arithmetic, which both take."""
+    N = grid.N
+    side = N >> levels
+    margin = double * (side // 2) + (1 - double) * margin
+    span = side + 2 * margin
+    torus = (margin != 0) & (span >= N)
+    starts = [(i * side - side // 2 - margin) % N * (1 - torus) for i in index]
+    return starts, span + (N - span) * torus
+
+
+def outer_axes(per_axis) -> list[np.ndarray]:
+    """The d per-axis arrays (..., s_ax) reshaped to broadcast together to
+    (..., s_0, ..., s_{d-1}): np.ix_ for each leading index."""
+    d = len(per_axis)
+    return [np.reshape(a, np.shape(a)[:-1] + (1,) * ax + (-1,) + (1,) * (d - ax - 1))
+            for ax, a in enumerate(per_axis)]
+
+
 def box_indices(grid: Grid, origin, sides) -> list[np.ndarray]:
-    """Per-axis lattice indices of the periodic box starting at ``origin``."""
-    return [(o + np.arange(s)) % grid.N for o, s in zip(origin, sides)]
+    """Per-axis lattice indices of the periodic box starting at ``origin``;
+    an entry of ``origin`` may be an array (...), giving indices (..., side)."""
+    return [(np.asarray(o)[..., None] + np.arange(s)) % grid.N for o, s in zip(origin, sides)]
+
+
+def in_boxes(grid: Grid, starts, sides, axis_idx) -> np.ndarray:
+    """Membership in the periodic boxes with per-axis ``starts`` (each a
+    scalar or (B,)) and ``sides`` (scalar or (B,)) of the lattice points
+    whose per-axis indices are ``axis_idx[ax]`` ((s_ax,) or (B, s_ax));
+    shape ([B,] s_0, ..., s_{d-1}), half-open per axis."""
+    sides = np.asarray(sides)[..., None]
+    return reduce(np.logical_and, outer_axes(
+        [(np.asarray(idx) - np.asarray(start)[..., None]) % grid.N < sides
+         for start, idx in zip(starts, axis_idx)]))
 
 
 def periodic_block_sum(grid: Grid, terms, tail: tuple) -> np.ndarray:
@@ -210,6 +244,17 @@ def dyadic_cubes_at_level(grid: Grid, level: int) -> list[DyadicCube]:
             for idx in itertools.product(range(1 << level), repeat=grid.d)]
 
 
+def subcube_orders(grid: Grid, levels_a, index_a, levels_b, index_b):
+    """:func:`subcube_order` of the cubes (levels_a, index_a) against the
+    cubes (levels_b, index_b), pair by pair, scalars or (B,) arrays as in
+    :func:`cube_boxes`."""
+    (start_a, side_a), (start_b, side_b) = (cube_boxes(grid, levels_a, index_a),
+                                            cube_boxes(grid, levels_b, index_b, double=True))
+    within = reduce(operator.and_, [(sa - sb) % grid.N + side_a <= side_b
+                                    for sa, sb in zip(start_a, start_b)])
+    return (levels_a >= levels_b) & ((side_b == grid.N) | within)
+
+
 def subcube_order(a: DyadicCube, b: DyadicCube) -> bool:
     """Partial order (mu,l) <= (mu',l'): mu >= mu' and Q_{mu,l} inside 2Q_{mu',l'}.
 
@@ -218,12 +263,7 @@ def subcube_order(a: DyadicCube, b: DyadicCube) -> bool:
     """
     if a.grid != b.grid:
         raise ValueError("cubes live on different grids")
-    if a.level < b.level:
-        return False
-    (start_a, side_a), (start_b, side_b) = a.box(), b.box(double=True)
-    N = a.grid.N
-    return side_b == N or all((sa - sb) % N + side_a <= side_b
-                              for sa, sb in zip(start_a, start_b))
+    return bool(subcube_orders(a.grid, a.level, a.index, b.level, b.index))
 
 
 @dataclass(frozen=True)

@@ -2,28 +2,44 @@
 
 Random strips, unitaries and atoms feed the tests; the remaining helpers
 restate quantities of the package's objects (the Calderon identity defect,
-the LP sandwich floor, a ball's lattice measure, the Cauchy-Schwarz scale)
-for tests to check against.
+the LP sandwich floor, a ball's lattice measure, the Cauchy-Schwarz scale,
+the atom-by-atom validator) for tests to check against.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 
 from ovtl.atomics import (
+    MOMENT_RTOL,
+    SIZE_SLACK,
+    SUPPORT_RTOL,
     CalderonSystem,
+    Clause,
     SmoothAtom,
+    ValidationReport,
     _alpha_q_atoms,
+    _bessel_weight,
+    _block_bytes,
+    _chunks,
+    _derivative_weights,
+    _energy_outside,
+    _group_key,
     _n_pow,
     _normalize_alpha_one,
+    _weighted_sizes,
+    _window_sizes,
+    _windowed,
     calderon_resolution,
+    multi_indices,
 )
 from ovtl.errors import ResolutionError
 from ovtl.fmult import SymbolSequence
 from ovtl.generators import band_limited_random, rng_for
-from ovtl.lattice import ConeIndex, DyadicCube, Grid
+from ovtl.lattice import ConeIndex, DyadicCube, Grid, periodic_block_sum, subcube_order, wrap_half
 from ovtl.opfield import OperatorField, StripField, _max_eigenvalue, gram, l1l2_sizes
-from ovtl.spectral import LPFamily
+from ovtl.spectral import LPFamily, fft_data, lp_family_j_max
 from ovtl.sqfn import LOG2
 
 
@@ -136,3 +152,141 @@ def square_sum(family: LPFamily) -> np.ndarray:
 def sandwich_floor(family: LPFamily) -> float:
     """c_0^2 = min over covered frequencies of sum_j phi^(j)(xi)^2."""
     return float(np.min(square_sum(family)[family.covered_mask()]))
+
+
+# ---------------------------------------------------------------------------
+# the per-atom validator, the oracle of the array one in ovtl.atomics
+# ---------------------------------------------------------------------------
+
+def _reference_measure(chunk: list, key: tuple) -> list:
+    """(sizes, support, moments) of each atom of ``chunk``, atoms sharing the
+    group key ``key``: the sizes of the key's route; the relative L2 energy
+    off Q (off 2Q for double-support and smooth atoms; None for tent atoms),
+    the larger of the energy cut off when the atom was stored and the energy
+    its block holds there, from each atom's own mask; and ({beta: |moment|},
+    l1 mass) of the centered discrete moments sum_s h^d s_per^beta a(s) of
+    the block, or None, each norm taken on its own."""
+    grid, _, (route, arg), L = key[:4]
+    first, B, n = chunk[0], len(chunk), chunk[0].n
+    blocks = np.stack([a.block for a in chunk])
+    idxs = [getattr(a, "axis_idx", None) for a in chunk]
+    if route == "spatial":
+        sizes = l1l2_sizes(blocks.reshape(B, -1, n, n), arg)[:, None]
+    elif _windowed(grid, blocks.shape[1:grid.d + 1]):
+        sizes = _window_sizes(blocks, grid, route, arg)
+    else:
+        full = np.zeros((B,) + grid.shape + (n, n), dtype=np.complex128)
+        for b, idx in enumerate(idxs):
+            full[(b,) + np.ix_(*idx)] = blocks[b]
+        weights = _bessel_weight(grid, arg) if route == "bessel" else _derivative_weights(grid, arg)
+        sizes = _weighted_sizes(fft_data(full, grid), grid, weights)
+    if first.kind == "tent_atom":
+        return [(s, None, None) for s in sizes.tolist()]
+    inside = np.stack([a.cube.box_mask(idx, a.double_support) for a, idx in zip(chunk, idxs)])
+    support = np.maximum(_energy_outside(blocks, inside), [a.support_leak for a in chunk])
+    if L < 0:
+        return [(s, r, None) for s, r in zip(sizes.tolist(), support.tolist())]
+    if first.kind == "h_atom":  # the mean
+        betas = [(0,) * grid.d]
+        moments = [np.sum(blocks, axis=tuple(range(1, grid.d + 1)))]
+    else:
+        offsets = []  # signed periodic offsets from the cube centers, per axis
+        for ax in range(grid.d):
+            delta = (np.array([idx[ax] for idx in idxs]) * grid.h
+                     - np.array([a.cube.center[ax] for a in chunk])[:, None])
+            shape = (B,) + (1,) * ax + (-1,) + (1,) * (grid.d - ax - 1)
+            offsets.append(wrap_half(delta).reshape(shape))
+        betas = multi_indices(grid.d, L)
+        flat = blocks.reshape(B, -1, n * n)
+        moments = [np.matmul(reduce(np.multiply, [x**b for x, b in zip(offsets, beta)])
+                             .reshape(B, 1, -1), flat)[:, 0] for beta in betas]
+    l1 = np.sum(np.abs(blocks), axis=tuple(range(1, blocks.ndim))) * grid.cell_volume
+    return [(s, r, ({beta: float(np.linalg.norm(m[b] * grid.cell_volume))
+                     for beta, m in zip(betas, moments)}, l1_b))
+            for b, (s, r, l1_b) in enumerate(zip(sizes.tolist(), support.tolist(), l1.tolist()))]
+
+
+def _reference_box_sums(grid: Grid, box: tuple, term_lists: list, tail: tuple) -> list:
+    """sum_k c_k B_k for each list of (c_k, origin_k, B_k) terms over the
+    periodic box (origin, side) ``box`` when every block lies in it, else
+    over the torus (periodic_block_sum), for all lists alike."""
+    (origin, side), N = box, grid.N
+    terms = [term for terms in term_lists for term in terms]
+    offsets = [[(o - p) % N for o, p in zip(org, origin)] for _, org, _ in terms]
+    if side >= N or any(off + s > side for offs, (_, _, block) in zip(offsets, terms)
+                        for off, s in zip(offs, block.shape)):
+        return [periodic_block_sum(grid, terms, tail) for terms in term_lists]
+    sums, offsets = [], iter(offsets)
+    for terms in term_lists:
+        buf = np.zeros((side,) * grid.d + tail, dtype=np.complex128)
+        for (c, _, block), offs in zip(terms, offsets):
+            buf[tuple(slice(off, off + s) for off, s in zip(offs, block.shape))] += c * block
+        sums.append(buf)
+    return sums
+
+
+def _reference_report(atom, sizes: list, support, moments, sub_reports: list) -> ValidationReport:
+    """Clauses of one atom from its measurements and its subatoms' reports."""
+    grid, kind = atom.grid, atom.kind
+    bound = atom.cube.volume**-0.5 * (1.0 + SIZE_SLACK)
+    if kind == "tent_atom":
+        in_tent = (atom.j_lo >= max(atom.cube.level, 1)
+                   and atom.scales.stop - 1 <= lp_family_j_max(grid))
+        clauses = [Clause("support_in_tent", 0.0 if in_tent else 1.0, 0.5)]
+    else:
+        clauses = [Clause("support" if kind == "h_atom" else "support_2Q",
+                          support, SUPPORT_RTOL)]
+    if kind in ("h_atom", "tent_atom"):
+        clauses.append(Clause("size", sizes[0], bound))
+    elif kind == "alpha_q":
+        clauses.append(Clause("bessel_size", sizes[0], bound))
+        coef_l2 = math.sqrt(sum(abs(d) ** 2 for d, _ in atom.subatoms))
+        clauses.append(Clause("coefficient_l2", coef_l2, bound))
+        order_ok = all(subcube_order(sub.cube, atom.cube) for _, sub in atom.subatoms)
+        clauses.append(Clause("subcube_order", 0.0 if order_ok else 1.0, 0.5))
+        full, recon = _reference_box_sums(grid, atom.cube.box(double=True), [
+            [(1.0, atom.origin, atom.block)],
+            [(d_c, sub.origin, sub.block) for d_c, sub in atom.subatoms]], (atom.n, atom.n))
+        scale = max(float(np.max(np.abs(full))), 1e-300)
+        dev = float(np.max(np.abs(recon - full))) / scale
+        clauses.append(Clause("subatom_reconstruction", dev, 1e-10))
+        for rep in sub_reports:
+            clauses.append(Clause("subatoms_valid", 0.0 if rep.passed else 1.0, 0.5))
+            if not rep.passed:
+                break
+    else:
+        for gamma, s in zip(multi_indices(grid.d, atom.K), sizes):
+            b_gamma = 1.0 + SIZE_SLACK
+            if kind == "subatom":
+                b_gamma *= atom.cube.volume ** (atom.alpha / grid.d - sum(gamma) / grid.d)
+            clauses.append(Clause(f"derivative{gamma}", s, b_gamma))
+    if moments is not None:
+        devs, l1_mass = moments
+        bound_m = MOMENT_RTOL * max(l1_mass, 1e-300)
+        for beta, dev in devs.items():
+            clauses.append(Clause("moment" if kind == "h_atom" else f"moment{beta}", dev, bound_m))
+    return ValidationReport(kind, clauses)
+
+
+def validate_atoms_reference(atoms) -> list:
+    """validate_atoms clause by clause, with every support mask, moment
+    norm, subcube order, subatom sum and report made atom by atom (the
+    sizes are stacked as in validate_atoms, which makes them batch-free)."""
+    atoms = list(atoms)
+    entries = atoms + [sub for a in atoms if a.kind == "alpha_q" for _, sub in a.subatoms]
+    groups = {}
+    for i, atom in enumerate(entries):
+        groups.setdefault(_group_key(atom), []).append(i)
+    measured = [None] * len(entries)
+    for key, idx in groups.items():
+        grid, shape, (route, _), _ = key[:4]
+        local = route == "spatial" or _windowed(grid, shape[:grid.d])
+        item_bytes = math.prod(shape) * 16 if local else _block_bytes(grid.N**grid.d, shape[-1])
+        for chunk in _chunks(idx, item_bytes):
+            for i, m in zip(chunk, _reference_measure([entries[i] for i in chunk], key)):
+                measured[i] = m
+    subs = iter([_reference_report(sub, *measured[i], [])
+                 for i, sub in enumerate(entries[len(atoms):], len(atoms))])
+    return [_reference_report(atom, *measured[i],
+                              [next(subs) for _ in atom.subatoms] if atom.kind == "alpha_q" else [])
+            for i, atom in enumerate(atoms)]

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ovtl import atomics
+from ovtl import atomics, lattice
 from ovtl.errors import ResolutionError, ValidationError
 from ovtl.lattice import DyadicCube, Grid, box_indices, dyadic_cubes_at_level
 from ovtl.opfield import OperatorField, StripField, l1l2_sizes
@@ -42,7 +42,13 @@ from ovtl.spectral import (
     lp_family_j_max,
     multi_derivative_symbol,
 )
-from helpers import identity_defect, random_alpha_one_atom, random_alpha_q_atom, random_strip
+from helpers import (
+    identity_defect,
+    random_alpha_one_atom,
+    random_alpha_q_atom,
+    random_strip,
+    validate_atoms_reference,
+)
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
@@ -703,8 +709,16 @@ def _clauses(rep):
     return rep.atom_kind, [(c.name, c.passed, c.measured, c.bound) for c in rep.clauses]
 
 
+def _moved(sub, shift: int):
+    """``sub`` on the cube ``shift`` cells of its level further on axis 0,
+    stored on that cube's 2Q."""
+    index = (sub.cube.index[0] + shift,) + sub.cube.index[1:]
+    cube = DyadicCube(sub.grid, sub.cube.level, index)
+    return replace(sub, cube=cube, origin=cube.box(double=True)[0])
+
+
 def test_validate_atoms_batch_matches_batch_of_one():
-    # h1 and tl atoms on two grids, some tent atoms, and three broken copies
+    # h1 and tl atoms on two grids, some tent atoms, and eight broken copies
     # of valid atoms, each stacked in a group with its valid neighbours
     decs = []
     for grid in (Grid(1, 256), Grid(2, 32)):
@@ -712,14 +726,36 @@ def test_validate_atoms_batch_matches_batch_of_one():
         decs += [smooth_decompose_h1(f),
                  smooth_decompose_tl(f, 0.5, 1, 0)]
     atoms = [a for dec in decs for _, a in dec.low_pairs + dec.high_pairs]
-    atoms += [t for _, t in tent_atomize(random_strip(Grid(1, 256), 2, 4, 851))[:12]]
+    tents = [t for _, t in tent_atomize(random_strip(Grid(1, 256), 2, 4, 851))[:12]]
+    atoms += tents
     h = next(a for _, a in reversed(decs[0].high_pairs) if a.cube.level >= 2)
     q = decs[1].high_pairs[-1][1]
     sub = q.subatoms[0][1]
+    # alpha_q atoms of d=1 N=256 with three subatoms, 2Q below the torus; the
+    # level-2 ones are coarse (full-grid Bessel sizes), the last ones fine
+    qs = [a for _, a in decs[1].high_pairs if a.cube.level >= 2 and len(a.subatoms) == 3]
+    coarse = [a for a in qs if a.cube.level == 2]
+    tent = next(t for t in tents if t.cube.level >= 2)
+
+    def with_subatom(atom, k, new_pair):
+        return replace(atom, subatoms=atom.subatoms[:k] + [new_pair] + atom.subatoms[k + 1:])
+
+    (d0, s0), (d1, s1) = qs[-2].subatoms[:2]
+    far = _moved(qs[-1].subatoms[0][1], 1 << (s0.cube.level - 1))
+    N = q.grid.N
     broken = {
         "support": replace(h, double_support=False),
         "moment(0,)": replace(sub, block=sub.block + 1e-6 * np.abs(sub.block).max()),
         "size": replace(h, block=2.0 * h.block),
+        # a subatom moved to the far side of the torus, outside the parent's 2Q
+        "subcube_order": with_subatom(qs[-1], 0, (qs[-1].subatoms[0][0], far)),
+        # one coefficient a little smaller: coefficient_l2 still passes
+        "subatom_reconstruction": with_subatom(qs[-2], 0, (d0 * (1.0 - 1e-6), s0)),
+        # the middle subatom fails its support clause; the sum is unchanged
+        "subatoms_valid": with_subatom(qs[-3], 1, (d1, replace(s1, support_leak=1.0))),
+        "support_in_tent": replace(tent, j_lo=tent.cube.level - 1),
+        # a coarse atom half the torus away from its 2Q: its sum takes the torus
+        "support_2Q": replace(coarse[0], origin=((coarse[0].origin[0] + N // 2) % N,)),
     }
     batch = list(atoms)
     for k, atom in enumerate(broken.values()):
@@ -733,6 +769,74 @@ def test_validate_atoms_batch_matches_batch_of_one():
         if bad is not None:
             assert bad in [c.name for c in rep.failures()]
     assert sum(len(a.subatoms) for a in atoms if a.kind == "alpha_q") > 50
+    # the mutants leave their neighbours' reports as they are without them,
+    # and their own are the atom-by-atom validator's
+    alone = iter(validate_atoms(atoms))
+    mutants = {id(atom) for atom in broken.values()}
+    for atom, rep in zip(batch, reports):
+        if id(atom) not in mutants:
+            assert _clauses(rep) == _clauses(next(alone))
+    own = validate_atoms(list(broken.values()))
+    _assert_matches_reference(own, validate_atoms_reference(list(broken.values())))
+    by_name = dict(zip(broken, own))
+    assert [c.passed for c in by_name["subatoms_valid"].clauses
+            if c.name == "subatoms_valid"] == [True, False]
+    assert "subatom_reconstruction" in [c.name for c in by_name["support_2Q"].failures()]
+    assert "subatom_reconstruction" in [c.name for c in by_name["subcube_order"].failures()]
+    assert [c.name for c in by_name["subatom_reconstruction"].failures()] == \
+        ["subatom_reconstruction"]
+
+
+def _assert_matches_reference(got: list, want: list):
+    """Reports agree clause by clause: names, bounds and verdicts exactly,
+    measured values bitwise, moment norms to 1 ulp."""
+    assert len(got) == len(want)
+    for r1, r2 in zip(got, want):
+        assert r1.atom_kind == r2.atom_kind
+        assert [(c.name, c.bound, c.passed) for c in r1.clauses] == \
+            [(c.name, c.bound, c.passed) for c in r2.clauses]
+        for c1, c2 in zip(r1.clauses, r2.clauses):
+            if c1.name.startswith("moment"):
+                assert abs(c1.measured - c2.measured) <= math.ulp(c2.measured), (c1, c2)
+            else:
+                assert c1.measured.hex() == c2.measured.hex(), (c1, c2)
+
+
+@pytest.mark.parametrize("d,N", [(1, 256), (1, 1024), (2, 32), (3, 16)])
+@pytest.mark.parametrize("K,L,alpha", [(1, 0, 0.5), (3, 2, 2.5), (2, 3, -0.5)])
+def test_validate_atoms_matches_reference(d, N, K, L, alpha):
+    f = band_limited_random(Grid(d, N), 2, 880 + d)
+    for dec in (smooth_decompose_h1(f, K), smooth_decompose_tl(f, alpha, K, L)):
+        atoms = [a for _, a in dec.low_pairs + dec.high_pairs]
+        got = validate_atoms(atoms)
+        assert all(rep.passed for rep in got)
+        _assert_matches_reference(got, validate_atoms_reference(atoms))
+
+
+def test_validation_work_grows_with_groups_not_atoms(monkeypatch):
+    dec = smooth_decompose_tl(band_limited_random(Grid(1, 1024), 2, 890), 0.5, 1, 0)
+    atoms = [a for _, a in dec.high_pairs]
+    subatoms = [s for a in atoms for _, s in a.subatoms]
+    # three subatoms per atom, two on the level-0 cube, whose two level-1
+    # cells are the only ones
+    assert (len(atoms), len(subatoms)) == (255, 764)
+    groups = {atomics._group_key(a) for a in atoms + subatoms + [a for _, a in dec.low_pairs]}
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(DyadicCube, "box", counted("box", DyadicCube.box))
+    monkeypatch.setattr(DyadicCube, "box_mask", counted("box_mask", DyadicCube.box_mask))
+    monkeypatch.setattr(lattice, "subcube_order", counted("subcube_order", lattice.subcube_order))
+    monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+    reports = validate_atoms([a for _, a in dec.low_pairs + dec.high_pairs])
+    assert all(rep.passed for rep in reports)
+    for name in ("box", "box_mask", "subcube_order", "norm"):
+        assert calls.count(name) <= len(groups), name
 
 
 @pytest.mark.parametrize("d,N,level", [(1, 256, 0), (1, 256, 3), (2, 32, 1)])
