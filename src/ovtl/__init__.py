@@ -12,8 +12,6 @@ from .opfield import (
 from .spectral import (
     Symbol,
     LPFamily,
-    fft_forward,
-    fft_inverse,
     apply_symbol,
     make_lp_family,
     make_hom_lp_family,

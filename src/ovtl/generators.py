@@ -48,7 +48,8 @@ def band_limited_random(grid: Grid, n: int, seed: int, r_min: float = 0.0,
     coefs = np.zeros(grid.shape + (n, n), dtype=np.complex128)
     block = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
     coefs[mask] = block / np.sqrt(2.0 * max(count, 1))
-    return OperatorField(grid, ifft_data(coefs, grid) * float(grid.N**grid.d))
+    band = int(r_max) if 0 <= r_max < grid.N else None  # |k_i| <= |xi| <= r_max
+    return OperatorField(grid, ifft_data(coefs, grid, band) * float(grid.N**grid.d))
 
 
 def bump(grid: Grid, n: int, width: float = 0.08, seed: int | None = None) -> OperatorField:

@@ -15,7 +15,9 @@ this is what the potential-Sobolev quantity ``hsigma_norm`` needs.
 
 from __future__ import annotations
 
+import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, Optional
@@ -25,21 +27,6 @@ import numpy as np
 from .errors import GridMismatchError, ParameterError, ResolutionError
 from .lattice import Grid
 from .opfield import OperatorField
-
-# ---------------------------------------------------------------------------
-# transforms
-# ---------------------------------------------------------------------------
-
-def fft_forward(f: OperatorField) -> OperatorField:
-    """Frequency-side field of Fourier coefficients fhat (same storage layout)."""
-    return OperatorField(f.grid, fft_data(f.data, f.grid) * f.grid.cell_volume)
-
-
-def fft_inverse(fhat: OperatorField) -> OperatorField:
-    """Inverse of :func:`fft_forward`."""
-    coef = fhat.data.copy()  # ifft_data works in place; field data is read-only
-    return OperatorField(fhat.grid, ifft_data(coef, fhat.grid) * float(fhat.grid.N**fhat.grid.d))
-
 
 # ---------------------------------------------------------------------------
 # profiles: symbols as functions on R^d
@@ -212,21 +199,99 @@ def fft_data(data: np.ndarray, grid: Grid) -> np.ndarray:
     """Unnormalized forward DFT of raw (*, n, n) or batched (B, *, n, n) data.
 
     Transform a field once with this and filter it by any number of symbols
-    with :func:`apply_symbol_hat`, one inverse FFT each.
+    with :func:`apply_symbol_hat`, one inverse transform each: pruned to the
+    lines the symbol's band reaches for a band-limited LP member at d >= 2
+    whose box |k_i| <= r has r <= N/4, one ``ifftn`` for any other symbol.
     """
     return np.fft.fftn(data, axes=_data_axes(data, grid))
 
 
-def ifft_data(data_hat: np.ndarray, grid: Grid) -> np.ndarray:
+def ifft_data(data_hat: np.ndarray, grid: Grid, band: Optional[int] = None) -> np.ndarray:
     """Inverse of :func:`fft_data`, computed in place: ``data_hat`` is
-    overwritten and returned."""
+    overwritten and returned.
+
+    ``band`` = r declares that ``data_hat`` vanishes outside the box
+    |k_i| <= r; where :func:`_prunes` allows, only the lines that box
+    reaches are transformed (:func:`_pruned_ifft`), with the same result.
+    """
+    if _prunes(data_hat, grid, band):
+        return _pruned_ifft(data_hat, grid, band)
     return np.fft.ifftn(data_hat, axes=_data_axes(data_hat, grid), out=data_hat)  # numpy >= 2.0
+
+
+# band radius of each registered symbol array, by id() for as long as the array lives
+_BANDS: dict = {}
+
+
+def _register_band(values: np.ndarray, grid: Grid) -> None:
+    """Record once the least r with every nonzero value of the (read-only)
+    symbol array ``values`` in the box |k_i| <= r.  An all-zero symbol is not
+    recorded: ``ifftn`` of its product signs some zeros of the output, and
+    the pruned route would sign others."""
+    nonzero = values != 0
+    if not nonzero.any():
+        return
+    k = np.abs(grid.freq_axis)
+    r = max(int(k[np.any(nonzero, axis=tuple(b for b in range(grid.d) if b != a))].max())
+            for a in range(grid.d))
+    key = id(values)
+    _BANDS[key] = (weakref.ref(values), r)
+    weakref.finalize(values, _BANDS.pop, key, None)
+
+
+def _band_of(values: np.ndarray) -> Optional[int]:
+    """The registered band radius of ``values``, or None."""
+    entry = _BANDS.get(id(values))
+    return entry[1] if entry is not None and entry[0]() is values else None
+
+
+def _prunes(data_hat: np.ndarray, grid: Grid, band: Optional[int]) -> bool:
+    """The fixed rule of the pruned inverse: unbatched data at d >= 2 whose
+    box |k_i| <= band spans at most about half of every axis (band <= N/4).
+    d = 1, batched data, the near-full-band top LP member and symbols with
+    no registered band keep ``ifftn``."""
+    return (band is not None and grid.d >= 2 and data_hat.ndim == grid.d + 2
+            and 0 <= band <= grid.N // 4)
+
+
+def _band_parts(grid: Grid, r: int) -> list:
+    """The slices of |k| <= r along one axis in FFT storage order."""
+    return [slice(0, r + 1)] + ([slice(grid.N - r, grid.N)] if r > 0 else [])
+
+
+def _pruned_ifft(coef: np.ndarray, grid: Grid, r: int) -> np.ndarray:
+    """``ifftn`` of unbatched (*, n, n) ``coef`` that vanishes outside the
+    box |k_i| <= r, in place and bitwise equal ("FFT pruning").
+
+    Axes run last to first, as in ``ifftn``; before the pass along axis a
+    only lines whose earlier coordinates lie in the box can be nonzero, so
+    the pass transforms the 2^a strided views of those lines and skips the
+    all-zero rest.  Each view pass is one GIL-free pocketfft call.
+    """
+    parts = _band_parts(grid, r)
+    for a in reversed(range(grid.d)):
+        for lead in itertools.product(parts, repeat=a):
+            view = coef[lead]
+            np.fft.ifft(view, axis=a, out=view)
+    return coef
 
 
 def apply_symbol_hat(values: np.ndarray, data_hat: np.ndarray, grid: Grid) -> np.ndarray:
     """Multiplier action on data given its transform ``fft_data(data)``,
-    which is left unchanged."""
-    return ifft_data(data_hat * values[..., None, None], grid)
+    which is left unchanged.
+
+    A symbol with a registered band r (every ``LPFamily`` member) that passes
+    :func:`_prunes` is multiplied on its box |k_i| <= r alone into one zeroed
+    output, which :func:`_pruned_ifft` inverts; any other symbol takes one
+    ``ifftn`` of the whole product.
+    """
+    r = _band_of(values)
+    if not _prunes(data_hat, grid, r):
+        return ifft_data(data_hat * values[..., None, None], grid)
+    out = np.zeros_like(data_hat)
+    for box in itertools.product(_band_parts(grid, r), repeat=grid.d):
+        np.multiply(data_hat[box], values[box][..., None, None], out=out[box])
+    return _pruned_ifft(out, grid, r)
 
 
 def apply_symbol_data(values: np.ndarray, data: np.ndarray, grid: Grid) -> np.ndarray:
@@ -234,9 +299,12 @@ def apply_symbol_data(values: np.ndarray, data: np.ndarray, grid: Grid) -> np.nd
 
     The transform is filtered in place, so one full-size temporary is live
     rather than the two of :func:`apply_symbol_hat`, whose input is shared.
+    A symbol that :func:`apply_symbol_hat` prunes goes through it instead.
     """
     axes = _data_axes(data, grid)
     coef = np.fft.fftn(data, axes=axes)
+    if _prunes(coef, grid, _band_of(values)):
+        return apply_symbol_hat(values, coef, grid)
     coef *= values[..., None, None]
     return np.fft.ifftn(coef, axes=axes)
 
@@ -340,6 +408,10 @@ class LPFamily:
     symbols: tuple[Symbol, ...]
     kind: str = "default"
     j_min: int = 0
+
+    def __post_init__(self):
+        for s in self.symbols:
+            _register_band(s.values, self.grid)
 
     def member(self, j: int) -> Symbol:
         return self.symbols[j - self.j_min]

@@ -6,11 +6,13 @@ function is described by a *level list* ``[(j, weight, symbol_values)]``;
 :func:`lp_levels` and :func:`poisson_levels` build the two kernel kinds, and
 truncating the sum is slicing the list.  :func:`filtered` turns a level
 list and a shared transform ``fhat = fft_data(f.data, grid)`` into the terms
-``(j, weight, m_j * f)``, one inverse FFT per level, one level live at a
-time.  :func:`square_accumulator` adds the terms up: radially
-(weight * g* g) or, given a cone, ball-averaged over B_j at weight
-weight * 2^{jd} h^d for j >= 1 (j = 0 stays radial), the ball correlations
-summed in Fourier space and inverted once.  :func:`square_norm` is the
+``(j, weight, m_j * f)``, one inverse transform per level, one level live
+at a time; a band-limited LP level (box |k_i| <= N/4 at d >= 2) transforms
+only the lines its band reaches, any other level takes one ``ifftn``.
+:func:`square_accumulator` adds the terms up: radially (weight * g* g) or,
+given a cone, ball-averaged over B_j at weight weight * 2^{jd} h^d for
+j >= 1 (j = 0 stays radial), the ball correlations summed in Fourier space
+and inverted once.  :func:`square_norm` is the
 trace-L_p norm of the root: at p = 2 a Plancherel sum over ``fhat`` alone,
 otherwise ``psd_root_norm`` of the accumulator.  The tent-space norm
 feeds the strip levels ``(j, log 2, F(., 2^-j))`` to the same accumulator.
@@ -65,7 +67,8 @@ def poisson_levels(grid: Grid, j_max: int, alpha: float) -> list:
 def filtered(fhat: np.ndarray, grid: Grid, levels: Iterable) -> Iterator[tuple]:
     """Yield (j, weight, m_j * f) for each level, given ``fhat = fft_data(f.data, grid)``.
 
-    Each level costs one inverse FFT of the shared transform.
+    Each level costs one inverse transform of the shared transform, pruned
+    to the lines its band reaches (:func:`~ovtl.spectral.apply_symbol_hat`).
     """
     for j, weight, values in levels:
         _check_level(values, grid)

@@ -1,9 +1,10 @@
 """Test-data generators and oracle helpers that no command reaches.
 
-Random strips, unitaries and atoms feed the tests; the remaining helpers
-restate quantities of the package's objects (the Calderon identity defect,
-the LP sandwich floor, a ball's lattice measure, the Cauchy-Schwarz scale,
-the atom-by-atom validator) for tests to check against.
+Random strips, unitaries and atoms feed the tests; ``fft_forward`` and
+``fft_inverse`` scale ``fft_data``/``ifft_data`` to the transform pair; the
+remaining helpers restate quantities of the package's objects (the Calderon
+identity defect, the LP sandwich floor, a ball's lattice measure, the
+Cauchy-Schwarz scale, the atom-by-atom validator) for tests to check against.
 """
 
 import math
@@ -39,8 +40,20 @@ from ovtl.fmult import SymbolSequence
 from ovtl.generators import band_limited_random, rng_for
 from ovtl.lattice import ConeIndex, DyadicCube, Grid, periodic_block_sum, subcube_order, wrap_half
 from ovtl.opfield import OperatorField, StripField, _max_eigenvalue, gram, l1l2_sizes
-from ovtl.spectral import LPFamily, fft_data, lp_family_j_max
+from ovtl.spectral import LPFamily, fft_data, ifft_data, lp_family_j_max
 from ovtl.sqfn import LOG2
+
+
+def fft_forward(f: OperatorField) -> OperatorField:
+    """Frequency-side field of Fourier coefficients fhat: ``fft_data`` scaled
+    by the cell volume to the transform pair of ``ovtl.spectral``."""
+    return OperatorField(f.grid, fft_data(f.data, f.grid) * f.grid.cell_volume)
+
+
+def fft_inverse(fhat: OperatorField) -> OperatorField:
+    """Inverse of :func:`fft_forward`."""
+    coef = fhat.data.copy()  # ifft_data works in place; field data is read-only
+    return OperatorField(fhat.grid, ifft_data(coef, fhat.grid) * float(fhat.grid.N**fhat.grid.d))
 
 
 def random_strip(grid: Grid, n: int, j_max: int, seed: int) -> StripField:

@@ -53,13 +53,13 @@ from ovtl.spectral import (
     apply_symbol,
     bessel_symbol,
     constant_profile,
-    fft_forward,
-    fft_inverse,
     make_hom_lp_family,
     make_lp_family,
 )
 from helpers import (
     atom_field,
+    fft_forward,
+    fft_inverse,
     hs_norm_sq,
     lp_positivity_margin,
     op_cauchy_schwarz_scale,

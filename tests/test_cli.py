@@ -21,8 +21,7 @@ from ovtl.fieldio import (
 from ovtl.lattice import Grid
 from ovtl.opfield import OperatorField, StripField
 from ovtl.generators import band_limited_random, bump, haar
-from ovtl.spectral import fft_forward
-from helpers import random_strip
+from helpers import fft_forward, random_strip
 
 
 def test_field_file_roundtrip(tmp_path, grid64):

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ovtl import spectral
+from ovtl.atomics import calderon_resolution
 from ovtl.errors import ResolutionError
+from ovtl.fmult import bessel_dilate_sequence
 from ovtl.lattice import Grid
 from ovtl.opfield import OperatorField
 from ovtl.generators import band_limited_random, rng_for, single_mode
@@ -17,18 +20,18 @@ from ovtl.spectral import (
     constant_profile,
     derivative_symbol,
     fft_data,
-    fft_forward,
-    fft_inverse,
     hsigma_norm,
+    ifft_data,
     hsigma_norm_profile,
     lp_base_profile,
+    lp_family_j_max,
     make_hom_lp_family,
     make_lp_family,
     poisson_dk_symbol,
     poisson_symbol,
     riesz_symbol,
 )
-from helpers import hs_norm_sq, lp_positivity_margin
+from helpers import fft_forward, fft_inverse, hs_norm_sq, lp_positivity_margin
 
 
 def test_fft_single_mode(grid64):
@@ -326,3 +329,120 @@ def test_shared_transform_filters_like_apply_symbol_data(grid2d):
     batch = np.stack([f.data, 2.0 * f.data])
     got = apply_symbol_hat(fam.values(1), fft_data(batch, grid2d), grid2d)
     assert np.array_equal(got[1], apply_symbol_data(fam.values(1), 2.0 * f.data, grid2d))
+
+
+# ---------------------------------------------------------------------------
+# the band-pruned inverse against one ifftn of the whole product
+# ---------------------------------------------------------------------------
+
+PRUNE_GRIDS = [Grid(2, 32), Grid(2, 128), Grid(3, 16), Grid(3, 32)]
+
+
+def _random_data(grid, n, seed, batch=()):
+    rng = rng_for(seed)
+    shape = batch + grid.shape + (n, n)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _unpruned_hat(values, data_hat, grid):
+    """apply_symbol_hat as one ifftn of the whole product."""
+    return ifft_data(data_hat * values[..., None, None], grid)
+
+
+def _unpruned_data(values, data, grid):
+    """apply_symbol_data as one fftn, an in-place product and one ifftn."""
+    axes = tuple(range(data.ndim - grid.d - 2, data.ndim - 2))
+    coef = np.fft.fftn(data, axes=axes)
+    coef *= values[..., None, None]
+    return np.fft.ifftn(coef, axes=axes)
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("grid", PRUNE_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+def test_pruned_inverse_matches_ifftn_on_every_lp_member(grid, n):
+    fhat = fft_data(_random_data(grid, n, 60 + n), grid)
+    kept = fhat.copy()
+    pruned = 0
+    for fam in (make_lp_family(grid), make_hom_lp_family(grid)):
+        for j in fam.scales():
+            values = fam.values(j)
+            _assert_same_bits(apply_symbol_hat(values, fhat, grid),
+                              _unpruned_hat(values, fhat, grid))
+            pruned += spectral._prunes(fhat, grid, spectral._band_of(values))
+    _assert_same_bits(fhat, kept)
+    # every member below the top one of both families takes the pruned route;
+    # the top member (band N/2 - 1) and the all-zero j = -1 member keep ifftn
+    assert pruned == 2 * lp_family_j_max(grid)
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["d2-N32", "d3-N16"])
+def test_pruned_inverse_matches_ifftn_on_other_symbols(grid):
+    fhat = fft_data(_random_data(grid, 2, 71), grid)
+    kept = fhat.copy()
+    cal = calderon_resolution(grid)
+    seq = bessel_dilate_sequence(grid, 0.5)
+    products = [seq.product_symbol(j).values for j in range(seq.j_max + 1)]
+    registered = [seq.product_symbol(j).values for j in range(seq.j_max + 1)]
+    for values in registered:
+        spectral._register_band(values, grid)
+    assert sum(spectral._prunes(fhat, grid, spectral._band_of(v)) for v in registered) == seq.j_max
+    symbols = (list(cal.level_values) + [cal.phi0_values] + products + registered
+               + [poisson_symbol(grid, 0.1).values, np.zeros(grid.shape, dtype=complex)])
+    for values in symbols:
+        _assert_same_bits(apply_symbol_hat(values, fhat, grid), _unpruned_hat(values, fhat, grid))
+    _assert_same_bits(fhat, kept)
+
+
+@pytest.mark.parametrize("grid", PRUNE_GRIDS[:3], ids=lambda g: f"d{g.d}-N{g.N}")
+def test_pruned_apply_symbol_data_matches_ifftn(grid):
+    data = _random_data(grid, 2, 83)
+    batch = _random_data(grid, 2, 84, batch=(2,))
+    for fam in (make_lp_family(grid), make_hom_lp_family(grid)):
+        for j in fam.scales():
+            values = fam.values(j)
+            _assert_same_bits(apply_symbol_data(values, data, grid),
+                              _unpruned_data(values, data, grid))
+            got = apply_symbol_data(values, batch, grid)
+            _assert_same_bits(got, _unpruned_data(values, batch, grid))
+            # the batched ifftn and the unbatched pruned route agree bit for bit
+            _assert_same_bits(got[1], apply_symbol_data(values, batch[1], grid))
+
+
+def test_pruned_inverse_keeps_ifftn_on_batched_data():
+    grid = Grid(3, 16)
+    fam = make_lp_family(grid)
+    batch = _random_data(grid, 2, 91, batch=(3,))
+    fhat = fft_data(batch, grid)
+    kept = fhat.copy()
+    for j in fam.scales():
+        got = apply_symbol_hat(fam.values(j), fhat, grid)
+        _assert_same_bits(got, _unpruned_hat(fam.values(j), fhat, grid))
+        _assert_same_bits(got[2], apply_symbol_hat(fam.values(j), fft_data(batch[2], grid), grid))
+    _assert_same_bits(fhat, kept)
+
+
+def _band_limited_reference(grid, n, seed, r_min=0.0, r_max=None):
+    """band_limited_random with one ifftn of the whole coefficient array."""
+    rng = rng_for(seed)
+    if r_max is None:
+        r_max = float(2 ** lp_family_j_max(grid))
+    mask = (grid.freq_norm >= r_min) & (grid.freq_norm <= r_max)
+    count = int(mask.sum())
+    coefs = np.zeros(grid.shape + (n, n), dtype=np.complex128)
+    block = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    coefs[mask] = block / np.sqrt(2.0 * max(count, 1))
+    return np.fft.ifftn(coefs, axes=grid.spatial_axes) * float(grid.N**grid.d)
+
+
+@pytest.mark.parametrize("band", [(0.0, None), (2.0, 5.5), (0.0, 20.0)],
+                         ids=["default", "annulus", "past-quarter"])
+@pytest.mark.parametrize("grid", [Grid(1, 64)] + PRUNE_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+def test_band_limited_random_matches_ifftn(grid, band):
+    for n in (1, 2, 4):
+        got = band_limited_random(grid, n, 5 + n, *band)
+        _assert_same_bits(got.data, _band_limited_reference(grid, n, 5 + n, *band))

@@ -19,7 +19,6 @@ from ovtl.generators import band_limited_random, single_mode
 from ovtl.spectral import (
     apply_symbol_data,
     fft_data,
-    fft_forward,
     make_hom_lp_family,
     make_lp_family,
 )
@@ -32,7 +31,7 @@ from ovtl.sqfn import (
     square_norm,
     strip_levels,
 )
-from helpers import ball_measure, random_strip, square_sum
+from helpers import ball_measure, fft_forward, random_strip, square_sum
 
 
 def accumulate(f, levels, cone=None):
