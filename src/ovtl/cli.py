@@ -107,7 +107,8 @@ def _parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("multiplier-check", help="empirical multiplier certificates")
     m.add_argument("--family", choices=("identity", "bessel"), default="bessel")
-    m.add_argument("--beta", type=float, default=1.0)
+    m.add_argument("--beta", type=float, default=None,
+                   help="bessel family only: the order beta (default 1.0)")
     m.add_argument("--conic", action="store_true")
     m.add_argument("--report", type=Path, default=None)
     return ap
@@ -395,8 +396,10 @@ def cmd_reconstruct(cfg: Config, args) -> int:
 
 def cmd_multiplier_check(cfg: Config, args) -> int:
     grid = cfg.grid()
+    if args.family == "identity" and args.beta is not None:
+        raise ParameterError("--beta applies only to --family bessel")
     seq = (identity_sequence(grid) if args.family == "identity"
-           else bessel_dilate_sequence(grid, args.beta))
+           else bessel_dilate_sequence(grid, 1.0 if args.beta is None else args.beta))
     texts, ok = _certificates(cfg, (seq,), cfg.alphas, cfg.ps, args.conic)
     _emit("\n".join(texts), args.report)
     return 0 if ok else 1

@@ -107,7 +107,14 @@ class Symbol:
 
 
 def symbol_from_profile(grid: Grid, prof: Profile) -> Symbol:
-    return Symbol(grid, prof(grid.freqs), profile=prof)
+    """The profile sampled on the lattice.  A profile that declares a
+    ``support_radius`` (every LP member, and the products phi_j rho_j of a
+    multiplier certificate) has its band registered for the pruned inverse
+    of :func:`apply_symbol_hat`."""
+    sym = Symbol(grid, prof(grid.freqs), profile=prof)
+    if prof.support_radius is not None:
+        _register_band(sym.values, grid)
+    return sym
 
 
 def bessel_profile(alpha: float) -> Profile:
@@ -200,8 +207,8 @@ def fft_data(data: np.ndarray, grid: Grid) -> np.ndarray:
 
     Transform a field once with this and filter it by any number of symbols
     with :func:`apply_symbol_hat`, one inverse transform each: pruned to the
-    lines the symbol's band reaches for a band-limited LP member at d >= 2
-    whose box |k_i| <= r has r <= N/4, one ``ifftn`` for any other symbol.
+    lines the symbol's band reaches for a registered band-limited symbol at
+    d >= 2 whose box |k_i| <= r has r <= N/4, one ``ifftn`` for any other.
     """
     return np.fft.fftn(data, axes=_data_axes(data, grid))
 
@@ -280,7 +287,8 @@ def apply_symbol_hat(values: np.ndarray, data_hat: np.ndarray, grid: Grid) -> np
     """Multiplier action on data given its transform ``fft_data(data)``,
     which is left unchanged.
 
-    A symbol with a registered band r (every ``LPFamily`` member) that passes
+    A symbol with a registered band r (every profile-backed symbol whose
+    profile declares a support radius, :func:`symbol_from_profile`) that passes
     :func:`_prunes` is multiplied on its box |k_i| <= r alone into one zeroed
     output, which :func:`_pruned_ifft` inverts; any other symbol takes one
     ``ifftn`` of the whole product.
@@ -409,10 +417,6 @@ class LPFamily:
     kind: str = "default"
     j_min: int = 0
 
-    def __post_init__(self):
-        for s in self.symbols:
-            _register_band(s.values, self.grid)
-
     def member(self, j: int) -> Symbol:
         return self.symbols[j - self.j_min]
 
@@ -504,6 +508,25 @@ def _hsigma_of_samples(vals: np.ndarray, grid: Grid, sigma: float, W: float) -> 
     return float(np.sqrt(np.sum(weight * np.abs(spatial) ** 2)))
 
 
+@lru_cache(maxsize=8)
+def _window_points(grid: Grid, window: float) -> np.ndarray:
+    """The frequencies k/W (k the integer lattice) at which
+    :func:`hsigma_norm_profile` samples, one read-only array per (grid, W)."""
+    pts = grid.freqs / window
+    pts.flags.writeable = False
+    return pts
+
+
+def window_sampled(prof: Profile, grid: Grid, window: float) -> Profile:
+    """``prof`` with its samples at :func:`_window_points` taken once: a sweep
+    of :func:`hsigma_norm_profile` over products with it resamples only the
+    other factors, to the same bits.  Elsewhere it evaluates ``prof``."""
+    pts = _window_points(grid, float(window))
+    vals = prof(pts)
+    vals.flags.writeable = False
+    return Profile(lambda xi: vals if xi is pts else prof.fn(xi), prof.support_radius)
+
+
 def hsigma_norm_profile(prof: Profile, grid: Grid, sigma: float,
                         window: Optional[float] = None) -> float:
     """H^sigma_2 quantity of a symbol profile, desk-scale rendering.
@@ -523,7 +546,7 @@ def hsigma_norm_profile(prof: Profile, grid: Grid, sigma: float,
             f"profile support radius {prof.support_radius:.3g} exceeds window "
             f"half-extent {half_extent:.3g} (window W={W:.3g})"
         )
-    vals = np.asarray(prof(grid.freqs / W), dtype=np.complex128)
+    vals = np.asarray(prof(_window_points(grid, W)), dtype=np.complex128)
     return _hsigma_of_samples(vals, grid, sigma, W)
 
 

@@ -7,8 +7,9 @@ function is described by a *level list* ``[(j, weight, symbol_values)]``;
 truncating the sum is slicing the list.  :func:`filtered` turns a level
 list and a shared transform ``fhat = fft_data(f.data, grid)`` into the terms
 ``(j, weight, m_j * f)``, one inverse transform per level, one level live
-at a time; a band-limited LP level (box |k_i| <= N/4 at d >= 2) transforms
-only the lines its band reaches, any other level takes one ``ifftn``.
+at a time; a level with a registered band (an LP member, a certificate
+level; box |k_i| <= N/4 at d >= 2) transforms only the lines its band
+reaches, any other level takes one ``ifftn``.
 :func:`square_accumulator` adds the terms up: radially (weight * g* g) or,
 given a cone, ball-averaged over B_j at weight weight * 2^{jd} h^d for
 j >= 1 (j = 0 stays radial), the ball correlations summed in Fourier space

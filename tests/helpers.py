@@ -4,7 +4,8 @@ Random strips, unitaries and atoms feed the tests; ``fft_forward`` and
 ``fft_inverse`` scale ``fft_data``/``ifft_data`` to the transform pair; the
 remaining helpers restate quantities of the package's objects (the Calderon
 identity defect, the LP sandwich floor, a ball's lattice measure, the
-Cauchy-Schwarz scale, the atom-by-atom validator) for tests to check against.
+Cauchy-Schwarz scale, the atom-by-atom validator, the multiplier certificate
+and hypothesis sweeps with no shared work) for tests to check against.
 """
 
 import math
@@ -36,12 +37,27 @@ from ovtl.atomics import (
     multi_indices,
 )
 from ovtl.errors import ResolutionError
-from ovtl.fmult import SymbolSequence
+from ovtl.fmult import (
+    DILATE_SHIFTS,
+    MultiplierCertificate,
+    SymbolSequence,
+    _profile_sum,
+    hypothesis_window,
+)
 from ovtl.generators import band_limited_random, rng_for
 from ovtl.lattice import ConeIndex, DyadicCube, Grid, periodic_block_sum, subcube_order, wrap_half
 from ovtl.opfield import OperatorField, StripField, _max_eigenvalue, gram, l1l2_sizes
-from ovtl.spectral import LPFamily, fft_data, ifft_data, lp_family_j_max
-from ovtl.sqfn import LOG2
+from ovtl.spectral import (
+    LPFamily,
+    default_window,
+    fft_data,
+    hsigma_norm_profile,
+    ifft_data,
+    lp_base_profile,
+    lp_family_j_max,
+    lp_zero_profile,
+)
+from ovtl.sqfn import LOG2, level_weight, square_norm
 
 
 def fft_forward(f: OperatorField) -> OperatorField:
@@ -123,6 +139,69 @@ def scaled_sequence(seq: SymbolSequence, c: float) -> SymbolSequence:
         name=f"{seq.name}*{c}",
         rho_is_dilate_family=seq.rho_is_dilate_family,
     )
+
+
+# ---------------------------------------------------------------------------
+# multiplier certificates with no shared work, the oracle of ovtl.fmult
+# ---------------------------------------------------------------------------
+
+def hypothesis_components_reference(seq: SymbolSequence, sigma: float) -> tuple:
+    """hypothesis_components with the LP base profile resampled at every
+    hsigma_norm_profile evaluation."""
+    grid = seq.grid
+    W = hypothesis_window(grid)
+    base = lp_base_profile()
+    sup = 0.0
+    for j in range(1, seq.j_max + 1):
+        for k in DILATE_SHIFTS:
+            prof = seq.phi_profiles[j].dilate(2.0 ** (j + k)) * base
+            sup = max(sup, hsigma_norm_profile(prof, grid, sigma, window=W))
+    low_prof = seq.phi_profiles[0] * _profile_sum(lp_zero_profile(), base.dilate(0.5))
+    return sup, hsigma_norm_profile(low_prof, grid, sigma, window=W)
+
+
+def phi_two_sigma_reference(profiles, grid: Grid, sigma: float,
+                            family_kind: str = "default") -> float:
+    """phi_two_sigma with the LP base and zero profiles resampled at every
+    hsigma_norm_profile evaluation."""
+    W = default_window(grid)
+    base = lp_base_profile(family_kind)
+    zero = lp_zero_profile(family_kind)
+
+    def l2_norm(dilate_pow):
+        total = 0.0
+        for prof in profiles:
+            p = prof * zero if dilate_pow is None else prof.dilate(2.0**dilate_pow) * base
+            total += hsigma_norm_profile(p, grid, sigma, window=W) ** 2
+        return math.sqrt(total)
+
+    sup = l2_norm(None)
+    for k in range(1, len(profiles) + 3):
+        sup = max(sup, l2_norm(k))
+    return sup
+
+
+def certificate_reference(seq: SymbolSequence, f_gen, alpha: float, p: float, trials: int,
+                          sigma: float, cone=None, margin: float = 100.0) -> MultiplierCertificate:
+    """empirical_square_bound (empirical_conic_bound given a cone) with two
+    square functions per trial, both on unregistered copies of the levels
+    (so every level takes one full ifftn), and the hypothesis constant of
+    hypothesis_components_reference."""
+    grid = seq.grid
+    seq.check_support()
+    j_top = seq.j_max if cone is None else min(seq.j_max, cone.j_max)
+    levels = [[(j, level_weight(j, alpha), np.array(symbol(j).values)) for j in range(j_top + 1)]
+              for symbol in (seq.product_symbol, seq.rho_symbol)]
+    ratios = []
+    for t in range(trials):
+        fhat = fft_data(f_gen(t).data, grid)
+        out, inp = (square_norm(fhat, grid, lv, p, cone) for lv in levels)
+        ratios.append(out / inp if inp > 0 else 0.0)
+    return MultiplierCertificate(
+        name=f"{'square' if cone is None else 'conic'}[{seq.name}]",
+        hypothesis_constant=max(hypothesis_components_reference(seq, sigma)),
+        empirical_ratio=max(ratios), trials=trials, sigma=sigma, alpha=alpha, p=p,
+        margin=margin, window=hypothesis_window(grid), per_trial=ratios)
 
 
 def ball_measure(cone: ConeIndex, j: int) -> float:

@@ -559,6 +559,10 @@ def test_reports_deterministic(tmp_path):
      "--mode applies only to --kind single-mode"),
     (["--grid", "64", "gen", "--kind", "single-mode", "--band", "0,8", "{out}"],
      "--band applies only to --kind band-limited-random"),
+    (["--grid", "64", "multiplier-check", "--family", "identity", "--beta", "2", "--report",
+      "{out}"], "--beta applies only to --family bessel"),
+    (["--grid", "64", "multiplier-check", "--family", "identity", "--beta", "1", "--conic",
+      "--report", "{out}"], "--beta applies only to --family bessel"),
 ])
 def test_invalid_parameter_rejected(tmp_path, capsys, argv, needle):
     field, out = tmp_path / "f.ovtl", tmp_path / "out.ovtl"

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ovtl.errors import HypothesisError, ParameterError
+import helpers
+from ovtl import fmult, spectral
+from ovtl.errors import HypothesisError, ParameterError, ResolutionError
 from ovtl.lattice import Grid, cone_index
 from ovtl.fmult import (
+    DILATE_SHIFTS,
     SymbolSequence,
     bessel_dilate_sequence,
     cz_kernel_estimates,
@@ -14,10 +19,16 @@ from ovtl.fmult import (
     hypothesis_constant,
     identity_sequence,
     lp_sequence,
+    phi_two_sigma,
 )
 from ovtl.generators import band_limited_random
-from ovtl.spectral import Profile, constant_profile, lp_base_profile
-from helpers import scaled_sequence
+from ovtl.spectral import Profile, constant_profile, lp_base_profile, make_lp_family
+from helpers import (
+    certificate_reference,
+    hypothesis_components_reference,
+    phi_two_sigma_reference,
+    scaled_sequence,
+)
 
 
 SIGMA = 1.0
@@ -217,3 +228,159 @@ def test_certificate_serialization(grid64):
     text = cert.to_text()
     assert "hypothesis_constant" in text and "empirical_ratio" in text
     assert f"sigma = {SIGMA}" in text
+
+
+# ---------------------------------------------------------------------------
+# shared work in the certificates against the route with none
+# ---------------------------------------------------------------------------
+
+CERT_GRIDS = [Grid(1, 256), Grid(2, 64)]
+
+
+def _sigma(grid):
+    """The command line's default smoothness d/2 + 1/2."""
+    return grid.d / 2.0 + 0.5
+
+
+def _family(grid, name):
+    return identity_sequence(grid) if name == "identity" else bessel_dilate_sequence(grid, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("conic", [False, True], ids=["radial", "conic"])
+@pytest.mark.parametrize("name", ["identity", "bessel"])
+@pytest.mark.parametrize("grid", CERT_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+def test_certificate_matches_unshared_route(grid, name, conic, p, n):
+    seq, sigma = _family(grid, name), _sigma(grid)
+    cone = cone_index(grid, make_lp_family(grid).j_max) if conic else None
+    gen = gen_for(grid, n, base=300)
+    if cone is None:
+        got = empirical_square_bound(seq, gen, 0.5, p, trials=3, sigma=sigma)
+    else:
+        got = empirical_conic_bound(seq, gen, 0.5, p, cone, trials=3, sigma=sigma)
+    want = certificate_reference(_family(grid, name), gen, 0.5, p, trials=3, sigma=sigma,
+                                 cone=cone)
+    assert got.to_text() == want.to_text()
+    assert [r.hex() for r in got.per_trial] == [r.hex() for r in want.per_trial]
+
+
+@pytest.mark.parametrize("beta,calls", [(None, 1), (0.0, 1), (1.0, 2)],
+                         ids=["identity", "bessel0", "bessel1"])
+def test_one_square_function_where_levels_are_identical(monkeypatch, beta, calls):
+    grid = Grid(2, 32)
+    seq = identity_sequence(grid) if beta is None else bessel_dilate_sequence(grid, beta)
+    counted = []
+    original = fmult.square_norm
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fmult, "square_norm", counting)
+    for p in (1.0, 2.0):
+        counted.clear()
+        cert = empirical_square_bound(seq, gen_for(grid), 0.0, p, trials=3, sigma=1.5)
+        assert len(counted) == 3 * calls
+        if calls == 1:
+            assert cert.per_trial == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("grid,pruned", [(Grid(2, 64), True), (Grid(1, 256), False)],
+                         ids=["d2-N64", "d1-N256"])
+def test_certificate_levels_below_top_are_pruned(monkeypatch, grid, pruned):
+    counted = []
+    original = spectral._pruned_ifft
+
+    def counting(coef, g, r):
+        counted.append(r)
+        return original(coef, g, r)
+
+    sigma = _sigma(grid)
+    fields = [band_limited_random(grid, 2, 1000)]  # made before counting: it prunes too
+    monkeypatch.setattr(spectral, "_pruned_ifft", counting)
+    for name, square_functions in (("bessel", 2), ("identity", 1)):
+        seq = _family(grid, name)
+        for conic in (False, True):
+            counted.clear()
+            cone = cone_index(grid, make_lp_family(grid).j_max) if conic else None
+            if cone is None:
+                empirical_square_bound(seq, fields.__getitem__, 0.5, 1.0, trials=1, sigma=sigma)
+            else:
+                empirical_conic_bound(seq, fields.__getitem__, 0.5, 1.0, cone, trials=1,
+                                      sigma=sigma)
+            # level j has band 2^{j+1} - 1; the top one's passes N/4, every other prunes
+            want = square_functions * [2 ** (j + 1) - 1 for j in range(seq.j_max)]
+            assert sorted(counted) == (sorted(want) if pruned else [])
+
+
+def _poly_sequence(grid):
+    rho = lp_sequence(grid)
+    return SymbolSequence(grid, lp_sequence(grid, "poly"), rho, name="poly")
+
+
+@pytest.mark.parametrize("make", [identity_sequence, lambda g: bessel_dilate_sequence(g, 1.0),
+                                  _poly_sequence], ids=["identity", "bessel", "poly"])
+@pytest.mark.parametrize("grid", CERT_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+def test_hypothesis_components_match_per_evaluation_sampling(grid, make):
+    seq, sigma = make(grid), _sigma(grid)
+    want = hypothesis_components_reference(seq, sigma)
+    assert [x.hex() for x in hypothesis_components(seq, sigma)] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("kind", ["default", "poly"])
+@pytest.mark.parametrize("grid", CERT_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+def test_phi_two_sigma_and_cz_match_per_evaluation_sampling(monkeypatch, grid, kind):
+    profiles, sigma = lp_sequence(grid, kind), _sigma(grid)
+    want = phi_two_sigma_reference(profiles, grid, sigma, kind)
+    assert phi_two_sigma(profiles, grid, sigma, kind).hex() == want.hex()
+    got = cz_kernel_estimates(profiles, grid, sigma, family_kind=kind)
+    monkeypatch.setattr(fmult, "phi_two_sigma", phi_two_sigma_reference)
+    ref = cz_kernel_estimates(profiles, grid, sigma, family_kind=kind)
+    assert got.phi_2_sigma.hex() == want.hex()
+    assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(ref))
+
+
+def test_hsigma_evaluations_per_sweep_unchanged(monkeypatch, grid128):
+    # one evaluation per term, as the tracer's fmult.hsigma_evals counts them
+    counted = []
+    original = fmult.hsigma_norm_profile
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return original(*args, **kwargs)
+
+    for module in (fmult, helpers):
+        monkeypatch.setattr(module, "hsigma_norm_profile", counting)
+    seq = bessel_dilate_sequence(grid128, 1.0)
+    profiles = lp_sequence(grid128)
+    sweeps = [(lambda: hypothesis_components(seq, SIGMA),
+               lambda: hypothesis_components_reference(seq, SIGMA),
+               len(DILATE_SHIFTS) * seq.j_max + 1),
+              (lambda: phi_two_sigma(profiles, grid128, SIGMA),
+               lambda: phi_two_sigma_reference(profiles, grid128, SIGMA),
+               len(profiles) * (len(profiles) + 3))]
+    for sweep, reference, terms in sweeps:
+        for call in (sweep, reference):
+            counted.clear()
+            call()
+            assert len(counted) == terms
+
+
+def test_dilate_leaving_the_window_raises_as_before(monkeypatch, grid128):
+    # a base bump four times wider (support radius 8) leaves both windows
+    wide = lp_base_profile().dilate(0.25)
+    seq = bessel_dilate_sequence(grid128, 1.0)
+    profiles = lp_sequence(grid128)
+    errors = []
+    for module in (fmult, helpers):
+        monkeypatch.setattr(module, "lp_base_profile", lambda kind="default": wide)
+    for call in (lambda: hypothesis_components(seq, SIGMA),
+                 lambda: hypothesis_components_reference(seq, SIGMA),
+                 lambda: phi_two_sigma(profiles, grid128, SIGMA),
+                 lambda: phi_two_sigma_reference(profiles, grid128, SIGMA)):
+        with pytest.raises(ResolutionError) as exc:
+            call()
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] and errors[2] == errors[3]
+    assert "exceeds window" in errors[0]
