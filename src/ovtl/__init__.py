@@ -6,8 +6,6 @@ from .opfield import (
     StripField,
     PSDAccumulator,
     trace_lp_norm,
-    op_cauchy_schwarz_gap,
-    pairing,
 )
 from .spectral import (
     Symbol,

@@ -247,7 +247,7 @@ def _suite_lp_family(cfg: Config, lines: list) -> bool:
 
 def _certificates(cfg: Config, seqs, alphas, ps, conic: bool) -> tuple:
     """(report texts, all passed) of the multiplier certificates of each
-    sequence at each alpha and p, in that order, on one trial-field
+    sequence at each alpha and p, in that order, on one trial-spectrum
     generator and, if ``conic``, one cone."""
     grid = cfg.grid()
     bound = empirical_square_bound
@@ -256,7 +256,7 @@ def _certificates(cfg: Config, seqs, alphas, ps, conic: bool) -> tuple:
                                   cone=cone_index(grid, make_lp_family(grid).j_max))
 
     def gen(t):
-        return generators.band_limited_random(grid, cfg.n, cfg.seed + t)
+        return generators.band_limited_spectrum(grid, cfg.n, cfg.seed + t)
 
     certs = [bound(seq, gen, alpha=alpha, p=p, trials=cfg.trials, sigma=cfg.sigma_value(),
                    margin=cfg.multiplier_margin)

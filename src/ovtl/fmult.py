@@ -3,8 +3,10 @@
 Computes the sup-of-dilated potential-Sobolev quantities that control
 square-function multipliers, the three Calderon-Zygmund kernel estimates of
 a symbol sequence, and Monte-Carlo operator-norm ratios that exercise the
-square-function and conic multiplier bounds at desk scale.  Pass/fail
-thresholds are configuration, never asserted theory constants.
+square-function and conic multiplier bounds at desk scale.  Each trial comes
+as its spectrum, and the square functions of a trial share the trial's
+spectrum.  Pass/fail thresholds are configuration, never asserted theory
+constants.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import HypothesisError, ParameterError
 from .lattice import ConeIndex, Grid
-from .opfield import OperatorField, check_p
+from .opfield import check_p
 from .sqfn import level_weight, square_norm
 from .spectral import (
     Profile,
@@ -27,7 +29,6 @@ from .spectral import (
     bessel_profile,
     constant_profile,
     default_window,
-    fft_data,
     hsigma_norm_profile,
     lp_base_profile,
     lp_zero_profile,
@@ -61,6 +62,12 @@ class SymbolSequence:
         return len(self.phi_profiles) - 1
 
     def rho_symbol(self, j: int) -> Symbol:
+        """rho_j on the lattice: the cached LP member where ``rho_profiles[j]``
+        is that member's profile (the identity and Bessel sequences), else
+        sampled from the profile."""
+        members = make_lp_family(self.grid).symbols
+        if j < len(members) and members[j].profile is self.rho_profiles[j]:
+            return members[j]
         return symbol_from_profile(self.grid, self.rho_profiles[j])
 
     @cached_property
@@ -304,7 +311,7 @@ def _check_p1_shape(seq: SymbolSequence, p: float) -> None:
 
 
 def _empirical_bound(kind: str, seq: SymbolSequence,
-                     f_gen: Callable[[int], OperatorField], alpha: float, p: float,
+                     spectrum_gen: Callable[[int], np.ndarray], alpha: float, p: float,
                      cone: Optional[ConeIndex], trials: int, sigma: float,
                      margin: float) -> MultiplierCertificate:
     grid = seq.grid
@@ -321,8 +328,7 @@ def _empirical_bound(kind: str, seq: SymbolSequence,
     same = all(m.tobytes() == r.tobytes() for (_, _, m), (_, _, r) in zip(prod_levels, rho_levels))
     ratios = []
     for t in range(trials):
-        f = f_gen(t)
-        fhat = fft_data(f.data, grid)
+        fhat = spectrum_gen(t)
         out = square_norm(fhat, grid, prod_levels, p, cone)
         inp = out if same else square_norm(fhat, grid, rho_levels, p, cone)
         ratios.append(out / inp if inp > 0 else 0.0)
@@ -341,7 +347,7 @@ def _empirical_bound(kind: str, seq: SymbolSequence,
     )
 
 
-def empirical_square_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorField],
+def empirical_square_bound(seq: SymbolSequence, spectrum_gen: Callable[[int], np.ndarray],
                            alpha: float, p: float, trials: int, sigma: float,
                            margin: float = 100.0) -> MultiplierCertificate:
     """Empirical check of the square-function multiplier bound.
@@ -353,18 +359,21 @@ def empirical_square_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorF
 
     stays below margin * hypothesis_constant.  Pass/fail refers only to the
     ratio being bounded and stable, never to a theorem's unstated constant.
-    Both square functions of a trial share one forward transform of f, and
-    are one square function where every phi_j rho_j is bitwise rho_j.
+    ``spectrum_gen(t)`` gives trial t as the unnormalized spectrum of its
+    field (:func:`~ovtl.generators.band_limited_spectrum`), so no trial field
+    is built or transformed.  Both square functions of a trial share the
+    trial's spectrum, and are one square function where every phi_j rho_j
+    is bitwise rho_j.
     """
-    return _empirical_bound("square", seq, f_gen, alpha, p, None, trials, sigma, margin)
+    return _empirical_bound("square", seq, spectrum_gen, alpha, p, None, trials, sigma, margin)
 
 
-def empirical_conic_bound(seq: SymbolSequence, f_gen: Callable[[int], OperatorField],
+def empirical_conic_bound(seq: SymbolSequence, spectrum_gen: Callable[[int], np.ndarray],
                           alpha: float, p: float, cone: ConeIndex, trials: int,
                           sigma: float, margin: float = 100.0) -> MultiplierCertificate:
     """Conic counterpart of :func:`empirical_square_bound`: scales j >= 1 up
     to the cone's are ball-averaged, the j = 0 term stays radial."""
-    return _empirical_bound("conic", seq, f_gen, alpha, p, cone, trials, sigma, margin)
+    return _empirical_bound("conic", seq, spectrum_gen, alpha, p, cone, trials, sigma, margin)
 
 
 def exact_p2_operator_norm(seq: SymbolSequence) -> float:

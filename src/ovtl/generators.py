@@ -33,10 +33,12 @@ def single_mode(grid: Grid, n: int, k: tuple[int, ...],
     return OperatorField(grid, wave[..., None, None] * np.asarray(matrix, dtype=complex))
 
 
-def band_limited_random(grid: Grid, n: int, seed: int, r_min: float = 0.0,
-                        r_max: float | None = None) -> OperatorField:
-    """I.i.d. complex Gaussian matrix coefficients on the annulus
-    r_min <= |xi| <= r_max, inverse-transformed to the lattice.
+def band_limited_spectrum(grid: Grid, n: int, seed: int, r_min: float = 0.0,
+                          r_max: float | None = None) -> np.ndarray:
+    """Spectrum of :func:`band_limited_random` in the unnormalized convention
+    of ``fft_data``: N^d times i.i.d. complex Gaussian matrix coefficients c
+    on the annulus r_min <= |xi| <= r_max, exactly 0 elsewhere.  Its
+    ``ifft_data`` is the field; N^d is a power of two, so the scaling is exact.
 
     Default r_max is 2^j_max(N), the LP-covered radius.
     """
@@ -47,9 +49,18 @@ def band_limited_random(grid: Grid, n: int, seed: int, r_min: float = 0.0,
     count = int(mask.sum())
     coefs = np.zeros(grid.shape + (n, n), dtype=np.complex128)
     block = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
-    coefs[mask] = block / np.sqrt(2.0 * max(count, 1))
+    coefs[mask] = block / np.sqrt(2.0 * max(count, 1)) * float(grid.N**grid.d)
+    return coefs
+
+
+def band_limited_random(grid: Grid, n: int, seed: int, r_min: float = 0.0,
+                        r_max: float | None = None) -> OperatorField:
+    """The inverse transform of :func:`band_limited_spectrum` on the lattice."""
+    if r_max is None:
+        r_max = float(2 ** lp_family_j_max(grid))
     band = int(r_max) if 0 <= r_max < grid.N else None  # |k_i| <= |xi| <= r_max
-    return OperatorField(grid, ifft_data(coefs, grid, band) * float(grid.N**grid.d))
+    return OperatorField(grid, ifft_data(band_limited_spectrum(grid, n, seed, r_min, r_max),
+                                         grid, band))
 
 
 def bump(grid: Grid, n: int, width: float = 0.08, seed: int | None = None) -> OperatorField:

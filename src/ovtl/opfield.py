@@ -6,7 +6,7 @@ pair.  Both share one field base, which checks the square blocks against
 the grid (behind the scale axis, for a strip), rejects non-finite entries,
 freezes the data and scales it.  The module also provides the
 operator-algebra primitives used throughout: adjoints, pointwise PSD
-accumulation, trace L_p norms, and the operator Cauchy-Schwarz gap.
+accumulation and trace L_p norms.
 
 The batched small-matrix kernels every other module goes through live
 here: :func:`gram` (x*x, one entrywise sum for every n in cache-sized row
@@ -267,7 +267,7 @@ class PSDAccumulator:
 
 
 # ---------------------------------------------------------------------------
-# norms and pairings
+# norms
 # ---------------------------------------------------------------------------
 
 # (sigma_min / sigma_max)^2 below which the eigenvalues of x*x are too coarse
@@ -503,25 +503,3 @@ def lp_norm_from_psd_eigs(eigs: np.ndarray, p: float, cell_volume: float) -> flo
     total = float(np.sum(eigs ** (p / 2.0))) * cell_volume
     return total ** (1.0 / p)
 
-
-def pairing(f: OperatorField, g: OperatorField) -> complex:
-    """Bilinear pairing tau integral tr(f(s) g(s)*) ds."""
-    _check_same(f, g)
-    val = np.sum(f.data * np.conj(g.data))
-    return complex(val) * f.grid.cell_volume
-
-
-def op_cauchy_schwarz_gap(phi: np.ndarray, f: OperatorField) -> float:
-    """Smallest eigenvalue of  (int |phi|^2)(int f*f) - (int phi f)*(int phi f).
-
-    A nonnegative result (up to -1e-9 * scale round-off) certifies the
-    operator Cauchy-Schwarz inequality |int phi f|^2 <= int|phi|^2 int|f|^2.
-    """
-    phi = np.asarray(phi)
-    if phi.shape != f.grid.shape:
-        raise GridMismatchError("scalar field shape does not match grid")
-    h_d = f.grid.cell_volume
-    phi_sq = float(np.sum(np.abs(phi) ** 2)) * h_d
-    gram_int = np.sum(gram(f.data), axis=f.grid.spatial_axes) * h_d
-    conv = np.sum(phi[..., None, None] * f.data, axis=f.grid.spatial_axes) * h_d
-    return float(np.min(np.linalg.eigvalsh(phi_sq * gram_int - gram(conv))))

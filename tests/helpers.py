@@ -2,7 +2,9 @@
 
 Random strips, unitaries and atoms feed the tests; ``fft_forward`` and
 ``fft_inverse`` scale ``fft_data``/``ifft_data`` to the transform pair; the
-remaining helpers restate quantities of the package's objects (the Calderon
+pairing and the operator Cauchy-Schwarz gap, which no command reaches, are
+checked against their identities; the remaining helpers restate quantities
+of the package's objects (the random field by a second formula, the Calderon
 identity defect, the LP sandwich floor, a ball's lattice measure, the
 Cauchy-Schwarz scale, the atom-by-atom validator, the multiplier certificate
 and hypothesis sweeps with no shared work) for tests to check against.
@@ -36,7 +38,7 @@ from ovtl.atomics import (
     calderon_resolution,
     multi_indices,
 )
-from ovtl.errors import ResolutionError
+from ovtl.errors import GridMismatchError, ResolutionError
 from ovtl.fmult import (
     DILATE_SHIFTS,
     MultiplierCertificate,
@@ -46,7 +48,7 @@ from ovtl.fmult import (
 )
 from ovtl.generators import band_limited_random, rng_for
 from ovtl.lattice import ConeIndex, DyadicCube, Grid, periodic_block_sum, subcube_order, wrap_half
-from ovtl.opfield import OperatorField, StripField, _max_eigenvalue, gram, l1l2_sizes
+from ovtl.opfield import OperatorField, StripField, _check_same, _max_eigenvalue, gram, l1l2_sizes
 from ovtl.spectral import (
     LPFamily,
     default_window,
@@ -56,6 +58,7 @@ from ovtl.spectral import (
     lp_base_profile,
     lp_family_j_max,
     lp_zero_profile,
+    symbol_from_profile,
 )
 from ovtl.sqfn import LOG2, level_weight, square_norm
 
@@ -70,6 +73,23 @@ def fft_inverse(fhat: OperatorField) -> OperatorField:
     """Inverse of :func:`fft_forward`."""
     coef = fhat.data.copy()  # ifft_data works in place; field data is read-only
     return OperatorField(fhat.grid, ifft_data(coef, fhat.grid) * float(fhat.grid.N**fhat.grid.d))
+
+
+def band_limited_field_reference(grid: Grid, n: int, seed: int, r_min: float = 0.0,
+                                 r_max=None) -> OperatorField:
+    """band_limited_random by a second formula: the coefficients c
+    inverse-transformed on their band, then scaled by N^d (the package
+    scales c by N^d first, in band_limited_spectrum)."""
+    rng = rng_for(seed)
+    if r_max is None:
+        r_max = float(2 ** lp_family_j_max(grid))
+    mask = (grid.freq_norm >= r_min) & (grid.freq_norm <= r_max)
+    count = int(mask.sum())
+    coefs = np.zeros(grid.shape + (n, n), dtype=np.complex128)
+    block = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    coefs[mask] = block / np.sqrt(2.0 * max(count, 1))
+    band = int(r_max) if 0 <= r_max < grid.N else None
+    return OperatorField(grid, ifft_data(coefs, grid, band) * float(grid.N**grid.d))
 
 
 def random_strip(grid: Grid, n: int, j_max: int, seed: int) -> StripField:
@@ -181,20 +201,23 @@ def phi_two_sigma_reference(profiles, grid: Grid, sigma: float,
     return sup
 
 
-def certificate_reference(seq: SymbolSequence, f_gen, alpha: float, p: float, trials: int,
-                          sigma: float, cone=None, margin: float = 100.0) -> MultiplierCertificate:
-    """empirical_square_bound (empirical_conic_bound given a cone) with two
-    square functions per trial, both on unregistered copies of the levels
-    (so every level takes one full ifftn), and the hypothesis constant of
-    hypothesis_components_reference."""
+def certificate_reference(seq: SymbolSequence, spectrum_gen, alpha: float, p: float,
+                          trials: int, sigma: float, cone=None,
+                          margin: float = 100.0) -> MultiplierCertificate:
+    """empirical_square_bound (empirical_conic_bound given a cone) on the
+    same trial spectra, with two square functions per trial, both on
+    unregistered copies of the levels (so every level takes one full
+    ifftn), rho_j resampled from its profile, and the hypothesis constant
+    of hypothesis_components_reference."""
     grid = seq.grid
     seq.check_support()
     j_top = seq.j_max if cone is None else min(seq.j_max, cone.j_max)
+    rho = [symbol_from_profile(grid, prof) for prof in seq.rho_profiles]
     levels = [[(j, level_weight(j, alpha), np.array(symbol(j).values)) for j in range(j_top + 1)]
-              for symbol in (seq.product_symbol, seq.rho_symbol)]
+              for symbol in (seq.product_symbol, rho.__getitem__)]
     ratios = []
     for t in range(trials):
-        fhat = fft_data(f_gen(t).data, grid)
+        fhat = spectrum_gen(t)
         out, inp = (square_norm(fhat, grid, lv, p, cone) for lv in levels)
         ratios.append(out / inp if inp > 0 else 0.0)
     return MultiplierCertificate(
@@ -212,6 +235,29 @@ def ball_measure(cone: ConeIndex, j: int) -> float:
 def hs_norm_sq(f: OperatorField) -> float:
     """Squared L_2 norm  sum_s h^d ||f(s)||_HS^2 (fixed summation order)."""
     return float(np.sum(np.abs(f.data) ** 2)) * f.grid.cell_volume
+
+
+def pairing(f: OperatorField, g: OperatorField) -> complex:
+    """Bilinear pairing tau integral tr(f(s) g(s)*) ds."""
+    _check_same(f, g)
+    val = np.sum(f.data * np.conj(g.data))
+    return complex(val) * f.grid.cell_volume
+
+
+def op_cauchy_schwarz_gap(phi: np.ndarray, f: OperatorField) -> float:
+    """Smallest eigenvalue of  (int |phi|^2)(int f*f) - (int phi f)*(int phi f).
+
+    A nonnegative result (up to -1e-9 * scale round-off) certifies the
+    operator Cauchy-Schwarz inequality |int phi f|^2 <= int|phi|^2 int|f|^2.
+    """
+    phi = np.asarray(phi)
+    if phi.shape != f.grid.shape:
+        raise GridMismatchError("scalar field shape does not match grid")
+    h_d = f.grid.cell_volume
+    phi_sq = float(np.sum(np.abs(phi) ** 2)) * h_d
+    gram_int = np.sum(gram(f.data), axis=f.grid.spatial_axes) * h_d
+    conv = np.sum(phi[..., None, None] * f.data, axis=f.grid.spatial_axes) * h_d
+    return float(np.min(np.linalg.eigvalsh(phi_sq * gram_int - gram(conv))))
 
 
 def op_cauchy_schwarz_scale(phi: np.ndarray, f: OperatorField) -> float:

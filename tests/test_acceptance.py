@@ -15,10 +15,9 @@ from ovtl.lattice import DyadicCube, Grid, cone_index
 from ovtl.opfield import (
     OperatorField,
     l1l2_sizes,
-    op_cauchy_schwarz_gap,
     trace_lp_norm,
 )
-from ovtl.generators import band_limited_random, rng_for
+from ovtl.generators import band_limited_random, band_limited_spectrum, rng_for
 from ovtl.atomics import (
     TentAtom,
     calderon_resolution,
@@ -62,6 +61,7 @@ from helpers import (
     fft_inverse,
     hs_norm_sq,
     lp_positivity_margin,
+    op_cauchy_schwarz_gap,
     op_cauchy_schwarz_scale,
     random_alpha_one_atom,
     random_alpha_q_atom,
@@ -281,7 +281,7 @@ def test_criterion_08_multiplier_certificates():
     sigma = 1.0
 
     def gen(t):
-        return band_limited_random(g, 2, 11000 + t)
+        return band_limited_spectrum(g, 2, 11000 + t)
 
     ok = True
     details = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from ovtl import fmult, spectral
+from ovtl import fmult, spectral, sqfn
 from ovtl.errors import HypothesisError, ParameterError, ResolutionError
 from ovtl.lattice import Grid, cone_index
 from ovtl.fmult import (
@@ -21,8 +21,15 @@ from ovtl.fmult import (
     lp_sequence,
     phi_two_sigma,
 )
-from ovtl.generators import band_limited_random
-from ovtl.spectral import Profile, constant_profile, lp_base_profile, make_lp_family
+from ovtl.generators import band_limited_random, band_limited_spectrum
+from ovtl.spectral import (
+    Profile,
+    constant_profile,
+    fft_data,
+    lp_base_profile,
+    make_lp_family,
+    symbol_from_profile,
+)
 from helpers import (
     certificate_reference,
     hypothesis_components_reference,
@@ -36,7 +43,7 @@ SIGMA = 1.0
 
 def gen_for(grid, n=2, base=1000):
     def gen(t):
-        return band_limited_random(grid, n, base + t)
+        return band_limited_spectrum(grid, n, base + t)
 
     return gen
 
@@ -297,7 +304,7 @@ def test_certificate_levels_below_top_are_pruned(monkeypatch, grid, pruned):
         return original(coef, g, r)
 
     sigma = _sigma(grid)
-    fields = [band_limited_random(grid, 2, 1000)]  # made before counting: it prunes too
+    spectra = [band_limited_spectrum(grid, 2, 1000)]
     monkeypatch.setattr(spectral, "_pruned_ifft", counting)
     for name, square_functions in (("bessel", 2), ("identity", 1)):
         seq = _family(grid, name)
@@ -305,13 +312,99 @@ def test_certificate_levels_below_top_are_pruned(monkeypatch, grid, pruned):
             counted.clear()
             cone = cone_index(grid, make_lp_family(grid).j_max) if conic else None
             if cone is None:
-                empirical_square_bound(seq, fields.__getitem__, 0.5, 1.0, trials=1, sigma=sigma)
+                empirical_square_bound(seq, spectra.__getitem__, 0.5, 1.0, trials=1, sigma=sigma)
             else:
-                empirical_conic_bound(seq, fields.__getitem__, 0.5, 1.0, cone, trials=1,
+                empirical_conic_bound(seq, spectra.__getitem__, 0.5, 1.0, cone, trials=1,
                                       sigma=sigma)
             # level j has band 2^{j+1} - 1; the top one's passes N/4, every other prunes
             want = square_functions * [2 ** (j + 1) - 1 for j in range(seq.j_max)]
             assert sorted(counted) == (sorted(want) if pruned else [])
+
+
+FFT_FUNCS = ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft", "rfftn",
+             "irfftn")
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("conic", [False, True], ids=["radial", "conic"])
+@pytest.mark.parametrize("name", ["identity", "bessel"])
+@pytest.mark.parametrize("grid", CERT_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+def test_certificate_transforms_no_trial_data(monkeypatch, grid, name, conic, p):
+    # a trial is its spectrum: neither it nor its field enters a transform,
+    # and drawing it takes none
+    seq, sigma = _family(grid, name), _sigma(grid)
+    cone = cone_index(grid, make_lp_family(grid).j_max) if conic else None
+    trials = [(band_limited_spectrum(grid, 2, 400 + t), band_limited_random(grid, 2, 400 + t).data)
+              for t in range(2)]
+    calls, on_trial = [], []
+
+    def counting(fn):
+        def wrapped(a, *args, **kwargs):
+            calls.append(1)
+            on_trial.extend(1 for trial in trials for x in trial
+                            if np.shape(a) == x.shape and np.array_equal(a, x))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for module, names in ((np.fft, FFT_FUNCS), (spectral, ("fft_data", "ifft_data")),
+                          (sqfn, ("fft_data", "ifft_data"))):
+        for fn_name in names:
+            monkeypatch.setattr(module, fn_name, counting(getattr(module, fn_name)))
+    drawn = []
+
+    def gen(t):
+        before = len(calls)
+        spectrum = band_limited_spectrum(grid, 2, 400 + t)
+        drawn.append(len(calls) - before)
+        return spectrum
+
+    if cone is None:
+        empirical_square_bound(seq, gen, 0.5, p, trials=2, sigma=sigma)
+    else:
+        empirical_conic_bound(seq, gen, 0.5, p, cone, trials=2, sigma=sigma)
+    assert drawn == [0, 0]
+    assert on_trial == []
+    assert calls  # the hypothesis constant, and at p = 1 the levels, took transforms
+
+
+ROUTE_GRIDS = CERT_GRIDS + [Grid(3, 16)]
+
+
+@pytest.mark.parametrize("conic", [False, True], ids=["radial", "conic"])
+@pytest.mark.parametrize("name", ["identity", "bessel"])
+@pytest.mark.parametrize("grid", ROUTE_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+def test_spectrum_trials_match_field_trials(grid, name, conic):
+    # the drawn spectrum against the forward transform of the drawn field
+    seq, sigma = _family(grid, name), _sigma(grid)
+    cone = cone_index(grid, make_lp_family(grid).j_max) if conic else None
+    for n in (1, 2, 3):
+        spectra = [band_limited_spectrum(grid, n, 600 + t) for t in range(2)]
+        fields = [fft_data(band_limited_random(grid, n, 600 + t).data, grid) for t in range(2)]
+        for p in (1.0, 2.0):
+            got, want = (empirical_square_bound(seq, trials.__getitem__, 0.5, p, trials=2,
+                                                sigma=sigma) if cone is None else
+                         empirical_conic_bound(seq, trials.__getitem__, 0.5, p, cone, trials=2,
+                                               sigma=sigma)
+                         for trials in (spectra, fields))
+            assert got.hypothesis_constant == want.hypothesis_constant
+            for a, b in zip(got.per_trial, want.per_trial):
+                assert abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("grid", ROUTE_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+def test_rho_symbol_is_the_cached_family_member(grid):
+    fam = make_lp_family(grid)
+    for seq in (identity_sequence(grid), bessel_dilate_sequence(grid, 1.0)):
+        for j in range(seq.j_max + 1):
+            assert seq.rho_symbol(j) is fam.member(j)
+            fresh = symbol_from_profile(grid, seq.rho_profiles[j])
+            assert seq.rho_symbol(j).values.tobytes() == fresh.values.tobytes()
+    # rho profiles of another family are sampled from the profile
+    poly = SymbolSequence(grid, lp_sequence(grid), lp_sequence(grid, "poly"), name="poly-rho")
+    for j in range(poly.j_max + 1):
+        got = poly.rho_symbol(j)
+        assert got is not fam.member(j)
+        assert got.values.tobytes() == make_lp_family(grid, "poly").values(j).tobytes()
 
 
 def _poly_sequence(grid):

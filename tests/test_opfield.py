@@ -17,8 +17,6 @@ from ovtl.opfield import (
     herm,
     l1l2_sizes,
     lp_norm_from_psd_eigs,
-    op_cauchy_schwarz_gap,
-    pairing,
     psd_eigvalsh,
     psd_root_norm,
     trace_lp_norm,
@@ -27,7 +25,7 @@ from ovtl.generators import band_limited_random, rng_for
 from ovtl.normsuite import hardy_norm, tl_infty_norm, tl_norm_column, tl_norm_mixture
 from ovtl.spectral import fft_data, make_lp_family
 from ovtl.sqfn import lp_levels, square_norm
-from helpers import hs_norm_sq, op_cauchy_schwarz_scale
+from helpers import hs_norm_sq, op_cauchy_schwarz_gap, op_cauchy_schwarz_scale, pairing
 
 
 def test_trace_lp_indicator(grid64):
