@@ -18,7 +18,6 @@ from .spectral import (
     derivative_symbol,
     poisson_symbol,
     poisson_dk_symbol,
-    hsigma_norm,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, ParameterError, ResolutionError, ValidationError
+from .errors import ParameterError, ResolutionError, ValidationError
 from .lattice import (
     DyadicCube,
     Grid,
@@ -47,7 +47,6 @@ from .normsuite import hardy_norm, tl_norm_column
 from .opfield import OperatorField, StripField, l1l2_sizes, trace_lp_norm
 from .spectral import (
     LPFamily,
-    apply_symbol_data,
     apply_symbol_hat,
     bessel_symbol,
     fft_data,
@@ -91,23 +90,17 @@ class _BoxStorage(_CubeAtom):
     def axis_idx(self) -> list:
         return box_indices(self.grid, self.origin, self.block.shape[:self.grid.d])
 
-    def embed(self) -> np.ndarray:
-        out = np.zeros(self.grid.shape + (self.n, self.n), dtype=np.complex128)
-        out[np.ix_(*self.axis_idx)] = self.block
-        return out
-
 
 @dataclass
 class HAtom(_BoxStorage):
     """Hardy-space atom: supported in Q (or 2Q when ``double_support``),
     size tau((int |a|^2)^(1/2)) <= |Q|^(-1/2), mean-zero when |Q| < 1.
 
-    ``block`` may be given as a full-grid OperatorField, which is stored as
-    the box at ``origin`` 0.  The h1 decomposition stores each atom on its
-    projected support, Q grown by the reach R_j of its level-j kernel (the
-    whole grid once that covers it), a box inside 2Q; ``support_leak`` is
-    the relative L2 energy the cut to that box dropped (0 for an atom built
-    on that box alone, the window route).
+    ``origin`` defaults to 0, the box of a full-grid block.  The h1
+    decomposition stores each atom on its projected support, Q grown by the
+    reach R_j of its level-j kernel (the whole grid once that covers it), a
+    box inside 2Q; ``support_leak`` is the relative L2 energy the cut to that
+    box dropped (0 for an atom built on that box alone, the window route).
     """
 
     kind = "h_atom"
@@ -119,8 +112,6 @@ class HAtom(_BoxStorage):
     support_leak: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.block, OperatorField):
-            self.block = np.asarray(self.block.data)
         if not self.origin:
             self.origin = (0,) * self.grid.d
         if self.mean_zero_required is None:
@@ -140,21 +131,10 @@ class TentAtom(_CubeAtom):
     j_lo: int
     block: np.ndarray
 
-    @property
-    def scales(self) -> range:
-        return range(self.j_lo, self.j_lo + self.block.shape[0])
-
     def size(self) -> float:
         """tau((int_{T(Q)} |a|^2 ds deps/eps)^(1/2)) with the dyadic measure."""
         return float(l1l2_sizes(self.block.reshape(-1, self.n, self.n),
                                 LOG2 * self.grid.cell_volume))
-
-    def to_strip(self, j_max: int) -> StripField:
-        """The atom on the full strip of scales 1 .. j_max (zeros off T(Q))."""
-        data = np.zeros((j_max,) + self.grid.shape + (self.n, self.n), dtype=np.complex128)
-        box = np.ix_(*self.cube.axis_indices())
-        data[(slice(self.j_lo - 1, self.scales.stop - 1),) + box] = self.block
-        return StripField(self.grid, data)
 
 
 @dataclass
@@ -809,37 +789,14 @@ def _check_mean_zero_levels(cal: CalderonSystem, scales) -> None:
             raise ValidationError(f"level kernel {j} has nonzero mean")
 
 
-def project_tent(F, cal: CalderonSystem) -> OperatorField:
-    """pi(F)(s) = log2 * sum_j (Psi_j * F(., 2^-j))(s).
-
-    For a TentAtom input the output is supported in Q grown by the reach
-    R_j of its coarsest scale j (exact stencil support, inside 2Q), has
-    exactly vanishing mean, and satisfies the L1(M;L2) size bound with the
-    measured constant.
-    """
-    grid = cal.grid
-    if isinstance(F, TentAtom):
-        F = F.to_strip(F.scales.stop - 1)
-    if not isinstance(F, StripField):
-        raise TypeError("project_tent expects a StripField or TentAtom")
-    if F.grid != grid:
-        raise GridMismatchError("strip grid does not match system grid")
-    scales = range(1, min(F.j_max, cal.j_max) + 1)  # scales above cal.j_max are ignored
-    _check_mean_zero_levels(cal, scales)
-    out = np.zeros(grid.shape + (F.n, F.n), dtype=np.complex128)
-    for j in scales:
-        out += apply_symbol_data(cal.level(j), F.level(j), grid)
-    return OperatorField(grid, LOG2 * out)
-
-
 @lru_cache(maxsize=64)
 def _projection(cal: CalderonSystem, j: int, side: int) -> np.ndarray:
     """The real ((side + 2 R_j)^d, side^d) matrix of the level-j kernel: it
     maps data over a box of ``side`` cells per axis to its convolution with
     the kernel over that box grown by R_j cells on every side, which holds
     the kernel's whole reach, for a grown box below the torus.  Applied to
-    real columns (:func:`_real_columns`) it is apply_symbol_data(cal.level(j),
-    ...) on the box, with no transform and no cut."""
+    real columns (:func:`_real_columns`) it is the multiplier cal.level(j)
+    (:func:`apply_symbol_hat`) on the box, with no transform and no cut."""
     d, R = cal.grid.d, _reach(cal.grid, j)
     # per axis: the kernel index R + (z - R) - y of output z from input y
     offset = np.arange(side + 2 * R)[:, None] - np.arange(side)[None, :]
@@ -921,9 +878,11 @@ def _normalize_alpha_one(low: np.ndarray, grid: Grid, K: int, alpha: float) -> t
     return mu, atom
 
 
-def _subatom_cells(cube: DyadicCube) -> list:
+@lru_cache(maxsize=4096)
+def _subatom_cells(cube: DyadicCube) -> tuple:
     """Level-(level+1) cubes meeting ``cube`` (up to 3 per axis; fewer when
-    the wraparound identifies 2m-1 with 2m+1 at coarse levels)."""
+    the wraparound identifies 2m-1 with 2m+1 at coarse levels), built once
+    per cube."""
     grid = cube.grid
     lvl = cube.level + 1
     modulus = 1 << lvl
@@ -931,7 +890,7 @@ def _subatom_cells(cube: DyadicCube) -> list:
     for m in cube.index:
         raw = [(2 * m - 1) % modulus, (2 * m) % modulus, (2 * m + 1) % modulus]
         per_axis.append(sorted(set(raw)))
-    return [DyadicCube(grid, lvl, tuple(combo)) for combo in iproduct(*per_axis)]
+    return tuple(DyadicCube(grid, lvl, combo) for combo in iproduct(*per_axis))
 
 
 def _piece_transforms(blocks: list, cubes: list, cells: list,
@@ -1082,7 +1041,11 @@ def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
     annulus kernels applied to the mean mode) are dropped first.  K and L
     below :func:`required_k_floor` and :func:`required_l_floor` are a
     ParameterError, for h1 (K >= 1) as for the smoothness-alpha space.
+    f is scaled by 2^-e into max |f| in [1/2, 1) (``pow2_exponent``) and the
+    coefficients by 2^e back: atoms, residual and mass ratio ignore the scale.
     """
+    e = f.pow2_exponent()
+    f = OperatorField(f.grid, f.data * np.ldexp(1.0, -e))
     grid = f.grid
     weight = 0.0 if alpha is None else alpha
     if K < required_k_floor(weight):
@@ -1116,6 +1079,9 @@ def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
         else:
             source_norm = tl_norm_column(f, alpha, 1.0, fam).value
         dec.mass_ratio = dec.mass / source_norm if source_norm > 0 else None
+    if e:
+        dec.low_pairs, dec.high_pairs = ([(float(np.ldexp(c, e)), atom) for c, atom in pairs]
+                                         for pairs in (dec.low_pairs, dec.high_pairs))
     return dec
 
 
@@ -1201,8 +1167,9 @@ def pointwise_multiply_test(h: OperatorField, f: OperatorField, alpha: float,
     den = tl_norm_column(f, alpha, 1.0, family).value
     ratio = num / den if den > 0 else 0.0
     bound = 0.0
+    hhat = fft_data(h.data, grid)
     for gamma in multi_indices(grid.d, 2):
-        dg = apply_symbol_data(multi_derivative_symbol(grid, gamma).values, h.data, grid)
+        dg = apply_symbol_hat(multi_derivative_symbol(grid, gamma).values, hhat, grid)
         bound += trace_lp_norm(OperatorField(grid, dg), np.inf)
     return {
         "ratio": ratio,

@@ -50,6 +50,7 @@ from .normsuite import (
 )
 from .spectral import (
     Profile,
+    annulus_leak,
     apply_symbol,
     bessel_symbol,
     constant_profile,
@@ -233,13 +234,8 @@ def _suite_lp_family(cfg: Config, lines: list) -> bool:
         )
         lines.append(f"range_ok[{kind}] = {rng_ok}")
         ok &= rng_ok
-        r = grid.freq_norm
-        supp_ok = True
-        for j in range(1, fam.j_max + 1):
-            vals = np.abs(fam.values(j))
-            outside = (r < 2.0 ** (j - 1) - 1e-12) | (r > 2.0 ** (j + 1) + 1e-12)
-            if np.any(outside) and float(np.max(vals[outside])) > 0.0:
-                supp_ok = False
+        supp_ok = all(annulus_leak(fam.values(j), grid, j) == 0.0
+                      for j in range(1, fam.j_max + 1))
         lines.append(f"support_ok[{kind}] = {supp_ok}")
         ok &= supp_ok
     return ok

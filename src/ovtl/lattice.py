@@ -21,9 +21,6 @@ import numpy as np
 
 from .errors import ParameterError, ResolutionError
 
-# volume of the d-dimensional Euclidean unit ball, d = 1, 2, 3
-UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
-
 
 def wrap_half(delta: np.ndarray) -> np.ndarray:
     """Periodic offsets wrapped to a centered cube's half-open [-1/2, 1/2): 1/2 goes to -1/2."""
@@ -118,31 +115,18 @@ class DyadicCube:
         )
 
     @property
-    def side(self) -> float:
-        return 2.0**-self.level
-
-    @property
     def volume(self) -> float:
         return 2.0 ** (-self.level * self.grid.d)
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array(self.index, dtype=float) * self.side
-
-    @property
-    def side_cells(self) -> int:
-        """Side length in lattice cells."""
-        return self.grid.N >> self.level
-
-    def box(self, double: bool = False, margin: int = 0) -> tuple[tuple[int, ...], int]:
-        """(per-axis start index, side in cells) of Q grown by ``margin``
-        cells on every side, or 2Q (``double``); see :func:`cube_boxes`."""
-        starts, side = cube_boxes(self.grid, self.level, self.index, double, margin)
+    def box(self, double: bool = False) -> tuple[tuple[int, ...], int]:
+        """(per-axis start index, side in cells) of Q, or of 2Q when
+        ``double``; see :func:`cube_boxes`."""
+        starts, side = cube_boxes(self.grid, self.level, self.index, double)
         return tuple(starts), side
 
-    def axis_indices(self, double: bool = False) -> list[np.ndarray]:
-        """Per-axis lattice indices of the points of Q (2Q when ``double``)."""
-        origin, side = self.box(double)
+    def axis_indices(self) -> list[np.ndarray]:
+        """Per-axis lattice indices of the points of Q."""
+        origin, side = self.box()
         return box_indices(self.grid, origin, (side,) * self.grid.d)
 
     def box_mask(self, axis_idx, double: bool = False) -> np.ndarray:
@@ -271,14 +255,12 @@ class ConeIndex:
     """Offsets of the truncated cone |t| < 2^-j < 1 per dyadic scale.
 
     ``offsets[j]`` holds integer lattice offsets m (shape (count, d)) with
-    |m * h| < 2^-j, for 1 <= j <= j_max.  ``volume_ratio[j]`` records
-    |B_j| h^d / (c_d 2^-jd), the discrete-to-continuum ball volume factor.
+    |m * h| < 2^-j, for 1 <= j <= j_max.
     """
 
     grid: Grid
     j_max: int
     offsets: dict[int, np.ndarray]
-    volume_ratio: dict[int, float]
     _ball_ffts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ball_fft(self, j: int) -> np.ndarray:
@@ -301,8 +283,6 @@ def cone_index(grid: Grid, j_max: int) -> ConeIndex:
             f"scale 2^-{j_max} < 2h: cone not resolvable on N={grid.N}"
         )
     offsets = {}
-    ratio = {}
-    cd = UNIT_BALL_VOLUME[grid.d]
     for j in range(1, j_max + 1):
         radius_cells = grid.N / 2**j  # |m| < radius_cells
         r_int = int(math.ceil(radius_cells)) - 1
@@ -310,7 +290,5 @@ def cone_index(grid: Grid, j_max: int) -> ConeIndex:
         mesh = np.meshgrid(*([ax] * grid.d), indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         keep = np.sum(pts.astype(float) ** 2, axis=-1) < radius_cells**2
-        offs = pts[keep]
-        offsets[j] = offs
-        ratio[j] = offs.shape[0] * grid.cell_volume / (cd * 2.0 ** (-j * grid.d))
-    return ConeIndex(grid=grid, j_max=j_max, offsets=offsets, volume_ratio=ratio)
+        offsets[j] = pts[keep]
+    return ConeIndex(grid=grid, j_max=j_max, offsets=offsets)

@@ -4,7 +4,8 @@ equivalence report.
 
 Every operation returns a :class:`NormReport` carrying the value, its
 constituent terms, and the parameters that produced it, so equivalence
-constants can be measured, diffed, and tracked rather than asserted.
+constants can be measured, diffed, and tracked rather than asserted.  Each
+norm is exactly homogeneous, with no square to over- or underflow (:func:`_scaled_back`).
 """
 
 from __future__ import annotations
@@ -75,16 +76,40 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _scaled_transform(f: OperatorField) -> tuple:
+    """(fft_data(f 2^-e), e), with e = ``f.pow2_exponent()``: the transform
+    of f scaled in place, which is bitwise that of the scaled field, with no
+    scaled copy of f."""
+    e = f.pow2_exponent()
+    fhat = fft_data(f.data, f.grid)
+    if e:
+        fhat *= np.ldexp(1.0, -e)
+    return fhat, e
+
+
+def _scaled_back(report: NormReport, e: int, ratio_value: bool = False) -> NormReport:
+    """The report of a field scaled by 2^-e (``pow2_exponent``) with its value
+    (unless ``ratio_value``) and each float term but the ``ratio*`` ones
+    times 2^e: every norm is exactly homogeneous of degree one."""
+    if e:
+        if not ratio_value:
+            report.value = float(np.ldexp(report.value, e))
+        report.terms = {k: float(np.ldexp(v, e)) if isinstance(v, float)
+                        and not k.startswith("ratio") else v for k, v in report.terms.items()}
+    return report
+
+
 def _low_term_norm(f: OperatorField, values: np.ndarray, fhat: np.ndarray,
                    p: float) -> float:
     return trace_lp_norm(OperatorField(f.grid, apply_symbol_hat(values, fhat, f.grid)), p)
 
 
 def _lp_square_norms(f: OperatorField, alpha: float, p: float, family: LPFamily,
-                     sides: Sequence[str], fhat: Optional[np.ndarray] = None,
+                     sides: Sequence[str], fhat: np.ndarray,
                      low: bool = True) -> tuple[list, Optional[float]]:
     """LP square-function norms of f on each side in ``sides`` ("column"
-    or "row"), and the phi_0 term ||phi_0 * f||_p when ``low``.
+    or "row"), and the phi_0 term ||phi_0 * f||_p when ``low``, given
+    ``fhat = fft_data(f.data, f.grid)``.
 
     One forward transform serves every side: the LP symbols are real and
     even, so phi_j * f* = (phi_j * f)*, and the row sum
@@ -92,8 +117,6 @@ def _lp_square_norms(f: OperatorField, alpha: float, p: float, family: LPFamily,
     column's filtered levels g_j = phi_j * f.  At p = 2 every side is the
     column's Plancherel sum, since tr(g g*) = tr(g* g).
     """
-    if fhat is None:
-        fhat = fft_data(f.data, f.grid)
     levels = lp_levels(family, alpha)
     if p == 2:
         low_term = _low_term_norm(f, levels[0][2], fhat, p) if low else None
@@ -115,15 +138,16 @@ def _lp_square_norms(f: OperatorField, alpha: float, p: float, family: LPFamily,
 def _tl_side_report(f: OperatorField, alpha: float, p: float, family: LPFamily,
                     side: str) -> NormReport:
     check_p(p)
-    (value,), low = _lp_square_norms(f, alpha, p, family, (side,))
-    return NormReport(
+    fhat, e = _scaled_transform(f)
+    (value,), low = _lp_square_norms(f, alpha, p, family, (side,), fhat)
+    return _scaled_back(NormReport(
         name=f"F_alpha_{side}",
         value=value,
         params={"alpha": alpha, "p": p, "kernel": f"lp[{family.kind}]"},
         terms={"square_function": value, "phi0_term": low},
         grid=f.grid,
         n=f.n,
-    )
+    ), e)
 
 
 def tl_norm_column(f: OperatorField, alpha: float, p: float, family: LPFamily) -> NormReport:
@@ -136,37 +160,26 @@ def tl_norm_row(f: OperatorField, alpha: float, p: float, family: LPFamily) -> N
     return _tl_side_report(f, alpha, p, family, "row")
 
 
-def tl_norm_mixture(f: OperatorField, alpha: float, p: float, family: LPFamily,
-                    splits: Sequence[tuple[OperatorField, OperatorField]] = ()) -> NormReport:
-    """Mixture norm: exact max(column,row) for p > 2; for p <= 2 the minimum
-    of column(g)+row(h) over the provided splits plus the two trivial splits.
+def tl_norm_mixture(f: OperatorField, alpha: float, p: float, family: LPFamily) -> NormReport:
+    """Mixture norm: exact max(column,row) for p > 2; for p <= 2 the smaller
+    of column(g)+row(h) over the two trivial splits (f, 0) and (0, f).
 
     The p <= 2 value is an upper bound for the true infimum and is flagged so.
     Column and row come from one filtering of f, exactly as computed by
     :func:`tl_norm_column` and :func:`tl_norm_row`.
     """
     check_p(p)
-    (col, row), _ = _lp_square_norms(f, alpha, p, family, ("column", "row"), low=False)
+    fhat, e = _scaled_transform(f)
+    (col, row), _ = _lp_square_norms(f, alpha, p, family, ("column", "row"), fhat, low=False)
     if p > 2:
         value = max(col, row)
         flags = {"upper_bound": False}
         terms = {"column": col, "row": row}
     else:
-        candidates = [col, row]  # trivial splits (f,0) and (0,f)
-        for g, h in splits:
-            total = g + h
-            dev = float(np.max(np.abs(total.data - f.data)))
-            scale = max(float(np.max(np.abs(f.data))), 1e-300)
-            if dev > 1e-12 * scale:
-                raise ValueError(f"split does not sum to f (deviation {dev:.3e})")
-            candidates.append(
-                tl_norm_column(g, alpha, p, family).value
-                + tl_norm_row(h, alpha, p, family).value
-            )
-        value = min(candidates)
-        flags = {"upper_bound": True, "splits_tried": len(candidates)}
+        value = min(col, row)
+        flags = {"upper_bound": True, "splits_tried": 2}
         terms = {"column": col, "row": row, "best_split": value}
-    return NormReport(
+    return _scaled_back(NormReport(
         name="F_alpha_mixture",
         value=value,
         params={"alpha": alpha, "p": p, "kernel": f"lp[{family.kind}]"},
@@ -174,7 +187,7 @@ def tl_norm_mixture(f: OperatorField, alpha: float, p: float, family: LPFamily,
         grid=f.grid,
         n=f.n,
         flags=flags,
-    )
+    ), e)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +216,7 @@ def hardy_norm(f: OperatorField, p: float, family: LPFamily, mode: str = "lp",
     else:
         low_values = poisson_symbol(grid, 1.0).values
         levels = poisson_levels(grid, family.j_max, 0.0)
-    fhat = fft_data(f.data, grid)
+    fhat, e = _scaled_transform(f)
 
     if shape == "radial" and mode == "lp":
         (sq,), low = _lp_square_norms(f, 0.0, p, family, ("column",), fhat)
@@ -213,14 +226,14 @@ def hardy_norm(f: OperatorField, p: float, family: LPFamily, mode: str = "lp",
         cone = cone_index(grid, family.j_max) if shape == "conic" else None
         sq = square_norm(fhat, grid, levels, p, cone)
         value = sq + low
-    return NormReport(
+    return _scaled_back(NormReport(
         name="hardy",
         value=value,
         params={"p": p, "mode": mode, "shape": shape, "poisson_k": 1},
         terms={"square_function": sq, "low_frequency": low},
         grid=grid,
         n=f.n,
-    )
+    ), e)
 
 
 # ---------------------------------------------------------------------------
@@ -239,28 +252,29 @@ def _block_means(data: np.ndarray, grid: Grid, level: int) -> np.ndarray:
 def bmo_norm(f: OperatorField) -> NormReport:
     """bmo^c norm: sup over dyadic |Q| < 1 of the mean oscillation, maximized
     with the |Q| = 1 (whole torus) size term."""
-    grid = f.grid
-    P = gram(f.data)
+    grid, e = f.grid, f.pow2_exponent()
+    x = f.data * np.ldexp(1.0, -e)
+    P = gram(x)
     whole = np.mean(P, axis=grid.spatial_axes)  # = int_Q |f|^2 at |Q| = 1
     unit_term = psd_root_norm(whole, np.inf, 1.0)
     osc = 0.0
     per_level = {}
     for level in range(1, grid.max_cube_level + 1):
         mean_p = _block_means(P, grid, level)
-        mean_f = _block_means(f.data, grid, level)
+        mean_f = _block_means(x, grid, level)
         m = mean_p - gram(mean_f)  # E|f|^2 - |E f|^2 over each cube
         lv = psd_root_norm(m, np.inf, 1.0)
         per_level[f"oscillation_level_{level}"] = lv
         osc = max(osc, lv)
     value = max(osc, unit_term)
-    return NormReport(
+    return _scaled_back(NormReport(
         name="bmo",
         value=value,
         params={},
         terms={"oscillation_sup": osc, "unit_cube_term": unit_term, **per_level},
         grid=grid,
         n=f.n,
-    )
+    ), e)
 
 
 def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily) -> NormReport:
@@ -272,7 +286,7 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily) -> NormRepor
     level are taken once the next level is filtered.
     """
     grid = f.grid
-    fhat = fft_data(f.data, grid)
+    fhat, e = _scaled_transform(f)
     levels = lp_levels(family, alpha)
     low_term = _low_term_norm(f, levels[0][2], fhat, np.inf)
     top_level = min(grid.max_cube_level, family.j_max)
@@ -292,14 +306,14 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily) -> NormRepor
     per_level = {f"carleson_level_{level}": by_level[level] for level in sorted(by_level)}
     carleson = max(by_level.values(), default=0.0)
     value = low_term + carleson
-    return NormReport(
+    return _scaled_back(NormReport(
         name="F_alpha_infty",
         value=value,
         params={"alpha": alpha, "kernel": f"lp[{family.kind}]"},
         terms={"phi0_sup": low_term, "carleson_sup": carleson, **per_level},
         grid=grid,
         n=f.n,
-    )
+    ), e)
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +323,18 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily) -> NormRepor
 def tent_norm(F: StripField, p: float, cone: Optional[ConeIndex] = None) -> NormReport:
     """Tent-space norm || A^c(F) ||_p."""
     check_p(p)
+    e = F.pow2_exponent()
+    F = StripField(F.grid, F.data * np.ldexp(1.0, -e))
     cone = cone_index(F.grid, F.j_max) if cone is None else cone
     value = psd_root_norm(square_accumulator(F.grid, F.n, strip_levels(F), cone).S, p,
                           F.grid.cell_volume)
-    return NormReport(
+    return _scaled_back(NormReport(
         name="tent",
         value=value,
         params={"p": p, "j_max": F.j_max},
         grid=F.grid,
         n=F.n,
-    )
+    ), e)
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +351,15 @@ def homogeneous_equiv_report(f: OperatorField, alpha: float, p: float,
     if alpha <= 0:
         raise ValueError("homogeneous equivalence requires alpha > 0")
     grid = f.grid
-    fhat = fft_data(f.data, grid)
+    fhat, e = _scaled_transform(f)
     (inhom,), low = _lp_square_norms(f, alpha, p, family, ("column",), fhat)
     hom_sq = square_norm(fhat, grid, lp_levels(hom, alpha), p)
-    plain = trace_lp_norm(f, p)
+    plain = float(np.ldexp(trace_lp_norm(f, p), -e))  # exact: trace_lp_norm rescales itself
     denom_phi0 = low + hom_sq
     denom_plain = plain + hom_sq
     ratio_phi0 = inhom / denom_phi0 if denom_phi0 > 0 else math.inf
     ratio_plain = inhom / denom_plain if denom_plain > 0 else math.inf
-    return NormReport(
+    return _scaled_back(NormReport(
         name="homogeneous_equivalence",
         value=ratio_phi0,
         params={"alpha": alpha, "p": p, "j_min": hom.j_min, "kernel": f"lp[{family.kind}]"},
@@ -357,4 +373,4 @@ def homogeneous_equiv_report(f: OperatorField, alpha: float, p: float,
         },
         grid=grid,
         n=f.n,
-    )
+    ), e, ratio_value=True)

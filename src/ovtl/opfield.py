@@ -72,6 +72,11 @@ class _Field:
     def n(self) -> int:
         return self.data.shape[-1]
 
+    def pow2_exponent(self) -> int:
+        """e such that max |data| 2^-e lies in [1/2, 1) (0 for zero data): the
+        data scaled by 2^-e, which is exact, squares without over- or underflow."""
+        return int(_pow2_exponent(self.data).item())
+
     def __mul__(self, c: complex):
         return type(self)(self.grid, self.data * c)
 
@@ -277,12 +282,17 @@ _ROOT_STEPS = 7  # Laguerre steps: blocks that pass the guard reach round-off by
 _SUP_DIRECT = 64  # stacks of at most this many blocks are solved whole
 
 
-def _pow2_rescaled(x: np.ndarray, axes=None, step: int = 1) -> tuple:
-    """(x * 2^-e, e) with 2^e the least power of 2^step that brings max |x|
-    over ``axes`` (all of x when None) into [2^-step, 1), so that x* x
+def _pow2_exponent(x: np.ndarray, axes=None, step: int = 1) -> np.ndarray:
+    """e with 2^e the least power of 2^step that brings max |x| over ``axes``
+    (all of x when None) into [2^-step, 1), so that x* x scaled by 2^-2e
     neither overflows nor underflows; e keeps the reduced axes with length 1."""
     peak = np.max(np.abs(x), axis=axes, keepdims=True, initial=0.0)
-    exp = -(-np.maximum(np.frexp(peak)[1], -1000) // step) * step
+    return -(-np.maximum(np.frexp(peak)[1], -1000) // step) * step
+
+
+def _pow2_rescaled(x: np.ndarray, axes=None, step: int = 1) -> tuple:
+    """(x * 2^-e, e) with e from :func:`_pow2_exponent`."""
+    exp = _pow2_exponent(x, axes, step)
     return x * np.ldexp(1.0, -exp), exp
 
 

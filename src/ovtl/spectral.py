@@ -10,7 +10,7 @@ symbol is exactly (1+|xi|^2)^(alpha/2).
 
 Symbols carry lattice values and, when available, an analytic *profile*
 (a callable on R^d) so they can be resampled on dilated frequency windows;
-this is what the potential-Sobolev quantity ``hsigma_norm`` needs.
+this is what the potential-Sobolev quantity ``hsigma_norm_profile`` needs.
 """
 
 from __future__ import annotations
@@ -96,14 +96,6 @@ class Symbol:
         vals = np.ascontiguousarray(vals)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def __mul__(self, other: "Symbol") -> "Symbol":
-        if self.grid != other.grid:
-            raise GridMismatchError("symbols on different grids")
-        prof = None
-        if self.profile is not None and other.profile is not None:
-            prof = self.profile * other.profile
-        return Symbol(self.grid, self.values * other.values, profile=prof)
 
 
 def symbol_from_profile(grid: Grid, prof: Profile) -> Symbol:
@@ -194,7 +186,7 @@ def apply_symbol(m: Symbol, f: OperatorField) -> OperatorField:
     """Fourier multiplier: inverse transform of m(xi) fhat(xi)."""
     if m.grid != f.grid:
         raise GridMismatchError("symbol and field grids differ")
-    return OperatorField(f.grid, apply_symbol_data(m.values, f.data, f.grid))
+    return OperatorField(f.grid, apply_symbol_hat(m.values, fft_data(f.data, f.grid), f.grid))
 
 
 def _data_axes(data: np.ndarray, grid: Grid) -> tuple:
@@ -300,21 +292,6 @@ def apply_symbol_hat(values: np.ndarray, data_hat: np.ndarray, grid: Grid) -> np
     for box in itertools.product(_band_parts(grid, r), repeat=grid.d):
         np.multiply(data_hat[box], values[box][..., None, None], out=out[box])
     return _pruned_ifft(out, grid, r)
-
-
-def apply_symbol_data(values: np.ndarray, data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Multiplier action on raw (*, n, n) or batched (B, *, n, n) data.
-
-    The transform is filtered in place, so one full-size temporary is live
-    rather than the two of :func:`apply_symbol_hat`, whose input is shared.
-    A symbol that :func:`apply_symbol_hat` prunes goes through it instead.
-    """
-    axes = _data_axes(data, grid)
-    coef = np.fft.fftn(data, axes=axes)
-    if _prunes(coef, grid, _band_of(values)):
-        return apply_symbol_hat(values, coef, grid)
-    coef *= values[..., None, None]
-    return np.fft.ifftn(coef, axes=axes)
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +410,20 @@ class LPFamily:
             total = total + s.values.real
         return total
 
-    @property
-    def covered_radius(self) -> float:
-        return float(2**self.j_max)
-
     def covered_mask(self) -> np.ndarray:
-        return self.grid.freq_norm <= self.covered_radius + 1e-12
+        """The frequencies |xi| <= 2^j_max, where the partition sum is 1."""
+        return self.grid.freq_norm <= float(2**self.j_max) + 1e-12
+
+
+def annulus_leak(values: np.ndarray, grid: Grid, j: int) -> float:
+    """max |m(xi)| over the lattice frequencies outside the LP annulus of
+    scale j, 2^(j-1) <= |xi| <= 2^(j+1) (|xi| <= 2 at j = 0), edges widened
+    by 1e-12; 0 when the symbol ``values`` vanish there."""
+    r = grid.freq_norm
+    outside = r > 2.0 ** (j + 1) + 1e-12
+    if j > 0:
+        outside |= r < 2.0 ** (j - 1) - 1e-12
+    return float(np.max(np.abs(values[outside]), initial=0.0))
 
 
 def lp_family_j_max(grid: Grid) -> int:
@@ -492,22 +477,6 @@ def window_radius_sq(grid: Grid, window: float) -> np.ndarray:
     return reduce(np.add.outer, [axis] * grid.d)
 
 
-def _hsigma_window(grid: Grid, sigma: float, window: Optional[float]) -> float:
-    if not sigma > grid.d / 2.0:
-        raise ParameterError(f"sigma must exceed d/2 = {grid.d / 2}, got {sigma}")
-    W = default_window(grid) if window is None else float(window)
-    if W <= 0:
-        raise ValueError("window must be positive")
-    return W
-
-
-def _hsigma_of_samples(vals: np.ndarray, grid: Grid, sigma: float, W: float) -> float:
-    """l2 norm of the (1+|s|^2)^(sigma/2)-weighted spatial dual of window samples."""
-    spatial = np.fft.ifftn(vals, axes=grid.spatial_axes)
-    weight = (1.0 + window_radius_sq(grid, W)) ** sigma
-    return float(np.sqrt(np.sum(weight * np.abs(spatial) ** 2)))
-
-
 @lru_cache(maxsize=8)
 def _window_points(grid: Grid, window: float) -> np.ndarray:
     """The frequencies k/W (k the integer lattice) at which
@@ -539,7 +508,11 @@ def hsigma_norm_profile(prof: Profile, grid: Grid, sigma: float,
     the quantity is proportional to the continuum H^sigma_2 norm with a fixed
     (W/N)^(d/2) factor.
     """
-    W = _hsigma_window(grid, sigma, window)
+    if not sigma > grid.d / 2.0:
+        raise ParameterError(f"sigma must exceed d/2 = {grid.d / 2}, got {sigma}")
+    W = default_window(grid) if window is None else float(window)
+    if W <= 0:
+        raise ValueError("window must be positive")
     half_extent = grid.N / (2.0 * W)
     if prof.support_radius is not None and prof.support_radius > half_extent + 1e-9:
         raise ResolutionError(
@@ -547,16 +520,6 @@ def hsigma_norm_profile(prof: Profile, grid: Grid, sigma: float,
             f"half-extent {half_extent:.3g} (window W={W:.3g})"
         )
     vals = np.asarray(prof(_window_points(grid, W)), dtype=np.complex128)
-    return _hsigma_of_samples(vals, grid, sigma, W)
-
-
-def hsigma_norm(sym: Symbol, sigma: float, window: Optional[float] = None) -> float:
-    """H^sigma_2 quantity of a Symbol.
-
-    Uses the analytic profile when available; otherwise the stored lattice
-    values are treated as the window samples directly.
-    """
-    if sym.profile is not None:
-        return hsigma_norm_profile(sym.profile, sym.grid, sigma, window)
-    return _hsigma_of_samples(sym.values, sym.grid, sigma,
-                              _hsigma_window(sym.grid, sigma, window))
+    spatial = np.fft.ifftn(vals, axes=grid.spatial_axes)
+    weight = (1.0 + window_radius_sq(grid, W)) ** sigma
+    return float(np.sqrt(np.sum(weight * np.abs(spatial) ** 2)))

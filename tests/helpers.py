@@ -3,11 +3,14 @@
 Random strips, unitaries and atoms feed the tests; ``fft_forward`` and
 ``fft_inverse`` scale ``fft_data``/``ifft_data`` to the transform pair; the
 pairing and the operator Cauchy-Schwarz gap, which no command reaches, are
-checked against their identities; the remaining helpers restate quantities
-of the package's objects (the random field by a second formula, the Calderon
-identity defect, the LP sandwich floor, a ball's lattice measure, the
-Cauchy-Schwarz scale, the atom-by-atom validator, the multiplier certificate
-and hypothesis sweeps with no shared work) for tests to check against.
+checked against their identities; cube and atom accessors (a cube's side
+in cells and center, an atom's block on the grid or on the strip), the
+one-transform multiplier and the symbol-route tent projection serve as
+oracles; the remaining helpers restate quantities of the package's
+objects (the random field by a second formula, the Calderon identity
+defect, the LP sandwich floor, a ball's lattice measure, the Cauchy-Schwarz
+scale, the atom-by-atom validator, the multiplier certificate and
+hypothesis sweeps with no shared work) for tests to check against.
 """
 
 import math
@@ -22,10 +25,12 @@ from ovtl.atomics import (
     CalderonSystem,
     Clause,
     SmoothAtom,
+    TentAtom,
     ValidationReport,
     _alpha_q_atoms,
     _bessel_weight,
     _block_bytes,
+    _check_mean_zero_levels,
     _chunks,
     _derivative_weights,
     _energy_outside,
@@ -51,6 +56,7 @@ from ovtl.lattice import ConeIndex, DyadicCube, Grid, periodic_block_sum, subcub
 from ovtl.opfield import OperatorField, StripField, _check_same, _max_eigenvalue, gram, l1l2_sizes
 from ovtl.spectral import (
     LPFamily,
+    apply_symbol_hat,
     default_window,
     fft_data,
     hsigma_norm_profile,
@@ -128,7 +134,7 @@ def random_alpha_q_atom(grid: Grid, n: int, alpha: float, K: int, L: int,
     rng = rng_for(seed)
     idx = tuple(int(rng.integers(0, 1 << level)) for _ in range(grid.d))
     cube = DyadicCube(grid, level, idx)
-    side = cube.side_cells
+    side = side_cells(cube)
     block = rng.normal(size=(side,) * grid.d + (n, n)) + 1j * rng.normal(
         size=(side,) * grid.d + (n, n)
     )
@@ -138,9 +144,64 @@ def random_alpha_q_atom(grid: Grid, n: int, alpha: float, K: int, L: int,
     return _alpha_q_atoms([block], [cube], j, cal, alpha, K, L)[0][1]
 
 
+def symbol_on_data(values: np.ndarray, data: np.ndarray, grid: Grid) -> np.ndarray:
+    """The multiplier ``values`` on raw (*, n, n) or batched (B, *, n, n)
+    data, through its one forward transform."""
+    return apply_symbol_hat(values, fft_data(data, grid), grid)
+
+
+def side_cells(cube: DyadicCube) -> int:
+    """Side length of the cube in lattice cells."""
+    return cube.grid.N >> cube.level
+
+
+def cube_center(cube: DyadicCube) -> np.ndarray:
+    """The center 2^-level * index of the cube."""
+    return np.array(cube.index, dtype=float) * 2.0**-cube.level
+
+
+def embed(atom) -> np.ndarray:
+    """The block of a box-stored atom embedded on the whole grid."""
+    out = np.zeros(atom.grid.shape + (atom.n, atom.n), dtype=np.complex128)
+    out[np.ix_(*atom.axis_idx)] = atom.block
+    return out
+
+
 def atom_field(atom) -> OperatorField:
     """A stored atom embedded on the whole grid."""
-    return OperatorField(atom.grid, atom.embed())
+    return OperatorField(atom.grid, embed(atom))
+
+
+def tent_to_strip(atom: TentAtom, j_max: int) -> StripField:
+    """The tent atom on the full strip of scales 1 .. j_max (zeros off T(Q))."""
+    data = np.zeros((j_max,) + atom.grid.shape + (atom.n, atom.n), dtype=np.complex128)
+    box = np.ix_(*atom.cube.axis_indices())
+    data[(slice(atom.j_lo - 1, atom.j_lo - 1 + atom.block.shape[0]),) + box] = atom.block
+    return StripField(atom.grid, data)
+
+
+def project_tent(F, cal: CalderonSystem) -> OperatorField:
+    """pi(F)(s) = log2 * sum_j (Psi_j * F(., 2^-j))(s), one full-grid
+    multiplier per scale: the symbol-route oracle of the projections.
+
+    For a TentAtom input the output is supported in Q grown by the reach
+    R_j of its coarsest scale j (exact stencil support, inside 2Q), has
+    exactly vanishing mean, and satisfies the L1(M;L2) size bound with the
+    measured constant.
+    """
+    grid = cal.grid
+    if isinstance(F, TentAtom):
+        F = tent_to_strip(F, F.j_lo - 1 + F.block.shape[0])
+    if not isinstance(F, StripField):
+        raise TypeError("project_tent expects a StripField or TentAtom")
+    if F.grid != grid:
+        raise GridMismatchError("strip grid does not match system grid")
+    scales = range(1, min(F.j_max, cal.j_max) + 1)  # scales above cal.j_max are ignored
+    _check_mean_zero_levels(cal, scales)
+    out = np.zeros(grid.shape + (F.n, F.n), dtype=np.complex128)
+    for j in scales:
+        out += symbol_on_data(cal.level(j), F.level(j), grid)
+    return OperatorField(grid, LOG2 * out)
 
 
 def identity_defect(cal: CalderonSystem) -> float:
@@ -331,7 +392,7 @@ def _reference_measure(chunk: list, key: tuple) -> list:
         offsets = []  # signed periodic offsets from the cube centers, per axis
         for ax in range(grid.d):
             delta = (np.array([idx[ax] for idx in idxs]) * grid.h
-                     - np.array([a.cube.center[ax] for a in chunk])[:, None])
+                     - np.array([cube_center(a.cube)[ax] for a in chunk])[:, None])
             shape = (B,) + (1,) * ax + (-1,) + (1,) * (grid.d - ax - 1)
             offsets.append(wrap_half(delta).reshape(shape))
         betas = multi_indices(grid.d, L)
@@ -369,7 +430,7 @@ def _reference_report(atom, sizes: list, support, moments, sub_reports: list) ->
     bound = atom.cube.volume**-0.5 * (1.0 + SIZE_SLACK)
     if kind == "tent_atom":
         in_tent = (atom.j_lo >= max(atom.cube.level, 1)
-                   and atom.scales.stop - 1 <= lp_family_j_max(grid))
+                   and atom.j_lo + atom.block.shape[0] - 1 <= lp_family_j_max(grid))
         clauses = [Clause("support_in_tent", 0.0 if in_tent else 1.0, 0.5)]
     else:
         clauses = [Clause("support" if kind == "h_atom" else "support_2Q",

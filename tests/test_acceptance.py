@@ -22,7 +22,6 @@ from ovtl.atomics import (
     TentAtom,
     calderon_resolution,
     pointwise_multiply_test,
-    project_tent,
     smooth_decompose_h1,
     smooth_decompose_tl,
     tent_atomize,
@@ -56,6 +55,9 @@ from ovtl.spectral import (
     make_lp_family,
 )
 from helpers import (
+    project_tent,
+    side_cells,
+    tent_to_strip,
     atom_field,
     fft_forward,
     fft_inverse,
@@ -360,7 +362,7 @@ def test_criterion_10_decompositions():
         pairs = tent_atomize(F)
         rec = np.zeros(np.asarray(F.data).shape, dtype=complex)
         for lam, atom in pairs:
-            rec += lam * atom.to_strip(F.j_max).data
+            rec += lam * tent_to_strip(atom, F.j_max).data
         ok &= float(np.max(np.abs(rec - F.data))) <= 1e-9 * float(np.max(np.abs(F.data)))
         ok &= all(r.passed for r in validate_atoms([a for _, a in pairs]))
         tent_ratios.append(sum(abs(l) for l, _ in pairs) / tent_norm(F, 1.0).value)
@@ -399,7 +401,7 @@ def test_criterion_11_projection_contract():
         j_lo = max(level, 1)
         n_scales = int(rng.integers(1, cal.j_max - j_lo + 2))
         n = (1, 2, 4)[trial % 3]
-        shape = (n_scales,) + (cube.side_cells,) * g.d + (n, n)
+        shape = (n_scales,) + (side_cells(cube),) * g.d + (n, n)
         block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         atom = TentAtom(cube=cube, j_lo=j_lo, block=block)
         atom = TentAtom(cube=cube, j_lo=j_lo,

@@ -26,7 +26,6 @@ from ovtl.atomics import (
     calderon_resolution,
     multi_indices,
     pointwise_multiply_test,
-    project_tent,
     required_k_floor,
     required_l_floor,
     smooth_decompose_h1,
@@ -36,17 +35,21 @@ from ovtl.atomics import (
 )
 from ovtl.generators import band_limited_random, bump, haar, rng_for
 from ovtl.spectral import (
-    apply_symbol_data,
     bessel_symbol,
     fft_data,
     lp_family_j_max,
     multi_derivative_symbol,
 )
 from helpers import (
+    embed,
     identity_defect,
+    project_tent,
     random_alpha_one_atom,
     random_alpha_q_atom,
     random_strip,
+    side_cells,
+    symbol_on_data,
+    tent_to_strip,
     validate_atoms_reference,
 )
 
@@ -60,7 +63,7 @@ E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 def test_validate_unit_cube_indicator(grid64):
     data = np.zeros(grid64.shape + (2, 2), dtype=complex)
     data[..., 0, 0] = 1.0
-    atom = HAtom(DyadicCube(grid64, 0, (0,)), OperatorField(grid64, data))
+    atom = HAtom(DyadicCube(grid64, 0, (0,)), data)
     rep = validate_atoms([atom])[0]
     assert rep.passed
     size_clause = next(c for c in rep.clauses if c.name == "size")
@@ -70,7 +73,7 @@ def test_validate_unit_cube_indicator(grid64):
 def test_validate_haar_atom(grid64):
     cube = DyadicCube(grid64, 1, (0,))
     f = haar(grid64, 2)
-    atom = HAtom(cube, f)
+    atom = HAtom(cube, f.data)
     rep = validate_atoms([atom])[0]
     assert rep.passed  # includes the mean-zero clause
 
@@ -78,7 +81,7 @@ def test_validate_haar_atom(grid64):
 def test_validate_oversized_fails(grid64):
     data = np.zeros(grid64.shape + (2, 2), dtype=complex)
     data[..., 0, 0] = 2.0
-    atom = HAtom(DyadicCube(grid64, 0, (0,)), OperatorField(grid64, data))
+    atom = HAtom(DyadicCube(grid64, 0, (0,)), data)
     rep = validate_atoms([atom])[0]
     assert not rep.passed
     fail = rep.failures()[0]
@@ -88,7 +91,7 @@ def test_validate_oversized_fails(grid64):
 def test_validate_support_violation(grid64):
     data = np.zeros(grid64.shape + (1, 1), dtype=complex)
     data[:, 0, 0] = 0.01  # spread everywhere
-    atom = HAtom(DyadicCube(grid64, 2, (1,)), OperatorField(grid64, data),
+    atom = HAtom(DyadicCube(grid64, 2, (1,)), data,
                  mean_zero_required=False)
     rep = validate_atoms([atom])[0]
     assert any(c.name == "support" and not c.passed for c in rep.clauses)
@@ -97,7 +100,7 @@ def test_validate_support_violation(grid64):
 def test_tent_atom_validator(grid64):
     cube = DyadicCube(grid64, 1, (0,))
     rng = rng_for(50)
-    block = rng.normal(size=(1,) + (cube.side_cells,) + (1, 1))
+    block = rng.normal(size=(1,) + (side_cells(cube),) + (1, 1))
     atom = TentAtom(cube=cube, j_lo=2, block=block)
     size = atom.size()
     atom = TentAtom(cube=cube, j_lo=2, block=block / (size * math.sqrt(cube.volume)))
@@ -163,12 +166,12 @@ def test_project_zero(grid64):
 def test_project_one_cell_atom(grid64):
     cal = calderon_resolution(grid64)
     cube = DyadicCube(grid64, 2, (1,))
-    block = np.zeros((1,) + (cube.side_cells,) + (1, 1), dtype=complex)
+    block = np.zeros((1,) + (side_cells(cube),) + (1, 1), dtype=complex)
     block[0, 3, 0, 0] = 1.0
     atom = TentAtom(cube=cube, j_lo=3, block=block)
     out = project_tent(atom, cal)
     # explicit single convolution oracle
-    expected = LOG2 * apply_symbol_data(cal.level(3), atom.to_strip(cal.j_max).level(3), grid64)
+    expected = LOG2 * symbol_on_data(cal.level(3), tent_to_strip(atom, cal.j_max).level(3), grid64)
     assert np.max(np.abs(out.data - expected)) < 1e-14
     # zero mean is forced by Psi_hat(0) = 0
     mean = np.abs(out.data.sum(axis=0)).max() * grid64.cell_volume
@@ -184,8 +187,8 @@ def test_project_random_atom_contract(grid64):
         cube = DyadicCube(grid64, level, idx)
         j_lo = max(level, 1)
         n_scales = int(rng.integers(1, cal.j_max - j_lo + 2))
-        block = rng.normal(size=(n_scales,) + (cube.side_cells,) + (2, 2)) \
-            + 1j * rng.normal(size=(n_scales,) + (cube.side_cells,) + (2, 2))
+        block = rng.normal(size=(n_scales,) + (side_cells(cube),) + (2, 2)) \
+            + 1j * rng.normal(size=(n_scales,) + (side_cells(cube),) + (2, 2))
         atom = TentAtom(cube=cube, j_lo=j_lo, block=block)
         size = atom.size()
         atom = TentAtom(cube=cube, j_lo=j_lo,
@@ -212,7 +215,7 @@ def test_project_atom_ignores_scales_above_system(grid):
     cal = calderon_resolution(grid)
     cube = DyadicCube(grid, 1, (1,) * grid.d)
     j_lo = cal.j_max - 1
-    shape = (4,) + (cube.side_cells,) * grid.d + (2, 2)
+    shape = (4,) + (side_cells(cube),) * grid.d + (2, 2)
     rng = rng_for(61)
     block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     out = project_tent(TentAtom(cube=cube, j_lo=j_lo, block=block), cal)
@@ -248,11 +251,11 @@ def test_atomize_saturated_single_atom_roundtrip(grid64):
     # a single-cell saturated atom comes back with lambda = 1
     cube = DyadicCube(grid64, 1, (1,))
     rng = rng_for(61)
-    block = rng.normal(size=(1,) + (cube.side_cells,) + (1, 1))
+    block = rng.normal(size=(1,) + (side_cells(cube),) + (1, 1))
     atom = TentAtom(cube=cube, j_lo=2, block=block)
     size = atom.size()
     atom = TentAtom(cube=cube, j_lo=2, block=block / (size * math.sqrt(cube.volume)))
-    F = atom.to_strip(3)
+    F = tent_to_strip(atom, 3)
     pairs = tent_atomize(F)
     assert len(pairs) == 1
     lam, back = pairs[0]
@@ -267,7 +270,7 @@ def test_atomize_reconstruction_and_validity(grid64):
     pairs = tent_atomize(F)
     rec = np.zeros(np.asarray(F.data).shape, dtype=complex)
     for lam, atom in pairs:
-        rec += lam * atom.to_strip(F.j_max).data
+        rec += lam * tent_to_strip(atom, F.j_max).data
     scale = np.max(np.abs(F.data))
     assert np.max(np.abs(rec - F.data)) <= 1e-10 * scale
     assert all(validate_atoms([a])[0].passed for _, a in pairs)
@@ -394,7 +397,7 @@ def test_subatom_moment_zero(grid64):
     checked = 0
     for _, atom in dec.high_pairs:
         for d_c, sub in atom.subatoms:
-            full = sub.embed()
+            full = embed(sub)
             mean = np.abs(full.sum(axis=0)).max() * grid64.cell_volume
             mass = np.abs(full).sum() * grid64.cell_volume
             assert mean <= 1e-10 * max(mass, 1e-300)
@@ -472,7 +475,7 @@ def _svd_size(data, volume):
 
 def _filtered_size(values, data, grid):
     """The route the Plancherel sizes replace: filter, then integrate."""
-    return _svd_size(apply_symbol_data(values, data, grid), grid.cell_volume)
+    return _svd_size(symbol_on_data(values, data, grid), grid.cell_volume)
 
 
 def _filtered_derivative_sizes(data, grid, gammas):
@@ -559,7 +562,7 @@ def test_spatial_sizes_rank_one(d, N, n):
     phi = np.asarray(random_strip(grid, 1, 3, 810 + d).data)
 
     def h_size(data, cube):
-        rep = validate_atoms([HAtom(cube, OperatorField(grid, data))])[0]
+        rep = validate_atoms([HAtom(cube, data)])[0]
         return next(c.measured for c in rep.clauses if c.name == "size")
 
     for cube in (DyadicCube(grid, 0, (0,) * d), DyadicCube(grid, 1, (1,) * d)):
@@ -587,12 +590,12 @@ def _per_cell_slice(block, cube, j, cal, alpha, K):
     d_cs = []
     for cell in _subatom_cells(cube):
         masked = np.where((cube.mask() & cell.mask())[..., None, None], embedded, 0)
-        piece = LOG2 * apply_symbol_data(cal.level(j), masked, grid)
+        piece = LOG2 * symbol_on_data(cal.level(j), masked, grid)
         d_c = 0.0
         for gamma, s in _filtered_derivative_sizes(piece, grid, multi_indices(grid.d, K)).items():
             d_c = max(d_c, s / cell.volume ** (alpha / grid.d - sum(gamma) / grid.d))
         d_cs.append(d_c)
-    g = LOG2 * apply_symbol_data(cal.level(j), embedded, grid)
+    g = LOG2 * symbol_on_data(cal.level(j), embedded, grid)
     rho1 = _filtered_size(bessel_symbol(grid, alpha).values, g, grid) * math.sqrt(cube.volume)
     rho2 = math.sqrt(sum(d * d for d in d_cs)) * math.sqrt(cube.volume)
     return d_cs, max(rho1, rho2)
@@ -606,7 +609,7 @@ def test_batched_slice_matches_per_cell_loop(d, N, levels):
     for level in levels:
         for m in (0, (1 << level) - 1, (1 << level) // 2):
             cube = DyadicCube(grid, level, (m,) * d)
-            block = _cplx(rng, (cube.side_cells,) * d + (2, 2))
+            block = _cplx(rng, (side_cells(cube),) * d + (2, 2))
             for alpha, K in ((0.5, 1), (1.5, 2)):
                 [(rho, atom)] = _alpha_q_atoms([block], [cube], level + 1, cal, alpha, K, 0)
                 d_cs, rho_old = _per_cell_slice(block, cube, level + 1, cal, alpha, K)
@@ -620,10 +623,10 @@ def _grown_mask(cube, reach):
     """Lattice points within ``reach`` cells of the cube per axis, from the
     signed periodic cell offsets to its center (not from DyadicCube.box):
     Q holds the offsets -side/2 .. side/2 - 1."""
-    grid, half = cube.grid, cube.side_cells // 2
-    if cube.side_cells + 2 * reach >= grid.N:
+    grid, half = cube.grid, side_cells(cube) // 2
+    if side_cells(cube) + 2 * reach >= grid.N:
         return np.ones(grid.shape, dtype=bool)
-    axes = [(np.arange(grid.N) - i * cube.side_cells + grid.N // 2) % grid.N - grid.N // 2
+    axes = [(np.arange(grid.N) - i * side_cells(cube) + grid.N // 2) % grid.N - grid.N // 2
             for i in cube.index]
     inside = [(-half - reach <= off) & (off < half + reach) for off in axes]
     out = np.ones(grid.shape, dtype=bool)
@@ -684,7 +687,7 @@ def test_atoms_stored_on_projected_support(target, d, N):
     for _, atom in dec.high_pairs:
         cube = atom.cube
         reach = _reach(grid, cube.level + 1)
-        assert reach == N >> (cube.level + 2) == cube.side_cells // 4
+        assert reach == N >> (cube.level + 2) == side_cells(cube) // 4
         stored = np.zeros(grid.shape, dtype=bool)
         stored[np.ix_(*box_indices(grid, atom.origin, atom.block.shape[:d]))] = True
         assert np.array_equal(stored, _grown_mask(cube, reach))
@@ -698,7 +701,7 @@ def test_atoms_stored_on_projected_support(target, d, N):
         levels.add(cube.level)
     assert levels == set(range(lp_family_j_max(grid)))
     # some box is smaller than 2Q: the cut is not the old one
-    assert any(a.block.shape[0] < min(2 * a.cube.side_cells, N) for _, a in dec.high_pairs)
+    assert any(a.block.shape[0] < min(2 * side_cells(a.cube), N) for _, a in dec.high_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +848,7 @@ def test_level_batch_matches_one_cube_at_a_time(d, N, level):
     cal = calderon_resolution(grid)
     rng = rng_for(870 + d + level)
     cubes = dyadic_cubes_at_level(grid, level)
-    blocks = [_cplx(rng, (c.side_cells,) * d + (2, 2)) for c in cubes]
+    blocks = [_cplx(rng, (side_cells(c),) * d + (2, 2)) for c in cubes]
     batch = _alpha_q_atoms(blocks, cubes, level + 1, cal, 0.5, 1, 0)
     for block, cube, (rho, atom) in zip(blocks, cubes, batch):
         [(rho1, atom1)] = _alpha_q_atoms([block], [cube], level + 1, cal, 0.5, 1, 0)
@@ -925,7 +928,7 @@ def test_local_projection_matches_symbol_route(d, N):
             origin = (N - side // 2,) * d
             full = np.zeros(grid.shape + (2, 2), dtype=complex)
             full[np.ix_(*box_indices(grid, origin, (side,) * d))] = block
-            want = apply_symbol_data(cal.level(j), full, grid)
+            want = symbol_on_data(cal.level(j), full, grid)
             box = np.ix_(*box_indices(grid, [o - reach for o in origin], (side + 2 * reach,) * d))
             got = _project_boxes(block[None], cal, j)[0]
             scale = np.max(np.abs(want))
@@ -966,3 +969,15 @@ def test_fine_levels_make_no_full_grid_transform(target, d, N, monkeypatch):
     fields.clear()
     assert all(r.passed for r in validate_atoms(fine))
     assert fields == []
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 32), (3, 16)])
+def test_subatom_cells_cached_as_built(d, N):
+    # the cells of a cube are built once and read by every later decomposition
+    grid = Grid(d, N)
+    for level in range(grid.max_cube_level):
+        for cube in dyadic_cubes_at_level(grid, level):
+            cells = _subatom_cells(cube)
+            assert _subatom_cells(DyadicCube(grid, level, cube.index)) is cells
+            assert cells == _subatom_cells.__wrapped__(cube)
+            assert all(cell.level == level + 1 for cell in cells)

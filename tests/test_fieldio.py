@@ -18,7 +18,7 @@ from ovtl.fieldio import (
 )
 from ovtl.generators import band_limited_random
 from ovtl.lattice import Grid, box_indices
-from helpers import random_strip
+from helpers import embed, random_strip, side_cells
 
 
 def _decompose(grid, seed, target="tl"):
@@ -45,7 +45,7 @@ def _write_v1(man_path, blob_path, dec):
     atoms = [atom for _, atom in dec.low_pairs + dec.high_pairs]
     offsets, chunks, offset = [], [], 0
     for atom in atoms:
-        data = np.ascontiguousarray(atom.embed(), dtype="<c16").tobytes()
+        data = np.ascontiguousarray(embed(atom), dtype="<c16").tobytes()
         chunks.append(_HEADER.pack(MAGIC, 1, grid.d, grid.N, atom.n, 0) + data)
         offsets.append(offset)
         offset += len(chunks[-1])
@@ -99,7 +99,7 @@ def _box_side(atom) -> int:
     N = atom.grid.N
     if atom.kind == "alpha_one":
         return N
-    return min(atom.cube.side_cells + 2 * (N >> (atom.cube.level + 2)), N)
+    return min(side_cells(atom.cube) + 2 * (N >> (atom.cube.level + 2)), N)
 
 
 @pytest.mark.parametrize("target", ["tl", "h1"])
@@ -126,7 +126,7 @@ def _write_2q(man_path, blob_path, dec):
     for c, atom in dec.high_pairs:
         origin, side = atom.cube.box(double=True)
         idx = box_indices(dec.grid, origin, (side,) * dec.grid.d)
-        atoms.append((c, replace(atom, origin=origin, block=atom.embed()[np.ix_(*idx)])))
+        atoms.append((c, replace(atom, origin=origin, block=embed(atom)[np.ix_(*idx)])))
     write_decomposition(man_path, blob_path, replace(dec, high_pairs=atoms))
 
 
@@ -266,3 +266,27 @@ def test_manifest_bad_grid_names_path_once(blob_pair):
     with pytest.raises(FormatError, match="dimension must be 1, 2 or 3, got 4") as info:
         read_decomposition_blob(blob, man)
     assert str(info.value).count(str(man)) == 1
+
+
+@pytest.mark.parametrize("k", [-560, -1, 1, 520])
+@pytest.mark.parametrize("target", ["tl", "h1"])
+def test_decomposition_exactly_homogeneous(tmp_path, target, k):
+    # 2^520 f once gave one atom and residual nan, and 1e-170 f an absolute
+    # residual with no mass ratio: the decomposition of 2^k f has the same
+    # atoms, bytes for bytes, and its coefficients (and mass) scaled by 2^k
+    f = band_limited_random(Grid(1, 256), 2, 7)
+    decs, manifests = [], []
+    for tag, field in (("f", f), ("s", type(f)(f.grid, f.data * 2.0**k))):
+        decs.append(smooth_decompose_tl(field, 0.5, 1, 0) if target == "tl"
+                    else smooth_decompose_h1(field))
+        write_decomposition(tmp_path / f"{tag}.txt", tmp_path / f"{tag}.bin", decs[-1])
+        manifests.append((tmp_path / f"{tag}.txt").read_text(encoding="utf-8").splitlines())
+    assert (tmp_path / "f.bin").read_bytes() == (tmp_path / "s.bin").read_bytes()
+    want, got = decs
+    assert [c * 2.0**k for c, _ in want.low_pairs + want.high_pairs] \
+        == [c for c, _ in got.low_pairs + got.high_pairs]
+    assert got.mass == want.mass * 2.0**k
+    assert (got.residual, got.mass_ratio) == (want.residual, want.mass_ratio) and got.mass_ratio
+    rescaled = ("mass", "coefficient_re", "coefficient_im")
+    assert [a for a in manifests[0] if a.split(" = ")[0] not in rescaled] \
+        == [b for b in manifests[1] if b.split(" = ")[0] not in rescaled]

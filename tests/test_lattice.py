@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ovtl.lattice import (
     subcube_order,
     wrap_half,
 )
+from helpers import ball_measure, side_cells
 
 
 def test_wrap_half_is_half_open():
@@ -52,8 +55,8 @@ def test_cubes_d2_level1():
     g = Grid(2, 32)
     cubes = dyadic_cubes_at_level(g, 1)
     assert len(cubes) == 4
-    assert all(c.side == 0.5 for c in cubes)
-    assert all(c.side_cells ** 2 == 256 for c in cubes)
+    assert all(side_cells(c) * g.h == 0.5 for c in cubes)
+    assert all(side_cells(c) ** 2 == 256 for c in cubes)
     assert all(int(c.mask().sum()) == 256 for c in cubes)
 
 
@@ -162,7 +165,7 @@ def test_box_placement_and_masks(d, N, max_level):
     for cube in _all_cubes(g, max_level):
         for double in (False, True):
             origin, side = cube.box(double)
-            if double and 2 * cube.side_cells >= N:
+            if double and 2 * side_cells(cube) >= N:
                 assert (origin, side) == ((0,) * d, N)
             points = np.zeros(g.shape, dtype=bool)
             points[np.ix_(*box_indices(g, origin, (side,) * d))] = True
@@ -186,8 +189,9 @@ def test_cone_ball_monotone_and_ratio():
     ci = cone_index(g, 3)
     sets = {j: {tuple(x) for x in ci.offsets[j]} for j in ci.offsets}
     assert sets[3] <= sets[2] <= sets[1]
-    for j, ratio in ci.volume_ratio.items():
-        assert 0.3 < ratio < 2.0  # discrete ball volume factor recorded
+    for j in ci.offsets:
+        ratio = ball_measure(ci, j) / (math.pi * 2.0 ** (-j * g.d))
+        assert 0.3 < ratio < 2.0  # discrete-to-continuum ball volume factor
 
 
 def test_cone_too_fine_errors():

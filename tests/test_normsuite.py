@@ -34,7 +34,7 @@ from ovtl.spectral import (
     poisson_symbol,
 )
 from ovtl.sqfn import filtered, lp_levels, poisson_levels, square_norm
-from helpers import ball_measure
+from helpers import ball_measure, symbol_on_data
 
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -96,22 +96,6 @@ def test_mixture_p1_trivial_splits(grid64, fam64):
     row = tl_norm_row(f, 0.0, 1.0, fam64).value
     assert rep.value == min(col, row)
     assert rep.flags["upper_bound"] is True
-
-
-def test_mixture_extra_splits_only_improve(grid64, fam64):
-    f = band_limited_random(grid64, 2, 905)
-    col = tl_norm_column(f, 0.0, 1.0, fam64).value
-    row = tl_norm_row(f, 0.0, 1.0, fam64).value
-    halves = [(0.5 * f, 0.5 * f), (0.25 * f, 0.75 * f)]
-    rep = tl_norm_mixture(f, 0.0, 1.0, fam64, splits=halves)
-    assert rep.value <= min(col, row) + 1e-12
-
-
-def test_mixture_bad_split_rejected(grid64, fam64):
-    f = band_limited_random(grid64, 2, 906)
-    g = band_limited_random(grid64, 2, 907)
-    with pytest.raises(ValueError):
-        tl_norm_mixture(f, 0.0, 1.0, fam64, splits=[(g, g)])
 
 
 def test_hardy_lp_radial_is_column_alpha0(grid64, fam64):
@@ -291,14 +275,14 @@ def test_lifting_roundtrip_and_bracket(grid64, fam64):
 
 def test_derivative_lifting_two_term_ratio(grid64, fam64):
     # ||f||_{F^alpha} vs ||phi_0*f||_p + sum_i ||D_i^beta f||_{F^{alpha-beta}}
-    from ovtl.spectral import apply_symbol_data, derivative_symbol
+    from ovtl.spectral import derivative_symbol
 
     alpha, beta, p = 0.5, 1.0, 2.0
     ratios = []
     for seed in range(8):
         f = band_limited_random(grid64, 2, 965 + seed)
         lhs = tl_norm_column(f, alpha, p, fam64).value
-        low = OperatorField(grid64, apply_symbol_data(fam64.values(0), f.data, grid64))
+        low = OperatorField(grid64, symbol_on_data(fam64.values(0), f.data, grid64))
         rhs = trace_lp_norm(low, p)
         for i in range(grid64.d):
             df = apply_symbol(derivative_symbol(grid64, i, beta), f)
@@ -398,3 +382,45 @@ def test_queued_gram_reports_match_inline(monkeypatch, grid, n):
     queued = [norm().to_text() for norm in norms]
     monkeypatch.setattr(opfield, "_HELPER", _Inline())
     assert [norm().to_text() for norm in norms] == queued
+
+
+# ---------------------------------------------------------------------------
+# exact homogeneity
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [-560, -1, 1, 520])
+def test_every_norm_exactly_homogeneous(k):
+    # 2^-560 f once read 0 and 2^520 f nan: every square overflowed or
+    # underflowed; a power-of-two scale is exact, so every value and every
+    # term but the ratios scales by exactly 2^k
+    from ovtl.cli import _NORMS
+    from ovtl.fieldio import Config
+
+    grid = Grid(2, 32)
+    f = band_limited_random(grid, 2, 7)
+    scaled = OperatorField(grid, f.data * 2.0**k)
+    fam = make_lp_family(grid)
+    checked = 0
+    for name, (norm, takes_alpha, takes_p) in _NORMS.items():
+        for mode in ("lp", "poisson") if name == "hardy" else ("lp",):
+            cfg = Config(kernel_mode=mode)
+            for p in (1.0, 2.0, 3.0, np.inf) if takes_p else (None,):
+                want = norm(f, 0.5 if takes_alpha else None, p, fam, cfg)
+                got = norm(scaled, 0.5 if takes_alpha else None, p, fam, cfg)
+                assert want.value > 0 and got.value == want.value * 2.0**k, (name, p)
+                assert got.terms.keys() == want.terms.keys() and got.flags == want.flags
+                for key, v in want.terms.items():
+                    assert got.terms[key] == v * 2.0**k, (name, p, key)
+                checked += 1
+    assert checked == 3 * 4 + 2 * 4 + 2  # column, row, mixture; lp and Poisson hardy; bmo, F_infty
+
+
+def test_homogeneous_equivalence_ratios_scale_free(fam64):
+    f = band_limited_random(fam64.grid, 2, 980)
+    scaled = OperatorField(fam64.grid, f.data * 2.0**-600)
+    hom = make_hom_lp_family(fam64.grid)
+    want = homogeneous_equiv_report(f, 0.5, 1.0, fam64, hom)
+    got = homogeneous_equiv_report(scaled, 0.5, 1.0, fam64, hom)
+    assert got.value == want.value
+    for key, v in want.terms.items():
+        assert got.terms[key] == (v if key.startswith("ratio") else v * 2.0**-600), key

@@ -14,13 +14,11 @@ from ovtl.spectral import (
     LPFamily,
     Symbol,
     apply_symbol,
-    apply_symbol_data,
     apply_symbol_hat,
     bessel_symbol,
     constant_profile,
     derivative_symbol,
     fft_data,
-    hsigma_norm,
     ifft_data,
     hsigma_norm_profile,
     lp_base_profile,
@@ -108,7 +106,7 @@ def test_symbol_composition_property(grid64):
     m1 = bessel_symbol(grid64, 0.9)
     m2 = riesz_symbol(grid64, 1.0)
     lhs = apply_symbol(m1, apply_symbol(m2, f))
-    rhs = apply_symbol(m1 * m2, f)
+    rhs = apply_symbol(Symbol(grid64, m1.values * m2.values), f)
     assert np.max(np.abs(lhs.data - rhs.data)) < 1e-11 * np.max(np.abs(rhs.data))
 
 
@@ -222,21 +220,12 @@ def test_one_lp_family_type(grid64):
 # ---------------------------------------------------------------------------
 
 def test_hsigma_constant_is_one(grid64):
-    sym = Symbol(grid64, np.ones(grid64.shape), profile=constant_profile())
-    assert abs(hsigma_norm(sym, 1.0) - 1.0) < 1e-12
-
-
-def test_hsigma_point_mass_values(grid64):
-    # lattice-values path: spatial bump at the origin has weight exactly 1
-    vals = np.ones(grid64.shape)
-    sym = Symbol(grid64, vals)
-    assert abs(hsigma_norm(sym, 1.0) - 1.0) < 1e-12
+    assert abs(hsigma_norm_profile(constant_profile(), grid64, 1.0) - 1.0) < 1e-12
 
 
 def test_hsigma_domain_error(grid64):
-    sym = Symbol(grid64, np.ones(grid64.shape))
     with pytest.raises(ValueError):
-        hsigma_norm(sym, 0.4)  # sigma <= d/2
+        hsigma_norm_profile(constant_profile(), grid64, 0.4)  # sigma <= d/2
 
 
 def test_hsigma_resolution_error(grid64):
@@ -308,7 +297,7 @@ def test_young_inequality_via_hsigma(grid64):
     for j in (1, 2):
         sym = fam.member(j)
         # window chosen to frame the member's support radius 2^{j+1}
-        quantity = hsigma_norm(sym, 1.0, window=grid64.N / 2 ** (j + 2))
+        quantity = hsigma_norm_profile(sym.profile, grid64, 1.0, window=grid64.N / 2 ** (j + 2))
         for seed in range(4):
             f = band_limited_random(grid64, 2, 1100 + seed)
             for p in (1.0, 2.0, np.inf):
@@ -324,11 +313,11 @@ def test_shared_transform_filters_like_apply_symbol_data(grid2d):
     kept = fhat.copy()
     for j in range(fam.j_max + 1):
         got = apply_symbol_hat(fam.values(j), fhat, grid2d)
-        assert np.array_equal(got, apply_symbol_data(fam.values(j), f.data, grid2d))
+        assert np.array_equal(got, _unpruned_data(fam.values(j), f.data, grid2d))
     assert np.array_equal(fhat, kept)
     batch = np.stack([f.data, 2.0 * f.data])
     got = apply_symbol_hat(fam.values(1), fft_data(batch, grid2d), grid2d)
-    assert np.array_equal(got[1], apply_symbol_data(fam.values(1), 2.0 * f.data, grid2d))
+    assert np.array_equal(got[1], _unpruned_data(fam.values(1), 2.0 * f.data, grid2d))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +339,8 @@ def _unpruned_hat(values, data_hat, grid):
 
 
 def _unpruned_data(values, data, grid):
-    """apply_symbol_data as one fftn, an in-place product and one ifftn."""
+    """A multiplier on raw data as one fftn, an in-place product and one
+    ifftn: the formula the pruned route of apply_symbol_hat must match."""
     axes = tuple(range(data.ndim - grid.d - 2, data.ndim - 2))
     coef = np.fft.fftn(data, axes=axes)
     coef *= values[..., None, None]
@@ -405,12 +395,12 @@ def test_pruned_apply_symbol_data_matches_ifftn(grid):
     for fam in (make_lp_family(grid), make_hom_lp_family(grid)):
         for j in fam.scales():
             values = fam.values(j)
-            _assert_same_bits(apply_symbol_data(values, data, grid),
+            _assert_same_bits(apply_symbol_hat(values, fft_data(data, grid), grid),
                               _unpruned_data(values, data, grid))
-            got = apply_symbol_data(values, batch, grid)
+            got = apply_symbol_hat(values, fft_data(batch, grid), grid)
             _assert_same_bits(got, _unpruned_data(values, batch, grid))
             # the batched ifftn and the unbatched pruned route agree bit for bit
-            _assert_same_bits(got[1], apply_symbol_data(values, batch[1], grid))
+            _assert_same_bits(got[1], apply_symbol_hat(values, fft_data(batch[1], grid), grid))
 
 
 def test_pruned_inverse_keeps_ifftn_on_batched_data():

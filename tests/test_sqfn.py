@@ -17,7 +17,6 @@ from ovtl.opfield import (
 )
 from ovtl.generators import band_limited_random, single_mode
 from ovtl.spectral import (
-    apply_symbol_data,
     fft_data,
     make_hom_lp_family,
     make_lp_family,
@@ -31,7 +30,7 @@ from ovtl.sqfn import (
     square_norm,
     strip_levels,
 )
-from helpers import ball_measure, fft_forward, random_strip, square_sum
+from helpers import ball_measure, fft_forward, random_strip, square_sum, symbol_on_data
 
 
 def accumulate(f, levels, cone=None):
@@ -75,9 +74,9 @@ def test_g_radial_alpha_shift(grid64, fam64):
     import ovtl.opfield as op
 
     manual = op.PSDAccumulator(grid64, 2)
-    manual.add_gram(apply_symbol_data(fam64.values(0), f.data, grid64), 1.0)
+    manual.add_gram(symbol_on_data(fam64.values(0), f.data, grid64), 1.0)
     for j in range(1, fam64.j_max + 1):
-        g = 2.0 ** (j * alpha) * apply_symbol_data(fam64.values(j), f.data, grid64)
+        g = 2.0 ** (j * alpha) * symbol_on_data(fam64.values(j), f.data, grid64)
         manual.add_gram(g, 1.0)
     assert np.max(np.abs(acc_a.S - manual.S)) < 1e-10 * np.max(np.abs(manual.S))
     assert np.max(np.abs(acc_a.S - acc_manual.S)) > 0  # alpha does change it
@@ -142,7 +141,7 @@ def test_conic_fubini_identity(grid64, fam64):
     lhs = float(np.mean(np.abs(out.data[..., 0, 0]) ** 2))
     rhs = 0.0
     for j in range(1, fam64.j_max + 1):
-        G = apply_symbol_data(fam64.values(j), f.data, grid64)
+        G = symbol_on_data(fam64.values(j), f.data, grid64)
         rhs += (2.0 ** (j * (2 * alpha + grid64.d)) * ball_measure(cone, j)
                 * float(np.mean(np.abs(G) ** 2)))
     assert abs(lhs - rhs) < 1e-10 * rhs
@@ -185,7 +184,7 @@ def test_poisson_radial_matches_manual(grid64):
 
     for j in range(1, 5):
         sym = poisson_dk_symbol(grid64, 2.0**-j, 1)
-        conv = apply_symbol_data(sym.values, f.data, grid64)
+        conv = symbol_on_data(sym.values, f.data, grid64)
         total += LOG2 * 4.0**-j * np.abs(conv[..., 0, 0]) ** 2
     assert np.max(np.abs(out.data[..., 0, 0] - np.sqrt(total))) < 1e-10
 
@@ -198,7 +197,7 @@ def test_conic_hardy_term_is_tent_norm(grid, n, p):
     # with F_j = (phi_j * f) / sqrt(log 2), both are sum_j 2^{jd} h^d ball sums
     fam = make_lp_family(grid)
     f = band_limited_random(grid, n, 807)
-    F = StripField(grid, np.stack([apply_symbol_data(fam.values(j), f.data, grid)
+    F = StripField(grid, np.stack([symbol_on_data(fam.values(j), f.data, grid)
                                    for j in range(1, fam.j_max + 1)]) / math.sqrt(LOG2))
     conic = hardy_norm(f, p, mode="lp", shape="conic", family=fam).terms["square_function"]
     tent = tent_norm(F, p).value
