@@ -1,6 +1,6 @@
 """Operator-valued Littlewood-Paley / Triebel-Lizorkin toolkit on periodic lattices."""
 
-from .lattice import Grid, DyadicCube, ConeIndex, dyadic_cubes_at_level, subcube_order, cone_index
+from .lattice import Grid, DyadicCube, ConeIndex, dyadic_cubes_at_level, cone_index
 from .opfield import (
     OperatorField,
     StripField,

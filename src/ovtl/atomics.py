@@ -82,17 +82,8 @@ class _CubeAtom:
         return self.block.shape[-1]
 
 
-class _BoxStorage(_CubeAtom):
-    """Atom data held as ``block`` (*sides, n, n) over the periodic box of
-    lattice points whose per-axis start index is ``origin``."""
-
-    @property
-    def axis_idx(self) -> list:
-        return box_indices(self.grid, self.origin, self.block.shape[:self.grid.d])
-
-
 @dataclass
-class HAtom(_BoxStorage):
+class HAtom(_CubeAtom):
     """Hardy-space atom: supported in Q (or 2Q when ``double_support``),
     size tau((int |a|^2)^(1/2)) <= |Q|^(-1/2), mean-zero when |Q| < 1.
 
@@ -107,15 +98,12 @@ class HAtom(_BoxStorage):
     cube: DyadicCube
     block: np.ndarray
     double_support: bool = False
-    mean_zero_required: Optional[bool] = None
     origin: tuple = ()
     support_leak: float = 0.0
 
     def __post_init__(self):
         if not self.origin:
             self.origin = (0,) * self.grid.d
-        if self.mean_zero_required is None:
-            self.mean_zero_required = self.cube.level > 0
 
 
 @dataclass
@@ -131,14 +119,9 @@ class TentAtom(_CubeAtom):
     j_lo: int
     block: np.ndarray
 
-    def size(self) -> float:
-        """tau((int_{T(Q)} |a|^2 ds deps/eps)^(1/2)) with the dyadic measure."""
-        return float(l1l2_sizes(self.block.reshape(-1, self.n, self.n),
-                                LOG2 * self.grid.cell_volume))
-
 
 @dataclass
-class SmoothAtom(_BoxStorage):
+class SmoothAtom(_CubeAtom):
     """Smooth atom: kind 'alpha_one', 'subatom', or 'alpha_q'.
 
     Data is stored as a block over a box inside the double cube 2Q
@@ -268,9 +251,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.clauses)
-
-    def failures(self) -> list:
-        return [c for c in self.clauses if not c.passed]
 
 
 SUPPORT_RTOL = 1e-10
@@ -422,7 +402,7 @@ def _group_key(atom) -> tuple:
     cancel (-1 for none) and kind, so that a stack has one list of clauses."""
     grid, kind = atom.grid, atom.kind
     if kind == "h_atom":
-        route, order = ("spatial", grid.cell_volume), 0 if atom.mean_zero_required else -1
+        route, order = ("spatial", grid.cell_volume), 0 if atom.cube.level > 0 else -1
     elif kind == "tent_atom":
         route, order = ("spatial", LOG2 * grid.cell_volume), -1
     elif kind == "alpha_q":

@@ -1,9 +1,9 @@
 """Field file format, run configuration, and report serialization.
 
 Field files: magic ``OVTL``, format version u16, then d, N, n, j_count as
-little-endian u32 (j_count = 0 for plain fields), then complex128 entries
-row-major: site index outer, matrix row-major inner, scale outermost for
-strip fields.
+little-endian u32, then complex128 entries row-major: site index outer,
+matrix row-major inner.  Only plain fields are written and read: j_count is
+0, and a file with scales (a strip field) is a FormatError.
 
 Decomposition blobs are a sequence of atom records at the byte offsets the
 manifest lists.  A record is the field header with j_count = 0 and version
@@ -41,7 +41,7 @@ from .atomics import validate_atoms
 from .errors import ConfigError, FormatError
 from .lattice import Grid, periodic_block_sum
 from .normsuite import HARDY_MODES
-from .opfield import OperatorField, StripField
+from .opfield import OperatorField
 
 MAGIC = b"OVTL"
 FORMAT_VERSION = 1
@@ -49,17 +49,16 @@ BLOB_VERSION = 2
 _HEADER = struct.Struct("<4sHIIII")
 
 
-def write_field(path: Union[str, Path], f: Union[OperatorField, StripField]) -> None:
+def write_field(path: Union[str, Path], f: OperatorField) -> None:
     grid = f.grid
-    j_count = 0 if isinstance(f, OperatorField) else f.j_max
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, grid.d, grid.N, f.n, j_count)
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, grid.d, grid.N, f.n, 0)
     data = np.ascontiguousarray(f.data, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(data.tobytes(order="C"))
 
 
-def read_field(path: Union[str, Path]) -> Union[OperatorField, StripField]:
+def read_field(path: Union[str, Path]) -> OperatorField:
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -72,10 +71,9 @@ def read_field(path: Union[str, Path]) -> Union[OperatorField, StripField]:
         grid = _header_grid(path, d, N)
         if n < 1:
             raise FormatError(f"{path}: matrix dimension n = {n} must be >= 1")
-        if j_count == 0:
-            shape = grid.shape + (n, n)
-        else:
-            shape = (j_count,) + grid.shape + (n, n)
+        if j_count != 0:
+            raise FormatError(f"{path}: j_count = {j_count}: expected a plain field (j_count = 0)")
+        shape = grid.shape + (n, n)
         count = math.prod(shape)  # exact: a crafted header cannot wrap it
         # a header claiming more than the file holds (or a pipe, of size 0) reads to the end
         payload = fh.read(count * 16 if count * 16 <= os.fstat(fh.fileno()).st_size else -1)
@@ -83,9 +81,7 @@ def read_field(path: Union[str, Path]) -> Union[OperatorField, StripField]:
         raise FormatError(f"{path}: payload holds {len(payload)} bytes, "
                           f"header needs {count * 16}")
     data = np.frombuffer(payload, dtype="<c16", count=count).reshape(shape).astype(np.complex128)
-    if j_count == 0:
-        return OperatorField(grid, data)
-    return StripField(grid, data)
+    return OperatorField(grid, data)
 
 
 def _header_grid(path, d: int, N: int) -> Grid:

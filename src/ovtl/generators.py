@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
 from .lattice import DyadicCube, Grid
 from .opfield import OperatorField
 from .spectral import ifft_data, lp_family_j_max
@@ -40,16 +41,20 @@ def band_limited_spectrum(grid: Grid, n: int, seed: int, r_min: float = 0.0,
     on the annulus r_min <= |xi| <= r_max, exactly 0 elsewhere.  Its
     ``ifft_data`` is the field; N^d is a power of two, so the scaling is exact.
 
-    Default r_max is 2^j_max(N), the LP-covered radius.
+    Default r_max is 2^j_max(N), the LP-covered radius.  An annulus that
+    holds no lattice frequency is a ParameterError.
     """
     rng = rng_for(seed)
     if r_max is None:
         r_max = float(2 ** lp_family_j_max(grid))
     mask = (grid.freq_norm >= r_min) & (grid.freq_norm <= r_max)
     count = int(mask.sum())
+    if count == 0:
+        raise ParameterError(f"band {r_min:g} <= |xi| <= {r_max:g} holds no lattice frequency "
+                             f"(N = {grid.N})")
     coefs = np.zeros(grid.shape + (n, n), dtype=np.complex128)
     block = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
-    coefs[mask] = block / np.sqrt(2.0 * max(count, 1)) * float(grid.N**grid.d)
+    coefs[mask] = block / np.sqrt(2.0 * count) * float(grid.N**grid.d)
     return coefs
 
 

@@ -147,10 +147,10 @@ def cube_boxes(grid: Grid, levels, index, double=False, margin=0) -> tuple:
     the whole torus, from index 0, once its side reaches N.  A level-0 Q
     starts at N/2.
 
-    The one box formula: :meth:`DyadicCube.box`, :meth:`DyadicCube.box_mask`
-    and :func:`subcube_order` are this function on one cube's python ints;
-    on (B,) arrays of levels, flags and per-axis indices it places B cubes
-    at once.  Flags select by integer arithmetic, which both take."""
+    The one box formula: :meth:`DyadicCube.box` and :meth:`DyadicCube.box_mask`
+    are this function on one cube's python ints; on (B,) arrays of levels,
+    flags and per-axis indices it places B cubes at once (:func:`subcube_orders`,
+    the atom stores).  Flags select by integer arithmetic, which both take."""
     N = grid.N
     side = N >> levels
     margin = double * (side // 2) + (1 - double) * margin
@@ -229,25 +229,16 @@ def dyadic_cubes_at_level(grid: Grid, level: int) -> list[DyadicCube]:
 
 
 def subcube_orders(grid: Grid, levels_a, index_a, levels_b, index_b):
-    """:func:`subcube_order` of the cubes (levels_a, index_a) against the
-    cubes (levels_b, index_b), pair by pair, scalars or (B,) arrays as in
-    :func:`cube_boxes`."""
+    """Partial order (mu,l) <= (mu',l'): mu >= mu' and Q_{mu,l} inside 2Q_{mu',l'},
+    of the cubes (levels_a, index_a) against the cubes (levels_b, index_b),
+    pair by pair, scalars or (B,) arrays as in :func:`cube_boxes`.  Per axis,
+    with periodic wraparound, Q's box starts at most side(2Q') - side(Q)
+    cells past the start of 2Q'."""
     (start_a, side_a), (start_b, side_b) = (cube_boxes(grid, levels_a, index_a),
                                             cube_boxes(grid, levels_b, index_b, double=True))
     within = reduce(operator.and_, [(sa - sb) % grid.N + side_a <= side_b
                                     for sa, sb in zip(start_a, start_b)])
     return (levels_a >= levels_b) & ((side_b == grid.N) | within)
-
-
-def subcube_order(a: DyadicCube, b: DyadicCube) -> bool:
-    """Partial order (mu,l) <= (mu',l'): mu >= mu' and Q_{mu,l} inside 2Q_{mu',l'}.
-
-    Box inclusion per axis with periodic wraparound: Q's box starts at most
-    side(2Q') - side(Q) cells past the start of 2Q'.
-    """
-    if a.grid != b.grid:
-        raise ValueError("cubes live on different grids")
-    return bool(subcube_orders(a.grid, a.level, a.index, b.level, b.index))
 
 
 @dataclass(frozen=True)

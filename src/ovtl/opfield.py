@@ -60,7 +60,7 @@ class _Field:
         lead, shape = self._lead, self.grid.shape
         if data.ndim != lead + self.grid.d + 2 or data.shape[lead:lead + self.grid.d] != shape:
             raise ValueError(f"{self._what} data shape {data.shape} does not match grid {shape}")
-        if 0 in data.shape[:lead]:  # a strip of no scales would be written as a plain field
+        if 0 in data.shape[:lead]:  # a strip of no scales has no level to read
             raise ValueError(f"{self._what} needs at least one scale")
         if data.shape[-1] != data.shape[-2]:
             raise ValueError("matrix blocks must be square")
@@ -77,38 +77,12 @@ class _Field:
         data scaled by 2^-e, which is exact, squares without over- or underflow."""
         return int(_pow2_exponent(self.data).item())
 
-    def __mul__(self, c: complex):
-        return type(self)(self.grid, self.data * c)
-
-    __rmul__ = __mul__
-
 
 class OperatorField(_Field):
     """Map from lattice points to n x n complex matrices.
 
     ``data`` has shape (*grid.shape, n, n).
     """
-
-    def adjoint(self) -> "OperatorField":
-        return OperatorField(self.grid, np.conj(np.swapaxes(self.data, -1, -2)))
-
-    def __add__(self, other: "OperatorField") -> "OperatorField":
-        _check_same(self, other)
-        return OperatorField(self.grid, self.data + other.data)
-
-    def __sub__(self, other: "OperatorField") -> "OperatorField":
-        _check_same(self, other)
-        return OperatorField(self.grid, self.data - other.data)
-
-    @classmethod
-    def zero(cls, grid: Grid, n: int) -> "OperatorField":
-        return cls(grid, np.zeros(grid.shape + (n, n), dtype=np.complex128))
-
-    @classmethod
-    def constant(cls, grid: Grid, matrix: np.ndarray) -> "OperatorField":
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        data = np.broadcast_to(matrix, grid.shape + matrix.shape).copy()
-        return cls(grid, data)
 
 
 class StripField(_Field):
@@ -130,17 +104,6 @@ class StripField(_Field):
         if not 1 <= j <= self.j_max:
             raise ValueError(f"scale index {j} outside 1..{self.j_max}")
         return self.data[j - 1]
-
-    @classmethod
-    def zero(cls, grid: Grid, n: int, j_max: int) -> "StripField":
-        return cls(grid, np.zeros((j_max,) + grid.shape + (n, n), dtype=np.complex128))
-
-
-def _check_same(a, b) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError("fields live on different grids")
-    if a.data.shape[-1] != b.data.shape[-1]:
-        raise GridMismatchError("fields have different matrix dimensions")
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +371,8 @@ def _root_traces(S: np.ndarray) -> tuple:
     roots, solved = np.empty(len(S)), np.empty(len(S), dtype=bool)
     for rows in (slice(lo, lo + _GRAM_ROWS) for lo in range(0, len(S), _GRAM_ROWS)):
         blk = S[rows]
-        peak = np.max(np.diagonal(blk, axis1=-2, axis2=-1).real, initial=0.0)
-        half = -(-max(int(np.frexp(peak)[1]), -1000) // 2)
-        scale = np.ldexp(1.0, -2 * half)
+        exp = int(_pow2_exponent(np.diagonal(blk, axis1=-2, axis2=-1).real, step=2).item())
+        scale = np.ldexp(1.0, -exp)
         a = [[None] * i + [blk[:, i, i].real * scale]
              + [(0.5 * scale) * (blk[:, i, j] + np.conj(blk[:, j, i])) for j in range(i + 1, n)]
              for i in range(n)]
@@ -427,7 +389,7 @@ def _root_traces(S: np.ndarray) -> tuple:
                 y = y - step
             solved[rows] = ((e[n] >= _COARSE_SQ * e[1] * e[n - 1]) & (e[1] > 0) & (e[n - 1] > 0)
                             & (np.abs(step) <= 1e-14 * y))
-            roots[rows] = np.ldexp(np.sqrt(y), half)
+            roots[rows] = np.ldexp(np.sqrt(y), exp // 2)
     return float(np.sum(roots[solved])), ~solved.reshape(shape)
 
 
@@ -439,7 +401,7 @@ def _max_eigenvalue(S: np.ndarray) -> float:
     lambda_max of (S + S*) / 2, so blocks PSD only up to round-off are safe."""
     S = S.reshape(-1, *S.shape[-2:])
     if S.shape[-1] > 1 and len(S) > _SUP_DIRECT:
-        scale = np.ldexp(1.0, -max(np.frexp(np.max(np.abs(S)))[1], -1000))
+        scale = np.ldexp(1.0, -_pow2_exponent(S).item())
         upper, lower = np.empty((2, len(S)))
         for lo in range(0, len(S), _GRAM_ROWS):  # a block of rows at a time, like the Gram
             x = S[lo:lo + _GRAM_ROWS] * scale

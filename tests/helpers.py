@@ -10,7 +10,11 @@ oracles; the remaining helpers restate quantities of the package's
 objects (the random field by a second formula, the Calderon identity
 defect, the LP sandwich floor, a ball's lattice measure, the Cauchy-Schwarz
 scale, the atom-by-atom validator, the multiplier certificate and
-hypothesis sweeps with no shared work) for tests to check against.
+hypothesis sweeps with no shared work) for tests to check against.  The
+field constructors and algebra (zero, constant, c F, f + g), the tent size,
+the failing clauses of a report and the one-pair subcube order stand in for
+package code that no command reaches; the strip-field file writer makes the
+files the field reader rejects.
 """
 
 import math
@@ -52,8 +56,17 @@ from ovtl.fmult import (
     hypothesis_window,
 )
 from ovtl.generators import band_limited_random, rng_for
-from ovtl.lattice import ConeIndex, DyadicCube, Grid, periodic_block_sum, subcube_order, wrap_half
-from ovtl.opfield import OperatorField, StripField, _check_same, _max_eigenvalue, gram, l1l2_sizes
+from ovtl.fieldio import _HEADER, FORMAT_VERSION, MAGIC
+from ovtl.lattice import (
+    ConeIndex,
+    DyadicCube,
+    Grid,
+    box_indices,
+    periodic_block_sum,
+    subcube_orders,
+    wrap_half,
+)
+from ovtl.opfield import OperatorField, StripField, _max_eigenvalue, gram, l1l2_sizes
 from ovtl.spectral import (
     LPFamily,
     apply_symbol_hat,
@@ -160,10 +173,64 @@ def cube_center(cube: DyadicCube) -> np.ndarray:
     return np.array(cube.index, dtype=float) * 2.0**-cube.level
 
 
+def subcube_order(a: DyadicCube, b: DyadicCube) -> bool:
+    """Partial order (mu,l) <= (mu',l') of two cubes: ``subcube_orders`` on one pair."""
+    if a.grid != b.grid:
+        raise ValueError("cubes live on different grids")
+    return bool(subcube_orders(a.grid, a.level, a.index, b.level, b.index))
+
+
+def zero_field(grid: Grid, n: int) -> OperatorField:
+    return OperatorField(grid, np.zeros(grid.shape + (n, n), dtype=np.complex128))
+
+
+def constant_field(grid: Grid, matrix) -> OperatorField:
+    """The field equal to ``matrix`` at every lattice point."""
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    return OperatorField(grid, np.broadcast_to(matrix, grid.shape + matrix.shape))
+
+
+def zero_strip(grid: Grid, n: int, j_max: int) -> StripField:
+    return StripField(grid, np.zeros((j_max,) + grid.shape + (n, n), dtype=np.complex128))
+
+
+def scaled(c: complex, F):
+    """The field or strip c F."""
+    return type(F)(F.grid, c * F.data)
+
+
+def field_sum(f: OperatorField, g: OperatorField) -> OperatorField:
+    """The pointwise sum f + g of two fields on one grid."""
+    return OperatorField(f.grid, f.data + g.data)
+
+
+def write_strip_file(path, F: StripField) -> None:
+    """A field file holding the strip F, with j_count = F.j_max and the
+    scale axis outermost: the format ``read_field`` rejects."""
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, F.grid.d, F.grid.N, F.n, F.j_max)
+    path.write_bytes(header + np.ascontiguousarray(F.data, dtype="<c16").tobytes())
+
+
+def tent_size(atom: TentAtom) -> float:
+    """tau((int_{T(Q)} |a|^2 ds deps/eps)^(1/2)) with the dyadic measure."""
+    return float(l1l2_sizes(atom.block.reshape(-1, atom.n, atom.n),
+                            LOG2 * atom.grid.cell_volume))
+
+
+def failures(report: ValidationReport) -> list:
+    """The clauses of ``report`` that fail."""
+    return [c for c in report.clauses if not c.passed]
+
+
+def box_axes(atom) -> list:
+    """Per-axis lattice indices of the periodic box a box-stored atom's block covers."""
+    return box_indices(atom.grid, atom.origin, atom.block.shape[:atom.grid.d])
+
+
 def embed(atom) -> np.ndarray:
     """The block of a box-stored atom embedded on the whole grid."""
     out = np.zeros(atom.grid.shape + (atom.n, atom.n), dtype=np.complex128)
-    out[np.ix_(*atom.axis_idx)] = atom.block
+    out[np.ix_(*box_axes(atom))] = atom.block
     return out
 
 
@@ -300,7 +367,8 @@ def hs_norm_sq(f: OperatorField) -> float:
 
 def pairing(f: OperatorField, g: OperatorField) -> complex:
     """Bilinear pairing tau integral tr(f(s) g(s)*) ds."""
-    _check_same(f, g)
+    if f.grid != g.grid or f.n != g.n:
+        raise GridMismatchError("fields live on different grids or matrix dimensions")
     val = np.sum(f.data * np.conj(g.data))
     return complex(val) * f.grid.cell_volume
 
@@ -368,7 +436,7 @@ def _reference_measure(chunk: list, key: tuple) -> list:
     grid, _, (route, arg), L = key[:4]
     first, B, n = chunk[0], len(chunk), chunk[0].n
     blocks = np.stack([a.block for a in chunk])
-    idxs = [getattr(a, "axis_idx", None) for a in chunk]
+    idxs = [None if a.kind == "tent_atom" else box_axes(a) for a in chunk]
     if route == "spatial":
         sizes = l1l2_sizes(blocks.reshape(B, -1, n, n), arg)[:, None]
     elif _windowed(grid, blocks.shape[1:grid.d + 1]):

@@ -70,6 +70,7 @@ from helpers import (
     random_strip,
     sandwich_floor,
     square_sum,
+    tent_size,
 )
 
 GRID_1D = Grid(1, 1024)
@@ -405,7 +406,7 @@ def test_criterion_11_projection_contract():
         block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         atom = TentAtom(cube=cube, j_lo=j_lo, block=block)
         atom = TentAtom(cube=cube, j_lo=j_lo,
-                        block=block / (atom.size() * math.sqrt(cube.volume)))
+                        block=block / (tent_size(atom) * math.sqrt(cube.volume)))
         out = project_tent(atom, cal)
         scale = float(np.max(np.abs(out.data)))
         mask = cube.mask(double=True)

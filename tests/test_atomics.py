@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ovtl import atomics, lattice
+from ovtl import atomics
 from ovtl.errors import ResolutionError, ValidationError
 from ovtl.lattice import DyadicCube, Grid, box_indices, dyadic_cubes_at_level
 from ovtl.opfield import OperatorField, StripField, l1l2_sizes
@@ -41,7 +41,9 @@ from ovtl.spectral import (
     multi_derivative_symbol,
 )
 from helpers import (
+    constant_field,
     embed,
+    failures,
     identity_defect,
     project_tent,
     random_alpha_one_atom,
@@ -49,8 +51,11 @@ from helpers import (
     random_strip,
     side_cells,
     symbol_on_data,
+    tent_size,
     tent_to_strip,
     validate_atoms_reference,
+    zero_field,
+    zero_strip,
 )
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -84,15 +89,14 @@ def test_validate_oversized_fails(grid64):
     atom = HAtom(DyadicCube(grid64, 0, (0,)), data)
     rep = validate_atoms([atom])[0]
     assert not rep.passed
-    fail = rep.failures()[0]
+    fail = failures(rep)[0]
     assert fail.name == "size" and fail.measured > fail.bound
 
 
 def test_validate_support_violation(grid64):
     data = np.zeros(grid64.shape + (1, 1), dtype=complex)
     data[:, 0, 0] = 0.01  # spread everywhere
-    atom = HAtom(DyadicCube(grid64, 2, (1,)), data,
-                 mean_zero_required=False)
+    atom = HAtom(DyadicCube(grid64, 2, (1,)), data)
     rep = validate_atoms([atom])[0]
     assert any(c.name == "support" and not c.passed for c in rep.clauses)
 
@@ -102,7 +106,7 @@ def test_tent_atom_validator(grid64):
     rng = rng_for(50)
     block = rng.normal(size=(1,) + (side_cells(cube),) + (1, 1))
     atom = TentAtom(cube=cube, j_lo=2, block=block)
-    size = atom.size()
+    size = tent_size(atom)
     atom = TentAtom(cube=cube, j_lo=2, block=block / (size * math.sqrt(cube.volume)))
     assert validate_atoms([atom])[0].passed
     bad = TentAtom(cube=cube, j_lo=1, block=block)  # scale 1/2 > side 1/2 is OK; j_lo=0 invalid
@@ -158,7 +162,7 @@ def test_calderon_rejects_bad_npow(grid64):
 
 def test_project_zero(grid64):
     cal = calderon_resolution(grid64)
-    Z = StripField.zero(grid64, 2, cal.j_max)
+    Z = zero_strip(grid64, 2, cal.j_max)
     out = project_tent(Z, cal)
     assert np.max(np.abs(out.data)) == 0.0
 
@@ -190,7 +194,7 @@ def test_project_random_atom_contract(grid64):
         block = rng.normal(size=(n_scales,) + (side_cells(cube),) + (2, 2)) \
             + 1j * rng.normal(size=(n_scales,) + (side_cells(cube),) + (2, 2))
         atom = TentAtom(cube=cube, j_lo=j_lo, block=block)
-        size = atom.size()
+        size = tent_size(atom)
         atom = TentAtom(cube=cube, j_lo=j_lo,
                         block=block / (size * math.sqrt(cube.volume)))
         out = project_tent(atom, cal)
@@ -231,7 +235,7 @@ def test_project_rejects_mean_nonzero_level(grid64):
     import dataclasses
 
     bad = dataclasses.replace(cal, level_values=bad_levels)
-    Z = StripField.zero(grid64, 1, cal.j_max)
+    Z = zero_strip(grid64, 1, cal.j_max)
     data = np.array(Z.data)
     data[0, 0, 0, 0] = 1.0
     with pytest.raises(ValidationError):
@@ -244,7 +248,7 @@ def test_project_rejects_mean_nonzero_level(grid64):
 
 def test_atomize_zero_empty(grid64):
     cal = calderon_resolution(grid64)
-    assert tent_atomize(StripField.zero(grid64, 2, cal.j_max)) == []
+    assert tent_atomize(zero_strip(grid64, 2, cal.j_max)) == []
 
 
 def test_atomize_saturated_single_atom_roundtrip(grid64):
@@ -253,7 +257,7 @@ def test_atomize_saturated_single_atom_roundtrip(grid64):
     rng = rng_for(61)
     block = rng.normal(size=(1,) + (side_cells(cube),) + (1, 1))
     atom = TentAtom(cube=cube, j_lo=2, block=block)
-    size = atom.size()
+    size = tent_size(atom)
     atom = TentAtom(cube=cube, j_lo=2, block=block / (size * math.sqrt(cube.volume)))
     F = tent_to_strip(atom, 3)
     pairs = tent_atomize(F)
@@ -294,12 +298,12 @@ def test_atomize_mass_stable_across_seeds(grid64):
 # ---------------------------------------------------------------------------
 
 def test_h1_zero_empty(grid64):
-    dec = smooth_decompose_h1(OperatorField.zero(grid64, 2))
+    dec = smooth_decompose_h1(zero_field(grid64, 2))
     assert dec.low_pairs == [] and dec.high_pairs == []
 
 
 def test_h1_constant_only_low(grid64):
-    f = OperatorField.constant(grid64, E11)
+    f = constant_field(grid64, E11)
     dec = smooth_decompose_h1(f)
     assert len(dec.low_pairs) == 1
     assert len(dec.high_pairs) == 0  # level parts vanish on the mean mode
@@ -411,7 +415,7 @@ def test_subatom_moment_zero(grid64):
 
 def test_pointwise_identity(grid64, fam64):
     f = band_limited_random(grid64, 2, 96)
-    h = OperatorField.constant(grid64, np.eye(2))
+    h = constant_field(grid64, np.eye(2))
     res = pointwise_multiply_test(h, f, 0.5, fam64)
     assert abs(res["ratio"] - 1.0) < 1e-12
     assert res["derivative_bound"] >= 1.0
@@ -420,7 +424,7 @@ def test_pointwise_identity(grid64, fam64):
 
 def test_pointwise_zero(grid64, fam64):
     f = band_limited_random(grid64, 2, 97)
-    h = OperatorField.zero(grid64, 2)
+    h = zero_field(grid64, 2)
     res = pointwise_multiply_test(h, f, 0.5, fam64)
     assert res["ratio"] == 0.0
 
@@ -570,8 +574,8 @@ def test_spatial_sizes_rank_one(d, N, n):
         assert h_size(data * outer, cube) == pytest.approx(uv * h_size(data, cube), rel=1e-12)
     cube = DyadicCube(grid, 1, (0,) * d)
     block = phi[1:3][(slice(None),) + np.ix_(*cube.axis_indices())]
-    assert TentAtom(cube, 2, block * outer).size() == \
-        pytest.approx(uv * TentAtom(cube, 2, block).size(), rel=1e-12)
+    assert tent_size(TentAtom(cube, 2, block * outer)) == \
+        pytest.approx(uv * tent_size(TentAtom(cube, 2, block)), rel=1e-12)
     scalar = tent_atomize(StripField(grid, phi))
     pairs = tent_atomize(StripField(grid, phi * outer))
     assert [(a.cube.index, a.j_lo) for _, a in pairs] == \
@@ -770,7 +774,7 @@ def test_validate_atoms_batch_matches_batch_of_one():
         bad = next((name for name, b in broken.items() if b is atom), None)
         assert rep.passed == (bad is None)
         if bad is not None:
-            assert bad in [c.name for c in rep.failures()]
+            assert bad in [c.name for c in failures(rep)]
     assert sum(len(a.subatoms) for a in atoms if a.kind == "alpha_q") > 50
     # the mutants leave their neighbours' reports as they are without them,
     # and their own are the atom-by-atom validator's
@@ -784,9 +788,9 @@ def test_validate_atoms_batch_matches_batch_of_one():
     by_name = dict(zip(broken, own))
     assert [c.passed for c in by_name["subatoms_valid"].clauses
             if c.name == "subatoms_valid"] == [True, False]
-    assert "subatom_reconstruction" in [c.name for c in by_name["support_2Q"].failures()]
-    assert "subatom_reconstruction" in [c.name for c in by_name["subcube_order"].failures()]
-    assert [c.name for c in by_name["subatom_reconstruction"].failures()] == \
+    assert "subatom_reconstruction" in [c.name for c in failures(by_name["support_2Q"])]
+    assert "subatom_reconstruction" in [c.name for c in failures(by_name["subcube_order"])]
+    assert [c.name for c in failures(by_name["subatom_reconstruction"])] == \
         ["subatom_reconstruction"]
 
 
@@ -834,7 +838,7 @@ def test_validation_work_grows_with_groups_not_atoms(monkeypatch):
 
     monkeypatch.setattr(DyadicCube, "box", counted("box", DyadicCube.box))
     monkeypatch.setattr(DyadicCube, "box_mask", counted("box_mask", DyadicCube.box_mask))
-    monkeypatch.setattr(lattice, "subcube_order", counted("subcube_order", lattice.subcube_order))
+    monkeypatch.setattr(atomics, "subcube_orders", counted("subcube_order", atomics.subcube_orders))
     monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
     reports = validate_atoms([a for _, a in dec.low_pairs + dec.high_pairs])
     assert all(rep.passed for rep in reports)

@@ -6,9 +6,10 @@ import struct
 import numpy as np
 import pytest
 
+from ovtl import generators
 from ovtl.atomics import smooth_decompose_h1, smooth_decompose_tl, validate_atoms
 from ovtl.cli import main
-from ovtl.errors import ConfigError, OvtlError
+from ovtl.errors import ConfigError, FormatError, OvtlError
 from ovtl.fieldio import (
     _CONFIG_KEYS,
     _HEADER,
@@ -19,9 +20,9 @@ from ovtl.fieldio import (
     write_field,
 )
 from ovtl.lattice import Grid
-from ovtl.opfield import OperatorField, StripField
+from ovtl.opfield import OperatorField
 from ovtl.generators import band_limited_random, bump, haar
-from helpers import fft_forward, random_strip
+from helpers import fft_forward, random_strip, write_strip_file, zero_field
 
 
 def test_field_file_roundtrip(tmp_path, grid64):
@@ -33,14 +34,11 @@ def test_field_file_roundtrip(tmp_path, grid64):
     assert np.array_equal(g.data, f.data)
 
 
-def test_strip_file_roundtrip(tmp_path, grid64):
-    F = random_strip(grid64, 3, 4, 2)
+def test_strip_file_rejected(tmp_path, grid64):
     path = tmp_path / "F.ovtl"
-    write_field(path, F)
-    G = read_field(path)
-    assert isinstance(G, StripField)
-    assert G.j_max == 4
-    assert np.array_equal(G.data, F.data)
+    write_strip_file(path, random_strip(grid64, 3, 4, 2))
+    with pytest.raises(FormatError, match="j_count = 4: expected a plain field"):
+        read_field(path)
 
 
 def test_field_file_bad_magic(tmp_path):
@@ -250,7 +248,7 @@ def test_gen_band_annulus(tmp_path):
 
 def test_norm_zero_field(tmp_path, capsys):
     out = tmp_path / "z.ovtl"
-    write_field(out, OperatorField.zero(Grid(1, 64), 2))
+    write_field(out, zero_field(Grid(1, 64), 2))
     assert main(["--grid", "64", "norm", str(out), "--which", "F_col,bmo"]) == 0
     text = capsys.readouterr().out
     assert "value = 0.000000000000000e+00" in text
@@ -563,6 +561,9 @@ def test_reports_deterministic(tmp_path):
       "{out}"], "--beta applies only to --family bessel"),
     (["--grid", "64", "multiplier-check", "--family", "identity", "--beta", "1", "--conic",
       "--report", "{out}"], "--beta applies only to --family bessel"),
+    # no lattice frequency of d = 1, N = 64 reaches |xi| = 100: the field would be 0
+    (["--grid", "64", "gen", "--kind", "band-limited-random", "--band", "100,200", "{out}"],
+     "band 100 <= |xi| <= 200 holds no lattice frequency"),
 ])
 def test_invalid_parameter_rejected(tmp_path, capsys, argv, needle):
     field, out = tmp_path / "f.ovtl", tmp_path / "out.ovtl"
@@ -572,6 +573,17 @@ def test_invalid_parameter_rejected(tmp_path, capsys, argv, needle):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 GiB for an array", ""])
+def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch, message):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(generators, "bump", exhausted)
+    assert main(["--grid", "64", "gen", "--kind", "bump", str(tmp_path / "f.ovtl")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message or 'out of memory'}\n"
 
 
 def test_alpha_at_weight_bound_accepted(tmp_path, capsys):
@@ -651,7 +663,7 @@ def test_norm_row_is_column_of_adjoint(tmp_path, capsys, d, N, p):
 ])
 def test_strip_field_rejected(tmp_path, capsys, command):
     field, out = tmp_path / "F.ovtl", tmp_path / "out"
-    write_field(field, random_strip(Grid(1, 64), 2, 4, 2))
+    write_strip_file(field, random_strip(Grid(1, 64), 2, 4, 2))
     capsys.readouterr()
     assert main([a.format(field=field, out=out) for a in command]) == 1
     err = capsys.readouterr().err

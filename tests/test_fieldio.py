@@ -18,7 +18,7 @@ from ovtl.fieldio import (
 )
 from ovtl.generators import band_limited_random
 from ovtl.lattice import Grid, box_indices
-from helpers import embed, random_strip, side_cells
+from helpers import embed, random_strip, side_cells, write_strip_file
 
 
 def _decompose(grid, seed, target="tl"):
@@ -182,7 +182,8 @@ def test_read_field_claimed_size_not_allocated(tmp_path, pos, value):
     path.write_bytes(_patch(raw, pos, "<I", value))
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError, match="header needs"):
+        # a claimed j_count is a strip field, rejected before any payload is read
+        with pytest.raises(FormatError, match="plain field" if pos == 18 else "header needs"):
             read_field(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -190,12 +191,11 @@ def test_read_field_claimed_size_not_allocated(tmp_path, pos, value):
     assert peak < 2**20
 
 
-def test_one_scale_strip_roundtrip(tmp_path):
-    F = random_strip(Grid(2, 16), 2, 1, 48)
+def test_one_scale_strip_rejected(tmp_path):
     path = tmp_path / "F.ovtl"
-    write_field(path, F)
-    G = read_field(path)
-    assert G.j_max == 1 and np.array_equal(G.data, F.data)
+    write_strip_file(path, random_strip(Grid(2, 16), 2, 1, 48))
+    with pytest.raises(FormatError, match="j_count = 1: expected a plain field"):
+        read_field(path)
 
 
 @pytest.fixture

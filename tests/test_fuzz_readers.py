@@ -28,7 +28,7 @@ from ovtl.fieldio import (
 )
 from ovtl.generators import band_limited_random
 from ovtl.lattice import Grid
-from helpers import random_strip
+from helpers import random_strip, write_strip_file
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -96,11 +96,12 @@ def _edits(text: str) -> st.SearchStrategy:
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """A plain field file, a strip field file, and a manifest and blob."""
+    """A plain field file, a strip field file (which the reader rejects), and
+    a manifest and blob."""
     root = tmp_path_factory.mktemp("fuzz")
     grid = Grid(1, 32)
     write_field(root / "f.ovtl", band_limited_random(grid, 2, 1))
-    write_field(root / "F.ovtl", random_strip(Grid(2, 16), 1, 2, 2))
+    write_strip_file(root / "F.ovtl", random_strip(Grid(2, 16), 1, 2, 2))
     f = band_limited_random(grid, 1, 3)
     write_decomposition(root / "m.txt", root / "b.bin",
                         smooth_decompose_tl(f, 0.5, 1, 1))

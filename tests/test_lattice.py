@@ -11,10 +11,9 @@ from ovtl.lattice import (
     cone_index,
     cube_blocks,
     dyadic_cubes_at_level,
-    subcube_order,
     wrap_half,
 )
-from helpers import ball_measure, side_cells
+from helpers import ball_measure, side_cells, subcube_order
 
 
 def test_wrap_half_is_half_open():

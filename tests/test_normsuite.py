@@ -34,7 +34,15 @@ from ovtl.spectral import (
     poisson_symbol,
 )
 from ovtl.sqfn import filtered, lp_levels, poisson_levels, square_norm
-from helpers import ball_measure, symbol_on_data
+from helpers import (
+    ball_measure,
+    constant_field,
+    field_sum,
+    scaled,
+    symbol_on_data,
+    zero_field,
+    zero_strip,
+)
 
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -51,7 +59,7 @@ def test_column_single_mode_oracle(grid64, fam64, alpha, p):
 
 
 def test_column_zero(grid64, fam64):
-    assert tl_norm_column(OperatorField.zero(grid64, 2), 0.5, 1.0, fam64).value == 0.0
+    assert tl_norm_column(zero_field(grid64, 2), 0.5, 1.0, fam64).value == 0.0
 
 
 def test_column_nonzero_iff_nonzero(grid64, fam64):
@@ -134,7 +142,7 @@ def test_lp_norms_p2_plancherel_match_eigenvalue_route(d, N, n):
 
 
 def test_hardy_zero(grid64, fam64):
-    assert hardy_norm(OperatorField.zero(grid64, 2), 1.0, mode="lp", family=fam64).value == 0.0
+    assert hardy_norm(zero_field(grid64, 2), 1.0, mode="lp", family=fam64).value == 0.0
 
 
 def test_hardy_poisson_vs_lp_bracket(grid128, fam128):
@@ -185,12 +193,12 @@ def test_hardy_conic_modes_finite(grid64, fam64):
 
 def test_bmo_constant(grid64):
     A = np.array([[2.0, 0.0], [0.0, 0.5]], dtype=complex)
-    rep = bmo_norm(OperatorField.constant(grid64, A))
+    rep = bmo_norm(constant_field(grid64, A))
     assert abs(rep.value - 2.0) < 1e-12
 
 
 def test_bmo_zero(grid64):
-    assert bmo_norm(OperatorField.zero(grid64, 2)).value == 0.0
+    assert bmo_norm(zero_field(grid64, 2)).value == 0.0
 
 
 def test_bmo_haar_enumeration_oracle(grid64):
@@ -210,9 +218,9 @@ def test_bmo_haar_enumeration_oracle(grid64):
 
 
 def test_tl_infty_zero_and_constant(grid64, fam64):
-    assert tl_infty_norm(OperatorField.zero(grid64, 2), 0.0, fam64).value == 0.0
+    assert tl_infty_norm(zero_field(grid64, 2), 0.0, fam64).value == 0.0
     A = np.array([[1.5, 0.0], [0.0, 1.0]], dtype=complex)
-    rep = tl_infty_norm(OperatorField.constant(grid64, A), 0.0, fam64)
+    rep = tl_infty_norm(constant_field(grid64, A), 0.0, fam64)
     # annulus symbols kill constants: only the phi0 term survives
     assert rep.terms["carleson_sup"] < 1e-12
     assert abs(rep.value - 1.5) < 1e-10
@@ -228,13 +236,13 @@ def test_tl_infty_single_mode_cube_oracle(grid64, fam64):
 
 
 def test_tent_norm_cases(grid64):
-    Z = StripField.zero(grid64, 1, 3)
+    Z = zero_strip(grid64, 1, 3)
     assert tent_norm(Z, 1.0).value == 0.0
     data = np.array(Z.data)
     data[1, 5, 0, 0] = 2.0
     F = StripField(grid64, data)
     rep1 = tent_norm(F, 1.0)
-    rep2 = tent_norm(3.0 * F, 1.0)
+    rep2 = tent_norm(scaled(3.0, F), 1.0)
     # the FFT ball correlation carries a ~1e-9 relative noise floor at
     # exactly-zero cells (sqrt of round-off), so 1e-8 is the honest bound
     assert abs(rep2.value - 3.0 * rep1.value) < 1e-8 * rep2.value
@@ -321,7 +329,7 @@ def test_homogeneous_single_mode(grid64, fam64):
 
 def test_homogeneous_mean_mode_only(grid64, fam64):
     hom = make_hom_lp_family(grid64)
-    f = OperatorField.constant(grid64, E11)
+    f = constant_field(grid64, E11)
     rep = homogeneous_equiv_report(f, 0.5, 2.0, fam64, hom)
     assert rep.terms["homogeneous_square"] == 0.0
     assert rep.terms["phi0_term"] > 0.0
@@ -342,9 +350,9 @@ def test_norm_triangle_and_homogeneity(grid64, fam64):
                  lambda x: hardy_norm(x, 1.0, mode="lp", family=fam64).value,
                  lambda x: bmo_norm(x).value,
                  lambda x: tl_infty_norm(x, 0.25, fam64).value):
-        nf, ng, nsum = norm(f), norm(g), norm(f + g)
+        nf, ng, nsum = norm(f), norm(g), norm(field_sum(f, g))
         assert nsum <= (nf + ng) * (1 + 1e-10)
-        assert abs(norm(c * f) - abs(c) * nf) < 1e-10 * abs(c) * nf
+        assert abs(norm(scaled(c, f)) - abs(c) * nf) < 1e-10 * abs(c) * nf
 
 
 def test_report_serialization_stable(grid64, fam64):
@@ -361,7 +369,7 @@ def test_invalid_p(grid64, fam64):
     with pytest.raises(ValueError):
         tl_norm_column(f, 0.0, 0.3, fam64)
     with pytest.raises(ValueError):
-        tent_norm(StripField.zero(grid64, 1, 2), 0.5)
+        tent_norm(zero_strip(grid64, 1, 2), 0.5)
 
 
 class _Inline:

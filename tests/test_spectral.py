@@ -29,7 +29,7 @@ from ovtl.spectral import (
     poisson_symbol,
     riesz_symbol,
 )
-from helpers import fft_forward, fft_inverse, hs_norm_sq, lp_positivity_margin
+from helpers import constant_field, fft_forward, fft_inverse, hs_norm_sq, lp_positivity_margin
 
 
 def test_fft_single_mode(grid64):
@@ -42,7 +42,7 @@ def test_fft_single_mode(grid64):
 
 def test_fft_constant(grid64):
     A = np.array([[1.0, 2.0], [0.0, 1.0j]])
-    f = OperatorField.constant(grid64, A)
+    f = constant_field(grid64, A)
     fh = fft_forward(f).data
     assert np.max(np.abs(fh[0] - A)) < 1e-12
     assert np.max(np.abs(fh[1:])) < 1e-12

@@ -30,7 +30,16 @@ from ovtl.sqfn import (
     square_norm,
     strip_levels,
 )
-from helpers import ball_measure, fft_forward, random_strip, square_sum, symbol_on_data
+from helpers import (
+    ball_measure,
+    fft_forward,
+    random_strip,
+    scaled,
+    square_sum,
+    symbol_on_data,
+    zero_field,
+    zero_strip,
+)
 
 
 def accumulate(f, levels, cone=None):
@@ -60,7 +69,7 @@ def test_g_radial_single_mode(grid64, fam64):
 
 
 def test_g_radial_zero(grid64, fam64):
-    out = root(accumulate(OperatorField.zero(grid64, 2), lp_levels(fam64, 0.0)))
+    out = root(accumulate(zero_field(grid64, 2), lp_levels(fam64, 0.0)))
     assert np.max(np.abs(out.data)) == 0.0
 
 
@@ -85,7 +94,7 @@ def test_g_radial_alpha_shift(grid64, fam64):
 def test_g_radial_homogeneity(grid64, fam64):
     f = band_limited_random(grid64, 2, 801)
     c = 2.5 - 1.0j
-    a = root(accumulate(c * f, lp_levels(fam64, 0.0)))
+    a = root(accumulate(scaled(c, f), lp_levels(fam64, 0.0)))
     b = root(accumulate(f, lp_levels(fam64, 0.0)))
     assert np.max(np.abs(a.data - abs(c) * b.data)) < 1e-9 * np.max(np.abs(b.data))
 
@@ -129,7 +138,7 @@ def test_conic_constant_vs_radial_factor(grid64, fam64):
 
 def test_conic_zero(grid64, fam64):
     cone = cone_index(grid64, fam64.j_max)
-    out = root(accumulate(OperatorField.zero(grid64, 2), lp_levels(fam64, 0.0)[1:], cone))
+    out = root(accumulate(zero_field(grid64, 2), lp_levels(fam64, 0.0)[1:], cone))
     assert np.max(np.abs(out.data)) < 1e-15
 
 
@@ -148,7 +157,7 @@ def test_conic_fubini_identity(grid64, fam64):
 
 
 def test_tent_one_cell(grid64):
-    F = StripField.zero(grid64, 1, 3)
+    F = zero_strip(grid64, 1, 3)
     data = np.array(F.data)
     j0, site, amp = 2, 17, 3.0
     data[j0 - 1, site, 0, 0] = amp
@@ -166,11 +175,11 @@ def test_tent_one_cell(grid64):
 
 
 def test_tent_zero_and_scaling(grid64):
-    Z = StripField.zero(grid64, 2, 3)
+    Z = zero_strip(grid64, 2, 3)
     assert np.max(np.abs(tent_root(Z).data)) == 0.0
     F = random_strip(grid64, 2, 3, 805)
     c = -1.5 + 2.0j
-    a = tent_root(c * F)
+    a = tent_root(scaled(c, F))
     b = tent_root(F)
     assert np.max(np.abs(a.data - abs(c) * b.data)) < 1e-9 * np.max(np.abs(b.data))
 
