@@ -80,8 +80,8 @@ def read_field(path: Union[str, Path]) -> OperatorField:
     if len(payload) < count * 16:
         raise FormatError(f"{path}: payload holds {len(payload)} bytes, "
                           f"header needs {count * 16}")
-    data = np.frombuffer(payload, dtype="<c16", count=count).reshape(shape).astype(np.complex128)
-    return OperatorField(grid, data)
+    # the read is the payload's one copy: OperatorField keeps this '<c16' view
+    return OperatorField(grid, np.frombuffer(payload, dtype="<c16", count=count).reshape(shape))
 
 
 def _header_grid(path, d: int, N: int) -> Grid:

@@ -5,8 +5,10 @@ square-function multipliers, the three Calderon-Zygmund kernel estimates of
 a symbol sequence, and Monte-Carlo operator-norm ratios that exercise the
 square-function and conic multiplier bounds at desk scale.  Each trial comes
 as its spectrum, and the square functions of a trial share the trial's
-spectrum.  Pass/fail thresholds are configuration, never asserted theory
-constants.
+spectrum.  A trial computes no filtered square function where every
+phi_j rho_j is bitwise rho_j; its ratio is 1 where the Plancherel sum of its
+input is positive, 0 otherwise.  Pass/fail thresholds are configuration,
+never asserted theory constants.
 """
 
 from __future__ import annotations
@@ -321,13 +323,17 @@ def _empirical_bound(kind: str, seq: SymbolSequence,
                   for j in range(j_top + 1)]
     prod_levels = [(j, w, seq.product_symbol(j).values) for j, w, _ in rho_levels]
     # phi_j rho_j bitwise rho_j at every level (the identity, Bessel at
-    # beta = 0): both square functions are one
+    # beta = 0): the ratio is 1 where the input is nonzero, and the p = 2
+    # Plancherel sum vanishes exactly where the trace L_p norm does
     same = all(m.tobytes() == r.tobytes() for (_, _, m), (_, _, r) in zip(prod_levels, rho_levels))
     ratios = []
     for t in range(trials):
         fhat = spectrum_gen(t)
+        if same:
+            ratios.append(1.0 if square_norm(fhat, grid, rho_levels, 2.0, cone) > 0 else 0.0)
+            continue
         out = square_norm(fhat, grid, prod_levels, p, cone)
-        inp = out if same else square_norm(fhat, grid, rho_levels, p, cone)
+        inp = square_norm(fhat, grid, rho_levels, p, cone)
         ratios.append(out / inp if inp > 0 else 0.0)
     r_emp = max(ratios) if ratios else 0.0
     return MultiplierCertificate(
@@ -359,8 +365,12 @@ def empirical_square_bound(seq: SymbolSequence, spectrum_gen: Callable[[int], np
     ``spectrum_gen(t)`` gives trial t as the unnormalized spectrum of its
     field (:func:`~ovtl.generators.band_limited_spectrum`), so no trial field
     is built or transformed.  Both square functions of a trial share the
-    trial's spectrum, and are one square function where every phi_j rho_j
-    is bitwise rho_j.
+    trial's spectrum.  A trial computes no filtered square function where
+    every phi_j rho_j is bitwise rho_j; its ratio is 1 where the Plancherel
+    sum of its input is positive, 0 otherwise.  For a PSD field S,
+    ||S^(1/2)||_p vanishes exactly where sum_s tr S(s) does, so the ratio is
+    the filtered route's bit for bit, as long as neither route over- or
+    underflows, which O(1) spectra such as the command line's never do.
     """
     return _empirical_bound("square", seq, spectrum_gen, alpha, p, None, trials, sigma, margin)
 

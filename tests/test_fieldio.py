@@ -1,5 +1,7 @@
+import os
 import re
 import struct
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -189,6 +191,25 @@ def test_read_field_claimed_size_not_allocated(tmp_path, pos, value):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("cut", [0, 16], ids=["whole", "short"])
+def test_read_field_from_a_pipe(tmp_path, cut):
+    # a pipe has no size to check: it reads to its end, whole or short
+    path, raw = _field_file(tmp_path)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(raw[:len(raw) - cut]), daemon=True)
+    writer.start()
+    try:
+        if cut:
+            with pytest.raises(FormatError, match="header needs"):
+                read_field(fifo)
+        else:
+            assert np.array_equal(read_field(fifo).data, read_field(path).data)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_one_scale_strip_rejected(tmp_path):

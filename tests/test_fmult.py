@@ -1,10 +1,11 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
 import helpers
-from ovtl import fmult, spectral, sqfn
+from ovtl import fmult, opfield, spectral, sqfn
 from ovtl.errors import HypothesisError, ParameterError, ResolutionError
 from ovtl.lattice import Grid, cone_index
 from ovtl.fmult import (
@@ -272,25 +273,85 @@ def test_certificate_matches_unshared_route(grid, name, conic, p, n):
     assert [r.hex() for r in got.per_trial] == [r.hex() for r in want.per_trial]
 
 
-@pytest.mark.parametrize("beta,calls", [(None, 1), (0.0, 1), (1.0, 2)],
+INVERSE_FFTS = ("ifft", "ifftn", "ifft2", "irfft", "irfftn")
+
+
+@pytest.mark.parametrize("conic", [False, True], ids=["radial", "conic"])
+@pytest.mark.parametrize("beta,square_functions", [(None, 0), (0.0, 0), (1.0, 2)],
                          ids=["identity", "bessel0", "bessel1"])
-def test_one_square_function_where_levels_are_identical(monkeypatch, beta, calls):
-    grid = Grid(2, 32)
+def test_no_square_function_where_levels_are_identical(monkeypatch, beta, square_functions,
+                                                       conic):
+    # where every phi_j rho_j is bitwise rho_j a trial takes no level inverse,
+    # inverse FFT or Gram; Bessel at beta = 1 takes those of two square functions
+    grid = Grid(2, 64)
     seq = identity_sequence(grid) if beta is None else bessel_dilate_sequence(grid, beta)
-    counted = []
-    original = fmult.square_norm
+    cone = cone_index(grid, make_lp_family(grid).j_max) if conic else None
+    calls = collections.Counter()
 
-    def counting(*args, **kwargs):
-        counted.append(1)
-        return original(*args, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(fmult, "square_norm", counting)
-    for p in (1.0, 2.0):
-        counted.clear()
-        cert = empirical_square_bound(seq, gen_for(grid), 0.0, p, trials=3, sigma=1.5)
-        assert len(counted) == 3 * calls
-        if calls == 1:
+    monkeypatch.setattr(spectral, "_pruned_ifft", counting("pruned", spectral._pruned_ifft))
+    for fn_name in INVERSE_FFTS:
+        monkeypatch.setattr(np.fft, fn_name, counting("ifft", getattr(np.fft, fn_name)))
+    monkeypatch.setattr(opfield.PSDAccumulator, "add_gram",
+                        counting("gram", opfield.PSDAccumulator.add_gram))
+    spectra = [band_limited_spectrum(grid, 2, 1000 + t) for t in range(3)]
+    levels = [(j, sqfn.level_weight(j, 0.5), seq.rho_symbol(j).values)
+              for j in range(seq.j_max + 1)]
+    calls.clear()
+    sqfn.square_norm(spectra[0], grid, levels, 1.0, cone)
+    one = collections.Counter(calls)
+    assert set(one) == {"pruned", "ifft", "gram"}
+    snapshots = []
+
+    def gen(t):
+        snapshots.append(collections.Counter(calls))
+        return spectra[t]
+
+    for p in (1.0, 3.0):
+        calls.clear()
+        snapshots.clear()
+        if cone is None:
+            cert = empirical_square_bound(seq, gen, 0.5, p, trials=3, sigma=1.5)
+        else:
+            cert = empirical_conic_bound(seq, gen, 0.5, p, cone, trials=3, sigma=1.5)
+        snapshots.append(collections.Counter(calls))
+        per_trial = [after - before for before, after in zip(snapshots, snapshots[1:])]
+        assert per_trial == 3 * [collections.Counter({k: square_functions * v
+                                                      for k, v in one.items()})]
+        if square_functions == 0:
             assert cert.per_trial == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("conic", [False, True], ids=["radial", "conic"])
+@pytest.mark.parametrize("name", ["identity", "bessel"])
+def test_trials_no_level_covers_read_zero(name, conic, p):
+    # an all-zero spectrum and one on the mode (0, 32), which no LP level
+    # covers at N = 64: every input square function is 0, and so is the ratio
+    grid = Grid(2, 64)
+    fam = make_lp_family(grid)
+    assert all(fam.values(j)[0, 32] == 0 for j in fam.scales())
+    zero = np.zeros(grid.shape + (2, 2), dtype=np.complex128)
+    uncovered = zero.copy()
+    uncovered[0, 32] = [[1.0, 2.0j], [-3.0, 0.5 + 4.0j]]
+    spectra = [zero, uncovered, band_limited_spectrum(grid, 2, 700)]
+    seq, sigma = _family(grid, name), _sigma(grid)
+    cone = cone_index(grid, fam.j_max) if conic else None
+    if cone is None:
+        got = empirical_square_bound(seq, spectra.__getitem__, 0.5, p, trials=3, sigma=sigma)
+    else:
+        got = empirical_conic_bound(seq, spectra.__getitem__, 0.5, p, cone, trials=3,
+                                    sigma=sigma)
+    want = certificate_reference(_family(grid, name), spectra.__getitem__, 0.5, p, trials=3,
+                                 sigma=sigma, cone=cone)
+    assert got.to_text() == want.to_text()
+    assert [r.hex() for r in got.per_trial] == [r.hex() for r in want.per_trial]
+    assert got.per_trial[:2] == [0.0, 0.0] and got.per_trial[2] > 0
 
 
 @pytest.mark.parametrize("grid,pruned", [(Grid(2, 64), True), (Grid(1, 256), False)],
@@ -306,7 +367,7 @@ def test_certificate_levels_below_top_are_pruned(monkeypatch, grid, pruned):
     sigma = _sigma(grid)
     spectra = [band_limited_spectrum(grid, 2, 1000)]
     monkeypatch.setattr(spectral, "_pruned_ifft", counting)
-    for name, square_functions in (("bessel", 2), ("identity", 1)):
+    for name, square_functions in (("bessel", 2), ("identity", 0)):
         seq = _family(grid, name)
         for conic in (False, True):
             counted.clear()
@@ -316,7 +377,8 @@ def test_certificate_levels_below_top_are_pruned(monkeypatch, grid, pruned):
             else:
                 empirical_conic_bound(seq, spectra.__getitem__, 0.5, 1.0, cone, trials=1,
                                       sigma=sigma)
-            # level j has band 2^{j+1} - 1; the top one's passes N/4, every other prunes
+            # level j has band 2^{j+1} - 1; the top one's passes N/4, every other
+            # prunes; an identity trial inverts no level
             want = square_functions * [2 ** (j + 1) - 1 for j in range(seq.j_max)]
             assert sorted(counted) == (sorted(want) if pruned else [])
 
