@@ -38,6 +38,7 @@ from .fmult import (
     lp_sequence,
 )
 from .lattice import cone_index
+from .opfield import check_p
 from .normsuite import (
     bmo_norm,
     hardy_norm,
@@ -131,6 +132,8 @@ def _load_cfg(args) -> Config:
         raise ParameterError(f"[run] trials must be >= 1, got {cfg.trials}")
     if not 0 <= cfg.seed < 2**64:
         raise ParameterError(f"seed must lie in [0, 2^64), got {cfg.seed}")
+    for p in cfg.ps:  # every norm and certificate reads p; bmo and F_infty ignore it
+        check_p(p)
     if not all(map(math.isfinite, cfg.alphas)):
         raise ParameterError(f"alpha must be finite, got {', '.join(map(str, cfg.alphas))}")
     if cfg.sigma is not None and not math.isfinite(cfg.sigma):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import HypothesisError, ParameterError
 from .lattice import ConeIndex, Grid
-from .opfield import check_p
+from .opfield import check_p, to_planes
 from .sqfn import level_weight, square_norm
 from .spectral import (
     Profile,
@@ -328,7 +328,7 @@ def _empirical_bound(kind: str, seq: SymbolSequence,
     same = all(m.tobytes() == r.tobytes() for (_, _, m), (_, _, r) in zip(prod_levels, rho_levels))
     ratios = []
     for t in range(trials):
-        fhat = spectrum_gen(t)
+        fhat = to_planes(spectrum_gen(t))
         if same:
             ratios.append(1.0 if square_norm(fhat, grid, rho_levels, 2.0, cone) > 0 else 0.0)
             continue
@@ -365,12 +365,12 @@ def empirical_square_bound(seq: SymbolSequence, spectrum_gen: Callable[[int], np
     ``spectrum_gen(t)`` gives trial t as the unnormalized spectrum of its
     field (:func:`~ovtl.generators.band_limited_spectrum`), so no trial field
     is built or transformed.  Both square functions of a trial share the
-    trial's spectrum.  A trial computes no filtered square function where
-    every phi_j rho_j is bitwise rho_j; its ratio is 1 where the Plancherel
-    sum of its input is positive, 0 otherwise.  For a PSD field S,
-    ||S^(1/2)||_p vanishes exactly where sum_s tr S(s) does, so the ratio is
-    the filtered route's bit for bit, as long as neither route over- or
-    underflows, which O(1) spectra such as the command line's never do.
+    trial's spectrum, copied to planes once.  A trial computes no filtered
+    square function where every phi_j rho_j is bitwise rho_j; its ratio is 1
+    where the Plancherel sum of its input is positive, 0 otherwise.  For a
+    PSD field S, ||S^(1/2)||_p vanishes exactly where sum_s tr S(s) does, so
+    the ratio is the filtered route's bit for bit, as long as neither route
+    over- or underflows, which O(1) spectra such as the command line's never do.
     """
     return _empirical_bound("square", seq, spectrum_gen, alpha, p, None, trials, sigma, margin)
 

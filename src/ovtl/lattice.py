@@ -203,17 +203,38 @@ def periodic_block_sum(grid: Grid, terms, tail: tuple) -> np.ndarray:
     return buf
 
 
+_ROLL_POINTS = 4096  # points per copy of a roll: a strided source is gathered in cache
+
+
 def cube_blocks(data: np.ndarray, grid: Grid, level: int) -> np.ndarray:
     """(*grid.shape, ...) data with each spatial axis split into a
     (2^level, side) pair: entry [l_1, b_1, ..., l_d, b_d] is point b of the
     level-``level`` dyadic cube with index l (wraparound cubes included).
 
-    One periodic roll by half a side makes the centered cubes contiguous;
-    the reshape of the rolled array is a view of it, not a copy.
+    One periodic roll by half a side into a new C-contiguous array
+    (:func:`roll_into`) makes the centered cubes contiguous; the reshape of
+    the rolled array is a view of it, not a copy.
     """
     side = grid.N >> level
-    rolled = np.roll(data, (side // 2,) * grid.d, axis=grid.spatial_axes)
+    rolled = roll_into(np.empty(data.shape, data.dtype), data, side // 2, grid)
     return rolled.reshape(sum(((1 << level, side),) * grid.d, ()) + data.shape[grid.d:])
+
+
+def roll_into(dst: np.ndarray, src: np.ndarray, shift: int, grid: Grid) -> np.ndarray:
+    """dst[...] = np.roll(src, shift, axis=grid.spatial_axes), 0 <= shift < N,
+    as copies of the two halves of every axis, each cut into runs of leading
+    rows of at most _ROLL_POINTS points, so a strided ``src`` (planes seen as
+    blocks) is gathered in cache."""
+    N = grid.N
+    halves = [(shift, 0, N - shift), (0, N - shift, shift)] if shift else [(0, 0, N)]
+    run = max(1, _ROLL_POINTS // N ** (grid.d - 1))
+    for (to, fr, length), *rest in itertools.product(halves, repeat=grid.d):
+        tail_to = tuple(slice(t, t + m) for t, _, m in rest)
+        tail_fr = tuple(slice(f, f + m) for _, f, m in rest)
+        for lo in range(0, length, run):
+            hi = min(lo + run, length)
+            dst[(slice(to + lo, to + hi),) + tail_to] = src[(slice(fr + lo, fr + hi),) + tail_fr]
+    return dst
 
 
 def dyadic_cubes_at_level(grid: Grid, level: int) -> list[DyadicCube]:

@@ -16,15 +16,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import ConeIndex, Grid, cone_index, cube_blocks
+from .lattice import ConeIndex, Grid, cone_index, cube_blocks, roll_into
 from .opfield import (
     OperatorField,
     PSDAccumulator,
     StripField,
+    as_blocks,
+    as_planes,
     check_p,
     gram,
     psd_root_norm,
+    to_planes,
     trace_lp_norm,
+    trace_lp_planes,
 )
 from .sqfn import (
     filtered,
@@ -34,7 +38,7 @@ from .sqfn import (
     square_norm,
     strip_levels,
 )
-from .spectral import LPFamily, apply_symbol_hat, fft_data, poisson_symbol
+from .spectral import LPFamily, fft_planes, filter_planes, poisson_symbol
 
 # the kernels of the local Hardy norm, also the [norms] kernel_mode config values
 HARDY_MODES = ("lp", "poisson")
@@ -77,11 +81,12 @@ def _fmt(v) -> str:
 
 
 def _scaled_transform(f: OperatorField) -> tuple:
-    """(fft_data(f 2^-e), e), with e = ``f.pow2_exponent()``: the transform
-    of f scaled in place, which is bitwise that of the scaled field, with no
-    scaled copy of f."""
+    """(planes of fft_data(f 2^-e), e), with e = ``f.pow2_exponent()``: f is
+    copied to planes once (:func:`~ovtl.opfield.to_planes`), transformed in
+    place and scaled in place, which is bitwise the transform of the scaled
+    field, with no scaled copy of f."""
     e = f.pow2_exponent()
-    fhat = fft_data(f.data, f.grid)
+    fhat = fft_planes(to_planes(f.data), f.grid)
     if e:
         fhat *= np.ldexp(1.0, -e)
     return fhat, e
@@ -99,9 +104,8 @@ def _scaled_back(report: NormReport, e: int, ratio_value: bool = False) -> NormR
     return report
 
 
-def _low_term_norm(f: OperatorField, values: np.ndarray, fhat: np.ndarray,
-                   p: float) -> float:
-    return trace_lp_norm(OperatorField(f.grid, apply_symbol_hat(values, fhat, f.grid)), p)
+def _low_term_norm(grid: Grid, values: np.ndarray, fhat: np.ndarray, p: float) -> float:
+    return trace_lp_planes(filter_planes(values, fhat, grid), p, grid.cell_volume)
 
 
 def _lp_square_norms(f: OperatorField, alpha: float, p: float, family: LPFamily,
@@ -109,7 +113,7 @@ def _lp_square_norms(f: OperatorField, alpha: float, p: float, family: LPFamily,
                      low: bool = True) -> tuple[list, Optional[float]]:
     """LP square-function norms of f on each side in ``sides`` ("column"
     or "row"), and the phi_0 term ||phi_0 * f||_p when ``low``, given
-    ``fhat = fft_data(f.data, f.grid)``.
+    the planes ``fhat`` of :func:`_scaled_transform`.
 
     One forward transform serves every side: the LP symbols are real and
     even, so phi_j * f* = (phi_j * f)*, and the row sum
@@ -119,16 +123,16 @@ def _lp_square_norms(f: OperatorField, alpha: float, p: float, family: LPFamily,
     """
     levels = lp_levels(family, alpha)
     if p == 2:
-        low_term = _low_term_norm(f, levels[0][2], fhat, p) if low else None
+        low_term = _low_term_norm(f.grid, levels[0][2], fhat, p) if low else None
         return [square_norm(fhat, f.grid, levels, p)] * len(sides), low_term
     accs = [PSDAccumulator(f.grid, f.n) for _ in sides]
     low_term = None
     for j, weight, g in filtered(fhat, f.grid, levels):
-        if low and j == 0:
-            low_term = trace_lp_norm(OperatorField(f.grid, g), p)
         for side, acc in zip(sides, accs):
             acc.add_gram(g, weight, row=side == "row")
-    return [psd_root_norm(acc.S, p, f.grid.cell_volume) for acc in accs], low_term
+        if low and j == 0:  # while the helper thread sums the queued Gram of g
+            low_term = trace_lp_planes(g, p, f.grid.cell_volume)
+    return [psd_root_norm(acc.planes, p, f.grid.cell_volume) for acc in accs], low_term
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +226,7 @@ def hardy_norm(f: OperatorField, p: float, family: LPFamily, mode: str = "lp",
         (sq,), low = _lp_square_norms(f, 0.0, p, family, ("column",), fhat)
         value = sq
     else:
-        low = _low_term_norm(f, low_values, fhat, p)
+        low = _low_term_norm(grid, low_values, fhat, p)
         cone = cone_index(grid, family.j_max) if shape == "conic" else None
         sq = square_norm(fhat, grid, levels, p, cone)
         value = sq + low
@@ -240,30 +244,41 @@ def hardy_norm(f: OperatorField, p: float, family: LPFamily, mode: str = "lp",
 # bmo and the Carleson-type sup norm
 # ---------------------------------------------------------------------------
 
-def _block_means(data: np.ndarray, grid: Grid, level: int) -> np.ndarray:
-    """Mean of (*shape, n, n) data over each dyadic cube at ``level``.
+def _block_means(planes: np.ndarray, grid: Grid, level: int) -> np.ndarray:
+    """Mean of planes (n, n, *grid.shape) over each dyadic cube at ``level``,
+    as blocks of shape (2^level,)*d + (n, n); entry [l] is the mean over the
+    cube with index l.
 
-    Returns array of shape (2^level,)*d + (n, n); entry [l] is the mean over
-    the cube with index l.
+    :func:`~ovtl.lattice.cube_blocks` rolls the planes into point-major
+    blocks, so each mean sums its points one n x n block at a time, in order.
     """
-    return cube_blocks(data, grid, level).mean(axis=tuple(2 * k + 1 for k in range(grid.d)))
+    blocks = cube_blocks(as_blocks(planes), grid, level)
+    return blocks.mean(axis=tuple(2 * k + 1 for k in range(grid.d)))
 
 
 def bmo_norm(f: OperatorField) -> NormReport:
     """bmo^c norm: sup over dyadic |Q| < 1 of the mean oscillation, maximized
-    with the |Q| = 1 (whole torus) size term."""
+    with the |Q| = 1 (whole torus) size term.
+
+    f scaled by 2^-e is copied to planes in one pass, the one copy of f; its
+    cube means are taken before its Gram |f|^2 is summed on planes, and the
+    copy is dropped before the means of |f|^2 (:func:`_block_means`)."""
     grid, e = f.grid, f.pow2_exponent()
-    x = f.data * np.ldexp(1.0, -e)
-    P = gram(x)
-    whole = np.mean(P, axis=grid.spatial_axes)  # = int_Q |f|^2 at |Q| = 1
-    unit_term = psd_root_norm(whole, np.inf, 1.0)
+    levels = range(1, grid.max_cube_level + 1)
+    x = to_planes(f.data, np.ldexp(1.0, -e))
+    means_f = [_block_means(x, grid, level) for level in levels]
+    P = np.empty_like(x)
+    gram(as_blocks(x), as_blocks(P))
+    del x
+    blocks = roll_into(np.empty(grid.shape + (f.n, f.n), dtype=P.dtype), as_blocks(P), 0, grid)
+    whole = np.mean(blocks, axis=grid.spatial_axes)  # = int_Q |f|^2 at |Q| = 1
+    del blocks
+    unit_term = psd_root_norm(as_planes(whole), np.inf, 1.0)
     osc = 0.0
     per_level = {}
-    for level in range(1, grid.max_cube_level + 1):
-        mean_p = _block_means(P, grid, level)
-        mean_f = _block_means(x, grid, level)
-        m = mean_p - gram(mean_f)  # E|f|^2 - |E f|^2 over each cube
-        lv = psd_root_norm(m, np.inf, 1.0)
+    for level, mean_f in zip(levels, means_f):
+        m = _block_means(P, grid, level) - gram(mean_f)  # E|f|^2 - |E f|^2 over each cube
+        lv = psd_root_norm(as_planes(m), np.inf, 1.0)
         per_level[f"oscillation_level_{level}"] = lv
         osc = max(osc, lv)
     value = max(osc, unit_term)
@@ -288,13 +303,14 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily) -> NormRepor
     grid = f.grid
     fhat, e = _scaled_transform(f)
     levels = lp_levels(family, alpha)
-    low_term = _low_term_norm(f, levels[0][2], fhat, np.inf)
+    low_term = _low_term_norm(grid, levels[0][2], fhat, np.inf)
     top_level = min(grid.max_cube_level, family.j_max)
     acc = PSDAccumulator(grid, f.n)
     by_level, last = {}, None
 
     def carleson_level(level):
-        by_level[level] = psd_root_norm(_block_means(acc.S, grid, level), np.inf, 1.0)
+        means = _block_means(acc.planes, grid, level)
+        by_level[level] = psd_root_norm(as_planes(means), np.inf, 1.0)
 
     for j, weight, g in filtered(fhat, grid, levels[:0:-1]):
         if last is not None:  # read after this level is filtered, so its Gram overlaps the FFT
@@ -324,10 +340,9 @@ def tent_norm(F: StripField, p: float, cone: Optional[ConeIndex] = None) -> Norm
     """Tent-space norm || A^c(F) ||_p."""
     check_p(p)
     e = F.pow2_exponent()
-    F = StripField(F.grid, F.data * np.ldexp(1.0, -e))
     cone = cone_index(F.grid, F.j_max) if cone is None else cone
-    value = psd_root_norm(square_accumulator(F.grid, F.n, strip_levels(F), cone).S, p,
-                          F.grid.cell_volume)
+    acc = square_accumulator(F.grid, F.n, strip_levels(F, np.ldexp(1.0, -e)), cone)
+    value = psd_root_norm(acc.planes, p, F.grid.cell_volume)
     return _scaled_back(NormReport(
         name="tent",
         value=value,

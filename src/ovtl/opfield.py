@@ -9,11 +9,23 @@ operator-algebra primitives used throughout: adjoints, pointwise PSD
 accumulation and trace L_p norms.
 
 The batched small-matrix kernels every other module goes through live
-here: :func:`gram` (x*x, one entrywise sum for every n in cache-sized row
-blocks, exactly Hermitian), :func:`psd_eigvalsh` (LAPACK for n >= 2),
-:func:`psd_root_norm`, the trace L_p norm of S^(1/2) behind every square
-function (its p = inf sup solves only the blocks that a Frobenius bound
-cannot rule out), and :func:`l1l2_sizes`, the L_1(M; L_2^c) size behind
+here, and they run on *planes*: an (n, n, *points) array whose entry (a, b)
+is one contiguous plane, so every entry is read at unit stride.  A field is
+copied to planes once, by :func:`to_planes` (scaled in the same pass when
+asked); the square-function engine (``sqfn``, ``normsuite``, ``fmult``) keeps
+its transforms, levels and sums as planes from there on.  The planar
+kernels are :func:`_gram_into` (x*x, one entrywise sum for every n in
+cache-sized blocks of points, exactly Hermitian), the
+:class:`PSDAccumulator` sum, :func:`psd_root_norm`, the trace L_p norm of
+S^(1/2) behind every square function (its p = inf sup solves only the
+blocks that a Frobenius bound cannot rule out), :func:`_root_traces` and
+:func:`trace_lp_planes`; :func:`pairwise_sum` adds planes in the order
+``np.sum`` takes over the matrix axes of point-major blocks, so each
+reduction keeps the point-major bits.  LAPACK (:func:`psd_eigvalsh`) sees
+only the blocks it is handed, gathered as point-major blocks.  The
+point-major entry points are thin views or wrappers over the planar
+kernels: :func:`gram`, :func:`trace_lp_norm` of an :class:`OperatorField`,
+``PSDAccumulator.S`` and :func:`l1l2_sizes`, the L_1(M; L_2^c) size behind
 every atom size.  Singular values are never computed by SVD: sigma(x)^2 are
 the eigenvalues of x*x, and blocks with a singular value near 0 take theirs
 from the Hermitian dilation of x (of its triangular QR factor, for the
@@ -115,37 +127,94 @@ def herm(x: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(x, -1, -2))
 
 
-_GRAM_ROWS = 4096  # rows per Gram block: 64 KiB per-entry temporaries stay in cache
+_GRAM_ROWS = 4096  # points per Gram block: 64 KiB per-entry temporaries stay in cache
+
+
+def to_planes(data: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """The contiguous planes (n, n, *points) of (*points, n, n) blocks, times
+    ``scale`` in the same pass when given: entry (a, b) of every block is one
+    plane, so the kernels below read each entry at unit stride.  The copy
+    runs _GRAM_ROWS points at a time, which keeps both sides of the
+    transpose in cache."""
+    n = data.shape[-1]
+    out = np.empty(data.shape[-2:] + data.shape[:-2], dtype=np.complex128)
+    dst, src = out.reshape(n, n, -1), data.reshape(-1, n, n).transpose(1, 2, 0)
+    for part in (slice(lo, lo + _GRAM_ROWS) for lo in range(0, dst.shape[-1], _GRAM_ROWS)):
+        if scale is None:
+            np.copyto(dst[..., part], src[..., part])
+        else:
+            np.multiply(src[..., part], scale, out=dst[..., part])
+    return out
+
+
+def as_planes(x: np.ndarray) -> np.ndarray:
+    """The planes (n, n, *points) of blocks ``x`` as a view."""
+    return x.transpose((x.ndim - 2, x.ndim - 1) + tuple(range(x.ndim - 2)))
+
+
+def as_blocks(S: np.ndarray) -> np.ndarray:
+    """The (*points, n, n) blocks of planes ``S`` as a view, for LAPACK and
+    the point-major callers."""
+    return S.transpose(tuple(range(2, S.ndim)) + (0, 1))
+
+
+def pairwise_sum(terms: list) -> np.ndarray:
+    """The sum of the arrays ``terms`` in the order numpy's ``add.reduce``
+    takes over a contiguous run of len(terms) values: in order below 8 terms,
+    else eight interleaved partial sums (split in halves, multiples of 8,
+    beyond 128).  Planes summed this way match ``np.sum`` over the matrix
+    axes of point-major blocks bitwise."""
+    m = len(terms)
+    if m < 8:
+        return sum(terms[1:], terms[0])
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
+    r = list(terms[:8])
+    for lo in range(8, m - m % 8, 8):
+        r = [a + b for a, b in zip(r, terms[lo:lo + 8])]
+    paired = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return sum(terms[m - m % 8:], paired)
 
 
 def _gram_into(out: np.ndarray, x: np.ndarray, weight: float | None = None) -> np.ndarray:
-    """Write x* x of each (rows, n, n) block into ``out`` (add weight * x* x with ``weight``)
-    and return it, _GRAM_ROWS rows at a time read in (n, n, rows) order: entry a <= b sums
-    conj(x_ka) x_kb over k in order (|x_ka|^2 on the diagonal), (b, a) takes its conjugate."""
-    n = x.shape[-1]
-    for rows in (slice(lo, lo + _GRAM_ROWS) for lo in range(0, len(x), _GRAM_ROWS)):
-        xb, ob = x[rows].transpose(1, 2, 0), out[rows]
-        xb = xb.copy() if n > 2 else xb  # n > 2 reads each entry n times: contiguous pays
+    """Write x* x of the (n, n, points) planes ``x`` into the planes ``out`` (add
+    weight * x* x with ``weight``) and return it, _GRAM_ROWS points at a time:
+    entry a <= b sums conj(x_ka) x_kb over k in order (|x_ka|^2 on the diagonal),
+    (b, a) takes its conjugate.  Both may be views; a block of points whose
+    entries are not contiguous is copied first when n > 2, which reads each
+    entry n times."""
+    n = x.shape[0]
+    for rows in (slice(lo, lo + _GRAM_ROWS) for lo in range(0, x.shape[-1], _GRAM_ROWS)):
+        xb, ob = x[..., rows], out[..., rows]
+        if n > 2 and xb.strides[-1] != xb.itemsize:
+            xb = xb.copy()
         for a, b in itertools.combinations_with_replacement(range(n), 2):
             terms = (xb[k, a].real ** 2 + xb[k, a].imag ** 2 if a == b
                      else np.conj(xb[k, a]) * xb[k, b] for k in range(n))
             total = sum(terms, next(terms))
             if weight is None:
-                ob[:, a, b] = total
+                ob[a, b] = total
                 if b > a:
-                    ob[:, b, a] = np.conj(total)
+                    ob[b, a] = np.conj(total)
             else:
-                ob[:, a, b] += total * weight
+                ob[a, b] += total * weight
                 if b > a:
-                    ob[:, b, a] += np.conj(total) * weight
+                    ob[b, a] += np.conj(total) * weight
     return out
 
 
-def gram(x: np.ndarray) -> np.ndarray:
-    """Column Gram x* x on the trailing matrix axes, exactly Hermitian (:func:`_gram_into`)."""
+def gram(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Column Gram x* x on the trailing matrix axes of the blocks ``x``, exactly
+    Hermitian, written to ``out`` when given.  :func:`_gram_into` reads and
+    writes the planes of both through views, so blocks that are views of
+    contiguous planes (:func:`as_blocks`) are summed plane by plane with no
+    copy; ``out`` must be contiguous as blocks or as planes."""
     x = np.asarray(x)
-    out = np.empty(x.shape, dtype=np.result_type(x.dtype, np.complex128))
-    _gram_into(out.reshape(-1, *x.shape[-2:]), x.reshape(-1, *x.shape[-2:]))
+    n = x.shape[-1]
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(x.dtype, np.complex128))
+    _gram_into(as_planes(out).reshape(n, n, -1), as_planes(x).reshape(n, n, -1))
     return out
 
 
@@ -170,19 +239,21 @@ _HELPER = ThreadPoolExecutor(max_workers=1)
 
 @dataclass(eq=False)  # two accumulators are equal only as one object
 class PSDAccumulator:
-    """Pointwise accumulator for sums  S(s) = sum_k w_k g_k(s)* g_k(s).
+    """Pointwise accumulator for sums  S(s) = sum_k w_k g_k(s)* g_k(s), held
+    as planes (n, n, *grid.shape).
 
     Weights must be nonnegative; S stays Hermitian PSD up to round-off.
     Accumulation order is the call order, fixed by the caller.  At most one
-    Gram is pending on the helper thread; every read of ``S`` and the next
-    :meth:`add_gram` wait for it and raise what it raised.
+    Gram is pending on the helper thread; every read of ``planes`` (or of
+    its point-major view ``S``) and the next :meth:`add_gram` wait for it
+    and raise what it raised.
     """
 
     grid: Grid
     n: int
 
     def __post_init__(self):
-        self._S = np.zeros(self.grid.shape + (self.n, self.n), dtype=np.complex128)
+        self._S = np.zeros((self.n, self.n) + self.grid.shape, dtype=np.complex128)
         self._pending = None  # Future of the queued Gram
 
     def _wait(self) -> None:
@@ -191,21 +262,22 @@ class PSDAccumulator:
             pending.result()
 
     @property
-    def S(self) -> np.ndarray:
+    def planes(self) -> np.ndarray:
         self._wait()
         return self._S
 
-    @S.setter
-    def S(self, value: np.ndarray) -> None:
-        self._wait()
-        self._S = value
+    @property
+    def S(self) -> np.ndarray:
+        """The sum as (*grid.shape, n, n) blocks: a view of :attr:`planes`."""
+        return as_blocks(self.planes)
 
     def add_gram(self, g: np.ndarray, weight: float = 1.0,
                  row: bool = False) -> "PSDAccumulator":
-        """Accumulate weight * g(s)* g(s), or weight * g(s) g(s)* with ``row``.
+        """Accumulate weight * g(s)* g(s), or weight * g(s) g(s)* with ``row``,
+        for planes ``g`` of the shape of :attr:`planes`.
 
-        A stack of more than _GRAM_ROWS blocks is summed on the helper thread
-        and the call returns at once; ``g`` is read until ``S`` is next read
+        A stack of more than _GRAM_ROWS points is summed on the helper thread
+        and the call returns at once; ``g`` is read until the sum is next read
         (or the next ``add_gram``), so it must not change before then.
         Smaller stacks are summed inline, where a handoff costs more than it
         saves.  Either way S is the same in-order sum, bitwise.
@@ -213,20 +285,21 @@ class PSDAccumulator:
         if weight < 0:
             raise ValueError("weights must be nonnegative")
         if np.shape(g) != self._S.shape:
-            raise GridMismatchError(f"blocks of shape {np.shape(g)} added to {self._S.shape}")
-        x = g.reshape(-1, self.n, self.n)
-        axes = (0, 2, 1) if row else (0, 1, 2)  # g g* = gram(g^T)^T: read g and S transposed
+            raise GridMismatchError(f"planes of shape {np.shape(g)} added to {self._S.shape}")
+        x = g.reshape(self.n, self.n, -1)
+        axes = (1, 0, 2) if row else (0, 1, 2)  # g g* = gram(g^T)^T: read g and S transposed
         self._wait()
-        args = (self._S.reshape(-1, self.n, self.n).transpose(axes), x.transpose(axes), weight)
-        if len(x) > _GRAM_ROWS:
+        args = (self._S.reshape(self.n, self.n, -1).transpose(axes), x.transpose(axes), weight)
+        if x.shape[-1] > _GRAM_ROWS:
             self._pending = _HELPER.submit(_gram_into, *args)
         else:
             _gram_into(*args)
         return self
 
     def add_psd(self, P: np.ndarray) -> "PSDAccumulator":
-        """Accumulate an already-PSD pointwise block."""
-        self.S += P
+        """Accumulate already-PSD planes."""
+        S = self.planes
+        S += P
         return self
 
     def eigenvalues(self) -> np.ndarray:
@@ -260,44 +333,56 @@ def _pow2_rescaled(x: np.ndarray, axes=None, step: int = 1) -> tuple:
 
 
 def trace_lp_norm(f: OperatorField, p: float) -> float:
-    """Noncommutative L_p norm (sum_s h^d tr|f(s)|^p)^(1/p); operator-sup for p = inf.
+    """Noncommutative L_p norm (sum_s h^d tr|f(s)|^p)^(1/p); operator-sup for
+    p = inf: :func:`trace_lp_planes` of the planes of f."""
+    return trace_lp_planes(as_planes(f.data), p, f.grid.cell_volume)
+
+
+def trace_lp_planes(g: np.ndarray, p: float, cell_volume: float) -> float:
+    """(sum_s cell_volume tr|g(s)|^p)^(1/p), the operator sup for p = inf, of
+    the blocks whose planes (n, n, *points) are ``g`` (a view will do).
 
     The trace is the standard (unnormalized) matrix trace.  The singular
-    values enter without an SVD, as sigma^2 = lambda(x* x) of f rescaled by
-    an exact power of two.  Those eigenvalues are accurate to
-    eps * sigma_max^2, which for p < 2 would cost half the digits of a sigma
-    near 0; blocks with sigma_min < 1e-2 sigma_max (rank-deficient ones
-    among them) take their singular values instead from the eigenvalues
-    +-sigma of the Hermitian dilation [[0, x], [x*, 0]], accurate to
-    eps * sigma_max.  At p = 1 and n = 2, tr|x| = sqrt(||x||_HS^2 + 2 |det x|)
-    is exact to round-off even at rank one and needs neither; at n = 3, 4,
-    the blocks of x* x that :func:`_root_traces` leaves go straight to the
-    dilation, one eigenvalue call in all.
+    values enter without an SVD, as sigma^2 = lambda(x* x) of the planes
+    copied contiguous and rescaled by an exact power of two.  Those
+    eigenvalues are accurate to eps * sigma_max^2, which for p < 2 would cost
+    half the digits of a sigma near 0; blocks with sigma_min < 1e-2 sigma_max
+    (rank-deficient ones among them) take their singular values instead from
+    the eigenvalues +-sigma of the Hermitian dilation [[0, x], [x*, 0]],
+    accurate to eps * sigma_max.  At p = 1 and n = 2,
+    tr|x| = sqrt(||x||_HS^2 + 2 |det x|) is exact to round-off even at rank
+    one and needs neither; at n = 3, 4, the blocks of x* x that
+    :func:`_root_traces` leaves go straight to the dilation, one eigenvalue
+    call in all.
     """
-    x, exp = _pow2_rescaled(f.data)
-    n = x.shape[-1]
+    exp = _pow2_exponent(g)
+    x = np.multiply(g, np.ldexp(1.0, -exp), out=np.empty(g.shape, dtype=np.complex128))
+    n = x.shape[0]
     if p == 1 and n == 2:
-        det = x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
-        hs = np.sum(x.real**2 + x.imag**2, axis=(-2, -1))
-        total = float(np.sum(np.sqrt(hs + 2.0 * np.abs(det)))) * f.grid.cell_volume
+        det = x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
+        hs = pairwise_sum([x[a, b].real**2 + x[a, b].imag**2 for a, b in np.ndindex(2, 2)])
+        total = float(np.sum(np.sqrt(hs + 2.0 * np.abs(det)))) * cell_volume
         return float(np.ldexp(total, exp.item()))
+    G = np.empty_like(x)
+    gram(as_blocks(x), as_blocks(G))
     if p == np.inf:
-        return float(np.ldexp(psd_root_norm(gram(x), p, 1.0), exp.item()))
+        return float(np.ldexp(psd_root_norm(G, p, 1.0), exp.item()))
     if p == 1 and n in (3, 4):
-        solved, rest = _root_traces(gram(x))
-        total = solved + float(np.sum(_dilation_singular_values(x[rest])))
-        return float(np.ldexp(total * f.grid.cell_volume, exp.item()))
-    sq = psd_eigvalsh(gram(x))
+        solved, rest = _root_traces(G)
+        total = solved + float(np.sum(_dilation_singular_values(as_blocks(x)[rest])))
+        return float(np.ldexp(total * cell_volume, exp.item()))
+    sq = psd_eigvalsh(as_blocks(G))
     if p < 2 and n > 1:
         coarse = sq[..., 0] < _COARSE_SQ * sq[..., -1]
         if np.any(coarse):
-            sq[coarse] = _dilation_singular_values(x[coarse]) ** 2
-    return float(np.ldexp(lp_norm_from_psd_eigs(sq, p, f.grid.cell_volume), exp.item()))
+            sq[coarse] = _dilation_singular_values(as_blocks(x)[coarse]) ** 2
+    return float(np.ldexp(lp_norm_from_psd_eigs(sq, p, cell_volume), exp.item()))
 
 
 def psd_root_norm(S: np.ndarray, p: float, cell_volume: float) -> float:
     """Trace L_p norm (sum_s cell_volume tr S(s)^(p/2))^(1/p) of the root field
-    of PSD blocks S from :func:`psd_eigvalsh`; for p = inf the operator sup.
+    of the PSD blocks whose planes (n, n, *points) are ``S``, for p = inf the
+    operator sup; LAPACK sees only the blocks handed to :func:`psd_eigvalsh`.
 
     At p = 1 and n = 2, tr S^(1/2) = sqrt(tr S + 2 sqrt(det S)) on the
     symmetrized entries of S rescaled by an exact power of four: the root
@@ -305,19 +390,21 @@ def psd_root_norm(S: np.ndarray, p: float, cell_volume: float) -> float:
     At p = 1 and n = 3, 4, only the blocks :func:`_root_traces` leaves go to
     :func:`psd_eigvalsh`.
     """
+    n = S.shape[0]
     if p == np.inf:
         return float(np.sqrt(_max_eigenvalue(S)))
-    if p == 1 and S.shape[-1] in (3, 4):
+    if p == 1 and n in (3, 4):
         solved, rest = _root_traces(S)
-        return (solved + float(np.sum(np.sqrt(psd_eigvalsh(S[rest]))))) * cell_volume
-    if p != 1 or S.shape[-1] != 2:
-        return lp_norm_from_psd_eigs(psd_eigvalsh(S), p, cell_volume)
-    S, exp = _pow2_rescaled(S, step=2)
-    a, c = S[..., 0, 0].real, S[..., 1, 1].real
-    b = 0.5 * (S[..., 0, 1] + np.conj(S[..., 1, 0]))
+        return (solved + float(np.sum(np.sqrt(psd_eigvalsh(as_blocks(S)[rest]))))) * cell_volume
+    if p != 1 or n != 2:
+        return lp_norm_from_psd_eigs(psd_eigvalsh(as_blocks(S)), p, cell_volume)
+    exp = _pow2_exponent(S, step=2).item()
+    scale = np.ldexp(1.0, -exp)
+    a, c = (S[0, 0] * scale).real, (S[1, 1] * scale).real
+    b = 0.5 * (S[0, 1] * scale + np.conj(S[1, 0] * scale))
     det = np.maximum(a * c - (b.real**2 + b.imag**2), 0.0)
     roots = np.sqrt(np.maximum(a + c + 2.0 * np.sqrt(det), 0.0))
-    return float(np.ldexp(float(np.sum(roots)) * cell_volume, exp.item() // 2))
+    return float(np.ldexp(float(np.sum(roots)) * cell_volume, exp // 2))
 
 
 def _minor_sums(a: list) -> list:
@@ -346,8 +433,8 @@ def _minor_sums(a: list) -> list:
 
 def _root_traces(S: np.ndarray) -> tuple:
     """(sum of tr S^(1/2) over the blocks it solves, mask of the others) for
-    a stack of Hermitian PSD blocks S of shape (..., n, n), n = 3 or 4,
-    without eigenvalues; the mask has shape S.shape[:-2].
+    Hermitian PSD blocks, n = 3 or 4, whose planes (n, n, *points) are ``S``,
+    without eigenvalues; the mask has shape S.shape[2:].
 
     The roots' elementary symmetric functions s_k and the sums e_k of the
     principal minors of S (:func:`_minor_sums`) satisfy s_1^2 = e_1 + 2 s_2,
@@ -362,19 +449,19 @@ def _root_traces(S: np.ndarray) -> tuple:
     e_n >= 1e-4 e_1 e_(n-1), which proves
     lambda_min >= e_n / e_(n-1) >= 1e-4 e_1 >= 1e-4 lambda_max and so
     separates s_1^2 from the other roots, and when its last step is at
-    round-off.  Blocks are read _GRAM_ROWS rows at a time, each row block's
+    round-off.  Points are read _GRAM_ROWS at a time, each block of points'
     symmetrized entries rescaled by the power of four that brings its largest
     diagonal entry under 1.
     """
-    shape, n = S.shape[:-2], S.shape[-1]
-    S = S.reshape(-1, n, n)
-    roots, solved = np.empty(len(S)), np.empty(len(S), dtype=bool)
-    for rows in (slice(lo, lo + _GRAM_ROWS) for lo in range(0, len(S), _GRAM_ROWS)):
-        blk = S[rows]
-        exp = int(_pow2_exponent(np.diagonal(blk, axis1=-2, axis2=-1).real, step=2).item())
+    n, shape = S.shape[0], S.shape[2:]
+    S = S.reshape(n, n, -1)
+    roots, solved = np.empty(S.shape[-1]), np.empty(S.shape[-1], dtype=bool)
+    for rows in (slice(lo, lo + _GRAM_ROWS) for lo in range(0, S.shape[-1], _GRAM_ROWS)):
+        blk = S[..., rows]
+        exp = int(_pow2_exponent(np.diagonal(blk).real, step=2).item())
         scale = np.ldexp(1.0, -exp)
-        a = [[None] * i + [blk[:, i, i].real * scale]
-             + [(0.5 * scale) * (blk[:, i, j] + np.conj(blk[:, j, i])) for j in range(i + 1, n)]
+        a = [[None] * i + [blk[i, i].real * scale]
+             + [(0.5 * scale) * (blk[i, j] + np.conj(blk[j, i])) for j in range(i + 1, n)]
              for i in range(n)]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             e = _minor_sums(a) + [0.0]  # e_4 = 0 at n = 3
@@ -394,26 +481,32 @@ def _root_traces(S: np.ndarray) -> tuple:
 
 
 def _max_eigenvalue(S: np.ndarray) -> float:
-    """np.max(psd_eigvalsh(S)) over a stack of Hermitian blocks S, bitwise:
-    LAPACK sees only blocks whose ||S||_F reaches the largest lower bound
-    Re(w* S w) / w* w - 1e-10 ||S||_F, w = S e_k with w* w > 2^-600, taken on
-    S times a power of two (all blocks if it is below 2^-400).  These bound
-    lambda_max of (S + S*) / 2, so blocks PSD only up to round-off are safe."""
-    S = S.reshape(-1, *S.shape[-2:])
-    if S.shape[-1] > 1 and len(S) > _SUP_DIRECT:
+    """np.max(psd_eigvalsh) over the Hermitian blocks whose planes (n, n, *points)
+    are ``S``, bitwise: LAPACK sees only blocks whose ||S||_F reaches the largest
+    lower bound Re(w* S w) / w* w - 1e-10 ||S||_F, w = S e_k with w* w > 2^-600,
+    taken on S times a power of two (all blocks if it is below 2^-400).  These
+    bound lambda_max of (S + S*) / 2, so blocks PSD only up to round-off are safe."""
+    n = S.shape[0]
+    S = S.reshape(n, n, -1)
+    if n > 1 and S.shape[-1] > _SUP_DIRECT:
         scale = np.ldexp(1.0, -_pow2_exponent(S).item())
-        upper, lower = np.empty((2, len(S)))
-        for lo in range(0, len(S), _GRAM_ROWS):  # a block of rows at a time, like the Gram
-            x = S[lo:lo + _GRAM_ROWS] * scale
+        upper, lower = np.empty((2, S.shape[-1]))
+        for rows in (slice(lo, lo + _GRAM_ROWS) for lo in range(0, S.shape[-1], _GRAM_ROWS)):
+            x = S[..., rows] * scale  # a block of points at a time, like the Gram
             T = _gram_into(np.empty_like(x), x)  # x* x: Re(w* S w) = Re sum_i conj(x_ik) T_ik
-            den = np.diagonal(T, axis1=-2, axis2=-1).real
-            num = np.sum(x.real * T.real + x.imag * T.imag, axis=-2)
-            ray = np.divide(num, den, out=np.full_like(num, -np.inf), where=den > 2.0**-600)
-            up = upper[lo:lo + _GRAM_ROWS] = np.sqrt(np.sum(den, axis=-1))
-            lower[lo:lo + _GRAM_ROWS] = np.max(ray, axis=-1) - 1e-10 * up
+            den = [T[k, k].real for k in range(n)]
+            ray = []
+            for k in range(n):
+                terms = (x[i, k].real * T[i, k].real + x[i, k].imag * T[i, k].imag
+                         for i in range(n))
+                num = sum(terms, next(terms))
+                ray.append(np.divide(num, den[k], out=np.full_like(num, -np.inf),
+                                     where=den[k] > 2.0**-600))
+            up = upper[rows] = np.sqrt(pairwise_sum(den))
+            lower[rows] = np.max(ray, axis=0) - 1e-10 * up
         if (floor := np.max(lower)) > 2.0**-400:
-            S = S[upper * (1 + 1e-10) >= floor]
-    return float(np.max(psd_eigvalsh(S)))
+            S = S[..., upper * (1 + 1e-10) >= floor]
+    return float(np.max(psd_eigvalsh(as_blocks(S))))
 
 
 def l1l2_sizes(x: np.ndarray, volume: float, weights: np.ndarray | None = None) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GridMismatchError, ParameterError, ResolutionError
 from .lattice import Grid
-from .opfield import OperatorField
+from .opfield import OperatorField, as_blocks, as_planes
 
 # ---------------------------------------------------------------------------
 # profiles: symbols as functions on R^d
@@ -205,17 +205,31 @@ def fft_data(data: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.fftn(data, axes=_data_axes(data, grid))
 
 
+def fft_planes(x: np.ndarray, grid: Grid) -> np.ndarray:
+    """:func:`fft_data` of the planes ``x`` (n, n, *grid.shape)
+    (:func:`~ovtl.opfield.to_planes`), over the trailing grid axes and in
+    place: ``x`` is overwritten and returned, bitwise the point-major transform."""
+    return np.fft.fftn(x, axes=tuple(range(-grid.d, 0)), out=x)
+
+
 def ifft_data(data_hat: np.ndarray, grid: Grid, band: Optional[int] = None) -> np.ndarray:
     """Inverse of :func:`fft_data`, computed in place: ``data_hat`` is
-    overwritten and returned.
+    overwritten and returned (:func:`ifft_planes` on a view of its planes)."""
+    ifft_planes(as_planes(data_hat), grid, band)
+    return data_hat
 
-    ``band`` = r declares that ``data_hat`` vanishes outside the box
+
+def ifft_planes(x_hat: np.ndarray, grid: Grid, band: Optional[int] = None) -> np.ndarray:
+    """Inverse of :func:`fft_planes` over the grid axes that trail ``x_hat``,
+    in place: ``x_hat`` is overwritten and returned.
+
+    ``band`` = r declares that ``x_hat`` vanishes outside the box
     |k_i| <= r; where :func:`_prunes` allows, only the lines that box
     reaches are transformed (:func:`_pruned_ifft`), with the same result.
     """
-    if _prunes(data_hat, grid, band):
-        return _pruned_ifft(data_hat, grid, band)
-    return np.fft.ifftn(data_hat, axes=_data_axes(data_hat, grid), out=data_hat)  # numpy >= 2.0
+    if _prunes(x_hat, grid, band):
+        return _pruned_ifft(x_hat, grid, band)
+    return np.fft.ifftn(x_hat, axes=tuple(range(-grid.d, 0)), out=x_hat)  # numpy >= 2.0
 
 
 # band radius of each registered symbol array, by id() for as long as the array lives
@@ -244,12 +258,12 @@ def _band_of(values: np.ndarray) -> Optional[int]:
     return entry[1] if entry is not None and entry[0]() is values else None
 
 
-def _prunes(data_hat: np.ndarray, grid: Grid, band: Optional[int]) -> bool:
+def _prunes(x_hat: np.ndarray, grid: Grid, band: Optional[int]) -> bool:
     """The fixed rule of the pruned inverse: unbatched data at d >= 2 whose
     box |k_i| <= band spans at most about half of every axis (band <= N/4).
     d = 1, batched data, the near-full-band top LP member and symbols with
     no registered band keep ``ifftn``."""
-    return (band is not None and grid.d >= 2 and data_hat.ndim == grid.d + 2
+    return (band is not None and grid.d >= 2 and x_hat.ndim == grid.d + 2
             and 0 <= band <= grid.N // 4)
 
 
@@ -259,38 +273,51 @@ def _band_parts(grid: Grid, r: int) -> list:
 
 
 def _pruned_ifft(coef: np.ndarray, grid: Grid, r: int) -> np.ndarray:
-    """``ifftn`` of unbatched (*, n, n) ``coef`` that vanishes outside the
-    box |k_i| <= r, in place and bitwise equal ("FFT pruning").
+    """``ifftn`` over the trailing grid axes of unbatched (n, n, *) ``coef``
+    that vanishes outside the box |k_i| <= r, in place and bitwise equal
+    ("FFT pruning").
 
     Axes run last to first, as in ``ifftn``; before the pass along axis a
     only lines whose earlier coordinates lie in the box can be nonzero, so
-    the pass transforms the 2^a strided views of those lines and skips the
-    all-zero rest.  Each view pass is one GIL-free pocketfft call.
+    the pass transforms the 2^a views ``coef[:, :, *lead]`` of those lines
+    and skips the all-zero rest.  Each view pass is one GIL-free pocketfft call.
     """
     parts = _band_parts(grid, r)
     for a in reversed(range(grid.d)):
         for lead in itertools.product(parts, repeat=a):
-            view = coef[lead]
-            np.fft.ifft(view, axis=a, out=view)
+            view = coef[(slice(None), slice(None)) + lead]
+            np.fft.ifft(view, axis=a - grid.d, out=view)
     return coef
 
 
 def apply_symbol_hat(values: np.ndarray, data_hat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Multiplier action on data given its transform ``fft_data(data)``,
-    which is left unchanged.
+    """Multiplier action on point-major data given its transform
+    ``fft_data(data)``, which is left unchanged: :func:`filter_planes` on a
+    view of its planes, returned as point-major blocks."""
+    return as_blocks(filter_planes(values, as_planes(data_hat), grid))
+
+
+def filter_planes(values: np.ndarray, x_hat: np.ndarray, grid: Grid,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Multiplier action m * f on planes, given their transform ``x_hat``
+    (:func:`fft_planes`), which is left unchanged; the result is written to
+    ``out`` when given.
 
     A symbol with a registered band r (every profile-backed symbol whose
     profile declares a support radius, :func:`symbol_from_profile`) that passes
-    :func:`_prunes` is multiplied on its box |k_i| <= r alone into one zeroed
+    :func:`_prunes` is multiplied on its box |k_i| <= r alone into the zeroed
     output, which :func:`_pruned_ifft` inverts; any other symbol takes one
     ``ifftn`` of the whole product.
     """
     r = _band_of(values)
-    if not _prunes(data_hat, grid, r):
-        return ifft_data(data_hat * values[..., None, None], grid)
-    out = np.zeros_like(data_hat)
+    if not _prunes(x_hat, grid, r):
+        return ifft_planes(np.multiply(x_hat, values, out=out), grid)
+    if out is None:
+        out = np.zeros_like(x_hat)
+    else:
+        out.fill(0)
     for box in itertools.product(_band_parts(grid, r), repeat=grid.d):
-        np.multiply(data_hat[box], values[box][..., None, None], out=out[box])
+        np.multiply(x_hat[(Ellipsis,) + box], values[box], out=out[(Ellipsis,) + box])
     return _pruned_ifft(out, grid, r)
 
 

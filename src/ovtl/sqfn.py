@@ -4,19 +4,25 @@ The Littlewood-Paley g-function, the conic (Lusin) area function and the
 tent-space square function are the same sum in different geometries.  A square
 function is described by a *level list* ``[(j, weight, symbol_values)]``;
 :func:`lp_levels` and :func:`poisson_levels` build the two kernel kinds, and
-truncating the sum is slicing the list.  :func:`filtered` turns a level
-list and a shared transform ``fhat = fft_data(f.data, grid)`` into the terms
-``(j, weight, m_j * f)``, one inverse transform per level, one level live
-at a time; a level with a registered band (an LP member, a certificate
-level; box |k_i| <= N/4 at d >= 2) transforms only the lines its band
-reaches, any other level takes one ``ifftn``.
+truncating the sum is slicing the list.  The engine runs on planes
+(n, n, *grid.shape) (:mod:`ovtl.opfield`): its caller copies a field to
+planes once and transforms them in place, ``fhat =
+fft_planes(to_planes(f.data), grid)`` (``normsuite._scaled_transform``, and
+``fmult`` for each certificate trial spectrum), and every level, Gram and
+root from there on reads and writes contiguous planes.
+:func:`filtered` turns a level list and the shared transform into the terms
+``(j, weight, m_j * f)``, one inverse transform per level into one of two
+alternating planar buffers; a level with a registered band (an LP member, a
+certificate level; box |k_i| <= N/4 at d >= 2) transforms only the lines its
+band reaches, any other level takes one ``ifftn``.
 :func:`square_accumulator` adds the terms up: radially (weight * g* g) or,
 given a cone, ball-averaged over B_j at weight weight * 2^{jd} h^d for
 j >= 1 (j = 0 stays radial), the ball correlations summed in Fourier space
 and inverted once.  :func:`square_norm` is the
 trace-L_p norm of the root: at p = 2 a Plancherel sum over ``fhat`` alone,
 otherwise ``psd_root_norm`` of the accumulator.  The tent-space norm
-feeds the strip levels ``(j, log 2, F(., 2^-j))`` to the same accumulator.
+feeds the strip levels ``(j, log 2, F(., 2^-j))``, copied to planes one at a
+time, to the same accumulator.
 
 Continuous scale integrals are rendered with the dyadic midpoint rule
 
@@ -36,8 +42,16 @@ import numpy as np
 
 from .errors import GridMismatchError, ParameterError
 from .lattice import ConeIndex, Grid
-from .opfield import PSDAccumulator, StripField, gram, herm, psd_root_norm
-from .spectral import LPFamily, apply_symbol_hat, fft_data, ifft_data, poisson_dk_symbol
+from .opfield import (
+    PSDAccumulator,
+    StripField,
+    as_blocks,
+    gram,
+    pairwise_sum,
+    psd_root_norm,
+    to_planes,
+)
+from .spectral import LPFamily, fft_planes, filter_planes, ifft_planes, poisson_dk_symbol
 
 LOG2 = math.log(2.0)
 
@@ -66,14 +80,22 @@ def poisson_levels(grid: Grid, j_max: int, alpha: float) -> list:
 
 
 def filtered(fhat: np.ndarray, grid: Grid, levels: Iterable) -> Iterator[tuple]:
-    """Yield (j, weight, m_j * f) for each level, given ``fhat = fft_data(f.data, grid)``.
+    """Yield (j, weight, m_j * f) as planes for each level, given the planes
+    ``fhat = fft_planes(to_planes(f.data), grid)``.
 
     Each level costs one inverse transform of the shared transform, pruned
-    to the lines its band reaches (:func:`~ovtl.spectral.apply_symbol_hat`).
+    to the lines its band reaches (:func:`~ovtl.spectral.filter_planes`).
+    The levels alternate between two buffers: a level stays valid until the
+    next-but-one is yielded, so a Gram queued on it
+    (:meth:`~ovtl.opfield.PSDAccumulator.add_gram`) may read it while the
+    next level is filtered.
     """
-    for j, weight, values in levels:
+    buffers = []
+    for i, (j, weight, values) in enumerate(levels):
         _check_level(values, grid)
-        yield j, weight, apply_symbol_hat(values, fhat, grid)
+        if len(buffers) < 2:
+            buffers.append(np.empty_like(fhat))
+        yield j, weight, filter_planes(values, fhat, grid, out=buffers[i % 2])
 
 
 def _check_level(values: np.ndarray, grid: Grid) -> None:
@@ -95,7 +117,7 @@ def _check_cone(cone: Optional[ConeIndex], grid: Grid) -> None:
 
 def square_accumulator(grid: Grid, n: int, terms: Iterable,
                        cone: Optional[ConeIndex] = None) -> PSDAccumulator:
-    """PSD accumulator of the terms (j, weight, g).
+    """PSD accumulator of the terms (j, weight, g), g as planes.
 
     Without a cone: sum weight * g(s)* g(s).  With a cone, each j >= 1 adds
     weight * 2^{jd} h^d sum_{t in B_j} g(s+t)* g(s+t) and the j = 0 term
@@ -111,24 +133,27 @@ def square_accumulator(grid: Grid, n: int, terms: Iterable,
         if cone is None or j == 0:
             acc.add_gram(g, weight)
             continue
-        term = fft_data(gram(g), grid)
-        term *= (weight * _conic_factor(cone, j) * cone.ball_fft(j))[..., None, None]
+        term = np.empty(g.shape, dtype=np.complex128)
+        gram(as_blocks(g), as_blocks(term))
+        term = fft_planes(term, grid)
+        term *= weight * _conic_factor(cone, j) * cone.ball_fft(j)
         if conic_hat is None:
             conic_hat = term
         else:
             conic_hat += term
     if conic_hat is not None:
-        acc.add_psd(ifft_data(conic_hat, grid))
+        acc.add_psd(ifft_planes(conic_hat, grid))
     if cone is not None:
-        acc.S += herm(acc.S)
-        acc.S *= 0.5
+        S = acc.planes
+        S += np.conj(S.swapaxes(0, 1))
+        S *= 0.5
     return acc
 
 
 def square_norm(fhat: np.ndarray, grid: Grid, levels: Sequence, p: float,
                 cone: Optional[ConeIndex] = None) -> float:
     """Trace-L_p norm of (sum_j w_j |m_j * f|^2)^(1/2), radial or with a
-    cone, given ``fhat = fft_data(f.data, grid)``.
+    cone, given the planes ``fhat = fft_planes(to_planes(f.data), grid)``.
 
     At p = 2 this is Plancherel: ||S^(1/2)||_2^2 = h^d sum_s tr S(s)
     = h^d N^-d sum_xi W(xi) ||fhat(xi)||_HS^2 with W = sum_j c_j w_j |m_j|^2,
@@ -137,19 +162,21 @@ def square_norm(fhat: np.ndarray, grid: Grid, levels: Sequence, p: float,
     inverse FFT, Gram or eigenvalue is computed.  Any other p takes
     :func:`psd_root_norm` of :func:`square_accumulator`.
     """
+    n = fhat.shape[0]
     if p != 2:
-        acc = square_accumulator(grid, fhat.shape[-1], filtered(fhat, grid, levels), cone)
-        return psd_root_norm(acc.S, p, grid.cell_volume)
+        acc = square_accumulator(grid, n, filtered(fhat, grid, levels), cone)
+        return psd_root_norm(acc.planes, p, grid.cell_volume)
     _check_cone(cone, grid)
     W = np.zeros(grid.shape)
     for j, weight, values in levels:
         _check_level(values, grid)
         c = 1.0 if cone is None or j == 0 else _conic_factor(cone, j) * len(cone.offsets[j])
         W += (c * weight) * np.abs(values) ** 2
-    hs = np.sum(fhat.real**2 + fhat.imag**2, axis=(-2, -1))
+    hs = pairwise_sum([fhat[a, b].real**2 + fhat[a, b].imag**2 for a, b in np.ndindex(n, n)])
     return math.sqrt(float(np.sum(W * hs)) * grid.cell_volume / grid.N**grid.d)
 
 
-def strip_levels(F: StripField) -> Iterator[tuple]:
-    """Terms (j, log 2, F(., 2^-j)) of the tent-space square function, j = 1 .. j_max."""
-    return ((j, LOG2, F.level(j)) for j in range(1, F.j_max + 1))
+def strip_levels(F: StripField, scale: float) -> Iterator[tuple]:
+    """Terms (j, log 2, planes of scale * F(., 2^-j)) of the tent-space square
+    function, j = 1 .. j_max."""
+    return ((j, LOG2, to_planes(F.level(j), scale)) for j in range(1, F.j_max + 1))

@@ -10,13 +10,16 @@ oracles; the remaining helpers restate quantities of the package's
 objects (the random field by a second formula, the Calderon identity
 defect, the LP sandwich floor, a ball's lattice measure, the Cauchy-Schwarz
 scale, the atom-by-atom validator, the multiplier certificate and
-hypothesis sweeps with no shared work) for tests to check against.  The
+hypothesis sweeps with no shared work) for tests to check against; the
+point-major Gram and root-trace kernels, which read every block as one
+(n, n) matrix, are the oracles of the planar ones in ``ovtl.opfield``.  The
 field constructors and algebra (zero, constant, c F, f + g), the tent size,
 the failing clauses of a report and the one-pair subcube order stand in for
 package code that no command reaches; the strip-field file writer makes the
 files the field reader rejects.
 """
 
+import itertools
 import math
 from functools import reduce
 
@@ -47,6 +50,7 @@ from ovtl.atomics import (
     calderon_resolution,
     multi_indices,
 )
+from ovtl import opfield
 from ovtl.errors import GridMismatchError, ResolutionError
 from ovtl.fmult import (
     DILATE_SHIFTS,
@@ -66,12 +70,24 @@ from ovtl.lattice import (
     subcube_orders,
     wrap_half,
 )
-from ovtl.opfield import OperatorField, StripField, _max_eigenvalue, gram, l1l2_sizes
+from ovtl.opfield import (
+    _COARSE_SQ,
+    _GRAM_ROWS,
+    OperatorField,
+    StripField,
+    _max_eigenvalue,
+    _minor_sums,
+    _pow2_exponent,
+    gram,
+    l1l2_sizes,
+    to_planes,
+)
 from ovtl.spectral import (
     LPFamily,
     apply_symbol_hat,
     default_window,
     fft_data,
+    fft_planes,
     hsigma_norm_profile,
     ifft_data,
     lp_base_profile,
@@ -80,6 +96,12 @@ from ovtl.spectral import (
     symbol_from_profile,
 )
 from ovtl.sqfn import LOG2, level_weight, square_norm
+
+
+def planes_hat(f: OperatorField) -> np.ndarray:
+    """The transform of f as the planes the square-function engine reads:
+    ``fft_planes(to_planes(f.data))``."""
+    return fft_planes(to_planes(f.data), f.grid)
 
 
 def fft_forward(f: OperatorField) -> OperatorField:
@@ -345,7 +367,7 @@ def certificate_reference(seq: SymbolSequence, spectrum_gen, alpha: float, p: fl
               for symbol in (seq.product_symbol, rho.__getitem__)]
     ratios = []
     for t in range(trials):
-        fhat = spectrum_gen(t)
+        fhat = to_planes(spectrum_gen(t))
         out, inp = (square_norm(fhat, grid, lv, p, cone) for lv in levels)
         ratios.append(out / inp if inp > 0 else 0.0)
     return MultiplierCertificate(
@@ -557,3 +579,79 @@ def validate_atoms_reference(atoms) -> list:
     return [_reference_report(atom, *measured[i],
                               [next(subs) for _ in atom.subatoms] if atom.kind == "alpha_q" else [])
             for i, atom in enumerate(atoms)]
+
+
+# ---------------------------------------------------------------------------
+# point-major oracles of the planar Gram and root-trace kernels
+# ---------------------------------------------------------------------------
+
+def gram_into_reference(out: np.ndarray, x: np.ndarray, weight=None) -> np.ndarray:
+    """x* x of each (rows, n, n) block of ``x`` written into ``out`` (weight *
+    x* x added with ``weight``), _GRAM_ROWS rows at a time read in (n, n, rows)
+    order: entry a <= b sums conj(x_ka) x_kb over k in order (|x_ka|^2 on the
+    diagonal), (b, a) takes its conjugate."""
+    n = x.shape[-1]
+    for rows in (slice(lo, lo + _GRAM_ROWS) for lo in range(0, len(x), _GRAM_ROWS)):
+        xb, ob = x[rows].transpose(1, 2, 0), out[rows]
+        xb = xb.copy() if n > 2 else xb
+        for a, b in itertools.combinations_with_replacement(range(n), 2):
+            terms = (xb[k, a].real ** 2 + xb[k, a].imag ** 2 if a == b
+                     else np.conj(xb[k, a]) * xb[k, b] for k in range(n))
+            total = sum(terms, next(terms))
+            if weight is None:
+                ob[:, a, b] = total
+                if b > a:
+                    ob[:, b, a] = np.conj(total)
+            else:
+                ob[:, a, b] += total * weight
+                if b > a:
+                    ob[:, b, a] += np.conj(total) * weight
+    return out
+
+
+def root_traces_reference(S: np.ndarray, steps: int = 7) -> tuple:
+    """(sum of tr S^(1/2) over the blocks solved, mask of the others) for
+    Hermitian PSD blocks S of shape (..., n, n), n = 3 or 4: ``steps``
+    Laguerre steps on the quartic in s_1^2, block by block of _GRAM_ROWS
+    rows, each rescaled by the power of four that brings its largest diagonal
+    entry under 1."""
+    shape, n = S.shape[:-2], S.shape[-1]
+    S = S.reshape(-1, n, n)
+    roots, solved = np.empty(len(S)), np.empty(len(S), dtype=bool)
+    for rows in (slice(lo, lo + _GRAM_ROWS) for lo in range(0, len(S), _GRAM_ROWS)):
+        blk = S[rows]
+        exp = int(_pow2_exponent(np.diagonal(blk, axis1=-2, axis2=-1).real, step=2).item())
+        scale = np.ldexp(1.0, -exp)
+        a = [[None] * i + [blk[:, i, i].real * scale]
+             + [(0.5 * scale) * (blk[:, i, j] + np.conj(blk[:, j, i])) for j in range(i + 1, n)]
+             for i in range(n)]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e = _minor_sums(a) + [0.0]
+            s4, y = np.sqrt(e[4]), n * e[1]
+            for _ in range(steps):
+                u = 0.5 * (y - e[1])
+                v = u * u - e[2] + 2.0 * s4
+                g = v * v - 4.0 * y * (e[3] + 2.0 * u * s4)
+                g1 = 2.0 * v * u - 4.0 * e[3] - 8.0 * u * s4 - 4.0 * y * s4
+                g2 = 2.0 * u * u + v - 8.0 * s4
+                step = 4.0 * g / (g1 + np.sqrt(np.maximum(9.0 * g1 * g1 - 12.0 * g * g2, 0.0)))
+                y = y - step
+            solved[rows] = ((e[n] >= _COARSE_SQ * e[1] * e[n - 1]) & (e[1] > 0) & (e[n - 1] > 0)
+                            & (np.abs(step) <= 1e-14 * y))
+            roots[rows] = np.ldexp(np.sqrt(y), exp // 2)
+    return float(np.sum(roots[solved])), ~solved.reshape(shape)
+
+
+def point_major_kernels(monkeypatch) -> None:
+    """Route every Gram and root trace of ``ovtl.opfield`` through the
+    point-major oracles, on views of the planes the planar kernels get."""
+
+    def gram_into(out, x, weight=None):
+        gram_into_reference(np.moveaxis(out, -1, 0), np.moveaxis(x, -1, 0), weight)
+        return out
+
+    def root_traces(S):
+        return root_traces_reference(np.moveaxis(S, (0, 1), (-2, -1)), opfield._ROOT_STEPS)
+
+    monkeypatch.setattr(opfield, "_gram_into", gram_into)
+    monkeypatch.setattr(opfield, "_root_traces", root_traces)

@@ -184,6 +184,13 @@ H1_DECOMPOSE = ["decompose", "{field}", "--target", "h1", "--manifest", "{out}.m
      "alpha must be finite"),
     ("sigma = auto\n", "sigma = nan\n", ["multiplier-check", "--report", "{out}"],
      "sigma must be finite"),
+    # p is checked once the config is loaded, also for commands and norms that never read it
+    ("ps = 1.0,2.0\n", "ps = 1.0,nan\n", ["norm", "{field}", "--which", "bmo", "--report",
+                                           "{out}"], "p must be"),
+    ("ps = 1.0,2.0\n", "ps = 0.5,2.0\n", ["norm", "{field}", "--which", "F_infty", "--report",
+                                           "{out}"], "p must be"),
+    ("ps = 1.0,2.0\n", "ps = 1.0,-inf\n", ["gen", "--kind", "band-limited-random", "{out}"],
+     "p must be"),
 ])
 def test_config_value_out_of_range_rejected(tmp_path, capsys, old, new, argv, needle):
     cfg, field, out = tmp_path / "v.cfg", tmp_path / "f.ovtl", tmp_path / "out"
@@ -564,6 +571,15 @@ def test_reports_deterministic(tmp_path):
     # no lattice frequency of d = 1, N = 64 reaches |xi| = 100: the field would be 0
     (["--grid", "64", "gen", "--kind", "band-limited-random", "--band", "100,200", "{out}"],
      "band 100 <= |xi| <= 200 holds no lattice frequency"),
+    # bmo and F_infty take no p, and neither do gen, decompose or verify cz: a bad
+    # --p still ends there, as a bad --alpha does
+    (["--p", "nan", "norm", "{field}", "--which", "bmo", "--report", "{out}"], "p must be"),
+    (["--p", "0.5", "norm", "{field}", "--which", "F_infty", "--report", "{out}"], "p must be"),
+    (["--grid", "64", "--p", "0.5", "gen", "--kind", "band-limited-random", "{out}"],
+     "p must be"),
+    (["--p=-inf", "decompose", "{field}", "--target", "h1",
+      "--manifest", "{out}.m", "--blob", "{out}.b"], "p must be"),
+    (["--grid", "64", "--p", "nan", "verify", "cz", "--report", "{out}"], "p must be"),
 ])
 def test_invalid_parameter_rejected(tmp_path, capsys, argv, needle):
     field, out = tmp_path / "f.ovtl", tmp_path / "out.ovtl"

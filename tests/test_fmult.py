@@ -303,7 +303,7 @@ def test_no_square_function_where_levels_are_identical(monkeypatch, beta, square
     levels = [(j, sqfn.level_weight(j, 0.5), seq.rho_symbol(j).values)
               for j in range(seq.j_max + 1)]
     calls.clear()
-    sqfn.square_norm(spectra[0], grid, levels, 1.0, cone)
+    sqfn.square_norm(opfield.to_planes(spectra[0]), grid, levels, 1.0, cone)
     one = collections.Counter(calls)
     assert set(one) == {"pruned", "ifft", "gram"}
     snapshots = []
@@ -398,6 +398,7 @@ def test_certificate_transforms_no_trial_data(monkeypatch, grid, name, conic, p)
     cone = cone_index(grid, make_lp_family(grid).j_max) if conic else None
     trials = [(band_limited_spectrum(grid, 2, 400 + t), band_limited_random(grid, 2, 400 + t).data)
               for t in range(2)]
+    trials = [pair + tuple(opfield.to_planes(x) for x in pair) for pair in trials]  # planes too
     calls, on_trial = [], []
 
     def counting(fn):
@@ -408,8 +409,9 @@ def test_certificate_transforms_no_trial_data(monkeypatch, grid, name, conic, p)
             return fn(a, *args, **kwargs)
         return wrapped
 
-    for module, names in ((np.fft, FFT_FUNCS), (spectral, ("fft_data", "ifft_data")),
-                          (sqfn, ("fft_data", "ifft_data"))):
+    for module, names in ((np.fft, FFT_FUNCS),
+                          (spectral, ("fft_data", "ifft_data", "fft_planes", "ifft_planes")),
+                          (sqfn, ("fft_planes", "ifft_planes"))):
         for fn_name in names:
             monkeypatch.setattr(module, fn_name, counting(getattr(module, fn_name)))
     drawn = []

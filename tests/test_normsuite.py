@@ -28,7 +28,6 @@ from ovtl.normsuite import (
 from ovtl.spectral import (
     apply_symbol,
     bessel_symbol,
-    fft_data,
     make_hom_lp_family,
     make_lp_family,
     poisson_symbol,
@@ -38,6 +37,7 @@ from helpers import (
     ball_measure,
     constant_field,
     field_sum,
+    planes_hat,
     scaled,
     symbol_on_data,
     zero_field,
@@ -116,7 +116,7 @@ def test_hardy_lp_radial_is_column_alpha0(grid64, fam64):
 def _eig_route_square_norm(f, alpha, fam, row):
     # the pointwise route: one Gram per level, eigenvalues of the sum
     acc = PSDAccumulator(f.grid, f.n)
-    for _, weight, g in filtered(fft_data(f.data, f.grid), f.grid, lp_levels(fam, alpha)):
+    for _, weight, g in filtered(planes_hat(f), f.grid, lp_levels(fam, alpha)):
         acc.add_gram(g, weight, row=row)
     return lp_norm_from_psd_eigs(psd_eigvalsh(acc.S), 2.0, f.grid.cell_volume)
 
@@ -172,7 +172,7 @@ def test_hardy_two_term_forms_sum_the_family_scales(mode, shape, p):
         levels, low = poisson_levels(grid, fam.j_max, 0.0), apply_symbol(poisson_symbol(grid, 1.0), f)
     assert [j for j, _, _ in levels] == list(range(1, fam.j_max + 1))
     cone = cone_index(grid, fam.j_max) if shape == "conic" else None
-    want = square_norm(fft_data(f.data, grid), grid, levels, p, cone) + trace_lp_norm(low, p)
+    want = square_norm(planes_hat(f), grid, levels, p, cone) + trace_lp_norm(low, p)
     rep = hardy_norm(f, p, fam, mode=mode, shape=shape)
     assert rep.value == pytest.approx(want, rel=1e-12)
 

@@ -19,11 +19,12 @@ from ovtl.opfield import (
     lp_norm_from_psd_eigs,
     psd_eigvalsh,
     psd_root_norm,
+    to_planes,
     trace_lp_norm,
 )
 from ovtl.generators import band_limited_random, rng_for
 from ovtl.normsuite import hardy_norm, tl_infty_norm, tl_norm_column, tl_norm_mixture
-from ovtl.spectral import fft_data, make_lp_family
+from ovtl.spectral import fft_planes, make_lp_family
 from ovtl.sqfn import lp_levels, square_norm
 from helpers import (
     constant_field,
@@ -144,14 +145,14 @@ def test_psd_accumulator_invariants(grid64):
     rng = rng_for(61)
     for _ in range(4):
         g = rng.normal(size=grid64.shape + (2, 2)) + 1j * rng.normal(size=grid64.shape + (2, 2))
-        acc.add_gram(g, float(rng.uniform(0.1, 2.0)))
+        acc.add_gram(to_planes(g), float(rng.uniform(0.1, 2.0)))
     scale = float(np.max(np.abs(acc.S)))
     assert float(np.max(np.abs(acc.S - herm(acc.S)))) <= 1e-12 * scale
     assert float(np.min(np.linalg.eigvalsh(0.5 * (acc.S + herm(acc.S))))) >= -1e-10 * scale
     eigs = acc.eigenvalues()
     assert eigs.min() >= 0.0
     with pytest.raises(ValueError):
-        acc.add_gram(np.zeros(grid64.shape + (2, 2)), -1.0)
+        acc.add_gram(np.zeros((2, 2) + grid64.shape), -1.0)
 
 
 def test_strip_field_needs_a_scale(grid64):
@@ -214,8 +215,8 @@ def test_row_gram_is_gram_of_adjoint(grid64):
     rng = rng_for(720)
     for n in (1, 2, 3):
         g = rng.normal(size=grid64.shape + (n, n)) + 1j * rng.normal(size=grid64.shape + (n, n))
-        row = PSDAccumulator(grid64, n).add_gram(g, 0.7, row=True)
-        col = PSDAccumulator(grid64, n).add_gram(herm(g), 0.7)
+        row = PSDAccumulator(grid64, n).add_gram(to_planes(g), 0.7, row=True)
+        col = PSDAccumulator(grid64, n).add_gram(to_planes(herm(g)), 0.7)
         assert np.max(np.abs(row.S - col.S)) <= 1e-14 * np.max(np.abs(col.S))
 
 
@@ -312,7 +313,7 @@ def test_psd_root_norm_p1_n2_matches_eigvalsh(scale):
     g, h = _cplx(rng, 256, 2, 2), _cplx(rng, 256, 2, 2)
     S = gram(g) + 0.3 * gram(h)
     want = _eig_route(S, 1.0, 0.25)
-    got = psd_root_norm((scale * scale) * S, 1.0, 0.25) / scale
+    got = psd_root_norm(to_planes((scale * scale) * S), 1.0, 0.25) / scale
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -320,7 +321,7 @@ def test_psd_root_norm_p1_n2_matches_eigvalsh(scale):
 def test_psd_root_norm_other_cases_take_eigvalsh(n, p):
     rng = rng_for(855 + n)
     S = gram(_cplx(rng, 64, n, n))
-    assert psd_root_norm(S, p, 0.25) == _eig_route(S, p, 0.25)
+    assert psd_root_norm(to_planes(S), p, 0.25) == _eig_route(S, p, 0.25)
 
 
 def _spectral_cases(n: int, seed: int) -> dict:
@@ -360,7 +361,8 @@ def test_psd_root_norm_without_lapack_matches_eigvalsh(n, p):
         for scale in SCALES:
             scaled = (scale * scale) * S
             want = _eig_route(scaled, p, 0.25)
-            assert psd_root_norm(scaled, p, 0.25) == pytest.approx(want, rel=1e-12), name
+            got = psd_root_norm(to_planes(scaled), p, 0.25)
+            assert got == pytest.approx(want, rel=1e-12), name
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -370,7 +372,7 @@ def test_root_traces_match_eigvalsh_block_by_block(n):
     for name, S in _spectral_cases(n, 895 + n).items():
         ill = name.startswith(("rank", "graded", "one_small"))
         for block in S[:, None]:
-            got, rest = opfield._root_traces(block)
+            got, rest = opfield._root_traces(to_planes(block))
             want = float(np.sum(np.sqrt(psd_eigvalsh(block))))
             assert rest.shape == (1,) and rest[0] == ill, name
             assert ill or abs(got - want) <= 1e-13 * want, name
@@ -385,9 +387,9 @@ def test_psd_root_norm_rank_one_accumulator(scale):
     u, v = _cplx(rng, 512, 2, 1), _cplx(rng, 512, 1, 2)
     acc = PSDAccumulator(Grid(1, 512), 2)
     for k in range(6):
-        acc.add_gram(scale * _cplx(rng, 512, 1, 1) * (u @ v), 0.5 + k)
+        acc.add_gram(to_planes(scale * _cplx(rng, 512, 1, 1) * (u @ v)), 0.5 + k)
     exact = float(np.sum(np.sqrt(np.trace(acc.S, axis1=-2, axis2=-1).real))) / 512
-    closed = psd_root_norm(acc.S, 1.0, 1 / 512)
+    closed = psd_root_norm(acc.planes, 1.0, 1 / 512)
     lapack = _eig_route(acc.S, 1.0, 1 / 512)
     assert abs(closed - exact) <= abs(lapack - exact)
     assert closed == pytest.approx(exact, rel=1e-8)
@@ -415,8 +417,9 @@ def test_root_traces_leave_unconverged_blocks_to_lapack(monkeypatch):
     # go to LAPACK, so the norm still matches
     S = _spectral_cases(4, 897)["generic"]
     monkeypatch.setattr(opfield, "_ROOT_STEPS", 2)
-    assert np.any(opfield._root_traces(S)[1])
-    assert psd_root_norm(S, 1.0, 0.25) == pytest.approx(_eig_route(S, 1.0, 0.25), rel=1e-12)
+    assert np.any(opfield._root_traces(to_planes(S))[1])
+    assert psd_root_norm(to_planes(S), 1.0, 0.25) == pytest.approx(_eig_route(S, 1.0, 0.25),
+                                                                   rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -465,7 +468,7 @@ def test_p1_n2_square_norms_need_no_eigensolver(monkeypatch, grid64):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     fam = make_lp_family(grid64)
     f = band_limited_random(grid64, 2, 880)
-    fhat = fft_data(f.data, grid64)
+    fhat = fft_planes(to_planes(f.data), grid64)
     assert square_norm(fhat, grid64, lp_levels(fam, 0.5), 1.0) > 0
     rep = tl_norm_mixture(f, 0.5, 1.0, fam)
     assert 0 < rep.value == min(rep.terms["column"], rep.terms["row"])
@@ -542,7 +545,7 @@ def test_add_gram_matches_matmul_both_sides(grid, n):
     rng = rng_for(740 + n)
     g = _cplx(rng, *grid.shape, n, n)
     for row, want in ((False, herm(g) @ g), (True, g @ herm(g))):
-        S = PSDAccumulator(grid, n).add_gram(g, 0.7, row=row).S
+        S = PSDAccumulator(grid, n).add_gram(to_planes(g), 0.7, row=row).S
         assert np.max(np.abs(S - 0.7 * want)) <= 1e-14 * np.max(np.abs(0.7 * want))
         assert np.array_equal(S, herm(S))
         assert np.all(np.diagonal(S, axis1=-2, axis2=-1).imag == 0.0)
@@ -557,7 +560,8 @@ def test_small_gram_sums_in_documented_order(monkeypatch, grid64, n):
     for rows in (ROWS, 48):
         monkeypatch.setattr(opfield, "_GRAM_ROWS", rows)
         assert gram(x).tobytes() == _summed_gram(x).tobytes()
-        acc = PSDAccumulator(grid64, n).add_gram(g, 0.3).add_gram(h, 2.5, row=True)
+        acc = PSDAccumulator(grid64, n).add_gram(to_planes(g), 0.3)
+        acc.add_gram(to_planes(h), 2.5, row=True)
         want = np.zeros(grid64.shape + (n, n), dtype=complex)
         _summed_gram(g, want, 0.3)
         _summed_gram(np.swapaxes(h, -1, -2), np.swapaxes(want, -1, -2), 2.5)
@@ -589,7 +593,7 @@ def test_queued_gram_is_the_in_order_sum(monkeypatch, grid, n):
     try:
         acc = PSDAccumulator(grid, n)
         for g, w, row in terms:
-            acc.add_gram(g, w, row=row)
+            acc.add_gram(to_planes(g), w, row=row)
         assert len(queued) == 4
         assert np.array_equal(acc.S, want)
     finally:
@@ -606,7 +610,7 @@ def test_queued_gram_error_raised_at_next_read(monkeypatch):
         return gram_into(*args)
 
     monkeypatch.setattr(opfield, "_gram_into", failing)
-    acc = PSDAccumulator(grid, 2).add_gram(np.ones(grid.shape + (2, 2)))
+    acc = PSDAccumulator(grid, 2).add_gram(np.ones((2, 2) + grid.shape))
     with pytest.raises(FloatingPointError, match="injected on the helper"):
         acc.S
 
@@ -655,8 +659,8 @@ def test_sup_eigenvalue_equals_all_blocks_max(n, scale):
     for name, S in _sup_cases(n, 760 + n).items():
         S = scale * S
         want = float(np.max(psd_eigvalsh(S)))
-        assert opfield._max_eigenvalue(S) == want, name
-        assert psd_root_norm(S, np.inf, 1.0) == float(np.sqrt(want)), name
+        assert opfield._max_eigenvalue(to_planes(S)) == want, name
+        assert psd_root_norm(to_planes(S), np.inf, 1.0) == float(np.sqrt(want)), name
 
 
 def test_sup_eigenvalue_solves_few_desk_blocks(monkeypatch):
@@ -672,14 +676,16 @@ def test_sup_eigenvalue_solves_few_desk_blocks(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    assert opfield._max_eigenvalue(S) == want
+    assert opfield._max_eigenvalue(to_planes(S)) == want
     assert trace_lp_norm(f, np.inf) == pytest.approx(math.sqrt(want), rel=1e-15)
     assert 0 < sum(seen) < 0.05 * 2 * math.prod(grid.shape)
 
 
 def test_add_gram_rejects_mismatched_blocks(grid64):
-    # (16, 4, 4) holds as many entries as the (64, 2, 2) accumulator
+    # (4, 4, 16) holds as many entries as the (2, 2, 64) accumulator; blocks
+    # (64, 2, 2) are not its planes
     acc = PSDAccumulator(grid64, 2)
-    for g in (np.zeros((16, 4, 4)), np.zeros(grid64.shape + (3, 3)), np.zeros((2, 2))):
+    for g in (np.zeros((4, 4, 16)), np.zeros((3, 3) + grid64.shape), np.zeros((2, 2)),
+              np.zeros(grid64.shape + (2, 2))):
         with pytest.raises(GridMismatchError):
             acc.add_gram(g)

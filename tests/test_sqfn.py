@@ -11,13 +11,14 @@ from ovtl.opfield import (
     OperatorField,
     PSDAccumulator,
     StripField,
+    as_blocks,
     gram,
     lp_norm_from_psd_eigs,
+    to_planes,
     trace_lp_norm,
 )
 from ovtl.generators import band_limited_random, single_mode
 from ovtl.spectral import (
-    fft_data,
     make_hom_lp_family,
     make_lp_family,
 )
@@ -33,6 +34,7 @@ from ovtl.sqfn import (
 from helpers import (
     ball_measure,
     fft_forward,
+    planes_hat,
     random_strip,
     scaled,
     square_sum,
@@ -43,8 +45,7 @@ from helpers import (
 
 
 def accumulate(f, levels, cone=None):
-    return square_accumulator(f.grid, f.n, filtered(fft_data(f.data, f.grid), f.grid, levels),
-                              cone)
+    return square_accumulator(f.grid, f.n, filtered(planes_hat(f), f.grid, levels), cone)
 
 
 def root(acc):
@@ -56,7 +57,7 @@ def tent_root(F, cone=None):
     """The tent functional A^c(F), the root field of
     A^c(F)^2 = sum_j log2 2^{jd} sum_{t in B_j} h^d |F(s+t, 2^-j)|^2."""
     cone = cone_index(F.grid, F.j_max) if cone is None else cone
-    return root(square_accumulator(F.grid, F.n, strip_levels(F), cone))
+    return root(square_accumulator(F.grid, F.n, strip_levels(F, 1.0), cone))
 
 
 def test_g_radial_single_mode(grid64, fam64):
@@ -83,10 +84,10 @@ def test_g_radial_alpha_shift(grid64, fam64):
     import ovtl.opfield as op
 
     manual = op.PSDAccumulator(grid64, 2)
-    manual.add_gram(symbol_on_data(fam64.values(0), f.data, grid64), 1.0)
+    manual.add_gram(to_planes(symbol_on_data(fam64.values(0), f.data, grid64)), 1.0)
     for j in range(1, fam64.j_max + 1):
         g = 2.0 ** (j * alpha) * symbol_on_data(fam64.values(j), f.data, grid64)
-        manual.add_gram(g, 1.0)
+        manual.add_gram(to_planes(g), 1.0)
     assert np.max(np.abs(acc_a.S - manual.S)) < 1e-10 * np.max(np.abs(manual.S))
     assert np.max(np.abs(acc_a.S - acc_manual.S)) > 0  # alpha does change it
 
@@ -215,7 +216,7 @@ def test_conic_hardy_term_is_tent_norm(grid, n, p):
 
 def test_engine_rejects_other_grid(grid64, fam64):
     f = band_limited_random(grid64, 2, 808)
-    fhat = fft_data(f.data, grid64)
+    fhat = planes_hat(f)
     other = make_lp_family(Grid(1, 128))
     with pytest.raises(GridMismatchError):
         list(filtered(fhat, grid64, lp_levels(other, 0.0)))
@@ -252,7 +253,7 @@ def test_tent_norm_rejects_other_grid(grid64, p):
 # ---------------------------------------------------------------------------
 
 def eig_route_norm(fhat, grid, levels, p, cone=None):
-    acc = square_accumulator(grid, fhat.shape[-1], filtered(fhat, grid, levels), cone)
+    acc = square_accumulator(grid, fhat.shape[0], filtered(fhat, grid, levels), cone)
     return lp_norm_from_psd_eigs(acc.eigenvalues(), p, grid.cell_volume)
 
 
@@ -269,7 +270,7 @@ def test_square_norm_p2_matches_eigen_route(grid, n, shape, alpha):
     fam = make_lp_family(grid)
     cone = cone_index(grid, fam.j_max) if shape == "conic" else None
     f = band_limited_random(grid, n, 810 + n)
-    fhat = fft_data(f.data, grid)
+    fhat = planes_hat(f)
     for name, levels in level_lists(grid, fam, alpha).items():
         fast = square_norm(fhat, grid, levels, 2.0, cone)
         slow = eig_route_norm(fhat, grid, levels, 2.0, cone)
@@ -278,18 +279,19 @@ def test_square_norm_p2_matches_eigen_route(grid, n, shape, alpha):
 
 def per_level_ball_accumulator(fhat, grid, levels, cone):
     # one ball correlation and one inverse FFT per level, summed in space
-    acc = PSDAccumulator(grid, fhat.shape[-1])
+    acc = PSDAccumulator(grid, fhat.shape[0])
     for j, weight, g in filtered(fhat, grid, levels):
         if j == 0:
             acc.add_gram(g, weight)
             continue
         ind = np.zeros(grid.shape)
         ind[tuple((cone.offsets[j] % grid.N).T)] = 1.0
-        coef = np.fft.fftn(gram(g), axes=grid.spatial_axes)
+        coef = np.fft.fftn(gram(as_blocks(g)), axes=grid.spatial_axes)
         coef *= np.conj(np.fft.fftn(ind))[..., None, None]
         ball_average = np.fft.ifftn(coef, axes=grid.spatial_axes)
-        acc.add_psd(weight * 2.0 ** (j * grid.d) * grid.cell_volume * ball_average)
-    acc.S = 0.5 * (acc.S + np.conj(np.swapaxes(acc.S, -1, -2)))
+        acc.add_psd(to_planes(weight * 2.0 ** (j * grid.d) * grid.cell_volume * ball_average))
+    S = acc.planes
+    S[...] = 0.5 * (S + np.conj(np.swapaxes(S, 0, 1)))
     return acc
 
 
@@ -299,7 +301,7 @@ def test_conic_fourier_sum_matches_per_level_sum(grid, n):
     fam = make_lp_family(grid)
     cone = cone_index(grid, fam.j_max)
     f = band_limited_random(grid, n, 820 + n)
-    fhat = fft_data(f.data, grid)
+    fhat = planes_hat(f)
     for levels in level_lists(grid, fam, 0.5).values():
         ref = per_level_ball_accumulator(fhat, grid, levels, cone)
         acc = square_accumulator(grid, n, filtered(fhat, grid, levels), cone)
