@@ -212,19 +212,20 @@ def cube_blocks(data: np.ndarray, grid: Grid, level: int) -> np.ndarray:
     level-``level`` dyadic cube with index l (wraparound cubes included).
 
     One periodic roll by half a side into a new C-contiguous array
-    (:func:`roll_into`) makes the centered cubes contiguous; the reshape of
+    (:func:`_rolled`) makes the centered cubes contiguous; the reshape of
     the rolled array is a view of it, not a copy.
     """
     side = grid.N >> level
-    rolled = roll_into(np.empty(data.shape, data.dtype), data, side // 2, grid)
+    rolled = _rolled(data, side // 2, grid)
     return rolled.reshape(sum(((1 << level, side),) * grid.d, ()) + data.shape[grid.d:])
 
 
-def roll_into(dst: np.ndarray, src: np.ndarray, shift: int, grid: Grid) -> np.ndarray:
-    """dst[...] = np.roll(src, shift, axis=grid.spatial_axes), 0 <= shift < N,
-    as copies of the two halves of every axis, each cut into runs of leading
-    rows of at most _ROLL_POINTS points, so a strided ``src`` (planes seen as
-    blocks) is gathered in cache."""
+def _rolled(src: np.ndarray, shift: int, grid: Grid) -> np.ndarray:
+    """np.roll(src, shift, axis=grid.spatial_axes), 0 <= shift < N, as a new
+    C-contiguous array: copies of the two halves of every axis, each cut
+    into runs of leading rows of at most _ROLL_POINTS points, so a strided
+    ``src`` (planes seen as blocks) is gathered in cache."""
+    dst = np.empty(src.shape, src.dtype)
     N = grid.N
     halves = [(shift, 0, N - shift), (0, N - shift, shift)] if shift else [(0, 0, N)]
     run = max(1, _ROLL_POINTS // N ** (grid.d - 1))

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import ConeIndex, Grid, cone_index, cube_blocks, roll_into
+from .lattice import ConeIndex, Grid, cone_index, cube_blocks
 from .opfield import (
     OperatorField,
     PSDAccumulator,
@@ -270,9 +270,7 @@ def bmo_norm(f: OperatorField) -> NormReport:
     P = np.empty_like(x)
     gram(as_blocks(x), as_blocks(P))
     del x
-    blocks = roll_into(np.empty(grid.shape + (f.n, f.n), dtype=P.dtype), as_blocks(P), 0, grid)
-    whole = np.mean(blocks, axis=grid.spatial_axes)  # = int_Q |f|^2 at |Q| = 1
-    del blocks
+    whole = np.mean(np.ascontiguousarray(as_blocks(P)), axis=grid.spatial_axes)  # |Q| = 1
     unit_term = psd_root_norm(as_planes(whole), np.inf, 1.0)
     osc = 0.0
     per_level = {}

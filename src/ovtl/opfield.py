@@ -19,9 +19,9 @@ cache-sized blocks of points, exactly Hermitian), the
 :class:`PSDAccumulator` sum, :func:`psd_root_norm`, the trace L_p norm of
 S^(1/2) behind every square function (its p = inf sup solves only the
 blocks that a Frobenius bound cannot rule out), :func:`_root_traces` and
-:func:`trace_lp_planes`; :func:`pairwise_sum` adds planes in the order
-``np.sum`` takes over the matrix axes of point-major blocks, so each
-reduction keeps the point-major bits.  LAPACK (:func:`psd_eigvalsh`) sees
+:func:`trace_lp_planes`; a sum over the entries of a block adds its planes
+in order, as ``np.sum`` does over the four entries of a 2 x 2 block, so
+each reduction keeps the point-major bits.  LAPACK (:func:`psd_eigvalsh`) sees
 only the blocks it is handed, gathered as point-major blocks.  The
 point-major entry points are thin views or wrappers over the planar
 kernels: :func:`gram`, :func:`trace_lp_norm` of an :class:`OperatorField`,
@@ -156,25 +156,6 @@ def as_blocks(S: np.ndarray) -> np.ndarray:
     """The (*points, n, n) blocks of planes ``S`` as a view, for LAPACK and
     the point-major callers."""
     return S.transpose(tuple(range(2, S.ndim)) + (0, 1))
-
-
-def pairwise_sum(terms: list) -> np.ndarray:
-    """The sum of the arrays ``terms`` in the order numpy's ``add.reduce``
-    takes over a contiguous run of len(terms) values: in order below 8 terms,
-    else eight interleaved partial sums (split in halves, multiples of 8,
-    beyond 128).  Planes summed this way match ``np.sum`` over the matrix
-    axes of point-major blocks bitwise."""
-    m = len(terms)
-    if m < 8:
-        return sum(terms[1:], terms[0])
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
-    r = list(terms[:8])
-    for lo in range(8, m - m % 8, 8):
-        r = [a + b for a, b in zip(r, terms[lo:lo + 8])]
-    paired = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return sum(terms[m - m % 8:], paired)
 
 
 def _gram_into(out: np.ndarray, x: np.ndarray, weight: float | None = None) -> np.ndarray:
@@ -360,7 +341,8 @@ def trace_lp_planes(g: np.ndarray, p: float, cell_volume: float) -> float:
     n = x.shape[0]
     if p == 1 and n == 2:
         det = x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
-        hs = pairwise_sum([x[a, b].real**2 + x[a, b].imag**2 for a, b in np.ndindex(2, 2)])
+        terms = (x[a, b].real**2 + x[a, b].imag**2 for a, b in np.ndindex(2, 2))
+        hs = sum(terms, next(terms))
         total = float(np.sum(np.sqrt(hs + 2.0 * np.abs(det)))) * cell_volume
         return float(np.ldexp(total, exp.item()))
     G = np.empty_like(x)
@@ -502,7 +484,7 @@ def _max_eigenvalue(S: np.ndarray) -> float:
                 num = sum(terms, next(terms))
                 ray.append(np.divide(num, den[k], out=np.full_like(num, -np.inf),
                                      where=den[k] > 2.0**-600))
-            up = upper[rows] = np.sqrt(pairwise_sum(den))
+            up = upper[rows] = np.sqrt(sum(den[1:], den[0]))
             lower[rows] = np.max(ray, axis=0) - 1e-10 * up
         if (floor := np.max(lower)) > 2.0**-400:
             S = S[..., upper * (1 + 1e-10) >= floor]

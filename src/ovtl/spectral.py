@@ -297,11 +297,9 @@ def apply_symbol_hat(values: np.ndarray, data_hat: np.ndarray, grid: Grid) -> np
     return as_blocks(filter_planes(values, as_planes(data_hat), grid))
 
 
-def filter_planes(values: np.ndarray, x_hat: np.ndarray, grid: Grid,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
+def filter_planes(values: np.ndarray, x_hat: np.ndarray, grid: Grid) -> np.ndarray:
     """Multiplier action m * f on planes, given their transform ``x_hat``
-    (:func:`fft_planes`), which is left unchanged; the result is written to
-    ``out`` when given.
+    (:func:`fft_planes`), which is left unchanged.
 
     A symbol with a registered band r (every profile-backed symbol whose
     profile declares a support radius, :func:`symbol_from_profile`) that passes
@@ -311,11 +309,8 @@ def filter_planes(values: np.ndarray, x_hat: np.ndarray, grid: Grid,
     """
     r = _band_of(values)
     if not _prunes(x_hat, grid, r):
-        return ifft_planes(np.multiply(x_hat, values, out=out), grid)
-    if out is None:
-        out = np.zeros_like(x_hat)
-    else:
-        out.fill(0)
+        return ifft_planes(x_hat * values, grid)
+    out = np.zeros_like(x_hat)
     for box in itertools.product(_band_parts(grid, r), repeat=grid.d):
         np.multiply(x_hat[(Ellipsis,) + box], values[box], out=out[(Ellipsis,) + box])
     return _pruned_ifft(out, grid, r)

@@ -11,10 +11,10 @@ fft_planes(to_planes(f.data), grid)`` (``normsuite._scaled_transform``, and
 ``fmult`` for each certificate trial spectrum), and every level, Gram and
 root from there on reads and writes contiguous planes.
 :func:`filtered` turns a level list and the shared transform into the terms
-``(j, weight, m_j * f)``, one inverse transform per level into one of two
-alternating planar buffers; a level with a registered band (an LP member, a
-certificate level; box |k_i| <= N/4 at d >= 2) transforms only the lines its
-band reaches, any other level takes one ``ifftn``.
+``(j, weight, m_j * f)``, one inverse transform per level into a fresh
+planar array; a level with a registered band (an LP member, a certificate
+level; box |k_i| <= N/4 at d >= 2) transforms only the lines its band
+reaches, any other level takes one ``ifftn``.
 :func:`square_accumulator` adds the terms up: radially (weight * g* g) or,
 given a cone, ball-averaged over B_j at weight weight * 2^{jd} h^d for
 j >= 1 (j = 0 stays radial), the ball correlations summed in Fourier space
@@ -47,7 +47,6 @@ from .opfield import (
     StripField,
     as_blocks,
     gram,
-    pairwise_sum,
     psd_root_norm,
     to_planes,
 )
@@ -84,18 +83,14 @@ def filtered(fhat: np.ndarray, grid: Grid, levels: Iterable) -> Iterator[tuple]:
     ``fhat = fft_planes(to_planes(f.data), grid)``.
 
     Each level costs one inverse transform of the shared transform, pruned
-    to the lines its band reaches (:func:`~ovtl.spectral.filter_planes`).
-    The levels alternate between two buffers: a level stays valid until the
-    next-but-one is yielded, so a Gram queued on it
-    (:meth:`~ovtl.opfield.PSDAccumulator.add_gram`) may read it while the
-    next level is filtered.
+    to the lines its band reaches (:func:`~ovtl.spectral.filter_planes`),
+    into a fresh array, so a Gram queued on it
+    (:meth:`~ovtl.opfield.PSDAccumulator.add_gram`) may read it for as long
+    as it runs.
     """
-    buffers = []
-    for i, (j, weight, values) in enumerate(levels):
+    for j, weight, values in levels:
         _check_level(values, grid)
-        if len(buffers) < 2:
-            buffers.append(np.empty_like(fhat))
-        yield j, weight, filter_planes(values, fhat, grid, out=buffers[i % 2])
+        yield j, weight, filter_planes(values, fhat, grid)
 
 
 def _check_level(values: np.ndarray, grid: Grid) -> None:
@@ -172,7 +167,8 @@ def square_norm(fhat: np.ndarray, grid: Grid, levels: Sequence, p: float,
         _check_level(values, grid)
         c = 1.0 if cone is None or j == 0 else _conic_factor(cone, j) * len(cone.offsets[j])
         W += (c * weight) * np.abs(values) ** 2
-    hs = pairwise_sum([fhat[a, b].real**2 + fhat[a, b].imag**2 for a, b in np.ndindex(n, n)])
+    x = np.ascontiguousarray(as_blocks(fhat))
+    hs = np.sum(x.real**2 + x.imag**2, axis=(-2, -1))
     return math.sqrt(float(np.sum(W * hs)) * grid.cell_volume / grid.N**grid.d)
 
 

@@ -9,6 +9,7 @@ either way.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -123,6 +124,40 @@ def test_certificates_match_point_major_kernels(monkeypatch, conic, n, p):
     assert [r.hex() for r in planar.per_trial] == [r.hex() for r in oracle.per_trial]
 
 
+def test_late_queued_conic_gram_matches_point_major_kernels(monkeypatch):
+    # 16,384 points: the j = 0 Gram of a conic sum is queued on the helper
+    # thread, and a late start must still find level 0 as it was filtered
+    # while levels j >= 1 are summed inline
+    grid = Grid(2, 128)
+    helper, queued = opfield._HELPER, []
+
+    class Late:
+        def submit(self, fn, *args):
+            def late():
+                time.sleep(0.05)
+                return fn(*args)
+            queued.append(fn)
+            return helper.submit(late)
+
+    fam = make_lp_family(grid)
+    seq = bessel_dilate_sequence(grid, 1.0)
+    cone = cone_index(grid, fam.j_max)
+    f = band_limited_random(grid, 2, 1350)
+
+    def results():
+        cert = empirical_conic_bound(seq, lambda t: band_limited_spectrum(grid, 2, 1360 + t),
+                                     0.5, 3.0, cone, trials=2, sigma=1.5)
+        hardy = hardy_norm(f, 3.0, fam, shape="conic")
+        return cert.to_text(), [r.hex() for r in cert.per_trial], _bits([hardy])
+
+    monkeypatch.setattr(opfield, "_HELPER", Late())
+    planar = results()
+    assert queued
+    monkeypatch.setattr(opfield, "_HELPER", helper)
+    point_major_kernels(monkeypatch)
+    assert planar == results()
+
+
 # stacks on both sides of the 4096-point row blocks
 STACKS = [100, 4095, 4096, 4097, 8193]
 
@@ -182,24 +217,20 @@ def test_accumulator_is_a_view_of_its_planes():
     assert acc.S.shape == grid.shape + (3, 3) and acc.planes.shape == (3, 3) + grid.shape
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 12, 16])
-def test_pairwise_sum_matches_numpy_block_sums(n):
-    # the order np.sum takes over the matrix axes of point-major blocks:
-    # in order, in eight partial sums, and split in halves beyond 128 entries
-    rng = rng_for(1600 + n)
-    x = rng.normal(size=(513, n, n)) * 10.0 ** rng.integers(-8, 8, size=(513, n, n))
+def test_two_by_two_entry_sum_is_in_order():
+    # np.sum over the four entries of a 2 x 2 block adds them in order, so
+    # the n = 2 closed forms sum their planes in order
+    rng = rng_for(1600)
+    x = rng.normal(size=(513, 2, 2)) * 10.0 ** rng.integers(-8, 8, size=(513, 2, 2))
     planes = np.moveaxis(x, 0, -1)
-    got = opfield.pairwise_sum([planes[a, b] for a, b in np.ndindex(n, n)])
+    got = planes[0, 0] + planes[0, 1] + planes[1, 0] + planes[1, 1]
     assert got.tobytes() == np.sum(x, axis=(-2, -1)).tobytes()
-    got = opfield.pairwise_sum([planes[a, a] for a in range(n)])
-    assert got.tobytes() == np.sum(np.diagonal(x, axis1=-2, axis2=-1), axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("grid", EXACT, ids=lambda g: f"d{g.d}-N{g.N}")
 def test_plancherel_square_norm_matches_point_major_sum(grid, n):
-    # p = 2 sums ||fhat||_HS^2 over the planes in the order np.sum takes
-    # over the matrix axes of point-major blocks
+    # p = 2 sums ||fhat||_HS^2 over a point-major copy of the planes
     fam = make_lp_family(grid)
     levels = lp_levels(fam, 0.5)
     fhat = fft_data(band_limited_random(grid, n, 1650 + n).data, grid)
