@@ -319,13 +319,13 @@ def _empirical_bound(kind: str, seq: SymbolSequence,
     _check_p1_shape(seq, p)
     chyp = hypothesis_constant(seq, sigma)
     j_top = seq.j_max if cone is None else min(seq.j_max, cone.j_max)
-    rho_levels = [(j, level_weight(j, alpha), seq.rho_symbol(j).values)
-                  for j in range(j_top + 1)]
-    prod_levels = [(j, w, seq.product_symbol(j).values) for j, w, _ in rho_levels]
+    rho_levels = [(j, level_weight(j, alpha), seq.rho_symbol(j)) for j in range(j_top + 1)]
+    prod_levels = [(j, w, seq.product_symbol(j)) for j, w, _ in rho_levels]
     # phi_j rho_j bitwise rho_j at every level (the identity, Bessel at
     # beta = 0): the ratio is 1 where the input is nonzero, and the p = 2
     # Plancherel sum vanishes exactly where the trace L_p norm does
-    same = all(m.tobytes() == r.tobytes() for (_, _, m), (_, _, r) in zip(prod_levels, rho_levels))
+    same = all(m.values.tobytes() == r.values.tobytes()
+               for (_, _, m), (_, _, r) in zip(prod_levels, rho_levels))
     ratios = []
     for t in range(trials):
         fhat = to_planes(spectrum_gen(t))

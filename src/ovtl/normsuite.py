@@ -38,7 +38,7 @@ from .sqfn import (
     square_norm,
     strip_levels,
 )
-from .spectral import LPFamily, fft_planes, filter_planes, poisson_symbol
+from .spectral import LPFamily, Symbol, fft_planes, filter_planes, poisson_symbol
 
 # the kernels of the local Hardy norm, also the [norms] kernel_mode config values
 HARDY_MODES = ("lp", "poisson")
@@ -104,8 +104,8 @@ def _scaled_back(report: NormReport, e: int, ratio_value: bool = False) -> NormR
     return report
 
 
-def _low_term_norm(grid: Grid, values: np.ndarray, fhat: np.ndarray, p: float) -> float:
-    return trace_lp_planes(filter_planes(values, fhat, grid), p, grid.cell_volume)
+def _low_term_norm(grid: Grid, sym: Symbol, fhat: np.ndarray, p: float) -> float:
+    return trace_lp_planes(filter_planes(sym, fhat, grid), p, grid.cell_volume)
 
 
 def _lp_square_norms(f: OperatorField, alpha: float, p: float, family: LPFamily,
@@ -215,10 +215,10 @@ def hardy_norm(f: OperatorField, p: float, family: LPFamily, mode: str = "lp",
         raise ValueError(f"unknown shape {shape!r}")
     grid = f.grid
     if mode == "lp":
-        low_values = family.values(0)
+        low_symbol = family.member(0)
         levels = lp_levels(family, 0.0)[1:]
     else:
-        low_values = poisson_symbol(grid, 1.0).values
+        low_symbol = poisson_symbol(grid, 1.0)
         levels = poisson_levels(grid, family.j_max, 0.0)
     fhat, e = _scaled_transform(f)
 
@@ -226,7 +226,7 @@ def hardy_norm(f: OperatorField, p: float, family: LPFamily, mode: str = "lp",
         (sq,), low = _lp_square_norms(f, 0.0, p, family, ("column",), fhat)
         value = sq
     else:
-        low = _low_term_norm(grid, low_values, fhat, p)
+        low = _low_term_norm(grid, low_symbol, fhat, p)
         cone = cone_index(grid, family.j_max) if shape == "conic" else None
         sq = square_norm(fhat, grid, levels, p, cone)
         value = sq + low

@@ -24,12 +24,12 @@ in order, as ``np.sum`` does over the four entries of a 2 x 2 block, so
 each reduction keeps the point-major bits.  LAPACK (:func:`psd_eigvalsh`) sees
 only the blocks it is handed, gathered as point-major blocks.  The
 point-major entry points are thin views or wrappers over the planar
-kernels: :func:`gram`, :func:`trace_lp_norm` of an :class:`OperatorField`,
-``PSDAccumulator.S`` and :func:`l1l2_sizes`, the L_1(M; L_2^c) size behind
-every atom size.  Singular values are never computed by SVD: sigma(x)^2 are
-the eigenvalues of x*x, and blocks with a singular value near 0 take theirs
-from the Hermitian dilation of x (of its triangular QR factor, for the
-stacked factors of a size).  At p = 1 and n = 2 no eigenvalue is needed:
+kernels: :func:`gram`, :func:`trace_lp_norm` of an :class:`OperatorField`
+and :func:`l1l2_sizes`, the L_1(M; L_2^c) size behind every atom size.
+Singular values are never computed by SVD: sigma(x)^2 are the eigenvalues
+of x*x, and blocks with a singular value near 0 take theirs from the
+Hermitian dilation of x (of its triangular QR factor, for the stacked
+factors of a size).  At p = 1 and n = 2 no eigenvalue is needed:
 tr S^(1/2) = sqrt(tr S + 2 sqrt(det S)) and tr|x| = sqrt(||x||_HS^2 + 2 |det x|);
 at n = 3, 4 the blocks :func:`_root_traces` solves need none either.
 
@@ -225,9 +225,8 @@ class PSDAccumulator:
 
     Weights must be nonnegative; S stays Hermitian PSD up to round-off.
     Accumulation order is the call order, fixed by the caller.  At most one
-    Gram is pending on the helper thread; every read of ``planes`` (or of
-    its point-major view ``S``) and the next :meth:`add_gram` wait for it
-    and raise what it raised.
+    Gram is pending on the helper thread; every read of ``planes`` and the
+    next :meth:`add_gram` wait for it and raise what it raised.
     """
 
     grid: Grid
@@ -246,11 +245,6 @@ class PSDAccumulator:
     def planes(self) -> np.ndarray:
         self._wait()
         return self._S
-
-    @property
-    def S(self) -> np.ndarray:
-        """The sum as (*grid.shape, n, n) blocks: a view of :attr:`planes`."""
-        return as_blocks(self.planes)
 
     def add_gram(self, g: np.ndarray, weight: float = 1.0,
                  row: bool = False) -> "PSDAccumulator":
@@ -285,7 +279,7 @@ class PSDAccumulator:
 
     def eigenvalues(self) -> np.ndarray:
         """Pointwise eigenvalues of S, clipped at 0; shape (*grid.shape, n)."""
-        return psd_eigvalsh(self.S)
+        return psd_eigvalsh(as_blocks(self.planes))
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +299,6 @@ def _pow2_exponent(x: np.ndarray, axes=None, step: int = 1) -> np.ndarray:
     neither overflows nor underflows; e keeps the reduced axes with length 1."""
     peak = np.max(np.abs(x), axis=axes, keepdims=True, initial=0.0)
     return -(-np.maximum(np.frexp(peak)[1], -1000) // step) * step
-
-
-def _pow2_rescaled(x: np.ndarray, axes=None, step: int = 1) -> tuple:
-    """(x * 2^-e, e) with e from :func:`_pow2_exponent`."""
-    exp = _pow2_exponent(x, axes, step)
-    return x * np.ldexp(1.0, -exp), exp
 
 
 def trace_lp_norm(f: OperatorField, p: float) -> float:
@@ -334,7 +322,8 @@ def trace_lp_planes(g: np.ndarray, p: float, cell_volume: float) -> float:
     tr|x| = sqrt(||x||_HS^2 + 2 |det x|) is exact to round-off even at rank
     one and needs neither; at n = 3, 4, the blocks of x* x that
     :func:`_root_traces` leaves go straight to the dilation, one eigenvalue
-    call in all.
+    call in all.  p >= 2, p = inf and n = 1 need no dilation: they take
+    :func:`psd_root_norm` of x* x.
     """
     exp = _pow2_exponent(g)
     x = np.multiply(g, np.ldexp(1.0, -exp), out=np.empty(g.shape, dtype=np.complex128))
@@ -347,17 +336,16 @@ def trace_lp_planes(g: np.ndarray, p: float, cell_volume: float) -> float:
         return float(np.ldexp(total, exp.item()))
     G = np.empty_like(x)
     gram(as_blocks(x), as_blocks(G))
-    if p == np.inf:
-        return float(np.ldexp(psd_root_norm(G, p, 1.0), exp.item()))
     if p == 1 and n in (3, 4):
         solved, rest = _root_traces(G)
         total = solved + float(np.sum(_dilation_singular_values(as_blocks(x)[rest])))
         return float(np.ldexp(total * cell_volume, exp.item()))
+    if p >= 2 or n == 1:
+        return float(np.ldexp(psd_root_norm(G, p, cell_volume), exp.item()))
     sq = psd_eigvalsh(as_blocks(G))
-    if p < 2 and n > 1:
-        coarse = sq[..., 0] < _COARSE_SQ * sq[..., -1]
-        if np.any(coarse):
-            sq[coarse] = _dilation_singular_values(as_blocks(x)[coarse]) ** 2
+    coarse = sq[..., 0] < _COARSE_SQ * sq[..., -1]
+    if np.any(coarse):
+        sq[coarse] = _dilation_singular_values(as_blocks(x)[coarse]) ** 2
     return float(np.ldexp(lp_norm_from_psd_eigs(sq, p, cell_volume), exp.item()))
 
 
@@ -504,7 +492,8 @@ def l1l2_sizes(x: np.ndarray, volume: float, weights: np.ndarray | None = None) 
     triangular QR factor by dilation.  Each batch entry is rescaled by its
     own power of two, so stacking never changes an entry's size.
     """
-    x, exp = _pow2_rescaled(x, (-3, -2, -1))
+    exp = _pow2_exponent(x, (-3, -2, -1))
+    x = x * np.ldexp(1.0, -exp)
     n = x.shape[-1]
     G = gram(x)
     if weights is None:
@@ -543,10 +532,16 @@ def check_p(p: float) -> None:
 
 
 def lp_norm_from_psd_eigs(eigs: np.ndarray, p: float, cell_volume: float) -> float:
-    """Trace L_p norm of the PSD root field given eigenvalues of S = root^2."""
+    """Trace L_p norm of the PSD root field given eigenvalues of S = root^2.
+    Where the plain sum of lambda^(p/2) over- or underflows (large p, or
+    eigenvalues far from 1), the largest eigenvalue is factored out of it."""
     check_p(p)
     if p == np.inf:
         return float(np.sqrt(np.max(eigs))) if eigs.size else 0.0
-    total = float(np.sum(eigs ** (p / 2.0))) * cell_volume
-    return total ** (1.0 / p)
+    with np.errstate(over="ignore", under="ignore"):
+        total = float(np.sum(eigs ** (p / 2.0))) * cell_volume
+        if 0.0 < total < math.inf or not (top := float(np.max(eigs, initial=0.0))) > 0:
+            return total ** (1.0 / p)
+        total = float(np.sum((eigs / top) ** (p / 2.0))) * cell_volume
+    return math.sqrt(top) * total ** (1.0 / p)
 

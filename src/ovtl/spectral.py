@@ -11,14 +11,15 @@ symbol is exactly (1+|xi|^2)^(alpha/2).
 Symbols carry lattice values and, when available, an analytic *profile*
 (a callable on R^d) so they can be resampled on dilated frequency windows;
 this is what the potential-Sobolev quantity ``hsigma_norm_profile`` needs.
+A symbol whose profile declares a support radius carries its *band*, the
+box its values fill; :func:`filter_planes` inverts only the lines it reaches.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Callable, Optional
 
@@ -80,12 +81,18 @@ class Symbol:
     """Scalar complex multiplier on the frequency lattice.
 
     ``values`` has shape grid.shape in FFT storage order.  ``profile``
-    optionally extends the symbol to all of R^d.
+    optionally extends the symbol to all of R^d.  ``band``, set once for a
+    profile that declares a ``support_radius`` (every LP member, every
+    certificate level), is the least r with every nonzero value in the box
+    |k_i| <= r, the box :func:`filter_planes` inverts; it is None for any
+    other symbol and for an all-zero one, whose ``ifftn`` signs some zeros
+    of the output that the pruned route would sign otherwise.
     """
 
     grid: Grid
     values: np.ndarray
     profile: Optional[Profile] = None
+    band: Optional[int] = field(init=False, default=None)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -96,17 +103,17 @@ class Symbol:
         vals = np.ascontiguousarray(vals)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        if self.profile is not None and self.profile.support_radius is not None:
+            nonzero, k, d = vals != 0, np.abs(self.grid.freq_axis), self.grid.d
+            if nonzero.any():
+                object.__setattr__(self, "band", max(
+                    int(k[np.any(nonzero, axis=tuple(b for b in range(d) if b != a))].max())
+                    for a in range(d)))
 
 
 def symbol_from_profile(grid: Grid, prof: Profile) -> Symbol:
-    """The profile sampled on the lattice.  A profile that declares a
-    ``support_radius`` (every LP member, and the products phi_j rho_j of a
-    multiplier certificate) has its band registered for the pruned inverse
-    of :func:`apply_symbol_hat`."""
-    sym = Symbol(grid, prof(grid.freqs), profile=prof)
-    if prof.support_radius is not None:
-        _register_band(sym.values, grid)
-    return sym
+    """The profile sampled on the lattice."""
+    return Symbol(grid, prof(grid.freqs), profile=prof)
 
 
 def bessel_profile(alpha: float) -> Profile:
@@ -186,7 +193,8 @@ def apply_symbol(m: Symbol, f: OperatorField) -> OperatorField:
     """Fourier multiplier: inverse transform of m(xi) fhat(xi)."""
     if m.grid != f.grid:
         raise GridMismatchError("symbol and field grids differ")
-    return OperatorField(f.grid, apply_symbol_hat(m.values, fft_data(f.data, f.grid), f.grid))
+    fhat = as_planes(fft_data(f.data, f.grid))
+    return OperatorField(f.grid, as_blocks(filter_planes(m, fhat, f.grid)))
 
 
 def _data_axes(data: np.ndarray, grid: Grid) -> tuple:
@@ -198,9 +206,7 @@ def fft_data(data: np.ndarray, grid: Grid) -> np.ndarray:
     """Unnormalized forward DFT of raw (*, n, n) or batched (B, *, n, n) data.
 
     Transform a field once with this and filter it by any number of symbols
-    with :func:`apply_symbol_hat`, one inverse transform each: pruned to the
-    lines the symbol's band reaches for a registered band-limited symbol at
-    d >= 2 whose box |k_i| <= r has r <= N/4, one ``ifftn`` for any other.
+    with :func:`apply_symbol_hat`, one ``ifftn`` each.
     """
     return np.fft.fftn(data, axes=_data_axes(data, grid))
 
@@ -232,37 +238,11 @@ def ifft_planes(x_hat: np.ndarray, grid: Grid, band: Optional[int] = None) -> np
     return np.fft.ifftn(x_hat, axes=tuple(range(-grid.d, 0)), out=x_hat)  # numpy >= 2.0
 
 
-# band radius of each registered symbol array, by id() for as long as the array lives
-_BANDS: dict = {}
-
-
-def _register_band(values: np.ndarray, grid: Grid) -> None:
-    """Record once the least r with every nonzero value of the (read-only)
-    symbol array ``values`` in the box |k_i| <= r.  An all-zero symbol is not
-    recorded: ``ifftn`` of its product signs some zeros of the output, and
-    the pruned route would sign others."""
-    nonzero = values != 0
-    if not nonzero.any():
-        return
-    k = np.abs(grid.freq_axis)
-    r = max(int(k[np.any(nonzero, axis=tuple(b for b in range(grid.d) if b != a))].max())
-            for a in range(grid.d))
-    key = id(values)
-    _BANDS[key] = (weakref.ref(values), r)
-    weakref.finalize(values, _BANDS.pop, key, None)
-
-
-def _band_of(values: np.ndarray) -> Optional[int]:
-    """The registered band radius of ``values``, or None."""
-    entry = _BANDS.get(id(values))
-    return entry[1] if entry is not None and entry[0]() is values else None
-
-
 def _prunes(x_hat: np.ndarray, grid: Grid, band: Optional[int]) -> bool:
     """The fixed rule of the pruned inverse: unbatched data at d >= 2 whose
     box |k_i| <= band spans at most about half of every axis (band <= N/4).
     d = 1, batched data, the near-full-band top LP member and symbols with
-    no registered band keep ``ifftn``."""
+    no band keep ``ifftn``."""
     return (band is not None and grid.d >= 2 and x_hat.ndim == grid.d + 2
             and 0 <= band <= grid.N // 4)
 
@@ -291,23 +271,21 @@ def _pruned_ifft(coef: np.ndarray, grid: Grid, r: int) -> np.ndarray:
 
 
 def apply_symbol_hat(values: np.ndarray, data_hat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Multiplier action on point-major data given its transform
-    ``fft_data(data)``, which is left unchanged: :func:`filter_planes` on a
-    view of its planes, returned as point-major blocks."""
-    return as_blocks(filter_planes(values, as_planes(data_hat), grid))
+    """Multiplier action of the symbol ``values`` on raw (*, n, n) or batched
+    (B, *, n, n) data given its transform ``fft_data(data)``, which is left
+    unchanged: one ``ifftn`` of the product."""
+    return ifft_data(data_hat * values[..., None, None], grid)
 
 
-def filter_planes(values: np.ndarray, x_hat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Multiplier action m * f on planes, given their transform ``x_hat``
-    (:func:`fft_planes`), which is left unchanged.
+def filter_planes(sym: Symbol, x_hat: np.ndarray, grid: Grid) -> np.ndarray:
+    """Multiplier action m * f of the symbol ``sym`` on planes, given their
+    transform ``x_hat`` (:func:`fft_planes`), which is left unchanged.
 
-    A symbol with a registered band r (every profile-backed symbol whose
-    profile declares a support radius, :func:`symbol_from_profile`) that passes
-    :func:`_prunes` is multiplied on its box |k_i| <= r alone into the zeroed
-    output, which :func:`_pruned_ifft` inverts; any other symbol takes one
-    ``ifftn`` of the whole product.
+    A symbol whose ``band`` r passes :func:`_prunes` is multiplied on its box
+    |k_i| <= r alone into the zeroed output, which :func:`_pruned_ifft`
+    inverts; any other symbol takes one ``ifftn`` of the whole product.
     """
-    r = _band_of(values)
+    r, values = sym.band, sym.values
     if not _prunes(x_hat, grid, r):
         return ifft_planes(x_hat * values, grid)
     out = np.zeros_like(x_hat)

@@ -2,7 +2,8 @@
 
 The Littlewood-Paley g-function, the conic (Lusin) area function and the
 tent-space square function are the same sum in different geometries.  A square
-function is described by a *level list* ``[(j, weight, symbol_values)]``;
+function is described by a *level list* ``[(j, weight, symbol)]`` of
+:class:`~ovtl.spectral.Symbol` levels;
 :func:`lp_levels` and :func:`poisson_levels` build the two kernel kinds, and
 truncating the sum is slicing the list.  The engine runs on planes
 (n, n, *grid.shape) (:mod:`ovtl.opfield`): its caller copies a field to
@@ -12,9 +13,9 @@ fft_planes(to_planes(f.data), grid)`` (``normsuite._scaled_transform``, and
 root from there on reads and writes contiguous planes.
 :func:`filtered` turns a level list and the shared transform into the terms
 ``(j, weight, m_j * f)``, one inverse transform per level into a fresh
-planar array; a level with a registered band (an LP member, a certificate
-level; box |k_i| <= N/4 at d >= 2) transforms only the lines its band
-reaches, any other level takes one ``ifftn``.
+planar array; a level whose symbol carries a ``band`` (an LP member, a
+certificate level; box |k_i| <= N/4 at d >= 2) transforms only the lines
+its band reaches, any other level takes one ``ifftn``.
 :func:`square_accumulator` adds the terms up: radially (weight * g* g) or,
 given a cone, ball-averaged over B_j at weight weight * 2^{jd} h^d for
 j >= 1 (j = 0 stays radial), the ball correlations summed in Fourier space
@@ -50,7 +51,7 @@ from .opfield import (
     psd_root_norm,
     to_planes,
 )
-from .spectral import LPFamily, fft_planes, filter_planes, ifft_planes, poisson_dk_symbol
+from .spectral import LPFamily, Symbol, fft_planes, filter_planes, ifft_planes, poisson_dk_symbol
 
 LOG2 = math.log(2.0)
 
@@ -67,14 +68,14 @@ def level_weight(j: int, alpha: float) -> float:
 
 def lp_levels(family: LPFamily, alpha: float) -> list:
     """Levels (j, 4^{j alpha}, phi^(j)) of the LP square function, j = j_min .. j_max."""
-    return [(j, level_weight(j, alpha), family.values(j)) for j in family.scales()]
+    return [(j, level_weight(j, alpha), family.member(j)) for j in family.scales()]
 
 
 def poisson_levels(grid: Grid, j_max: int, alpha: float) -> list:
     """Levels of the Poisson square function, j = 1 .. j_max: the first
     eps-derivative of the semigroup at eps = 2^-j, weighted by the quadrature
     log 2 * 2^{-2j(1 - alpha)} of int eps^{2(1 - alpha)} |...|^2 d(eps)/eps."""
-    return [(j, LOG2 * 2.0 ** (-2.0 * j * (1 - alpha)), poisson_dk_symbol(grid, 2.0**-j, 1).values)
+    return [(j, LOG2 * 2.0 ** (-2.0 * j * (1 - alpha)), poisson_dk_symbol(grid, 2.0**-j, 1))
             for j in range(1, j_max + 1)]
 
 
@@ -88,13 +89,13 @@ def filtered(fhat: np.ndarray, grid: Grid, levels: Iterable) -> Iterator[tuple]:
     (:meth:`~ovtl.opfield.PSDAccumulator.add_gram`) may read it for as long
     as it runs.
     """
-    for j, weight, values in levels:
-        _check_level(values, grid)
-        yield j, weight, filter_planes(values, fhat, grid)
+    for j, weight, sym in levels:
+        _check_level(sym, grid)
+        yield j, weight, filter_planes(sym, fhat, grid)
 
 
-def _check_level(values: np.ndarray, grid: Grid) -> None:
-    if values.shape != grid.shape:
+def _check_level(sym: Symbol, grid: Grid) -> None:
+    if sym.grid != grid:
         raise GridMismatchError("level symbol grid does not match field grid")
 
 
@@ -163,10 +164,10 @@ def square_norm(fhat: np.ndarray, grid: Grid, levels: Sequence, p: float,
         return psd_root_norm(acc.planes, p, grid.cell_volume)
     _check_cone(cone, grid)
     W = np.zeros(grid.shape)
-    for j, weight, values in levels:
-        _check_level(values, grid)
+    for j, weight, sym in levels:
+        _check_level(sym, grid)
         c = 1.0 if cone is None or j == 0 else _conic_factor(cone, j) * len(cone.offsets[j])
-        W += (c * weight) * np.abs(values) ** 2
+        W += (c * weight) * np.abs(sym.values) ** 2
     x = np.ascontiguousarray(as_blocks(fhat))
     hs = np.sum(x.real**2 + x.imag**2, axis=(-2, -1))
     return math.sqrt(float(np.sum(W * hs)) * grid.cell_volume / grid.N**grid.d)

@@ -84,6 +84,7 @@ from ovtl.opfield import (
 )
 from ovtl.spectral import (
     LPFamily,
+    Symbol,
     apply_symbol_hat,
     default_window,
     fft_data,
@@ -356,15 +357,15 @@ def certificate_reference(seq: SymbolSequence, spectrum_gen, alpha: float, p: fl
                           margin: float = 100.0) -> MultiplierCertificate:
     """empirical_square_bound (empirical_conic_bound given a cone) on the
     same trial spectra, with two square functions per trial, both on
-    unregistered copies of the levels (so every level takes one full
-    ifftn), rho_j resampled from its profile, and the hypothesis constant
-    of hypothesis_components_reference."""
+    profile-free copies of the levels (no band, so every level takes one
+    full ifftn), rho_j resampled from its profile, and the hypothesis
+    constant of hypothesis_components_reference."""
     grid = seq.grid
     seq.check_support()
     j_top = seq.j_max if cone is None else min(seq.j_max, cone.j_max)
     rho = [symbol_from_profile(grid, prof) for prof in seq.rho_profiles]
-    levels = [[(j, level_weight(j, alpha), np.array(symbol(j).values)) for j in range(j_top + 1)]
-              for symbol in (seq.product_symbol, rho.__getitem__)]
+    levels = [[(j, level_weight(j, alpha), Symbol(grid, np.array(symbol(j).values)))
+               for j in range(j_top + 1)] for symbol in (seq.product_symbol, rho.__getitem__)]
     ratios = []
     for t in range(trials):
         fhat = to_planes(spectrum_gen(t))
@@ -380,6 +381,16 @@ def certificate_reference(seq: SymbolSequence, spectrum_gen, alpha: float, p: fl
 def ball_measure(cone: ConeIndex, j: int) -> float:
     """Discrete ball measure |B_j| * h^d."""
     return cone.offsets[j].shape[0] * cone.grid.cell_volume
+
+
+def log_space_root_norm(eigs: np.ndarray, p: float, volume: float) -> float:
+    """(sum volume lambda^(p/2))^(1/p) over the eigenvalues ``eigs`` of S,
+    summed in long double around the largest log lambda, so that no power
+    over- or underflows; zero eigenvalues add nothing."""
+    logs = np.log(np.asarray(eigs, dtype=np.longdouble)[eigs > 0])
+    top = np.max(logs)
+    total = np.sum(np.exp((p / 2) * (logs - top))) * volume
+    return float(np.exp(top / 2 + np.log(total) / p))
 
 
 def hs_norm_sq(f: OperatorField) -> float:

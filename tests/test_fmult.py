@@ -300,8 +300,7 @@ def test_no_square_function_where_levels_are_identical(monkeypatch, beta, square
     monkeypatch.setattr(opfield.PSDAccumulator, "add_gram",
                         counting("gram", opfield.PSDAccumulator.add_gram))
     spectra = [band_limited_spectrum(grid, 2, 1000 + t) for t in range(3)]
-    levels = [(j, sqfn.level_weight(j, 0.5), seq.rho_symbol(j).values)
-              for j in range(seq.j_max + 1)]
+    levels = [(j, sqfn.level_weight(j, 0.5), seq.rho_symbol(j)) for j in range(seq.j_max + 1)]
     calls.clear()
     sqfn.square_norm(opfield.to_planes(spectra[0]), grid, levels, 1.0, cone)
     one = collections.Counter(calls)

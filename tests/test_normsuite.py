@@ -10,6 +10,7 @@ from ovtl.opfield import (
     OperatorField,
     PSDAccumulator,
     StripField,
+    as_blocks,
     lp_norm_from_psd_eigs,
     psd_eigvalsh,
     trace_lp_norm,
@@ -32,11 +33,12 @@ from ovtl.spectral import (
     make_lp_family,
     poisson_symbol,
 )
-from ovtl.sqfn import filtered, lp_levels, poisson_levels, square_norm
+from ovtl.sqfn import filtered, lp_levels, poisson_levels, square_accumulator, square_norm
 from helpers import (
     ball_measure,
     constant_field,
     field_sum,
+    log_space_root_norm,
     planes_hat,
     scaled,
     symbol_on_data,
@@ -118,7 +120,7 @@ def _eig_route_square_norm(f, alpha, fam, row):
     acc = PSDAccumulator(f.grid, f.n)
     for _, weight, g in filtered(planes_hat(f), f.grid, lp_levels(fam, alpha)):
         acc.add_gram(g, weight, row=row)
-    return lp_norm_from_psd_eigs(psd_eigvalsh(acc.S), 2.0, f.grid.cell_volume)
+    return lp_norm_from_psd_eigs(psd_eigvalsh(as_blocks(acc.planes)), 2.0, f.grid.cell_volume)
 
 
 @pytest.mark.parametrize("d,N", [(1, 64), (2, 32)])
@@ -432,3 +434,19 @@ def test_homogeneous_equivalence_ratios_scale_free(fam64):
     assert got.value == want.value
     for key, v in want.terms.items():
         assert got.terms[key] == (v if key.startswith("ratio") else v * 2.0**-600), key
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_p3_square_norms_at_alpha_100_stay_finite(n):
+    # the top weight 4^(j alpha) is 2^800 on Grid(1, 64): the eigenvalues of S
+    # pass 2^683, and their powers lambda^(3/2) pass the float64 range
+    grid = Grid(1, 64)
+    fam = make_lp_family(grid)
+    f = band_limited_random(grid, n, 1)
+    fhat, levels = planes_hat(f), lp_levels(fam, 100.0)
+    eigs = square_accumulator(grid, n, filtered(fhat, grid, levels)).eigenvalues()
+    assert 1.5 * math.log2(np.max(eigs)) > 1024
+    want = log_space_root_norm(eigs, 3.0, grid.cell_volume)
+    assert square_norm(fhat, grid, levels, 3.0) == pytest.approx(want, rel=1e-12, abs=0)
+    for norm in (tl_norm_column, tl_norm_row, tl_norm_mixture):
+        assert 0 < norm(f, 100.0, 3.0, fam).value < math.inf

@@ -13,6 +13,7 @@ from ovtl.opfield import (
     OperatorField,
     PSDAccumulator,
     StripField,
+    as_blocks,
     gram,
     herm,
     l1l2_sizes,
@@ -30,6 +31,7 @@ from helpers import (
     constant_field,
     field_sum,
     hs_norm_sq,
+    log_space_root_norm,
     op_cauchy_schwarz_gap,
     op_cauchy_schwarz_scale,
     pairing,
@@ -146,9 +148,10 @@ def test_psd_accumulator_invariants(grid64):
     for _ in range(4):
         g = rng.normal(size=grid64.shape + (2, 2)) + 1j * rng.normal(size=grid64.shape + (2, 2))
         acc.add_gram(to_planes(g), float(rng.uniform(0.1, 2.0)))
-    scale = float(np.max(np.abs(acc.S)))
-    assert float(np.max(np.abs(acc.S - herm(acc.S)))) <= 1e-12 * scale
-    assert float(np.min(np.linalg.eigvalsh(0.5 * (acc.S + herm(acc.S))))) >= -1e-10 * scale
+    S = as_blocks(acc.planes)
+    scale = float(np.max(np.abs(S)))
+    assert float(np.max(np.abs(S - herm(S)))) <= 1e-12 * scale
+    assert float(np.min(np.linalg.eigvalsh(0.5 * (S + herm(S))))) >= -1e-10 * scale
     eigs = acc.eigenvalues()
     assert eigs.min() >= 0.0
     with pytest.raises(ValueError):
@@ -217,7 +220,7 @@ def test_row_gram_is_gram_of_adjoint(grid64):
         g = rng.normal(size=grid64.shape + (n, n)) + 1j * rng.normal(size=grid64.shape + (n, n))
         row = PSDAccumulator(grid64, n).add_gram(to_planes(g), 0.7, row=True)
         col = PSDAccumulator(grid64, n).add_gram(to_planes(herm(g)), 0.7)
-        assert np.max(np.abs(row.S - col.S)) <= 1e-14 * np.max(np.abs(col.S))
+        assert np.max(np.abs(row.planes - col.planes)) <= 1e-14 * np.max(np.abs(col.planes))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -388,11 +391,21 @@ def test_psd_root_norm_rank_one_accumulator(scale):
     acc = PSDAccumulator(Grid(1, 512), 2)
     for k in range(6):
         acc.add_gram(to_planes(scale * _cplx(rng, 512, 1, 1) * (u @ v)), 0.5 + k)
-    exact = float(np.sum(np.sqrt(np.trace(acc.S, axis1=-2, axis2=-1).real))) / 512
+    exact = float(np.sum(np.sqrt(np.trace(as_blocks(acc.planes), axis1=-2, axis2=-1).real))) / 512
     closed = psd_root_norm(acc.planes, 1.0, 1 / 512)
-    lapack = _eig_route(acc.S, 1.0, 1 / 512)
+    lapack = _eig_route(as_blocks(acc.planes), 1.0, 1 / 512)
     assert abs(closed - exact) <= abs(lapack - exact)
     assert closed == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("p", [3.0, 40.0, 1e308])
+@pytest.mark.parametrize("scale", [2.0**800, 1.0, 2.0**-800], ids=["2^800", "1", "2^-800"])
+def test_root_norm_past_the_float_range_matches_log_space_sum(scale, p):
+    # n = 1: lambda^(p/2) overflows at S ~ 2^800 and underflows at S ~ 2^-800
+    # (at p = 1e308, for S ~ 1 too); the norm is finite and positive all the same
+    eigs = scale * rng_for(880).uniform(0.25, 4.0, size=512)
+    got = psd_root_norm(eigs.astype(complex).reshape(1, 1, -1), p, 1 / 512)
+    assert got == pytest.approx(log_space_root_norm(eigs, p, 1 / 512), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("scale", SCALES)
@@ -545,7 +558,7 @@ def test_add_gram_matches_matmul_both_sides(grid, n):
     rng = rng_for(740 + n)
     g = _cplx(rng, *grid.shape, n, n)
     for row, want in ((False, herm(g) @ g), (True, g @ herm(g))):
-        S = PSDAccumulator(grid, n).add_gram(to_planes(g), 0.7, row=row).S
+        S = as_blocks(PSDAccumulator(grid, n).add_gram(to_planes(g), 0.7, row=row).planes)
         assert np.max(np.abs(S - 0.7 * want)) <= 1e-14 * np.max(np.abs(0.7 * want))
         assert np.array_equal(S, herm(S))
         assert np.all(np.diagonal(S, axis1=-2, axis2=-1).imag == 0.0)
@@ -565,7 +578,7 @@ def test_small_gram_sums_in_documented_order(monkeypatch, grid64, n):
         want = np.zeros(grid64.shape + (n, n), dtype=complex)
         _summed_gram(g, want, 0.3)
         _summed_gram(np.swapaxes(h, -1, -2), np.swapaxes(want, -1, -2), 2.5)
-        assert acc.S.tobytes() == want.tobytes()
+        assert as_blocks(acc.planes).tobytes() == want.tobytes()
 
 
 # stacks of more than _GRAM_ROWS blocks: add_gram queues them on the helper thread
@@ -595,7 +608,7 @@ def test_queued_gram_is_the_in_order_sum(monkeypatch, grid, n):
         for g, w, row in terms:
             acc.add_gram(to_planes(g), w, row=row)
         assert len(queued) == 4
-        assert np.array_equal(acc.S, want)
+        assert np.array_equal(as_blocks(acc.planes), want)
     finally:
         sys.setswitchinterval(interval)
 
@@ -612,7 +625,7 @@ def test_queued_gram_error_raised_at_next_read(monkeypatch):
     monkeypatch.setattr(opfield, "_gram_into", failing)
     acc = PSDAccumulator(grid, 2).add_gram(np.ones((2, 2) + grid.shape))
     with pytest.raises(FloatingPointError, match="injected on the helper"):
-        acc.S
+        acc.planes
 
 
 def test_only_queued_stacks_start_the_helper(monkeypatch):

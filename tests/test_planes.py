@@ -213,8 +213,9 @@ def test_accumulator_is_a_view_of_its_planes():
     grid = Grid(2, 64)
     g = to_planes(band_limited_random(grid, 3, 1550).data)
     acc = PSDAccumulator(grid, 3).add_gram(g, 0.5).add_gram(g, 2.0, row=True)
-    assert np.shares_memory(acc.S, acc.planes)
-    assert acc.S.shape == grid.shape + (3, 3) and acc.planes.shape == (3, 3) + grid.shape
+    S = as_blocks(acc.planes)
+    assert np.shares_memory(S, acc.planes)
+    assert S.shape == grid.shape + (3, 3) and acc.planes.shape == (3, 3) + grid.shape
 
 
 def test_two_by_two_entry_sum_is_in_order():
@@ -235,7 +236,7 @@ def test_plancherel_square_norm_matches_point_major_sum(grid, n):
     levels = lp_levels(fam, 0.5)
     fhat = fft_data(band_limited_random(grid, n, 1650 + n).data, grid)
     fhat *= 10.0 ** rng_for(1660 + n).integers(-6, 7, size=fhat.shape)  # entries far apart
-    W = sum(w * np.abs(v) ** 2 for _, w, v in levels)
+    W = sum(w * np.abs(sym.values) ** 2 for _, w, sym in levels)
     hs = np.sum(fhat.real**2 + fhat.imag**2, axis=(-2, -1))
     want = math.sqrt(float(np.sum(W * hs)) * grid.cell_volume / grid.N**grid.d)
     assert square_norm(to_planes(fhat), grid, levels, 2.0).hex() == want.hex()

@@ -6,9 +6,9 @@ import pytest
 from ovtl import spectral
 from ovtl.atomics import calderon_resolution
 from ovtl.errors import ResolutionError
-from ovtl.fmult import bessel_dilate_sequence
+from ovtl.fmult import bessel_dilate_sequence, identity_sequence
 from ovtl.lattice import Grid
-from ovtl.opfield import OperatorField
+from ovtl.opfield import OperatorField, as_blocks, as_planes, to_planes
 from ovtl.generators import band_limited_random, rng_for, single_mode
 from ovtl.spectral import (
     LPFamily,
@@ -19,6 +19,7 @@ from ovtl.spectral import (
     constant_profile,
     derivative_symbol,
     fft_data,
+    filter_planes,
     ifft_data,
     hsigma_norm_profile,
     lp_base_profile,
@@ -29,6 +30,7 @@ from ovtl.spectral import (
     poisson_symbol,
     riesz_symbol,
 )
+from ovtl.sqfn import filtered, lp_levels
 from helpers import constant_field, fft_forward, fft_inverse, hs_norm_sq, lp_positivity_margin
 
 
@@ -334,13 +336,19 @@ def _random_data(grid, n, seed, batch=()):
 
 
 def _unpruned_hat(values, data_hat, grid):
-    """apply_symbol_hat as one ifftn of the whole product."""
+    """A multiplier on point-major data as one ifftn of the whole product."""
     return ifft_data(data_hat * values[..., None, None], grid)
+
+
+def _filtered_hat(sym, data_hat, grid):
+    """filter_planes of ``sym`` on the planes of point-major ``data_hat``,
+    as point-major blocks."""
+    return as_blocks(filter_planes(sym, as_planes(data_hat), grid))
 
 
 def _unpruned_data(values, data, grid):
     """A multiplier on raw data as one fftn, an in-place product and one
-    ifftn: the formula the pruned route of apply_symbol_hat must match."""
+    ifftn: the formula the pruned route of filter_planes must match."""
     axes = tuple(range(data.ndim - grid.d - 2, data.ndim - 2))
     coef = np.fft.fftn(data, axes=axes)
     coef *= values[..., None, None]
@@ -359,11 +367,10 @@ def test_pruned_inverse_matches_ifftn_on_every_lp_member(grid, n):
     kept = fhat.copy()
     pruned = 0
     for fam in (make_lp_family(grid), make_hom_lp_family(grid)):
-        for j in fam.scales():
-            values = fam.values(j)
-            _assert_same_bits(apply_symbol_hat(values, fhat, grid),
-                              _unpruned_hat(values, fhat, grid))
-            pruned += spectral._prunes(fhat, grid, spectral._band_of(values))
+        for sym in fam.symbols:
+            _assert_same_bits(_filtered_hat(sym, fhat, grid),
+                              _unpruned_hat(sym.values, fhat, grid))
+            pruned += spectral._prunes(fhat, grid, sym.band)
     _assert_same_bits(fhat, kept)
     # every member below the top one of both families takes the pruned route;
     # the top member (band N/2 - 1) and the all-zero j = -1 member keep ifftn
@@ -376,15 +383,14 @@ def test_pruned_inverse_matches_ifftn_on_other_symbols(grid):
     kept = fhat.copy()
     cal = calderon_resolution(grid)
     seq = bessel_dilate_sequence(grid, 0.5)
-    products = [seq.product_symbol(j).values for j in range(seq.j_max + 1)]
-    registered = [seq.product_symbol(j).values for j in range(seq.j_max + 1)]
-    for values in registered:
-        spectral._register_band(values, grid)
-    assert sum(spectral._prunes(fhat, grid, spectral._band_of(v)) for v in registered) == seq.j_max
-    symbols = (list(cal.level_values) + [cal.phi0_values] + products + registered
-               + [poisson_symbol(grid, 0.1).values, np.zeros(grid.shape, dtype=complex)])
-    for values in symbols:
-        _assert_same_bits(apply_symbol_hat(values, fhat, grid), _unpruned_hat(values, fhat, grid))
+    products = list(seq.product_symbols)
+    assert sum(spectral._prunes(fhat, grid, sym.band) for sym in products) == seq.j_max
+    # the Calderon arrays and profile-free copies of the products carry no band
+    bare = list(cal.level_values) + [cal.phi0_values] + [sym.values for sym in products]
+    symbols = ([Symbol(grid, values) for values in bare] + products
+               + [poisson_symbol(grid, 0.1), Symbol(grid, np.zeros(grid.shape))])
+    for sym in symbols:
+        _assert_same_bits(_filtered_hat(sym, fhat, grid), _unpruned_hat(sym.values, fhat, grid))
     _assert_same_bits(fhat, kept)
 
 
@@ -393,14 +399,13 @@ def test_pruned_apply_symbol_data_matches_ifftn(grid):
     data = _random_data(grid, 2, 83)
     batch = _random_data(grid, 2, 84, batch=(2,))
     for fam in (make_lp_family(grid), make_hom_lp_family(grid)):
-        for j in fam.scales():
-            values = fam.values(j)
-            _assert_same_bits(apply_symbol_hat(values, fft_data(data, grid), grid),
-                              _unpruned_data(values, data, grid))
-            got = apply_symbol_hat(values, fft_data(batch, grid), grid)
-            _assert_same_bits(got, _unpruned_data(values, batch, grid))
+        for sym in fam.symbols:
+            _assert_same_bits(_filtered_hat(sym, fft_data(data, grid), grid),
+                              _unpruned_data(sym.values, data, grid))
+            got = apply_symbol_hat(sym.values, fft_data(batch, grid), grid)
+            _assert_same_bits(got, _unpruned_data(sym.values, batch, grid))
             # the batched ifftn and the unbatched pruned route agree bit for bit
-            _assert_same_bits(got[1], apply_symbol_hat(values, fft_data(batch[1], grid), grid))
+            _assert_same_bits(got[1], _filtered_hat(sym, fft_data(batch[1], grid), grid))
 
 
 def test_pruned_inverse_keeps_ifftn_on_batched_data():
@@ -409,11 +414,44 @@ def test_pruned_inverse_keeps_ifftn_on_batched_data():
     batch = _random_data(grid, 2, 91, batch=(3,))
     fhat = fft_data(batch, grid)
     kept = fhat.copy()
-    for j in fam.scales():
-        got = apply_symbol_hat(fam.values(j), fhat, grid)
-        _assert_same_bits(got, _unpruned_hat(fam.values(j), fhat, grid))
-        _assert_same_bits(got[2], apply_symbol_hat(fam.values(j), fft_data(batch[2], grid), grid))
+    for sym in fam.symbols:
+        got = _filtered_hat(sym, fhat, grid)
+        _assert_same_bits(got, _unpruned_hat(sym.values, fhat, grid))
+        _assert_same_bits(got[2], _filtered_hat(sym, fft_data(batch[2], grid), grid))
     _assert_same_bits(fhat, kept)
+
+
+def _least_box_radius(grid, values):
+    """max_i |k_i| over the nonzero values, one frequency at a time."""
+    return max(int(max(abs(k) for k in grid.freqs[idx])) for idx in zip(*np.nonzero(values)))
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 32), Grid(3, 16)],
+                         ids=lambda g: f"d{g.d}-N{g.N}")
+def test_symbol_band_is_the_least_box_radius(monkeypatch, grid):
+    families = [make_lp_family(grid), make_lp_family(grid, "poly"), make_hom_lp_family(grid)]
+    products = [sym for seq in (identity_sequence(grid), bessel_dilate_sequence(grid, 0.5))
+                for sym in seq.product_symbols]
+    for sym in [sym for fam in families for sym in fam.symbols] + products:
+        assert sym.band == (_least_box_radius(grid, sym.values) if sym.values.any() else None)
+    assert not make_hom_lp_family(grid).member(-1).values.any()  # the all-zero member
+    for sym in (bessel_symbol(grid, 0.5), poisson_symbol(grid, 0.25),
+                poisson_dk_symbol(grid, 0.5, 1), derivative_symbol(grid, 0, 1.0),
+                Symbol(grid, np.zeros(grid.shape))):
+        assert sym.band is None
+    # at d >= 2 exactly the members below the top one take the pruned route
+    calls = []
+    pruned_ifft = spectral._pruned_ifft
+    monkeypatch.setattr(spectral, "_pruned_ifft",
+                        lambda *args: calls.append(args) or pruned_ifft(*args))
+    fhat = to_planes(fft_data(_random_data(grid, 2, 95), grid))
+    for fam in families:
+        took = []
+        for j, _, _ in filtered(fhat, grid, lp_levels(fam, 0.5)):
+            if calls:
+                took.append(j)
+            calls.clear()
+        assert took == [j for j in fam.scales() if grid.d >= 2 and 0 <= j < fam.j_max]
 
 
 def _band_limited_reference(grid, n, seed, r_min=0.0, r_max=None):

@@ -50,7 +50,7 @@ def accumulate(f, levels, cone=None):
 
 def root(acc):
     """The root field S^(1/2) of an accumulator, from the eigh oracle."""
-    return OperatorField(acc.grid, ref.psd_root(acc.S))
+    return OperatorField(acc.grid, ref.psd_root(as_blocks(acc.planes)))
 
 
 def tent_root(F, cone=None):
@@ -88,8 +88,8 @@ def test_g_radial_alpha_shift(grid64, fam64):
     for j in range(1, fam64.j_max + 1):
         g = 2.0 ** (j * alpha) * symbol_on_data(fam64.values(j), f.data, grid64)
         manual.add_gram(to_planes(g), 1.0)
-    assert np.max(np.abs(acc_a.S - manual.S)) < 1e-10 * np.max(np.abs(manual.S))
-    assert np.max(np.abs(acc_a.S - acc_manual.S)) > 0  # alpha does change it
+    assert np.max(np.abs(acc_a.planes - manual.planes)) < 1e-10 * np.max(np.abs(manual.planes))
+    assert np.max(np.abs(acc_a.planes - acc_manual.planes)) > 0  # alpha does change it
 
 
 def test_g_radial_homogeneity(grid64, fam64):
@@ -133,7 +133,7 @@ def test_conic_constant_vs_radial_factor(grid64, fam64):
     # only level j = 2 contributes; factor = 2^{jd} |B_j| h^d
     j = 2
     factor = 2.0 ** (j * grid64.d) * ball_measure(cone, j)
-    expected = np.sqrt(rad.S[..., 0, 0].real * factor)
+    expected = np.sqrt(as_blocks(rad.planes)[..., 0, 0].real * factor)
     assert np.max(np.abs(con.data[..., 0, 0].real - expected)) < 1e-10
 
 
@@ -305,7 +305,7 @@ def test_conic_fourier_sum_matches_per_level_sum(grid, n):
     for levels in level_lists(grid, fam, 0.5).values():
         ref = per_level_ball_accumulator(fhat, grid, levels, cone)
         acc = square_accumulator(grid, n, filtered(fhat, grid, levels), cone)
-        assert np.max(np.abs(acc.S - ref.S)) <= 1e-12 * np.max(np.abs(ref.S))
+        assert np.max(np.abs(acc.planes - ref.planes)) <= 1e-12 * np.max(np.abs(ref.planes))
         want = lp_norm_from_psd_eigs(ref.eigenvalues(), 1.0, grid.cell_volume)
         assert abs(square_norm(fhat, grid, levels, 1.0, cone) - want) <= 1e-12 * want
     # the ball transforms are built once per scale and kept with the cone
@@ -317,4 +317,4 @@ def test_lp_levels_walk_the_family_scales(grid64):
     levels = lp_levels(hom, 0.5)
     assert [j for j, _, _ in levels] == list(range(-1, hom.j_max + 1))
     assert [w for _, w, _ in levels] == [4.0 ** (0.5 * j) for j in range(-1, hom.j_max + 1)]
-    assert all(v is hom.values(j) for j, _, v in levels)
+    assert all(sym is hom.member(j) for j, _, sym in levels)
