@@ -457,51 +457,29 @@ def _moments(blocks: np.ndarray, axes: list, levels: np.ndarray, indices: np.nda
     return betas, norms, l1
 
 
-def _reconstruction_devs(chunk: list, terms: list, starts: np.ndarray,
-                         sides: np.ndarray) -> np.ndarray:
+def _reconstruction_devs(chunk: list, starts: list, sides: np.ndarray) -> list:
     """max |sum_l d_l a_l - a| / max |a| of each alpha_q atom of ``chunk``,
-    with 2Q boxes (per-axis starts (d, B), sides (B,)) and subatom
-    ``terms`` (atom, slot, d_l, a_l).
+    with 2Q boxes (per-axis starts (d, B), sides (B,)).
 
-    Atoms whose terms (the atom and its subatoms) all lie in 2Q, below the
-    torus, are summed in (atoms x 2Q) buffers, one subatom slot at a time in
-    the subatoms' order, so every sum is the sequential one; the others are
+    An atom whose blocks (its own and its subatoms') all lie in its 2Q, below
+    the torus, is summed into two 2Q buffers by basic slices, 1.0 a into one
+    and the d_l a_l in the subatoms' order into the other; the others are
     summed on the torus (:func:`periodic_block_sum`)."""
-    grid, shape = chunk[0].grid, chunk[0].block.shape
-    N, d, tail = grid.N, grid.d, (chunk[0].n,) * 2
-    rows = np.array([b for b, *_ in terms], dtype=int)
-    own = (np.array([a.origin for a in chunk]).reshape(-1, d).T - starts) % N
-    offs = (np.array([sub.origin for *_, sub in terms]).reshape(-1, d).T - starts[:, rows]) % N
-    ends = offs + np.array([sub.block.shape[:d] for *_, sub in terms]).reshape(-1, d).T
-    fits = (sides < N) & np.all(own + np.array(shape[:d])[:, None] <= sides, axis=0)
-    fits[rows[np.any(ends > sides[rows], axis=0)]] = False
-    devs = np.empty(len(chunk))
-    for b in np.flatnonzero(~fits).tolist():
-        a = chunk[b]
-        full = periodic_block_sum(grid, [(1.0, a.origin, a.block)], tail)
-        recon = periodic_block_sum(grid, [(d_c, sub.origin, sub.block) for d_c, sub in a.subatoms],
-                                   tail)
-        devs[b] = float(np.max(np.abs(recon - full))) / max(float(np.max(np.abs(full))), 1e-300)
-    for side in np.unique(sides[fits]).tolist():
-        box = np.flatnonzero(fits & (sides == side))
-        local = np.full(len(chunk), -1)
-        local[box] = np.arange(len(box))
-        # offsets in 2Q stay below side < N, so _box_points' wraparound is none
-        full = np.zeros((len(box),) + (side,) * d + tail, dtype=np.complex128)
-        full[_box_points(grid, own[:, box], shape[:d])] += 1.0 * np.stack([chunk[b].block
-                                                                        for b in box.tolist()])
-        slots = {}
-        for t, (b, k, _, sub) in enumerate(terms):
-            if local[b] >= 0:
-                slots.setdefault((k, sub.block.shape), []).append(t)
-        recon = np.zeros_like(full)
-        for (_, sub_shape), ts in sorted(slots.items(), key=lambda item: item[0][0]):
-            coefs = np.array([terms[t][2] for t in ts]).reshape((-1,) + (1,) * (d + 2))
-            points = _box_points(grid, offs[:, ts], sub_shape[:d])
-            recon[(local[rows[ts]].reshape(points[0].shape),) + points[1:]] += \
-                coefs * np.stack([terms[t][3].block for t in ts])
-        scale = np.maximum(np.abs(full).reshape(len(box), -1).max(axis=1), 1e-300)
-        devs[box] = np.abs(recon - full).reshape(len(box), -1).max(axis=1) / scale
+    grid = chunk[0].grid
+    N, tail = grid.N, (chunk[0].n,) * 2
+    devs = []
+    for a, start, side in zip(chunk, _origins(starts), sides.tolist()):
+        terms = [(1.0, a.origin, a.block)] + [(d_c, sub.origin, sub.block)
+                                               for d_c, sub in a.subatoms]
+        boxes = [tuple(slice((o - s) % N, (o - s) % N + w)
+                       for o, s, w in zip(org, start, block.shape)) for _, org, block in terms]
+        if side < N and all(axis.stop <= side for box in boxes for axis in box):
+            full, recon = np.zeros((2,) + (side,) * grid.d + tail, dtype=np.complex128)
+            for k, ((c, _, block), box) in enumerate(zip(terms, boxes)):
+                (recon if k else full)[box] += c * block
+        else:
+            full, recon = (periodic_block_sum(grid, part, tail) for part in (terms[:1], terms[1:]))
+        devs.append(float(np.max(np.abs(recon - full))) / max(float(np.max(np.abs(full))), 1e-300))
     return devs
 
 
@@ -509,27 +487,23 @@ def _alpha_q_columns(chunk: list, levels: np.ndarray, indices: np.ndarray,
                      bound: np.ndarray) -> list:
     """The coefficient_l2, subcube_order and subatom_reconstruction clause
     columns of the alpha_q atoms of ``chunk``, on cubes (levels (B,),
-    indices (d, B))."""
-    grid, B = chunk[0].grid, len(chunk)
-    terms = [(b, k, d_c, sub) for b, a in enumerate(chunk)
-             for k, (d_c, sub) in enumerate(a.subatoms)]
-    if any(sub.grid != grid for *_, sub in terms):
+    indices (d, B)): the coefficient norms and the subatom sums atom by atom,
+    as they are defined, and the subcube orders and the 2Q boxes of all the
+    atoms at once."""
+    grid = chunk[0].grid
+    subs = [sub for a in chunk for _, sub in a.subatoms]
+    if any(sub.grid != grid for sub in subs):
         raise ValueError("cubes live on different grids")
-    rows = np.array([b for b, *_ in terms], dtype=int)
-    squares = np.zeros((B, max(len(a.subatoms) for a in chunk)))
-    squares[rows, [k for _, k, *_ in terms]] = [abs(d_c) ** 2 for _, _, d_c, _ in terms]
-    total = np.zeros(B)
-    for column in squares.T:  # slot by slot: the sequential sum
-        total = total + column
-    ordered = np.ones(B, dtype=bool)
-    if terms:
-        ordered[rows[~subcube_orders(grid, *_cube_arrays([sub.cube for *_, sub in terms]),
+    ordered = np.ones(len(chunk), dtype=bool)
+    if subs:
+        rows = np.array([b for b, a in enumerate(chunk) for _ in a.subatoms])
+        ordered[rows[~subcube_orders(grid, *_cube_arrays([sub.cube for sub in subs]),
                                      levels[rows], indices[:, rows])]] = False
     starts, sides = cube_boxes(grid, levels, indices, double=True)
-    return [("coefficient_l2", np.sqrt(total), bound),
+    return [("coefficient_l2", [math.sqrt(sum(abs(d_c) ** 2 for d_c, _ in a.subatoms))
+                                for a in chunk], bound),
             ("subcube_order", np.where(ordered, 0.0, 1.0), 0.5),
-            ("subatom_reconstruction",
-             _reconstruction_devs(chunk, terms, np.array(starts), sides), 1e-10)]
+            ("subatom_reconstruction", _reconstruction_devs(chunk, starts, sides), 1e-10)]
 
 
 def _clause_rows(chunk: list, key: tuple) -> tuple:
@@ -601,19 +575,19 @@ def validate_atoms(atoms: Sequence) -> list:
     Every clause is recomputed from the stored blocks.  The atoms and the
     subatoms of alpha_q atoms are grouped by grid, block shape, size route,
     moment order and kind, and each group is validated in chunks of at most
-    CHUNK_BYTES, each in a fixed number of array passes whatever the number
-    of atoms: the sizes (:func:`_sizes`: derivative and Bessel sizes of
-    blocks over windowed boxes come from the window factors on the stored
-    blocks, with chunks counted in block bytes; larger boxes are embedded in
-    the full grid, in chunks counted in full-grid bytes, for one transform
-    per chunk), the support masks from the cubes' boxes (:func:`cube_boxes`),
-    the moments and l1 masses, and for alpha_q atoms the coefficient norms,
-    the subcube orders and the subatom sums on 2Q
-    (:func:`_reconstruction_devs`).  Each chunk gives one row of measured
-    values and bounds per atom, from which the reports are built.  Every
-    stacked size row has its own power-of-two rescale and every window
-    product its own fixed shape, so a report does not depend on the batch
-    its atom is validated in.
+    CHUNK_BYTES.  Each chunk takes a fixed number of array passes whatever
+    the number of atoms for the sizes (:func:`_sizes`: derivative and Bessel
+    sizes of blocks over windowed boxes come from the window factors on the
+    stored blocks, with chunks counted in block bytes; larger boxes are
+    embedded in the full grid, in chunks counted in full-grid bytes, for one
+    transform per chunk), the support masks from the cubes' boxes
+    (:func:`cube_boxes`), the moments and l1 masses, and the subcube orders
+    of alpha_q atoms.  Their coefficient norms and subatom sums
+    (:func:`_reconstruction_devs`) are made atom by atom, as defined.  Each
+    chunk gives one row of measured values and bounds per atom, from which
+    the reports are built.  Every stacked size row has its own power-of-two
+    rescale and every window product its own fixed shape, so a report does
+    not depend on the batch its atom is validated in.
     """
     atoms = list(atoms)
     entries = atoms + [sub for a in atoms if getattr(a, "kind", None) == "alpha_q"
@@ -810,36 +784,22 @@ def tent_atomize(F: StripField) -> list:
     """Exact constructive atomization of a strip field.
 
     Scale j is partitioned by the dyadic cubes at level j-1; each restricted
-    slice is normalized to saturate the tent size condition exactly.  Slices
-    whose size falls below 1e-14 times the largest slice size
-    are dropped (round-off debris, e.g. annulus kernels hitting the mean
-    mode); the reconstruction defect this introduces is of the same relative
-    order.
+    slice of nonzero size is normalized to saturate the tent size condition
+    exactly, so the atoms rebuild the strip.  Round-off debris is left to the
+    caller: :func:`_decompose` drops it against ||f||_2.
     """
-    grid = F.grid
-    all_sizes = []
-    per_scale = []
+    grid, pairs = F.grid, []
     for j in range(1, F.j_max + 1):
-        level = j - 1
-        cubes = dyadic_cubes_at_level(grid, level)
+        cubes = dyadic_cubes_at_level(grid, j - 1)
         # cube axes to the front: blocks[i] is the data over cubes[i]
-        blocks = np.moveaxis(cube_blocks(F.level(j), grid, level), range(0, 2 * grid.d, 2),
+        blocks = np.moveaxis(cube_blocks(F.level(j), grid, j - 1), range(0, 2 * grid.d, 2),
                              range(grid.d))
         blocks = blocks.reshape((len(cubes),) + blocks.shape[grid.d:])
         sizes = l1l2_sizes(blocks.reshape(len(cubes), -1, F.n, F.n), LOG2 * grid.cell_volume)
-        per_scale.append((j, blocks, cubes, sizes))
-        all_sizes.append(float(sizes.max()) if sizes.size else 0.0)
-    top = max(all_sizes) if all_sizes else 0.0
-    floor = 1e-14 * top
-    pairs = []
-    for j, blocks, cubes, sizes in per_scale:
-        for i, cube in enumerate(cubes):
-            size = float(sizes[i])
-            if size <= floor or size == 0.0:
-                continue
-            lam = size * math.sqrt(cube.volume)
-            atom_block = blocks[i][None] / lam
-            pairs.append((lam, TentAtom(cube=cube, j_lo=j, block=atom_block)))
+        for cube, block, size in zip(cubes, blocks, sizes.tolist()):
+            if size != 0.0:
+                lam = size * math.sqrt(cube.volume)
+                pairs.append((lam, TentAtom(cube=cube, j_lo=j, block=block[None] / lam)))
     return pairs
 
 
@@ -1018,7 +978,8 @@ def _decompose(f: OperatorField, alpha: Optional[float], K: int, L: int,
     tent-atomized, and ``high_atoms(tent_pairs, cal)`` packages the tent atoms
     as (coefficient, atom) pairs, dropped where the atom is None.  Tent
     atoms whose coefficient is round-off debris against ||f||_2 (e.g.
-    annulus kernels applied to the mean mode) are dropped first.  K and L
+    annulus kernels applied to the mean mode) are dropped first, the one
+    debris rule of the decomposition.  K and L
     below :func:`required_k_floor` and :func:`required_l_floor` are a
     ParameterError, for h1 (K >= 1) as for the smoothness-alpha space.
     f is scaled by 2^-e into max |f| in [1/2, 1) (``pow2_exponent``) and the

@@ -533,14 +533,16 @@ def check_p(p: float) -> None:
 
 def lp_norm_from_psd_eigs(eigs: np.ndarray, p: float, cell_volume: float) -> float:
     """Trace L_p norm of the PSD root field given eigenvalues of S = root^2.
-    Where the plain sum of lambda^(p/2) over- or underflows (large p, or
-    eigenvalues far from 1), the largest eigenvalue is factored out of it."""
+    Where the plain sum of lambda^(p/2) over- or underflows or is subnormal
+    (large p, or eigenvalues far from 1), the largest eigenvalue is factored
+    out of it."""
     check_p(p)
     if p == np.inf:
         return float(np.sqrt(np.max(eigs))) if eigs.size else 0.0
     with np.errstate(over="ignore", under="ignore"):
         total = float(np.sum(eigs ** (p / 2.0))) * cell_volume
-        if 0.0 < total < math.inf or not (top := float(np.max(eigs, initial=0.0))) > 0:
+        if (np.finfo(float).tiny <= total < math.inf
+                or not (top := float(np.max(eigs, initial=0.0))) > 0):
             return total ** (1.0 / p)
         total = float(np.sum((eigs / top) ** (p / 2.0))) * cell_volume
     return math.sqrt(top) * total ** (1.0 / p)

@@ -293,6 +293,52 @@ def test_atomize_mass_stable_across_seeds(grid64):
     assert max(ratios) / min(ratios) < 2.0
 
 
+def test_atomize_keeps_every_nonzero_slice(grid64):
+    # a cube slice at 1e-20 of the rest is an atom like any other: the
+    # atomization is exact, and debris is the decompositions' to drop
+    cal = calderon_resolution(grid64)
+    F = random_strip(grid64, 2, cal.j_max, 63)
+    data = np.array(F.data)
+    data[(2,) + np.ix_(*DyadicCube(grid64, 2, (1,)).axis_indices())] *= 1e-20
+    F = StripField(grid64, data)
+    pairs = tent_atomize(F)
+    assert len(pairs) == sum(1 << (j - 1) for j in range(1, F.j_max + 1))
+    assert any((a.j_lo, a.cube.level, a.cube.index) == (3, 2, (1,)) for _, a in pairs)
+    rec = sum(lam * tent_to_strip(atom, F.j_max).data for lam, atom in pairs)
+    assert np.all(np.abs(rec - F.data) <= 4 * np.finfo(float).eps * np.abs(F.data))
+
+
+def _decomposition_bytes(dec) -> list:
+    """Every coefficient, atom block and subatom of ``dec`` as bytes, with
+    its residual and mass ratio."""
+    return [float(dec.residual).hex(), repr(dec.mass_ratio)] + [
+        (float(c).hex(), a.kind, a.origin, a.block.tobytes(),
+         [(float(d_c).hex(), sub.origin, sub.block.tobytes())
+          for d_c, sub in getattr(a, "subatoms", [])])
+        for c, a in dec.low_pairs + dec.high_pairs]
+
+
+@pytest.mark.parametrize("d,N", [(1, 256), (2, 32)])
+def test_debris_is_dropped_once_against_the_source(d, N, monkeypatch):
+    # a tent pair at 1e-16 ||f||_2 leaves both decompositions as they are,
+    # since the one floor, 1e-14 ||f||_2 in _decompose, drops it; one at
+    # 1e-12 ||f||_2 passes the floor and changes them
+    f = band_limited_random(Grid(d, N), 2, 64)
+    decompose = [lambda: smooth_decompose_h1(f), lambda: smooth_decompose_tl(f, 0.5, 1, 0)]
+    want = [_decomposition_bytes(call()) for call in decompose]
+    scaled = f.data * np.ldexp(1.0, -f.pow2_exponent())
+    norm = math.sqrt(float(np.sum(np.abs(scaled) ** 2)) * f.grid.cell_volume)
+    atomize = atomics.tent_atomize
+    for ratio, same in ((1e-16, True), (1e-12, False)):
+        def with_debris(F):
+            pairs = atomize(F)
+            return pairs + [(ratio * norm, pairs[-1][1])]
+
+        monkeypatch.setattr(atomics, "tent_atomize", with_debris)
+        got = [_decomposition_bytes(call()) for call in decompose]
+        assert [g == w for g, w in zip(got, want)] == [same, same], ratio
+
+
 # ---------------------------------------------------------------------------
 # smooth decompositions
 # ---------------------------------------------------------------------------
@@ -818,6 +864,13 @@ def test_validate_atoms_matches_reference(d, N, K, L, alpha):
         got = validate_atoms(atoms)
         assert all(rep.passed for rep in got)
         _assert_matches_reference(got, validate_atoms_reference(atoms))
+    # the subatom sums take both routes of the reconstruction clause: 2Q
+    # boxes across the torus edge, summed on 2Q (none at d = 3 N = 16, where
+    # every 2Q is the torus or inside it), and 2Q boxes that are the whole
+    # torus; a subatom outside 2Q is test_validate_atoms_batch_matches_batch_of_one's
+    boxes = [a.cube.box(double=True) for a in atoms if a.kind == "alpha_q"]
+    assert any(side == N for _, side in boxes)
+    assert d == 3 or any(side < N and max(origin) + side > N for origin, side in boxes)
 
 
 def test_validation_work_grows_with_groups_not_atoms(monkeypatch):

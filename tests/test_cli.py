@@ -368,6 +368,41 @@ def test_decompose_reconstruct_roundtrip(tmp_path):
     assert blob.read_bytes() == blob2.read_bytes()
 
 
+@pytest.mark.parametrize("target", ["tl", "h1"])
+def test_decompose_round_trip_at_d3(tmp_path, target):
+    # no benchmark workload decomposes at d = 3, where storing each atom on
+    # its projected support rather than on 2Q trims the most: gen, the
+    # decomposition and reconstruct on the command line rebuild the source
+    # to residual <= 1e-9 with every manifest atom valid
+    field, man, blob, rec = (tmp_path / name for name in ("f.ovtl", "m.txt", "b.bin", "r.ovtl"))
+    grid = ["--dim", "3", "--grid", "16", "--matrix", "2"]
+    assert main(grid + ["--seed", "7", "gen", "--kind", "band-limited-random", str(field)]) == 0
+    assert main(grid + ["--alpha", "0.5", "decompose", str(field), "--target", target,
+                        "--manifest", str(man), "--blob", str(blob)]) == 0
+    assert main(["reconstruct", "--manifest", str(man), "--blob", str(blob), str(rec)]) == 0
+    src, back = read_field(field).data, read_field(rec).data
+    assert np.linalg.norm(back - src) / np.linalg.norm(src) <= 1e-9
+    valid = [line for line in man.read_text().splitlines() if line.startswith("valid = ")]
+    assert valid and all(line == "valid = True" for line in valid)
+
+
+@pytest.mark.parametrize("conic", [False, True])
+@pytest.mark.parametrize("family", ["identity", "bessel"])
+def test_certificates_at_d3_n3(tmp_path, family, conic):
+    # no certify job runs d = 3 or an odd n: the four certificates (default
+    # alphas 0, 0.5 and ps 1, 2), drawn as spectra at d = 3 N = 16 n = 3, all
+    # pass (exit code 0) and a second run gives the same bytes
+    reports = []
+    for run in (1, 2):
+        rep = tmp_path / f"{run}.txt"
+        assert main(["--dim", "3", "--grid", "16", "--matrix", "3", "--seed", "5",
+                     "multiplier-check", "--family", family, "--report", str(rep)]
+                    + (["--conic"] if conic else [])) == 0
+        reports.append(rep.read_bytes())
+    assert reports[0] == reports[1]
+    assert reports[0].count(b"[certificate]") == reports[0].count(b"passed = True") == 4
+
+
 def _decompose_cli(tmp_path, stem, grid):
     field = tmp_path / f"{stem}.ovtl"
     write_field(field, band_limited_random(Grid(1, grid), 2, 23))

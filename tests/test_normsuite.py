@@ -450,3 +450,19 @@ def test_p3_square_norms_at_alpha_100_stay_finite(n):
     assert square_norm(fhat, grid, levels, 3.0) == pytest.approx(want, rel=1e-12, abs=0)
     for norm in (tl_norm_column, tl_norm_row, tl_norm_mixture):
         assert 0 < norm(f, 100.0, 3.0, fam).value < math.inf
+
+
+def test_hardy_at_p1250_keeps_its_digits_where_the_sum_is_subnormal():
+    # hardy_norm scales f by 2^-e into max |f| in [1/2, 1); there the plain
+    # sum of lambda^625 is a subnormal float, which is rescaled like one that
+    # underflows
+    grid = Grid(1, 64)
+    fam = make_lp_family(grid)
+    f = band_limited_random(grid, 2, 1)
+    e = f.pow2_exponent()
+    fhat = planes_hat(OperatorField(grid, f.data * np.ldexp(1.0, -e)))
+    eigs = square_accumulator(grid, 2, filtered(fhat, grid, lp_levels(fam, 0.0))).eigenvalues()
+    assert 0 < float(np.sum(eigs**625.0)) * grid.cell_volume < np.finfo(float).tiny
+    want = np.ldexp(log_space_root_norm(eigs, 1250.0, grid.cell_volume), e)
+    got = hardy_norm(f, 1250.0, fam).terms["square_function"]
+    assert got == pytest.approx(want, rel=1e-12, abs=0)

@@ -399,10 +399,13 @@ def test_psd_root_norm_rank_one_accumulator(scale):
 
 
 @pytest.mark.parametrize("p", [3.0, 40.0, 1e308])
-@pytest.mark.parametrize("scale", [2.0**800, 1.0, 2.0**-800], ids=["2^800", "1", "2^-800"])
+@pytest.mark.parametrize("scale", [2.0**800, 1.0, 2.0**-700, 2.0**-800],
+                         ids=["2^800", "1", "2^-700", "2^-800"])
 def test_root_norm_past_the_float_range_matches_log_space_sum(scale, p):
     # n = 1: lambda^(p/2) overflows at S ~ 2^800 and underflows at S ~ 2^-800
-    # (at p = 1e308, for S ~ 1 too); the norm is finite and positive all the same
+    # (at p = 1e308, for S ~ 1 too); at S ~ 2^-700 and p = 3 each power and
+    # the sum are subnormal, with few digits; the norm is finite and
+    # positive all the same, and keeps every digit
     eigs = scale * rng_for(880).uniform(0.25, 4.0, size=512)
     got = psd_root_norm(eigs.astype(complex).reshape(1, 1, -1), p, 1 / 512)
     assert got == pytest.approx(log_space_root_norm(eigs, p, 1 / 512), rel=1e-12, abs=0)
