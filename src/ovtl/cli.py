@@ -9,6 +9,7 @@ output files.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import itertools
 import math
@@ -399,7 +400,34 @@ def cmd_multiplier_check(cfg: Config, args) -> int:
     return 0 if ok else 1
 
 
+# glibc mallopt parameters (malloc.h) and the values main sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_ABOVE = 1 << 25  # 32 MiB, glibc's own 64-bit ceiling: 4-8 MB planes come from the heap
+_TRIM_ABOVE = 1 << 30  # 1 GiB: a job's freed planes stay mapped for the next job, not re-faulted
+
+
+@functools.cache  # looked up once: opening the C library takes about 0.1 ms a call
+def _mallopt():
+    """The C library's mallopt, or None where it has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt (macOS); no process handle (Windows)
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
+def _keep_freed_memory():
+    """Keep freed blocks in the process heap (glibc); return mallopt's two
+    answers (1 where taken), or None where the C library has no mallopt."""
+    mallopt = _mallopt()
+    if mallopt is None:
+        return None
+    return mallopt(_M_MMAP_THRESHOLD, _MMAP_ABOVE), mallopt(_M_TRIM_THRESHOLD, _TRIM_ABOVE)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _parser().parse_args(argv)
     commands = {
         "gen": cmd_gen,

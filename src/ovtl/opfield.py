@@ -251,11 +251,12 @@ class PSDAccumulator:
         """Accumulate weight * g(s)* g(s), or weight * g(s) g(s)* with ``row``,
         for planes ``g`` of the shape of :attr:`planes`.
 
-        A stack of more than _GRAM_ROWS points is summed on the helper thread
-        and the call returns at once; ``g`` is read until the sum is next read
-        (or the next ``add_gram``), so it must not change before then.
-        Smaller stacks are summed inline, where a handoff costs more than it
-        saves.  Either way S is the same in-order sum, bitwise.
+        At n >= 2 a stack of more than _GRAM_ROWS points is summed on the
+        helper thread and the call returns at once; ``g`` is read until the
+        sum is next read (or the next ``add_gram``), so it must not change
+        before then.  Smaller stacks, and every stack at n = 1, are summed
+        inline, where a handoff costs more than it saves.  Either way S is
+        the same in-order sum, bitwise.
         """
         if weight < 0:
             raise ValueError("weights must be nonnegative")
@@ -265,7 +266,7 @@ class PSDAccumulator:
         axes = (1, 0, 2) if row else (0, 1, 2)  # g g* = gram(g^T)^T: read g and S transposed
         self._wait()
         args = (self._S.reshape(self.n, self.n, -1).transpose(axes), x.transpose(axes), weight)
-        if x.shape[-1] > _GRAM_ROWS:
+        if self.n >= 2 and x.shape[-1] > _GRAM_ROWS:
             self._pending = _HELPER.submit(_gram_into, *args)
         else:
             _gram_into(*args)

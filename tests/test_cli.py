@@ -1,12 +1,19 @@
+import ctypes
 import dataclasses
 import math
+import os
+import platform
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ovtl import generators
+import ovtl
+from ovtl import cli, generators
 from ovtl.atomics import smooth_decompose_h1, smooth_decompose_tl, validate_atoms
 from ovtl.cli import main
 from ovtl.errors import ConfigError, FormatError, OvtlError
@@ -635,6 +642,60 @@ def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch, message):
     assert main(["--grid", "64", "gen", "--kind", "bump", str(tmp_path / "f.ovtl")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message or 'out of memory'}\n"
+
+
+GLIBC = platform.libc_ver()[0] == "glibc"
+
+# four norm jobs in one fresh process, so the allocator setting stays out of
+# the test process; prints each job's minor page faults
+_REPEATED_NORMS = """
+import resource, sys
+from ovtl.cli import main
+field, report = sys.argv[1:]
+assert main(["--dim", "2", "--grid", "64", "--matrix", "4", "--seed", "5",
+             "gen", "--kind", "band-limited-random", field]) == 0
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(["--alpha", "0.5", "--p", "1.0", "norm", field,
+                 "--which", "F_col", "--report", report]) == 0
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not GLIBC, reason="the heap thresholds are glibc's mallopt settings")
+def test_repeated_norm_jobs_reuse_the_heap(tmp_path):
+    # the n = 4 planes of one job are freed into the heap and reused by the
+    # next: without the setting each job maps and zeroes them afresh (about
+    # 1,800 minor faults a job at d=2 N=64)
+    src = str(Path(ovtl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", _REPEATED_NORMS, str(tmp_path / "f.ovtl"),
+                          str(tmp_path / "r.txt")], env=env, capture_output=True, text=True,
+                         check=True)
+    faults = [int(line) for line in run.stdout.split()]
+    assert len(faults) == 4 and max(faults[1:]) <= 16, faults
+
+
+@pytest.mark.skipif(not GLIBC, reason="the heap thresholds are glibc's mallopt settings")
+def test_glibc_takes_both_heap_thresholds():
+    # glibc answers 0 to a value it refuses, which would leave its defaults in place
+    assert cli._keep_freed_memory() == (1, 1)
+
+
+def test_main_runs_without_mallopt(tmp_path, monkeypatch):
+    field = tmp_path / "f.ovtl"
+    write_field(field, band_limited_random(Grid(1, 64), 2, 33))
+    argv = ["--grid", "64", "norm", str(field), "--which", "F_col", "--report"]
+    assert main(argv + [str(tmp_path / "with.txt")]) == 0
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: object())  # no mallopt
+    cli._mallopt.cache_clear()
+    try:
+        assert cli._keep_freed_memory() is None
+        assert main(argv + [str(tmp_path / "without.txt")]) == 0
+    finally:
+        cli._mallopt.cache_clear()  # the next call looks the real library up again
+    assert (tmp_path / "with.txt").read_bytes() == (tmp_path / "without.txt").read_bytes()
 
 
 def test_alpha_at_weight_bound_accepted(tmp_path, capsys):

@@ -616,6 +616,25 @@ def test_queued_gram_is_the_in_order_sum(monkeypatch, grid, n):
         sys.setswitchinterval(interval)
 
 
+def test_n1_grams_stay_inline(monkeypatch):
+    # at n = 1 a hand-off costs more than it saves: 16,384 points queue nothing
+    class Refusing:
+        def submit(self, fn, *args):
+            raise AssertionError("an n = 1 Gram was queued")
+
+    monkeypatch.setattr(opfield, "_HELPER", Refusing())
+    grid = Grid(2, 128)
+    rng = rng_for(798)
+    terms = [(_cplx(rng, *grid.shape, 1, 1), w, row)
+             for w, row in ((0.7, False), (2.5, True), (1.3, False))]
+    acc = PSDAccumulator(grid, 1)
+    want = np.zeros(grid.shape + (1, 1), dtype=complex)
+    for g, w, row in terms:
+        acc.add_gram(to_planes(g), w, row=row)
+        _summed_gram(g, want, w)
+    assert as_blocks(acc.planes).tobytes() == want.tobytes()
+
+
 def test_queued_gram_error_raised_at_next_read(monkeypatch):
     grid = Grid(2, 128)
     gram_into = opfield._gram_into
