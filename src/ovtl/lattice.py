@@ -203,39 +203,55 @@ def periodic_block_sum(grid: Grid, terms, tail: tuple) -> np.ndarray:
     return buf
 
 
-_ROLL_POINTS = 4096  # points per copy of a roll: a strided source is gathered in cache
-
-
 def cube_blocks(data: np.ndarray, grid: Grid, level: int) -> np.ndarray:
     """(*grid.shape, ...) data with each spatial axis split into a
     (2^level, side) pair: entry [l_1, b_1, ..., l_d, b_d] is point b of the
     level-``level`` dyadic cube with index l (wraparound cubes included).
 
-    One periodic roll by half a side into a new C-contiguous array
-    (:func:`_rolled`) makes the centered cubes contiguous; the reshape of
-    the rolled array is a view of it, not a copy.
+    One periodic roll by half a side makes the centered cubes contiguous;
+    the reshape of the rolled array is a view of it, not a copy.
     """
     side = grid.N >> level
-    rolled = _rolled(data, side // 2, grid)
+    rolled = np.roll(data, side // 2, axis=grid.spatial_axes)
     return rolled.reshape(sum(((1 << level, side),) * grid.d, ()) + data.shape[grid.d:])
 
 
-def _rolled(src: np.ndarray, shift: int, grid: Grid) -> np.ndarray:
-    """np.roll(src, shift, axis=grid.spatial_axes), 0 <= shift < N, as a new
-    C-contiguous array: copies of the two halves of every axis, each cut
-    into runs of leading rows of at most _ROLL_POINTS points, so a strided
-    ``src`` (planes seen as blocks) is gathered in cache."""
-    dst = np.empty(src.shape, src.dtype)
-    N = grid.N
-    halves = [(shift, 0, N - shift), (0, N - shift, shift)] if shift else [(0, 0, N)]
-    run = max(1, _ROLL_POINTS // N ** (grid.d - 1))
-    for (to, fr, length), *rest in itertools.product(halves, repeat=grid.d):
-        tail_to = tuple(slice(t, t + m) for t, _, m in rest)
-        tail_fr = tuple(slice(f, f + m) for _, f, m in rest)
-        for lo in range(0, length, run):
-            hi = min(lo + run, length)
-            dst[(slice(to + lo, to + hi),) + tail_to] = src[(slice(fr + lo, fr + hi),) + tail_fr]
-    return dst
+def cube_means(data: np.ndarray, grid: Grid, levels) -> dict:
+    """Means of (..., *grid.shape) data over the dyadic cubes at each of
+    ``levels``, by level: entry [..., l_1, ..., l_d] of the level's
+    (..., *(2^level,)*d) array is the mean over the cube with index l.
+
+    Along an axis, level-L cube l is the half-side blocks 2l - 1 and 2l
+    (mod 2^(L+1)); those blocks start at index 0, so they nest.  One
+    pyramid of pair sums H_m over 2^m blocks per axis runs down from
+    H_(log2 N) = data, and level L is the wrapped pair sums of H_(L+1):
+    no roll, and no step allocates more than half its input.
+    """
+    m, sums, means = grid.N.bit_length() - 1, data, {}
+    for level in sorted(set(levels), reverse=True):
+        while m > level + 1:
+            sums, m = _pair_sums(sums, grid.d, wrapped=False), m - 1
+        means[level] = _pair_sums(sums, grid.d, wrapped=True)
+        means[level] *= 1.0 / (grid.N >> level) ** grid.d
+    return means
+
+
+def _pair_sums(x: np.ndarray, d: int, wrapped: bool) -> np.ndarray:
+    """Sums of the entries 2i and 2i + 1 (with ``wrapped``, 2i - 1 mod the
+    length and 2i) along each of the d trailing axes of ``x``, leading axis
+    first, in a new array with those axes halved."""
+    for axis in range(-d, 0):
+        def at(start, stop=None, step=None):  # a basic slice of this axis: a view
+            return (..., slice(start, stop, step)) + (slice(None),) * (-1 - axis)
+
+        if wrapped:
+            out = np.empty_like(x[at(0, None, 2)])
+            np.add(x[at(1, -1, 2)], x[at(2, None, 2)], out=out[at(1)])
+            np.add(x[at(-1)], x[at(0, 1)], out=out[at(0, 1)])
+        else:
+            out = x[at(0, None, 2)] + x[at(1, None, 2)]
+        x = out
+    return x
 
 
 def dyadic_cubes_at_level(grid: Grid, level: int) -> list[DyadicCube]:

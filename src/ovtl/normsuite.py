@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import ConeIndex, Grid, cone_index, cube_blocks
+from .lattice import ConeIndex, Grid, cone_index, cube_means
 from .opfield import (
     OperatorField,
     PSDAccumulator,
@@ -244,38 +244,28 @@ def hardy_norm(f: OperatorField, p: float, family: LPFamily, mode: str = "lp",
 # bmo and the Carleson-type sup norm
 # ---------------------------------------------------------------------------
 
-def _block_means(planes: np.ndarray, grid: Grid, level: int) -> np.ndarray:
-    """Mean of planes (n, n, *grid.shape) over each dyadic cube at ``level``,
-    as blocks of shape (2^level,)*d + (n, n); entry [l] is the mean over the
-    cube with index l.
-
-    :func:`~ovtl.lattice.cube_blocks` rolls the planes into point-major
-    blocks, so each mean sums its points one n x n block at a time, in order.
-    """
-    blocks = cube_blocks(as_blocks(planes), grid, level)
-    return blocks.mean(axis=tuple(2 * k + 1 for k in range(grid.d)))
-
-
 def bmo_norm(f: OperatorField) -> NormReport:
     """bmo^c norm: sup over dyadic |Q| < 1 of the mean oscillation, maximized
     with the |Q| = 1 (whole torus) size term.
 
     f scaled by 2^-e is copied to planes in one pass, the one copy of f; its
-    cube means are taken before its Gram |f|^2 is summed on planes, and the
-    copy is dropped before the means of |f|^2 (:func:`_block_means`)."""
+    cube means at every level come from one pyramid of pair sums
+    (:func:`~ovtl.lattice.cube_means`) before its Gram |f|^2 is summed on
+    planes, and the copy is dropped before a second pyramid gives the means
+    of |f|^2, the whole torus (level 0) included."""
     grid, e = f.grid, f.pow2_exponent()
     levels = range(1, grid.max_cube_level + 1)
     x = to_planes(f.data, np.ldexp(1.0, -e))
-    means_f = [_block_means(x, grid, level) for level in levels]
+    means_f = cube_means(x, grid, levels)
     P = np.empty_like(x)
     gram(as_blocks(x), as_blocks(P))
     del x
-    whole = np.mean(np.ascontiguousarray(as_blocks(P)), axis=grid.spatial_axes)  # |Q| = 1
-    unit_term = psd_root_norm(as_planes(whole), np.inf, 1.0)
+    means_P = cube_means(P, grid, range(grid.max_cube_level + 1))
+    unit_term = psd_root_norm(means_P[0], np.inf, 1.0)  # |Q| = 1
     osc = 0.0
     per_level = {}
-    for level, mean_f in zip(levels, means_f):
-        m = _block_means(P, grid, level) - gram(mean_f)  # E|f|^2 - |E f|^2 over each cube
+    for level in levels:
+        m = as_blocks(means_P[level]) - gram(as_blocks(means_f[level]))  # E|f|^2 - |E f|^2
         lv = psd_root_norm(as_planes(m), np.inf, 1.0)
         per_level[f"oscillation_level_{level}"] = lv
         osc = max(osc, lv)
@@ -296,7 +286,8 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily) -> NormRepor
 
     Scales are walked downward from j_max with one tail accumulator
     sum_{j >= level} 4^{j alpha} |phi_j * f|^2, whose cube means at each
-    level are taken once the next level is filtered.
+    level are taken once the next level is filtered, from one pyramid of
+    pair sums (:func:`~ovtl.lattice.cube_means`).
     """
     grid = f.grid
     fhat, e = _scaled_transform(f)
@@ -307,8 +298,8 @@ def tl_infty_norm(f: OperatorField, alpha: float, family: LPFamily) -> NormRepor
     by_level, last = {}, None
 
     def carleson_level(level):
-        means = _block_means(acc.planes, grid, level)
-        by_level[level] = psd_root_norm(as_planes(means), np.inf, 1.0)
+        means = cube_means(acc.planes, grid, (level,))[level]
+        by_level[level] = psd_root_norm(means, np.inf, 1.0)
 
     for j, weight, g in filtered(fhat, grid, levels[:0:-1]):
         if last is not None:  # read after this level is filtered, so its Gram overlaps the FFT

@@ -5,6 +5,7 @@ Random strips, unitaries and atoms feed the tests; ``fft_forward`` and
 pairing and the operator Cauchy-Schwarz gap, which no command reaches, are
 checked against their identities; cube and atom accessors (a cube's side
 in cells and center, an atom's block on the grid or on the strip), the
+cube means of rolled blocks (the oracle of the pair-sum pyramid), the
 one-transform multiplier and the symbol-route tent projection serve as
 oracles; the remaining helpers restate quantities of the package's
 objects (the random field by a second formula, the Calderon identity
@@ -66,6 +67,7 @@ from ovtl.lattice import (
     DyadicCube,
     Grid,
     box_indices,
+    cube_blocks,
     periodic_block_sum,
     subcube_orders,
     wrap_half,
@@ -78,6 +80,7 @@ from ovtl.opfield import (
     _max_eigenvalue,
     _minor_sums,
     _pow2_exponent,
+    as_blocks,
     gram,
     l1l2_sizes,
     to_planes,
@@ -194,6 +197,15 @@ def side_cells(cube: DyadicCube) -> int:
 def cube_center(cube: DyadicCube) -> np.ndarray:
     """The center 2^-level * index of the cube."""
     return np.array(cube.index, dtype=float) * 2.0**-cube.level
+
+
+def block_means(planes: np.ndarray, grid: Grid, level: int) -> np.ndarray:
+    """Mean of planes (n, n, *grid.shape) over each dyadic cube at ``level``,
+    as blocks of shape (2^level,)*d + (n, n): the planes seen as blocks are
+    rolled into cubes (:func:`~ovtl.lattice.cube_blocks`) and averaged over
+    each cube's points."""
+    blocks = cube_blocks(as_blocks(planes), grid, level)
+    return blocks.mean(axis=tuple(2 * k + 1 for k in range(grid.d)))
 
 
 def subcube_order(a: DyadicCube, b: DyadicCube) -> bool:

@@ -141,7 +141,8 @@ def bmo(f: np.ndarray, d: int, N: int) -> float:
     return best
 
 
-def tl_infty(f: np.ndarray, alpha: float, symbols: list, d: int, N: int) -> float:
+def tl_infty_terms(f: np.ndarray, alpha: float, symbols: list, d: int, N: int) -> tuple:
+    """(||phi_0 * f||_sup, Carleson sup over the cubes at levels 1..min(max level, j_max))."""
     low = float(np.max(np.abs(convolve(f, symbols[0]))))
     j_max = len(symbols) - 1
     conv_sq = [np.abs(convolve(f, symbols[j])) ** 2 * 4.0 ** (j * alpha)
@@ -155,7 +156,11 @@ def tl_infty(f: np.ndarray, alpha: float, symbols: list, d: int, N: int) -> floa
         for idx in all_cubes(d, level):
             block = tail[cube_point_indices(d, N, level, idx)]
             best = max(best, math.sqrt(float(np.mean(block))))
-    return low + best
+    return low, best
+
+
+def tl_infty(f: np.ndarray, alpha: float, symbols: list, d: int, N: int) -> float:
+    return sum(tl_infty_terms(f, alpha, symbols, d, N))
 
 
 def tent_norm(F: np.ndarray, p: float, d: int, N: int) -> float:

@@ -10,10 +10,12 @@ from ovtl.lattice import (
     box_indices,
     cone_index,
     cube_blocks,
+    cube_means,
     dyadic_cubes_at_level,
     wrap_half,
 )
-from helpers import ball_measure, side_cells, subcube_order
+from ovtl.opfield import as_blocks
+from helpers import ball_measure, block_means, side_cells, subcube_order
 
 
 def test_wrap_half_is_half_open():
@@ -155,6 +157,39 @@ def test_cube_blocks_follow_axis_indices(d, N, max_level):
         blocks = blocks.reshape((len(cubes),) + blocks.shape[d:])
         for block, cube in zip(blocks, cubes):
             assert np.array_equal(block, data[np.ix_(*cube.axis_indices())])
+
+
+MEAN_GRIDS = [Grid(1, 64), Grid(2, 32), Grid(3, 16)]
+
+
+@pytest.mark.parametrize("grid", MEAN_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cube_mean_pyramid_matches_rolled_blocks(grid, n):
+    # every level's means from the pair-sum pyramid against the means of that
+    # level's rolled blocks, to round-off of the field's size
+    rng = np.random.default_rng(2100 + 10 * grid.d + n)
+    planes = rng.normal(size=(n, n) + grid.shape) + 1j * rng.normal(size=(n, n) + grid.shape)
+    levels = range(grid.max_cube_level + 1)
+    means, scale = cube_means(planes, grid, levels), np.max(np.abs(planes))
+    for level in levels:
+        ref = block_means(planes, grid, level)
+        assert as_blocks(means[level]).shape == ref.shape
+        assert np.max(np.abs(as_blocks(means[level]) - ref)) <= 1e-14 * scale, level
+
+
+@pytest.mark.parametrize("grid", MEAN_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+def test_cube_means_of_a_field_on_one_wraparound_cube(grid):
+    # the cube with index 0 spans [-side/2, side/2) on every axis, across the
+    # seam of the torus: the field A on it has mean A there and 0 on every
+    # other cube of its level (cubes from index 0, nested, would split it)
+    A = np.array([[2.0, 1.0j], [-1.0j, 0.5]])
+    for level in range(1, grid.max_cube_level + 1):
+        planes = A.reshape((2, 2) + (1,) * grid.d) * DyadicCube(grid, level, (0,) * grid.d).mask()
+        expect = np.zeros((1 << level,) * grid.d + (2, 2), dtype=complex)
+        expect[(0,) * grid.d] = A
+        means = as_blocks(cube_means(planes, grid, (level,))[level])
+        assert np.array_equal(means, expect), level
+        assert np.array_equal(block_means(planes, grid, level), expect), level
 
 
 @pytest.mark.parametrize("d,N,max_level", _PLACEMENT_GRIDS)

@@ -2,8 +2,11 @@
 
 Block-diagonal reduction: for f = diag(f_1, f_2) every pointwise block the
 norms build is diagonal, so the trace-L_p norms split as
-||.||_p^p = sum_i ||f_i||_p^p and bmo is the max over i.  The scalar norms
-come from the independent n = 1 reference in ``scalar_reference``.
+||.||_p^p = sum_i ||f_i||_p^p, and bmo and each term of the sup norm
+(the phi_0 sup and the Carleson sup) are the max over i.  The scalar norms
+come from the independent n = 1 reference in ``scalar_reference``; the
+cube sups also run at d = 3, where each axis's half-side shift of the
+cubes is placed separately.
 
 Unitary invariance: for constant unitaries U and V, |phi * (U f V)|^2 =
 V* |phi * f|^2 V, so every column, row, Hardy, bmo and sup norm of U f V
@@ -29,6 +32,7 @@ from ovtl.spectral import make_lp_family
 from helpers import random_unitary
 
 GRIDS = [Grid(1, 64), Grid(2, 32)]
+CUBE_GRIDS = GRIDS + [Grid(3, 16)]
 REL = 1e-10
 
 
@@ -72,10 +76,21 @@ def test_block_diagonal_reduction(grid, p):
     assert split(conic.terms["low_frequency"], low)
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+@pytest.mark.parametrize("grid", CUBE_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
 def test_block_diagonal_bmo_is_max(grid):
     f, parts = _block_diagonal(grid, 1300)
     assert _close(bmo_norm(f).value, max(ref.bmo(s, grid.d, grid.N) for s in parts))
+
+
+@pytest.mark.parametrize("grid", CUBE_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+def test_block_diagonal_tl_infty_terms_are_max(grid):
+    fam = make_lp_family(grid)
+    symbols = [np.asarray(fam.values(j)) for j in range(fam.j_max + 1)]
+    f, parts = _block_diagonal(grid, 1350)
+    rep = tl_infty_norm(f, 0.5, fam)
+    low, carleson = zip(*(ref.tl_infty_terms(s, 0.5, symbols, grid.d, grid.N) for s in parts))
+    assert _close(rep.terms["phi0_sup"], max(low))
+    assert _close(rep.terms["carleson_sup"], max(carleson))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
