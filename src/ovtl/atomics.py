@@ -34,8 +34,8 @@ from .lattice import (
     DyadicCube,
     Grid,
     box_indices,
-    cube_blocks,
     cube_boxes,
+    cube_stack,
     dyadic_cubes_at_level,
     in_boxes,
     outer_axes,
@@ -791,10 +791,7 @@ def tent_atomize(F: StripField) -> list:
     grid, pairs = F.grid, []
     for j in range(1, F.j_max + 1):
         cubes = dyadic_cubes_at_level(grid, j - 1)
-        # cube axes to the front: blocks[i] is the data over cubes[i]
-        blocks = np.moveaxis(cube_blocks(F.level(j), grid, j - 1), range(0, 2 * grid.d, 2),
-                             range(grid.d))
-        blocks = blocks.reshape((len(cubes),) + blocks.shape[grid.d:])
+        blocks = cube_stack(F.level(j), grid, j - 1)  # blocks[i]: the data over cubes[i]
         sizes = l1l2_sizes(blocks.reshape(len(cubes), -1, F.n, F.n), LOG2 * grid.cell_volume)
         for cube, block, size in zip(cubes, blocks, sizes.tolist()):
             if size != 0.0:

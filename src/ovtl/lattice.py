@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -203,17 +203,41 @@ def periodic_block_sum(grid: Grid, terms, tail: tuple) -> np.ndarray:
     return buf
 
 
-def cube_blocks(data: np.ndarray, grid: Grid, level: int) -> np.ndarray:
-    """(*grid.shape, ...) data with each spatial axis split into a
-    (2^level, side) pair: entry [l_1, b_1, ..., l_d, b_d] is point b of the
-    level-``level`` dyadic cube with index l (wraparound cubes included).
+def cube_stack(data: np.ndarray, grid: Grid, level: int) -> np.ndarray:
+    """(*grid.shape, ...) data gathered by dyadic cube in one contiguous copy:
+    entry [i, b_1, ..., b_d] is point b of cube i of
+    :func:`dyadic_cubes_at_level` at ``level`` (wraparound cubes included).
 
-    One periodic roll by half a side makes the centered cubes contiguous;
-    the reshape of the rolled array is a view of it, not a copy.
+    Along an axis, cube l is the half-side blocks 2l - 1 (mod 2^(level+1))
+    and 2l, as in :func:`cube_means`: its second half is block 2l, its first
+    half block 2l - 1 for l >= 1 and the last block for l = 0.  Those three
+    basic-slice pieces per axis are copied straight into place.
     """
-    side = grid.N >> level
-    rolled = np.roll(data, side // 2, axis=grid.spatial_axes)
-    return rolled.reshape(sum(((1 << level, side),) * grid.d, ()) + data.shape[grid.d:])
+    d, count, half = grid.d, 1 << level, grid.N >> (level + 1)
+    tail = data.shape[d:]
+    out = np.empty((count**d,) + (2 * half,) * d + tail, dtype=data.dtype)
+    dst = out.reshape((count,) * d + (2, half) * d + tail)
+    src = data.reshape((count, 2, half) * d + tail)  # [l_1, t_1, c_1, ...]: block 2l + t
+    src = src.transpose([3 * k for k in range(d)] + [3 * k + t for k in range(d) for t in (1, 2)]
+                        + list(range(3 * d, src.ndim)))
+    for to, of in _cube_pieces(d):
+        np.copyto(dst[to], src[of])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cube_pieces(d: int) -> tuple:
+    """The 3^d (destination, source) index pairs of :func:`cube_stack`: per
+    axis a cube slice and a half index, cube axes first."""
+    axis = (((slice(None), 1), (slice(None), 0)),  # second halves: block 2l
+            ((slice(1, None), 0), (slice(None, -1), 1)),  # first halves: block 2l - 1
+            ((slice(0, 1), 0), (slice(-1, None), 1)))  # cube 0's first half wraps
+    pieces = []
+    for combo in itertools.product(axis, repeat=d):
+        pieces.append(tuple(tuple(pick[0] for pick in side)
+                            + tuple(x for pick in side for x in (pick[1], slice(None)))
+                            for side in zip(*combo)))
+    return tuple(pieces)
 
 
 def cube_means(data: np.ndarray, grid: Grid, levels) -> dict:

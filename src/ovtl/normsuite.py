@@ -82,14 +82,10 @@ def _fmt(v) -> str:
 
 def _scaled_transform(f: OperatorField) -> tuple:
     """(planes of fft_data(f 2^-e), e), with e = ``f.pow2_exponent()``: f is
-    copied to planes once (:func:`~ovtl.opfield.to_planes`), transformed in
-    place and scaled in place, which is bitwise the transform of the scaled
-    field, with no scaled copy of f."""
+    copied to planes and scaled in the same pass (:func:`~ovtl.opfield.to_planes`),
+    the one copy of f, and transformed in place."""
     e = f.pow2_exponent()
-    fhat = fft_planes(to_planes(f.data), f.grid)
-    if e:
-        fhat *= np.ldexp(1.0, -e)
-    return fhat, e
+    return fft_planes(to_planes(f.data, np.ldexp(1.0, -e)), f.grid), e
 
 
 def _scaled_back(report: NormReport, e: int, ratio_value: bool = False) -> NormReport:
@@ -120,18 +116,34 @@ def _lp_square_norms(f: OperatorField, alpha: float, p: float, family: LPFamily,
     sum_j 4^{j alpha} |phi_j * f*|^2 is sum_j 4^{j alpha} g_j g_j* over the
     column's filtered levels g_j = phi_j * f.  At p = 2 every side is the
     column's Plancherel sum, since tr(g g*) = tr(g* g).
+
+    At p = 1 and n = 3, 4 the phi_0 term makes no Gram of its own: the
+    column sum after its first level, j = 0 at weight 4^0 = 1, is gram(g_0),
+    and :func:`~ovtl.opfield.trace_lp_planes` reads it there once level 1 is
+    filtered (so the queued Gram runs while level 1's transform does) and
+    before level 1's Gram is added.
     """
     levels = lp_levels(family, alpha)
     if p == 2:
         low_term = _low_term_norm(f.grid, levels[0][2], fhat, p) if low else None
         return [square_norm(fhat, f.grid, levels, p)] * len(sides), low_term
     accs = [PSDAccumulator(f.grid, f.n) for _ in sides]
-    low_term = None
+    column = None  # the sum whose first level gives the phi_0 term its Gram
+    if low and p == 1 and f.n in (3, 4) and "column" in sides and levels[0][0] == 0:
+        column = accs[sides.index("column")]
+    low_term, g0 = None, None
     for j, weight, g in filtered(fhat, f.grid, levels):
+        if g0 is not None:
+            low_term, g0 = trace_lp_planes(g0, p, f.grid.cell_volume, column.planes), None
         for side, acc in zip(sides, accs):
             acc.add_gram(g, weight, row=side == "row")
-        if low and j == 0:  # while the helper thread sums the queued Gram of g
-            low_term = trace_lp_planes(g, p, f.grid.cell_volume)
+        if low and j == 0:
+            if column is None:  # while the helper thread sums the queued Gram of g
+                low_term = trace_lp_planes(g, p, f.grid.cell_volume)
+            else:
+                g0 = g
+    if g0 is not None:  # level 0 was the only level
+        low_term = trace_lp_planes(g0, p, f.grid.cell_volume, column.planes)
     return [psd_root_norm(acc.planes, p, f.grid.cell_volume) for acc in accs], low_term
 
 

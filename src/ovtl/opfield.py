@@ -308,7 +308,8 @@ def trace_lp_norm(f: OperatorField, p: float) -> float:
     return trace_lp_planes(as_planes(f.data), p, f.grid.cell_volume)
 
 
-def trace_lp_planes(g: np.ndarray, p: float, cell_volume: float) -> float:
+def trace_lp_planes(g: np.ndarray, p: float, cell_volume: float,
+                    G: np.ndarray | None = None) -> float:
     """(sum_s cell_volume tr|g(s)|^p)^(1/p), the operator sup for p = inf, of
     the blocks whose planes (n, n, *points) are ``g`` (a view will do).
 
@@ -325,10 +326,20 @@ def trace_lp_planes(g: np.ndarray, p: float, cell_volume: float) -> float:
     :func:`_root_traces` leaves go straight to the dilation, one eigenvalue
     call in all.  p >= 2, p = inf and n = 1 need no dilation: they take
     :func:`psd_root_norm` of x* x.
+
+    At p = 1 and n = 3, 4 the caller may hand in the planes ``G`` of g* g as
+    :func:`gram` makes them (a sum with the one weight 1 is the same bits);
+    then g is neither rescaled nor copied, only the blocks left to the
+    dilation are, by their own power of two.  Both rescales are exact and
+    :func:`_root_traces` rescales each block of points by a power of four,
+    so the value is bitwise the one computed without ``G`` wherever no
+    entry of g* g is subnormal.  ``G`` is ignored at any other p or n.
     """
+    n = g.shape[0]
+    if G is not None and p == 1 and n in (3, 4):
+        return _root_trace_sum(g, G) * cell_volume
     exp = _pow2_exponent(g)
     x = np.multiply(g, np.ldexp(1.0, -exp), out=np.empty(g.shape, dtype=np.complex128))
-    n = x.shape[0]
     if p == 1 and n == 2:
         det = x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
         terms = (x[a, b].real**2 + x[a, b].imag**2 for a, b in np.ndindex(2, 2))
@@ -338,9 +349,7 @@ def trace_lp_planes(g: np.ndarray, p: float, cell_volume: float) -> float:
     G = np.empty_like(x)
     gram(as_blocks(x), as_blocks(G))
     if p == 1 and n in (3, 4):
-        solved, rest = _root_traces(G)
-        total = solved + float(np.sum(_dilation_singular_values(as_blocks(x)[rest])))
-        return float(np.ldexp(total * cell_volume, exp.item()))
+        return float(np.ldexp(_root_trace_sum(x, G) * cell_volume, exp.item()))
     if p >= 2 or n == 1:
         return float(np.ldexp(psd_root_norm(G, p, cell_volume), exp.item()))
     sq = psd_eigvalsh(as_blocks(G))
@@ -348,6 +357,18 @@ def trace_lp_planes(g: np.ndarray, p: float, cell_volume: float) -> float:
     if np.any(coarse):
         sq[coarse] = _dilation_singular_values(as_blocks(x)[coarse]) ** 2
     return float(np.ldexp(lp_norm_from_psd_eigs(sq, p, cell_volume), exp.item()))
+
+
+def _root_trace_sum(x: np.ndarray, G: np.ndarray) -> float:
+    """sum_s tr|x(s)| of planes ``x``, n = 3 or 4, given the planes ``G`` of
+    x* x: :func:`_root_traces` of G, and the singular values of the blocks it
+    leaves from the dilation of those blocks alone, times their own power of
+    two."""
+    solved, rest = _root_traces(G)
+    left = as_blocks(x)[rest]
+    exp = _pow2_exponent(left).item()
+    sigma = _dilation_singular_values(np.multiply(left, np.ldexp(1.0, -exp), out=left))
+    return solved + float(np.ldexp(float(np.sum(sigma)), exp))
 
 
 def psd_root_norm(S: np.ndarray, p: float, cell_volume: float) -> float:
@@ -422,32 +443,56 @@ def _root_traces(S: np.ndarray) -> tuple:
     separates s_1^2 from the other roots, and when its last step is at
     round-off.  Points are read _GRAM_ROWS at a time, each block of points'
     symmetrized entries rescaled by the power of four that brings its largest
-    diagonal entry under 1.
+    diagonal entry under 1; the entries and the Laguerre steps run in work
+    arrays allocated once, each operation on the operands and in the order
+    of the written formula, so a scale by a power of four of a whole block of
+    points scales every root it solves by the power of two, bitwise.
     """
     n, shape = S.shape[0], S.shape[2:]
     S = S.reshape(n, n, -1)
     roots, solved = np.empty(S.shape[-1]), np.empty(S.shape[-1], dtype=bool)
-    for rows in (slice(lo, lo + _GRAM_ROWS) for lo in range(0, S.shape[-1], _GRAM_ROWS)):
-        blk = S[..., rows]
+    width = min(S.shape[-1], _GRAM_ROWS)
+    diag, upper = np.empty((n, width)), np.empty((n * (n - 1) // 2, width), dtype=np.complex128)
+    work = np.empty((8, width))
+    for lo in range(0, S.shape[-1], _GRAM_ROWS):
+        blk = S[..., lo:lo + _GRAM_ROWS]
+        k = blk.shape[-1]
         exp = int(_pow2_exponent(np.diagonal(blk).real, step=2).item())
         scale = np.ldexp(1.0, -exp)
-        a = [[None] * i + [blk[i, i].real * scale]
-             + [(0.5 * scale) * (blk[i, j] + np.conj(blk[j, i])) for j in range(i + 1, n)]
-             for i in range(n)]
+        a = [[None] * i + [np.multiply(blk[i, i].real, scale, out=diag[i, :k])] for i in range(n)]
+        for (i, j), c in zip(itertools.combinations(range(n), 2), upper[:, :k]):
+            np.add(blk[i, j], np.conjugate(blk[j, i], out=c), out=c)
+            a[i].append(np.multiply(0.5 * scale, c, out=c))
+        u, v, t, w, g, g1, g2, step = work[:, :k]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             e = _minor_sums(a) + [0.0]  # e_4 = 0 at n = 3
-            s4, y = np.sqrt(e[4]), n * e[1]
+            s4 = np.sqrt(e[4])
+            y = np.multiply(n, e[1], out=roots[lo:lo + k])
+            two_s4, eight_s4, four_e3 = 2.0 * s4, 8.0 * s4, 4.0 * e[3]
             for _ in range(_ROOT_STEPS):
-                u = 0.5 * (y - e[1])  # s_2
-                v = u * u - e[2] + 2.0 * s4  # 2 s_1 s_3
-                g = v * v - 4.0 * y * (e[3] + 2.0 * u * s4)
-                g1 = 2.0 * v * u - 4.0 * e[3] - 8.0 * u * s4 - 4.0 * y * s4
-                g2 = 2.0 * u * u + v - 8.0 * s4
-                step = 4.0 * g / (g1 + np.sqrt(np.maximum(9.0 * g1 * g1 - 12.0 * g * g2, 0.0)))
-                y = y - step
-            solved[rows] = ((e[n] >= _COARSE_SQ * e[1] * e[n - 1]) & (e[1] > 0) & (e[n - 1] > 0)
-                            & (np.abs(step) <= 1e-14 * y))
-            roots[rows] = np.ldexp(np.sqrt(y), exp // 2)
+                np.multiply(0.5, np.subtract(y, e[1], out=u), out=u)  # u = s_2
+                # v = 2 s_1 s_3 = u u - e_2 + 2 s4
+                np.add(np.subtract(np.multiply(u, u, out=v), e[2], out=v), two_s4, out=v)
+                # g = v v - 4 y (e_3 + 2 u s4)
+                np.add(e[3], np.multiply(np.multiply(2.0, u, out=t), s4, out=t), out=t)
+                np.multiply(np.multiply(4.0, y, out=w), t, out=w)
+                np.subtract(np.multiply(v, v, out=g), w, out=g)
+                # g1 = 2 v u - 4 e_3 - 8 u s4 - 4 y s4
+                np.subtract(np.multiply(np.multiply(2.0, v, out=g1), u, out=g1), four_e3, out=g1)
+                np.subtract(g1, np.multiply(np.multiply(8.0, u, out=t), s4, out=t), out=g1)
+                np.subtract(g1, np.multiply(np.multiply(4.0, y, out=t), s4, out=t), out=g1)
+                # g2 = 2 u u + v - 8 s4
+                np.multiply(np.multiply(2.0, u, out=g2), u, out=g2)
+                np.subtract(np.add(g2, v, out=g2), eight_s4, out=g2)
+                # step = 4 g / (g1 + sqrt(max(9 g1 g1 - 12 g g2, 0)))
+                np.multiply(np.multiply(9.0, g1, out=t), g1, out=t)
+                np.subtract(t, np.multiply(np.multiply(12.0, g, out=w), g2, out=w), out=t)
+                np.add(g1, np.sqrt(np.maximum(t, 0.0, out=t), out=t), out=t)
+                np.divide(np.multiply(4.0, g, out=step), t, out=step)
+                np.subtract(y, step, out=y)
+            solved[lo:lo + k] = ((e[n] >= _COARSE_SQ * e[1] * e[n - 1]) & (e[1] > 0)
+                                 & (e[n - 1] > 0) & (np.abs(step) <= 1e-14 * y))
+            np.ldexp(np.sqrt(y, out=y), exp // 2, out=y)
     return float(np.sum(roots[solved])), ~solved.reshape(shape)
 
 

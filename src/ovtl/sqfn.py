@@ -8,8 +8,8 @@ function is described by a *level list* ``[(j, weight, symbol)]`` of
 truncating the sum is slicing the list.  The engine runs on planes
 (n, n, *grid.shape) (:mod:`ovtl.opfield`): its caller copies a field to
 planes once and transforms them in place, ``fhat =
-fft_planes(to_planes(f.data), grid)`` (``normsuite._scaled_transform``, and
-``fmult`` for each certificate trial spectrum), and every level, Gram and
+fft_planes(to_planes(f.data, scale), grid)`` (``normsuite._scaled_transform``,
+and ``fmult`` for each certificate trial spectrum), and every level, Gram and
 root from there on reads and writes contiguous planes.
 :func:`filtered` turns a level list and the shared transform into the terms
 ``(j, weight, m_j * f)``, one inverse transform per level into a fresh

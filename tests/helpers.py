@@ -67,7 +67,6 @@ from ovtl.lattice import (
     DyadicCube,
     Grid,
     box_indices,
-    cube_blocks,
     periodic_block_sum,
     subcube_orders,
     wrap_half,
@@ -199,10 +198,21 @@ def cube_center(cube: DyadicCube) -> np.ndarray:
     return np.array(cube.index, dtype=float) * 2.0**-cube.level
 
 
+def cube_blocks(data: np.ndarray, grid: Grid, level: int) -> np.ndarray:
+    """(*grid.shape, ...) data with each spatial axis split into a
+    (2^level, side) pair: entry [l_1, b_1, ..., l_d, b_d] is point b of the
+    level-``level`` dyadic cube with index l (wraparound cubes included), by
+    one periodic roll by half a side and a reshape: the oracle of
+    :func:`~ovtl.lattice.cube_stack` and of the cube means."""
+    side = grid.N >> level
+    rolled = np.roll(data, side // 2, axis=grid.spatial_axes)
+    return rolled.reshape(sum(((1 << level, side),) * grid.d, ()) + data.shape[grid.d:])
+
+
 def block_means(planes: np.ndarray, grid: Grid, level: int) -> np.ndarray:
     """Mean of planes (n, n, *grid.shape) over each dyadic cube at ``level``,
     as blocks of shape (2^level,)*d + (n, n): the planes seen as blocks are
-    rolled into cubes (:func:`~ovtl.lattice.cube_blocks`) and averaged over
+    rolled into cubes (:func:`cube_blocks`) and averaged over
     each cube's points."""
     blocks = cube_blocks(as_blocks(planes), grid, level)
     return blocks.mean(axis=tuple(2 * k + 1 for k in range(grid.d)))
@@ -647,6 +657,38 @@ def root_traces_reference(S: np.ndarray, steps: int = 7) -> tuple:
         scale = np.ldexp(1.0, -exp)
         a = [[None] * i + [blk[:, i, i].real * scale]
              + [(0.5 * scale) * (blk[:, i, j] + np.conj(blk[:, j, i])) for j in range(i + 1, n)]
+             for i in range(n)]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e = _minor_sums(a) + [0.0]
+            s4, y = np.sqrt(e[4]), n * e[1]
+            for _ in range(steps):
+                u = 0.5 * (y - e[1])
+                v = u * u - e[2] + 2.0 * s4
+                g = v * v - 4.0 * y * (e[3] + 2.0 * u * s4)
+                g1 = 2.0 * v * u - 4.0 * e[3] - 8.0 * u * s4 - 4.0 * y * s4
+                g2 = 2.0 * u * u + v - 8.0 * s4
+                step = 4.0 * g / (g1 + np.sqrt(np.maximum(9.0 * g1 * g1 - 12.0 * g * g2, 0.0)))
+                y = y - step
+            solved[rows] = ((e[n] >= _COARSE_SQ * e[1] * e[n - 1]) & (e[1] > 0) & (e[n - 1] > 0)
+                            & (np.abs(step) <= 1e-14 * y))
+            roots[rows] = np.ldexp(np.sqrt(y), exp // 2)
+    return float(np.sum(roots[solved])), ~solved.reshape(shape)
+
+
+def root_traces_unbuffered(S: np.ndarray, steps: int = 7) -> tuple:
+    """``opfield._root_traces`` as it was written with a fresh array for every
+    term: the same entries, minor sums and Laguerre steps on the planes
+    (n, n, *points) ``S``, _GRAM_ROWS points at a time; the oracle of the
+    kernel that runs them in work arrays allocated once."""
+    n, shape = S.shape[0], S.shape[2:]
+    S = S.reshape(n, n, -1)
+    roots, solved = np.empty(S.shape[-1]), np.empty(S.shape[-1], dtype=bool)
+    for rows in (slice(lo, lo + _GRAM_ROWS) for lo in range(0, S.shape[-1], _GRAM_ROWS)):
+        blk = S[..., rows]
+        exp = int(_pow2_exponent(np.diagonal(blk).real, step=2).item())
+        scale = np.ldexp(1.0, -exp)
+        a = [[None] * i + [blk[i, i].real * scale]
+             + [(0.5 * scale) * (blk[i, j] + np.conj(blk[j, i])) for j in range(i + 1, n)]
              for i in range(n)]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             e = _minor_sums(a) + [0.0]

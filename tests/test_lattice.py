@@ -9,13 +9,13 @@ from ovtl.lattice import (
     DyadicCube,
     box_indices,
     cone_index,
-    cube_blocks,
     cube_means,
+    cube_stack,
     dyadic_cubes_at_level,
     wrap_half,
 )
 from ovtl.opfield import as_blocks
-from helpers import ball_measure, block_means, side_cells, subcube_order
+from helpers import ball_measure, block_means, cube_blocks, side_cells, subcube_order
 
 
 def test_wrap_half_is_half_open():
@@ -157,6 +157,22 @@ def test_cube_blocks_follow_axis_indices(d, N, max_level):
         blocks = blocks.reshape((len(cubes),) + blocks.shape[d:])
         for block, cube in zip(blocks, cubes):
             assert np.array_equal(block, data[np.ix_(*cube.axis_indices())])
+
+
+@pytest.mark.parametrize("d,N,max_level", _PLACEMENT_GRIDS)
+@pytest.mark.parametrize("tail", [(), (3,), (2, 2)], ids=["scalar", "vector", "blocks"])
+def test_cube_stack_is_the_rolled_blocks_in_cube_order(d, N, max_level, tail):
+    # one contiguous copy, cube i of dyadic_cubes_at_level first: bitwise the
+    # rolled blocks with their cube axes moved to the front
+    g = Grid(d, N)
+    rng = np.random.default_rng(10 + d)
+    data = rng.normal(size=g.shape + tail) + 1j * rng.normal(size=g.shape + tail)
+    for level in _levels(g, max_level):
+        want = np.moveaxis(cube_blocks(data, g, level), range(0, 2 * d, 2), range(d))
+        want = want.reshape((len(dyadic_cubes_at_level(g, level)),) + want.shape[d:])
+        got = cube_stack(data, g, level)
+        assert got.flags.c_contiguous and not np.shares_memory(got, data)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 MEAN_GRIDS = [Grid(1, 64), Grid(2, 32), Grid(3, 16)]

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from ovtl import opfield
+from ovtl import normsuite, opfield, sqfn
 from ovtl.fmult import bessel_dilate_sequence, empirical_conic_bound, empirical_square_bound
 from ovtl.generators import band_limited_random, band_limited_spectrum, rng_for
 from ovtl.lattice import Grid, cone_index
@@ -27,14 +27,22 @@ from ovtl.normsuite import (
     tl_norm_mixture,
     tl_norm_row,
 )
-from ovtl.opfield import PSDAccumulator, as_blocks, gram, psd_root_norm, to_planes
-from ovtl.spectral import fft_data, make_lp_family
+from ovtl.opfield import (
+    PSDAccumulator,
+    as_blocks,
+    gram,
+    psd_root_norm,
+    to_planes,
+    trace_lp_planes,
+)
+from ovtl.spectral import fft_data, fft_planes, filter_planes, make_lp_family
 from ovtl.sqfn import lp_levels, square_norm
 from helpers import (
     gram_into_reference,
     point_major_kernels,
     random_strip,
     root_traces_reference,
+    root_traces_unbuffered,
 )
 
 # 4096 points, the largest stacks summed inline: one row block of every kernel
@@ -124,21 +132,26 @@ def test_certificates_match_point_major_kernels(monkeypatch, conic, n, p):
     assert [r.hex() for r in planar.per_trial] == [r.hex() for r in oracle.per_trial]
 
 
+class _Late:
+    """A helper that starts each queued Gram 50 ms late, recording it in ``queued``."""
+
+    def __init__(self, helper, queued):
+        self.helper, self.queued = helper, queued
+
+    def submit(self, fn, *args):
+        def late():
+            time.sleep(0.05)
+            return fn(*args)
+        self.queued.append(fn)
+        return self.helper.submit(late)
+
+
 def test_late_queued_conic_gram_matches_point_major_kernels(monkeypatch):
     # 16,384 points: the j = 0 Gram of a conic sum is queued on the helper
     # thread, and a late start must still find level 0 as it was filtered
     # while levels j >= 1 are summed inline
     grid = Grid(2, 128)
     helper, queued = opfield._HELPER, []
-
-    class Late:
-        def submit(self, fn, *args):
-            def late():
-                time.sleep(0.05)
-                return fn(*args)
-            queued.append(fn)
-            return helper.submit(late)
-
     fam = make_lp_family(grid)
     seq = bessel_dilate_sequence(grid, 1.0)
     cone = cone_index(grid, fam.j_max)
@@ -150,12 +163,79 @@ def test_late_queued_conic_gram_matches_point_major_kernels(monkeypatch):
         hardy = hardy_norm(f, 3.0, fam, shape="conic")
         return cert.to_text(), [r.hex() for r in cert.per_trial], _bits([hardy])
 
-    monkeypatch.setattr(opfield, "_HELPER", Late())
+    monkeypatch.setattr(opfield, "_HELPER", _Late(helper, queued))
     planar = results()
     assert queued
     monkeypatch.setattr(opfield, "_HELPER", helper)
     point_major_kernels(monkeypatch)
     assert planar == results()
+
+
+# the phi_0 term at p = 1, n = 3, 4 takes the column sum after level 0 as its Gram
+REUSE_GRIDS = [Grid(2, 128), Grid(3, 32)]
+
+
+def _phi0_oracle(f, fam) -> float:
+    """||phi_0 * f||_1 from trace_lp_planes of the filtered level alone, which
+    makes its own Gram, on the transform scaled after the FFT."""
+    e = f.pow2_exponent()
+    fhat = fft_planes(to_planes(f.data), f.grid)
+    fhat *= np.ldexp(1.0, -e)
+    g0 = filter_planes(fam.member(0), fhat, f.grid)
+    return float(np.ldexp(trace_lp_planes(g0, 1.0, f.grid.cell_volume), e))
+
+
+def _reuse_norms(f, fam) -> list:
+    return [tl_norm_column(f, 0.5, 1.0, fam), hardy_norm(f, 1.0, fam)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("grid", REUSE_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+def test_phi0_term_reads_late_level0_gram(monkeypatch, grid, n):
+    # the level-0 Gram is queued on the helper thread and starts 50 ms late:
+    # the phi_0 term must wait for it and read it before level 1 is added
+    helper, queued = opfield._HELPER, []
+    fam = make_lp_family(grid)
+    f = band_limited_random(grid, n, 1700 + 10 * grid.d + n)
+    monkeypatch.setattr(opfield, "_HELPER", _Late(helper, queued))
+    late = _reuse_norms(f, fam)
+    assert len(queued) == 2 * (fam.j_max + 1)
+    want = _phi0_oracle(f, fam)
+    assert late[0].terms["phi0_term"].hex() == want.hex()
+    assert late[1].terms["low_frequency"].hex() == want.hex()
+    monkeypatch.setattr(opfield, "_HELPER", helper)
+    assert _bits(late) == _bits(_reuse_norms(f, fam))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("grid", REUSE_GRIDS, ids=lambda g: f"d{g.d}-N{g.N}")
+def test_phi0_term_makes_no_gram_of_its_own(monkeypatch, grid, n):
+    fam = make_lp_family(grid)
+    f = band_limited_random(grid, n, 1750 + 10 * grid.d + n)
+    want = _bits(_reuse_norms(f, fam))
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("a Gram outside the accumulator")
+
+    for module in (opfield, sqfn, normsuite):
+        monkeypatch.setattr(module, "gram", no_gram)
+    assert _bits(_reuse_norms(f, fam)) == want
+
+
+@pytest.mark.parametrize("power", [0, -3, 5, 301, -301])
+@pytest.mark.parametrize("points", [100, 4097, 8193])
+@pytest.mark.parametrize("n", [3, 4])
+def test_trace_lp_planes_reads_a_given_gram_bitwise(n, points, power):
+    # rank-deficient blocks, far smaller than the rest, go to the dilation
+    # rescaled by their own power of two
+    rng = rng_for(1800 + n)
+    x = _cplx(rng, points, n, n) * 2.0**power
+    x[::4, :, -1] = x[::4, :, 0]
+    x[::4] *= 2.0**-37
+    g = to_planes(x)
+    with_gram = trace_lp_planes(g, 1.0, 0.5, to_planes(gram(x)))
+    assert np.any(opfield._root_traces(to_planes(gram(x)))[1])
+    assert with_gram.hex() == trace_lp_planes(g, 1.0, 0.5).hex()
 
 
 # stacks on both sides of the 4096-point row blocks
@@ -195,6 +275,24 @@ def test_root_traces_match_point_major_oracle(n, points):
     got, want = opfield._root_traces(to_planes(S)), root_traces_reference(S)
     assert got[0].hex() == want[0].hex()
     assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("case", ["random", "rank-deficient", "times 2^600", "times 2^-600"])
+@pytest.mark.parametrize("points", STACKS)
+@pytest.mark.parametrize("n", [3, 4])
+def test_root_traces_match_unbuffered_loop(n, points, case):
+    rng = rng_for(1850 + n)
+    x = _cplx(rng, points, n, n)
+    if case == "rank-deficient":
+        x[::2, :, -1] = x[::2, :, 0]
+    S = to_planes(gram(x))
+    if case.startswith("times"):
+        S *= 2.0 ** int(case[8:])
+    got, want = opfield._root_traces(S), root_traces_unbuffered(S)
+    assert got[0].hex() == want[0].hex()
+    assert np.array_equal(got[1], want[1])
+    if case == "rank-deficient":
+        assert np.all(got[1][::2])
 
 
 @pytest.mark.parametrize("points", STACKS)
